@@ -96,14 +96,14 @@ def _degree_arg(text: str) -> int:
     return value
 
 
-def _default_cap() -> int:
-    env = os.environ.get("HOCHCAT_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BASIS_CAP
+def _cap_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad cap {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("cap must be nonnegative")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-degree", type=_degree_arg, default=3,
                            help="highest cohomological degree (default 3)")
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", type=_cap_arg, default=None,
                        help="basis-size cap (default 2e6, env HOCHCAT_CAP)")
 
     common(sub.add_parser("validate", help="check the category axioms"), degree=False)
@@ -136,8 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> Command:
-    ns = build_parser().parse_args(argv)
-    cap = ns.cap if ns.cap is not None else _default_cap()
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    cap = ns.cap
+    if cap is None:
+        env = os.environ.get("HOCHCAT_CAP")
+        try:
+            cap = _cap_arg(env) if env else DEFAULT_BASIS_CAP
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"HOCHCAT_CAP: {exc}")
     return Command(
         verb=ns.verb,
         input=ns.input,

@@ -32,11 +32,10 @@ from .hochschild import (
     check_cap,
     hochschild_basis_size,
     hochschild_differential_matrix,
-    relative_basis,
     relative_differential_matrix,
     _relative_basis_cached,
 )
-from .matrix import Matrix, Subspace, induced_quotient_map, quotient_dim
+from .matrix import Matrix, cohomology, induced_quotient_map
 from .nerve import _chain_index, _chains_cached, simplicial_coboundary_matrix
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
@@ -94,25 +93,18 @@ def t_map_matrix(ctx: ComparisonContext, m: int, cap: int | None = None) -> Matr
     return Matrix.from_entries(ctx.field, nrows, ncols, {rc: one for rc in entries})
 
 
+def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
+    """Full Hochschild basis index -> relative basis index, in degree m."""
+    return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_relative_basis_cached(cat, m))}
+
+
 def t_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:
     """T restricted to the relative subcomplex (square under the full hypotheses)."""
-    rel_index = {pair: i for i, pair in enumerate(_relative_basis_cached(ctx.cat, m))}
-    fad = ctx.fad
-    comp = ctx.cat.compose_table
+    rel_of_full = _relative_of_full(ctx.cat, m)
+    nrows, _ncols, entries = _t_entries(ctx.cat, m)
     one = ctx.field.one
-    cells = {}
-    if m == 0:
-        for o, e in enumerate(fad.object_endos):
-            cells[o, rel_index[(), e]] = one
-        return Matrix.from_entries(ctx.field, fad.n_objects, len(rel_index), cells)
-    chains = _chains_cached(fad, m)
-    for i, sigma in enumerate(chains):
-        ladder = fad.ladder_of_chain(sigma, m)
-        c = ladder.verticals[0]
-        for g in ladder.bottom:
-            c = comp[g][c]
-        cells[i, rel_index[tuple(reversed(ladder.bottom)), c]] = one
-    return Matrix.from_entries(ctx.field, len(chains), len(rel_index), cells)
+    cells = {(r, rel_of_full[c]): one for r, c in entries}
+    return Matrix.from_entries(ctx.field, nrows, len(rel_of_full), cells)
 
 
 # --- the section X -----------------------------------------------------------
@@ -162,13 +154,10 @@ def x_map_matrix(ctx: ComparisonContext, m: int, cap: int | None = None) -> Matr
 def x_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:
     """X written in relative row coordinates (its image is always relative)."""
     ctx.require("right_deterministic", "right_cancellative")
-    rel = _relative_basis_cached(ctx.cat, m)
-    rel_of_full = {basis_index(ctx.cat, tup, h): i for i, (tup, h) in enumerate(rel)}
-    nrows, ncols, entries = _x_entries(ctx.cat, m)
-    cells = {}
-    for (r, c), v in entries:
-        cells[rel_of_full[r], c] = v
-    return Matrix.from_int_entries(ctx.field, len(rel), ncols, cells)
+    rel_of_full = _relative_of_full(ctx.cat, m)
+    _nrows, ncols, entries = _x_entries(ctx.cat, m)
+    cells = {(rel_of_full[r], c): v for (r, c), v in entries}
+    return Matrix.from_int_entries(ctx.field, len(rel_of_full), ncols, cells)
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -242,10 +231,7 @@ def verify_two_sided_on_relative(ctx: ComparisonContext, m: int) -> Verification
     composites of the restricted maps are identity matrices.
     """
     ctx.require("rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
-    rel_full = {
-        basis_index(ctx.cat, tup, h)
-        for tup, h in _relative_basis_cached(ctx.cat, m)
-    }
+    rel_full = _relative_of_full(ctx.cat, m)
     _, _, entries = _x_entries(ctx.cat, m)
     for (r, _c), _v in entries:
         if r not in rel_full:
@@ -303,21 +289,12 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
     cat, fad, field = ctx.cat, ctx.fad, ctx.field
     tier = hypothesis_tier(ctx.flags)
     degrees = []
-    prev_h = prev_s = prev_r = None
     ok = True
-    for m in range(max_m + 1):
-        d_h = hochschild_differential_matrix(cat, field, m, cap)
-        d_s = simplicial_coboundary_matrix(fad, field, m)
-        d_r = relative_differential_matrix(cat, field, m, cap)
-        Z_h = d_h.kernel_basis()
-        B_h = prev_h.image_basis() if prev_h is not None else Subspace.zero(field, d_h.ncols)
-        Z_s = d_s.kernel_basis()
-        B_s = prev_s.image_basis() if prev_s is not None else Subspace.zero(field, d_s.ncols)
-        Z_r = d_r.kernel_basis()
-        B_r = prev_r.image_basis() if prev_r is not None else Subspace.zero(field, d_r.ncols)
-        dim_h = quotient_dim(Z_h, B_h)
-        dim_s = quotient_dim(Z_s, B_s)
-        dim_r = quotient_dim(Z_r, B_r)
+    rng = range(max_m + 1)
+    full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
+    nerve = cohomology(simplicial_coboundary_matrix(fad, field, m) for m in rng)
+    relative = cohomology(relative_differential_matrix(cat, field, m, cap) for m in rng)
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), (_, _, dim_r) in zip(rng, full, nerve, relative):
         if tier == "unverified":
             # without the cancellation hypotheses T need not be a chain map,
             # so there is no induced map to certify
@@ -340,7 +317,6 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
             ok = False
         if tier == "surjection" and not surjective:
             ok = False
-        prev_h, prev_s, prev_r = d_h, d_s, d_r
     verdict = tier if (tier == "unverified" or ok) else "failed"
     return TheoremAReport(
         field=field,

@@ -32,7 +32,7 @@ from functools import lru_cache
 from .category import FiniteCategory
 from .errors import DimensionCapExceeded, NotASubcomplex
 from .fields import FieldSpec
-from .matrix import Matrix, Subspace, quotient_dim
+from .matrix import Matrix, cohomology
 
 DEFAULT_BASIS_CAP = 2_000_000
 
@@ -244,22 +244,10 @@ def complex_slice(cat, field, m: int, cap: int | None = None) -> ComplexSlice:
     )
 
 
-def _cohomology_dims_from_matrices(matrices: list[Matrix], field) -> list[int]:
-    """dim ker(d_m) / im(d_{m-1}) for each degree; verifies the complex closes."""
-    dims = []
-    prev_image: Subspace | None = None
-    for d in matrices:
-        Z = d.kernel_basis()
-        B = prev_image if prev_image is not None else Subspace.zero(field, d.ncols)
-        dims.append(quotient_dim(Z, B))
-        prev_image = d.image_basis()
-    return dims
-
-
 def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of HH^0..HH^max_m over the full cochain complex."""
     mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return _cohomology_dims_from_matrices(mats, field)
+    return [dim for _Z, _B, dim in cohomology(mats)]
 
 
 # --- the relative subcomplex ---------------------------------------------------
@@ -318,18 +306,22 @@ def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
 
 
 def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the differential restricted to relative cochains."""
-    nrows, ncols, entries = _relative_differential_entries(cat, m)
+    """Matrix of the differential restricted to relative cochains.
+
+    The cap is checked on the two bases before any entry is assembled.
+    """
     cap_val = DEFAULT_BASIS_CAP if cap is None else cap
-    if max(nrows, ncols) > cap_val:
-        raise DimensionCapExceeded(m + 1, max(nrows, ncols), cap_val)
+    required = max(len(_relative_basis_cached(cat, m)), len(_relative_basis_cached(cat, m + 1)))
+    if required > cap_val:
+        raise DimensionCapExceeded(m + 1, required, cap_val)
+    nrows, ncols, entries = _relative_differential_entries(cat, m)
     return Matrix.from_int_entries(field, nrows, ncols, entries)
 
 
 def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the relative cohomology in degrees 0..max_m."""
     mats = [relative_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return _cohomology_dims_from_matrices(mats, field)
+    return [dim for _Z, _B, dim in cohomology(mats)]
 
 
 # --- separability of the identity span --------------------------------------------

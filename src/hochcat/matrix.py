@@ -1,20 +1,19 @@
 """Exact matrices over GF(p) or Q with deterministic elimination.
 
-Entries live in a canonical map from (row, col) to nonzero scalar; the
-``layout`` attribute, picked by a size threshold at construction, selects
-the elimination engine:
+Entries live in a canonical map from (row, col) to nonzero scalar.  There
+is one elimination engine: reduction on row dicts with column-indexed
+bookkeeping and Markowitz-style row selection, generic over the field
+through three scalar hooks (ints mod p for GF(p), Fractions for Q).
 
-* ``dense``  -- flat-buffer Gauss-Jordan; the GF(p) case goes through the
-  compiled kernel when present, with a pure-Python twin otherwise.
-* ``sparse`` -- reduction on row dicts with column-indexed bookkeeping and
-  Markowitz-style row selection.
+Columns are processed left to right, so the pivot columns are the RREF
+pivots, and the result is the canonical reduced row echelon form (RREF is
+unique for a given row space).  Ranks, kernels and reported bases are
+therefore determined by the matrix alone.  Pivot choice is deterministic:
+the sparsest usable row, ties broken by row index.
 
-Both engines end in the canonical reduced row echelon form (columns are
-processed left to right, so the pivot columns are the RREF pivots, and RREF
-is unique for a given row space).  Ranks, kernels and reported bases
-therefore never depend on the layout or on the kernel backend.  Pivot
-choice is deterministic: the dense engines take the lowest usable row, the
-sparse engine the sparsest usable row with ties broken by row index.
+``cohomology`` walks the differentials of a cochain complex and yields
+each degree's cocycles, coboundaries and cohomology dimension; every
+complex in the package goes through it.
 """
 
 from __future__ import annotations
@@ -22,37 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import kernels
 from .errors import NotASubspace, NotChainCompatible
 from .fields import FieldSpec
-
-DENSE_CELL_LIMIT = 100_000
-DENSE_COL_LIMIT = 4096
-
-
-def _auto_layout(nrows: int, ncols: int) -> str:
-    if nrows * ncols >= DENSE_CELL_LIMIT or ncols >= DENSE_COL_LIMIT:
-        return "sparse"
-    return "dense"
 
 
 class Matrix:
     """Immutable exact matrix.  Build via the ``from_*`` constructors."""
 
-    def __init__(self, field: FieldSpec, nrows: int, ncols: int, cells: dict, layout: str | None = None):
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, cells: dict):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.layout = layout or _auto_layout(nrows, ncols)
-        if self.layout not in ("dense", "sparse"):
-            raise ValueError(f"unknown layout {self.layout!r}")
         # canonical cell map (r, c) -> nonzero scalar
         self._cells = {k: v for k, v in cells.items() if v != 0}
 
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, field, nrows, ncols, entries, layout=None) -> "Matrix":
+    def from_entries(cls, field, nrows, ncols, entries) -> "Matrix":
         """``entries``: mapping or iterable of ((r, c), value) in field scalars."""
         items = entries.items() if hasattr(entries, "items") else entries
         cells = {}
@@ -61,10 +47,10 @@ class Matrix:
                 raise IndexError(f"entry ({r}, {c}) outside {nrows}x{ncols}")
             if v != 0:
                 cells[r, c] = v
-        return cls(field, nrows, ncols, cells, layout)
+        return cls(field, nrows, ncols, cells)
 
     @classmethod
-    def from_int_entries(cls, field, nrows, ncols, entries, layout=None) -> "Matrix":
+    def from_int_entries(cls, field, nrows, ncols, entries) -> "Matrix":
         """Reduce integer entries into the field; drops entries that map to 0."""
         items = entries.items() if hasattr(entries, "items") else entries
         cells = {}
@@ -72,10 +58,10 @@ class Matrix:
             v = field.scalar(n)
             if v != 0:
                 cells[r, c] = v
-        return cls(field, nrows, ncols, cells, layout)
+        return cls(field, nrows, ncols, cells)
 
     @classmethod
-    def from_rows(cls, field, rows, ncols=None, layout=None) -> "Matrix":
+    def from_rows(cls, field, rows, ncols=None) -> "Matrix":
         rows = [list(r) for r in rows]
         nrows = len(rows)
         if ncols is None:
@@ -87,16 +73,16 @@ class Matrix:
             for j, v in enumerate(row):
                 if v != 0:
                     cells[i, j] = v
-        return cls(field, nrows, ncols, cells, layout)
+        return cls(field, nrows, ncols, cells)
 
     @classmethod
-    def zeros(cls, field, nrows, ncols, layout=None) -> "Matrix":
-        return cls(field, nrows, ncols, {}, layout)
+    def zeros(cls, field, nrows, ncols) -> "Matrix":
+        return cls(field, nrows, ncols, {})
 
     @classmethod
-    def identity(cls, field, n, layout=None) -> "Matrix":
+    def identity(cls, field, n) -> "Matrix":
         one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)}, layout)
+        return cls(field, n, n, {(i, i): one for i in range(n)})
 
     # --- access ---------------------------------------------------------------
 
@@ -147,7 +133,7 @@ class Matrix:
         return hash((self.field, self.nrows, self.ncols, tuple(sorted(self._cells.items()))))
 
     def __repr__(self):
-        return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz}, {self.layout})"
+        return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
 
     def first_difference(self, other: "Matrix"):
         """First (r, c, self_val, other_val) where the matrices differ, or None."""
@@ -247,39 +233,15 @@ class Matrix:
         """Reduced row echelon form.
 
         Returns ``(pivot_cols, R)`` where R holds only the nonzero rows.
-        The output is the canonical RREF of the row space, identical across
-        layouts and kernel backends.
+        The output is the canonical RREF of the row space.
         """
-        if self.layout == "dense":
-            pivots, rows = self._rref_dense()
-        else:
-            pivots, rows = self._rref_sparse()
+        rows = [r for r in self.row_dicts() if r]
+        pivots, rows = _rref_sparse(rows, self.ncols, *_scalar_hooks(self.field))
         cells = {}
         for i, row in enumerate(rows):
             for c, v in row.items():
                 cells[i, c] = v
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, cells)
-
-    def _rref_dense(self):
-        f = self.field
-        if f.is_prime_field:
-            p = f.p
-            flat = [0] * (self.nrows * self.ncols)
-            for (r, c), v in self._cells.items():
-                flat[r * self.ncols + c] = v
-            pivots, out = kernels.rref_mod_p(flat, self.nrows, self.ncols, p)
-            rows = []
-            for i in range(len(pivots)):
-                base = i * self.ncols
-                rows.append({c: out[base + c] for c in range(self.ncols) if out[base + c]})
-            return list(pivots), rows
-        return _rref_dense_frac(self.dense_rows(), self.ncols)
-
-    def _rref_sparse(self):
-        rows = [r for r in self.row_dicts() if r]
-        if self.field.is_prime_field:
-            return _rref_sparse_gf(rows, self.ncols, self.field.p)
-        return _rref_sparse_frac(rows, self.ncols)
 
     def rank(self) -> int:
         pivots, _ = self.rref()
@@ -319,44 +281,24 @@ class Matrix:
         }
 
 
-# --- elimination engines ---------------------------------------------------
+# --- elimination ----------------------------------------------------------------
 #
-# Four paths (dense/sparse x GF/Q) that all end in the same canonical RREF.
-# The GF paths work on ints mod p, the rational paths on Fractions.
+# GF(p) works on ints mod p, Q on Fractions; the engine only sees the hooks.
 
-def _rref_dense_frac(rows, ncols):
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[c]
-        if inv != 1:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] *= inv
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                row = rows[i]
-                fac = row[c]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        row[j] -= fac * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    out = [{c: v for c, v in enumerate(rows[i]) if v} for i in range(r)]
-    return pivots, out
+def _scalar_hooks(field: FieldSpec) -> tuple:
+    """``(inv, mul, sub)`` with ``sub(a, f, b) = a - f*b`` in the field."""
+    if field.is_prime_field:
+        p = field.p
+        return (
+            lambda a: pow(a, p - 2, p),
+            lambda a, b: a * b % p,
+            lambda a, f, b: (a - f * b) % p,
+        )
+    return (
+        lambda a: 1 / a,
+        lambda a, b: a * b,
+        lambda a, f, b: a - f * b,
+    )
 
 
 def _rref_sparse(rows, ncols, inv, mul, sub):
@@ -401,24 +343,6 @@ def _rref_sparse(rows, ncols, inv, mul, sub):
                         col_rows[c].discard(i)
         piv_list.append((pc, pr))
     return _back_substitute(rows, piv_list, sub)
-
-
-def _rref_sparse_gf(rows, ncols, p):
-    return _rref_sparse(
-        rows, ncols,
-        inv=lambda a: pow(a, p - 2, p),
-        mul=lambda a, b: a * b % p,
-        sub=lambda a, f, b: (a - f * b) % p,
-    )
-
-
-def _rref_sparse_frac(rows, ncols):
-    return _rref_sparse(
-        rows, ncols,
-        inv=lambda a: 1 / a,
-        mul=lambda a, b: a * b,
-        sub=lambda a, f, b: a - f * b,
-    )
 
 
 def _back_substitute(rows, piv_list, sub):
@@ -547,6 +471,23 @@ def quotient_dim(Z: Subspace, B: Subspace) -> int:
         if not Z.contains(v):
             raise NotASubspace("claimed subspace is not contained in the ambient one")
     return Z.dim - B.dim
+
+
+def cohomology(differentials):
+    """Walk a cochain complex ``d_0, d_1, ..`` degree by degree.
+
+    Yields ``(Z_m, B_m, dim H^m)`` for each differential, where
+    ``Z_m = ker d_m`` and ``B_m = im d_{m-1}`` (zero in degree 0).  The
+    dimension comes from ``quotient_dim``, so ``B_m <= Z_m`` is verified
+    and a complex with ``d_m d_{m-1} != 0`` raises NotASubspace.  The image
+    of the last differential bounds no listed degree and is never built.
+    """
+    prev = None
+    for d in differentials:
+        Z = d.kernel_basis()
+        B = prev.image_basis() if prev is not None else Subspace.zero(d.field, d.ncols)
+        yield Z, B, quotient_dim(Z, B)
+        prev = d
 
 
 def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:

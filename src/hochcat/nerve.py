@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .category import FiniteCategory
 from .fields import FieldSpec
-from .matrix import Matrix, Subspace, quotient_dim
+from .matrix import Matrix, cohomology
 
 
 @lru_cache(maxsize=None)
@@ -96,15 +96,8 @@ def simplicial_coboundary_matrix(cat, field, m: int) -> Matrix:
 
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int) -> list[int]:
     """Dimensions of the nerve cohomology in degrees 0..max_m."""
-    dims = []
-    prev_image: Subspace | None = None
-    for m in range(max_m + 1):
-        d = simplicial_coboundary_matrix(cat, field, m)
-        Z = d.kernel_basis()
-        B = prev_image if prev_image is not None else Subspace.zero(field, d.ncols)
-        dims.append(quotient_dim(Z, B))
-        prev_image = d.image_basis()
-    return dims
+    mats = (simplicial_coboundary_matrix(cat, field, m) for m in range(max_m + 1))
+    return [dim for _Z, _B, dim in cohomology(mats)]
 
 
 def connected_component_count(cat: FiniteCategory) -> int:

@@ -52,6 +52,40 @@ def naive_rank(rows, p) -> int:
     return rank
 
 
+def naive_rref(rows, p) -> tuple[list, list]:
+    """Textbook Gauss-Jordan on dense rows: (pivot columns, nonzero reduced rows).
+
+    Pivots are the lowest usable row per column, scanned left to right; each
+    pivot row is normalized and its column cleared above and below.
+    """
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if p is not None:
+            inv = pow(rows[r][col], p - 2, p)
+            rows[r] = [a * inv % p for a in rows[r]]
+        else:
+            lead = Fraction(rows[r][col])
+            rows[r] = [a / lead for a in rows[r]]
+        for i in range(len(rows)):
+            if i == r or rows[i][col] == 0:
+                continue
+            factor = rows[i][col]
+            if p is not None:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+            else:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, rows[:r]
+
+
 # --- the category algebra, independently -------------------------------------------
 
 def alg_mul(cat, u: dict, v: dict, p) -> dict:

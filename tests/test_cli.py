@@ -56,6 +56,22 @@ def test_cap_env_override(monkeypatch):
     assert parse_args(["props", "ex6"]).cap == 12345
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("abc", []),
+    ("-1", []),
+    (None, ["--cap", "-1"]),
+])
+def test_bad_cap_is_a_usage_error(monkeypatch, capsys, env, argv):
+    if env is None:
+        monkeypatch.delenv("HOCHCAT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("HOCHCAT_CAP", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["props", "c2", *argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # --- verbs ------------------------------------------------------------------------
 
 def test_compare_c2_text(capsys):

@@ -13,6 +13,7 @@ from hochcat import (
 )
 from hochcat.errors import DimensionCapExceeded
 from hochcat.hochschild import (
+    _relative_differential_entries,
     algebra_unit,
     hochschild_basis,
     relative_differential_matrix,
@@ -119,6 +120,14 @@ def test_hochschild_dims_c2():
     assert hochschild_cohomology_dims(C2, QQ, 3) == [2, 0, 0, 0]
 
 
+def test_hochschild_dims_match_rank_oracle():
+    for name, cat in FIXTURES.items():
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        for p, field in ((2, GF2), (3, GF3), (None, QQ)):
+            assert hochschild_cohomology_dims(cat, field, max_m) == \
+                oracles.naive_hochschild_dims(cat, p, max_m), (name, p)
+
+
 def test_degree_zero_is_the_center():
     for name in ("a2", "c2", "ex6", "diamond"):
         cat = FIXTURES[name]
@@ -140,6 +149,13 @@ def test_cap_refuses_large_degrees():
         hochschild_differential_matrix(EX6, GF2, 3, cap=1000)
     with pytest.raises(DimensionCapExceeded):
         hochschild_cohomology_dims(EX6, GF2, 3, cap=1000)
+
+
+def test_relative_cap_is_checked_before_assembly():
+    _relative_differential_entries.cache_clear()
+    with pytest.raises(DimensionCapExceeded):
+        relative_differential_matrix(EX6, GF2, 2, cap=10)
+    assert _relative_differential_entries.cache_info().currsize == 0
 
 
 # --- relative subcomplex ---------------------------------------------------------

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochcat import hochschild_cohomology_dims, hochschild_differential_matrix
 from hochcat.errors import NotASubspace, NotChainCompatible
-from hochcat.matrix import Matrix, Subspace, induced_quotient_map, quotient_dim
+from hochcat.matrix import Matrix, Subspace, cohomology, induced_quotient_map, quotient_dim
 
-from .catalog import FIELDS, GF2, GF3, GF5, QQ
+from .catalog import C2, FIELDS, GF2, GF3, GF5, QQ
+from .oracles import naive_rref
 
 
-def mk(field, rows, layout=None):
-    return Matrix.from_rows(field, rows, layout=layout)
+def mk(field, rows):
+    return Matrix.from_rows(field, rows)
 
 
 # --- rank -----------------------------------------------------------------
@@ -89,6 +91,34 @@ def test_quotient_c2_fad_nerve_degree_one():
     assert quotient_dim(d1.kernel_basis(), d0.image_basis()) == 2
 
 
+# --- the shared cohomology walk ----------------------------------------------
+
+def test_cohomology_never_builds_the_last_image(monkeypatch):
+    calls = []
+    image_basis = Matrix.image_basis
+
+    def counted(self):
+        calls.append((self.nrows, self.ncols))
+        return image_basis(self)
+
+    monkeypatch.setattr(Matrix, "image_basis", counted)
+    max_m = 2
+    mats = [hochschild_differential_matrix(C2, GF2, m) for m in range(max_m + 1)]
+    dims = [dim for _Z, _B, dim in cohomology(mats)]
+    assert dims == [2, 2, 2]
+    assert calls == [(m.nrows, m.ncols) for m in mats[:-1]]
+    calls.clear()
+    assert hochschild_cohomology_dims(C2, GF2, max_m) == dims
+    assert len(calls) == max_m
+
+
+def test_cohomology_rejects_a_differential_that_does_not_square_to_zero():
+    d0 = mk(QQ, [[1], [0]])
+    d1 = mk(QQ, [[1, 0]])
+    with pytest.raises(NotASubspace):
+        list(cohomology([d0, d1]))
+
+
 # --- induced maps on quotients ---------------------------------------------
 
 def test_induced_identity_map():
@@ -141,25 +171,38 @@ def test_induced_comparison_degree_one_c2_gf2():
     assert (Q.nrows, Q.ncols) == (2, 2) and invertible
 
 
-# --- layout and backend agreement --------------------------------------------
+# --- elimination against the textbook oracle -----------------------------------
 
-def layout_pair(field, rows):
-    dense = mk(field, rows, layout="dense")
-    sparse = mk(field, rows, layout="sparse")
-    return dense, sparse
+def oracle_kernel(field, rows, ncols):
+    """Kernel basis read off the oracle's RREF, then put in RREF itself."""
+    pivots, reduced = naive_rref(rows, field.p)
+    vectors = []
+    for j in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[j] = field.one
+        for row, pc in zip(reduced, pivots):
+            v[pc] = field.neg(row[j])
+        vectors.append(v)
+    return naive_rref(vectors, field.p)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_layouts_agree_on_fixed_matrix(field):
+def test_rref_matches_oracle_on_fixed_matrix(field):
     rows = [
         [field.scalar(v) for v in row]
         for row in [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 2, 1], [2, 2, 2, 2]]
     ]
-    dense, sparse = layout_pair(field, rows)
-    assert dense.rref() == sparse.rref()
-    assert dense.rank() == sparse.rank()
-    assert dense.kernel_basis() == sparse.kernel_basis()
-    assert dense.image_basis() == sparse.image_basis()
+    m = mk(field, rows)
+    pivots, reduced = naive_rref(rows, field.p)
+    R_pivots, R = m.rref()
+    assert R_pivots == tuple(pivots)
+    assert R.dense_rows() == reduced
+    assert m.rank() == len(pivots)
+    ker = m.kernel_basis()
+    assert (list(ker.pivots), [list(v) for v in ker.basis]) == oracle_kernel(field, rows, 4)
+    img = m.image_basis()
+    columns = [list(col) for col in zip(*rows)]
+    assert (list(img.pivots), [list(v) for v in img.basis]) == naive_rref(columns, field.p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,7 +212,7 @@ def test_layouts_agree_on_fixed_matrix(field):
     st.sampled_from([GF2, GF3, GF5, QQ]),
     st.data(),
 )
-def test_layouts_agree_property(nrows, ncols, field, data):
+def test_rref_matches_oracle_property(nrows, ncols, field, data):
     cells = {}
     for r in range(nrows):
         for c in range(ncols):
@@ -177,9 +220,11 @@ def test_layouts_agree_property(nrows, ncols, field, data):
             if v:
                 cells[r, c] = field.scalar(v)
     cells = {k: v for k, v in cells.items() if v != 0}
-    dense = Matrix(field, nrows, ncols, dict(cells), layout="dense")
-    sparse = Matrix(field, nrows, ncols, dict(cells), layout="sparse")
-    assert dense.rref() == sparse.rref()
+    m = Matrix(field, nrows, ncols, dict(cells))
+    pivots, reduced = naive_rref(m.dense_rows(), field.p)
+    R_pivots, R = m.rref()
+    assert R_pivots == tuple(pivots)
+    assert R.dense_rows() == reduced
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,12 +290,6 @@ def test_rank_over_rationals_reduces_mod_p(nrows, ncols, p, data):
         assert m_p.rank() == rank_q
     else:
         assert m_p.rank() <= rank_q
-
-
-def test_auto_layout_threshold():
-    assert Matrix.zeros(QQ, 10, 10).layout == "dense"
-    assert Matrix.zeros(QQ, 1000, 200).layout == "sparse"
-    assert Matrix.zeros(QQ, 1, 5000).layout == "sparse"
 
 
 def test_matmul_and_apply():
