@@ -39,20 +39,16 @@ from .comparison import (
     x_map_matrix,
 )
 from .derivations import (
-    GradingSemigroup,
     TheoremBReport,
     character_space,
     graded_derivation_space,
-    grading_semigroup,
     theorem_b_report,
 )
 from .fields import FieldSpec
 from .fixtures import builtin, group_from_table, poset_from_relation
 from .hochschild import (
     AlgebraElement,
-    ComplexSlice,
     HochschildCochain,
-    complex_slice,
     hochschild_basis,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
@@ -76,11 +72,9 @@ __all__ = [
     "AdjointCategory",
     "AlgebraElement",
     "ComparisonContext",
-    "ComplexSlice",
     "ConjugationIso",
     "FieldSpec",
     "FiniteCategory",
-    "GradingSemigroup",
     "HochschildCochain",
     "Ladder",
     "Matrix",
@@ -93,12 +87,10 @@ __all__ = [
     "builtin",
     "category_to_text",
     "character_space",
-    "complex_slice",
     "conjugation_iso",
     "connected_component_count",
     "face",
     "graded_derivation_space",
-    "grading_semigroup",
     "group_from_table",
     "hochschild_basis",
     "hochschild_cohomology_dims",

@@ -12,7 +12,7 @@ these indices, which makes all matrices reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 
 from .errors import (
     AssociativityFailure,
@@ -94,8 +94,24 @@ class FiniteCategory:
             table.setdefault((self.source[m], self.target[m]), []).append(m)
         return {k: tuple(v) for k, v in table.items()}
 
-    def morphism_label(self, m: int) -> str:
-        return self.morphism_names[m]
+
+def memo(fn):
+    """Cache ``fn(cat, *args)`` on the category ``cat`` itself.
+
+    Results go into the instance ``__dict__``, as the ``cached_property``
+    tables above do, so they are shared by every later call on the same
+    category and freed together with it.  ``args`` must be hashable.  A miss
+    calls the wrapper's ``__wrapped__``, so a test can count the builds.
+    """
+    @wraps(fn)
+    def cached(cat, *args):
+        table = cat.__dict__.setdefault("_memo", {})
+        key = (cached, args)
+        if key not in table:
+            table[key] = cached.__wrapped__(cat, *args)
+        return table[key]
+
+    return cached
 
 
 # --- validation ----------------------------------------------------------------
@@ -339,7 +355,7 @@ PREDICATE_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
+@memo
 def predicate_reports(cat: FiniteCategory) -> dict:
     return {
         "left_cancellative": is_left_cancellative(cat),
@@ -394,7 +410,7 @@ def conjugation_iso(cat: FiniteCategory, g: int) -> ConjugationIso:
     return ConjugationIso(g, forward, inverse)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _completion_table(cat: FiniteCategory) -> dict:
     """(g, a) -> the unique b with g∘a = b∘g, for right det/canc categories."""
     comp = cat.compose_table
@@ -500,7 +516,7 @@ class AdjointCategory(FiniteCategory):
         )
 
 
-@lru_cache(maxsize=None)
+@memo
 def adjoint_category(cat: FiniteCategory) -> AdjointCategory:
     """Build the adjoint category of ``cat`` with its ladder decorations."""
     comp = cat.compose_table

@@ -15,7 +15,6 @@ dimension tables degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .category import (
     AdjointCategory,
@@ -23,6 +22,7 @@ from .category import (
     Ladder,
     _completion_table,
     adjoint_category,
+    memo,
     predicate_reports,
     require_predicates,
 )
@@ -64,7 +64,7 @@ def make_context(cat: FiniteCategory, field: FieldSpec) -> ComparisonContext:
 
 # --- the reading map T -------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def _t_entries(cat: FiniteCategory, m: int) -> tuple:
     """(nrows, ncols, ((row, col), ...)) of T in degree m; all entries are 1."""
     fad = adjoint_category(cat)
@@ -109,7 +109,7 @@ def t_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:
 
 # --- the section X -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def _x_entries(cat: FiniteCategory, m: int) -> tuple:
     """(nrows, ncols, entries over Z) of X in degree m.
 
@@ -178,19 +178,6 @@ class VerificationResult:
 def _sign_for(field: FieldSpec, m: int):
     """(-1)^(m+1) as a field scalar."""
     return field.neg(field.one) if (m + 1) % 2 else field.one
-
-
-@dataclass(frozen=True)
-class SignedDifferential:
-    """The sign-twisted coboundary (-1)^(m+1) δ^m used by the comparison."""
-
-    degree: int
-    matrix: Matrix
-
-
-def signed_coboundary(ctx: ComparisonContext, m: int) -> SignedDifferential:
-    delta = simplicial_coboundary_matrix(ctx.fad, ctx.field, m)
-    return SignedDifferential(m, delta.scaled(_sign_for(ctx.field, m)))
 
 
 def _verified(name: str, m: int, lhs: Matrix, rhs: Matrix) -> VerificationResult:

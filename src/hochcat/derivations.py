@@ -26,37 +26,6 @@ from .hochschild import relative_basis
 from .matrix import Matrix, Subspace
 
 
-@dataclass(frozen=True)
-class GradingSemigroup:
-    """Object pairs with nonempty hom sets, plus an absorbing zero.
-
-    The product of (x1, x2) and (x3, x4) is (x1, x4) when x2 = x3 and zero
-    otherwise; ``None`` stands for the zero element.
-    """
-
-    pairs: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs) + 1
-
-    def product(self, s, t):
-        if s is None or t is None:
-            return None
-        return (s[0], t[1]) if s[1] == t[0] else None
-
-    def table(self) -> dict:
-        elems = list(self.pairs) + [None]
-        return {(s, t): self.product(s, t) for s in elems for t in elems}
-
-
-def grading_semigroup(cat: FiniteCategory) -> GradingSemigroup:
-    pairs = sorted(
-        {(cat.source[m], cat.target[m]) for m in range(cat.n_morphisms)}
-    )
-    return GradingSemigroup(pairs=tuple(pairs))
-
-
 def graded_derivation_space(cat: FiniteCategory, field: FieldSpec) -> Subspace:
     """Solution space of the derivation law inside relative degree-1 cochains.
 

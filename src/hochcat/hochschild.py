@@ -15,7 +15,9 @@ The differential of the coefficient tensor of f sends the basis cochain
 * ``(-1)^(m+1)`` on ``((g_1..g_m, u), h∘u)`` for every u with h∘u defined.
 
 Entries are assembled once over the integers and reduced into the requested
-field, so all four coefficient fields share one assembly.
+field.  The integer entries are memoized on the category, so every field
+shares one assembly for as long as the category lives, and they are freed
+with it.
 
 The relative subcomplex keeps only endpoint-matching coefficients on
 composable tuples; in degree 0 it is spanned by the endomorphisms (the
@@ -27,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .category import FiniteCategory
+from .category import FiniteCategory, memo
 from .errors import DimensionCapExceeded, NotASubcomplex
 from .fields import FieldSpec
 from .matrix import Matrix, cohomology
@@ -163,7 +164,6 @@ def basis_index(cat: FiniteCategory, tup, h: int) -> int:
     return idx * n + h
 
 
-@lru_cache(maxsize=None)
 def _factorizations(cat: FiniteCategory) -> tuple:
     """Per morphism z, all ordered pairs (v, w) with v∘w = z."""
     out = [[] for _ in range(cat.n_morphisms)]
@@ -175,8 +175,11 @@ def _factorizations(cat: FiniteCategory) -> tuple:
     return tuple(tuple(ps) for ps in out)
 
 
-def _column_contributions(cat: FiniteCategory, tup, h: int) -> dict:
-    """Image of the basis cochain (tup, h) under the differential, over Z."""
+def _column_contributions(cat: FiniteCategory, facts: tuple, tup, h: int) -> dict:
+    """Image of the basis cochain (tup, h) under the differential, over Z.
+
+    ``facts`` is ``_factorizations(cat)``, computed once per assembly.
+    """
     comp = cat.compose_table
     m = len(tup)
     out: dict = {}
@@ -190,7 +193,6 @@ def _column_contributions(cat: FiniteCategory, tup, h: int) -> dict:
 
     for u in cat.morphisms_by_source[cat.target[h]]:
         add(((u,) + tup, comp[u][h]), 1)
-    facts = _factorizations(cat)
     sign = -1
     for j in range(1, m + 1):
         for v, w in facts[tup[j - 1]]:
@@ -202,15 +204,16 @@ def _column_contributions(cat: FiniteCategory, tup, h: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def hochschild_differential_entries(cat: FiniteCategory, m: int) -> dict:
     """Integer entries of the degree-m differential, keyed by (row, col)."""
     n = cat.n_morphisms
+    facts = _factorizations(cat)
     entries: dict = {}
     for tup in itertools.product(range(n), repeat=m):
         for h in range(n):
             col = basis_index(cat, tup, h)
-            for (ntup, nh), v in _column_contributions(cat, tup, h).items():
+            for (ntup, nh), v in _column_contributions(cat, facts, tup, h).items():
                 entries[basis_index(cat, ntup, nh), col] = v
     return entries
 
@@ -226,24 +229,6 @@ def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -
     )
 
 
-@dataclass(frozen=True)
-class ComplexSlice:
-    """One degree of the cochain complex with its outgoing differential."""
-
-    degree: int
-    basis: tuple
-    differential_out: Matrix
-
-
-def complex_slice(cat, field, m: int, cap: int | None = None) -> ComplexSlice:
-    check_cap(cat, m, cap)
-    return ComplexSlice(
-        degree=m,
-        basis=tuple(hochschild_basis(cat, m)),
-        differential_out=hochschild_differential_matrix(cat, field, m, cap),
-    )
-
-
 def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of HH^0..HH^max_m over the full cochain complex."""
     mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
@@ -252,7 +237,7 @@ def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -
 
 # --- the relative subcomplex ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def _relative_basis_cached(cat: FiniteCategory, m: int) -> tuple:
     if m == 0:
         # degree 0 is the centralizer of the identity span: the endomorphisms
@@ -286,15 +271,33 @@ def relative_basis(cat: FiniteCategory, m: int) -> list:
     return list(_relative_basis_cached(cat, m))
 
 
-@lru_cache(maxsize=None)
+def relative_basis_size(cat: FiniteCategory, m: int) -> int:
+    """``len(relative_basis(cat, m))``, counted without enumerating the basis.
+
+    With ``A[x][y] = |Hom(x, y)|`` there are ``(A^m)[x][y]`` composable
+    m-chains from x to y, each paired with every morphism of Hom(x, y), so
+    the size is ``Σ_{x,y} (A^m)[x][y]·A[x][y]``; in degree 0 it is the
+    number of endomorphisms.
+    """
+    if m == 0:
+        return len(cat.all_endomorphisms)
+    objs = range(cat.n_objects)
+    hom = [[len(cat.hom(x, y)) for y in objs] for x in objs]
+    paths = hom
+    for _ in range(m - 1):
+        paths = [[sum(row[z] * hom[z][y] for z in objs) for y in objs] for row in paths]
+    return sum(paths[x][y] * hom[x][y] for x in objs for y in objs)
+
+
 def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
     """(n_rows, n_cols, entries over Z) of the restricted differential."""
     cols = _relative_basis_cached(cat, m)
     rows = _relative_basis_cached(cat, m + 1)
     row_index = {pair: i for i, pair in enumerate(rows)}
+    facts = _factorizations(cat)
     entries: dict = {}
     for c, (tup, h) in enumerate(cols):
-        for pair, v in _column_contributions(cat, tup, h).items():
+        for pair, v in _column_contributions(cat, facts, tup, h).items():
             r = row_index.get(pair)
             if r is None:
                 raise NotASubcomplex(
@@ -308,10 +311,11 @@ def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
 def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
     """Matrix of the differential restricted to relative cochains.
 
-    The cap is checked on the two bases before any entry is assembled.
+    The cap is checked on the sizes of the two bases before either basis is
+    enumerated.
     """
     cap_val = DEFAULT_BASIS_CAP if cap is None else cap
-    required = max(len(_relative_basis_cached(cat, m)), len(_relative_basis_cached(cat, m + 1)))
+    required = max(relative_basis_size(cat, m), relative_basis_size(cat, m + 1))
     if required > cap_val:
         raise DimensionCapExceeded(m + 1, required, cap_val)
     nrows, ncols, entries = _relative_differential_entries(cat, m)

@@ -438,9 +438,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def coordinates(self, vec):
         """Coordinates of ``vec`` in the RREF basis, or None if not a member."""
         coords = tuple(vec[p] for p in self.pivots)
@@ -500,13 +497,6 @@ def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:
     return [i for i, p in enumerate(Z.pivots) if p not in bpiv]
 
 
-def quotient_coordinates(Z: Subspace, B: Subspace, vec) -> tuple:
-    """Coordinates of ``vec + B`` in the canonical complement basis of B in Z."""
-    rep = B.reduce(vec)
-    idx = _quotient_pivot_index(Z, B)
-    return tuple(rep[Z.pivots[i]] for i in idx)
-
-
 def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
                          Z_dst: Subspace, B_dst: Subspace) -> tuple[Matrix, bool]:
     """Matrix of the map Z_src/B_src -> Z_dst/B_dst induced by T.
@@ -524,13 +514,14 @@ def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
     q_src = quotient_dim(Z_src, B_src)
     q_dst = quotient_dim(Z_dst, B_dst)
     src_idx = _quotient_pivot_index(Z_src, B_src)
+    # coordinates of image + B_dst in the canonical complement basis of B_dst
+    dst_pivots = [Z_dst.pivots[i] for i in _quotient_pivot_index(Z_dst, B_dst)]
     cells = {}
     for j, i in enumerate(src_idx):
-        image = T.apply(Z_src.basis[i])
-        coords = quotient_coordinates(Z_dst, B_dst, image)
-        for r, v in enumerate(coords):
-            if v != 0:
-                cells[r, j] = v
+        rep = B_dst.reduce(T.apply(Z_src.basis[i]))
+        for r, p in enumerate(dst_pivots):
+            if rep[p] != 0:
+                cells[r, j] = rep[p]
     Q = Matrix(T.field, q_dst, q_src, cells)
     invertible = q_src == q_dst and Q.rank() == q_src
     return Q, invertible

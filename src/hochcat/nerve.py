@@ -12,14 +12,12 @@ The coboundary of a scalar cochain f is
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .category import FiniteCategory
+from .category import FiniteCategory, memo
 from .fields import FieldSpec
 from .matrix import Matrix, cohomology
 
 
-@lru_cache(maxsize=None)
+@memo
 def _chains_cached(cat: FiniteCategory, m: int) -> tuple:
     if m == 0:
         return tuple(range(cat.n_objects))
@@ -40,7 +38,7 @@ def nerve_chains(cat: FiniteCategory, m: int) -> list:
     return list(_chains_cached(cat, m))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _chain_index(cat: FiniteCategory, m: int) -> dict:
     return {c: i for i, c in enumerate(_chains_cached(cat, m))}
 
@@ -65,7 +63,7 @@ def face(cat: FiniteCategory, chain, i: int):
     return chain[: i - 1] + (glued,) + chain[i + 1:]
 
 
-@lru_cache(maxsize=None)
+@memo
 def simplicial_coboundary_entries(cat: FiniteCategory, m: int) -> dict:
     """Integer entries of the degree-m coboundary, keyed by (row, col)."""
     rows = _chains_cached(cat, m + 1)

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+from hochcat import comparison, hochschild, nerve
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
+
+from .test_hochschild import count_builds
 
 
 
@@ -81,6 +84,26 @@ def test_compare_c2_text(capsys):
     for line in out.splitlines():
         if line.strip().startswith(("0 |", "1 |", "2 |", "3 |")):
             assert "| 2 |" not in line or True  # dims rendered; exact check below
+
+
+def test_compare_builds_each_table_once(monkeypatch, capsys):
+    # table -> the degrees compare --max-degree 2 needs (T and X one higher
+    # for the chain identities); each must be built once, on one category
+    tables = {
+        "hochschild": (hochschild.hochschild_differential_entries, {0, 1, 2}),
+        "nerve": (nerve.simplicial_coboundary_entries, {0, 1, 2}),
+        "t": (comparison._t_entries, {0, 1, 2, 3}),
+        "x": (comparison._x_entries, {0, 1, 2, 3}),
+    }
+    builds = {name: count_builds(monkeypatch, fn) for name, (fn, _) in tables.items()}
+    code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
+                    "--output", "json", capsys=capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "isomorphism"
+    for name, (_fn, degrees) in tables.items():
+        calls = builds[name]
+        assert {m for _cat, (m,) in calls} == degrees, name
+        assert len({cat for cat, _args in calls}) == 1, name
+        assert set(calls.values()) == {1}, (name, calls)
 
 
 def test_compare_c2_json_dims(capsys):

@@ -1,11 +1,17 @@
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
 from hochcat import (
+    builtin,
+    hochschild_cohomology_dims,
     hochschild_differential_matrix,
     make_context,
     nerve_chains,
+    relative_cohomology_dims,
     simplicial_coboundary_matrix,
     t_map_matrix,
     theorem_a_report,
@@ -15,7 +21,7 @@ from hochcat import (
     verify_x_chain_identity,
     x_map_matrix,
 )
-from hochcat.comparison import signed_coboundary, t_map_relative_matrix
+from hochcat.comparison import _sign_for, t_map_relative_matrix
 from hochcat.errors import HypothesisViolated
 from hochcat.hochschild import basis_index, hochschild_basis_size, relative_basis
 from hochcat.matrix import Matrix
@@ -153,7 +159,7 @@ def test_signed_coboundary_preserves_kernel_and_image():
         ctx = make_context(FIXTURES[name], GF3)
         for m in range(3):
             delta = simplicial_coboundary_matrix(ctx.fad, GF3, m)
-            alpha = signed_coboundary(ctx, m).matrix
+            alpha = delta.scaled(_sign_for(GF3, m))
             assert alpha.kernel_basis() == delta.kernel_basis()
             assert alpha.image_basis() == delta.image_basis()
 
@@ -192,6 +198,19 @@ def test_theorem_a_ex6_agreement(field):
         assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial
         assert rec.induced_invertible
     assert rep.verdict == "isomorphism"
+
+
+def test_derived_tables_die_with_their_category():
+    # renamed objects: no equal category was built earlier in the process
+    base = builtin("ex6")
+    cat = dataclasses.replace(base, object_names=tuple(f"{x}'" for x in base.object_names))
+    ref = weakref.ref(cat)
+    hochschild_cohomology_dims(cat, GF2, 2)
+    relative_cohomology_dims(cat, GF2, 2)
+    assert theorem_a_report(make_context(cat, GF2), 2).verdict == "isomorphism"
+    del cat
+    gc.collect()
+    assert ref() is None
 
 
 def test_theorem_a_downgrades_without_hypotheses():

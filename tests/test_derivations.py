@@ -4,7 +4,6 @@ from hochcat import (
     adjoint_category,
     character_space,
     graded_derivation_space,
-    grading_semigroup,
     hochschild_differential_matrix,
     theorem_b_report,
 )
@@ -14,39 +13,8 @@ from hochcat.matrix import Matrix, Subspace
 from hochcat.nerve import simplicial_coboundary_matrix
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, TRIV
+from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, QQ
 from .test_category import collapse
-
-
-# --- the grading semigroup ----------------------------------------------------
-
-def test_semigroup_trivial():
-    s = grading_semigroup(TRIV)
-    assert s.pairs == ((0, 0),)
-    assert s.size == 2
-
-
-def test_semigroup_a2():
-    s = grading_semigroup(A2)
-    assert s.pairs == ((0, 0), (0, 1), (1, 1))
-    assert s.size == 4
-
-
-def test_semigroup_ex6_misses_reverse_hom():
-    s = grading_semigroup(EX6)
-    assert s.pairs == ((0, 0), (0, 1), (1, 1))  # no arrows x2 -> x1
-    assert s.size == 4
-
-
-def test_semigroup_product_law():
-    s = grading_semigroup(A2)
-    assert s.product((0, 0), (0, 1)) == (0, 1)
-    assert s.product((0, 1), (1, 1)) == (0, 1)
-    assert s.product((0, 1), (0, 1)) is None
-    assert s.product(None, (0, 0)) is None
-    table = s.table()
-    assert table[(0, 0), (0, 1)] == (0, 1)
-    assert all(table[s_elt, None] is None for s_elt in list(s.pairs) + [None])
 
 
 # --- derivations ------------------------------------------------------------------

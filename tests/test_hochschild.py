@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from hochcat import (
     AlgebraElement,
     adjoint_category,
-    complex_slice,
+    builtin,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
     multiply,
@@ -13,7 +15,7 @@ from hochcat import (
 )
 from hochcat.errors import DimensionCapExceeded
 from hochcat.hochschild import (
-    _relative_differential_entries,
+    _relative_basis_cached,
     algebra_unit,
     hochschild_basis,
     relative_differential_matrix,
@@ -26,6 +28,19 @@ from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 
 def basis_elt(cat, field, m):
     return AlgebraElement.basis(cat, field, m)
+
+
+def count_builds(monkeypatch, memoized) -> Counter:
+    """Count the misses of a per-category memo, keyed by (id(cat), args)."""
+    calls: Counter = Counter()
+    build = memoized.__wrapped__
+
+    def counting(cat, *args):
+        calls[id(cat), args] += 1
+        return build(cat, *args)
+
+    monkeypatch.setattr(memoized, "__wrapped__", counting)
+    return calls
 
 
 # --- the algebra -----------------------------------------------------------
@@ -136,12 +151,11 @@ def test_degree_zero_is_the_center():
             assert dims[0] == oracles.naive_center_dim(cat, p), name
 
 
-def test_complex_slice_contents():
-    sl = complex_slice(C2, GF2, 1)
-    assert sl.degree == 1
-    assert len(sl.basis) == 4
-    assert sl.basis == tuple(hochschild_basis(C2, 1))
-    assert sl.differential_out.ncols == 4 and sl.differential_out.nrows == 8
+def test_degree_one_basis_and_differential_shape():
+    basis = hochschild_basis(C2, 1)
+    assert basis == [((g,), h) for g in range(2) for h in range(2)]
+    d = hochschild_differential_matrix(C2, GF2, 1)
+    assert d.ncols == 4 and d.nrows == 8
 
 
 def test_cap_refuses_large_degrees():
@@ -151,11 +165,16 @@ def test_cap_refuses_large_degrees():
         hochschild_cohomology_dims(EX6, GF2, 3, cap=1000)
 
 
-def test_relative_cap_is_checked_before_assembly():
-    _relative_differential_entries.cache_clear()
-    with pytest.raises(DimensionCapExceeded):
-        relative_differential_matrix(EX6, GF2, 2, cap=10)
-    assert _relative_differential_entries.cache_info().currsize == 0
+def test_relative_cap_is_checked_before_assembly(monkeypatch):
+    cat = builtin("chain:4")
+    builds = count_builds(monkeypatch, _relative_basis_cached)
+    with pytest.raises(DimensionCapExceeded) as refused:
+        relative_differential_matrix(cat, GF2, 7, cap=5)
+    assert refused.value.required == 220   # the degree-8 basis, never enumerated
+    assert not builds
+    # the counter is live: an allowed degree enumerates both its bases once
+    relative_differential_matrix(cat, GF2, 1)
+    assert builds == {(id(cat), (1,)): 1, (id(cat), (2,)): 1}
 
 
 # --- relative subcomplex ---------------------------------------------------------
