@@ -35,7 +35,7 @@ from .hochschild import (
     relative_differential_matrix,
     _relative_basis_cached,
 )
-from .matrix import Matrix, cohomology, induced_quotient_map
+from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
 from .nerve import _chain_index, _chains_cached, simplicial_coboundary_matrix
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
@@ -280,15 +280,16 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
     rng = range(max_m + 1)
     full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
     nerve = cohomology(simplicial_coboundary_matrix(fad, field, m) for m in rng)
-    relative = cohomology(relative_differential_matrix(cat, field, m, cap) for m in rng)
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), (_, _, dim_r) in zip(rng, full, nerve, relative):
+    relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), dim_r in zip(rng, full, nerve, relative):
         if tier == "unverified":
             # without the cancellation hypotheses T need not be a chain map,
             # so there is no induced map to certify
             induced, invertible, surjective = None, False, False
         else:
+            # cohomology has verified B <= Z for both pairs
             induced, invertible = induced_quotient_map(
-                t_map_matrix(ctx, m, cap), Z_h, B_h, Z_s, B_s
+                t_map_matrix(ctx, m, cap), Z_h, B_h, Z_s, B_s, dims=(dim_h, dim_s)
             )
             surjective = induced.rank() == dim_s
         degrees.append(DegreeComparison(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .category import FiniteCategory, memo
 from .errors import DimensionCapExceeded, NotASubcomplex
 from .fields import FieldSpec
-from .matrix import Matrix, cohomology
+from .matrix import Matrix, cohomology_dims
 
 DEFAULT_BASIS_CAP = 2_000_000
 
@@ -232,7 +232,7 @@ def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -
 def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of HH^0..HH^max_m over the full cochain complex."""
     mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return [dim for _Z, _B, dim in cohomology(mats)]
+    return list(cohomology_dims(mats))
 
 
 # --- the relative subcomplex ---------------------------------------------------
@@ -325,7 +325,7 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
 def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the relative cohomology in degrees 0..max_m."""
     mats = [relative_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return [dim for _Z, _B, dim in cohomology(mats)]
+    return list(cohomology_dims(mats))
 
 
 # --- separability of the identity span --------------------------------------------

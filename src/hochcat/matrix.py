@@ -11,9 +11,11 @@ unique for a given row space).  Ranks, kernels and reported bases are
 therefore determined by the matrix alone.  Pivot choice is deterministic:
 the sparsest usable row, ties broken by row index.
 
-``cohomology`` walks the differentials of a cochain complex and yields
-each degree's cocycles, coboundaries and cohomology dimension; every
-complex in the package goes through it.
+Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
+rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
+product, building no basis.  ``cohomology`` serves certificates: it
+yields each degree's cocycle and coboundary bases, which the induced
+comparison map needs, with the dimension.
 """
 
 from __future__ import annotations
@@ -241,10 +243,13 @@ class Matrix:
         for i, row in enumerate(rows):
             for c, v in row.items():
                 cells[i, c] = v
+            rows[i] = None  # free each reduced row once copied: RREF fill can be dense
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, cells)
 
     def rank(self) -> int:
-        pivots, _ = self.rref()
+        """Row rank, eliminated on the side with fewer rows."""
+        narrow = self.transpose() if self.ncols < self.nrows else self
+        pivots, _ = narrow.rref()
         return len(pivots)
 
     def kernel_basis(self) -> "Subspace":
@@ -342,6 +347,9 @@ def _rref_sparse(rows, ncols, inv, mul, sub):
                         del row[c]
                         col_rows[c].discard(i)
         piv_list.append((pc, pr))
+    # sets never shrink: free the spent column index before back-substitution
+    # fills the pivot rows, or both peak together
+    del col_rows
     return _back_substitute(rows, piv_list, sub)
 
 
@@ -487,6 +495,23 @@ def cohomology(differentials):
         prev = d
 
 
+def cohomology_dims(differentials):
+    """Walk a cochain complex like ``cohomology``, yielding only ``dim H^m``.
+
+    ``dim H^m = n_m - rank d_m - rank d_{m-1}``, one rank per differential.
+    Before counting degree m it checks ``d_m d_{m-1} = 0`` with a sparse
+    product and raises NotASubspace otherwise, as ``cohomology`` does; no
+    kernel, image or Subspace is built.
+    """
+    prev, prev_rank = None, 0
+    for d in differentials:
+        if prev is not None and not (d @ prev).is_zero():
+            raise NotASubspace("differential does not square to zero")
+        rank = d.rank()
+        yield d.ncols - rank - prev_rank
+        prev, prev_rank = d, rank
+
+
 def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:
     """Indices of Z-basis rows whose pivots are not pivots of B.
 
@@ -498,21 +523,26 @@ def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:
 
 
 def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
-                         Z_dst: Subspace, B_dst: Subspace) -> tuple[Matrix, bool]:
+                         Z_dst: Subspace, B_dst: Subspace,
+                         dims: tuple[int, int] | None = None) -> tuple[Matrix, bool]:
     """Matrix of the map Z_src/B_src -> Z_dst/B_dst induced by T.
 
     Verifies that T maps Z_src into Z_dst and B_src into B_dst; raises
     NotChainCompatible otherwise.  Returns (matrix, invertible) where the
     matrix is written in the canonical quotient bases and ``invertible``
     reports whether it is square of full rank.
+
+    Containment B <= Z on both sides is part of the contract and is checked
+    with ``quotient_dim``, unless ``dims`` passes the two quotient dimensions
+    that ``cohomology`` already verified for exactly these pairs.
     """
     for name, (sub, target) in (("cocycles", (Z_src, Z_dst)), ("coboundaries", (B_src, B_dst))):
         for v in sub.basis:
             if not target.contains(T.apply(v)):
                 raise NotChainCompatible(f"map does not preserve {name}")
-    # containment B <= Z on both sides is part of the contract
-    q_src = quotient_dim(Z_src, B_src)
-    q_dst = quotient_dim(Z_dst, B_dst)
+    if dims is None:
+        dims = quotient_dim(Z_src, B_src), quotient_dim(Z_dst, B_dst)
+    q_src, q_dst = dims
     src_idx = _quotient_pivot_index(Z_src, B_src)
     # coordinates of image + B_dst in the canonical complement basis of B_dst
     dst_pivots = [Z_dst.pivots[i] for i in _quotient_pivot_index(Z_dst, B_dst)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
-from .matrix import Matrix, cohomology
+from .matrix import Matrix, cohomology_dims
 
 
 @memo
@@ -95,7 +95,7 @@ def simplicial_coboundary_matrix(cat, field, m: int) -> Matrix:
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int) -> list[int]:
     """Dimensions of the nerve cohomology in degrees 0..max_m."""
     mats = (simplicial_coboundary_matrix(cat, field, m) for m in range(max_m + 1))
-    return [dim for _Z, _B, dim in cohomology(mats)]
+    return list(cohomology_dims(mats))
 
 
 def connected_component_count(cat: FiniteCategory) -> int:

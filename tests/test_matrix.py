@@ -4,11 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochcat import hochschild_cohomology_dims, hochschild_differential_matrix
+from hochcat import (
+    adjoint_category,
+    hochschild_cohomology_dims,
+    hochschild_differential_matrix,
+    relative_cohomology_dims,
+    simplicial_coboundary_matrix,
+    simplicial_cohomology_dims,
+)
+from hochcat.hochschild import relative_differential_matrix
 from hochcat.errors import NotASubspace, NotChainCompatible
-from hochcat.matrix import Matrix, Subspace, cohomology, induced_quotient_map, quotient_dim
+from hochcat.matrix import (
+    Matrix,
+    Subspace,
+    cohomology,
+    cohomology_dims,
+    induced_quotient_map,
+    quotient_dim,
+)
 
-from .catalog import C2, FIELDS, GF2, GF3, GF5, QQ
+from .catalog import C2, FIELDS, FIXTURES, GF2, GF3, GF5, QQ
 from .oracles import naive_rref
 
 
@@ -96,10 +111,15 @@ def test_quotient_c2_fad_nerve_degree_one():
 def test_cohomology_never_builds_the_last_image(monkeypatch):
     calls = []
     image_basis = Matrix.image_basis
+    kernel_basis = Matrix.kernel_basis
 
     def counted(self):
         calls.append((self.nrows, self.ncols))
         return image_basis(self)
+
+    def counted_kernel(self):
+        calls.append("kernel")
+        return kernel_basis(self)
 
     monkeypatch.setattr(Matrix, "image_basis", counted)
     max_m = 2
@@ -107,9 +127,13 @@ def test_cohomology_never_builds_the_last_image(monkeypatch):
     dims = [dim for _Z, _B, dim in cohomology(mats)]
     assert dims == [2, 2, 2]
     assert calls == [(m.nrows, m.ncols) for m in mats[:-1]]
+    # the dims-only functions count ranks and build no basis at all
+    monkeypatch.setattr(Matrix, "kernel_basis", counted_kernel)
     calls.clear()
     assert hochschild_cohomology_dims(C2, GF2, max_m) == dims
-    assert len(calls) == max_m
+    assert relative_cohomology_dims(C2, GF2, max_m) == dims
+    assert simplicial_cohomology_dims(adjoint_category(C2), GF2, max_m) == dims
+    assert calls == []
 
 
 def test_cohomology_rejects_a_differential_that_does_not_square_to_zero():
@@ -117,6 +141,33 @@ def test_cohomology_rejects_a_differential_that_does_not_square_to_zero():
     d1 = mk(QQ, [[1, 0]])
     with pytest.raises(NotASubspace):
         list(cohomology([d0, d1]))
+
+
+def test_cohomology_dims_rejects_a_differential_that_does_not_square_to_zero():
+    d0 = mk(QQ, [[1], [0]])
+    d1 = mk(QQ, [[1, 0]])
+    with pytest.raises(NotASubspace):
+        list(cohomology_dims([d0, d1]))
+
+
+def _complexes(cat, field, max_m):
+    """The Hochschild, relative and F^ad nerve differentials in degrees 0..max_m."""
+    fad = adjoint_category(cat)
+    rng = range(max_m + 1)
+    return {
+        "hochschild": [hochschild_differential_matrix(cat, field, m) for m in rng],
+        "relative": [relative_differential_matrix(cat, field, m) for m in rng],
+        "nerve": [simplicial_coboundary_matrix(fad, field, m) for m in rng],
+    }
+
+
+def test_rank_path_matches_subspace_path():
+    for name, cat in FIXTURES.items():
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        for field in (GF2, GF3, QQ):
+            for complex_name, mats in _complexes(cat, field, max_m).items():
+                assert list(cohomology_dims(mats)) == [dim for _Z, _B, dim in cohomology(mats)], \
+                    (name, str(field), complex_name)
 
 
 # --- induced maps on quotients ---------------------------------------------
@@ -142,6 +193,15 @@ def test_induced_rejects_incompatible_map():
     swap = mk(QQ, [[0, 1], [1, 0]])
     with pytest.raises(NotChainCompatible):
         induced_quotient_map(swap, Z, B, Z, B)
+
+
+def test_induced_map_rejects_b_not_in_z():
+    # the identity maps cocycles to cocycles and coboundaries to coboundaries,
+    # so only the containment check can refuse B = <e1> against Z = <e0>
+    Z = Subspace.from_vectors(QQ, 2, [[1, 0]])
+    B = Subspace.from_vectors(QQ, 2, [[0, 1]])
+    with pytest.raises(NotASubspace):
+        induced_quotient_map(Matrix.identity(QQ, 2), Z, B, Z, B)
 
 
 def test_induced_comparison_degree_one_c2_gf2():
@@ -245,6 +305,29 @@ def test_rank_equals_transpose_rank(nrows, ncols, field, data):
     m = Matrix(field, nrows, ncols, cells)
     assert m.rank() == m.transpose().rank()
     assert m.kernel_basis().dim + m.rank() == m.ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.sampled_from([GF2, GF5, QQ]),
+    st.data(),
+)
+def test_rank_is_taken_on_either_side(short, extra, tall, field, data):
+    # strictly tall or strictly wide, so rank() eliminates the transpose on
+    # one of the two orientations and the matrix itself on the other
+    nrows, ncols = (short + extra, short) if tall else (short, short + extra)
+    cells = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            v = field.scalar(data.draw(st.integers(min_value=-2, max_value=2)))
+            if v != 0:
+                cells[r, c] = v
+    m = Matrix(field, nrows, ncols, cells)
+    pivots, _reduced = naive_rref(m.dense_rows(), field.p)
+    assert m.rank() == m.transpose().rank() == len(pivots)
 
 
 FIELD_OF_PRIME = {2: GF2, 3: GF3, 5: GF5}
