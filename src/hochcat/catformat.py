@@ -67,8 +67,16 @@ def parse_category(text: str) -> FiniteCategory:
 
 
 def load_category(path) -> FiniteCategory:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_category(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CategoryFormatError(
+            f"line {lineno}: not UTF-8 text (byte {data[exc.start]:#04x})", line=lineno
+        ) from None
+    return parse_category(text)
 
 
 def category_to_text(cat: FiniteCategory) -> str:

@@ -287,9 +287,8 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
             # so there is no induced map to certify
             induced, invertible, surjective = None, False, False
         else:
-            # cohomology has verified B <= Z for both pairs
             induced, invertible = induced_quotient_map(
-                t_map_matrix(ctx, m, cap), Z_h, B_h, Z_s, B_s, dims=(dim_h, dim_s)
+                t_map_matrix(ctx, m, cap), Z_h, B_h, Z_s, B_s
             )
             surjective = induced.rank() == dim_s
         degrees.append(DegreeComparison(

@@ -23,7 +23,8 @@ from .comparison import (
 )
 from .fields import FieldSpec
 from .hochschild import relative_basis
-from .matrix import Matrix, Subspace
+from .errors import NotChainCompatible
+from .matrix import Matrix, Subspace, induced_quotient_map
 
 
 def graded_derivation_space(cat: FiniteCategory, field: FieldSpec) -> Subspace:
@@ -107,51 +108,33 @@ class TheoremBReport:
 def theorem_b_report(cat: FiniteCategory, field: FieldSpec) -> TheoremBReport:
     """Certify the bijection between graded derivations and characters.
 
-    Pushes each derivation basis vector through the degree-1 comparison map
-    and checks it is a character; pulls each character back and checks it is
-    a graded derivation; certifies the two restricted matrices are mutually
-    inverse.
+    Restricts the degree-1 comparison maps T and X to the two solution
+    spaces with ``induced_quotient_map`` (over zero subspaces), which checks
+    that T sends derivations to characters and X characters to derivations,
+    and certifies the two restricted matrices are mutually inverse.  A map
+    that leaves its space gives ``bijection=False``; the T matrix is
+    reported whenever T's check passed, else it is zero.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     ctx = make_context(cat, field)
     der = graded_derivation_space(cat, field)
     char = character_space(ctx.fad, field)
 
-    t_rel = t_map_relative_matrix(ctx, 1)
-    x_rel = x_map_relative_matrix(ctx, 1)
-
-    ok = True
-    cells_t: dict = {}
-    for j, vec in enumerate(der.basis):
-        image = t_rel.apply(vec)
-        coords = char.coordinates(image)
-        if coords is None:
-            ok = False
-            break
-        for i, v in enumerate(coords):
-            if v != 0:
-                cells_t[i, j] = v
-    m_t = Matrix.from_entries(field, char.dim, der.dim, cells_t)
-
-    cells_x: dict = {}
-    if ok:
-        for j, vec in enumerate(char.basis):
-            image = x_rel.apply(vec)
-            coords = der.coordinates(image)
-            if coords is None:
-                ok = False
-                break
-            for i, v in enumerate(coords):
-                if v != 0:
-                    cells_x[i, j] = v
-    m_x = Matrix.from_entries(field, der.dim, char.dim, cells_x)
-
-    bijection = (
-        ok
-        and der.dim == char.dim
-        and m_x @ m_t == Matrix.identity(field, der.dim)
-        and m_t @ m_x == Matrix.identity(field, char.dim)
-    )
+    zero_der = Subspace.zero(field, der.ambient_dim)
+    zero_char = Subspace.zero(field, char.ambient_dim)
+    m_t = Matrix.zeros(field, char.dim, der.dim)
+    bijection = False
+    try:
+        m_t, _ = induced_quotient_map(t_map_relative_matrix(ctx, 1), der, zero_der, char, zero_char)
+        m_x, _ = induced_quotient_map(x_map_relative_matrix(ctx, 1), char, zero_char, der, zero_der)
+    except NotChainCompatible:
+        pass
+    else:
+        bijection = (
+            der.dim == char.dim
+            and m_x @ m_t == Matrix.identity(field, der.dim)
+            and m_t @ m_x == Matrix.identity(field, char.dim)
+        )
     return TheoremBReport(
         field=field,
         dim_derivations=der.dim,

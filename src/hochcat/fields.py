@@ -109,9 +109,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def format_scalar(self, v) -> str:
         """Render a scalar exactly, e.g. ``3`` or ``-2/7``."""
         return str(v)

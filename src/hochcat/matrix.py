@@ -16,12 +16,17 @@ rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
 product, building no basis.  ``cohomology`` serves certificates: it
 yields each degree's cocycle and coboundary bases, which the induced
 comparison map needs, with the dimension.
+
+A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
+and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
+containment and coordinates all come from one sparse step, clearing a
+vector's pivot columns with the basis rows (``Subspace.residues``), so no
+basis vector is ever written out densely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import NotASubspace, NotChainCompatible
 from .fields import FieldSpec
@@ -31,11 +36,15 @@ class Matrix:
     """Immutable exact matrix.  Build via the ``from_*`` constructors."""
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, cells: dict):
+        """Take ownership of ``cells``, a map (r, c) -> scalar with no zero values.
+
+        The map is kept as given, not copied: every caller drops zeros
+        itself, and a zero cell would break equality and ``nnz``.
+        """
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        # canonical cell map (r, c) -> nonzero scalar
-        self._cells = {k: v for k, v in cells.items() if v != 0}
+        self._cells = cells
 
     # --- constructors -------------------------------------------------------
 
@@ -100,9 +109,6 @@ class Matrix:
         for (r, c) in sorted(self._cells):
             yield r, c, self._cells[r, c]
 
-    def triplets(self) -> tuple:
-        return tuple((r, c, v) for r, c, v in self.entries())
-
     def row_dicts(self) -> list[dict]:
         rows = [dict() for _ in range(self.nrows)]
         for (r, c), v in self._cells.items():
@@ -162,30 +168,6 @@ class Matrix:
         f = self.field
         return Matrix(f, self.nrows, self.ncols,
                       {k: f.mul(s, v) for k, v in self._cells.items()})
-
-    def __neg__(self) -> "Matrix":
-        return self.scaled(self.field.neg(self.field.one))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        cells = dict(self._cells)
-        for k, v in other._cells.items():
-            w = f.add(cells.get(k, f.zero), v)
-            if w == 0:
-                cells.pop(k, None)
-            else:
-                cells[k] = w
-        return Matrix(f, self.nrows, self.ncols, cells)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def _check_same_shape(self, other):
-        if not isinstance(other, Matrix) or self.field != other.field:
-            raise ValueError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -258,22 +240,18 @@ class Matrix:
         pivots, R = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivset]
-        vectors = []
-        rows = R.row_dicts()
-        for j in free:
-            v = [f.zero] * self.ncols
-            v[j] = f.one
-            for i, p in enumerate(pivots):
-                coef = rows[i].get(j)
-                if coef:
-                    v[p] = f.neg(coef)
-            vectors.append(v)
-        return Subspace.from_vectors(f, self.ncols, vectors)
+        # one vector per free column j: 1 at j, -R[i][j] at pivots[i]
+        row_of = {j: k for k, j in enumerate(free)}
+        cells = {(k, j): f.one for k, j in enumerate(free)}
+        for (i, j), v in R._cells.items():
+            k = row_of.get(j)
+            if k is not None:
+                cells[k, pivots[i]] = f.neg(v)
+        return Subspace.from_matrix(Matrix(f, len(free), self.ncols, cells))
 
     def image_basis(self) -> "Subspace":
         """Canonical basis of the column space."""
-        pivots, R = self.transpose().rref()
-        return Subspace._from_rref(self.field, self.nrows, R, pivots)
+        return Subspace.from_matrix(self.transpose())
 
     # --- serialization -----------------------------------------------------------
 
@@ -389,79 +367,62 @@ def _back_substitute(rows, piv_list, sub):
 class Subspace:
     """A subspace of k^n held as its canonical RREF basis.
 
-    Basis rows have strictly increasing pivot columns, pivot entries 1, and
-    zeros above and below each pivot: the representation is unique for the
-    subspace, so equality of subspaces is equality of these tuples.
+    ``basis`` is the dim x n sparse matrix ``Matrix.rref`` returns for any
+    spanning set: rows with strictly increasing pivot columns ``pivots``,
+    pivot entries 1 and zeros above and below each pivot.  The form is
+    unique for the subspace, so equal subspaces compare equal.
     """
 
-    field: FieldSpec
-    ambient_dim: int
-    basis: tuple          # tuple of dense coordinate tuples
     pivots: tuple
+    basis: Matrix
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.basis.field
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.ncols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     @staticmethod
     def zero(field, ambient_dim) -> "Subspace":
-        return Subspace(field, ambient_dim, (), ())
-
-    @staticmethod
-    def full(field, ambient_dim) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return Subspace.from_vectors(field, ambient_dim, eye.dense_rows())
+        return Subspace((), Matrix.zeros(field, 0, ambient_dim))
 
     @staticmethod
     def from_vectors(field, ambient_dim, vectors) -> "Subspace":
-        m = Matrix.from_rows(field, [list(v) for v in vectors], ncols=ambient_dim)
-        pivots, R = m.rref()
-        return Subspace._from_rref(field, ambient_dim, R, pivots)
+        return Subspace.from_matrix(Matrix.from_rows(field, vectors, ncols=ambient_dim))
 
     @staticmethod
-    def _from_rref(field, ambient_dim, R: Matrix, pivots) -> "Subspace":
-        rows = R.dense_rows()
-        return Subspace(field, ambient_dim,
-                        tuple(tuple(row) for row in rows), tuple(pivots))
+    def from_matrix(m: Matrix) -> "Subspace":
+        """The row space of ``m``."""
+        return Subspace(*m.rref())
 
-    @cached_property
-    def _sparse_basis(self) -> tuple:
-        return tuple(
-            tuple((j, w) for j, w in enumerate(row) if w != 0) for row in self.basis
-        )
+    def residues(self, vectors: Matrix) -> list[dict]:
+        """Each row ``v`` of ``vectors`` minus ``v[pivots[i]]`` times basis row i, for all i.
 
-    def reduce(self, vec) -> tuple:
-        """Residue of ``vec`` after eliminating this subspace's pivot coordinates."""
-        if len(vec) != self.ambient_dim:
+        Basis rows vanish at each other's pivots, so the residue is zero at
+        every pivot column; ``v`` lies in the subspace exactly when its
+        residue is empty, and then ``v[pivots[i]]`` are its coordinates.
+        """
+        if vectors.ncols != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        f = self.field
-        v = list(vec)
-        for srow, p in zip(self._sparse_basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j, w in srow:
-                    v[j] = f.sub(v[j], f.mul(c, w))
-        return tuple(v)
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    def coordinates(self, vec):
-        """Coordinates of ``vec`` in the RREF basis, or None if not a member."""
-        coords = tuple(vec[p] for p in self.pivots)
-        if not self.contains(vec):
-            return None
-        return coords
-
-    def vector_from_coordinates(self, coords) -> tuple:
-        f = self.field
-        v = [f.zero] * self.ambient_dim
-        for a, row in zip(coords, self.basis):
-            if a != 0:
-                for j, w in enumerate(row):
-                    if w != 0:
-                        v[j] = f.add(v[j], f.mul(a, w))
-        return tuple(v)
+        sub = _scalar_hooks(self.field)[2]
+        rows = self.basis.row_dicts()
+        row_of = {p: i for i, p in enumerate(self.pivots)}
+        out = vectors.row_dicts()
+        for v in out:
+            for c, a in [(c, a) for c, a in v.items() if c in row_of]:
+                for j, w in rows[row_of[c]].items():
+                    x = sub(v.get(j, 0), a, w)
+                    if x:
+                        v[j] = x
+                    else:
+                        del v[j]
+        return out
 
 
 def quotient_dim(Z: Subspace, B: Subspace) -> int:
@@ -472,9 +433,8 @@ def quotient_dim(Z: Subspace, B: Subspace) -> int:
     """
     if Z.ambient_dim != B.ambient_dim or Z.field != B.field:
         raise NotASubspace("ambient space mismatch")
-    for v in B.basis:
-        if not Z.contains(v):
-            raise NotASubspace("claimed subspace is not contained in the ambient one")
+    if any(Z.residues(B.basis)):
+        raise NotASubspace("claimed subspace is not contained in the ambient one")
     return Z.dim - B.dim
 
 
@@ -523,35 +483,37 @@ def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:
 
 
 def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
-                         Z_dst: Subspace, B_dst: Subspace,
-                         dims: tuple[int, int] | None = None) -> tuple[Matrix, bool]:
+                         Z_dst: Subspace, B_dst: Subspace) -> tuple[Matrix, bool]:
     """Matrix of the map Z_src/B_src -> Z_dst/B_dst induced by T.
 
-    Verifies that T maps Z_src into Z_dst and B_src into B_dst; raises
-    NotChainCompatible otherwise.  Returns (matrix, invertible) where the
+    Verifies B <= Z on both sides with ``quotient_dim`` (NotASubspace
+    otherwise) and that T maps Z_src into Z_dst and B_src into B_dst
+    (NotChainCompatible otherwise).  Returns (matrix, invertible) where the
     matrix is written in the canonical quotient bases and ``invertible``
     reports whether it is square of full rank.
-
-    Containment B <= Z on both sides is part of the contract and is checked
-    with ``quotient_dim``, unless ``dims`` passes the two quotient dimensions
-    that ``cohomology`` already verified for exactly these pairs.
     """
-    for name, (sub, target) in (("cocycles", (Z_src, Z_dst)), ("coboundaries", (B_src, B_dst))):
-        for v in sub.basis:
-            if not target.contains(T.apply(v)):
-                raise NotChainCompatible(f"map does not preserve {name}")
-    if dims is None:
-        dims = quotient_dim(Z_src, B_src), quotient_dim(Z_dst, B_dst)
-    q_src, q_dst = dims
-    src_idx = _quotient_pivot_index(Z_src, B_src)
+    q_src, q_dst = quotient_dim(Z_src, B_src), quotient_dim(Z_dst, B_dst)
+    f = T.field
+    images = Z_src.basis @ T.transpose()   # row i: T applied to basis row i of Z_src
+    if any(Z_dst.residues(images)):
+        raise NotChainCompatible("map does not preserve cocycles")
+    # a row b of B_src is the combination b[pivot] of the Z_src rows, so
+    # T(b) is the same combination of their images
+    row_of = {p: i for i, p in enumerate(Z_src.pivots)}
+    coords = Matrix(f, B_src.dim, Z_src.dim,
+                    {(r, row_of[c]): v for (r, c), v in B_src.basis._cells.items()
+                     if c in row_of})
+    if any(B_dst.residues(coords @ images)):
+        raise NotChainCompatible("map does not preserve coboundaries")
     # coordinates of image + B_dst in the canonical complement basis of B_dst
-    dst_pivots = [Z_dst.pivots[i] for i in _quotient_pivot_index(Z_dst, B_dst)]
+    reps = B_dst.residues(images)
+    r_of = {Z_dst.pivots[i]: r for r, i in enumerate(_quotient_pivot_index(Z_dst, B_dst))}
     cells = {}
-    for j, i in enumerate(src_idx):
-        rep = B_dst.reduce(T.apply(Z_src.basis[i]))
-        for r, p in enumerate(dst_pivots):
-            if rep[p] != 0:
-                cells[r, j] = rep[p]
-    Q = Matrix(T.field, q_dst, q_src, cells)
+    for j, i in enumerate(_quotient_pivot_index(Z_src, B_src)):
+        for c, v in reps[i].items():
+            r = r_of.get(c)
+            if r is not None:
+                cells[r, j] = v
+    Q = Matrix(f, q_dst, q_src, cells)
     invertible = q_src == q_dst and Q.rank() == q_src
     return Q, invertible

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+
+import hochcat
 from hochcat import builtin, group_from_table
 from hochcat.fields import FieldSpec
 from hochcat.fixtures import symmetric_group_table
@@ -39,3 +42,11 @@ def all_fixtures() -> dict:
 
 
 FIXTURES = all_fixtures()
+
+
+def child_env() -> dict:
+    """This environment, with the hochcat the suite imported first on PYTHONPATH,
+    so ``python -m hochcat`` in a child runs the same checkout without an install."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hochcat.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

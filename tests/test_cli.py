@@ -8,6 +8,7 @@ from hochcat import comparison, hochschild, nerve
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
 
+from .catalog import child_env
 from .test_hochschild import count_builds
 
 
@@ -217,6 +218,23 @@ def test_non_validate_verbs_report_invalid_files(tmp_path, capsys):
     assert json.loads(out)["errors"][0]["kind"] == "MissingIdentity"
 
 
+@pytest.mark.parametrize("verb", ["validate", "cohomology"])
+def test_file_that_is_not_utf8_is_invalid(tmp_path, capsys, verb):
+    f = tmp_path / "bad.cat"
+    f.write_bytes(b"object x\n# caf\xe9\n")
+    code = main([verb, str(f), "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    assert payload["errors"] == [{
+        "kind": "CategoryFormatError",
+        "message": "line 2: not UTF-8 text (byte 0xe9)",
+        "line": 2,
+    }]
+
+
 def test_derivations_exit_code_3_without_hypotheses(tmp_path):
     f = tmp_path / "collapse.cat"
     f.write_text(
@@ -277,7 +295,7 @@ def test_json_deterministic_in_process(capsys):
 def test_cli_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "hochcat", "props", "c2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "rr-transitive" in proc.stdout

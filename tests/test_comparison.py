@@ -15,6 +15,7 @@ from hochcat import (
     simplicial_coboundary_matrix,
     t_map_matrix,
     theorem_a_report,
+    theorem_b_report,
     verify_section,
     verify_t_chain_identity,
     verify_two_sided_on_relative,
@@ -26,7 +27,7 @@ from hochcat.errors import HypothesisViolated
 from hochcat.hochschild import basis_index, hochschild_basis_size, relative_basis
 from hochcat.matrix import Matrix
 
-from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
+from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 from .test_category import collapse
 
 HYPOTHESIS_FIXTURES = ("triv", "a2", "c2", "cn:3", "s3", "chain:3", "diamond", "ex6")
@@ -198,6 +199,19 @@ def test_theorem_a_ex6_agreement(field):
         assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial
         assert rec.induced_invertible
     assert rep.verdict == "isomorphism"
+
+
+def test_certificates_never_write_a_basis_out_densely(monkeypatch):
+    # cocycle, coboundary, derivation and character bases stay sparse RREF
+    # matrices from elimination to the induced maps
+    def refuse(self):
+        raise AssertionError(f"dense rows of a {self.nrows}x{self.ncols} matrix")
+
+    monkeypatch.setattr(Matrix, "dense_rows", refuse)
+    for cat in (DIAMOND, EX6):
+        for field in (GF2, QQ):
+            assert theorem_a_report(make_context(cat, field), 2).verdict == "isomorphism"
+            assert theorem_b_report(cat, field).bijection
 
 
 def test_derived_tables_die_with_their_category():

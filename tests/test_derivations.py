@@ -2,6 +2,7 @@ import pytest
 
 from hochcat import (
     adjoint_category,
+    derivations,
     character_space,
     graded_derivation_space,
     hochschild_differential_matrix,
@@ -37,7 +38,7 @@ def test_derivation_a2_shape():
     # the single graded derivation scales g and kills the identities
     space = graded_derivation_space(A2, QQ)
     basis = relative_basis(A2, 1)
-    (vec,) = space.basis
+    (vec,) = space.basis.dense_rows()
     nonzero = {basis[i] for i, v in enumerate(vec) if v != 0}
     assert nonzero == {((2,), 2)}
 
@@ -55,12 +56,12 @@ def test_derivations_are_cocycles_in_relative_coordinates():
             ker = hochschild_differential_matrix(cat, field, 1).kernel_basis()
             non_rel = [j for j in range(n_full) if j not in rel_set]
             # combinations of kernel vectors vanishing outside relative slots
-            K = Matrix.from_rows(field, [list(v) for v in ker.basis], ncols=n_full)
+            K = ker.basis
             restr = Matrix.from_rows(
-                field, [[v[j] for j in non_rel] for v in ker.basis], ncols=len(non_rel)
+                field, [[v[j] for j in non_rel] for v in K.dense_rows()], ncols=len(non_rel)
             )
             combos = restr.transpose().kernel_basis()
-            vectors = [K.transpose().apply(c) for c in combos.basis]
+            vectors = (combos.basis @ K).dense_rows()
             graded_cocycles = Subspace.from_vectors(
                 field, len(rel), [[vec[j] for j in rel_full] for vec in vectors]
             )
@@ -97,7 +98,7 @@ def test_characters_vanish_on_identities():
         fad = adjoint_category(cat)
         ids = set(fad.identity)
         for field in FIELDS:
-            for vec in character_space(fad, field).basis:
+            for vec in character_space(fad, field).basis.dense_rows():
                 assert all(vec[i] == 0 for i in ids), name
 
 
@@ -137,3 +138,36 @@ def test_theorem_b_all_hypothesis_fixtures():
 def test_theorem_b_requires_hypotheses():
     with pytest.raises(HypothesisViolated):
         theorem_b_report(collapse(), GF2)
+
+
+def _perturb_x(monkeypatch, perturb):
+    x_rel = derivations.x_map_relative_matrix
+    monkeypatch.setattr(derivations, "x_map_relative_matrix",
+                        lambda ctx, m: perturb(ctx, x_rel(ctx, m)))
+
+
+def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypatch):
+    # 2X still sends characters to derivations, but is not T's inverse
+    honest = theorem_b_report(A2, QQ)
+    _perturb_x(monkeypatch, lambda ctx, x: x.scaled(QQ.scalar(2)))
+    rep = theorem_b_report(A2, QQ)
+    assert rep.bijection is False
+    assert rep.restricted_matrix == honest.restricted_matrix
+
+
+def test_theorem_b_rejects_a_perturbed_x_that_leaves_the_derivations(monkeypatch):
+    # adding the identity slot e_(id, id) to X's image of the first character
+    # basis vector leaves the derivations, which vanish on identities
+    def leave(ctx, x):
+        ident = ctx.cat.identity[0]
+        row = relative_basis(ctx.cat, 1).index(((ident,), ident))
+        col = character_space(ctx.fad, ctx.field).pivots[0]
+        cells = {(r, c): v for r, c, v in x.entries()}
+        cells[row, col] = ctx.field.add(x.entry(row, col), ctx.field.one)
+        return Matrix.from_entries(ctx.field, x.nrows, x.ncols, cells)
+
+    honest = theorem_b_report(C2, GF2)
+    _perturb_x(monkeypatch, leave)
+    rep = theorem_b_report(C2, GF2)
+    assert rep.bijection is False
+    assert rep.restricted_matrix == honest.restricted_matrix
