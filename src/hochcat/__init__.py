@@ -9,19 +9,16 @@ with the degree-one refinement relating graded derivations to characters.
 
 from .category import (
     AdjointCategory,
-    ConjugationIso,
     FiniteCategory,
     Ladder,
     PredicateReport,
     RawCategory,
     adjoint_category,
-    conjugation_iso,
     is_left_cancellative,
     is_left_deterministic,
     is_right_cancellative,
     is_right_deterministic,
     is_rr_transitive,
-    ladder_from_chain,
     predicate_reports,
     validate_category,
 )
@@ -47,19 +44,14 @@ from .derivations import (
 from .fields import FieldSpec
 from .fixtures import builtin, group_from_table, poset_from_relation
 from .hochschild import (
-    AlgebraElement,
-    HochschildCochain,
     hochschild_basis,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
-    multiply,
     relative_basis,
     relative_cohomology_dims,
-    separability_check,
 )
 from .matrix import Matrix, Subspace, induced_quotient_map, quotient_dim
 from .nerve import (
-    connected_component_count,
     face,
     nerve_chains,
     simplicial_coboundary_matrix,
@@ -70,12 +62,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointCategory",
-    "AlgebraElement",
     "ComparisonContext",
-    "ConjugationIso",
     "FieldSpec",
     "FiniteCategory",
-    "HochschildCochain",
     "Ladder",
     "Matrix",
     "PredicateReport",
@@ -87,8 +76,6 @@ __all__ = [
     "builtin",
     "category_to_text",
     "character_space",
-    "conjugation_iso",
-    "connected_component_count",
     "face",
     "graded_derivation_space",
     "group_from_table",
@@ -101,10 +88,8 @@ __all__ = [
     "is_right_cancellative",
     "is_right_deterministic",
     "is_rr_transitive",
-    "ladder_from_chain",
     "load_category",
     "make_context",
-    "multiply",
     "nerve_chains",
     "parse_category",
     "parse_category_text",
@@ -113,7 +98,6 @@ __all__ = [
     "quotient_dim",
     "relative_basis",
     "relative_cohomology_dims",
-    "separability_check",
     "simplicial_coboundary_matrix",
     "simplicial_cohomology_dims",
     "t_map_matrix",

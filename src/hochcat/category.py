@@ -7,6 +7,11 @@ these indices, which makes all matrices reproducible run to run.
 
 ``compose(g, f)`` means "g after f" and is defined exactly when
 ``source(g) == target(f)``.
+
+Commuting squares ``g∘a = b∘g`` are read from one table,
+``_completion_table``, which completes a composable chain and a base
+endomorphism to its unique ladder; the adjoint category decodes its nerve
+chains into ladders and back (``ladder_of_chain``, ``chain_of_ladder``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .errors import (
     InvalidCategory,
     MissingComposite,
     MissingIdentity,
-    NonComposableChain,
 )
 
 UNDEFINED = -1
@@ -373,46 +377,17 @@ def require_predicates(cat: FiniteCategory, *names: str) -> None:
         raise HypothesisViolated(*missing)
 
 
-# --- commuting squares, conjugation, ladders -----------------------------------------
-
-@dataclass(frozen=True)
-class ConjugationIso:
-    """The monoid isomorphism End(source(g)) -> End(target(g)) along g.
-
-    forward maps a to the unique b with g∘a = b∘g; inverse maps b to the
-    unique a with b∘g = g∘a.
-    """
-
-    g: int
-    forward: dict
-    inverse: dict
-
-
-def conjugation_iso(cat: FiniteCategory, g: int) -> ConjugationIso:
-    require_predicates(
-        cat,
-        "left_deterministic", "right_deterministic",
-        "left_cancellative", "right_cancellative",
-    )
-    comp = cat.compose_table
-    src_ends = cat.endomorphisms[cat.source[g]]
-    dst_ends = cat.endomorphisms[cat.target[g]]
-    forward = {}
-    for a in src_ends:
-        ga = comp[g][a]
-        bs = [b for b in dst_ends if comp[b][g] == ga]
-        forward[a] = bs[0]
-    inverse = {}
-    for b in dst_ends:
-        bg = comp[b][g]
-        as_ = [a for a in src_ends if comp[g][a] == bg]
-        inverse[b] = as_[0]
-    return ConjugationIso(g, forward, inverse)
-
+# --- commuting squares and ladders ---------------------------------------------------
 
 @memo
 def _completion_table(cat: FiniteCategory) -> dict:
-    """(g, a) -> the unique b with g∘a = b∘g, for right det/canc categories."""
+    """(g, a) -> the unique b with g∘a = b∘g, for right det/canc categories.
+
+    For each g this is the conjugation End(source g) -> End(target g); X
+    walks it along a chain to complete ladders.  Callers gate on the
+    hypotheses: right determinism gives every key, right cancellation a
+    unique b.
+    """
     comp = cat.compose_table
     table = {}
     for g in range(cat.n_morphisms):
@@ -440,37 +415,6 @@ class Ladder:
     @property
     def degree(self) -> int:
         return len(self.bottom)
-
-
-def ladder_commutes(cat: FiniteCategory, ladder: Ladder) -> bool:
-    comp = cat.compose_table
-    for g, a, b in zip(ladder.bottom, ladder.verticals, ladder.verticals[1:]):
-        if comp[g][a] != comp[b][g]:
-            return False
-    return True
-
-
-def is_composable_chain(cat: FiniteCategory, chain) -> bool:
-    return all(cat.target[g] == cat.source[h] for g, h in zip(chain, chain[1:]))
-
-
-def ladder_from_chain(cat: FiniteCategory, chain, a0: int) -> Ladder:
-    """Complete a composable chain and a base endomorphism to the unique ladder."""
-    require_predicates(cat, "right_deterministic", "right_cancellative")
-    chain = tuple(chain)
-    if not is_composable_chain(cat, chain):
-        raise NonComposableChain(f"chain {chain} is not composable")
-    if cat.source[a0] != cat.target[a0]:
-        raise NonComposableChain(f"base vertical {a0} is not an endomorphism")
-    if chain and cat.source[a0] != cat.source[chain[0]]:
-        raise NonComposableChain("base vertical does not sit at the chain source")
-    table = _completion_table(cat)
-    verticals = [a0]
-    a = a0
-    for g in chain:
-        a = table[g, a]
-        verticals.append(a)
-    return Ladder(chain, tuple(verticals))
 
 
 # --- the adjoint category ---------------------------------------------------------

@@ -96,10 +96,6 @@ class HypothesisViolated(HochcatError):
         }
 
 
-class NonComposableChain(HochcatError):
-    pass
-
-
 # --- linear algebra and complexes ------------------------------------------
 
 class DimensionCapExceeded(HochcatError):

@@ -91,23 +91,11 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p is not None else a * b
 
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
-
-    def inv(self, a):
-        if self.p is not None:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
 
     def format_scalar(self, v) -> str:
         """Render a scalar exactly, e.g. ``3`` or ``-2/7``."""

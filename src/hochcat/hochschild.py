@@ -1,4 +1,7 @@
-"""The category algebra kC and its Hochschild cochain complex.
+"""The Hochschild cochain complex of the category algebra kC.
+
+The product of kC (``g·f = g∘f``, zero when not composable) enters only
+through the differential below; no algebra element is ever built.
 
 Cochains of degree m are multilinear maps (kC)^{⊗m} -> kC, stored by their
 coefficient tensor: the basis of C^m is all pairs ``(tup, h)`` with ``tup``
@@ -17,7 +20,8 @@ The differential of the coefficient tensor of f sends the basis cochain
 Entries are assembled once over the integers and reduced into the requested
 field.  The integer entries are memoized on the category, so every field
 shares one assembly for as long as the category lives, and they are freed
-with it.
+with it.  The dimension tables check every degree's basis size against the
+cap (``check_sizes``) before the first differential is assembled.
 
 The relative subcomplex keeps only endpoint-matching coefficients on
 composable tuples; in degree 0 it is spanned by the endomorphisms (the
@@ -28,108 +32,12 @@ differential preserves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .category import FiniteCategory, memo
 from .errors import DimensionCapExceeded, NotASubcomplex
-from .fields import FieldSpec
 from .matrix import Matrix, cohomology_dims
 
 DEFAULT_BASIS_CAP = 2_000_000
-
-
-# --- the category algebra ---------------------------------------------------
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of kC as a sparse morphism -> coefficient map."""
-
-    cat: FiniteCategory
-    field: FieldSpec
-    coeffs: tuple   # sorted ((morphism, scalar), ...), no zeros
-
-    @staticmethod
-    def from_dict(cat, field, coeffs: dict) -> "AlgebraElement":
-        items = tuple(sorted((m, v) for m, v in coeffs.items() if v != 0))
-        return AlgebraElement(cat, field, items)
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    @staticmethod
-    def basis(cat, field, m: int) -> "AlgebraElement":
-        return AlgebraElement(cat, field, ((m, field.one),))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def algebra_unit(cat, field) -> AlgebraElement:
-    """The unit of kC: the sum of all identity morphisms."""
-    return AlgebraElement.from_dict(cat, field, {i: field.one for i in cat.identity})
-
-
-@dataclass(frozen=True)
-class HochschildCochain:
-    """A degree-m cochain as its coefficient tensor.
-
-    ``coeffs`` maps (input tuple, output morphism) to a scalar; tuples are in
-    tensor-slot order and range over all m-tuples, composable or not.  A
-    degree-0 cochain is an element of kC (empty input tuple).
-    """
-
-    cat: FiniteCategory
-    field: FieldSpec
-    degree: int
-    coeffs: dict
-
-    @staticmethod
-    def from_vector(cat, field, degree: int, vector) -> "HochschildCochain":
-        """Read coordinates in the lexicographic (tuple, output) basis."""
-        coeffs = {}
-        for pair, v in zip(hochschild_basis(cat, degree), vector):
-            if v != 0:
-                coeffs[pair] = v
-        return HochschildCochain(cat, field, degree, coeffs)
-
-    def to_vector(self) -> tuple:
-        out = [self.field.zero] * hochschild_basis_size(self.cat, self.degree)
-        for (tup, h), v in self.coeffs.items():
-            out[basis_index(self.cat, tup, h)] = v
-        return tuple(out)
-
-    def value_on(self, tup) -> AlgebraElement:
-        """The algebra element this cochain assigns to a basis input tuple."""
-        tup = tuple(tup)
-        if len(tup) != self.degree:
-            raise ValueError(f"expected a {self.degree}-tuple, got {tup}")
-        picked = {h: v for (t, h), v in self.coeffs.items() if t == tup}
-        return AlgebraElement.from_dict(self.cat, self.field, picked)
-
-    def as_algebra_element(self) -> AlgebraElement:
-        if self.degree != 0:
-            raise ValueError("only degree-0 cochains are algebra elements")
-        return self.value_on(())
-
-
-def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the basis product g·f = g∘f (zero if not composable)."""
-    if u.cat != v.cat or u.field != v.field:
-        raise ValueError("operands live in different algebras")
-    cat, field = u.cat, u.field
-    comp = cat.compose_table
-    out: dict = {}
-    for g, x in u.coeffs:
-        row = comp[g]
-        for f, y in v.coeffs:
-            h = row[f]
-            if h >= 0:
-                w = field.add(out.get(h, field.zero), field.mul(x, y))
-                if w == 0:
-                    out.pop(h, None)
-                else:
-                    out[h] = w
-    return AlgebraElement.from_dict(cat, field, out)
 
 
 # --- bases and indexing ------------------------------------------------------
@@ -138,12 +46,33 @@ def hochschild_basis_size(cat: FiniteCategory, m: int) -> int:
     return cat.n_morphisms ** (m + 1)
 
 
+def hochschild_sizes(cat: FiniteCategory):
+    """Yield ``hochschild_basis_size(cat, m)`` for m = 0, 1, .. as a running product."""
+    size = cat.n_morphisms
+    while True:
+        yield size
+        size *= cat.n_morphisms
+
+
 def check_cap(cat, m: int, cap: int | None) -> None:
     """Refuse degrees whose basis cannot be enumerated within the cap."""
     cap = DEFAULT_BASIS_CAP if cap is None else cap
     required = hochschild_basis_size(cat, m)
     if required > cap:
         raise DimensionCapExceeded(m, required, cap)
+
+
+def check_sizes(sizes, top: int, cap: int | None) -> None:
+    """Refuse the first degree in 1..top whose basis size passes the cap.
+
+    ``sizes`` yields the sizes of degrees 0, 1, .. and is read no further
+    than that degree.  Degree 0 is never larger than degree 1, so skipping
+    it names the same degree as the per-differential checks.
+    """
+    cap = DEFAULT_BASIS_CAP if cap is None else cap
+    for m, size in zip(range(top + 1), sizes):
+        if m and size > cap:
+            raise DimensionCapExceeded(m, size, cap)
 
 
 def hochschild_basis(cat: FiniteCategory, m: int) -> list:
@@ -230,7 +159,11 @@ def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -
 
 
 def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
-    """Dimensions of HH^0..HH^max_m over the full cochain complex."""
+    """Dimensions of HH^0..HH^max_m over the full cochain complex.
+
+    Every degree's basis size is checked against the cap first.
+    """
+    check_sizes(hochschild_sizes(cat), max_m + 1, cap)
     mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats))
 
@@ -271,22 +204,21 @@ def relative_basis(cat: FiniteCategory, m: int) -> list:
     return list(_relative_basis_cached(cat, m))
 
 
-def relative_basis_size(cat: FiniteCategory, m: int) -> int:
-    """``len(relative_basis(cat, m))``, counted without enumerating the basis.
+def relative_sizes(cat: FiniteCategory):
+    """Yield ``len(relative_basis(cat, m))`` for m = 0, 1, .., enumerating no basis.
 
     With ``A[x][y] = |Hom(x, y)|`` there are ``(A^m)[x][y]`` composable
     m-chains from x to y, each paired with every morphism of Hom(x, y), so
     the size is ``Σ_{x,y} (A^m)[x][y]·A[x][y]``; in degree 0 it is the
     number of endomorphisms.
     """
-    if m == 0:
-        return len(cat.all_endomorphisms)
+    yield len(cat.all_endomorphisms)
     objs = range(cat.n_objects)
     hom = [[len(cat.hom(x, y)) for y in objs] for x in objs]
     paths = hom
-    for _ in range(m - 1):
+    while True:
+        yield sum(paths[x][y] * hom[x][y] for x in objs for y in objs)
         paths = [[sum(row[z] * hom[z][y] for z in objs) for y in objs] for row in paths]
-    return sum(paths[x][y] * hom[x][y] for x in objs for y in objs)
 
 
 def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
@@ -315,7 +247,7 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
     enumerated.
     """
     cap_val = DEFAULT_BASIS_CAP if cap is None else cap
-    required = max(relative_basis_size(cat, m), relative_basis_size(cat, m + 1))
+    required = max(itertools.islice(relative_sizes(cat), m, m + 2))
     if required > cap_val:
         raise DimensionCapExceeded(m + 1, required, cap_val)
     nrows, ncols, entries = _relative_differential_entries(cat, m)
@@ -323,62 +255,11 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
 
 
 def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
-    """Dimensions of the relative cohomology in degrees 0..max_m."""
+    """Dimensions of the relative cohomology in degrees 0..max_m.
+
+    Every degree's basis size is checked against the cap first.
+    """
+    check_sizes(relative_sizes(cat), max_m + 1, cap)
     mats = [relative_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats))
 
-
-# --- separability of the identity span --------------------------------------------
-#
-# Elements of the enveloping algebra R ⊗ R^op are sparse maps
-# (morphism, morphism) -> scalar; (a⊗b)(c⊗d) = (a∘c) ⊗ (d∘b).
-
-def _env_mul(cat, field, u: dict, v: dict) -> dict:
-    comp = cat.compose_table
-    out: dict = {}
-    for (a, b), x in u.items():
-        for (c, d), y in v.items():
-            ac = comp[a][c]
-            if ac < 0:
-                continue
-            db = comp[d][b]
-            if db < 0:
-                continue
-            key = (ac, db)
-            w = field.add(out.get(key, field.zero), field.mul(x, y))
-            if w == 0:
-                out.pop(key, None)
-            else:
-                out[key] = w
-    return out
-
-
-def separability_check(cat: FiniteCategory, field: FieldSpec | None = None) -> bool:
-    """Verify the separability idempotent of the identity span by expansion.
-
-    Checks that e = Σ_x 1_x ⊗ 1_x is idempotent, multiplies out to the unit
-    of kC, and commutes with every generator 1_x in the enveloping algebra.
-    """
-    field = field if field is not None else FieldSpec(None)
-    one = field.one
-    e = {(i, i): one for i in cat.identity}
-    if _env_mul(cat, field, e, e) != e:
-        return False
-    unit = {}
-    comp = cat.compose_table
-    for (a, b) in e:
-        h = comp[a][b]
-        if h < 0:
-            return False
-        unit[h] = field.add(unit.get(h, field.zero), one)
-    unit = {k: v for k, v in unit.items() if v != 0}
-    if unit != algebra_unit(cat, field).as_dict():
-        return False
-    for r in cat.identity:
-        r_tensor_1 = {(r, y): one for y in cat.identity}
-        one_tensor_r = {(y, r): one for y in cat.identity}
-        left = _env_mul(cat, field, r_tensor_1, e)
-        right = _env_mul(cat, field, one_tensor_r, e)
-        if left != right:
-            return False
-    return True

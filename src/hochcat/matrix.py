@@ -101,9 +101,6 @@ class Matrix:
     def nnz(self) -> int:
         return len(self._cells)
 
-    def entry(self, r: int, c: int):
-        return self._cells.get((r, c), self.field.zero)
-
     def entries(self):
         """Iterate ``(r, c, value)`` sorted by (r, c)."""
         for (r, c) in sorted(self._cells):
@@ -121,9 +118,6 @@ class Matrix:
         for (r, c), v in self._cells.items():
             rows[r][c] = v
         return rows
-
-    def column(self, c: int) -> dict:
-        return {r: v for (r, cc), v in self._cells.items() if cc == c}
 
     def is_zero(self) -> bool:
         return not self._cells
@@ -198,18 +192,6 @@ class Matrix:
                     if v:
                         cells[i, j] = v
         return Matrix(self.field, self.nrows, other.ncols, cells)
-
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product; ``vec`` is a length-ncols sequence."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        out = [f.zero] * self.nrows
-        for (r, c), v in self._cells.items():
-            x = vec[c]
-            if x != 0:
-                out[r] = f.add(out[r], f.mul(v, x))
-        return tuple(out)
 
     # --- elimination ------------------------------------------------------------
 

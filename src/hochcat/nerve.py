@@ -97,19 +97,3 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int) -> list[int]:
     mats = (simplicial_coboundary_matrix(cat, field, m) for m in range(max_m + 1))
     return list(cohomology_dims(mats))
 
-
-def connected_component_count(cat: FiniteCategory) -> int:
-    """Zigzag components of the underlying graph, by union-find."""
-    parent = list(range(cat.n_objects))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in range(cat.n_morphisms):
-        a, b = find(cat.source[m]), find(cat.target[m])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return len({find(x) for x in range(cat.n_objects)})

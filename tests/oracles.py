@@ -305,3 +305,61 @@ def component_count_bfs(cat) -> int:
                         nxt.append(y)
             frontier = nxt
     return count
+
+
+# --- commuting squares and the identity span, by expansion --------------------------
+
+def completions(cat) -> dict:
+    """(g, a) -> every b with g∘a = b∘g, for each endomorphism a at source(g)."""
+    comp = cat.compose_table
+    return {
+        (g, a): [b for b in range(cat.n_morphisms)
+                 if cat.source[b] == cat.target[b] == cat.target[g] and comp[b][g] == comp[g][a]]
+        for g in range(cat.n_morphisms)
+        for a in range(cat.n_morphisms) if cat.source[a] == cat.target[a] == cat.source[g]
+    }
+
+
+def ladder_commutes(cat, ladder) -> bool:
+    comp = cat.compose_table
+    return all(comp[g][a] == comp[b][g]
+               for g, a, b in zip(ladder.bottom, ladder.verticals, ladder.verticals[1:]))
+
+
+def _env_mul(cat, p, u: dict, v: dict) -> dict:
+    """Product in kC ⊗ kC^op of sparse elements: (a⊗b)(c⊗d) = (a∘c) ⊗ (d∘b)."""
+    comp = cat.compose_table
+    out: dict = {}
+    for (a, b), x in u.items():
+        for (c, d), y in v.items():
+            ac, db = comp[a][c], comp[d][b]
+            if ac >= 0 and db >= 0:
+                out[ac, db] = out.get((ac, db), _scal(p, 0)) + x * y
+    if p is not None:
+        out = {k: w % p for k, w in out.items()}
+    return {k: w for k, w in out.items() if w != 0}
+
+
+def separability_check(cat, p=None) -> bool:
+    """Verify the separability idempotent of the identity span by expansion.
+
+    Checks that e = Σ_x 1_x ⊗ 1_x is idempotent, multiplies out to the unit
+    of kC, and commutes with every generator 1_x in the enveloping algebra.
+    """
+    one = _scal(p, 1)
+    e = {(i, i): one for i in cat.identity}
+    if _env_mul(cat, p, e, e) != e:
+        return False
+    unit: dict = {}
+    for a, b in e:
+        h = cat.compose_table[a][b]
+        if h < 0:
+            return False
+        unit[h] = unit.get(h, _scal(p, 0)) + one
+    if {h: v for h, v in unit.items() if v != 0} != {i: one for i in cat.identity}:
+        return False
+    return all(
+        _env_mul(cat, p, {(r, y): one for y in cat.identity}, e)
+        == _env_mul(cat, p, {(y, r): one for y in cat.identity}, e)
+        for r in cat.identity
+    )

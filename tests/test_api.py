@@ -1,0 +1,43 @@
+"""The public surface: every name in ``hochcat.__all__`` is engine code.
+
+A public name must be read by some package module other than ``__init__``
+(counted on the syntax tree, as a name or an attribute, so strings and
+comments never count), or be named in code in README's "Library" section.
+"""
+
+import ast
+import os
+import re
+
+import hochcat
+
+SRC = os.path.dirname(os.path.abspath(hochcat.__file__))
+README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+
+
+def names_read_by_the_engine() -> set:
+    used = set()
+    for fname in os.listdir(SRC):
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def names_documented_as_library() -> set:
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = re.search(r"^## Library\n(.*?)(?=^## |\Z)", text, re.S | re.M).group(1)
+    code = re.findall(r"```.*?```|`[^`\n]+`", section, re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_public_name_is_used_or_documented():
+    allowed = names_read_by_the_engine() | names_documented_as_library()
+    assert sorted(set(hochcat.__all__) - allowed) == []
+    assert all(hasattr(hochcat, name) for name in hochcat.__all__)

@@ -3,26 +3,27 @@ import pytest
 from hochcat import (
     RawCategory,
     adjoint_category,
-    conjugation_iso,
     is_left_cancellative,
     is_left_deterministic,
     is_right_cancellative,
     is_right_deterministic,
     is_rr_transitive,
-    ladder_from_chain,
     predicate_reports,
     validate_category,
 )
-from hochcat.category import ladder_commutes
+from hochcat.category import Ladder, _completion_table
+from hochcat.comparison import make_context, x_map_matrix
 from hochcat.errors import (
     AssociativityFailure,
     DuplicateName,
     HypothesisViolated,
     MissingComposite,
     MissingIdentity,
-    NonComposableChain,
 )
+from hochcat.fields import GF2
+from hochcat.nerve import nerve_chains
 
+from . import oracles
 from .catalog import A2, C2, EX6, FIXTURES, TRIV
 
 
@@ -244,26 +245,50 @@ def test_unique_square_completion_on_cancellative_fixtures():
                             assert len(as_) == 1, (name, g, f, b)
 
 
-# --- conjugation and ladders ----------------------------------------------------
+# --- conjugation and ladders: the completion table ---------------------------------------
+#
+# _completion_table sends (g, a) to the b with g∘a = b∘g; for each g it is the
+# conjugation End(source g) -> End(target g) that X walks to complete ladders.
+
+def conjugation(cat, g) -> dict:
+    return {a: b for (h, a), b in _completion_table(cat).items() if h == g}
+
+
+def complete(cat, chain, a0) -> Ladder:
+    """The ladder over ``chain`` with base vertical ``a0``, as X completes it."""
+    verticals = [a0]
+    for g in chain:
+        verticals.append(_completion_table(cat)[g, verticals[-1]])
+    return Ladder(tuple(chain), tuple(verticals))
+
+
+def test_completion_table_matches_brute_force():
+    for name, cat in FIXTURES.items():
+        reports = predicate_reports(cat)
+        if not (reports["right_deterministic"].holds and reports["right_cancellative"].holds):
+            continue
+        table = _completion_table(cat)
+        found = oracles.completions(cat)
+        assert set(table) == set(found), name
+        for key, bs in found.items():
+            assert bs == [table[key]], (name, key)
+
 
 def test_conjugation_trivial_on_abelian_group():
     t = 1
-    iso = conjugation_iso(C2, t)
-    assert iso.forward == {0: 0, 1: 1}
-    assert iso.inverse == {0: 0, 1: 1}
+    assert conjugation(C2, t) == {0: 0, 1: 1}
 
 
 def test_conjugation_ex6_swaps_generators():
     idx = {n: i for i, n in enumerate(EX6.morphism_names)}
-    iso = conjugation_iso(EX6, idx["phi"])
-    assert iso.forward[idx["a"]] == idx["b"]
-    assert iso.forward[idx["id1"]] == idx["id2"]
-    assert iso.inverse[idx["b"]] == idx["a"]
+    forward = conjugation(EX6, idx["phi"])
+    assert forward[idx["a"]] == idx["b"]
+    assert forward[idx["id1"]] == idx["id2"]
+    assert {b: a for a, b in forward.items()}[idx["b"]] == idx["a"]
 
 
 def test_conjugation_poset_singleton():
-    iso = conjugation_iso(A2, 2)
-    assert iso.forward == {0: 1}
+    assert conjugation(A2, 2) == {0: 1}
 
 
 def test_conjugation_composes_along_chains():
@@ -273,67 +298,82 @@ def test_conjugation_composes_along_chains():
         for g in range(cat.n_morphisms):
             for h in cat.morphisms_by_source[cat.target[g]]:
                 hg = comp[h][g]
-                iso_g, iso_h, iso_hg = (conjugation_iso(cat, m) for m in (g, h, hg))
+                iso_g, iso_h, iso_hg = (conjugation(cat, m) for m in (g, h, hg))
                 for a in cat.endomorphisms[cat.source[g]]:
-                    assert iso_hg.forward[a] == iso_h.forward[iso_g.forward[a]]
+                    assert iso_hg[a] == iso_h[iso_g[a]]
 
 
 def test_conjugation_requires_hypotheses():
+    # z∘z = z = id∘z: two completions of (z, z), so X, the table's only
+    # consumer, refuses the category
+    assert oracles.completions(z_monoid())[1, 1] == [0, 1]
     with pytest.raises(HypothesisViolated):
-        conjugation_iso(z_monoid(), 1)
+        x_map_matrix(make_context(z_monoid(), GF2), 1)
 
 
 def test_conjugation_inverse_is_inverse():
     for name in ("c2", "s3", "ex6"):
         cat = FIXTURES[name]
         for g in range(cat.n_morphisms):
-            iso = conjugation_iso(cat, g)
-            for a, b in iso.forward.items():
-                assert iso.inverse[b] == a
+            forward = conjugation(cat, g)
+            assert sorted(forward) == list(cat.endomorphisms[cat.source[g]])
+            assert sorted(forward.values()) == list(cat.endomorphisms[cat.target[g]])
 
 
 def test_ladder_c2():
-    ladder = ladder_from_chain(C2, (1, 1), 1)
+    ladder = complete(C2, (1, 1), 1)
     assert ladder.verticals == (1, 1, 1)
-    assert ladder_commutes(C2, ladder)
+    assert oracles.ladder_commutes(C2, ladder)
 
 
 def test_ladder_ex6():
     idx = {n: i for i, n in enumerate(EX6.morphism_names)}
-    ladder = ladder_from_chain(EX6, (idx["phi"],), idx["a"])
+    ladder = complete(EX6, (idx["phi"],), idx["a"])
     assert ladder.verticals == (idx["a"], idx["b"])
-    assert ladder_commutes(EX6, ladder)
+    assert oracles.ladder_commutes(EX6, ladder)
+    fad = adjoint_category(EX6)
+    assert fad.ladder_of_chain(fad.chain_of_ladder(ladder), 1) == ladder
 
 
 def test_ladder_a2():
-    ladder = ladder_from_chain(A2, (2,), 0)
+    ladder = complete(A2, (2,), 0)
     assert ladder.verticals == (0, 1)
 
 
 def test_ladder_rejects_bad_chain():
-    with pytest.raises(NonComposableChain):
-        ladder_from_chain(A2, (2, 2), 0)
-    with pytest.raises(NonComposableChain):
-        ladder_from_chain(A2, (2,), 1)
+    # no square completes a non-composable chain or a misplaced base vertical,
+    # and F^ad has no chain for such a ladder
+    fad = adjoint_category(A2)
+    with pytest.raises(KeyError):
+        complete(A2, (2, 2), 0)
+    with pytest.raises(KeyError):
+        complete(A2, (2,), 1)
+    with pytest.raises(KeyError):
+        fad.chain_of_ladder(Ladder((2, 2), (0, 1, 1)))
+    with pytest.raises(KeyError):
+        fad.chain_of_ladder(Ladder((2,), (1, 1)))
 
 
 def test_ladder_requires_hypotheses():
+    # collapse() is not right deterministic: g∘a = h has no completion b∘g
+    cat = collapse()
+    assert oracles.completions(cat)[3, 1] == []
+    assert (3, 1) not in _completion_table(cat)
     with pytest.raises(HypothesisViolated):
-        ladder_from_chain(collapse(), (3,), 1)
+        x_map_matrix(make_context(cat, GF2), 1)
 
 
 def test_ladder_equals_iterated_conjugation():
+    # every degree-2 chain of F^ad is the ladder the table completes from its base
     for name in ("c2", "s3", "ex6"):
         cat = FIXTURES[name]
-        from hochcat.nerve import nerve_chains
-
-        for chain in nerve_chains(cat, 2):
-            for a0 in cat.endomorphisms[cat.source[chain[0]]]:
-                ladder = ladder_from_chain(cat, chain, a0)
-                a = a0
-                for g in chain:
-                    a = conjugation_iso(cat, g).forward[a]
-                assert ladder.verticals[-1] == a
+        fad = adjoint_category(cat)
+        for chain in nerve_chains(fad, 2):
+            ladder = fad.ladder_of_chain(chain, 2)
+            assert complete(cat, ladder.bottom, ladder.verticals[0]) == ladder
+        assert len(nerve_chains(fad, 2)) == sum(
+            len(cat.endomorphisms[cat.source[chain[0]]]) for chain in nerve_chains(cat, 2)
+        )
 
 
 # --- the adjoint category ----------------------------------------------------------
@@ -390,12 +430,10 @@ def test_adjoint_morphisms_commute_in_base():
 
 
 def test_adjoint_chain_ladder_roundtrip():
-    from hochcat.nerve import nerve_chains
-
     fad = adjoint_category(EX6)
     for m in (0, 1, 2):
         for chain in nerve_chains(fad, m):
             ladder = fad.ladder_of_chain(chain, m)
             if m:
-                assert ladder_commutes(EX6, ladder)
+                assert oracles.ladder_commutes(EX6, ladder)
             assert fad.chain_of_ladder(ladder) == chain

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from hochcat import comparison, hochschild, nerve
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
+from hochcat.matrix import Matrix
 
 from .catalog import child_env
 from .test_hochschild import count_builds
@@ -210,6 +212,27 @@ def test_full_theory_over_cap_is_a_refusal(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["c2", "--max-degree", "25", "--cap", "131072"], "degree 17 needs 262144"),
+    (["c2", "--max-degree", "25", "--cap", "131072", "--theory", "full"],
+     "degree 17 needs 262144"),
+    (["ex6", "--max-degree", "100000000", "--cap", "1000", "--theory", "full"],
+     "degree 3 needs 1296"),
+    (["ex6", "--max-degree", "100000000", "--cap", "1000", "--theory", "relative"],
+     "degree 6 needs 1024"),
+    (["ex6", "--max-degree", "100000000", "--cap", "1000"], "degree 6 needs 1024"),
+])
+def test_cap_refuses_before_any_work(capsys, argv, message):
+    # every degree is checked, by running products, before the first differential
+    start = time.perf_counter()
+    code = main(["cohomology", *argv])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    cap = argv[argv.index("--cap") + 1]
+    assert capsys.readouterr().err == f"error: {message} basis elements, cap is {cap}\n"
+    assert elapsed < 1.0
+
+
 def test_non_validate_verbs_report_invalid_files(tmp_path, capsys):
     f = tmp_path / "broken.cat"
     f.write_text("object x\nmorphism f : x -> x\n", encoding="utf-8")  # no identity
@@ -264,6 +287,34 @@ def test_compare_surjection_tier(tmp_path, capsys):
     assert payload["verdict"] == "surjection"
     assert payload["predicates"]["rr_transitive"]["holds"] is False
     assert payload["degrees"][1]["iso"] is False
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 4)])
+def test_compare_reports_a_broken_chain_identity_as_failed(monkeypatch, capsys, cell):
+    # toggling one cell of T^0 breaks its chain identity; with (0, 0) T also
+    # stops preserving cocycles, which must still end in a report
+    honest = comparison.t_map_matrix
+
+    def toggled(ctx, m, cap=None):
+        t = honest(ctx, m, cap)
+        if m:
+            return t
+        cells = {(r, c): v for r, c, v in t.entries()}
+        cells[cell] = ctx.field.add(cells.get(cell, ctx.field.zero), ctx.field.one)
+        return Matrix.from_entries(ctx.field, t.nrows, t.ncols, cells)
+
+    monkeypatch.setattr(comparison, "t_map_matrix", toggled)
+    code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
+                    "--output", "json", capsys=capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert list(payload) == ["category", "field", "predicates", "degrees", "verdict"]
+    assert payload["verdict"] == "failed"
+    first = payload["degrees"][0]
+    assert list(first) == ["m", "dim_hh", "dim_rel", "dim_simplicial_fad",
+                           "t_chain_ok", "x_chain_ok", "section_ok", "iso"]
+    assert first["t_chain_ok"] is False and first["iso"] is False
+    assert all(d["t_chain_ok"] and d["iso"] for d in payload["degrees"][1:])
 
 
 def test_derivations_c2(capsys):

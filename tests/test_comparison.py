@@ -23,14 +23,29 @@ from hochcat import (
     x_map_matrix,
 )
 from hochcat.comparison import _sign_for, t_map_relative_matrix
-from hochcat.errors import HypothesisViolated
-from hochcat.hochschild import basis_index, hochschild_basis_size, relative_basis
+from hochcat.errors import DimensionCapExceeded, HypothesisViolated
+from hochcat.hochschild import (
+    basis_index,
+    hochschild_basis_size,
+    hochschild_differential_entries,
+    relative_basis,
+)
 from hochcat.matrix import Matrix
+from hochcat.nerve import simplicial_coboundary_entries
 
 from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 from .test_category import collapse
+from .test_hochschild import count_builds
 
 HYPOTHESIS_FIXTURES = ("triv", "a2", "c2", "cn:3", "s3", "chain:3", "diamond", "ex6")
+
+
+def column(matrix: Matrix, c: int) -> dict:
+    return {r: v for r, cc, v in matrix.entries() if cc == c}
+
+
+def as_column(field, vec) -> Matrix:
+    return Matrix.from_rows(field, [[v] for v in vec], ncols=1)
 
 
 # --- structure of T ---------------------------------------------------------
@@ -59,7 +74,7 @@ def test_t_degree_one_c2_reads_composite():
     fad = ctx.fad
     t = t_map_matrix(ctx, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[1, 1, 1],))
-    assert t.column(basis_index(C2, (1,), 0))[row] == GF2.one
+    assert column(t, basis_index(C2, (1,), 0))[row] == GF2.one
 
 
 def test_t_degree_one_a2_identity_verticals():
@@ -67,7 +82,7 @@ def test_t_degree_one_a2_identity_verticals():
     fad = ctx.fad
     t = t_map_matrix(ctx, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
-    assert t.column(basis_index(A2, (2,), 2))[row] == QQ.one
+    assert column(t, basis_index(A2, (2,), 2))[row] == QQ.one
 
 
 # --- structure of X ----------------------------------------------------------
@@ -78,8 +93,7 @@ def test_x_indicator_a2():
     fad = ctx.fad
     x = x_map_matrix(ctx, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
-    column = x.column(col)
-    assert column == {basis_index(A2, (2,), 2): QQ.one}
+    assert column(x, col) == {basis_index(A2, (2,), 2): QQ.one}
 
 
 def test_x_indicator_c2_expands_base_sum():
@@ -88,14 +102,14 @@ def test_x_indicator_c2_expands_base_sum():
     fad = ctx.fad
     x = x_map_matrix(ctx, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 1, 0],))
-    assert x.column(col) == {basis_index(C2, (1,), 1): GF2.one}
+    assert column(x, col) == {basis_index(C2, (1,), 1): GF2.one}
 
 
 def test_x_zero_cochain_maps_to_zero():
     ctx = make_context(EX6, GF5)
     x = x_map_matrix(ctx, 2)
-    zero = tuple(GF5.zero for _ in range(x.ncols))
-    assert all(v == 0 for v in x.apply(zero))
+    zero = as_column(GF5, [GF5.zero] * x.ncols)
+    assert (x @ zero).is_zero()
 
 
 def test_x_vanishes_on_non_composable_tuples():
@@ -149,9 +163,9 @@ def test_random_cochain_spot_check():
             delta = simplicial_coboundary_matrix(ctx.fad, GF5, m)
             sign = GF5.one if (m + 1) % 2 == 0 else GF5.neg(GF5.one)
             for _ in range(5):
-                vec = tuple(rng.randrange(5) for _ in range(hochschild_basis_size(cat, m)))
-                lhs = t_high.apply(d.apply(vec))
-                rhs = tuple(GF5.mul(sign, v) for v in delta.apply(t_low.apply(vec)))
+                vec = as_column(GF5, [rng.randrange(5) for _ in range(hochschild_basis_size(cat, m))])
+                lhs = t_high @ (d @ vec)
+                rhs = (delta @ (t_low @ vec)).scaled(sign)
                 assert lhs == rhs
 
 
@@ -227,10 +241,30 @@ def test_derived_tables_die_with_their_category():
     assert ref() is None
 
 
+def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
+    # degrees 0..7 of c2 fit under 256, so only a check of every degree up
+    # front keeps their differentials unbuilt
+    cat = builtin("c2")
+    builds = [count_builds(monkeypatch, fn)
+              for fn in (hochschild_differential_entries, simplicial_coboundary_entries)]
+    with pytest.raises(DimensionCapExceeded) as refused:
+        theorem_a_report(make_context(cat, GF2), 10, cap=256)
+    assert (refused.value.degree, refused.value.required) == (8, 512)
+    assert not any(builds)
+
+
+def test_theorem_a_report_holds_the_identity_checks():
+    rep = theorem_a_report(make_context(EX6, GF3), 2)
+    for rec in rep.degrees:
+        assert [c.name for c in rec.checks] == \
+            ["t_chain", "x_chain", "section", "two_sided_relative"]
+        assert all(c.degree == rec.degree and c.ok for c in rec.checks)
+
+
 def test_theorem_a_downgrades_without_hypotheses():
     rep = theorem_a_report(make_context(collapse(), GF2), 1)
     assert rep.tier == "unverified" and rep.verdict == "unverified"
-    assert all(rec.induced_matrix is None for rec in rep.degrees)
+    assert all(rec.induced_matrix is None and rec.checks == () for rec in rep.degrees)
 
 
 def test_theorem_a_surjection_tier_parallel_arrows():
@@ -247,6 +281,8 @@ def test_theorem_a_surjection_tier_parallel_arrows():
         deg1 = rep.degrees[1]
         assert deg1.dim_hochschild == 3 and deg1.dim_simplicial == 1
         assert not deg1.induced_invertible
+        assert all([c.name for c in rec.checks] == ["t_chain", "x_chain", "section"]
+                   and all(rec.checks) for rec in rep.degrees)
         for m in range(2):
             assert verify_t_chain_identity(ctx, m).ok
             assert verify_x_chain_identity(ctx, m).ok

@@ -163,7 +163,7 @@ def test_theorem_b_rejects_a_perturbed_x_that_leaves_the_derivations(monkeypatch
         row = relative_basis(ctx.cat, 1).index(((ident,), ident))
         col = character_space(ctx.fad, ctx.field).pivots[0]
         cells = {(r, c): v for r, c, v in x.entries()}
-        cells[row, col] = ctx.field.add(x.entry(row, col), ctx.field.one)
+        cells[row, col] = ctx.field.add(cells.get((row, col), ctx.field.zero), ctx.field.one)
         return Matrix.from_entries(ctx.field, x.nrows, x.ncols, cells)
 
     honest = theorem_b_report(C2, GF2)

@@ -388,7 +388,7 @@ def test_matmul_and_apply():
     a = mk(GF3, [[1, 2], [0, 1]])
     b = mk(GF3, [[1, 1], [1, 0]])
     assert (a @ b) == mk(GF3, [[0, 1], [1, 0]])
-    assert a.apply((1, 1)) == (0, 1)
+    assert a @ mk(GF3, [[1], [1]]) == mk(GF3, [[0], [1]])
 
 
 def test_serialization_triplets():
