@@ -305,7 +305,7 @@ def _run_compare(cmd: Command) -> Report:
 
 def _run_derivations(cmd: Command) -> Report:
     name, cat = _load_input(cmd.input)
-    rep = theorem_b_report(cat, cmd.field)
+    rep = theorem_b_report(cat, cmd.field, cmd.cap)
     verdict = "bijection" if rep.bijection else "failed"
     payload = {
         "category": _category_summary(name, cat),

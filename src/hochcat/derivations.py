@@ -1,12 +1,13 @@
 """Graded derivations of kC and characters on the adjoint category.
 
-kC is graded by the semigroup of object pairs with nonempty hom sets;
-degree-1 relative cochains are exactly the grading-preserving linear maps,
-and within them the derivations form the solution space of
-``X(f∘g) = X(f)∘g + f∘X(g)``.  On the other side, characters are scalar
-functions on morphisms of F^ad additive under composition.  The degree-1
-comparison map restricts to a bijection between the two solution spaces,
-and this module certifies that bijection by explicit matrices.
+Theorem B is degree one of Theorem A.  kC is graded by the semigroup of
+object pairs with nonempty hom sets, and the degree-1 relative cochains are
+exactly the grading-preserving linear maps; the graded derivations are the
+degree-1 cocycles of the relative complex, ``ker d_1``.  The characters on
+F^ad, scalar functions on morphisms additive under composition, are the
+degree-1 cocycles of its nerve, ``ker δ^1``.  The degree-1 comparison map
+restricts to a bijection between the two kernels, and this module certifies
+that bijection by explicit matrices.
 """
 
 from __future__ import annotations
@@ -22,78 +23,27 @@ from .comparison import (
     x_map_relative_matrix,
 )
 from .fields import FieldSpec
-from .hochschild import relative_basis
-from .errors import NotChainCompatible
+from .hochschild import DEFAULT_BASIS_CAP, relative_differential_matrix
+from .errors import DimensionCapExceeded, NotChainCompatible
 from .matrix import Matrix, Subspace, induced_quotient_map
+from .nerve import simplicial_coboundary_matrix
 
 
-def graded_derivation_space(cat: FiniteCategory, field: FieldSpec) -> Subspace:
-    """Solution space of the derivation law inside relative degree-1 cochains.
+def graded_derivation_space(cat: FiniteCategory, field: FieldSpec, cap: int | None = None) -> Subspace:
+    """Graded derivations of kC: the degree-1 relative cocycles, ``ker d_1``.
 
-    Unknowns are the endpoint-matching coefficients X^h_g; one equation is
-    generated per ordered pair (f, g) of morphisms and output morphism,
-    non-composable pairs included (their products are zero in kC).
+    Coordinates are indexed by ``relative_basis(cat, 1)``; the cap is checked
+    on the degree-1 and degree-2 relative sizes before either basis exists.
     """
-    basis = relative_basis(cat, 1)
-    col_of = {}
-    for j, ((g,), h) in enumerate(basis):
-        col_of[g, h] = j
-    n = cat.n_morphisms
-    comp = cat.compose_table
-    entries: dict = {}
-
-    def add(f, g, w, col, val):
-        key = ((f * n + g) * n + w, col)
-        v = entries.get(key, 0) + val
-        if v:
-            entries[key] = v
-        else:
-            del entries[key]
-
-    for f in range(n):
-        for g in range(n):
-            fg = comp[f][g]
-            if fg >= 0:
-                for w in cat.hom(cat.source[fg], cat.target[fg]):
-                    add(f, g, w, col_of[fg, w], 1)
-            for w1 in cat.hom(cat.source[f], cat.target[f]):
-                w = comp[w1][g]
-                if w >= 0:
-                    add(f, g, w, col_of[f, w1], -1)
-            for w2 in cat.hom(cat.source[g], cat.target[g]):
-                w = comp[f][w2]
-                if w >= 0:
-                    add(f, g, w, col_of[g, w2], -1)
-
-    system = Matrix.from_int_entries(field, n * n * n, len(basis), entries)
-    return system.kernel_basis()
+    return relative_differential_matrix(cat, field, 1, cap).kernel_basis()
 
 
 def character_space(fad: FiniteCategory, field: FieldSpec) -> Subspace:
-    """Scalar functions on morphisms additive under composition.
+    """Characters on ``fad``: the degree-1 cocycles of its nerve, ``ker δ^1``.
 
-    Solved as the kernel of the system T(η∘ζ) - T(η) - T(ζ) = 0 over all
-    composable pairs; coordinates are indexed by the morphisms of ``fad``.
+    Coordinates are indexed by the morphisms of ``fad``.
     """
-    n = fad.n_morphisms
-    comp = fad.compose_table
-    entries: dict = {}
-    for eta in range(n):
-        row_base = eta * n
-        for zeta in range(n):
-            h = comp[eta][zeta]
-            if h < 0:
-                continue
-            row = row_base + zeta
-            for col, val in ((h, 1), (eta, -1), (zeta, -1)):
-                key = (row, col)
-                v = entries.get(key, 0) + val
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
-    system = Matrix.from_int_entries(field, n * n, n, entries)
-    return system.kernel_basis()
+    return simplicial_coboundary_matrix(fad, field, 1).kernel_basis()
 
 
 @dataclass(frozen=True)
@@ -105,7 +55,7 @@ class TheoremBReport:
     bijection: bool
 
 
-def theorem_b_report(cat: FiniteCategory, field: FieldSpec) -> TheoremBReport:
+def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = None) -> TheoremBReport:
     """Certify the bijection between graded derivations and characters.
 
     Restricts the degree-1 comparison maps T and X to the two solution
@@ -114,11 +64,21 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec) -> TheoremBReport:
     and certifies the two restricted matrices are mutually inverse.  A map
     that leaves its space gives ``bijection=False``; the T matrix is
     reported whenever T's check passed, else it is zero.
+
+    Before any basis or chain list exists, the number of F^ad 2-chains,
+    ``Σ_x |Mor(−,x)|·|Mor(x,−)|``, and (in ``graded_derivation_space``) the
+    degree-1 and degree-2 relative sizes are checked against the cap.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     ctx = make_context(cat, field)
-    der = graded_derivation_space(cat, field)
-    char = character_space(ctx.fad, field)
+    fad = ctx.fad
+    cap = DEFAULT_BASIS_CAP if cap is None else cap
+    chains = sum(len(fad.morphisms_by_target[x]) * len(fad.morphisms_by_source[x])
+                 for x in range(fad.n_objects))
+    if chains > cap:
+        raise DimensionCapExceeded(2, chains, cap)
+    der = graded_derivation_space(cat, field, cap)
+    char = character_space(fad, field)
 
     zero_der = Subspace.zero(field, der.ambient_dim)
     zero_char = Subspace.zero(field, char.ambient_dim)

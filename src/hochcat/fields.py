@@ -50,10 +50,6 @@ class FieldSpec:
         return self.p is not None
 
     @property
-    def characteristic(self) -> int:
-        return self.p if self.p is not None else 0
-
-    @property
     def name(self) -> str:
         return f"gf:{self.p}" if self.p is not None else "q"
 

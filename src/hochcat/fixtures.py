@@ -7,8 +7,6 @@ predicate used by the comparison theorems.
 
 from __future__ import annotations
 
-import itertools
-
 from .category import FiniteCategory, RawCategory, validate_category
 from .errors import NotAGroup, NotAPartialOrder, UnknownFixture
 
@@ -97,17 +95,6 @@ def poset_from_relation(leq, names=None) -> FiniteCategory:
 
 def cyclic_group_table(k: int):
     return [[(i + j) % k for j in range(k)] for i in range(k)]
-
-
-def symmetric_group_table(n: int):
-    """Cayley table of the symmetric group on n letters, permutations in lex order."""
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # (p∘q)(x) = p[q[x]]: q acts first, matching compose(g, f) = g after f
-    return [
-        [index[tuple(p[q[x]] for x in range(n))] for q in perms]
-        for p in perms
-    ]
 
 
 def chain_poset_matrix(k: int):

@@ -55,15 +55,16 @@ def hochschild_sizes(cat: FiniteCategory):
 
 
 def check_cap(cat, m: int, cap: int | None) -> None:
-    """Refuse degrees whose basis cannot be enumerated within the cap."""
-    cap = DEFAULT_BASIS_CAP if cap is None else cap
-    required = hochschild_basis_size(cat, m)
-    if required > cap:
-        raise DimensionCapExceeded(m, required, cap)
+    """Refuse degree m unless every Hochschild basis up to it fits under the cap.
+
+    The sizes are read as running products (``check_sizes``), so no size
+    above ``n_morphisms * cap`` is ever formed.
+    """
+    check_sizes(hochschild_sizes(cat), m, cap)
 
 
 def check_sizes(sizes, top: int, cap: int | None) -> None:
-    """Refuse the first degree in 1..top whose basis size passes the cap.
+    """Refuse the first degree in 1..top (0 when top is 0) whose size passes the cap.
 
     ``sizes`` yields the sizes of degrees 0, 1, .. and is read no further
     than that degree.  Degree 0 is never larger than degree 1, so skipping
@@ -71,7 +72,7 @@ def check_sizes(sizes, top: int, cap: int | None) -> None:
     """
     cap = DEFAULT_BASIS_CAP if cap is None else cap
     for m, size in zip(range(top + 1), sizes):
-        if m and size > cap:
+        if (m or not top) and size > cap:
             raise DimensionCapExceeded(m, size, cap)
 
 
@@ -175,21 +176,15 @@ def _relative_basis_cached(cat: FiniteCategory, m: int) -> tuple:
     if m == 0:
         # degree 0 is the centralizer of the identity span: the endomorphisms
         return tuple(((), h) for h in cat.all_endomorphisms)
-    chains: list = []
-
-    def extend(tup, src):
-        # tup is in tensor order; the next factor composes on the right
-        if len(tup) == m:
-            chains.append((tup, src))
-            return
-        for g in cat.morphisms_by_target[src] if tup else range(cat.n_morphisms):
-            extend(tup + (g,), cat.source[g])
-
-    extend((), -1)
+    # tuples are in tensor order: each next factor composes on the right
+    by_target = cat.morphisms_by_target
+    source = cat.source
+    chains = [(g,) for g in range(cat.n_morphisms)]
+    for _ in range(m - 1):
+        chains = [t + (g,) for t in chains for g in by_target[source[t[-1]]]]
     basis = []
-    for tup, src in chains:
-        tgt = cat.target[tup[0]]
-        for h in cat.hom(src, tgt):
+    for tup in chains:
+        for h in cat.hom(source[tup[-1]], cat.target[tup[0]]):
             basis.append((tup, h))
     return tuple(basis)
 

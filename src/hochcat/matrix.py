@@ -375,10 +375,6 @@ class Subspace:
         return Subspace((), Matrix.zeros(field, 0, ambient_dim))
 
     @staticmethod
-    def from_vectors(field, ambient_dim, vectors) -> "Subspace":
-        return Subspace.from_matrix(Matrix.from_rows(field, vectors, ncols=ambient_dim))
-
-    @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
         """The row space of ``m``."""
         return Subspace(*m.rref())

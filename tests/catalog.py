@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import hochcat
 from hochcat import builtin, group_from_table
 from hochcat.fields import FieldSpec
-from hochcat.fixtures import symmetric_group_table
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -15,6 +15,18 @@ GF5 = FieldSpec(5)
 QQ = FieldSpec(None)
 
 FIELDS = (GF2, GF3, GF5, QQ)
+
+
+def symmetric_group_table(n: int):
+    """Cayley table of the symmetric group on n letters, permutations in lex order."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # (p∘q)(x) = p[q[x]]: q acts first, matching compose(g, f) = g after f
+    return [
+        [index[tuple(p[q[x]] for x in range(n))] for q in perms]
+        for p in perms
+    ]
+
 
 TRIV = builtin("triv")
 A2 = builtin("a2")

@@ -282,6 +282,69 @@ def naive_character_dim(fad, p) -> int:
     return n - naive_rank(rows, p)
 
 
+# --- the Theorem B systems, assembled by hand -----------------------------------
+#
+# Both return (nrows, ncols, entries over Z keyed by (row, col)); the engine
+# reads the same two spaces off ker d_1 of the relative complex and ker δ^1 of
+# the F^ad nerve.
+
+def _bump(entries: dict, key, val) -> None:
+    v = entries.get(key, 0) + val
+    if v:
+        entries[key] = v
+    else:
+        del entries[key]
+
+
+def derivation_system(cat) -> tuple:
+    """The law X(f∘g) = X(f)∘g + f∘X(g), one row per (f, g, output w).
+
+    Unknowns are the endpoint-matching coefficients X^h_g, in the order of
+    the degree-1 relative basis; non-composable pairs give rows too (their
+    products are zero in kC), almost all of them empty.
+    """
+    n = cat.n_morphisms
+    src, tgt, comp = cat.source, cat.target, cat.compose_table
+
+    def parallel(g):
+        return [h for h in range(n) if src[h] == src[g] and tgt[h] == tgt[g]]
+
+    col_of = {}
+    for g in range(n):
+        for h in parallel(g):
+            col_of[g, h] = len(col_of)
+    entries: dict = {}
+    for f in range(n):
+        for g in range(n):
+            row = (f * n + g) * n
+            fg = comp[f][g]
+            if fg >= 0:
+                for w in parallel(fg):
+                    _bump(entries, (row + w, col_of[fg, w]), 1)
+            for w1 in parallel(f):
+                w = comp[w1][g]
+                if w >= 0:
+                    _bump(entries, (row + w, col_of[f, w1]), -1)
+            for w2 in parallel(g):
+                w = comp[f][w2]
+                if w >= 0:
+                    _bump(entries, (row + w, col_of[g, w2]), -1)
+    return n * n * n, len(col_of), entries
+
+
+def character_system(fad) -> tuple:
+    """T(η∘ζ) - T(η) - T(ζ) = 0, one row per ordered pair (η, ζ) of morphisms."""
+    n = fad.n_morphisms
+    entries: dict = {}
+    for eta in range(n):
+        for zeta in range(n):
+            h = fad.compose_table[eta][zeta]
+            if h >= 0:
+                for col, val in ((h, 1), (eta, -1), (zeta, -1)):
+                    _bump(entries, (eta * n + zeta, col), val)
+    return n * n, n, entries
+
+
 def component_count_bfs(cat) -> int:
     """Connected components of the underlying graph, by breadth-first search."""
     adj = {x: set() for x in range(cat.n_objects)}

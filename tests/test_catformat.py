@@ -15,9 +15,9 @@ from hochcat.errors import (
     NotAPartialOrder,
     UnknownFixture,
 )
-from hochcat.fixtures import chain_poset_matrix, cyclic_group_table, symmetric_group_table
+from hochcat.fixtures import chain_poset_matrix, cyclic_group_table
 
-from .catalog import A2, C2, EX6
+from .catalog import A2, C2, EX6, symmetric_group_table
 
 EX6_TEXT = """\
 # the two-object category with order-two endomorphism monoids

@@ -328,6 +328,22 @@ def test_derivations_c2(capsys):
     assert payload["matrix"]["rows"] == 2 and payload["matrix"]["cols"] == 2
 
 
+def test_derivations_honours_the_cap(monkeypatch, capsys):
+    # the F^ad 2-chains and the relative sizes are counted, never enumerated
+    builds = [count_builds(monkeypatch, fn)
+              for fn in (hochschild._relative_basis_cached, nerve._chains_cached)]
+    start = time.perf_counter()
+    code = main(["derivations", "cn:4", "--cap", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == "error: degree 2 needs 64 basis elements, cap is 1\n"
+    assert elapsed < 1.0
+    assert not any(builds)
+    # the counters are live: under the default cap both lists are built
+    assert main(["derivations", "cn:4"]) == 0
+    assert all(builds)
+
+
 def test_json_has_no_timing_key(capsys):
     _code, out = cli("compare", "triv", "--output", "json", capsys=capsys)
     assert "elapsed" not in out

@@ -20,8 +20,8 @@ def test_parse_rejects(bad):
 
 
 def test_characteristics():
-    assert GF5.characteristic == 5
-    assert QQ.characteristic == 0
+    assert GF5.p == 5 and GF5.is_prime_field
+    assert QQ.p is None and not QQ.is_prime_field
     assert GF5.name == "gf:5" and QQ.name == "q"
 
 

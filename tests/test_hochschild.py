@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from hochcat.errors import DimensionCapExceeded
 from hochcat.hochschild import (
     _relative_basis_cached,
     basis_index,
+    check_cap,
     hochschild_basis,
     hochschild_differential_entries,
     relative_differential_matrix,
@@ -173,6 +175,22 @@ def test_cap_refuses_large_degrees():
         hochschild_differential_matrix(EX6, GF2, 3, cap=1000)
     with pytest.raises(DimensionCapExceeded):
         hochschild_cohomology_dims(EX6, GF2, 3, cap=1000)
+
+
+def test_check_cap_reads_running_products():
+    # 6^100001 is never formed: the first degree over the cap is refused
+    with pytest.raises(DimensionCapExceeded) as refused:
+        check_cap(EX6, 10**5, 1000)
+    assert (refused.value.degree, refused.value.required) == (3, 1296)
+    check_cap(EX6, 2, 216)
+    with pytest.raises(DimensionCapExceeded):
+        check_cap(EX6, 0, 5)
+
+
+def test_relative_basis_at_a_degree_deeper_than_the_recursion_limit():
+    # triv has one composable chain per degree; enumerating it must not recurse
+    deep = sys.getrecursionlimit() + 50
+    assert relative_basis(TRIV, deep) == [((0,) * deep, 0)]
 
 
 def test_relative_cap_is_checked_before_assembly(monkeypatch):

@@ -76,19 +76,19 @@ def test_rank_nullity():
 # --- quotients ------------------------------------------------------------
 
 def test_quotient_equal_spaces_is_zero():
-    Z = Subspace.from_vectors(QQ, 2, [[1, 0], [0, 1]])
+    Z = Subspace.from_matrix(mk(QQ, [[1, 0], [0, 1]]))
     assert quotient_dim(Z, Z) == 0
 
 
 def test_quotient_full_mod_zero():
-    Z = Subspace.from_vectors(GF3, 2, [[1, 0], [0, 1]])
+    Z = Subspace.from_matrix(mk(GF3, [[1, 0], [0, 1]]))
     B = Subspace.zero(GF3, 2)
     assert quotient_dim(Z, B) == 2
 
 
 def test_quotient_rejects_non_subspace():
-    Z = Subspace.from_vectors(QQ, 2, [[1, 0]])
-    B = Subspace.from_vectors(QQ, 2, [[0, 1]])
+    Z = Subspace.from_matrix(mk(QQ, [[1, 0]]))
+    B = Subspace.from_matrix(mk(QQ, [[0, 1]]))
     with pytest.raises(NotASubspace):
         quotient_dim(Z, B)
 
@@ -173,15 +173,15 @@ def test_rank_path_matches_subspace_path():
 # --- induced maps on quotients ---------------------------------------------
 
 def test_induced_identity_map():
-    Z = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0]])
-    B = Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
+    Z = Subspace.from_matrix(mk(QQ, [[1, 0, 0], [0, 1, 0]]))
+    B = Subspace.from_matrix(mk(QQ, [[0, 1, 0]]))
     Q, invertible = induced_quotient_map(Matrix.identity(QQ, 3), Z, B, Z, B)
     assert invertible
     assert Q == Matrix.identity(QQ, 1)
 
 
 def test_induced_zero_map_not_invertible():
-    Z = Subspace.from_vectors(GF2, 2, [[1, 0], [0, 1]])
+    Z = Subspace.from_matrix(mk(GF2, [[1, 0], [0, 1]]))
     B = Subspace.zero(GF2, 2)
     Q, invertible = induced_quotient_map(Matrix.zeros(GF2, 2, 2), Z, B, Z, B)
     assert Q.is_zero() and not invertible
@@ -189,8 +189,8 @@ def test_induced_zero_map_not_invertible():
 
 def test_induced_rejects_incompatible_map():
     swap = mk(QQ, [[0, 1], [1, 0]])
-    e0 = Subspace.from_vectors(QQ, 2, [[1, 0]])
-    everything = Subspace.from_vectors(QQ, 2, [[1, 0], [0, 1]])
+    e0 = Subspace.from_matrix(mk(QQ, [[1, 0]]))
+    everything = Subspace.from_matrix(mk(QQ, [[1, 0], [0, 1]]))
     # cocycles <e0> leave; then all of k^2 is kept but coboundaries <e0> leave
     for Z, B in ((e0, Subspace.zero(QQ, 2)), (everything, e0)):
         with pytest.raises(NotChainCompatible):
@@ -200,8 +200,8 @@ def test_induced_rejects_incompatible_map():
 def test_induced_map_rejects_b_not_in_z():
     # the identity maps cocycles to cocycles and coboundaries to coboundaries,
     # so only the containment check can refuse B = <e1> against Z = <e0>
-    Z = Subspace.from_vectors(QQ, 2, [[1, 0]])
-    B = Subspace.from_vectors(QQ, 2, [[0, 1]])
+    Z = Subspace.from_matrix(mk(QQ, [[1, 0]]))
+    B = Subspace.from_matrix(mk(QQ, [[0, 1]]))
     with pytest.raises(NotASubspace):
         induced_quotient_map(Matrix.identity(QQ, 2), Z, B, Z, B)
 
