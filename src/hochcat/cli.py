@@ -149,11 +149,12 @@ def parse_args(argv) -> Command:
     )
 
 
-def _load_input(name: str) -> tuple[str, FiniteCategory]:
+def _load_input(cmd: Command) -> tuple[str, FiniteCategory]:
+    name = cmd.input
     if os.path.exists(name):
         return os.path.basename(name), load_category(name)
     try:
-        return name, builtin(name)
+        return name, builtin(name, cmd.cap)
     except UnknownFixture:
         raise UnknownFixture(
             f"{name!r} is neither a file nor a builtin fixture"
@@ -181,7 +182,7 @@ def _predicates_payload(cat: FiniteCategory) -> dict:
 
 def _run_validate(cmd: Command) -> Report:
     try:
-        name, cat = _load_input(cmd.input)
+        name, cat = _load_input(cmd)
     except CategoryError as exc:
         payload = {"ok": False, "errors": [exc.payload()]}
         text = "INVALID: " + str(exc)
@@ -193,7 +194,7 @@ def _run_validate(cmd: Command) -> Report:
 
 
 def _run_props(cmd: Command) -> Report:
-    name, cat = _load_input(cmd.input)
+    name, cat = _load_input(cmd)
     payload = {
         "category": _category_summary(name, cat),
         "predicates": _predicates_payload(cat),
@@ -214,7 +215,7 @@ def _run_props(cmd: Command) -> Report:
 def _run_fad(cmd: Command) -> Report:
     from .category import adjoint_category
 
-    name, cat = _load_input(cmd.input)
+    name, cat = _load_input(cmd)
     fad = adjoint_category(cat)
     text_form = category_to_text(fad)
     payload = {
@@ -229,7 +230,7 @@ def _run_fad(cmd: Command) -> Report:
 
 
 def _run_cohomology(cmd: Command) -> Report:
-    name, cat = _load_input(cmd.input)
+    name, cat = _load_input(cmd)
     field = cmd.field
     notices: list[str] = []
     theories: dict = {}
@@ -263,7 +264,7 @@ def _run_cohomology(cmd: Command) -> Report:
 
 
 def _run_compare(cmd: Command) -> Report:
-    name, cat = _load_input(cmd.input)
+    name, cat = _load_input(cmd)
     ctx = make_context(cat, cmd.field)
     ctx.require(*CANCELLATIVE, *DETERMINISTIC)
     report = theorem_a_report(ctx, cmd.max_degree, cmd.cap)
@@ -304,7 +305,7 @@ def _run_compare(cmd: Command) -> Report:
 
 
 def _run_derivations(cmd: Command) -> Report:
-    name, cat = _load_input(cmd.input)
+    name, cat = _load_input(cmd)
     rep = theorem_b_report(cat, cmd.field, cmd.cap)
     verdict = "bijection" if rep.bijection else "failed"
     payload = {

@@ -8,7 +8,8 @@ predicate used by the comparison theorems.
 from __future__ import annotations
 
 from .category import FiniteCategory, RawCategory, validate_category
-from .errors import NotAGroup, NotAPartialOrder, UnknownFixture
+from .errors import DimensionCapExceeded, NotAGroup, NotAPartialOrder, UnknownFixture
+from .hochschild import DEFAULT_BASIS_CAP
 
 
 def group_from_table(table, names=None, object_name: str = "x") -> FiniteCategory:
@@ -159,8 +160,14 @@ def _diamond() -> FiniteCategory:
     return poset_from_relation(leq)
 
 
-def builtin(name: str) -> FiniteCategory:
-    """Named fixtures: triv, a2, c2, cn:<k>, chain:<k>, diamond, ex6."""
+def builtin(name: str, cap: int | None = None) -> FiniteCategory:
+    """Named fixtures: triv, a2, c2, cn:<k>, chain:<k>, diamond, ex6.
+
+    The sized families are refused with DimensionCapExceeded before any
+    table exists when their composition table has more cells than ``cap``
+    (default ``DEFAULT_BASIS_CAP``): k^2 for ``cn:<k>`` and (k(k+1)/2)^2 for
+    ``chain:<k>``, which is also the size of the degree-1 Hochschild basis.
+    """
     if name == "triv":
         return _triv()
     if name == "a2":
@@ -173,12 +180,20 @@ def builtin(name: str) -> FiniteCategory:
         return _ex6()
     if name.startswith("cn:"):
         k = _parse_size(name, 3)
+        _check_table_size(k * k, cap)
         names = ("e",) + tuple(f"r{i}" for i in range(1, k))
         return group_from_table(cyclic_group_table(k), names=names)
     if name.startswith("chain:"):
         k = _parse_size(name, 6)
+        _check_table_size((k * (k + 1) // 2) ** 2, cap)
         return poset_from_relation(chain_poset_matrix(k))
     raise UnknownFixture(f"unknown fixture {name!r}")
+
+
+def _check_table_size(cells: int, cap: int | None) -> None:
+    cap = DEFAULT_BASIS_CAP if cap is None else cap
+    if cells > cap:
+        raise DimensionCapExceeded(1, cells, cap)
 
 
 def _parse_size(name: str, prefix_len: int) -> int:

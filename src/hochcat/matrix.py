@@ -5,6 +5,17 @@ is one elimination engine: reduction on row dicts with column-indexed
 bookkeeping and Markowitz-style row selection, generic over the field
 through three scalar hooks (ints mod p for GF(p), Fractions for Q).
 
+Over Q, ``Matrix.rref`` eliminates modulo primes, lifts and certifies.  It
+clears each row's denominators, runs the engine modulo word-size primes
+(combined by CRT), lifts every entry of the reduced form by rational
+reconstruction and verifies the lift exactly over Z: every integer row
+must leave no residue against it.  Since ``rank_p <= rank_Q`` for an
+integer matrix, a lift that passes spans the row space and is the
+canonical RREF, whichever primes produced it.  Only when no prime of the
+fixed list verifies does the engine run on Fractions.  Products over Q
+scale both factors to integers by their common denominators, accumulate
+on ints and build one Fraction per output cell.
+
 Columns are processed left to right, so the pivot columns are the RREF
 pivots, and the result is the canonical reduced row echelon form (RREF is
 unique for a given row space).  Ranks, kernels and reported bases are
@@ -27,9 +38,11 @@ basis vector is ever written out densely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import NotASubspace, NotChainCompatible
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 
 
 class Matrix:
@@ -169,8 +182,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         p = self.field.p
-        rows_a = self.row_dicts()
-        rows_b = other.row_dicts()
+        rows_a, den_a = self._integer_rows()
+        rows_b, den_b = other._integer_rows()
+        den = den_a * den_b
         cells = {}
         for i, ra in enumerate(rows_a):
             if not ra:
@@ -190,8 +204,40 @@ class Matrix:
             else:
                 for j, v in acc.items():
                     if v:
-                        cells[i, j] = v
+                        cells[i, j] = Fraction(v, den)
         return Matrix(self.field, self.nrows, other.ncols, cells)
+
+    def _integer_rows(self) -> tuple[list[dict], int]:
+        """``(rows, L)``: integer row dicts with ``self = rows / L``.
+
+        Over GF(p) the cells are ints already and L is 1; over Q, L is the
+        common denominator of the cells.
+        """
+        if self.field.is_prime_field:
+            return self.row_dicts(), 1
+        den = lcm(*{v.denominator for v in self._cells.values()})
+        rows = [dict() for _ in range(self.nrows)]
+        for (r, c), v in self._cells.items():
+            rows[r][c] = v.numerator * (den // v.denominator)
+        return rows, den
+
+    def _cleared_rows(self) -> list[dict]:
+        """The nonzero rows over Q, each times the LCM of its denominators.
+
+        Scaling a row keeps the row space, and the rows become integers.
+        """
+        cells = self._cells
+        rows = [dict() for _ in range(self.nrows)]
+        dens = {}
+        for (r, c), v in cells.items():
+            rows[r][c] = v.numerator
+            if v.denominator != 1:
+                dens[r] = lcm(dens.get(r, 1), v.denominator)
+        for r, den in dens.items():
+            row = rows[r]
+            for c, n in row.items():
+                row[c] = n * (den // cells[r, c].denominator)
+        return [row for row in rows if row]
 
     # --- elimination ------------------------------------------------------------
 
@@ -201,13 +247,12 @@ class Matrix:
         Returns ``(pivot_cols, R)`` where R holds only the nonzero rows.
         The output is the canonical RREF of the row space.
         """
-        rows = [r for r in self.row_dicts() if r]
-        pivots, rows = _rref_sparse(rows, self.ncols, *_scalar_hooks(self.field))
-        cells = {}
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                cells[i, c] = v
-            rows[i] = None  # free each reduced row once copied: RREF fill can be dense
+        if self.field.is_prime_field:
+            rows = [r for r in self.row_dicts() if r]
+            pivots, rows = _rref_sparse(rows, self.ncols, *_scalar_hooks(self.field))
+            cells = _row_cells(rows)
+        else:
+            pivots, cells = _rref_multimodular(self)
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, cells)
 
     def rank(self) -> int:
@@ -248,21 +293,26 @@ class Matrix:
 
 # --- elimination ----------------------------------------------------------------
 #
-# GF(p) works on ints mod p, Q on Fractions; the engine only sees the hooks.
+# GF(p) works on ints mod p, Q on Fractions (``Subspace.residues`` and the
+# fallback of ``_rref_multimodular``); the engine only sees the hooks.
 
 def _scalar_hooks(field: FieldSpec) -> tuple:
     """``(inv, mul, sub)`` with ``sub(a, f, b) = a - f*b`` in the field."""
     if field.is_prime_field:
-        p = field.p
-        return (
-            lambda a: pow(a, p - 2, p),
-            lambda a, b: a * b % p,
-            lambda a, f, b: (a - f * b) % p,
-        )
+        return _mod_hooks(field.p)
     return (
         lambda a: 1 / a,
         lambda a, b: a * b,
         lambda a, f, b: a - f * b,
+    )
+
+
+def _mod_hooks(p: int) -> tuple:
+    """``_scalar_hooks`` of GF(p)."""
+    return (
+        lambda a: pow(a, p - 2, p),
+        lambda a, b: a * b % p,
+        lambda a, f, b: (a - f * b) % p,
     )
 
 
@@ -313,6 +363,19 @@ def _rref_sparse(rows, ncols, inv, mul, sub):
     return _back_substitute(rows, piv_list, sub)
 
 
+def _row_cells(rows) -> dict:
+    """The ``(r, c) -> value`` map of a list of row dicts.
+
+    Each row is freed once copied: RREF fill can be dense.
+    """
+    cells = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cells[i, c] = v
+        rows[i] = None
+    return cells
+
+
 def _back_substitute(rows, piv_list, sub):
     """Clear pivot-column contamination from pivot rows and emit RREF order.
 
@@ -341,6 +404,143 @@ def _back_substitute(rows, piv_list, sub):
     pivots = [c for c, _ in ordered]
     out_rows = [rows[r] for _, r in ordered]
     return pivots, out_rows
+
+
+# --- Q: multimodular elimination with an exact check ---------------------------
+#
+# W. Stein, Modular Forms: A Computational Approach (AMS GSM 79, 2007), ch. 7;
+# rational reconstruction after P. S. Wang, M. J. T. Guy and J. H. Davenport,
+# SIGSAM Bull. 16 (1982).
+
+# The primes below 2^31 from the top, in order.  Their product bounds the
+# numerators and denominators a lift can reach: about 2^15 with the first
+# prime alone, 2^61 with all four.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+
+
+def _rref_multimodular(m: Matrix):
+    """Canonical RREF of a matrix over Q: ``(pivots, cells)`` in Fractions.
+
+    Each prime's RREF of ``m._cleared_rows()`` is combined by CRT with the
+    earlier ones that share its pivots; a prime with a larger rank, or the
+    same rank and lexicographically smaller pivots, replaces them (an
+    unlucky prime can only lower the rank or push pivots right).  After
+    each prime the combined form is lifted and verified exactly
+    (``_verified``); when no prime of ``_PRIMES`` verifies, the Fraction
+    engine reduces the rows of ``m``.  The integer rows are rebuilt for
+    each use rather than kept, so they never sit beside a working set.
+    """
+    pivots, residues, modulus = None, None, 1
+    for p in _PRIMES:
+        rows = m._cleared_rows()
+        for i, row in enumerate(rows):
+            rows[i] = {c: r for c, v in row.items() if (r := v % p)}
+        piv, rows = _rref_sparse(rows, m.ncols, *_mod_hooks(p))
+        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
+            pivots, residues, modulus = piv, rows, p
+        elif piv == pivots:
+            residues = _crt(residues, modulus, rows, p)
+            modulus *= p
+        else:
+            continue
+        del rows
+        lifted = _lift(residues, modulus)
+        if lifted is not None and _verified(m._cleared_rows(), pivots, *lifted):
+            break
+    else:
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in m._cleared_rows()]
+        pivots, rows = _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
+        return pivots, _row_cells(rows)
+    del residues  # the lift holds the same entries; free these before the cells exist
+    num, den = lifted
+    cells, fractions = {}, {}  # RREF entries repeat: one Fraction per distinct value
+    for i, row in enumerate(num):
+        for c, v in row.items():
+            f = fractions.get(v)
+            if f is None:
+                f = fractions[v] = Fraction(v, den)
+            cells[i, c] = f
+        num[i] = None
+    return pivots, cells
+
+
+def _crt(rows_a, mod_a, rows_b, mod_b):
+    """Rows of residues mod ``mod_a * mod_b`` from rows mod each (coprime) modulus."""
+    inv = pow(mod_a, -1, mod_b)
+    out = []
+    for ra, rb in zip(rows_a, rows_b):
+        row = {}
+        for c in ra.keys() | rb.keys():
+            a = ra.get(c, 0)
+            row[c] = a + mod_a * ((rb.get(c, 0) - a) * inv % mod_b)
+        out.append(row)
+    return out
+
+
+def _lift(rows, modulus):
+    """``(num, den)`` with ``rows = num / den`` lifted from residues, or None.
+
+    Every residue is read as the unique ``n/d`` with ``|n|, d <= sqrt(modulus/2)``;
+    ``den`` is the LCM of the ``d`` and ``num`` holds ``den * n/d``.  None when
+    some residue has no such fraction.
+    """
+    bound = isqrt(modulus // 2)
+    num, den = [], 1
+    for row in rows:
+        out = {}
+        for c, x in row.items():
+            if x <= bound:
+                out[c] = x
+            elif modulus - x <= bound:
+                out[c] = x - modulus
+            else:
+                frac = _reconstruct(x, modulus, bound)
+                if frac is None:
+                    return None
+                out[c] = frac
+                den = lcm(den, frac.denominator)
+        num.append(out)
+    if den > 1:
+        for row in num:
+            for c, v in row.items():
+                row[c] = int(v * den)
+    return num, den
+
+
+def _reconstruct(x, modulus, bound):
+    """The Fraction ``n/d = x mod modulus`` with ``|n|, d <= bound``, or None."""
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound:
+        return None
+    frac = Fraction(r1, t1)
+    return frac if frac.denominator == abs(t1) else None
+
+
+def _verified(rows, pivots, num, den):
+    """Whether every integer row lies in the row space of ``num / den``.
+
+    ``num`` has the RREF shape with pivot entries ``den``; the check is
+    ``Subspace.residues`` scaled by ``den``, so it stays on integers.
+    """
+    row_of = {c: i for i, c in enumerate(pivots)}
+    for v in rows:
+        res = {c: den * a for c, a in v.items()}
+        for c, a in v.items():
+            i = row_of.get(c)
+            if i is None:
+                continue
+            for j, w in num[i].items():
+                x = res.get(j, 0) - a * w
+                if x:
+                    res[j] = x
+                else:
+                    del res[j]
+        if res:
+            return False
+    return True
 
 
 # --- subspaces ---------------------------------------------------------------

@@ -21,16 +21,14 @@ from .matrix import Matrix, cohomology_dims
 def _chains_cached(cat: FiniteCategory, m: int) -> tuple:
     if m == 0:
         return tuple(range(cat.n_objects))
-    if m == 1:
-        return tuple((g,) for g in range(cat.n_morphisms))
-    shorter = _chains_cached(cat, m - 1)
+    # extend every chain by each morphism out of its end, m - 1 times: a
+    # loop, so the degree is not bounded by the recursion limit
     by_source = cat.morphisms_by_source
     target = cat.target
-    return tuple(
-        chain + (g,)
-        for chain in shorter
-        for g in by_source[target[chain[-1]]]
-    )
+    chains = [(g,) for g in range(cat.n_morphisms)]
+    for _ in range(m - 1):
+        chains = [chain + (g,) for chain in chains for g in by_source[target[chain[-1]]]]
+    return tuple(chains)
 
 
 def nerve_chains(cat: FiniteCategory, m: int) -> list:

@@ -86,6 +86,45 @@ def naive_rref(rows, p) -> tuple[list, list]:
     return pivots, rows[:r]
 
 
+# --- the Fraction engine: the reference for elimination over Q ----------------------
+#
+# Over Q ``Matrix.rref`` eliminates modulo primes and certifies a lift.  The
+# reference is the package's sparse engine run on Fractions throughout, the
+# route that route replaces and still falls back to.
+
+def fraction_rref(m):
+    """``(pivots, R)`` of a Q matrix from ``_rref_sparse`` on Fraction rows."""
+    from hochcat.fields import QQ
+    from hochcat.matrix import Matrix, _rref_sparse, _scalar_hooks
+
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in m.row_dicts() if r]
+    pivots, rows = _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
+    cells = {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
+    return tuple(pivots), Matrix(QQ, len(pivots), m.ncols, cells)
+
+
+def fraction_kernel(m):
+    """``(pivots, basis)`` of the right kernel, read off ``fraction_rref`` as
+    ``Matrix.kernel_basis`` does and put in RREF by it again."""
+    from hochcat.matrix import Matrix
+
+    pivots, R = fraction_rref(m)
+    free = [c for c in range(m.ncols) if c not in set(pivots)]
+    row_of = {j: k for k, j in enumerate(free)}
+    cells = {(k, j): Fraction(1) for k, j in enumerate(free)}
+    for (i, j), v in R._cells.items():
+        if j in row_of:
+            cells[row_of[j], pivots[i]] = -v
+    return fraction_rref(Matrix(m.field, len(free), m.ncols, cells))
+
+
+def dense_product(a_rows, b_rows, ncols):
+    """The textbook product of dense matrices, ``b_rows`` of width ``ncols``, on Fractions."""
+    inner = len(b_rows)
+    return [[sum((Fraction(a[k]) * b_rows[k][j] for k in range(inner)), Fraction(0))
+             for j in range(ncols)] for a in a_rows]
+
+
 # --- the category algebra, independently -------------------------------------------
 
 def alg_mul(cat, u: dict, v: dict, p) -> dict:

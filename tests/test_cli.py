@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hochcat import comparison, hochschild, nerve
+from hochcat import comparison, fixtures, hochschild, nerve
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
@@ -233,6 +233,25 @@ def test_cap_refuses_before_any_work(capsys, argv, message):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "cn:100000", "--cap", "10"], "degree 1 needs 10000000000"),
+    (["validate", "chain:5000", "--cap", "10"], "degree 1 needs 156312506250000"),
+])
+def test_sized_fixtures_are_refused_before_their_table_exists(monkeypatch, capsys, argv, message):
+    # the composition table has k^2 cells for cn:k and (k(k+1)/2)^2 for chain:k
+    built = []
+    for name in ("cyclic_group_table", "chain_poset_matrix",
+                 "group_from_table", "poset_from_relation"):
+        monkeypatch.setattr(fixtures, name, lambda *a, name=name, **kw: built.append(name))
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message} basis elements, cap is 10\n"
+    assert elapsed < 1.0
+    assert built == []
+
+
 def test_non_validate_verbs_report_invalid_files(tmp_path, capsys):
     f = tmp_path / "broken.cat"
     f.write_text("object x\nmorphism f : x -> x\n", encoding="utf-8")  # no identity
@@ -333,10 +352,11 @@ def test_derivations_honours_the_cap(monkeypatch, capsys):
     builds = [count_builds(monkeypatch, fn)
               for fn in (hochschild._relative_basis_cached, nerve._chains_cached)]
     start = time.perf_counter()
-    code = main(["derivations", "cn:4", "--cap", "1"])
+    # cn:4 has a 16-cell composition table, so a cap of 16 admits the fixture
+    code = main(["derivations", "cn:4", "--cap", "16"])
     elapsed = time.perf_counter() - start
     assert code == 2
-    assert capsys.readouterr().err == "error: degree 2 needs 64 basis elements, cap is 1\n"
+    assert capsys.readouterr().err == "error: degree 2 needs 64 basis elements, cap is 16\n"
     assert elapsed < 1.0
     assert not any(builds)
     # the counters are live: under the default cap both lists are built

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from hochcat import (
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
 )
-from hochcat.hochschild import relative_differential_matrix
+from hochcat import matrix
 from hochcat.errors import NotASubspace, NotChainCompatible
+from hochcat.fields import is_prime
+from hochcat.hochschild import relative_differential_matrix
 from hochcat.matrix import (
     Matrix,
     Subspace,
@@ -24,7 +27,7 @@ from hochcat.matrix import (
 )
 
 from .catalog import C2, FIELDS, FIXTURES, GF2, GF3, GF5, QQ
-from .oracles import naive_rref
+from .oracles import dense_product, fraction_kernel, fraction_rref, naive_rref
 
 
 def mk(field, rows):
@@ -399,3 +402,166 @@ def test_serialization_triplets():
         "triplets": [[0, 1, "1/2"], [1, 0, "3"]],
     }
 
+
+
+# --- Q: multimodular elimination against the Fraction engine ------------------------
+
+def _q_complexes():
+    for name, cat in FIXTURES.items():
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        for complex_name, mats in _complexes(cat, QQ, max_m).items():
+            for m, d in enumerate(mats):
+                yield (name, complex_name, m), d
+
+
+def _with_denominators(m):
+    """``m`` with cell (r, c) divided by 1 + (r + c) % 3: mixed denominators in a row."""
+    return Matrix(QQ, m.nrows, m.ncols,
+                  {(r, c): v / (1 + (r + c) % 3) for (r, c), v in m._cells.items()})
+
+
+def _q_spaces(m):
+    """(rref, rank, kernel, image) as pivots and dense rows, from ``Matrix``."""
+    pivots, R = m.rref()
+    ker, img = m.kernel_basis(), m.image_basis()
+    return ((pivots, R.dense_rows()), m.rank(),
+            (ker.pivots, ker.basis.dense_rows()), (img.pivots, img.basis.dense_rows()))
+
+
+def _fraction_spaces(m):
+    """The same four, from the Fraction engine."""
+    pivots, R = fraction_rref(m)
+    ker_pivots, ker = fraction_kernel(m)
+    img_pivots, img = fraction_rref(m.transpose())
+    return ((pivots, R.dense_rows()), len(pivots),
+            (ker_pivots, ker.dense_rows()), (img_pivots, img.dense_rows()))
+
+
+def test_q_elimination_matches_the_fraction_engine_on_every_fixture():
+    for label, d in _q_complexes():
+        for m in (d, _with_denominators(d)):
+            assert _q_spaces(m) == _fraction_spaces(m), label
+        # the rows kernel_basis hands to Subspace.from_matrix, with denominators
+        _pivots, K = fraction_kernel(d)
+        for k in (K, _with_denominators(K)):
+            pivots, R = k.rref()
+            assert (pivots, R) == fraction_rref(k), label
+
+
+@contextmanager
+def _routes():
+    """Record each ``_rref_sparse`` call over Q ("modular" or "fraction") and each verdict."""
+    eliminations, verdicts = [], []
+    eliminate, verify = matrix._rref_sparse, matrix._verified
+
+    def counted_elimination(rows, ncols, *hooks):
+        fractions = any(isinstance(v, Fraction) for row in rows for v in row.values())
+        eliminations.append("fraction" if fractions else "modular")
+        return eliminate(rows, ncols, *hooks)
+
+    def counted_verification(*args):
+        verdicts.append(verify(*args))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_rref_sparse", counted_elimination)
+        patch.setattr(matrix, "_verified", counted_verification)
+        yield eliminations, verdicts
+
+
+def _block_diagonal(rows, extra):
+    """Integer rows of ``rows`` and of the one row ``extra`` on disjoint columns."""
+    width = len(rows[0]) if rows else 0
+    padded = [list(r) + [0] * len(extra) for r in rows]
+    return padded + [[0] * width + list(extra)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.data(),
+)
+def test_q_elimination_crt_and_fallback_branches(nrows, ncols, fallback, data):
+    # beside a block of height 2^8, a row (a, ±(ka + 1)) reduces to
+    # (1, ±(k + 1/a)); a's size picks the branch: above 2^15 one prime cannot
+    # lift 1/a, above 2^62 no prime of the list can
+    bound = 2 ** 8
+    rows = [[data.draw(st.integers(min_value=-bound, max_value=bound)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    lo, hi = (2 ** 63, 2 ** 80) if fallback else (2 ** 16, 2 ** 29)
+    a = data.draw(st.integers(min_value=lo, max_value=hi))
+    k = data.draw(st.integers(min_value=0, max_value=2 ** 20))
+    sign = data.draw(st.sampled_from([1, -1]))
+    rows = _block_diagonal(rows, (a, sign * (k * a + 1)))
+    m = Matrix.from_int_entries(QQ, len(rows), len(rows[0]), {
+        (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+    with _routes() as (eliminations, verdicts):
+        pivots, R = m.rref()
+    expected = naive_rref([[Fraction(v) for v in row] for row in rows], None)
+    assert (list(pivots), R.dense_rows()) == expected
+    if fallback:
+        assert eliminations == ["modular"] * len(matrix._PRIMES) + ["fraction"]
+        assert True not in verdicts
+    else:
+        assert "fraction" not in eliminations
+        assert len(eliminations) >= 2 and verdicts[-1] is True
+
+
+def test_q_elimination_rejects_a_prime_that_divides_a_pivot():
+    p = matrix._PRIMES[0]
+    m = mk(QQ, [[p, 0], [0, 1]])
+    with _routes() as (eliminations, verdicts):
+        pivots, R = m.rref()
+    # mod p the first row vanishes: rank 1 with pivot column 1, which the
+    # exact check refuses because (p, 0) is not a multiple of (0, 1)
+    assert eliminations == ["modular", "modular"]
+    assert verdicts == [False, True]
+    assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2))
+    assert m.rank() == 2 and m.kernel_basis().dim == 0
+
+
+def test_q_elimination_falls_back_when_no_prime_verifies(monkeypatch):
+    # modulo 5 alone, the 1/7 of the reduced form cannot be lifted, so the
+    # Fraction engine answers
+    monkeypatch.setattr(matrix, "_PRIMES", (5,))
+    m = mk(QQ, [[7, 1], [14, 2]])
+    with _routes() as (eliminations, verdicts):
+        pivots, R = m.rref()
+    assert eliminations == ["modular", "fraction"]
+    assert verdicts == []
+    assert (pivots, R) == fraction_rref(m) == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
+
+
+def test_primes_are_distinct_primes_below_2_to_the_31():
+    assert matrix._PRIMES[0] == 2 ** 31 - 1
+    assert len(set(matrix._PRIMES)) == len(matrix._PRIMES)
+    assert all(is_prime(p) and p < 2 ** 31 for p in matrix._PRIMES)
+
+
+_fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                       st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=5), st.data())
+def test_q_rref_with_denominators_matches_oracle(nrows, ncols, data):
+    rows = [[data.draw(_fractions) for _ in range(ncols)] for _ in range(nrows)]
+    pivots, R = Matrix.from_rows(QQ, rows, ncols).rref()
+    assert (list(pivots), R.dense_rows()) == naive_rref(rows, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+def test_q_product_matches_the_fraction_product(n, k, m, data):
+    a = [[data.draw(_fractions) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(_fractions) for _ in range(m)] for _ in range(k)]
+    product = Matrix.from_rows(QQ, a, k) @ Matrix.from_rows(QQ, b, m)
+    assert product == Matrix.from_rows(QQ, dense_product(a, b, m), m)
+    assert all(isinstance(v, Fraction) for _r, _c, v in product.entries())

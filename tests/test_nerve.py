@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 from hochcat import (
     adjoint_category,
+    builtin,
     face,
     nerve_chains,
     simplicial_coboundary_matrix,
@@ -28,6 +31,12 @@ def test_chain_counts_one_object():
             assert len(nerve_chains(cat, m)) == (
                 cat.n_objects if m == 0 else cat.n_morphisms ** m
             )
+
+
+def test_chain_degree_is_not_bounded_by_the_recursion_limit():
+    # the trivial category has one chain, of identities, in every degree
+    m = sys.getrecursionlimit() + 50
+    assert nerve_chains(builtin("triv"), m) == [(0,) * m]
 
 
 def test_chains_are_composable():
