@@ -1,12 +1,15 @@
 """Finite categories: validation, structural predicates, adjoint category.
 
-A category is stored as dense integer tables.  Objects and morphisms are
-indexed ``0..n-1`` in declaration order; that order is fixed for the life of
-the category and every basis enumeration downstream is lexicographic in
-these indices, which makes all matrices reproducible run to run.
+A category is stored as integer tables.  Objects and morphisms are indexed
+``0..n-1`` in declaration order; that order is fixed for the life of the
+category and every basis enumeration downstream is lexicographic in these
+indices, which makes all matrices reproducible run to run.
 
 ``compose(g, f)`` means "g after f" and is defined exactly when
-``source(g) == target(f)``.
+``source(g) == target(f)``.  A base category holds its composition as a
+dense ``compose_table``, which the hot loops downstream read directly.  The
+adjoint category holds none (``compose_table is None``): its composition is
+determined by its triples and the base table, so ``compose`` pastes squares.
 
 Commuting squares ``g∘a = b∘g`` are read from one table,
 ``_completion_table``, which completes a composable chain and a base
@@ -40,7 +43,7 @@ class FiniteCategory:
     source: tuple[int, ...]
     target: tuple[int, ...]
     identity: tuple[int, ...]                      # object -> morphism
-    compose_table: tuple[tuple[int, ...], ...]     # [g][f] = g∘f or UNDEFINED
+    compose_table: tuple[tuple[int, ...], ...] | None  # [g][f] = g∘f or UNDEFINED
 
     @property
     def n_objects(self) -> int:
@@ -426,11 +429,22 @@ class AdjointCategory(FiniteCategory):
     A morphism a -> b is a base morphism g with g∘a = b∘g; it is stored as
     the triple (a, g, b) so chains upstairs can be read back as ladders
     downstairs.  Composition pastes squares: (b, f, c)∘(a, g, b) = (a, f∘g, c).
+    It is answered from the triples and the base's dense table, so there is
+    no ``n × n`` table here: ``compose_table`` is None and only ``compose``
+    composes.
     """
 
     base: FiniteCategory = None  # type: ignore[assignment]
     object_endos: tuple[int, ...] = ()                 # fad object -> base endo
     triples: tuple[tuple[int, int, int], ...] = ()     # fad morphism -> (a, g, b)
+
+    def compose(self, g: int, f: int) -> int:
+        """Pasted square of the triples of f, then g; UNDEFINED unless they meet."""
+        a2, g2, b2 = self.triples[g]
+        a1, g1, b1 = self.triples[f]
+        if a2 != b1:
+            return UNDEFINED
+        return self.triple_index[a1, self.base.compose(g2, g1), b2]
 
     @cached_property
     def triple_index(self) -> dict:
@@ -478,7 +492,6 @@ def adjoint_category(cat: FiniteCategory) -> AdjointCategory:
     triples.sort()
     trip_index = {t: i for i, t in enumerate(triples)}
 
-    n = len(triples)
     names = tuple(
         f"{cat.morphism_names[g]}[{cat.morphism_names[a]}=>{cat.morphism_names[b]}]"
         for a, g, b in triples
@@ -489,19 +502,13 @@ def adjoint_category(cat: FiniteCategory) -> AdjointCategory:
         trip_index[e, cat.identity[cat.source[e]], e] for e in endos
     )
 
-    table = [[UNDEFINED] * n for _ in range(n)]
-    for j, (a1, g1, b1) in enumerate(triples):        # zeta, applied first
-        for i, (a2, g2, b2) in enumerate(triples):    # eta, applied second
-            if a2 == b1 and cat.source[g2] == cat.target[g1]:
-                table[i][j] = trip_index[a1, comp[g2][g1], b2]
-
     return AdjointCategory(
         object_names=obj_names,
         morphism_names=names,
         source=source,
         target=target,
         identity=identity,
-        compose_table=tuple(tuple(row) for row in table),
+        compose_table=None,
         base=cat,
         object_endos=endos,
         triples=tuple(triples),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .category import FiniteCategory, RawCategory, validate_category
 from .errors import CategoryFormatError
+from .hochschild import check_table_size
 
 
 def parse_category_text(text: str) -> RawCategory:
@@ -66,7 +67,13 @@ def parse_category(text: str) -> FiniteCategory:
     return validate_category(parse_category_text(text))
 
 
-def load_category(path) -> FiniteCategory:
+def load_category(path, cap: int | None = None) -> FiniteCategory:
+    """Read, parse and validate a category file.
+
+    A file whose composition table (``n_morphisms^2`` cells) passes ``cap``
+    (default ``DEFAULT_BASIS_CAP``) is refused with DimensionCapExceeded
+    after parsing, before validation allocates the table.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -76,29 +83,29 @@ def load_category(path) -> FiniteCategory:
         raise CategoryFormatError(
             f"line {lineno}: not UTF-8 text (byte {data[exc.start]:#04x})", line=lineno
         ) from None
-    return parse_category(text)
+    raw = parse_category_text(text)
+    check_table_size(len(raw.morphisms) ** 2, cap)
+    return validate_category(raw)
 
 
 def category_to_text(cat: FiniteCategory) -> str:
-    """Serialize in declaration order; identity compositions are omitted."""
+    """Serialize in declaration order; identity compositions are omitted.
+
+    Compose lines run over composable pairs only: for each non-identity g,
+    the non-identity f into its source, in ascending index order.
+    """
+    names = cat.morphism_names
     lines = []
     for name in cat.object_names:
         lines.append(f"object {name}")
-    for m, name in enumerate(cat.morphism_names):
+    for m, name in enumerate(names):
         src = cat.object_names[cat.source[m]]
         tgt = cat.object_names[cat.target[m]]
         suffix = " identity" if cat.is_identity(m) else ""
         lines.append(f"morphism {name} : {src} -> {tgt}{suffix}")
+    into = [[f for f in fs if not cat.is_identity(f)] for fs in cat.morphisms_by_target]
     for g in range(cat.n_morphisms):
-        if cat.is_identity(g):
-            continue
-        for f in range(cat.n_morphisms):
-            if cat.is_identity(f):
-                continue
-            h = cat.compose(g, f)
-            if h >= 0:
-                lines.append(
-                    f"compose {cat.morphism_names[g]} {cat.morphism_names[f]}"
-                    f" = {cat.morphism_names[h]}"
-                )
+        if not cat.is_identity(g):
+            for f in into[cat.source[g]]:
+                lines.append(f"compose {names[g]} {names[f]} = {names[cat.compose(g, f)]}")
     return "\n".join(lines) + "\n"

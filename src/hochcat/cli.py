@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .catformat import category_to_text, load_category
-from .category import FiniteCategory, predicate_reports
+from .category import FiniteCategory, adjoint_category, predicate_reports
 from .comparison import CANCELLATIVE, DETERMINISTIC, make_context, theorem_a_report
 from .derivations import theorem_b_report
 from .errors import (
@@ -152,7 +152,7 @@ def parse_args(argv) -> Command:
 def _load_input(cmd: Command) -> tuple[str, FiniteCategory]:
     name = cmd.input
     if os.path.exists(name):
-        return os.path.basename(name), load_category(name)
+        return os.path.basename(name), load_category(name, cmd.cap)
     try:
         return name, builtin(name, cmd.cap)
     except UnknownFixture:
@@ -213,8 +213,6 @@ def _run_props(cmd: Command) -> Report:
 
 
 def _run_fad(cmd: Command) -> Report:
-    from .category import adjoint_category
-
     name, cat = _load_input(cmd)
     fad = adjoint_category(cat)
     text_form = category_to_text(fad)

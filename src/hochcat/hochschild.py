@@ -76,6 +76,18 @@ def check_sizes(sizes, top: int, cap: int | None) -> None:
             raise DimensionCapExceeded(m, size, cap)
 
 
+def check_table_size(cells: int, cap: int | None) -> None:
+    """Refuse a composition table of ``cells`` cells above the cap.
+
+    A table on n morphisms has n^2 cells, the size of the degree-1 basis,
+    so the refusal names degree 1.  Loaders call this before any table
+    exists.
+    """
+    cap = DEFAULT_BASIS_CAP if cap is None else cap
+    if cells > cap:
+        raise DimensionCapExceeded(1, cells, cap)
+
+
 def hochschild_basis(cat: FiniteCategory, m: int) -> list:
     """All (tuple, output) pairs of degree m in lexicographic order."""
     n = cat.n_morphisms

@@ -5,7 +5,9 @@ than the package: differentials are evaluated functionally from their
 defining formulas on generic cochains, ranks come from a plain textbook
 forward elimination (no reduced form, no sparse bookkeeping), and dimension
 counts avoid the package's subspace machinery entirely.  Oracles read only
-the category's source/target/compose tables.
+the category's source/target tables and its composition: the dense
+``compose_table`` of a base category, ``compose`` wherever the category may
+be an adjoint category, which holds no table.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _face(cat, chain, i):
         return chain[1:]
     if i == m:
         return chain[:-1]
-    return chain[: i - 1] + (cat.compose_table[chain[i]][chain[i - 1]],) + chain[i + 1:]
+    return chain[: i - 1] + (cat.compose(chain[i], chain[i - 1]),) + chain[i + 1:]
 
 
 def nerve_chain_list(cat, m):
@@ -311,7 +313,7 @@ def naive_character_dim(fad, p) -> int:
     rows = []
     for eta in range(n):
         for zeta in range(n):
-            h = fad.compose_table[eta][zeta]
+            h = fad.compose(eta, zeta)
             if h < 0:
                 continue
             row = [_scal(p, 0)] * n
@@ -377,11 +379,53 @@ def character_system(fad) -> tuple:
     entries: dict = {}
     for eta in range(n):
         for zeta in range(n):
-            h = fad.compose_table[eta][zeta]
+            h = fad.compose(eta, zeta)
             if h >= 0:
                 for col, val in ((h, 1), (eta, -1), (zeta, -1)):
                     _bump(entries, (eta * n + zeta, col), val)
     return n * n, n, entries
+
+
+# --- the adjoint category and the text form, over all pairs ----------------------------
+
+def fad_compose_table(fad) -> list:
+    """Dense ``[η][ζ]`` table of F^ad, filled by pasting every pair of triples.
+
+    (a2, g2, b2)∘(a1, g1, b1) is defined when the squares meet (a2 = b1) and
+    is then the triple (a1, g2∘g1, b2) of the base.
+    """
+    base = fad.base
+    index = {t: i for i, t in enumerate(fad.triples)}
+    n = fad.n_morphisms
+    table = [[-1] * n for _ in range(n)]
+    for j, (a1, g1, b1) in enumerate(fad.triples):        # zeta, applied first
+        for i, (a2, g2, b2) in enumerate(fad.triples):    # eta, applied second
+            if a2 == b1 and base.source[g2] == base.target[g1]:
+                table[i][j] = index[a1, base.compose_table[g2][g1], b2]
+    return table
+
+
+def category_text_all_pairs(cat) -> str:
+    """The text form with its compose lines found by scanning every pair."""
+    lines = [f"object {name}" for name in cat.object_names]
+    for m, name in enumerate(cat.morphism_names):
+        src = cat.object_names[cat.source[m]]
+        tgt = cat.object_names[cat.target[m]]
+        suffix = " identity" if cat.is_identity(m) else ""
+        lines.append(f"morphism {name} : {src} -> {tgt}{suffix}")
+    for g in range(cat.n_morphisms):
+        if cat.is_identity(g):
+            continue
+        for f in range(cat.n_morphisms):
+            if cat.is_identity(f):
+                continue
+            h = cat.compose(g, f)
+            if h >= 0:
+                lines.append(
+                    f"compose {cat.morphism_names[g]} {cat.morphism_names[f]}"
+                    f" = {cat.morphism_names[h]}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 def component_count_bfs(cat) -> int:

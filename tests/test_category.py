@@ -1,13 +1,18 @@
+import tracemalloc
+
 import pytest
 
 from hochcat import (
     RawCategory,
     adjoint_category,
+    builtin,
+    category_to_text,
     is_left_cancellative,
     is_left_deterministic,
     is_right_cancellative,
     is_right_deterministic,
     is_rr_transitive,
+    parse_category,
     predicate_reports,
     validate_category,
 )
@@ -437,3 +442,32 @@ def test_adjoint_chain_ladder_roundtrip():
             if m:
                 assert oracles.ladder_commutes(EX6, ladder)
             assert fad.chain_of_ladder(ladder) == chain
+
+
+def test_adjoint_composition_pastes_squares():
+    # F^ad holds no table: compose() agrees with the all-pairs fill, and the
+    # text form passes the identity and associativity checks and composes alike
+    for name, cat in FIXTURES.items():
+        fad = adjoint_category(cat)
+        assert fad.compose_table is None, name
+        table = oracles.fad_compose_table(fad)
+        n = fad.n_morphisms
+        assert [[fad.compose(g, f) for f in range(n)] for g in range(n)] == table, name
+        parsed = parse_category(category_to_text(fad))
+        assert parsed.morphism_names == fad.morphism_names, name
+        assert parsed.compose_table == tuple(tuple(row) for row in table), name
+
+
+def test_adjoint_category_allocates_no_square_table():
+    # F^ad of cn:40 has 1600 morphisms and 64,000 composable pairs; a dense
+    # 1600 × 1600 table of them peaked near 40 MiB
+    cat = builtin("cn:40")
+    tracemalloc.start()
+    try:
+        fad = adjoint_category(cat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fad.n_morphisms == 1600
+    assert sum(len(fad.morphisms_by_target[s]) for s in fad.source) == 64_000
+    assert peak < 4 * 2**20

@@ -1,6 +1,7 @@
 import pytest
 
 from hochcat import (
+    adjoint_category,
     builtin,
     category_to_text,
     group_from_table,
@@ -8,6 +9,7 @@ from hochcat import (
     parse_category_text,
     poset_from_relation,
 )
+from hochcat.category import AdjointCategory, FiniteCategory
 from hochcat.errors import (
     CategoryFormatError,
     MissingComposite,
@@ -17,7 +19,8 @@ from hochcat.errors import (
 )
 from hochcat.fixtures import chain_poset_matrix, cyclic_group_table
 
-from .catalog import A2, C2, EX6, symmetric_group_table
+from . import oracles
+from .catalog import A2, C2, EX6, FIXTURES, symmetric_group_table
 
 EX6_TEXT = """\
 # the two-object category with order-two endomorphism monoids
@@ -70,6 +73,26 @@ def test_parse_rejects_malformed_lines(line):
 def test_roundtrip_through_text():
     for cat in (EX6, C2, A2, builtin("diamond")):
         assert parse_category(category_to_text(cat)) == cat
+
+
+def test_text_form_visits_only_composable_pairs(monkeypatch):
+    # byte-equal to the all-pairs scan, on every fixture and its F^ad, with
+    # one compose() call per compose line, each on a composable pair
+    calls = []
+    for cls in (FiniteCategory, AdjointCategory):
+        def recorded(self, g, f, compose=cls.compose):
+            calls.append((self, g, f))
+            return compose(self, g, f)
+        monkeypatch.setattr(cls, "compose", recorded)
+    for name, base in FIXTURES.items():
+        for cat in (base, adjoint_category(base)):
+            expected = oracles.category_text_all_pairs(cat)
+            calls.clear()
+            text = category_to_text(cat)
+            assert text == expected, name
+            own = [(g, f) for who, g, f in calls if who is cat]
+            assert len(own) == text.count("\ncompose "), name
+            assert all(cat.source[g] == cat.target[f] for g, f in own), name
 
 
 def test_serialization_omits_identity_compositions():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hochcat import comparison, fixtures, hochschild, nerve
+from hochcat import catformat, comparison, fixtures, hochschild, nerve
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
@@ -250,6 +250,22 @@ def test_sized_fixtures_are_refused_before_their_table_exists(monkeypatch, capsy
     assert capsys.readouterr().err == f"error: {message} basis elements, cap is 10\n"
     assert elapsed < 1.0
     assert built == []
+
+
+def test_file_inputs_are_refused_before_validation(monkeypatch, tmp_path, capsys):
+    # ex6 has 6 morphisms, so a 36-cell composition table
+    f = tmp_path / "ex6.cat"
+    f.write_text(catformat.category_to_text(fixtures.builtin("ex6")), encoding="utf-8")
+
+    def refuse(raw):
+        raise AssertionError("validate_category called")
+
+    monkeypatch.setattr(catformat, "validate_category", refuse)
+    for verb in ("validate", "fad"):
+        assert main([verb, str(f), "--cap", "35"]) == 2
+        assert capsys.readouterr().err == "error: degree 1 needs 36 basis elements, cap is 35\n"
+    monkeypatch.undo()
+    assert main(["validate", str(f), "--cap", "36"]) == 0
 
 
 def test_non_validate_verbs_report_invalid_files(tmp_path, capsys):
