@@ -22,6 +22,14 @@ unique for a given row space).  Ranks, kernels and reported bases are
 therefore determined by the matrix alone.  Pivot choice is deterministic:
 the sparsest usable row, ties broken by row index.
 
+A rank is a forward elimination and nothing more: the number of pivots of
+any echelon form, so over GF(p) ``Matrix.rank`` skips the back-substitution
+sweep (``rref(reduced=False)``), which on a large differential triples the
+nonzeros of the pivot rows.  Only the consumers of the canonical RREF
+(kernels, images, ``Subspace``) back-substitute.  The rank still goes
+through ``Matrix.rref``, so that one entry point sees, and a tracer that
+wraps it counts, every elimination.
+
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
 rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
 product, building no basis.  ``cohomology`` serves certificates: it
@@ -75,11 +83,17 @@ class Matrix:
 
     @classmethod
     def from_int_entries(cls, field, nrows, ncols, entries) -> "Matrix":
-        """Reduce integer entries into the field; drops entries that map to 0."""
+        """Reduce integer entries into the field; drops entries that map to 0.
+
+        Entries are small integers that repeat, so each distinct one becomes
+        a scalar once and the cells share it (scalars are immutable).
+        """
         items = entries.items() if hasattr(entries, "items") else entries
-        cells = {}
+        cells, scalars = {}, {}
         for (r, c), n in items:
-            v = field.scalar(n)
+            v = scalars.get(n)
+            if v is None:
+                v = scalars[n] = field.scalar(n)
             if v != 0:
                 cells[r, c] = v
         return cls(field, nrows, ncols, cells)
@@ -154,6 +168,8 @@ class Matrix:
         """First (r, c, self_val, other_val) where the matrices differ, or None."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return (-1, -1, (self.nrows, self.ncols), (other.nrows, other.ncols))
+        if self._cells == other._cells:
+            return None
         for key in sorted(set(self._cells) | set(other._cells)):
             a = self._cells.get(key, self.field.zero)
             b = other._cells.get(key, other.field.zero)
@@ -170,6 +186,8 @@ class Matrix:
         )
 
     def scaled(self, s) -> "Matrix":
+        if s == 1:
+            return self  # immutable, so sharing is safe
         if s == 0:
             return Matrix.zeros(self.field, self.nrows, self.ncols)
         f = self.field
@@ -241,25 +259,39 @@ class Matrix:
 
     # --- elimination ------------------------------------------------------------
 
-    def rref(self) -> tuple[tuple, "Matrix"]:
-        """Reduced row echelon form.
+    def rref(self, reduced: bool = True) -> tuple[tuple, "Matrix"]:
+        """Reduced row echelon form, or over GF(p) a row echelon form.
 
-        Returns ``(pivot_cols, R)`` where R holds only the nonzero rows.
-        The output is the canonical RREF of the row space.
+        Returns ``(pivot_cols, R)`` where R holds only the nonzero rows, in
+        pivot order.  By default R is the canonical RREF of the row space.
+        With ``reduced=False`` over GF(p), R is the forward elimination
+        alone: unit pivots and zeros left of each pivot, but rows not
+        cleared above later pivots.  Its pivots are still the RREF pivots.
+        Over Q, ``reduced=False`` returns the certified RREF all the same:
+        a modular echelon form only bounds the rank over Q from below.
         """
         if self.field.is_prime_field:
             rows = [r for r in self.row_dicts() if r]
-            pivots, rows = _rref_sparse(rows, self.ncols, *_scalar_hooks(self.field))
+            hooks = _scalar_hooks(self.field)
+            piv_list = _echelon(rows, self.ncols, *hooks)
+            if reduced:
+                pivots, rows = _back_substitute(rows, piv_list, hooks[2])
+            else:
+                pivots, rows = _in_pivot_order(rows, piv_list)
             cells = _row_cells(rows)
         else:
             pivots, cells = _rref_multimodular(self)
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, cells)
 
     def rank(self) -> int:
-        """Row rank, eliminated on the side with fewer rows."""
+        """Row rank, eliminated on the side with fewer rows.
+
+        Over GF(p) only the forward elimination runs (``reduced=False``):
+        any echelon form has one pivot per unit of rank.  It still goes
+        through ``rref`` so that one entry point sees every elimination.
+        """
         narrow = self.transpose() if self.ncols < self.nrows else self
-        pivots, _ = narrow.rref()
-        return len(pivots)
+        return len(narrow.rref(reduced=False)[0])
 
     def kernel_basis(self) -> "Subspace":
         """Canonical basis of the right kernel (solutions of Mx = 0)."""
@@ -317,14 +349,24 @@ def _mod_hooks(p: int) -> tuple:
 
 
 def _rref_sparse(rows, ncols, inv, mul, sub):
-    """Sparse reduction on row dicts, generic over the scalar hooks.
+    """Sparse RREF on row dicts, generic over the scalar hooks: ``(pivots, rows)``.
+
+    ``_echelon`` followed by ``_back_substitute``.
+    """
+    return _back_substitute(rows, _echelon(rows, ncols, inv, mul, sub), sub)
+
+
+def _echelon(rows, ncols, inv, mul, sub):
+    """Forward elimination in place on row dicts; returns ``[(col, row)]`` of the pivots.
 
     Columns are processed left to right so the pivot columns are the
     canonical RREF pivots; within a column the sparsest available row is
     chosen (Markowitz-style row selection), ties broken by row index.
+    Each pivot row is scaled to a unit pivot and is zero left of it.
     Forward elimination only touches rows not yet chosen, so each pivot row
     is contaminated only at later pivot columns; the back-substitution
-    sweep removes exactly that.
+    sweep removes exactly that.  The column index dies on return, before
+    back-substitution fills the pivot rows, so the two never peak together.
     """
     col_rows: dict[int, set] = {}
     for i, row in enumerate(rows):
@@ -357,10 +399,7 @@ def _rref_sparse(rows, ncols, inv, mul, sub):
                         del row[c]
                         col_rows[c].discard(i)
         piv_list.append((pc, pr))
-    # sets never shrink: free the spent column index before back-substitution
-    # fills the pivot rows, or both peak together
-    del col_rows
-    return _back_substitute(rows, piv_list, sub)
+    return piv_list
 
 
 def _row_cells(rows) -> dict:
@@ -400,10 +439,13 @@ def _back_substitute(rows, piv_list, sub):
                     row[cc] = w
                 else:
                     row.pop(cc, None)
+    return _in_pivot_order(rows, piv_list)
+
+
+def _in_pivot_order(rows, piv_list):
+    """``(pivots, pivot_rows)`` in ascending pivot column."""
     ordered = sorted(piv_list)
-    pivots = [c for c, _ in ordered]
-    out_rows = [rows[r] for _, r in ordered]
-    return pivots, out_rows
+    return [c for c, _ in ordered], [rows[r] for _, r in ordered]
 
 
 # --- Q: multimodular elimination with an exact check ---------------------------

@@ -53,6 +53,59 @@ def test_rank_rationals_with_fractions():
     assert m.rank() == 2
 
 
+@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+def test_rank_never_back_substitutes_over_gf_p(field, monkeypatch):
+    # row 0 meets the pivots of rows 1 and 2, so its RREF row differs from
+    # its echelon row; the wide matrix is eliminated as is, the tall one
+    # through its transpose
+    wide = mk(field, [[1, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 1, 1]])
+    assert wide.rref(reduced=False)[1] != wide.rref()[1]
+
+    def no_sweep(*args):
+        raise AssertionError("back-substitution ran")
+
+    monkeypatch.setattr(matrix, "_back_substitute", no_sweep)
+    for m in (wide, wide.transpose()):
+        pivots, _reduced = naive_rref(m.dense_rows(), field.p)
+        assert m.rank() == len(pivots) == 3
+    with pytest.raises(AssertionError, match="back-substitution ran"):
+        wide.kernel_basis()
+
+
+# --- assembly and identity checks ---------------------------------------------
+
+def test_int_entries_share_one_scalar_per_integer():
+    entries = {(0, 0): 3, (1, 2): 3, (0, 1): -2, (1, 0): -2, (1, 1): 0, (0, 2): 7}
+    m = Matrix.from_int_entries(QQ, 2, 3, entries)
+    assert m._cells[0, 0] is m._cells[1, 2] and m._cells[0, 1] is m._cells[1, 0]
+    assert m._cells == {k: QQ.scalar(n) for k, n in entries.items() if n}
+    assert all(type(v) is Fraction for v in m._cells.values())
+    g = Matrix.from_int_entries(GF3, 2, 3, entries)
+    assert g._cells == {k: GF3.scalar(n) for k, n in entries.items() if n % 3}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_first_difference(field):
+    one, zero = field.one, field.zero
+    a = mk(field, [[one, 0, one], [0, one, 0]])
+    assert a.first_difference(mk(field, [[one, 0, one], [0, one, 0]])) is None
+    # (1, 1) and (0, 1) differ; the first in (row, column) order is reported
+    assert a.first_difference(mk(field, [[one, one, one], [0, 0, 0]])) == (0, 1, zero, one)
+    assert a.first_difference(mk(field, [[one, 0, one], [one, 0, 0]])) == (1, 0, zero, one)
+    assert a.first_difference(Matrix.zeros(field, 3, 2)) == (-1, -1, (2, 3), (3, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_scaled(field):
+    one = field.one
+    m = mk(field, [[one, 0, one], [0, one, 0]])
+    assert m.scaled(one) is m
+    zero = m.scaled(field.zero)
+    assert zero.is_zero() and (zero.nrows, zero.ncols) == (2, 3)
+    minus = field.neg(one)
+    assert m.scaled(minus) == mk(field, [[minus, 0, minus], [0, minus, 0]])
+
+
 # --- kernel and image -------------------------------------------------------
 
 def test_kernel_of_ones_row_gf2():
@@ -291,6 +344,16 @@ def test_rref_matches_oracle_property(nrows, ncols, field, data):
     R_pivots, R = m.rref()
     assert R_pivots == tuple(pivots)
     assert R.dense_rows() == reduced
+    E_pivots, E = m.rref(reduced=False)
+    if field.is_prime_field:
+        # an echelon form: the RREF pivots, each row starting at its unit
+        # pivot, spanning the same row space
+        assert E_pivots == tuple(pivots)
+        for i, row in enumerate(E.row_dicts()):
+            assert min(row) == E_pivots[i] and row[E_pivots[i]] == 1
+        assert Subspace.from_matrix(E) == Subspace(R_pivots, R)
+    else:
+        assert (E_pivots, E) == (R_pivots, R)
     ker = m.kernel_basis()
     assert (list(ker.pivots), ker.basis.dense_rows()) == oracle_kernel(field, rows, ncols)
     img = m.image_basis()
