@@ -39,6 +39,7 @@ from .hochschild import (
     hochschild_cohomology_dims,
     hochschild_sizes,
     relative_cohomology_dims,
+    relative_is_full,
 )
 
 VERBS = ("validate", "props", "fad", "cohomology", "compare", "derivations")
@@ -243,7 +244,9 @@ def _run_cohomology(cmd: Command) -> Report:
         want_full, want_rel = False, True
     if want_full:
         theories["full"] = hochschild_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
-    if want_rel:
+    if want_rel and want_full and relative_is_full(cat, cmd.max_degree + 1):
+        theories["relative"] = list(theories["full"])  # the same complex
+    elif want_rel:
         theories["relative"] = relative_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
     payload = {
         "category": _category_summary(name, cat),

@@ -41,6 +41,7 @@ from .hochschild import (
     hochschild_differential_matrix,
     hochschild_sizes,
     relative_differential_matrix,
+    relative_is_full,
     _relative_basis_cached,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
@@ -283,15 +284,20 @@ def _induced_maps(ctx: ComparisonContext, max_m: int, cap: int | None, tier: str
     """Per degree, the three dimensions and the map T induces on cohomology.
 
     The cocycle and coboundary bases die with this call, so none is alive
-    while the identity checks take products of T and X.
+    while the identity checks take products of T and X.  When the relative
+    complex is the full one (``relative_is_full``), its dimensions are the
+    full ones and it is not eliminated again.
     """
     cat, fad, field = ctx.cat, ctx.fad, ctx.field
     rng = range(max_m + 1)
     full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
     nerve = cohomology(simplicial_coboundary_matrix(fad, field, m) for m in rng)
-    relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
+    relative = None
+    if not relative_is_full(cat, max_m + 1):
+        relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
     out = []
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), dim_r in zip(rng, full, nerve, relative):
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s) in zip(rng, full, nerve):
+        dim_r = dim_h if relative is None else next(relative)
         induced, invertible, surjective = None, False, False
         # without the cancellation hypotheses T need not be a chain map,
         # so there is no induced map to certify

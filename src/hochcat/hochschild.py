@@ -228,6 +228,19 @@ def relative_sizes(cat: FiniteCategory):
         paths = [[sum(row[z] * hom[z][y] for z in objs) for y in objs] for row in paths]
 
 
+def relative_is_full(cat: FiniteCategory, top: int) -> bool:
+    """Whether the relative complex is the full one in degrees 0..top.
+
+    A relative basis is a subset of the full basis of its degree, both in
+    lexicographic order, so equal sizes make the bases and the
+    differentials between them equal.  Only the sizes are compared, and
+    the first difference ends the walk: a category with one object passes,
+    a disjoint union of groups fails in degree 1.
+    """
+    sizes = zip(relative_sizes(cat), hochschild_sizes(cat))
+    return all(rel == full for rel, full in itertools.islice(sizes, top + 1))
+
+
 def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
     """(n_rows, n_cols, entries over Z) of the restricted differential."""
     cols = _relative_basis_cached(cat, m)

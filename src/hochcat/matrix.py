@@ -22,6 +22,16 @@ unique for a given row space).  Ranks, kernels and reported bases are
 therefore determined by the matrix alone.  Pivot choice is deterministic:
 the sparsest usable row, ties broken by row index.
 
+Over GF(2) the engine switches from sparse to dense once fill sets in, as
+in Dumas and Villard, *Computing the rank of large sparse matrices over
+finite fields* (CASC 2002).  When the rows not yet chosen fill enough of
+the block right of the current pivot, they are all zero left of it; they
+are packed into Python ints and finished by XOR, one machine word per 64
+columns instead of one dict operation per nonzero (``_gf2_tail``).  The
+pivots are the RREF pivots either way, so ranks, the canonical RREF and
+kernels do not depend on where the switch happens.  GF(p) for odd p and
+Q never count the fill and never switch.
+
 A rank is a forward elimination and nothing more: the number of pivots of
 any echelon form, so over GF(p) ``Matrix.rank`` skips the back-substitution
 sweep (``rref(reduced=False)``), which on a large differential triples the
@@ -71,12 +81,18 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries) -> "Matrix":
-        """``entries``: mapping or iterable of ((r, c), value) in field scalars."""
+        """``entries``: mapping or iterable of ((r, c), value) in field scalars.
+
+        Over GF(p) each value is reduced mod p, as in ``from_int_entries``.
+        """
+        p = field.p
         items = entries.items() if hasattr(entries, "items") else entries
         cells = {}
         for (r, c), v in items:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r}, {c}) outside {nrows}x{ncols}")
+            if p is not None:
+                v %= p
             if v != 0:
                 cells[r, c] = v
         return cls(field, nrows, ncols, cells)
@@ -100,6 +116,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
+        """Dense rows of field scalars; over GF(p) each is reduced mod p."""
+        p = field.p
         rows = [list(r) for r in rows]
         nrows = len(rows)
         if ncols is None:
@@ -109,6 +127,8 @@ class Matrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
+                if p is not None:
+                    v %= p
                 if v != 0:
                     cells[i, j] = v
         return cls(field, nrows, ncols, cells)
@@ -273,7 +293,7 @@ class Matrix:
         if self.field.is_prime_field:
             rows = [r for r in self.row_dicts() if r]
             hooks = _scalar_hooks(self.field)
-            piv_list = _echelon(rows, self.ncols, *hooks)
+            piv_list = _echelon(rows, self.ncols, *hooks, gf2=self.field.p == 2)
             if reduced:
                 pivots, rows = _back_substitute(rows, piv_list, hooks[2])
             else:
@@ -356,7 +376,7 @@ def _rref_sparse(rows, ncols, inv, mul, sub):
     return _back_substitute(rows, _echelon(rows, ncols, inv, mul, sub), sub)
 
 
-def _echelon(rows, ncols, inv, mul, sub):
+def _echelon(rows, ncols, inv, mul, sub, gf2=False):
     """Forward elimination in place on row dicts; returns ``[(col, row)]`` of the pivots.
 
     Columns are processed left to right so the pivot columns are the
@@ -367,11 +387,23 @@ def _echelon(rows, ncols, inv, mul, sub):
     is contaminated only at later pivot columns; the back-substitution
     sweep removes exactly that.  The column index dies on return, before
     back-substitution fills the pivot rows, so the two never peak together.
+
+    With ``gf2`` set (the hooks are those of GF(2)), the elimination is
+    sparse, then dense.  The same pivots are chosen, but a row update is
+    the symmetric difference of two supports, and it keeps a count of the
+    nonzeros of the active rows (the nonzero rows not yet chosen), O(1)
+    per row update.  Once the count passes ``_GF2_TAIL_DENSITY`` of the
+    block left (active rows x columns right of the pivot), on a block of
+    at least ``_GF2_TAIL_MIN_CELLS`` cells, the column index is dropped and
+    ``_gf2_tail`` finishes on int bitsets.  Without ``gf2`` nothing is
+    counted and the loop is the generic one.
     """
     col_rows: dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(i)
+    if gf2:
+        live, active = sum(map(len, rows)), sum(1 for row in rows if row)
     piv_list = []  # (col, row) in selection order == ascending column order
     for pc in range(ncols):
         cand = col_rows.get(pc)
@@ -385,21 +417,112 @@ def _echelon(rows, ncols, inv, mul, sub):
         if factor != 1:
             for c in list(prow):
                 prow[c] = mul(factor, prow[c])
+        piv_list.append((pc, pr))
+        if not gf2:
+            for i in list(col_rows.get(pc, ())):
+                row = rows[i]
+                f = row[pc]
+                for c, v in prow.items():
+                    w = sub(row.get(c, 0), f, v)
+                    if w:
+                        if c not in row:
+                            col_rows.setdefault(c, set()).add(i)
+                        row[c] = w
+                    else:
+                        if c in row:
+                            del row[c]
+                            col_rows[c].discard(i)
+            continue
+        # every GF(2) scalar is 1, so ``sub`` would flip the support: a row
+        # update is a symmetric difference, and it keeps the count current
+        live -= len(prow)
+        active -= 1
         for i in list(col_rows.get(pc, ())):
             row = rows[i]
-            f = row[pc]
-            for c, v in prow.items():
-                w = sub(row.get(c, 0), f, v)
-                if w:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(i)
-                    row[c] = w
+            live -= len(row)
+            for c in prow:
+                if c in row:
+                    del row[c]
+                    col_rows[c].discard(i)
                 else:
-                    if c in row:
-                        del row[c]
-                        col_rows[c].discard(i)
-        piv_list.append((pc, pr))
+                    row[c] = 1
+                    col_rows.setdefault(c, set()).add(i)
+            live += len(row)
+            if not row:
+                active -= 1
+        cells = active * (ncols - 1 - pc)
+        if cells >= _GF2_TAIL_MIN_CELLS and live > _GF2_TAIL_DENSITY * cells:
+            del col_rows
+            chosen = {r for _, r in piv_list}
+            return piv_list + _gf2_tail(rows, chosen, ncols)
     return piv_list
+
+
+# Over GF(2), ``_echelon`` hands the active rows to ``_gf2_tail`` once their
+# nonzeros fill this share of the cells left; from about 1/500 on, a row's
+# bitset is smaller than its dict.  Blocks under the cell floor stay on
+# dicts, where packing would cost more than it saves.
+_GF2_TAIL_DENSITY = 0.003
+_GF2_TAIL_MIN_CELLS = 1 << 16
+
+
+def _gf2_tail(rows, chosen, ncols):
+    """Finish a GF(2) forward elimination on int bitsets; returns the new ``[(col, row)]``.
+
+    Every row not in ``chosen`` is zero left of the columns still to
+    process.  Each is packed into an int with column c at bit
+    ``ncols - 1 - c``, so its leftmost column is its leading bit, read in
+    O(1) as ``bit_length()``, and a row operation is one XOR (the word
+    operations of M4RI, Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+    Sparsest first, each row is reduced against the pivots kept so far
+    until its leading bit is new, and then kept as the pivot of that
+    column.  A row that reaches a pivot with fewer nonzeros than the pivot
+    takes its place, and the sum of the two reduces on: the row space is
+    the same, and the pivot rows stay as sparse as the dict loop keeps
+    them.  The leading columns of an echelon basis are the RREF pivots of
+    its row space, so the pivots are the dict loop's.  Pivot rows are
+    written back as dicts and the others emptied; the pivots come back in
+    ascending column order, as ``_back_substitute`` needs.
+    """
+    top, size = ncols - 1, (ncols + 7) >> 3
+    packed = []
+    for i, row in enumerate(rows):
+        if row and i not in chosen:
+            # bits set in a byte buffer: OR-ing shifted ints would copy the
+            # whole row once per nonzero
+            buf = bytearray(size)
+            for c in row:
+                b = top - c
+                buf[b >> 3] |= 1 << (b & 7)
+            packed.append((len(row), i, int.from_bytes(buf, "little")))
+            rows[i] = {}
+    packed.sort()
+    lead = {}  # leading bit -> (row, packed, nonzeros)
+    for n, i, x in packed:
+        while x:
+            b = x.bit_length()
+            p = lead.get(b)
+            if p is None:
+                lead[b] = (i, x, n)
+                break
+            j, y, m = p
+            if n < m:
+                lead[b] = (i, x, n)
+                i = j
+            x ^= y
+            n = x.bit_count()
+    del packed
+    out = []
+    for b in sorted(lead, reverse=True):
+        i, x, _n = lead.pop(b)
+        bits = format(x, "b")
+        first, k = ncols - len(bits), 0
+        row = rows[i]
+        while k >= 0:
+            row[first + k] = 1
+            k = bits.find("1", k + 1)
+        out.append((ncols - b, i))
+    return out
 
 
 def _row_cells(rows) -> dict:

@@ -6,12 +6,13 @@ import time
 import pytest
 
 from hochcat import catformat, comparison, fixtures, hochschild, nerve
+from hochcat import cli as cli_module
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
 
 from .catalog import child_env
-from .test_hochschild import count_builds
+from .test_hochschild import C2_PLUS_C3_TEXT, count_builds
 
 
 
@@ -162,6 +163,31 @@ def test_cohomology_both_theories(capsys):
     assert payload["theories"]["full"] == [1, 0, 0, 0]
     assert payload["theories"]["relative"] == [1, 0, 0, 0]
     assert payload["notices"] == []
+
+
+def test_cohomology_both_eliminates_a_one_object_category_once(monkeypatch, tmp_path, capsys):
+    # one object: the relative complex is the full one, so --theory both
+    # copies the full dimensions; C2 + C3 still eliminates its relative complex
+    routes = []
+    relative_dims = cli_module.relative_cohomology_dims
+
+    def counted(cat, *args):
+        routes.append(cat.n_objects)
+        return relative_dims(cat, *args)
+
+    monkeypatch.setattr(cli_module, "relative_cohomology_dims", counted)
+    argv = ["--field", "gf:2", "--max-degree", "2", "--output", "json"]
+    _, both = cli("cohomology", "cn:4", *argv, capsys=capsys)
+    assert routes == []
+    _, relative = cli("cohomology", "cn:4", *argv, "--theory", "relative", capsys=capsys)
+    assert routes == [1]
+    theories = json.loads(both)["theories"]
+    assert theories["full"] == theories["relative"] == json.loads(relative)["theories"]["relative"]
+    path = tmp_path / "c2_plus_c3.cat"
+    path.write_text(C2_PLUS_C3_TEXT)
+    _, out = cli("cohomology", str(path), *argv, capsys=capsys)
+    assert routes == [1, 2]
+    assert json.loads(out)["theories"]["relative"] == json.loads(out)["theories"]["full"]
 
 
 def test_cohomology_falls_back_to_relative_over_cap(capsys):

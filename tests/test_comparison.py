@@ -22,6 +22,7 @@ from hochcat import (
     verify_x_chain_identity,
     x_map_matrix,
 )
+from hochcat import comparison
 from hochcat.comparison import _sign_for, t_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
@@ -213,6 +214,26 @@ def test_theorem_a_ex6_agreement(field):
         assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial
         assert rec.induced_invertible
     assert rep.verdict == "isomorphism"
+
+
+def test_theorem_a_eliminates_a_one_object_relative_complex_once(monkeypatch):
+    # with one object the relative complex is the full one: its dimensions
+    # are the full ones and no relative differential is assembled
+    built = []
+    relative = comparison.relative_differential_matrix
+
+    def counted(cat, field, m, cap=None):
+        built.append((cat.n_objects, m))
+        return relative(cat, field, m, cap)
+
+    monkeypatch.setattr(comparison, "relative_differential_matrix", counted)
+    for cat in (C2, FIXTURES["s3"], EX6):
+        for field in (GF2, QQ):
+            rep = theorem_a_report(make_context(cat, field), 1)
+            assert [rec.dim_relative for rec in rep.degrees] == \
+                relative_cohomology_dims(cat, field, 1), (cat.n_objects, str(field))
+            assert rep.verdict == "isomorphism"
+    assert built == [(EX6.n_objects, 0), (EX6.n_objects, 1)] * 2
 
 
 def test_certificates_never_write_a_basis_out_densely(monkeypatch):

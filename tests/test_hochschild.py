@@ -1,3 +1,4 @@
+import itertools
 import sys
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 from hochcat import (
     adjoint_category,
     builtin,
+    parse_category,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
     relative_basis,
@@ -19,13 +21,14 @@ from hochcat.hochschild import (
     hochschild_basis,
     hochschild_differential_entries,
     relative_differential_matrix,
+    relative_is_full,
     relative_sizes,
 )
 from hochcat.matrix import Matrix
 from hochcat.nerve import nerve_chains
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, GF5, QQ, TRIV
+from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 
 
 def count_builds(monkeypatch, memoized) -> Counter:
@@ -228,6 +231,45 @@ def test_relative_basis_sizes():
         sizes = relative_sizes(cat)
         assert [next(sizes) for _ in range(4)] == \
             [len(relative_basis(cat, m)) for m in range(4)], name
+
+
+C2_PLUS_C3_TEXT = """
+object x
+object y
+morphism ex : x -> x identity
+morphism g : x -> x
+morphism ey : y -> y identity
+morphism h : y -> y
+morphism h2 : y -> y
+compose g g = ex
+compose h h = h2
+compose h h2 = ey
+compose h2 h = ey
+compose h2 h2 = h
+"""
+
+
+def test_relative_is_full_exactly_for_one_object():
+    for name, cat in FIXTURES.items():
+        assert relative_is_full(cat, 3) == (cat.n_objects == 1), name
+    # C2 + C3: every morphism is an endomorphism, so degree 0 agrees, but
+    # 25 pairs in degree 1 against 2^2 + 3^2 composable ones
+    cat = parse_category(C2_PLUS_C3_TEXT)
+    assert list(itertools.islice(relative_sizes(cat), 2)) == [5, 13]
+    assert relative_is_full(cat, 0) and not relative_is_full(cat, 1)
+    assert relative_differential_matrix(cat, GF2, 0).nrows == 13
+
+
+def test_one_object_relative_complex_is_the_full_one():
+    # the shortcut of ``cohomology --theory both`` and ``theorem_a_report``
+    for name, cat in FIXTURES.items():
+        if cat.n_objects != 1:
+            continue
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        assert relative_is_full(cat, max_m + 1), name
+        for field in FIELDS:
+            assert hochschild_cohomology_dims(cat, field, max_m) == \
+                relative_cohomology_dims(cat, field, max_m), (name, str(field))
 
 
 def test_relative_basis_a2_degree_two_contents():

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -46,6 +47,17 @@ def test_rank_identity_gf5():
 
 def test_rank_equal_rows_gf2():
     assert mk(GF2, [[1, 1], [1, 1]]).rank() == 1
+
+
+def test_gf_p_scalars_are_reduced_on_entry():
+    # 2 = 0 in GF(2): the bitset tail reads every stored cell as a 1, so an
+    # unreduced scalar would also make it disagree with the dict loop
+    m = Matrix.from_rows(GF2, [[2, 0], [0, 1]])
+    assert m.rank() == 1
+    assert m == mk(GF2, [[0, 0], [0, 1]])
+    assert Matrix.from_entries(GF2, 2, 2, {(0, 0): 2, (1, 1): 3}) == m
+    assert Matrix.from_rows(GF5, [[-1, 7, 5]]) == \
+        Matrix.from_int_entries(GF5, 1, 3, {(0, 0): 4, (0, 1): 2})
 
 
 def test_rank_rationals_with_fractions():
@@ -628,3 +640,115 @@ def test_q_product_matches_the_fraction_product(n, k, m, data):
     product = Matrix.from_rows(QQ, a, k) @ Matrix.from_rows(QQ, b, m)
     assert product == Matrix.from_rows(QQ, dense_product(a, b, m), m)
     assert all(isinstance(v, Fraction) for _r, _c, v in product.entries())
+
+
+# --- GF(2): the bitset tail against the dict loop ---------------------------------
+
+@contextmanager
+def _tail_threshold(density, min_cells=0):
+    """Force the density at which GF(2) elimination moves to bitsets; records each switch."""
+    switches = []
+    tail = matrix._gf2_tail
+
+    def counted(rows, chosen, ncols):
+        switches.append(len(chosen))
+        return tail(rows, chosen, ncols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_GF2_TAIL_DENSITY", density)
+        patch.setattr(matrix, "_GF2_TAIL_MIN_CELLS", min_cells)
+        patch.setattr(matrix, "_gf2_tail", counted)
+        yield switches
+
+
+def _gf2_answers(m):
+    """Everything elimination reports: the RREF, the echelon pivots, the rank and the kernel."""
+    pivots, R = m.rref()
+    E_pivots, E = m.rref(reduced=False)
+    for i, row in enumerate(E.row_dicts()):
+        assert min(row) == E_pivots[i] and row[E_pivots[i]] == 1
+    assert Subspace.from_matrix(E) == Subspace(pivots, R)
+    return (pivots, R), E_pivots, m.rank(), m.kernel_basis()
+
+
+def _gf2_matrix(nrows, ncols, masks):
+    """The GF(2) matrix whose row r has a 1 at column c exactly when bit c of masks[r] is set."""
+    return Matrix(GF2, nrows, ncols,
+                  {(r, c): 1 for r, x in enumerate(masks) for c in range(ncols) if x >> c & 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=24),
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    st.data(),
+)
+def test_gf2_tail_matches_the_dict_loop(nrows, ncols, density, data):
+    # 0 moves to bitsets after the first pivot, the others part way or never
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=2 ** ncols - 1),
+                               min_size=nrows, max_size=nrows))
+    m = _gf2_matrix(nrows, ncols, masks)
+    with _tail_threshold(math.inf):
+        sparse = _gf2_answers(m)
+    with _tail_threshold(density):
+        assert _gf2_answers(m) == sparse
+    pivots, reduced = naive_rref(m.dense_rows(), 2)
+    assert sparse[0][0] == tuple(pivots) and sparse[0][1].dense_rows() == reduced
+
+
+def test_gf2_tail_runs_on_every_catalog_differential():
+    for name, cat in FIXTURES.items():
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        for complex_name, mats in _complexes(cat, GF2, max_m).items():
+            for m, d in enumerate(mats):
+                for side in (d, d.transpose()):
+                    with _tail_threshold(math.inf) as switches:
+                        sparse = _gf2_answers(side)
+                    assert not switches
+                    with _tail_threshold(0.0) as switches:
+                        assert _gf2_answers(side) == sparse, (name, complex_name, m)
+                    assert switches or sparse[2] <= 1, (name, complex_name, m)
+
+
+def test_gf2_tail_waits_for_fill_on_a_large_block():
+    # at the module's own constants: a dense 8 x 8 block is too small; a
+    # 300 x 3000 matrix with one 1 per row is too sparse while its block is
+    # large; J + I of size 300 (its own inverse over GF(2)) switches after
+    # its first pivot
+    def all_but_diagonal(n):
+        return _gf2_matrix(n, n, [(1 << n) - 1 - (1 << r) for r in range(n)])
+
+    spread = Matrix(GF2, 300, 3000, {(r, 10 * r): 1 for r in range(300)})
+    cases = [(all_but_diagonal(8), []), (spread, []), (all_but_diagonal(300), [1])]
+    for m, expected in cases:
+        with _tail_threshold(matrix._GF2_TAIL_DENSITY, matrix._GF2_TAIL_MIN_CELLS) as switches:
+            pivots, _R = m.rref(reduced=False)
+        assert switches == expected and len(pivots) == m.nrows
+
+
+def test_only_gf2_enters_the_tail(monkeypatch):
+    monkeypatch.setattr(matrix, "_GF2_TAIL_DENSITY", 0.0)
+    monkeypatch.setattr(matrix, "_GF2_TAIL_MIN_CELLS", 0)
+
+    def no_tail(*args):
+        raise AssertionError("bitset tail entered")
+
+    monkeypatch.setattr(matrix, "_gf2_tail", no_tail)
+    rows = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 2, 1], [2, 2, 2, 2]]
+    for field in (GF3, GF5, QQ):
+        m = mk(field, rows)
+        assert (m.rank(), m.kernel_basis().dim) == (m.rref()[1].nrows, 4 - m.rank())
+    # Theorem B over GF(3) and over Q, as in the benchmark's structure ops
+    d = relative_differential_matrix(FIXTURES["s3"], GF3, 1)
+    assert d.kernel_basis().dim == d.ncols - d.rank()
+    # the multimodular primes, even with 2 among them, and the Fraction fallback
+    monkeypatch.setattr(matrix, "_PRIMES", (2,) + matrix._PRIMES)
+    d = relative_differential_matrix(FIXTURES["s3"], QQ, 1)
+    assert d.rref() == fraction_rref(d)
+    monkeypatch.setattr(matrix, "_PRIMES", (5,))
+    with _routes() as (eliminations, _verdicts):
+        assert mk(QQ, [[7, 1], [14, 2]]).rref() == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
+    assert eliminations == ["modular", "fraction"]
+    with pytest.raises(AssertionError, match="bitset tail entered"):
+        mk(GF2, rows).rref()
