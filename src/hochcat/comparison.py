@@ -45,7 +45,7 @@ from .hochschild import (
     _relative_basis_cached,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
-from .nerve import _chain_index, _chains_cached, simplicial_coboundary_matrix
+from .nerve import _chain_index, _chains_cached, nerve_sizes, simplicial_coboundary_matrix
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
 DETERMINISTIC = ("left_deterministic", "right_deterministic")
@@ -318,13 +318,15 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
 
     The report is the whole certificate: per degree the three dimensions,
     the exact chain identities of T and X, and the map T induces on
-    cohomology.  Every degree's basis size is checked against the cap
-    before anything is built (relative bases are subsets of the full ones).
+    cohomology.  Every degree's Hochschild basis size and ``F^ad`` chain
+    count is checked against the cap before anything is built (relative
+    bases are subsets of the full ones).
     The map T always exists, so the report is computed for any category;
     the verdict claims only what the hypothesis tier supports, and a failed
     identity or a T that breaks a subspace makes it ``failed``.
     """
     check_sizes(hochschild_sizes(ctx.cat), max_m + 1, cap)
+    check_sizes(nerve_sizes(ctx.fad), max_m + 1, cap)
     tier = hypothesis_tier(ctx.flags)
     degrees = []
     for rec in _induced_maps(ctx, max_m, cap, tier):

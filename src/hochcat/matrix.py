@@ -1,9 +1,13 @@
 """Exact matrices over GF(p) or Q with deterministic elimination.
 
-Entries live in a canonical map from (row, col) to nonzero scalar.  There
-is one elimination engine: reduction on row dicts with column-indexed
-bookkeeping and Markowitz-style row selection, generic over the field
-through three scalar hooks (ints mod p for GF(p), Fractions for Q).
+A matrix is its nonzero rows: ``Matrix.rows`` maps a row index to a dict
+column -> nonzero scalar, and holds no empty row (the differentials of a
+poset are mostly zero rows).  Elimination, products, subspace residues and
+the multimodular lift all work on these row dicts, so no operation
+converts between formats.  There is one elimination engine: reduction on
+row dicts with column-indexed bookkeeping and Markowitz-style row
+selection, generic over the field through three scalar hooks (ints mod p
+for GF(p), Fractions for Q).
 
 Over Q, ``Matrix.rref`` eliminates modulo primes, lifts and certifies.  It
 clears each row's denominators, runs the engine modulo word-size primes
@@ -14,7 +18,7 @@ integer matrix, a lift that passes spans the row space and is the
 canonical RREF, whichever primes produced it.  Only when no prime of the
 fixed list verifies does the engine run on Fractions.  Products over Q
 scale both factors to integers by their common denominators, accumulate
-on ints and build one Fraction per output cell.
+on ints and build one Fraction per distinct output numerator.
 
 Columns are processed left to right, so the pivot columns are the RREF
 pivots, and the result is the canonical reduced row echelon form (RREF is
@@ -66,16 +70,18 @@ from .fields import QQ, FieldSpec
 class Matrix:
     """Immutable exact matrix.  Build via the ``from_*`` constructors."""
 
-    def __init__(self, field: FieldSpec, nrows: int, ncols: int, cells: dict):
-        """Take ownership of ``cells``, a map (r, c) -> scalar with no zero values.
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows: dict):
+        """Take ownership of ``rows``, a map row -> {col: scalar} of the nonzero rows.
 
-        The map is kept as given, not copied: every caller drops zeros
-        itself, and a zero cell would break equality and ``nnz``.
+        The map is kept as given, not copied: every caller drops zero
+        scalars and empty rows itself, and either would break equality and
+        ``nnz``.  Rows are never mutated once they are a matrix's, so
+        matrices may share them.
         """
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self._cells = cells
+        self.rows = rows
 
     # --- constructors -------------------------------------------------------
 
@@ -87,51 +93,51 @@ class Matrix:
         """
         p = field.p
         items = entries.items() if hasattr(entries, "items") else entries
-        cells = {}
+        rows = {}
         for (r, c), v in items:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r}, {c}) outside {nrows}x{ncols}")
             if p is not None:
                 v %= p
             if v != 0:
-                cells[r, c] = v
-        return cls(field, nrows, ncols, cells)
+                rows.setdefault(r, {})[c] = v
+        return cls(field, nrows, ncols, rows)
 
     @classmethod
     def from_int_entries(cls, field, nrows, ncols, entries) -> "Matrix":
         """Reduce integer entries into the field; drops entries that map to 0.
 
         Entries are small integers that repeat, so each distinct one becomes
-        a scalar once and the cells share it (scalars are immutable).
+        a scalar once, tested against zero once, and the cells share it
+        (scalars are immutable).  A zero scalar is kept as None.
         """
         items = entries.items() if hasattr(entries, "items") else entries
-        cells, scalars = {}, {}
+        rows, scalars = {}, {}
         for (r, c), n in items:
-            v = scalars.get(n)
-            if v is None:
-                v = scalars[n] = field.scalar(n)
-            if v != 0:
-                cells[r, c] = v
-        return cls(field, nrows, ncols, cells)
+            if n not in scalars:
+                v = field.scalar(n)
+                scalars[n] = v if v != 0 else None
+            v = scalars[n]
+            if v is not None:
+                rows.setdefault(r, {})[c] = v
+        return cls(field, nrows, ncols, rows)
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
         """Dense rows of field scalars; over GF(p) each is reduced mod p."""
         p = field.p
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        cells = {}
+        out = {}
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if p is not None:
-                    v %= p
-                if v != 0:
-                    cells[i, j] = v
-        return cls(field, nrows, ncols, cells)
+            if p is not None:
+                row = [v % p for v in row]
+            if nonzero := {j: v for j, v in enumerate(row) if v != 0}:
+                out[i] = nonzero
+        return cls(field, len(rows), ncols, out)
 
     @classmethod
     def zeros(cls, field, nrows, ncols) -> "Matrix":
@@ -140,34 +146,30 @@ class Matrix:
     @classmethod
     def identity(cls, field, n) -> "Matrix":
         one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)})
+        return cls(field, n, n, {i: {i: one} for i in range(n)})
 
     # --- access ---------------------------------------------------------------
 
     @property
     def nnz(self) -> int:
-        return len(self._cells)
+        return sum(map(len, self.rows.values()))
 
     def entries(self):
         """Iterate ``(r, c, value)`` sorted by (r, c)."""
-        for (r, c) in sorted(self._cells):
-            yield r, c, self._cells[r, c]
-
-    def row_dicts(self) -> list[dict]:
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self._cells.items():
-            rows[r][c] = v
-        return rows
+        for r, row in sorted(self.rows.items()):
+            for c in sorted(row):
+                yield r, c, row[c]
 
     def dense_rows(self) -> list[list]:
         zero = self.field.zero
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self._cells.items():
-            rows[r][c] = v
-        return rows
+        dense = [[zero] * self.ncols for _ in range(self.nrows)]
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                dense[r][c] = v
+        return dense
 
     def is_zero(self) -> bool:
-        return not self._cells
+        return not self.rows
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,11 +177,11 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self._cells == other._cells
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, tuple(sorted(self._cells.items()))))
+        return hash((self.field, self.nrows, self.ncols, tuple(self.entries())))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -188,31 +190,32 @@ class Matrix:
         """First (r, c, self_val, other_val) where the matrices differ, or None."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return (-1, -1, (self.nrows, self.ncols), (other.nrows, other.ncols))
-        if self._cells == other._cells:
+        if self.rows == other.rows:
             return None
-        for key in sorted(set(self._cells) | set(other._cells)):
-            a = self._cells.get(key, self.field.zero)
-            b = other._cells.get(key, other.field.zero)
+        for r in sorted(self.rows.keys() | other.rows.keys()):
+            a, b = self.rows.get(r, {}), other.rows.get(r, {})
             if a != b:
-                return (key[0], key[1], a, b)
+                c = min(c for c in a.keys() | b.keys() if a.get(c) != b.get(c))
+                return (r, c, a.get(c, self.field.zero), b.get(c, other.field.zero))
         return None
 
     # --- algebra -----------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.ncols, self.nrows,
-            {(c, r): v for (r, c), v in self._cells.items()},
-        )
+        cols = {}
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                cols.setdefault(c, {})[r] = v
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def scaled(self, s) -> "Matrix":
         if s == 1:
             return self  # immutable, so sharing is safe
         if s == 0:
             return Matrix.zeros(self.field, self.nrows, self.ncols)
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      {k: f.mul(s, v) for k, v in self._cells.items()})
+        mul = self.field.mul
+        return Matrix(self.field, self.nrows, self.ncols,
+                      {r: {c: mul(s, v) for c, v in row.items()} for r, row in self.rows.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -223,59 +226,59 @@ class Matrix:
         rows_a, den_a = self._integer_rows()
         rows_b, den_b = other._integer_rows()
         den = den_a * den_b
-        cells = {}
-        for i, ra in enumerate(rows_a):
-            if not ra:
-                continue
+        out, fractions = {}, {}  # over Q: one Fraction per distinct numerator
+        for i, ra in rows_a.items():
             acc = {}
             for k, v in ra.items():
-                rb = rows_b[k]
-                if not rb:
+                rb = rows_b.get(k)
+                if rb is None:
                     continue
                 for j, w in rb.items():
                     acc[j] = acc.get(j, 0) + v * w
+            row = {}
             if p is not None:
                 for j, v in acc.items():
-                    v %= p
-                    if v:
-                        cells[i, j] = v
+                    if v := v % p:
+                        row[j] = v
             else:
                 for j, v in acc.items():
                     if v:
-                        cells[i, j] = Fraction(v, den)
-        return Matrix(self.field, self.nrows, other.ncols, cells)
+                        f = fractions.get(v)
+                        if f is None:
+                            f = fractions[v] = Fraction(v, den)
+                        row[j] = f
+            if row:
+                out[i] = row
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
-    def _integer_rows(self) -> tuple[list[dict], int]:
-        """``(rows, L)``: integer row dicts with ``self = rows / L``.
+    def _integer_rows(self) -> tuple[dict, int]:
+        """``(rows, L)``: integer rows with ``self = rows / L``.
 
-        Over GF(p) the cells are ints already and L is 1; over Q, L is the
-        common denominator of the cells.
+        Over GF(p) the scalars are ints already: the rows are ``self.rows``
+        and L is 1.  Over Q, L is the common denominator of the scalars.
         """
         if self.field.is_prime_field:
-            return self.row_dicts(), 1
-        den = lcm(*{v.denominator for v in self._cells.values()})
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self._cells.items():
-            rows[r][c] = v.numerator * (den // v.denominator)
-        return rows, den
+            return self.rows, 1
+        den = lcm(*{v.denominator for row in self.rows.values() for v in row.values()})
+        return {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+                for r, row in self.rows.items()}, den
 
     def _cleared_rows(self) -> list[dict]:
-        """The nonzero rows over Q, each times the LCM of its denominators.
+        """The nonzero rows over Q by row index, each times the LCM of its denominators.
 
         Scaling a row keeps the row space, and the rows become integers.
         """
-        cells = self._cells
-        rows = [dict() for _ in range(self.nrows)]
-        dens = {}
-        for (r, c), v in cells.items():
-            rows[r][c] = v.numerator
-            if v.denominator != 1:
-                dens[r] = lcm(dens.get(r, 1), v.denominator)
-        for r, den in dens.items():
-            row = rows[r]
-            for c, n in row.items():
-                row[c] = n * (den // cells[r, c].denominator)
-        return [row for row in rows if row]
+        out = []
+        for _, row in sorted(self.rows.items()):
+            nums, den = {}, 1
+            for c, v in row.items():
+                nums[c], d = v.as_integer_ratio()
+                if d != 1:
+                    den = lcm(den, d)
+            if den != 1:
+                nums = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+            out.append(nums)
+        return out
 
     # --- elimination ------------------------------------------------------------
 
@@ -291,17 +294,18 @@ class Matrix:
         a modular echelon form only bounds the rank over Q from below.
         """
         if self.field.is_prime_field:
-            rows = [r for r in self.row_dicts() if r]
+            # copies, in ascending row index: the engine works in place,
+            # and its ties are broken by position
+            rows = [dict(self.rows[r]) for r in sorted(self.rows)]
             hooks = _scalar_hooks(self.field)
             piv_list = _echelon(rows, self.ncols, *hooks, gf2=self.field.p == 2)
             if reduced:
                 pivots, rows = _back_substitute(rows, piv_list, hooks[2])
             else:
                 pivots, rows = _in_pivot_order(rows, piv_list)
-            cells = _row_cells(rows)
         else:
-            pivots, cells = _rref_multimodular(self)
-        return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, cells)
+            pivots, rows = _rref_multimodular(self)
+        return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, dict(enumerate(rows)))
 
     def rank(self) -> int:
         """Row rank, eliminated on the side with fewer rows.
@@ -321,12 +325,13 @@ class Matrix:
         free = [c for c in range(self.ncols) if c not in pivset]
         # one vector per free column j: 1 at j, -R[i][j] at pivots[i]
         row_of = {j: k for k, j in enumerate(free)}
-        cells = {(k, j): f.one for k, j in enumerate(free)}
-        for (i, j), v in R._cells.items():
-            k = row_of.get(j)
-            if k is not None:
-                cells[k, pivots[i]] = f.neg(v)
-        return Subspace.from_matrix(Matrix(f, len(free), self.ncols, cells))
+        rows = {k: {j: f.one} for k, j in enumerate(free)}
+        for i, row in R.rows.items():
+            for j, v in row.items():
+                k = row_of.get(j)
+                if k is not None:
+                    rows[k][pivots[i]] = f.neg(v)
+        return Subspace.from_matrix(Matrix(f, len(free), self.ncols, rows))
 
     def image_basis(self) -> "Subspace":
         """Canonical basis of the column space."""
@@ -525,19 +530,6 @@ def _gf2_tail(rows, chosen, ncols):
     return out
 
 
-def _row_cells(rows) -> dict:
-    """The ``(r, c) -> value`` map of a list of row dicts.
-
-    Each row is freed once copied: RREF fill can be dense.
-    """
-    cells = {}
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            cells[i, c] = v
-        rows[i] = None
-    return cells
-
-
 def _back_substitute(rows, piv_list, sub):
     """Clear pivot-column contamination from pivot rows and emit RREF order.
 
@@ -584,7 +576,7 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
 
 def _rref_multimodular(m: Matrix):
-    """Canonical RREF of a matrix over Q: ``(pivots, cells)`` in Fractions.
+    """Canonical RREF of a matrix over Q: ``(pivots, rows)``, rows of Fractions in pivot order.
 
     Each prime's RREF of ``m._cleared_rows()`` is combined by CRT with the
     earlier ones that share its pivots; a prime with a larger rank, or the
@@ -614,19 +606,17 @@ def _rref_multimodular(m: Matrix):
             break
     else:
         rows = [{c: Fraction(v) for c, v in row.items()} for row in m._cleared_rows()]
-        pivots, rows = _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
-        return pivots, _row_cells(rows)
-    del residues  # the lift holds the same entries; free these before the cells exist
+        return _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
+    del residues  # the lift holds the same entries; free these before the Fractions exist
     num, den = lifted
-    cells, fractions = {}, {}  # RREF entries repeat: one Fraction per distinct value
-    for i, row in enumerate(num):
+    fractions = {}  # RREF entries repeat: one Fraction per distinct value
+    for row in num:
         for c, v in row.items():
             f = fractions.get(v)
             if f is None:
                 f = fractions[v] = Fraction(v, den)
-            cells[i, c] = f
-        num[i] = None
-    return pivots, cells
+            row[c] = f
+    return pivots, num
 
 
 def _crt(rows_a, mod_a, rows_b, mod_b):
@@ -744,28 +734,35 @@ class Subspace:
         """The row space of ``m``."""
         return Subspace(*m.rref())
 
-    def residues(self, vectors: Matrix) -> list[dict]:
+    def residues(self, vectors: Matrix) -> Matrix:
         """Each row ``v`` of ``vectors`` minus ``v[pivots[i]]`` times basis row i, for all i.
 
         Basis rows vanish at each other's pivots, so the residue is zero at
         every pivot column; ``v`` lies in the subspace exactly when its
-        residue is empty, and then ``v[pivots[i]]`` are its coordinates.
+        residue row is zero, and then ``v[pivots[i]]`` are its coordinates.
+        A row with no entry at a pivot is its own residue and is shared,
+        not copied.
         """
         if vectors.ncols != self.ambient_dim:
             raise ValueError("vector length mismatch")
         sub = _scalar_hooks(self.field)[2]
-        rows = self.basis.row_dicts()
+        basis = self.basis.rows
         row_of = {p: i for i, p in enumerate(self.pivots)}
-        out = vectors.row_dicts()
-        for v in out:
-            for c, a in [(c, a) for c, a in v.items() if c in row_of]:
-                for j, w in rows[row_of[c]].items():
-                    x = sub(v.get(j, 0), a, w)
-                    if x:
-                        v[j] = x
-                    else:
-                        del v[j]
-        return out
+        out = {}
+        for r, v in vectors.rows.items():
+            hits = [(c, a) for c, a in v.items() if c in row_of]
+            if hits:
+                v = dict(v)
+                for c, a in hits:
+                    for j, w in basis[row_of[c]].items():
+                        x = sub(v.get(j, 0), a, w)
+                        if x:
+                            v[j] = x
+                        else:
+                            del v[j]
+            if v:
+                out[r] = v
+        return Matrix(self.field, vectors.nrows, vectors.ncols, out)
 
 
 def quotient_dim(Z: Subspace, B: Subspace) -> int:
@@ -776,7 +773,7 @@ def quotient_dim(Z: Subspace, B: Subspace) -> int:
     """
     if Z.ambient_dim != B.ambient_dim or Z.field != B.field:
         raise NotASubspace("ambient space mismatch")
-    if any(Z.residues(B.basis)):
+    if not Z.residues(B.basis).is_zero():
         raise NotASubspace("claimed subspace is not contained in the ambient one")
     return Z.dim - B.dim
 
@@ -838,25 +835,26 @@ def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
     q_src, q_dst = quotient_dim(Z_src, B_src), quotient_dim(Z_dst, B_dst)
     f = T.field
     images = Z_src.basis @ T.transpose()   # row i: T applied to basis row i of Z_src
-    if any(Z_dst.residues(images)):
+    if not Z_dst.residues(images).is_zero():
         raise NotChainCompatible("map does not preserve cocycles")
     # a row b of B_src is the combination b[pivot] of the Z_src rows, so
-    # T(b) is the same combination of their images
+    # T(b) is the same combination of their images (B <= Z, so no row of
+    # B_src has all-zero coordinates)
     row_of = {p: i for i, p in enumerate(Z_src.pivots)}
     coords = Matrix(f, B_src.dim, Z_src.dim,
-                    {(r, row_of[c]): v for (r, c), v in B_src.basis._cells.items()
-                     if c in row_of})
-    if any(B_dst.residues(coords @ images)):
+                    {r: {row_of[c]: v for c, v in row.items() if c in row_of}
+                     for r, row in B_src.basis.rows.items()})
+    if not B_dst.residues(coords @ images).is_zero():
         raise NotChainCompatible("map does not preserve coboundaries")
     # coordinates of image + B_dst in the canonical complement basis of B_dst
-    reps = B_dst.residues(images)
+    reps = B_dst.residues(images).rows
     r_of = {Z_dst.pivots[i]: r for r, i in enumerate(_quotient_pivot_index(Z_dst, B_dst))}
-    cells = {}
+    rows = {}
     for j, i in enumerate(_quotient_pivot_index(Z_src, B_src)):
-        for c, v in reps[i].items():
+        for c, v in reps.get(i, {}).items():
             r = r_of.get(c)
             if r is not None:
-                cells[r, j] = v
-    Q = Matrix(f, q_dst, q_src, cells)
+                rows.setdefault(r, {})[j] = v
+    Q = Matrix(f, q_dst, q_src, rows)
     invertible = q_src == q_dst and Q.rank() == q_src
     return Q, invertible

@@ -12,6 +12,8 @@ The coboundary of a scalar cochain f is
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
 from .matrix import Matrix, cohomology_dims
@@ -29,6 +31,23 @@ def _chains_cached(cat: FiniteCategory, m: int) -> tuple:
     for _ in range(m - 1):
         chains = [chain + (g,) for chain in chains for g in by_source[target[chain[-1]]]]
     return tuple(chains)
+
+
+def nerve_sizes(cat: FiniteCategory):
+    """Yield the number of degree-m chains for m = 0, 1, .. without listing any.
+
+    With ``A[x][y] = |Hom(x, y)|`` the count is ``1ᵀ A^m 1``.  ``ends[y]``
+    counts the chains that end at y; one vector-matrix product with A
+    extends them by a degree.
+    """
+    hom = Counter(zip(cat.source, cat.target))
+    ends = [1] * cat.n_objects
+    while True:
+        yield sum(ends)
+        nxt = [0] * cat.n_objects
+        for (x, y), n in hom.items():
+            nxt[y] += ends[x] * n
+        ends = nxt
 
 
 def nerve_chains(cat: FiniteCategory, m: int) -> list:

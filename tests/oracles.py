@@ -99,10 +99,10 @@ def fraction_rref(m):
     from hochcat.fields import QQ
     from hochcat.matrix import Matrix, _rref_sparse, _scalar_hooks
 
-    rows = [{c: Fraction(v) for c, v in r.items()} for r in m.row_dicts() if r]
+    rows = [{c: Fraction(v) for c, v in m.rows[r].items()} for r in sorted(m.rows)]
     pivots, rows = _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
     cells = {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
-    return tuple(pivots), Matrix(QQ, len(pivots), m.ncols, cells)
+    return tuple(pivots), Matrix.from_entries(QQ, len(pivots), m.ncols, cells)
 
 
 def fraction_kernel(m):
@@ -114,10 +114,10 @@ def fraction_kernel(m):
     free = [c for c in range(m.ncols) if c not in set(pivots)]
     row_of = {j: k for k, j in enumerate(free)}
     cells = {(k, j): Fraction(1) for k, j in enumerate(free)}
-    for (i, j), v in R._cells.items():
+    for i, j, v in R.entries():
         if j in row_of:
             cells[row_of[j], pivots[i]] = -v
-    return fraction_rref(Matrix(m.field, len(free), m.ncols, cells))
+    return fraction_rref(Matrix.from_entries(m.field, len(free), m.ncols, cells))
 
 
 def dense_product(a_rows, b_rows, ncols):

@@ -3,6 +3,8 @@
 A public name must be read by some package module other than ``__init__``
 (counted on the syntax tree, as a name or an attribute, so strings and
 comments never count), or be named in code in README's "Library" section.
+A private helper (a function, method or class named ``_x``, dunders
+aside) must be read somewhere in the package, counted the same way.
 """
 
 import ast
@@ -15,18 +17,28 @@ SRC = os.path.dirname(os.path.abspath(hochcat.__file__))
 README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
 
 
-def names_read_by_the_engine() -> set:
-    used = set()
-    for fname in os.listdir(SRC):
-        if fname.endswith(".py") and fname != "__init__.py":
+def module_trees():
+    """``(file name, syntax tree)`` of every package module."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
             with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                yield fname, ast.parse(fh.read())
+
+
+def names_read(tree) -> set:
+    """Every name and attribute read in ``tree``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     return used
+
+
+def names_read_by_the_engine() -> set:
+    return set().union(*(names_read(tree) for fname, tree in module_trees()
+                         if fname != "__init__.py"))
 
 
 def names_documented_as_library() -> set:
@@ -41,3 +53,15 @@ def test_every_public_name_is_used_or_documented():
     allowed = names_read_by_the_engine() | names_documented_as_library()
     assert sorted(set(hochcat.__all__) - allowed) == []
     assert all(hasattr(hochcat, name) for name in hochcat.__all__)
+
+
+def test_every_private_helper_is_read():
+    defined, read = [], set()
+    for fname, tree in module_trees():
+        read |= names_read(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.append((fname, node.name))
+    assert [(fname, name) for fname, name in defined if name not in read] == []

@@ -32,10 +32,10 @@ from hochcat.hochschild import (
     relative_basis,
 )
 from hochcat.matrix import Matrix
-from hochcat.nerve import simplicial_coboundary_entries
+from hochcat.nerve import _chains_cached, simplicial_coboundary_entries
 
 from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
-from .test_category import collapse
+from .test_category import collapse, z_monoid
 from .test_hochschild import count_builds
 
 HYPOTHESIS_FIXTURES = ("triv", "a2", "c2", "cn:3", "s3", "chain:3", "diamond", "ex6")
@@ -271,6 +271,18 @@ def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
     with pytest.raises(DimensionCapExceeded) as refused:
         theorem_a_report(make_context(cat, GF2), 10, cap=256)
     assert (refused.value.degree, refused.value.required) == (8, 512)
+    assert not any(builds)
+
+
+def test_theorem_a_caps_the_fad_nerve(monkeypatch):
+    # {e, z} with z∘z = z: degree m has 2^(m+1) Hochschild cochains but
+    # 2·3^m F^ad chains, so only the nerve count passes 100, in degree 4
+    ctx = make_context(z_monoid(), GF2)
+    builds = [count_builds(monkeypatch, fn) for fn in
+              (hochschild_differential_entries, simplicial_coboundary_entries, _chains_cached)]
+    with pytest.raises(DimensionCapExceeded) as refused:
+        theorem_a_report(ctx, 4, cap=100)
+    assert (refused.value.degree, refused.value.required) == (4, 162)
     assert not any(builds)
 
 

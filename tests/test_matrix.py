@@ -89,11 +89,13 @@ def test_rank_never_back_substitutes_over_gf_p(field, monkeypatch):
 def test_int_entries_share_one_scalar_per_integer():
     entries = {(0, 0): 3, (1, 2): 3, (0, 1): -2, (1, 0): -2, (1, 1): 0, (0, 2): 7}
     m = Matrix.from_int_entries(QQ, 2, 3, entries)
-    assert m._cells[0, 0] is m._cells[1, 2] and m._cells[0, 1] is m._cells[1, 0]
-    assert m._cells == {k: QQ.scalar(n) for k, n in entries.items() if n}
-    assert all(type(v) is Fraction for v in m._cells.values())
+    assert m.rows[0][0] is m.rows[1][2] and m.rows[0][1] is m.rows[1][0]
+    assert {(r, c): v for r, c, v in m.entries()} == {
+        k: QQ.scalar(n) for k, n in entries.items() if n}
+    assert all(type(v) is Fraction for _r, _c, v in m.entries())
     g = Matrix.from_int_entries(GF3, 2, 3, entries)
-    assert g._cells == {k: GF3.scalar(n) for k, n in entries.items() if n % 3}
+    assert {(r, c): v for r, c, v in g.entries()} == {
+        k: GF3.scalar(n) for k, n in entries.items() if n % 3}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -349,8 +351,7 @@ def test_rref_matches_oracle_property(nrows, ncols, field, data):
             v = data.draw(st.integers(min_value=-3, max_value=3))
             if v:
                 cells[r, c] = field.scalar(v)
-    cells = {k: v for k, v in cells.items() if v != 0}
-    m = Matrix(field, nrows, ncols, dict(cells))
+    m = Matrix.from_entries(field, nrows, ncols, cells)
     rows = m.dense_rows()
     pivots, reduced = naive_rref(rows, field.p)
     R_pivots, R = m.rref()
@@ -361,7 +362,7 @@ def test_rref_matches_oracle_property(nrows, ncols, field, data):
         # an echelon form: the RREF pivots, each row starting at its unit
         # pivot, spanning the same row space
         assert E_pivots == tuple(pivots)
-        for i, row in enumerate(E.row_dicts()):
+        for i, row in E.rows.items():
             assert min(row) == E_pivots[i] and row[E_pivots[i]] == 1
         assert Subspace.from_matrix(E) == Subspace(R_pivots, R)
     else:
@@ -388,8 +389,7 @@ def test_rank_equals_transpose_rank(nrows, ncols, field, data):
             v = data.draw(st.integers(min_value=-2, max_value=2))
             if v:
                 cells[r, c] = field.scalar(v)
-    cells = {k: v for k, v in cells.items() if v != 0}
-    m = Matrix(field, nrows, ncols, cells)
+    m = Matrix.from_entries(field, nrows, ncols, cells)
     assert m.rank() == m.transpose().rank()
     assert m.kernel_basis().dim + m.rank() == m.ncols
 
@@ -412,9 +412,56 @@ def test_rank_is_taken_on_either_side(short, extra, tall, field, data):
             v = field.scalar(data.draw(st.integers(min_value=-2, max_value=2)))
             if v != 0:
                 cells[r, c] = v
-    m = Matrix(field, nrows, ncols, cells)
+    m = Matrix.from_entries(field, nrows, ncols, cells)
     pivots, _reduced = naive_rref(m.dense_rows(), field.p)
     assert m.rank() == m.transpose().rank() == len(pivots)
+
+
+def _well_formed(m):
+    """``m.rows`` holds nonzero rows of nonzero scalars, every index in range."""
+    for r, row in m.rows.items():
+        assert row and 0 <= r < m.nrows
+        assert all(0 <= c < m.ncols and v != 0 for c, v in row.items())
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([GF2, GF3, QQ]),
+    st.data(),
+)
+def test_every_operation_keeps_the_row_format(nrows, ncols, width, field, data):
+    def ints(r, c):
+        return [[data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(c)]
+                for _ in range(r)]
+
+    dense = ints(nrows, ncols)
+    scalars = [[field.scalar(v) for v in row] for row in dense]
+    cells = {(r, c): v for r, row in enumerate(scalars) for c, v in enumerate(row)}
+    a = Matrix.from_rows(field, scalars, ncols)
+    # zero entries are offered to every constructor, and each drops them
+    made = [
+        a,
+        Matrix.from_entries(field, nrows, ncols, cells),
+        Matrix.from_int_entries(field, nrows, ncols,
+                                {(r, c): n for r, row in enumerate(dense) for c, n in enumerate(row)}),
+    ]
+    assert made[1] == made[2] == a
+    b = Matrix.from_rows(field, [[field.scalar(v) for v in row] for row in ints(ncols, width)], width)
+    s = field.scalar(data.draw(st.integers(min_value=-3, max_value=3)))
+    ker = a.kernel_basis()
+    results = made + [
+        Matrix.zeros(field, nrows, ncols), Matrix.identity(field, ncols),
+        a.transpose(), a.scaled(s), a @ b, a.rref()[1], a.rref(reduced=False)[1],
+        ker.basis, a.image_basis().basis, ker.residues(a),
+    ]
+    assert all(_well_formed(m) for m in results)
+    # a product that cancels to zero holds no row at all
+    assert a @ ker.basis.transpose() == Matrix.zeros(field, nrows, ker.dim)
+    assert (a @ ker.basis.transpose()).rows == {}
 
 
 FIELD_OF_PRIME = {2: GF2, 3: GF3, 5: GF5}
@@ -491,8 +538,8 @@ def _q_complexes():
 
 def _with_denominators(m):
     """``m`` with cell (r, c) divided by 1 + (r + c) % 3: mixed denominators in a row."""
-    return Matrix(QQ, m.nrows, m.ncols,
-                  {(r, c): v / (1 + (r + c) % 3) for (r, c), v in m._cells.items()})
+    return Matrix.from_entries(QQ, m.nrows, m.ncols,
+                               {(r, c): v / (1 + (r + c) % 3) for r, c, v in m.entries()})
 
 
 def _q_spaces(m):
@@ -665,7 +712,7 @@ def _gf2_answers(m):
     """Everything elimination reports: the RREF, the echelon pivots, the rank and the kernel."""
     pivots, R = m.rref()
     E_pivots, E = m.rref(reduced=False)
-    for i, row in enumerate(E.row_dicts()):
+    for i, row in E.rows.items():
         assert min(row) == E_pivots[i] and row[E_pivots[i]] == 1
     assert Subspace.from_matrix(E) == Subspace(pivots, R)
     return (pivots, R), E_pivots, m.rank(), m.kernel_basis()
@@ -673,8 +720,9 @@ def _gf2_answers(m):
 
 def _gf2_matrix(nrows, ncols, masks):
     """The GF(2) matrix whose row r has a 1 at column c exactly when bit c of masks[r] is set."""
-    return Matrix(GF2, nrows, ncols,
-                  {(r, c): 1 for r, x in enumerate(masks) for c in range(ncols) if x >> c & 1})
+    return Matrix.from_entries(
+        GF2, nrows, ncols,
+        {(r, c): 1 for r, x in enumerate(masks) for c in range(ncols) if x >> c & 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -719,7 +767,7 @@ def test_gf2_tail_waits_for_fill_on_a_large_block():
     def all_but_diagonal(n):
         return _gf2_matrix(n, n, [(1 << n) - 1 - (1 << r) for r in range(n)])
 
-    spread = Matrix(GF2, 300, 3000, {(r, 10 * r): 1 for r in range(300)})
+    spread = Matrix.from_entries(GF2, 300, 3000, {(r, 10 * r): 1 for r in range(300)})
     cases = [(all_but_diagonal(8), []), (spread, []), (all_but_diagonal(300), [1])]
     for m, expected in cases:
         with _tail_threshold(matrix._GF2_TAIL_DENSITY, matrix._GF2_TAIL_MIN_CELLS) as switches:

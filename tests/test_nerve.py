@@ -10,6 +10,7 @@ from hochcat import (
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
 )
+from hochcat.nerve import nerve_sizes
 
 from . import oracles
 from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, QQ, TRIV
@@ -37,6 +38,14 @@ def test_chain_degree_is_not_bounded_by_the_recursion_limit():
     # the trivial category has one chain, of identities, in every degree
     m = sys.getrecursionlimit() + 50
     assert nerve_chains(builtin("triv"), m) == [(0,) * m]
+
+
+def test_nerve_sizes_count_the_chains():
+    for name, cat in FIXTURES.items():
+        for c in (cat, adjoint_category(cat)):
+            sizes = nerve_sizes(c)
+            assert [next(sizes) for _ in range(4)] == \
+                [len(nerve_chains(c, m)) for m in range(4)], name
 
 
 def test_chains_are_composable():
