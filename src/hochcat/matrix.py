@@ -4,10 +4,13 @@ A matrix is its nonzero rows: ``Matrix.rows`` maps a row index to a dict
 column -> nonzero scalar, and holds no empty row (the differentials of a
 poset are mostly zero rows).  Elimination, products, subspace residues and
 the multimodular lift all work on these row dicts, so no operation
-converts between formats.  There is one elimination engine: reduction on
-row dicts with column-indexed bookkeeping and Markowitz-style row
-selection, generic over the field through three scalar hooks (ints mod p
-for GF(p), Fractions for Q).
+converts between formats.  Elimination is generic over the field through
+three scalar hooks (ints mod p for GF(p), Fractions for Q), and
+``_rref_sparse`` picks its route by shape alone: the column sweep
+(``_echelon``, with column-indexed bookkeeping and Markowitz-style row
+selection, then ``_back_substitute``) for wide and square matrices and
+over GF(2), and a row-by-row reduction against a reduced basis
+(``_rref_by_rows``) for tall matrices over odd p and Q.
 
 Over Q, ``Matrix.rref`` eliminates modulo primes, lifts and certifies.  It
 clears each row's denominators, runs the engine modulo word-size primes
@@ -20,11 +23,21 @@ fixed list verifies does the engine run on Fractions.  Products over Q
 scale both factors to integers by their common denominators, accumulate
 on ints and build one Fraction per distinct output numerator.
 
-Columns are processed left to right, so the pivot columns are the RREF
-pivots, and the result is the canonical reduced row echelon form (RREF is
-unique for a given row space).  Ranks, kernels and reported bases are
+The sweep processes columns left to right, so the pivot columns are the
+RREF pivots, and the result is the canonical reduced row echelon form (RREF
+is unique for a given row space).  Ranks, kernels and reported bases are
 therefore determined by the matrix alone.  Pivot choice is deterministic:
 the sparsest usable row, ties broken by row index.
+
+A tall matrix, such as Theorem B's ``d_1`` and ``δ^1`` (13,824 x 576 for
+``s4``, rank about 560), is mostly dependent rows.  The sweep updates each
+of them once per pivot column it meets; the row-by-row route instead
+clears each row, sparsest first, against the basis found so far, which is
+kept reduced, and a nonzero residue joins it as a new pivot row.  The
+leading columns of an echelon basis are the RREF pivots, so this route
+returns the same canonical RREF.  On the ``s4`` kernels it is 3-4x faster
+over GF(3) and modulo each prime of Q; on wide matrices it is 2-3x slower,
+and over GF(2) the sweep's bitset tail beats it, hence the shape rule.
 
 Over GF(2) the engine switches from sparse to dense once fill sets in, as
 in Dumas and Villard, *Computing the rank of large sparse matrices over
@@ -37,12 +50,14 @@ kernels do not depend on where the switch happens.  GF(p) for odd p and
 Q never count the fill and never switch.
 
 A rank is a forward elimination and nothing more: the number of pivots of
-any echelon form, so over GF(p) ``Matrix.rank`` skips the back-substitution
-sweep (``rref(reduced=False)``), which on a large differential triples the
-nonzeros of the pivot rows.  Only the consumers of the canonical RREF
-(kernels, images, ``Subspace``) back-substitute.  The rank still goes
-through ``Matrix.rref``, so that one entry point sees, and a tracer that
-wraps it counts, every elimination.
+any echelon form, so over GF(p) ``Matrix.rank`` sweeps the side with fewer
+rows and skips back-substitution (``rref(reduced=False)``), which on a
+large differential triples the nonzeros of the pivot rows.  Only the
+consumers of the canonical RREF (kernels, images, ``Subspace``)
+back-substitute.  Over Q the rank is that of the certified RREF, so it is
+taken on the matrix as it stands: a tall one goes row by row.  The rank
+still goes through ``Matrix.rref``, so that one entry point sees, and a
+tracer that wraps it counts, every elimination.
 
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
 rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
@@ -53,8 +68,10 @@ comparison map needs, with the dimension.
 A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
 and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
 containment and coordinates all come from one sparse step, clearing a
-vector's pivot columns with the basis rows (``Subspace.residues``), so no
-basis vector is ever written out densely.
+vector's pivot columns with the basis rows (``_residue``, through
+``Subspace.residues``), so no basis vector is ever written out densely.
+The same step checks a multimodular lift and reduces each row of a tall
+matrix.
 """
 
 from __future__ import annotations
@@ -298,24 +315,27 @@ class Matrix:
             # and its ties are broken by position
             rows = [dict(self.rows[r]) for r in sorted(self.rows)]
             hooks = _scalar_hooks(self.field)
-            piv_list = _echelon(rows, self.ncols, *hooks, gf2=self.field.p == 2)
+            gf2 = self.field.p == 2
             if reduced:
-                pivots, rows = _back_substitute(rows, piv_list, hooks[2])
+                pivots, rows = _rref_sparse(rows, self.ncols, *hooks, gf2=gf2)
             else:
-                pivots, rows = _in_pivot_order(rows, piv_list)
+                pivots, rows = _in_pivot_order(rows, _echelon(rows, self.ncols, *hooks, gf2=gf2))
         else:
             pivots, rows = _rref_multimodular(self)
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, dict(enumerate(rows)))
 
     def rank(self) -> int:
-        """Row rank, eliminated on the side with fewer rows.
+        """Row rank, through ``rref`` so that one entry point sees every elimination.
 
-        Over GF(p) only the forward elimination runs (``reduced=False``):
-        any echelon form has one pivot per unit of rank.  It still goes
-        through ``rref`` so that one entry point sees every elimination.
+        Over GF(p) the side with fewer rows is eliminated, forward only
+        (``reduced=False``): any echelon form has one pivot per unit of
+        rank.  Over Q the matrix is eliminated as it stands: ``rref``
+        certifies the full RREF either way, and a tall matrix is reduced
+        row by row (``_rref_by_rows``) faster than its wide transpose is
+        swept.
         """
-        narrow = self.transpose() if self.ncols < self.nrows else self
-        return len(narrow.rref(reduced=False)[0])
+        narrow = self.ncols < self.nrows and self.field.is_prime_field
+        return len((self.transpose() if narrow else self).rref(reduced=False)[0])
 
     def kernel_basis(self) -> "Subspace":
         """Canonical basis of the right kernel (solutions of Mx = 0)."""
@@ -373,12 +393,97 @@ def _mod_hooks(p: int) -> tuple:
     )
 
 
-def _rref_sparse(rows, ncols, inv, mul, sub):
-    """Sparse RREF on row dicts, generic over the scalar hooks: ``(pivots, rows)``.
+def _rref_sparse(rows, ncols, inv, mul, sub, gf2=False):
+    """Canonical RREF on row dicts, generic over the scalar hooks: ``(pivots, rows)``.
 
-    ``_echelon`` followed by ``_back_substitute``.
+    The route follows the shape: a tall matrix (more nonzero rows than
+    columns) is reduced one row at a time against a reduced basis
+    (``_rref_by_rows``); a wide or square one, and every matrix over GF(2)
+    (``gf2``), by the column sweep ``_echelon`` followed by
+    ``_back_substitute``.  Both return the canonical RREF, so the choice
+    changes the time and nothing else: the row route is 3-4x faster on
+    tall matrices and 2-3x slower on wide ones, and over GF(2) the sweep's
+    bitset tail is faster still.
     """
-    return _back_substitute(rows, _echelon(rows, ncols, inv, mul, sub), sub)
+    if len(rows) > ncols and not gf2:
+        return _rref_by_rows(rows, inv, mul, sub)
+    return _back_substitute(rows, _echelon(rows, ncols, inv, mul, sub, gf2), sub)
+
+
+def _rref_by_rows(rows, inv, mul, sub):
+    """Canonical RREF of the row dicts ``rows``, one row at a time: ``(pivots, rows)``.
+
+    The basis kept so far is reduced: every basis row has a unit pivot and
+    is zero at every other pivot column.  Sparsest first (ties by row
+    index), each row is cleared at the basis's pivot columns
+    (``_residue``).  A nonzero residue is scaled to a unit at its leftmost
+    column, which becomes a pivot; that column is cleared from the basis
+    rows that hold it, found through a column -> basis-rows index, and the
+    residue joins the basis.  The leading columns of an echelon basis are
+    the RREF pivots of its row space, and a reduced basis with those pivots
+    is the canonical RREF, so the result is the sweep's.
+
+    A dependent row costs one clearing, where the sweep updates it once
+    per pivot column it meets; on a wide matrix the basis-row index costs
+    more than that saves (see ``_rref_sparse``).  The rows are consumed:
+    basis rows may be the input dicts, updated in place.
+    """
+    basis = {}    # pivot column -> basis row
+    holders = {}  # non-pivot column -> pivot columns of the basis rows that hold it
+    for v in sorted(rows, key=len):
+        v = _residue(v, basis, sub)
+        if not v:
+            continue
+        pc = min(v)
+        factor = inv(v[pc])
+        if factor != 1:
+            v = {c: mul(factor, x) for c, x in v.items()}
+        rest = [(c, x) for c, x in v.items() if c != pc]
+        for c, _x in rest:
+            holders.setdefault(c, set()).add(pc)
+        for q in holders.pop(pc, ()):
+            row = basis[q]
+            f = row.pop(pc)
+            for c, x in rest:
+                w = sub(row.get(c, 0), f, x)
+                if w:
+                    if c not in row:
+                        holders[c].add(q)
+                    row[c] = w
+                else:
+                    del row[c]
+                    holders[c].discard(q)
+        basis[pc] = v
+    pivots = sorted(basis)
+    return pivots, [basis[c] for c in pivots]
+
+
+def _residue(v, pivot_rows, sub, den=1):
+    """``den * v`` minus ``v[c]`` times ``pivot_rows[c]`` for each pivot column c that ``v`` meets.
+
+    ``pivot_rows`` maps each pivot column to a basis row that holds ``den``
+    there and zero at every other pivot column, so the residue is zero at
+    every pivot column, whatever the order of the steps.  This one step
+    serves membership (``Subspace.residues``), the exact check of a lift
+    (``_verified``) and the reduction of each row in ``_rref_by_rows``.
+    With ``den`` 1, a ``v`` that meets no pivot is its own residue and is
+    returned as it is, not copied.
+    """
+    hits = [(c, a) for c, a in v.items() if c in pivot_rows]
+    if den != 1:
+        v = {c: den * a for c, a in v.items()}
+    elif hits:
+        v = dict(v)
+    else:
+        return v
+    for c, a in hits:
+        for j, w in pivot_rows[c].items():
+            x = sub(v.get(j, 0), a, w)
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+    return v
 
 
 def _echelon(rows, ncols, inv, mul, sub, gf2=False):
@@ -678,24 +783,10 @@ def _verified(rows, pivots, num, den):
     """Whether every integer row lies in the row space of ``num / den``.
 
     ``num`` has the RREF shape with pivot entries ``den``; the check is
-    ``Subspace.residues`` scaled by ``den``, so it stays on integers.
+    ``_residue`` scaled by ``den``, so it stays on integers.
     """
-    row_of = {c: i for i, c in enumerate(pivots)}
-    for v in rows:
-        res = {c: den * a for c, a in v.items()}
-        for c, a in v.items():
-            i = row_of.get(c)
-            if i is None:
-                continue
-            for j, w in num[i].items():
-                x = res.get(j, 0) - a * w
-                if x:
-                    res[j] = x
-                else:
-                    del res[j]
-        if res:
-            return False
-    return True
+    pivot_rows, sub = dict(zip(pivots, num)), _scalar_hooks(QQ)[2]
+    return not any(_residue(v, pivot_rows, sub, den) for v in rows)
 
 
 # --- subspaces ---------------------------------------------------------------
@@ -747,20 +838,10 @@ class Subspace:
             raise ValueError("vector length mismatch")
         sub = _scalar_hooks(self.field)[2]
         basis = self.basis.rows
-        row_of = {p: i for i, p in enumerate(self.pivots)}
+        pivot_rows = {p: basis[i] for i, p in enumerate(self.pivots)}
         out = {}
         for r, v in vectors.rows.items():
-            hits = [(c, a) for c, a in v.items() if c in row_of]
-            if hits:
-                v = dict(v)
-                for c, a in hits:
-                    for j, w in basis[row_of[c]].items():
-                        x = sub(v.get(j, 0), a, w)
-                        if x:
-                            v[j] = x
-                        else:
-                            del v[j]
-            if v:
+            if v := _residue(v, pivot_rows, sub):
                 out[r] = v
         return Matrix(self.field, vectors.nrows, vectors.ncols, out)
 

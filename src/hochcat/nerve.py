@@ -16,6 +16,7 @@ from collections import Counter
 
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
+from .hochschild import check_sizes
 from .matrix import Matrix, cohomology_dims
 
 
@@ -109,8 +110,13 @@ def simplicial_coboundary_matrix(cat, field, m: int) -> Matrix:
     )
 
 
-def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int) -> list[int]:
-    """Dimensions of the nerve cohomology in degrees 0..max_m."""
+def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
+    """Dimensions of the nerve cohomology in degrees 0..max_m.
+
+    Every degree's chain count up to ``max_m + 1`` is checked against the
+    cap (``nerve_sizes``) before the first chain is listed.
+    """
+    check_sizes(nerve_sizes(cat), max_m + 1, cap)
     mats = (simplicial_coboundary_matrix(cat, field, m) for m in range(max_m + 1))
     return list(cohomology_dims(mats))
 

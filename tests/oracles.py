@@ -90,17 +90,19 @@ def naive_rref(rows, p) -> tuple[list, list]:
 
 # --- the Fraction engine: the reference for elimination over Q ----------------------
 #
-# Over Q ``Matrix.rref`` eliminates modulo primes and certifies a lift.  The
-# reference is the package's sparse engine run on Fractions throughout, the
-# route that route replaces and still falls back to.
+# Over Q ``Matrix.rref`` eliminates modulo primes and certifies a lift, and
+# reduces a tall matrix row by row.  The reference is the package's column
+# sweep run on Fractions throughout, whatever the shape: the route the
+# modular one replaces, and not the route a tall matrix takes.
 
 def fraction_rref(m):
-    """``(pivots, R)`` of a Q matrix from ``_rref_sparse`` on Fraction rows."""
+    """``(pivots, R)`` of a Q matrix from ``_echelon`` and ``_back_substitute`` on Fraction rows."""
     from hochcat.fields import QQ
-    from hochcat.matrix import Matrix, _rref_sparse, _scalar_hooks
+    from hochcat.matrix import Matrix, _back_substitute, _echelon, _scalar_hooks
 
     rows = [{c: Fraction(v) for c, v in m.rows[r].items()} for r in sorted(m.rows)]
-    pivots, rows = _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
+    hooks = _scalar_hooks(QQ)
+    pivots, rows = _back_substitute(rows, _echelon(rows, m.ncols, *hooks), hooks[2])
     cells = {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
     return tuple(pivots), Matrix.from_entries(QQ, len(pivots), m.ncols, cells)
 

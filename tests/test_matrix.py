@@ -1,4 +1,5 @@
 import math
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -403,8 +404,9 @@ def test_rank_equals_transpose_rank(nrows, ncols, field, data):
     st.data(),
 )
 def test_rank_is_taken_on_either_side(short, extra, tall, field, data):
-    # strictly tall or strictly wide, so rank() eliminates the transpose on
-    # one of the two orientations and the matrix itself on the other
+    # strictly tall or strictly wide: over GF(p) rank() eliminates the
+    # transpose on one of the two orientations and the matrix itself on the
+    # other; over Q it eliminates the matrix itself, a tall one row by row
     nrows, ncols = (short + extra, short) if tall else (short, short + extra)
     cells = {}
     for r in range(nrows):
@@ -576,10 +578,10 @@ def _routes():
     eliminations, verdicts = [], []
     eliminate, verify = matrix._rref_sparse, matrix._verified
 
-    def counted_elimination(rows, ncols, *hooks):
+    def counted_elimination(rows, ncols, *hooks, **options):
         fractions = any(isinstance(v, Fraction) for row in rows for v in row.values())
         eliminations.append("fraction" if fractions else "modular")
-        return eliminate(rows, ncols, *hooks)
+        return eliminate(rows, ncols, *hooks, **options)
 
     def counted_verification(*args):
         verdicts.append(verify(*args))
@@ -800,3 +802,104 @@ def test_only_gf2_enters_the_tail(monkeypatch):
     assert eliminations == ["modular", "fraction"]
     with pytest.raises(AssertionError, match="bitset tail entered"):
         mk(GF2, rows).rref()
+
+
+# --- tall matrices: reduced one row at a time ---------------------------------------
+
+def _tall_cases(p, rng):
+    """Tall integer matrices mod p as ``(ncols, rows)``: random ones and the edge cases."""
+    for _ in range(12):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(ncols + 1, 3 * ncols + 4)
+        density = rng.choice([0.1, 0.3, 0.7])
+        rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        # a zero row, a duplicate and a multiple of an earlier row
+        rows.insert(rng.randrange(nrows), [0] * ncols)
+        rows.append(list(rows[rng.randrange(nrows)]))
+        k = rng.randrange(2, p)
+        rows.append([k * v % p for v in rows[rng.randrange(nrows)]])
+        yield ncols, rows
+    yield 3, [[0, 0, 0]] * 5                                   # rank 0
+    yield 1, [[0], [rng.randrange(1, p)], [0], [1]]            # one column
+    yield 3, [[1, 2, 0], [0, 1, 1], [1, 1, 1], [2, 1, 1], [0, 0, 1]]  # full rank
+    yield 2, [[1, 1], [2, 2], [p - 1, p - 1], [0, 0]]          # proportional rows only
+
+
+def _as_dicts(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(ncols, rows):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+@pytest.mark.parametrize("p", [3, 5, matrix._PRIMES[0]])
+@pytest.mark.parametrize("seed", range(3))
+def test_row_by_row_rref_matches_the_sweep_and_the_oracle(p, seed):
+    hooks = matrix._mod_hooks(p)
+    for ncols, rows in _tall_cases(p, random.Random(seed)):
+        assert len(rows) > ncols
+        by_rows = matrix._rref_by_rows(_as_dicts(rows), *hooks)
+        swept = matrix._back_substitute(
+            sweep_rows := _as_dicts(rows),
+            matrix._echelon(sweep_rows, ncols, *hooks), hooks[2])
+        assert by_rows == swept, (ncols, rows)
+        pivots, reduced = naive_rref(rows, p)
+        assert (by_rows[0], _dense(ncols, by_rows[1])) == (pivots, reduced), (ncols, rows)
+        assert all(0 not in row.values() for row in by_rows[1])
+
+
+@contextmanager
+def _sweeps():
+    """Record ``(rows, cols)`` of each matrix that reaches the column sweep ``_echelon``."""
+    shapes = []
+    echelon = matrix._echelon
+
+    def recorded(rows, ncols, *args, **kwargs):
+        shapes.append((len(rows), ncols))
+        return echelon(rows, ncols, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_echelon", recorded)
+        yield shapes
+
+
+def test_only_tall_matrices_over_odd_p_and_q_skip_the_sweep():
+    # rank 2 over GF(3) and over Q, so the kernel is one row
+    rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 4, 0], [1, 1, -1], [0, 2, 2]]
+    for field in (GF3, QQ):
+        m = mk(field, rows)
+        with _sweeps() as shapes:
+            pivots, R = m.rref()
+            ker = m.kernel_basis()
+        # only the kernel's own basis, 1 x 3, is swept
+        assert shapes == [(1, 3)], field
+        assert (list(pivots), R.dense_rows()) == naive_rref(m.dense_rows(), field.p)
+        assert (list(ker.pivots), ker.basis.dense_rows()) == oracle_kernel(field, m.dense_rows(), 3)
+    # a rank over GF(p) sweeps the narrow side forward; over Q the tall side
+    # is reduced as it stands
+    with _sweeps() as shapes:
+        assert mk(GF3, rows).rank() == mk(QQ, rows).rank() == 2
+    assert shapes == [(3, 6)]
+    # GF(2) keeps the sweep and its bitset tail; so does a wide matrix
+    with _sweeps() as shapes:
+        mk(GF2, rows).rref()
+        mk(GF3, rows).transpose().rref()
+    assert shapes == [(4, 3), (3, 6)]  # two of the six rows vanish mod 2
+
+
+def test_tall_q_matrix_whose_rank_drops_mod_the_first_prime():
+    # modulo 2^31 - 1 all three rows are multiples of (1, 1): rank 1, which
+    # the exact check refuses; the next prime sees rank 2
+    p = matrix._PRIMES[0]
+    m = mk(QQ, [[1, 1], [1, 1 + p], [2, 2]])
+    with _routes() as (eliminations, verdicts):
+        pivots, R = m.rref()
+    assert eliminations == ["modular", "modular"] and verdicts == [False, True]
+    assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2))
+    assert (list(pivots), R.dense_rows()) == naive_rref(m.dense_rows(), None)
+    assert (pivots, R) == fraction_rref(m)
+    ker = m.kernel_basis()
+    assert (ker.pivots, ker.basis) == fraction_kernel(m) == ((), Matrix.zeros(QQ, 0, 2))
+    assert m.rank() == 2

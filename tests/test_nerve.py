@@ -10,10 +10,13 @@ from hochcat import (
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
 )
-from hochcat.nerve import nerve_sizes
+from hochcat.errors import DimensionCapExceeded
+from hochcat.nerve import _chains_cached, nerve_sizes
 
 from . import oracles
 from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, QQ, TRIV
+from .test_category import z_monoid
+from .test_hochschild import count_builds
 
 
 # --- chains -----------------------------------------------------------------
@@ -163,3 +166,17 @@ def test_adjoint_of_c2_has_two_components():
     assert oracles.component_count_bfs(adjoint_category(C2)) == 2
     assert oracles.component_count_bfs(adjoint_category(EX6)) == 2
     assert simplicial_cohomology_dims(adjoint_category(EX6), QQ, 0) == [2]
+
+
+def test_simplicial_dims_cap_refuses_before_any_chain(monkeypatch):
+    # the F^ad of {e, z} with z∘z = z has 2·3^m chains in degree m: degree
+    # 4 is the first past 100, long before the 8-chains of degree 7
+    fad = adjoint_category(z_monoid())
+    builds = count_builds(monkeypatch, _chains_cached)
+    with pytest.raises(DimensionCapExceeded) as refused:
+        simplicial_cohomology_dims(fad, GF2, 7, cap=100)
+    assert (refused.value.degree, refused.value.required) == (4, 162)
+    assert not builds
+    assert simplicial_cohomology_dims(fad, GF2, 2, cap=100) == \
+        oracles.naive_simplicial_dims(fad, 2, 2)
+    assert builds
