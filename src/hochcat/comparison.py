@@ -42,7 +42,7 @@ from .hochschild import (
     hochschild_sizes,
     relative_differential_matrix,
     relative_is_full,
-    _relative_basis_cached,
+    _relative_of_full,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
 from .nerve import _chain_index, _chains_cached, nerve_sizes, simplicial_coboundary_matrix
@@ -100,11 +100,6 @@ def t_map_matrix(ctx: ComparisonContext, m: int, cap: int | None = None) -> Matr
     nrows, ncols, entries = _t_entries(ctx.cat, m)
     one = ctx.field.one
     return Matrix.from_entries(ctx.field, nrows, ncols, {rc: one for rc in entries})
-
-
-def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
-    """Full Hochschild basis index -> relative basis index, in degree m."""
-    return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_relative_basis_cached(cat, m))}
 
 
 def t_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:

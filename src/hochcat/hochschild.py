@@ -17,11 +17,15 @@ The differential of the coefficient tensor of f sends the basis cochain
   ``v∘w = g_j``,
 * ``(-1)^(m+1)`` on ``((g_1..g_m, u), h∘u)`` for every u with h∘u defined.
 
-Entries are assembled once over the integers and reduced into the requested
-field.  The integer entries are memoized on the category, so every field
-shares one assembly for as long as the category lives, and they are freed
-with it.  The dimension tables check every degree's basis size against the
-cap (``check_sizes``) before the first differential is assembled.
+A basis pair is addressed by its base-n index ``τ·n + h`` (n morphisms, τ
+the base-n number whose digits are the tuple), so every term's row is
+computed by index arithmetic, never by building a tuple.  Each column's
+terms are summed over the integers, reduced into the field and written
+straight into the row dicts of a ``Matrix``.  The matrix is memoized on the
+category per field and degree: built once for as long as the category
+lives, and freed with it.  Every cap is checked before the memo is read,
+and the dimension tables check every degree's basis size
+(``check_sizes``) before the first differential is assembled.
 
 The relative subcomplex keeps only endpoint-matching coefficients on
 composable tuples; in degree 0 it is spanned by the endomorphisms (the
@@ -35,7 +39,7 @@ import itertools
 
 from .category import FiniteCategory, memo
 from .errors import DimensionCapExceeded, NotASubcomplex
-from .matrix import Matrix, cohomology_dims
+from .matrix import Matrix, _IntScalars, cohomology_dims
 
 DEFAULT_BASIS_CAP = 2_000_000
 
@@ -117,58 +121,94 @@ def _factorizations(cat: FiniteCategory) -> tuple:
     return tuple(tuple(ps) for ps in out)
 
 
-def _column_contributions(cat: FiniteCategory, facts: tuple, tup, h: int) -> dict:
-    """Image of the basis cochain (tup, h) under the differential, over Z.
+def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) -> dict:
+    """Nonzero row dicts of the degree-m differential on the columns of ``groups``.
 
-    ``facts`` is ``_factorizations(cat)``, computed once per assembly.
+    ``groups`` yields ``(tup, τ, cols)``: an m-tuple, its base-n index τ
+    and its columns as pairs ``(c, h)`` of column number and output.  The
+    terms of (tup, h) land on full degree-(m+1) indices by arithmetic:
+
+    * left ``(u, tup; u∘h)``: ``u·n^(m+1) + τ·n + u∘h``;
+    * inner slot j, ``v∘w = t_j``: ``(((hi·n + v)·n + w)·n^(m−j) + lo)·n + h``
+      with ``hi = τ // n^(m−j+1)`` and ``lo = τ mod n^(m−j)``;
+    * right ``(tup, u; h∘u)``: ``(τ·n + u)·n + h∘u``.
+
+    The terms of one column are summed over Z before they are reduced,
+    since identity factorizations cancel.  ``row_of``, when given, maps a
+    full row index to the row number; a miss raises ``NotASubcomplex``.
     """
+    n = cat.n_morphisms
     comp = cat.compose_table
-    m = len(tup)
-    out: dict = {}
-
-    def add(key, value):
-        w = out.get(key, 0) + value
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-
-    for u in cat.morphisms_by_source[cat.target[h]]:
-        add(((u,) + tup, comp[u][h]), 1)
-    sign = -1
-    for j in range(1, m + 1):
-        for v, w in facts[tup[j - 1]]:
-            add((tup[: j - 1] + (v, w) + tup[j:], h), sign)
-        sign = -sign
-    last_sign = -1 if (m + 1) % 2 else 1
-    for u in cat.morphisms_by_target[cat.source[h]]:
-        add((tup + (u,), comp[h][u]), last_sign)
-    return out
+    top = n ** (m + 1)
+    # the outer terms' offsets from τ·n (left) and τ·n² (right), per output h
+    lefts = [tuple(u * top + comp[u][h] for u in cat.morphisms_by_source[cat.target[h]])
+             for h in range(n)]
+    rights = [tuple(u * n + comp[h][u] for u in cat.morphisms_by_target[cat.source[h]])
+              for h in range(n)]
+    right_sign = -1 if (m + 1) % 2 else 1
+    # v∘w = z as the two digits v·n + w
+    pairs = tuple(tuple(v * n + w for v, w in ps) for ps in _factorizations(cat))
+    scalars = _IntScalars(field)
+    rows: dict = {}
+    for tup, tau, cols in groups:
+        # inner terms do not depend on h: row = key + h
+        inner: dict = {}
+        sign = -1
+        step = top // n
+        for t in tup:
+            # slot j: step = n^(m−j+1), low = n^(m−j), τ = hi·step + t·low + lo
+            low = step // n
+            hi, rest = divmod(tau, step)
+            key0 = (hi * step * n + rest - t * low) * n
+            for vw in pairs[t]:
+                key = key0 + vw * step
+                inner[key] = inner.get(key, 0) + sign
+            sign = -sign
+            step = low
+        inner = [(key, s) for key, s in inner.items() if s]
+        left0, right0 = tau * n, tau * n * n
+        for c, h in cols:
+            acc = {left0 + x: 1 for x in lefts[h]}
+            for key, s in inner:
+                key += h
+                acc[key] = acc.get(key, 0) + s
+            for x in rights[h]:
+                key = right0 + x
+                acc[key] = acc.get(key, 0) + right_sign
+            for r, v in acc.items():
+                if not v:
+                    continue
+                if row_of is not None:
+                    i = row_of.get(r)
+                    if i is None:
+                        digits = [r // n ** k % n for k in range(m + 1, -1, -1)]
+                        raise NotASubcomplex(
+                            f"differential leaves the relative subcomplex at degree {m}: "
+                            f"column {(tup, h)} hits {(tuple(digits[:-1]), digits[-1])}"
+                        )
+                    r = i
+                s = scalars[v]
+                if s is not None:
+                    row = rows.get(r)
+                    if row is None:
+                        rows[r] = row = {}
+                    row[c] = s
+    return rows
 
 
 @memo
-def hochschild_differential_entries(cat: FiniteCategory, m: int) -> dict:
-    """Integer entries of the degree-m differential, keyed by (row, col)."""
+def _full_differential(cat: FiniteCategory, field, m: int) -> Matrix:
+    """The degree-m differential over ``field``, every column in base-n order."""
     n = cat.n_morphisms
-    facts = _factorizations(cat)
-    entries: dict = {}
-    for tup in itertools.product(range(n), repeat=m):
-        for h in range(n):
-            col = basis_index(cat, tup, h)
-            for (ntup, nh), v in _column_contributions(cat, facts, tup, h).items():
-                entries[basis_index(cat, ntup, nh), col] = v
-    return entries
+    groups = ((tup, tau, zip(range(tau * n, tau * n + n), range(n)))
+              for tau, tup in enumerate(itertools.product(range(n), repeat=m)))
+    return Matrix(field, n ** (m + 2), n ** (m + 1), _differential_rows(cat, field, m, groups))
 
 
 def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
     """Matrix of the degree-m differential in the lexicographic bases."""
     check_cap(cat, m + 1, cap)
-    return Matrix.from_int_entries(
-        field,
-        hochschild_basis_size(cat, m + 1),
-        hochschild_basis_size(cat, m),
-        hochschild_differential_entries(cat, m),
-    )
+    return _full_differential(cat, field, m)
 
 
 def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
@@ -241,23 +281,20 @@ def relative_is_full(cat: FiniteCategory, top: int) -> bool:
     return all(rel == full for rel, full in itertools.islice(sizes, top + 1))
 
 
-def _relative_differential_entries(cat: FiniteCategory, m: int) -> tuple:
-    """(n_rows, n_cols, entries over Z) of the restricted differential."""
+def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
+    """Full Hochschild basis index -> relative basis index, in degree m."""
+    return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_relative_basis_cached(cat, m))}
+
+
+@memo
+def _relative_differential(cat: FiniteCategory, field, m: int) -> Matrix:
+    """The differential on the relative columns, rows numbered in the relative basis."""
+    n = cat.n_morphisms
     cols = _relative_basis_cached(cat, m)
-    rows = _relative_basis_cached(cat, m + 1)
-    row_index = {pair: i for i, pair in enumerate(rows)}
-    facts = _factorizations(cat)
-    entries: dict = {}
-    for c, (tup, h) in enumerate(cols):
-        for pair, v in _column_contributions(cat, facts, tup, h).items():
-            r = row_index.get(pair)
-            if r is None:
-                raise NotASubcomplex(
-                    f"differential leaves the relative subcomplex at degree {m}: "
-                    f"column {(tup, h)} hits {pair}"
-                )
-            entries[r, c] = v
-    return len(rows), len(cols), entries
+    row_of = _relative_of_full(cat, m + 1)
+    groups = ((tup, basis_index(cat, tup, 0) // n, [(c, h) for c, (_tup, h) in pairs])
+              for tup, pairs in itertools.groupby(enumerate(cols), key=lambda item: item[1][0]))
+    return Matrix(field, len(row_of), len(cols), _differential_rows(cat, field, m, groups, row_of))
 
 
 def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
@@ -270,8 +307,7 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
     required = max(itertools.islice(relative_sizes(cat), m, m + 2))
     if required > cap_val:
         raise DimensionCapExceeded(m + 1, required, cap_val)
-    nrows, ncols, entries = _relative_differential_entries(cat, m)
-    return Matrix.from_int_entries(field, nrows, ncols, entries)
+    return _relative_differential(cat, field, m)
 
 
 def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:

@@ -84,6 +84,23 @@ from .errors import NotASubspace, NotChainCompatible
 from .fields import QQ, FieldSpec
 
 
+class _IntScalars(dict):
+    """Integer -> its scalar in ``field``, None for zero; each computed once.
+
+    Integer entries are small and repeat, so the cells built from them
+    share one scalar per distinct integer (scalars are immutable).
+    """
+
+    def __init__(self, field: FieldSpec):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, n: int):
+        v = self.field.scalar(n)
+        v = self[n] = v if v != 0 else None
+        return v
+
+
 class Matrix:
     """Immutable exact matrix.  Build via the ``from_*`` constructors."""
 
@@ -122,18 +139,10 @@ class Matrix:
 
     @classmethod
     def from_int_entries(cls, field, nrows, ncols, entries) -> "Matrix":
-        """Reduce integer entries into the field; drops entries that map to 0.
-
-        Entries are small integers that repeat, so each distinct one becomes
-        a scalar once, tested against zero once, and the cells share it
-        (scalars are immutable).  A zero scalar is kept as None.
-        """
+        """Reduce integer entries into the field (``_IntScalars``); drops entries that map to 0."""
         items = entries.items() if hasattr(entries, "items") else entries
-        rows, scalars = {}, {}
+        rows, scalars = {}, _IntScalars(field)
         for (r, c), n in items:
-            if n not in scalars:
-                v = field.scalar(n)
-                scalars[n] = v if v != 0 else None
             v = scalars[n]
             if v is not None:
                 rows.setdefault(r, {})[c] = v
@@ -230,9 +239,17 @@ class Matrix:
             return self  # immutable, so sharing is safe
         if s == 0:
             return Matrix.zeros(self.field, self.nrows, self.ncols)
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols,
-                      {r: {c: mul(s, v) for c, v in row.items()} for r, row in self.rows.items()})
+        # few distinct scalars, many cells: one product per scalar, shared
+        mul, products = self.field.mul, {}
+        rows = {}
+        for r, row in self.rows.items():
+            out = rows[r] = {}
+            for c, v in row.items():
+                sv = products.get(v)
+                if sv is None:
+                    sv = products[v] = mul(s, v)
+                out[c] = sv
+        return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -689,14 +706,14 @@ def _rref_multimodular(m: Matrix):
     unlucky prime can only lower the rank or push pivots right).  After
     each prime the combined form is lifted and verified exactly
     (``_verified``); when no prime of ``_PRIMES`` verifies, the Fraction
-    engine reduces the rows of ``m``.  The integer rows are rebuilt for
-    each use rather than kept, so they never sit beside a working set.
+    engine reduces the rows of ``m``.  The integer rows are built once:
+    each prime eliminates its own reduction of them, and every lift is
+    verified against them.
     """
+    cleared = m._cleared_rows()
     pivots, residues, modulus = None, None, 1
     for p in _PRIMES:
-        rows = m._cleared_rows()
-        for i, row in enumerate(rows):
-            rows[i] = {c: r for c, v in row.items() if (r := v % p)}
+        rows = [{c: r for c, v in row.items() if (r := v % p)} for row in cleared]
         piv, rows = _rref_sparse(rows, m.ncols, *_mod_hooks(p))
         if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
             pivots, residues, modulus = piv, rows, p
@@ -707,10 +724,10 @@ def _rref_multimodular(m: Matrix):
             continue
         del rows
         lifted = _lift(residues, modulus)
-        if lifted is not None and _verified(m._cleared_rows(), pivots, *lifted):
+        if lifted is not None and _verified(cleared, pivots, *lifted):
             break
     else:
-        rows = [{c: Fraction(v) for c, v in row.items()} for row in m._cleared_rows()]
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in cleared]
         return _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
     del residues  # the lift holds the same entries; free these before the Fractions exist
     num, den = lifted

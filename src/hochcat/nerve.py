@@ -7,7 +7,9 @@ nerve is the full simplicial set, cohomology is unaffected, and keeping them
 makes the index bijections with Hochschild data exact.
 
 The coboundary of a scalar cochain f is
-``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.
+``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built row by row,
+one row per (m+1)-chain, straight into the row dicts of a ``Matrix``, and
+memoized on the category per field and degree.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
 from .hochschild import check_sizes
-from .matrix import Matrix, cohomology_dims
+from .matrix import Matrix, _IntScalars, cohomology_dims
 
 
 @memo
@@ -82,32 +84,49 @@ def face(cat: FiniteCategory, chain, i: int):
 
 
 @memo
-def simplicial_coboundary_entries(cat: FiniteCategory, m: int) -> dict:
-    """Integer entries of the degree-m coboundary, keyed by (row, col)."""
-    rows = _chains_cached(cat, m + 1)
+def _coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
+    """The degree-m coboundary, built one row per (m+1)-chain.
+
+    A row's faces (``face``, written out) are looked up in the degree-m
+    chain index.  Faces of a degenerate chain can coincide; only then are
+    their signs summed over Z before they are reduced into the field.
+    Each composite of an inner face is computed once per build.
+    """
     col_index = _chain_index(cat, m)
-    entries: dict = {}
-    for r, chain in enumerate(rows):
-        sign = 1
-        for i in range(m + 2):
-            c = col_index[face(cat, chain, i)]
-            v = entries.get((r, c), 0) + sign
-            if v:
-                entries[r, c] = v
-            else:
-                del entries[r, c]
-            sign = -sign
-    return entries
+    chains = _chains_cached(cat, m + 1)
+    scalars = _IntScalars(field)
+    signs = [(-1) ** i for i in range(m + 2)]
+    signed = [scalars[s] for s in signs]
+    n, compose, source, target = cat.n_morphisms, cat.compose, cat.source, cat.target
+    glued: dict = {}   # g·n + f -> g∘f
+    rows = {}
+    for r, chain in enumerate(chains):
+        if m == 0:   # a 1-chain's faces are objects, which index themselves
+            cols = [target[chain[0]], source[chain[0]]]
+        else:
+            cols = [col_index[chain[1:]]]
+            for i in range(1, m + 1):
+                f, g = chain[i - 1], chain[i]
+                gf = glued.get(g * n + f)
+                if gf is None:
+                    gf = glued[g * n + f] = compose(g, f)
+                cols.append(col_index[chain[: i - 1] + (gf,) + chain[i + 1:]])
+            cols.append(col_index[chain[:-1]])
+        row = dict(zip(cols, signed))
+        if len(row) < m + 2:
+            acc: dict = {}
+            for c, s in zip(cols, signs):
+                acc[c] = acc.get(c, 0) + s
+            row = {c: v for c, s in acc.items() if (v := scalars[s]) is not None}
+            if not row:
+                continue
+        rows[r] = row
+    return Matrix(field, len(chains), len(col_index), rows)
 
 
 def simplicial_coboundary_matrix(cat, field, m: int) -> Matrix:
     """Matrix of the coboundary from degree-m to degree-(m+1) cochains."""
-    return Matrix.from_int_entries(
-        field,
-        len(_chains_cached(cat, m + 1)),
-        len(_chains_cached(cat, m)),
-        simplicial_coboundary_entries(cat, m),
-    )
+    return _coboundary(cat, field, m)
 
 
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:

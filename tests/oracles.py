@@ -228,6 +228,66 @@ def simplicial_coboundary_rows(cat, p, m):
     return mat
 
 
+# --- the assemblies the package used to run, kept as references ---------------------
+
+def column_contributions(cat, tup, h) -> dict:
+    """Image of the basis cochain (tup, h) under the differential over Z, by tuples.
+
+    Keyed by ``(tuple, output)`` pairs of degree m + 1: the left, inner and
+    right terms of the module docstring of ``hochcat.hochschild``, summed
+    so that cancelling terms drop out.
+    """
+    comp = cat.compose_table
+    out: dict = {}
+
+    def add(key, value):
+        out[key] = out.get(key, 0) + value
+
+    for u in cat.morphisms_by_source[cat.target[h]]:
+        add(((u,) + tup, comp[u][h]), 1)
+    sign = -1
+    for j in range(1, len(tup) + 1):
+        for v in range(cat.n_morphisms):
+            for w in range(cat.n_morphisms):
+                if comp[v][w] == tup[j - 1]:
+                    add((tup[: j - 1] + (v, w) + tup[j:], h), sign)
+        sign = -sign
+    for u in cat.morphisms_by_target[cat.source[h]]:
+        add((tup + (u,), comp[h][u]), sign)
+    return {key: v for key, v in out.items() if v}
+
+
+def column_wise_differential(cat, field, cols, rows):
+    """The differential from the pairs ``cols`` to the pairs ``rows``, one column at a time.
+
+    Every term of a column must be a pair of ``rows``; integer entries
+    are reduced into the field by ``Matrix.from_int_entries``.
+    """
+    from hochcat.matrix import Matrix
+
+    row_index = {pair: i for i, pair in enumerate(rows)}
+    entries = {}
+    for c, (tup, h) in enumerate(cols):
+        for pair, v in column_contributions(cat, tup, h).items():
+            entries[row_index[pair], c] = v
+    return Matrix.from_int_entries(field, len(rows), len(cols), entries)
+
+
+def face_coboundary(cat, field, m):
+    """The degree-m nerve coboundary, summed over ``hochcat.face`` chain by chain."""
+    from hochcat import face, nerve_chains
+    from hochcat.matrix import Matrix
+
+    cols = {c: j for j, c in enumerate(nerve_chains(cat, m))}
+    rows = nerve_chains(cat, m + 1)
+    entries: dict = {}
+    for r, chain in enumerate(rows):
+        for i in range(m + 2):
+            key = r, cols[face(cat, chain, i)]
+            entries[key] = entries.get(key, 0) + (-1) ** i
+    return Matrix.from_int_entries(field, len(rows), len(cols), entries)
+
+
 def cohomology_dims_by_rank(matrices, p, ambient_dims):
     """dim H^m = (ambient - rank d_m) - rank d_{m-1}, ranks by naive elimination."""
     dims = []

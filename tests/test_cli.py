@@ -11,7 +11,7 @@ from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
 
-from .catalog import child_env
+from .catalog import GF2, child_env
 from .test_hochschild import C2_PLUS_C3_TEXT, count_builds
 
 
@@ -92,10 +92,12 @@ def test_compare_c2_text(capsys):
 
 def test_compare_builds_each_table_once(monkeypatch, capsys):
     # table -> the degrees compare --max-degree 2 needs (T and X one higher
-    # for the chain identities); each must be built once, on one category
+    # for the chain identities); each must be built once, on one category,
+    # and the differentials for the one field of the run
     tables = {
-        "hochschild": (hochschild.hochschild_differential_entries, {0, 1, 2}),
-        "nerve": (nerve.simplicial_coboundary_entries, {0, 1, 2}),
+        "hochschild": (hochschild._full_differential, {0, 1, 2}),
+        "relative": (hochschild._relative_differential, {0, 1, 2}),
+        "nerve": (nerve._coboundary, {0, 1, 2}),
         "t": (comparison._t_entries, {0, 1, 2, 3}),
         "x": (comparison._x_entries, {0, 1, 2, 3}),
     }
@@ -105,8 +107,9 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "isomorphism"
     for name, (_fn, degrees) in tables.items():
         calls = builds[name]
-        assert {m for _cat, (m,) in calls} == degrees, name
+        assert {args[-1] for _cat, args in calls} == degrees, name
         assert len({cat for cat, _args in calls}) == 1, name
+        assert {args[:-1] for _cat, args in calls} in ({()}, {(GF2,)}), name
         assert set(calls.values()) == {1}, (name, calls)
 
 

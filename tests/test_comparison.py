@@ -26,13 +26,13 @@ from hochcat import comparison
 from hochcat.comparison import _sign_for, t_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
+    _full_differential,
     basis_index,
     hochschild_basis_size,
-    hochschild_differential_entries,
     relative_basis,
 )
 from hochcat.matrix import Matrix
-from hochcat.nerve import _chains_cached, simplicial_coboundary_entries
+from hochcat.nerve import _chains_cached, _coboundary
 
 from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 from .test_category import collapse, z_monoid
@@ -267,7 +267,7 @@ def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
     # front keeps their differentials unbuilt
     cat = builtin("c2")
     builds = [count_builds(monkeypatch, fn)
-              for fn in (hochschild_differential_entries, simplicial_coboundary_entries)]
+              for fn in (_full_differential, _coboundary)]
     with pytest.raises(DimensionCapExceeded) as refused:
         theorem_a_report(make_context(cat, GF2), 10, cap=256)
     assert (refused.value.degree, refused.value.required) == (8, 512)
@@ -279,7 +279,7 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
     # 2·3^m F^ad chains, so only the nerve count passes 100, in degree 4
     ctx = make_context(z_monoid(), GF2)
     builds = [count_builds(monkeypatch, fn) for fn in
-              (hochschild_differential_entries, simplicial_coboundary_entries, _chains_cached)]
+              (_full_differential, _coboundary, _chains_cached)]
     with pytest.raises(DimensionCapExceeded) as refused:
         theorem_a_report(ctx, 4, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)

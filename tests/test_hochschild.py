@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -13,19 +14,22 @@ from hochcat import (
     relative_basis,
     relative_cohomology_dims,
 )
-from hochcat.errors import DimensionCapExceeded
+from hochcat import hochschild
+from hochcat.errors import DimensionCapExceeded, NotASubcomplex
 from hochcat.hochschild import (
+    _full_differential,
     _relative_basis_cached,
+    _relative_differential,
     basis_index,
     check_cap,
     hochschild_basis,
-    hochschild_differential_entries,
     relative_differential_matrix,
     relative_is_full,
     relative_sizes,
 )
+from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
-from hochcat.nerve import nerve_chains
+from hochcat.nerve import _coboundary, nerve_chains, simplicial_coboundary_matrix
 
 from . import oracles
 from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
@@ -138,6 +142,95 @@ def test_differential_matches_functional_oracle():
                 assert nnz == pkg.nnz
 
 
+# The assembly computes each term's row by base-n index arithmetic; the oracle
+# builds the same terms as tuples, column by column, and looks them up.
+ASSEMBLY_FIELDS = (GF2, GF3, QQ)
+ASSEMBLY_ROWS = 10_000   # largest full differential checked, in rows
+
+
+def assembly_degrees(cat):
+    """Degrees 0..3 whose full differential has at most ``ASSEMBLY_ROWS`` rows."""
+    return [m for m in range(4) if cat.n_morphisms ** (m + 2) <= ASSEMBLY_ROWS]
+
+
+def test_differential_matches_column_wise_assembly():
+    for name, cat in FIXTURES.items():
+        for m in assembly_degrees(cat):
+            cols, rows = hochschild_basis(cat, m), hochschild_basis(cat, m + 1)
+            for field in ASSEMBLY_FIELDS:
+                want = oracles.column_wise_differential(cat, field, cols, rows)
+                assert hochschild_differential_matrix(cat, field, m) == want, (name, field, m)
+
+
+def restricted(full: Matrix, rows: list, cols: list) -> Matrix:
+    """``full`` on the given row and column indices, renumbered in that order.
+
+    Asserts that the kept columns have no entry outside the kept rows.
+    """
+    row_of = {r: i for i, r in enumerate(rows)}
+    col_of = {c: j for j, c in enumerate(cols)}
+    out: dict = {}
+    for r, row in full.rows.items():
+        for c, v in row.items():
+            j = col_of.get(c)
+            if j is not None:
+                assert r in row_of, (r, c)
+                out.setdefault(row_of[r], {})[j] = v
+    return Matrix(full.field, len(rows), len(cols), out)
+
+
+def test_relative_differential_is_the_restricted_full_one():
+    for name, cat in FIXTURES.items():
+        for m in assembly_degrees(cat):
+            cols, rows = relative_basis(cat, m), relative_basis(cat, m + 1)
+            for field in ASSEMBLY_FIELDS:
+                rel = relative_differential_matrix(cat, field, m)
+                full = hochschild_differential_matrix(cat, field, m)
+                assert rel == restricted(full, [basis_index(cat, *pair) for pair in rows],
+                                         [basis_index(cat, *pair) for pair in cols]), (name, field, m)
+                assert rel == oracles.column_wise_differential(cat, field, cols, rows), (name, field, m)
+
+
+def test_relative_differential_refuses_a_term_outside_the_subcomplex(monkeypatch):
+    # drop one row from the degree-2 relative basis map: the first column
+    # with a term there must name itself and the dropped pair
+    cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+    col = relative_basis(cat, 1)[0]
+    hit = next(iter(oracles.column_contributions(cat, *col)))
+    index_of = hochschild._relative_of_full
+
+    def dropping(cat, m):
+        rows = index_of(cat, m)
+        if m == 2:
+            del rows[basis_index(cat, *hit)]
+        return rows
+
+    monkeypatch.setattr(hochschild, "_relative_of_full", dropping)
+    with pytest.raises(NotASubcomplex) as refused:
+        relative_differential_matrix(cat, GF2, 1)
+    assert str(refused.value) == \
+        f"differential leaves the relative subcomplex at degree 1: column {col} hits {hit}"
+
+
+def test_each_differential_is_built_once_per_field(monkeypatch):
+    # a fresh copy of ex6, so that no other test has filled its memos
+    cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+    fad = adjoint_category(cat)
+    builders = (
+        (_full_differential, cat, hochschild_differential_matrix),
+        (_relative_differential, cat, relative_differential_matrix),
+        (_coboundary, fad, simplicial_coboundary_matrix),
+    )
+    for memoized, on, matrix in builders:
+        builds = count_builds(monkeypatch, memoized)
+        first = matrix(on, GF2, 1)
+        assert matrix(on, FieldSpec(2), 1) is first
+        other = matrix(on, GF3, 1)
+        assert other is not first and other.field == GF3
+        assert matrix(on, GF3, 1) is other
+        assert builds == {(id(on), (GF2, 1)): 1, (id(on), (GF3, 1)): 1}, memoized
+
+
 # --- cohomology dimensions ----------------------------------------------------
 
 def test_hochschild_dims_a2_rationals():
@@ -210,7 +303,7 @@ def test_relative_cap_is_checked_before_assembly(monkeypatch):
     assert (refused.value.degree, refused.value.required) == (8, 220)
     assert not builds
     c2 = builtin("c2")
-    full = count_builds(monkeypatch, hochschild_differential_entries)
+    full = count_builds(monkeypatch, _full_differential)
     with pytest.raises(DimensionCapExceeded) as refused:
         hochschild_cohomology_dims(c2, GF2, 10, cap=256)
     assert (refused.value.degree, refused.value.required) == (8, 512)

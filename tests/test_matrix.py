@@ -17,7 +17,7 @@ from hochcat import (
 )
 from hochcat import matrix
 from hochcat.errors import NotASubspace, NotChainCompatible
-from hochcat.fields import is_prime
+from hochcat.fields import FieldSpec, is_prime
 from hochcat.hochschild import relative_differential_matrix
 from hochcat.matrix import (
     Matrix,
@@ -118,7 +118,20 @@ def test_scaled(field):
     zero = m.scaled(field.zero)
     assert zero.is_zero() and (zero.nrows, zero.ncols) == (2, 3)
     minus = field.neg(one)
-    assert m.scaled(minus) == mk(field, [[minus, 0, minus], [0, minus, 0]])
+    flipped = m.scaled(minus)
+    assert flipped == mk(field, [[minus, 0, minus], [0, minus, 0]])
+    # equal cells share the one product of their scalar
+    assert len({id(v) for row in flipped.rows.values() for v in row.values()}) == 1
+
+
+def test_scaled_multiplies_each_distinct_scalar_once(monkeypatch):
+    products = []
+    mul = FieldSpec.mul
+    monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: products.append((a, b)) or mul(self, a, b))
+    entries = {(r, c): 1 + (r + c) % 2 for r in range(3) for c in range(3)}
+    scaled = Matrix.from_int_entries(QQ, 3, 3, entries).scaled(QQ.scalar(-3))
+    assert sorted(products) == [(-3, 1), (-3, 2)]
+    assert scaled == Matrix.from_int_entries(QQ, 3, 3, {rc: -3 * v for rc, v in entries.items()})
 
 
 # --- kernel and image -------------------------------------------------------
@@ -644,6 +657,25 @@ def test_q_elimination_rejects_a_prime_that_divides_a_pivot():
     assert verdicts == [False, True]
     assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2))
     assert m.rank() == 2 and m.kernel_basis().dim == 0
+
+
+def test_q_elimination_clears_denominators_once(monkeypatch):
+    # every prime and every exact check of a lift read the same integer rows
+    calls = []
+    cleared = Matrix._cleared_rows
+    monkeypatch.setattr(Matrix, "_cleared_rows", lambda self: calls.append(self) or cleared(self))
+    p = matrix._PRIMES[0]
+    m = mk(QQ, [[p, 0], [0, Fraction(1, 2)]])
+    with _routes() as (eliminations, verdicts):
+        assert m.rref() == ((0, 1), Matrix.identity(QQ, 2))
+    assert eliminations == ["modular", "modular"] and verdicts == [False, True]
+    assert calls == [m]
+    monkeypatch.setattr(matrix, "_PRIMES", (5,))
+    m = mk(QQ, [[7, 1], [14, 2]])
+    with _routes() as (eliminations, verdicts):
+        m.rref()
+    assert eliminations == ["modular", "fraction"]
+    assert calls[1:] == [m]
 
 
 def test_q_elimination_falls_back_when_no_prime_verifies(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -135,6 +136,20 @@ def test_coboundary_matches_oracle():
                             nnz += 1
                             assert cells.get((i, j)) == v
                 assert nnz == pkg.nnz
+
+
+def test_coboundary_matches_face_assembly():
+    # every fixture and its F^ad over GF(2), GF(3) and Q, degrees 0..3 while
+    # the (m+1)-chains number at most 5000
+    for name, cat in FIXTURES.items():
+        for target in (cat, adjoint_category(cat)):
+            counts = list(itertools.islice(nerve_sizes(target), 5))
+            for m in range(4):
+                if counts[m + 1] > 5000:
+                    break
+                for field in (GF2, GF3, QQ):
+                    want = oracles.face_coboundary(target, field, m)
+                    assert simplicial_coboundary_matrix(target, field, m) == want, (name, field, m)
 
 
 # --- cohomology ------------------------------------------------------------------
