@@ -24,9 +24,7 @@ from .category import (
 )
 from .catformat import category_to_text, load_category, parse_category, parse_category_text
 from .comparison import (
-    ComparisonContext,
     TheoremAReport,
-    make_context,
     t_map_matrix,
     theorem_a_report,
     verify_section,
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointCategory",
-    "ComparisonContext",
     "FieldSpec",
     "FiniteCategory",
     "Ladder",
@@ -89,7 +86,6 @@ __all__ = [
     "is_right_deterministic",
     "is_rr_transitive",
     "load_category",
-    "make_context",
     "nerve_chains",
     "parse_category",
     "parse_category_text",

@@ -353,15 +353,6 @@ def is_rr_transitive(cat: FiniteCategory) -> PredicateReport:
     return PredicateReport("rr_transitive", True)
 
 
-PREDICATE_NAMES = (
-    "left_cancellative",
-    "right_cancellative",
-    "left_deterministic",
-    "right_deterministic",
-    "rr_transitive",
-)
-
-
 @memo
 def predicate_reports(cat: FiniteCategory) -> dict:
     return {

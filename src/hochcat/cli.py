@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 
 from .catformat import category_to_text, load_category
-from .category import FiniteCategory, adjoint_category, predicate_reports
-from .comparison import CANCELLATIVE, DETERMINISTIC, make_context, theorem_a_report
+from .category import FiniteCategory, adjoint_category, predicate_reports, require_predicates
+from .comparison import CANCELLATIVE, DETERMINISTIC, theorem_a_report
 from .derivations import theorem_b_report
 from .errors import (
     BadFieldSpec,
@@ -41,8 +41,6 @@ from .hochschild import (
     relative_cohomology_dims,
     relative_is_full,
 )
-
-VERBS = ("validate", "props", "fad", "cohomology", "compare", "derivations")
 
 PREDICATE_LABELS = (
     ("left_cancellative", "left-cancellative"),
@@ -266,9 +264,9 @@ def _run_cohomology(cmd: Command) -> Report:
 
 def _run_compare(cmd: Command) -> Report:
     name, cat = _load_input(cmd)
-    ctx = make_context(cat, cmd.field)
-    ctx.require(*CANCELLATIVE, *DETERMINISTIC)
-    report = theorem_a_report(ctx, cmd.max_degree, cmd.cap)
+    # refuse before anything builds F^ad
+    require_predicates(cat, *CANCELLATIVE, *DETERMINISTIC)
+    report = theorem_a_report(cat, cmd.field, cmd.max_degree, cmd.cap)
     degrees = []
     for rec in report.degrees:
         checks = {c.name: c.ok for c in rec.checks}

@@ -15,6 +15,11 @@ dimension tables degree by degree.
 three dimensions, the results of the exact chain identities, and the map T
 induces on cohomology, and its verdict accounts for all of them.  The CLI
 only formats it.
+
+The maps, the identity checks and the report take ``(cat, field, m)``, and
+a ``cap`` where they build full bases, like the complexes they compare.
+``F^ad`` is ``adjoint_category(cat)``, memoized on ``cat``, and a map or
+check that needs a hypothesis tests it with ``require_predicates(cat, ...)``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .category import (
-    AdjointCategory,
     FiniteCategory,
     Ladder,
     _completion_table,
@@ -51,26 +55,6 @@ CANCELLATIVE = ("left_cancellative", "right_cancellative")
 DETERMINISTIC = ("left_deterministic", "right_deterministic")
 
 
-@dataclass(frozen=True)
-class ComparisonContext:
-    """A category, its adjoint category, a field, and the predicate flags."""
-
-    cat: FiniteCategory
-    fad: AdjointCategory
-    field: FieldSpec
-
-    @property
-    def flags(self) -> dict:
-        return {name: rep.holds for name, rep in predicate_reports(self.cat).items()}
-
-    def require(self, *names: str) -> None:
-        require_predicates(self.cat, *names)
-
-
-def make_context(cat: FiniteCategory, field: FieldSpec) -> ComparisonContext:
-    return ComparisonContext(cat=cat, fad=adjoint_category(cat), field=field)
-
-
 # --- the reading map T -------------------------------------------------------
 
 @memo
@@ -94,21 +78,21 @@ def _t_entries(cat: FiniteCategory, m: int) -> tuple:
     return len(chains), ncols, tuple(entries)
 
 
-def t_map_matrix(ctx: ComparisonContext, m: int, cap: int | None = None) -> Matrix:
+def t_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
-    check_cap(ctx.cat, m, cap)
-    nrows, ncols, entries = _t_entries(ctx.cat, m)
-    one = ctx.field.one
-    return Matrix.from_entries(ctx.field, nrows, ncols, {rc: one for rc in entries})
+    check_cap(cat, m, cap)
+    nrows, ncols, entries = _t_entries(cat, m)
+    one = field.one
+    return Matrix.from_entries(field, nrows, ncols, {rc: one for rc in entries})
 
 
-def t_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:
+def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
     """T restricted to the relative subcomplex (square under the full hypotheses)."""
-    rel_of_full = _relative_of_full(ctx.cat, m)
-    nrows, _ncols, entries = _t_entries(ctx.cat, m)
-    one = ctx.field.one
+    rel_of_full = _relative_of_full(cat, m)
+    nrows, _ncols, entries = _t_entries(cat, m)
+    one = field.one
     cells = {(r, rel_of_full[c]): one for r, c in entries}
-    return Matrix.from_entries(ctx.field, nrows, len(rel_of_full), cells)
+    return Matrix.from_entries(field, nrows, len(rel_of_full), cells)
 
 
 # --- the section X -----------------------------------------------------------
@@ -147,21 +131,21 @@ def _x_entries(cat: FiniteCategory, m: int) -> tuple:
     return nrows, len(col_index), tuple(entries.items())
 
 
-def x_map_matrix(ctx: ComparisonContext, m: int, cap: int | None = None) -> Matrix:
+def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains."""
-    ctx.require("right_deterministic", "right_cancellative")
-    check_cap(ctx.cat, m, cap)
-    nrows, ncols, entries = _x_entries(ctx.cat, m)
-    return Matrix.from_int_entries(ctx.field, nrows, ncols, dict(entries))
+    require_predicates(cat, "right_deterministic", "right_cancellative")
+    check_cap(cat, m, cap)
+    nrows, ncols, entries = _x_entries(cat, m)
+    return Matrix.from_int_entries(field, nrows, ncols, dict(entries))
 
 
-def x_map_relative_matrix(ctx: ComparisonContext, m: int) -> Matrix:
+def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
     """X written in relative row coordinates (its image is always relative)."""
-    ctx.require("right_deterministic", "right_cancellative")
-    rel_of_full = _relative_of_full(ctx.cat, m)
-    _nrows, ncols, entries = _x_entries(ctx.cat, m)
+    require_predicates(cat, "right_deterministic", "right_cancellative")
+    rel_of_full = _relative_of_full(cat, m)
+    _nrows, ncols, entries = _x_entries(cat, m)
     cells = {(rel_of_full[r], c): v for (r, c), v in entries}
-    return Matrix.from_int_entries(ctx.field, len(rel_of_full), ncols, cells)
+    return Matrix.from_int_entries(field, len(rel_of_full), ncols, cells)
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -189,50 +173,54 @@ def _verified(name: str, m: int, lhs: Matrix, rhs: Matrix) -> VerificationResult
     return VerificationResult(name, m, diff is None, diff)
 
 
-def verify_t_chain_identity(ctx: ComparisonContext, m: int, cap: int | None = None) -> VerificationResult:
+def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
+                            cap: int | None = None) -> VerificationResult:
     """T^(m+1) ∘ ∂^m = (-1)^(m+1) δ^m ∘ T^m, as exact matrices."""
-    ctx.require(*CANCELLATIVE)
-    lhs = t_map_matrix(ctx, m + 1, cap) @ hochschild_differential_matrix(ctx.cat, ctx.field, m, cap)
-    rhs = (simplicial_coboundary_matrix(ctx.fad, ctx.field, m) @ t_map_matrix(ctx, m, cap))
-    rhs = rhs.scaled(_sign_for(ctx.field, m))
+    require_predicates(cat, *CANCELLATIVE)
+    lhs = t_map_matrix(cat, field, m + 1, cap) @ hochschild_differential_matrix(cat, field, m, cap)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m, cap)
+    rhs = (delta @ t_map_matrix(cat, field, m, cap)).scaled(_sign_for(field, m))
     return _verified("t_chain", m, lhs, rhs)
 
 
-def verify_x_chain_identity(ctx: ComparisonContext, m: int, cap: int | None = None) -> VerificationResult:
+def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
+                            cap: int | None = None) -> VerificationResult:
     """X^(m+1) ∘ δ^m = (-1)^(m+1) ∂^m ∘ X^m, as exact matrices."""
-    ctx.require(*DETERMINISTIC, *CANCELLATIVE)
-    lhs = x_map_matrix(ctx, m + 1, cap) @ simplicial_coboundary_matrix(ctx.fad, ctx.field, m)
-    rhs = (hochschild_differential_matrix(ctx.cat, ctx.field, m, cap) @ x_map_matrix(ctx, m, cap))
-    rhs = rhs.scaled(_sign_for(ctx.field, m))
+    require_predicates(cat, *DETERMINISTIC, *CANCELLATIVE)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m, cap)
+    lhs = x_map_matrix(cat, field, m + 1, cap) @ delta
+    rhs = (hochschild_differential_matrix(cat, field, m, cap) @ x_map_matrix(cat, field, m, cap))
+    rhs = rhs.scaled(_sign_for(field, m))
     return _verified("x_chain", m, lhs, rhs)
 
 
-def verify_section(ctx: ComparisonContext, m: int, cap: int | None = None) -> VerificationResult:
+def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
+                   cap: int | None = None) -> VerificationResult:
     """T^m ∘ X^m is the identity on degree-m nerve cochains of F^ad."""
-    ctx.require("right_deterministic", *CANCELLATIVE)
-    prod = t_map_matrix(ctx, m, cap) @ x_map_matrix(ctx, m, cap)
-    eye = Matrix.identity(ctx.field, prod.nrows)
+    require_predicates(cat, "right_deterministic", *CANCELLATIVE)
+    prod = t_map_matrix(cat, field, m, cap) @ x_map_matrix(cat, field, m, cap)
+    eye = Matrix.identity(field, prod.nrows)
     return _verified("section", m, prod, eye)
 
 
-def verify_two_sided_on_relative(ctx: ComparisonContext, m: int) -> VerificationResult:
+def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> VerificationResult:
     """On relative cochains T and X are mutually inverse bijections.
 
     Checks (i) the image of X lies in the relative span, and (ii) both
     composites of the restricted maps are identity matrices.
     """
-    ctx.require("rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
-    rel_full = _relative_of_full(ctx.cat, m)
-    _, _, entries = _x_entries(ctx.cat, m)
+    require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
+    rel_full = _relative_of_full(cat, m)
+    _, _, entries = _x_entries(cat, m)
     for (r, _c), _v in entries:
         if r not in rel_full:
             return VerificationResult("two_sided_relative", m, False, (r, -1, "image not relative", None))
-    t_rel = t_map_relative_matrix(ctx, m)
-    x_rel = x_map_relative_matrix(ctx, m)
-    left = _verified("two_sided_relative", m, x_rel @ t_rel, Matrix.identity(ctx.field, x_rel.nrows))
+    t_rel = t_map_relative_matrix(cat, field, m)
+    x_rel = x_map_relative_matrix(cat, field, m)
+    left = _verified("two_sided_relative", m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
     if not left.ok:
         return left
-    return _verified("two_sided_relative", m, t_rel @ x_rel, Matrix.identity(ctx.field, t_rel.nrows))
+    return _verified("two_sided_relative", m, t_rel @ x_rel, Matrix.identity(field, t_rel.nrows))
 
 
 # --- Theorem A, degree by degree ------------------------------------------------
@@ -275,7 +263,8 @@ def hypothesis_tier(flags: dict) -> str:
     return "unverified"
 
 
-def _induced_maps(ctx: ComparisonContext, max_m: int, cap: int | None, tier: str) -> list:
+def _induced_maps(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None,
+                  tier: str) -> list:
     """Per degree, the three dimensions and the map T induces on cohomology.
 
     The cocycle and coboundary bases die with this call, so none is alive
@@ -283,10 +272,10 @@ def _induced_maps(ctx: ComparisonContext, max_m: int, cap: int | None, tier: str
     complex is the full one (``relative_is_full``), its dimensions are the
     full ones and it is not eliminated again.
     """
-    cat, fad, field = ctx.cat, ctx.fad, ctx.field
+    fad = adjoint_category(cat)
     rng = range(max_m + 1)
     full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
-    nerve = cohomology(simplicial_coboundary_matrix(fad, field, m) for m in rng)
+    nerve = cohomology(simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
     relative = None
     if not relative_is_full(cat, max_m + 1):
         relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
@@ -299,7 +288,7 @@ def _induced_maps(ctx: ComparisonContext, max_m: int, cap: int | None, tier: str
         if tier != "unverified":
             try:
                 induced, invertible = induced_quotient_map(
-                    t_map_matrix(ctx, m, cap), Z_h, B_h, Z_s, B_s
+                    t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
                 )
                 surjective = induced.rank() == dim_s
             except NotChainCompatible:
@@ -308,7 +297,8 @@ def _induced_maps(ctx: ComparisonContext, max_m: int, cap: int | None, tier: str
     return out
 
 
-def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None) -> TheoremAReport:
+def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
+                     cap: int | None = None) -> TheoremAReport:
     """Compute both cohomologies and certify the comparison degree by degree.
 
     The report is the whole certificate: per degree the three dimensions,
@@ -320,17 +310,19 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
     the verdict claims only what the hypothesis tier supports, and a failed
     identity or a T that breaks a subspace makes it ``failed``.
     """
-    check_sizes(hochschild_sizes(ctx.cat), max_m + 1, cap)
-    check_sizes(nerve_sizes(ctx.fad), max_m + 1, cap)
-    tier = hypothesis_tier(ctx.flags)
+    check_sizes(hochschild_sizes(cat), max_m + 1, cap)
+    check_sizes(nerve_sizes(adjoint_category(cat)), max_m + 1, cap)
+    flags = {name: rep.holds for name, rep in predicate_reports(cat).items()}
+    tier = hypothesis_tier(flags)
     degrees = []
-    for rec in _induced_maps(ctx, max_m, cap, tier):
+    for rec in _induced_maps(cat, field, max_m, cap, tier):
         m, checks = rec.degree, ()
         if tier != "unverified":
-            checks = (verify_t_chain_identity(ctx, m, cap), verify_x_chain_identity(ctx, m, cap),
-                      verify_section(ctx, m, cap))
+            checks = (verify_t_chain_identity(cat, field, m, cap),
+                      verify_x_chain_identity(cat, field, m, cap),
+                      verify_section(cat, field, m, cap))
             if tier == "isomorphism":
-                checks += (verify_two_sided_on_relative(ctx, m),)
+                checks += (verify_two_sided_on_relative(cat, field, m),)
         ok = all(checks)
         degrees.append(replace(rec, checks=checks, induced_surjective=rec.induced_surjective and ok,
                                induced_invertible=rec.induced_invertible and ok))
@@ -338,9 +330,9 @@ def theorem_a_report(ctx: ComparisonContext, max_m: int, cap: int | None = None)
                     for rec in degrees)
     verdict = tier if (tier == "unverified" or certified) else "failed"
     return TheoremAReport(
-        field=ctx.field,
+        field=field,
         max_degree=max_m,
-        flags=dict(ctx.flags),
+        flags=flags,
         tier=tier,
         degrees=tuple(degrees),
         verdict=verdict,

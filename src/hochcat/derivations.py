@@ -8,17 +8,21 @@ F^ad, scalar functions on morphisms additive under composition, are the
 degree-1 cocycles of its nerve, ``ker δ^1``.  The degree-1 comparison map
 restricts to a bijection between the two kernels, and this module certifies
 that bijection by explicit matrices.
+
+As in ``comparison``, the functions take ``(cat, field)`` and an optional
+``cap``; the degree is always 1.  ``character_space`` alone takes the
+adjoint category itself, since its kernel lives on any category's nerve.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .category import FiniteCategory, require_predicates
+from .category import FiniteCategory, adjoint_category, require_predicates
 from .comparison import (
     CANCELLATIVE,
     DETERMINISTIC,
-    make_context,
     t_map_relative_matrix,
     x_map_relative_matrix,
 )
@@ -26,7 +30,7 @@ from .fields import FieldSpec
 from .hochschild import DEFAULT_BASIS_CAP, relative_differential_matrix
 from .errors import DimensionCapExceeded, NotChainCompatible
 from .matrix import Matrix, Subspace, induced_quotient_map
-from .nerve import simplicial_coboundary_matrix
+from .nerve import nerve_sizes, simplicial_coboundary_matrix
 
 
 def graded_derivation_space(cat: FiniteCategory, field: FieldSpec, cap: int | None = None) -> Subspace:
@@ -38,12 +42,13 @@ def graded_derivation_space(cat: FiniteCategory, field: FieldSpec, cap: int | No
     return relative_differential_matrix(cat, field, 1, cap).kernel_basis()
 
 
-def character_space(fad: FiniteCategory, field: FieldSpec) -> Subspace:
+def character_space(fad: FiniteCategory, field: FieldSpec, cap: int | None = None) -> Subspace:
     """Characters on ``fad``: the degree-1 cocycles of its nerve, ``ker δ^1``.
 
-    Coordinates are indexed by the morphisms of ``fad``.
+    Coordinates are indexed by the morphisms of ``fad``; the cap is checked
+    on the 1- and 2-chain counts before any chain is listed.
     """
-    return simplicial_coboundary_matrix(fad, field, 1).kernel_basis()
+    return simplicial_coboundary_matrix(fad, field, 1, cap).kernel_basis()
 
 
 @dataclass(frozen=True)
@@ -65,28 +70,28 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     that leaves its space gives ``bijection=False``; the T matrix is
     reported whenever T's check passed, else it is zero.
 
-    Before any basis or chain list exists, the number of F^ad 2-chains,
-    ``Σ_x |Mor(−,x)|·|Mor(x,−)|``, and (in ``graded_derivation_space``) the
-    degree-1 and degree-2 relative sizes are checked against the cap.
+    Before any basis or chain list exists, the number of F^ad 2-chains
+    (``nerve_sizes``) and (in ``graded_derivation_space``) the degree-1 and
+    degree-2 relative sizes are checked against the cap.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
-    ctx = make_context(cat, field)
-    fad = ctx.fad
+    fad = adjoint_category(cat)
     cap = DEFAULT_BASIS_CAP if cap is None else cap
-    chains = sum(len(fad.morphisms_by_target[x]) * len(fad.morphisms_by_source[x])
-                 for x in range(fad.n_objects))
+    chains = next(itertools.islice(nerve_sizes(fad), 2, None))
     if chains > cap:
         raise DimensionCapExceeded(2, chains, cap)
     der = graded_derivation_space(cat, field, cap)
-    char = character_space(fad, field)
+    char = character_space(fad, field, cap)
 
     zero_der = Subspace.zero(field, der.ambient_dim)
     zero_char = Subspace.zero(field, char.ambient_dim)
     m_t = Matrix.zeros(field, char.dim, der.dim)
     bijection = False
     try:
-        m_t, _ = induced_quotient_map(t_map_relative_matrix(ctx, 1), der, zero_der, char, zero_char)
-        m_x, _ = induced_quotient_map(x_map_relative_matrix(ctx, 1), char, zero_char, der, zero_der)
+        m_t, _ = induced_quotient_map(t_map_relative_matrix(cat, field, 1),
+                                      der, zero_der, char, zero_char)
+        m_x, _ = induced_quotient_map(x_map_relative_matrix(cat, field, 1),
+                                      char, zero_char, der, zero_der)
     except NotChainCompatible:
         pass
     else:

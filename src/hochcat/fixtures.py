@@ -198,6 +198,3 @@ def _parse_size(name: str, prefix_len: int) -> int:
     if k < 1:
         raise UnknownFixture(f"fixture size must be positive in {name!r}")
     return k
-
-
-BUILTIN_EXAMPLES = ("triv", "a2", "c2", "cn:3", "chain:3", "diamond", "ex6")

@@ -301,12 +301,15 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
     """Matrix of the differential restricted to relative cochains.
 
     The cap is checked on the sizes of the two bases before either basis is
-    enumerated.
+    enumerated.  When the relative complex is the full one up to degree
+    m + 1 (``relative_is_full``), this is the full differential itself.
     """
     cap_val = DEFAULT_BASIS_CAP if cap is None else cap
     required = max(itertools.islice(relative_sizes(cat), m, m + 2))
     if required > cap_val:
         raise DimensionCapExceeded(m + 1, required, cap_val)
+    if relative_is_full(cat, m + 1):
+        return _full_differential(cat, field, m)
     return _relative_differential(cat, field, m)
 
 

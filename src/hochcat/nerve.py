@@ -124,8 +124,13 @@ def _coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
     return Matrix(field, len(chains), len(col_index), rows)
 
 
-def simplicial_coboundary_matrix(cat, field, m: int) -> Matrix:
-    """Matrix of the coboundary from degree-m to degree-(m+1) cochains."""
+def simplicial_coboundary_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the coboundary from degree-m to degree-(m+1) cochains.
+
+    Every chain count up to degree m + 1 is checked against the cap
+    (``nerve_sizes``) before the memo is read.
+    """
+    check_sizes(nerve_sizes(cat), m + 1, cap)
     return _coboundary(cat, field, m)
 
 
@@ -136,6 +141,6 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     cap (``nerve_sizes``) before the first chain is listed.
     """
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
-    mats = (simplicial_coboundary_matrix(cat, field, m) for m in range(max_m + 1))
+    mats = (simplicial_coboundary_matrix(cat, field, m, cap) for m in range(max_m + 1))
     return list(cohomology_dims(mats))
 

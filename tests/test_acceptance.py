@@ -13,7 +13,6 @@ from hochcat import (
     adjoint_category,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
-    make_context,
     nerve_chains,
     predicate_reports,
     relative_basis,
@@ -81,12 +80,11 @@ def test_criterion_3_chain_identities():
     with _Clock("3 chain identities", 60.0):
         for name, cat in FIXTURES.items():
             for field in FIELDS:
-                ctx = make_context(cat, field)
                 for m in range(3):
-                    assert verify_t_chain_identity(ctx, m).ok, (name, str(field), m)
-                    assert verify_x_chain_identity(ctx, m).ok, (name, str(field), m)
-                    assert verify_section(ctx, m).ok, (name, str(field), m)
-                    assert verify_two_sided_on_relative(ctx, m).ok, (name, str(field), m)
+                    assert verify_t_chain_identity(cat, field, m).ok, (name, str(field), m)
+                    assert verify_x_chain_identity(cat, field, m).ok, (name, str(field), m)
+                    assert verify_section(cat, field, m).ok, (name, str(field), m)
+                    assert verify_two_sided_on_relative(cat, field, m).ok, (name, str(field), m)
 
 
 def test_criterion_4_theorem_a_dimension_tables():
@@ -101,11 +99,11 @@ def test_criterion_4_theorem_a_dimension_tables():
             assert hochschild_cohomology_dims(cat, field, max_m) == dims
             assert relative_cohomology_dims(cat, field, max_m) == dims
             assert simplicial_cohomology_dims(adjoint_category(cat), field, max_m) == dims
-            rep = theorem_a_report(make_context(cat, field), max_m)
+            rep = theorem_a_report(cat, field, max_m)
             assert rep.verdict == "isomorphism"
             assert all(rec.induced_invertible for rec in rep.degrees)
         for field in (GF2, GF3):
-            rep = theorem_a_report(make_context(EX6, field), 2)
+            rep = theorem_a_report(EX6, field, 2)
             for rec in rep.degrees:
                 assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial
                 assert rec.induced_invertible

@@ -4,7 +4,9 @@ A public name must be read by some package module other than ``__init__``
 (counted on the syntax tree, as a name or an attribute, so strings and
 comments never count), or be named in code in README's "Library" section.
 A private helper (a function, method or class named ``_x``, dunders
-aside) must be read somewhere in the package, counted the same way.
+aside) must be read somewhere in the package, counted the same way.  A
+module-level ALL_CAPS constant must be read in the package, in the tests,
+or in code in README's "Library" section.
 """
 
 import ast
@@ -15,13 +17,14 @@ import hochcat
 
 SRC = os.path.dirname(os.path.abspath(hochcat.__file__))
 README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
-def module_trees():
-    """``(file name, syntax tree)`` of every package module."""
-    for fname in sorted(os.listdir(SRC)):
+def module_trees(directory=SRC):
+    """``(file name, syntax tree)`` of every module in ``directory``."""
+    for fname in sorted(os.listdir(directory)):
         if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
                 yield fname, ast.parse(fh.read())
 
 
@@ -65,3 +68,22 @@ def test_every_private_helper_is_read():
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defined.append((fname, node.name))
     assert [(fname, name) for fname, name in defined if name not in read] == []
+
+
+def test_every_constant_is_read():
+    read = names_documented_as_library()
+    for directory in (SRC, TESTS):
+        read = read.union(*(names_read(tree) for _fname, tree in module_trees(directory)))
+    unread = []
+    for fname, tree in module_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            unread += [(fname, t.id) for t in targets
+                       if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                       and t.id not in read]
+    assert unread == []

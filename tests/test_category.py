@@ -17,7 +17,7 @@ from hochcat import (
     validate_category,
 )
 from hochcat.category import Ladder, _completion_table
-from hochcat.comparison import make_context, x_map_matrix
+from hochcat.comparison import x_map_matrix
 from hochcat.errors import (
     AssociativityFailure,
     DuplicateName,
@@ -313,7 +313,7 @@ def test_conjugation_requires_hypotheses():
     # consumer, refuses the category
     assert oracles.completions(z_monoid())[1, 1] == [0, 1]
     with pytest.raises(HypothesisViolated):
-        x_map_matrix(make_context(z_monoid(), GF2), 1)
+        x_map_matrix(z_monoid(), GF2, 1)
 
 
 def test_conjugation_inverse_is_inverse():
@@ -365,7 +365,7 @@ def test_ladder_requires_hypotheses():
     assert oracles.completions(cat)[3, 1] == []
     assert (3, 1) not in _completion_table(cat)
     with pytest.raises(HypothesisViolated):
-        x_map_matrix(make_context(cat, GF2), 1)
+        x_map_matrix(cat, GF2, 1)
 
 
 def test_ladder_equals_iterated_conjugation():

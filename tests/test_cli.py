@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hochcat import catformat, comparison, fixtures, hochschild, nerve
+from hochcat import category, catformat, comparison, fixtures, hochschild, nerve
 from hochcat import cli as cli_module
 from hochcat.cli import Command, main, parse_args
 from hochcat.fields import FieldSpec
@@ -336,6 +336,33 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
     assert main(["compare", str(f)]) == 3
 
 
+def test_compare_refuses_before_building_fad(monkeypatch, tmp_path, capsys):
+    # {e, z} with z∘z = z is not left cancellative
+    f = tmp_path / "z.cat"
+    f.write_text(
+        "object x\nmorphism id : x -> x identity\nmorphism z : x -> x\n"
+        "compose z z = z\n", encoding="utf-8"
+    )
+    builds = count_builds(monkeypatch, category.adjoint_category)
+    assert main(["compare", str(f)]) == 3
+    assert "left_cancellative" in capsys.readouterr().err
+    assert not builds
+
+
+def test_derivations_reuse_the_full_differential_of_one_object(monkeypatch, capsys):
+    # cn:3 has one object, so its relative d_m is the memoized full d_m
+    cat = fixtures.builtin("cn:3")
+    for field in (GF2, FieldSpec(None)):
+        for m in range(3):
+            assert hochschild.relative_differential_matrix(cat, field, m) is \
+                hochschild.hochschild_differential_matrix(cat, field, m)
+    argv = ["derivations", "cn:3", "--field", "q", "--output", "json"]
+    code, shared = cli(*argv, capsys=capsys)
+    assert code == 0
+    monkeypatch.setattr(hochschild, "relative_is_full", lambda cat, top: False)
+    assert cli(*argv, capsys=capsys) == (code, shared)
+
+
 def test_compare_surjection_tier(tmp_path, capsys):
     f = tmp_path / "parallel.cat"
     f.write_text(
@@ -359,13 +386,13 @@ def test_compare_reports_a_broken_chain_identity_as_failed(monkeypatch, capsys, 
     # stops preserving cocycles, which must still end in a report
     honest = comparison.t_map_matrix
 
-    def toggled(ctx, m, cap=None):
-        t = honest(ctx, m, cap)
+    def toggled(cat, field, m, cap=None):
+        t = honest(cat, field, m, cap)
         if m:
             return t
         cells = {(r, c): v for r, c, v in t.entries()}
-        cells[cell] = ctx.field.add(cells.get(cell, ctx.field.zero), ctx.field.one)
-        return Matrix.from_entries(ctx.field, t.nrows, t.ncols, cells)
+        cells[cell] = field.add(cells.get(cell, field.zero), field.one)
+        return Matrix.from_entries(field, t.nrows, t.ncols, cells)
 
     monkeypatch.setattr(comparison, "t_map_matrix", toggled)
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",

@@ -6,10 +6,10 @@ import weakref
 import pytest
 
 from hochcat import (
+    adjoint_category,
     builtin,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
-    make_context,
     nerve_chains,
     relative_cohomology_dims,
     simplicial_coboundary_matrix,
@@ -53,10 +53,10 @@ def as_column(field, vec) -> Matrix:
 
 def test_t_has_one_unit_entry_per_row():
     for name in HYPOTHESIS_FIXTURES:
-        ctx = make_context(FIXTURES[name], GF3)
+        cat, field = FIXTURES[name], GF3
         for m in range(3):
-            t = t_map_matrix(ctx, m)
-            assert t.nrows == len(nerve_chains(ctx.fad, m))
+            t = t_map_matrix(cat, field, m)
+            assert t.nrows == len(nerve_chains(adjoint_category(cat), m))
             per_row = {}
             for r, c, v in t.entries():
                 assert v == GF3.one
@@ -65,23 +65,23 @@ def test_t_has_one_unit_entry_per_row():
 
 
 def test_t_degree_zero_reads_base_endomorphism():
-    ctx = make_context(TRIV, QQ)
-    assert t_map_matrix(ctx, 0) == Matrix.identity(QQ, 1)
+    cat, field = TRIV, QQ
+    assert t_map_matrix(cat, field, 0) == Matrix.identity(QQ, 1)
 
 
 def test_t_degree_one_c2_reads_composite():
     # the chain over bottom t with base vertical t reads coefficient (t,), e
-    ctx = make_context(C2, GF2)
-    fad = ctx.fad
-    t = t_map_matrix(ctx, 1)
+    cat, field = C2, GF2
+    fad = adjoint_category(cat)
+    t = t_map_matrix(cat, field, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[1, 1, 1],))
     assert column(t, basis_index(C2, (1,), 0))[row] == GF2.one
 
 
 def test_t_degree_one_a2_identity_verticals():
-    ctx = make_context(A2, QQ)
-    fad = ctx.fad
-    t = t_map_matrix(ctx, 1)
+    cat, field = A2, QQ
+    fad = adjoint_category(cat)
+    t = t_map_matrix(cat, field, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
     assert column(t, basis_index(A2, (2,), 2))[row] == QQ.one
 
@@ -90,32 +90,32 @@ def test_t_degree_one_a2_identity_verticals():
 
 def test_x_indicator_a2():
     # indicator of the unique chain over g maps to the cochain g -> g
-    ctx = make_context(A2, QQ)
-    fad = ctx.fad
-    x = x_map_matrix(ctx, 1)
+    cat, field = A2, QQ
+    fad = adjoint_category(cat)
+    x = x_map_matrix(cat, field, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
     assert column(x, col) == {basis_index(A2, (2,), 2): QQ.one}
 
 
 def test_x_indicator_c2_expands_base_sum():
     # indicator of the chain (bottom t, base e): value t -> t·e = t, e -> 0
-    ctx = make_context(C2, GF2)
-    fad = ctx.fad
-    x = x_map_matrix(ctx, 1)
+    cat, field = C2, GF2
+    fad = adjoint_category(cat)
+    x = x_map_matrix(cat, field, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 1, 0],))
     assert column(x, col) == {basis_index(C2, (1,), 1): GF2.one}
 
 
 def test_x_zero_cochain_maps_to_zero():
-    ctx = make_context(EX6, GF5)
-    x = x_map_matrix(ctx, 2)
+    cat, field = EX6, GF5
+    x = x_map_matrix(cat, field, 2)
     zero = as_column(GF5, [GF5.zero] * x.ncols)
     assert (x @ zero).is_zero()
 
 
 def test_x_vanishes_on_non_composable_tuples():
-    ctx = make_context(EX6, QQ)
-    x = x_map_matrix(ctx, 2)
+    cat, field = EX6, QQ
+    x = x_map_matrix(cat, field, 2)
     rel_rows = {
         basis_index(EX6, tup, h) for tup, h in relative_basis(EX6, 2)
     }
@@ -124,9 +124,9 @@ def test_x_vanishes_on_non_composable_tuples():
 
 
 def test_x_requires_right_determinism():
-    ctx = make_context(collapse(), GF2)
+    cat, field = collapse(), GF2
     with pytest.raises(HypothesisViolated):
-        x_map_matrix(ctx, 1)
+        x_map_matrix(cat, field, 1)
 
 
 # --- the chain identities ------------------------------------------------------
@@ -134,20 +134,20 @@ def test_x_requires_right_determinism():
 @pytest.mark.parametrize("name", HYPOTHESIS_FIXTURES)
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_chain_identities(name, field):
-    ctx = make_context(FIXTURES[name], field)
+    cat = FIXTURES[name]
     for m in range(3):
-        assert verify_t_chain_identity(ctx, m).ok, (name, m)
-        assert verify_x_chain_identity(ctx, m).ok, (name, m)
-        assert verify_section(ctx, m).ok, (name, m)
-        assert verify_two_sided_on_relative(ctx, m).ok, (name, m)
+        assert verify_t_chain_identity(cat, field, m).ok, (name, m)
+        assert verify_x_chain_identity(cat, field, m).ok, (name, m)
+        assert verify_section(cat, field, m).ok, (name, m)
+        assert verify_two_sided_on_relative(cat, field, m).ok, (name, m)
 
 
 def test_identity_checks_report_hypothesis_violations():
-    ctx = make_context(collapse(), GF2)
+    cat, field = collapse(), GF2
     with pytest.raises(HypothesisViolated):
-        verify_t_chain_identity(ctx, 0)
+        verify_t_chain_identity(cat, field, 0)
     with pytest.raises(HypothesisViolated):
-        verify_two_sided_on_relative(ctx, 0)
+        verify_two_sided_on_relative(cat, field, 0)
 
 
 def test_random_cochain_spot_check():
@@ -156,12 +156,12 @@ def test_random_cochain_spot_check():
     rng = random.Random(11)
     for name in ("c2", "ex6", "a2"):
         cat = FIXTURES[name]
-        ctx = make_context(cat, GF5)
+        field = GF5
         for m in range(2):
             d = hochschild_differential_matrix(cat, GF5, m)
-            t_low = t_map_matrix(ctx, m)
-            t_high = t_map_matrix(ctx, m + 1)
-            delta = simplicial_coboundary_matrix(ctx.fad, GF5, m)
+            t_low = t_map_matrix(cat, field, m)
+            t_high = t_map_matrix(cat, field, m + 1)
+            delta = simplicial_coboundary_matrix(adjoint_category(cat), GF5, m)
             sign = GF5.one if (m + 1) % 2 == 0 else GF5.neg(GF5.one)
             for _ in range(5):
                 vec = as_column(GF5, [rng.randrange(5) for _ in range(hochschild_basis_size(cat, m))])
@@ -172,9 +172,9 @@ def test_random_cochain_spot_check():
 
 def test_signed_coboundary_preserves_kernel_and_image():
     for name in ("c2", "ex6"):
-        ctx = make_context(FIXTURES[name], GF3)
+        cat, field = FIXTURES[name], GF3
         for m in range(3):
-            delta = simplicial_coboundary_matrix(ctx.fad, GF3, m)
+            delta = simplicial_coboundary_matrix(adjoint_category(cat), GF3, m)
             alpha = delta.scaled(_sign_for(GF3, m))
             assert alpha.kernel_basis() == delta.kernel_basis()
             assert alpha.image_basis() == delta.image_basis()
@@ -182,17 +182,17 @@ def test_signed_coboundary_preserves_kernel_and_image():
 
 def test_relative_t_is_square_under_full_hypotheses():
     for name in HYPOTHESIS_FIXTURES:
-        ctx = make_context(FIXTURES[name], GF2)
+        cat, field = FIXTURES[name], GF2
         for m in range(4):
-            t_rel = t_map_relative_matrix(ctx, m)
-            assert t_rel.nrows == t_rel.ncols == len(nerve_chains(ctx.fad, m))
+            t_rel = t_map_relative_matrix(cat, field, m)
+            assert t_rel.nrows == t_rel.ncols == len(nerve_chains(adjoint_category(cat), m))
             assert t_rel.rank() == t_rel.nrows, (name, m)
 
 
 # --- Theorem A reports ------------------------------------------------------------
 
 def test_theorem_a_c2_gf2():
-    rep = theorem_a_report(make_context(C2, GF2), 3)
+    rep = theorem_a_report(C2, GF2, 3)
     assert rep.tier == "isomorphism" and rep.verdict == "isomorphism"
     for rec in rep.degrees:
         assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial == 2
@@ -200,7 +200,7 @@ def test_theorem_a_c2_gf2():
 
 
 def test_theorem_a_a2_rationals():
-    rep = theorem_a_report(make_context(A2, QQ), 3)
+    rep = theorem_a_report(A2, QQ, 3)
     dims = [rec.dim_hochschild for rec in rep.degrees]
     assert dims == [1, 0, 0, 0]
     assert all(rec.induced_invertible for rec in rep.degrees)
@@ -209,7 +209,7 @@ def test_theorem_a_a2_rationals():
 
 @pytest.mark.parametrize("field", (GF2, GF3), ids=str)
 def test_theorem_a_ex6_agreement(field):
-    rep = theorem_a_report(make_context(EX6, field), 2)
+    rep = theorem_a_report(EX6, field, 2)
     for rec in rep.degrees:
         assert rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial
         assert rec.induced_invertible
@@ -229,7 +229,7 @@ def test_theorem_a_eliminates_a_one_object_relative_complex_once(monkeypatch):
     monkeypatch.setattr(comparison, "relative_differential_matrix", counted)
     for cat in (C2, FIXTURES["s3"], EX6):
         for field in (GF2, QQ):
-            rep = theorem_a_report(make_context(cat, field), 1)
+            rep = theorem_a_report(cat, field, 1)
             assert [rec.dim_relative for rec in rep.degrees] == \
                 relative_cohomology_dims(cat, field, 1), (cat.n_objects, str(field))
             assert rep.verdict == "isomorphism"
@@ -245,7 +245,7 @@ def test_certificates_never_write_a_basis_out_densely(monkeypatch):
     monkeypatch.setattr(Matrix, "dense_rows", refuse)
     for cat in (DIAMOND, EX6):
         for field in (GF2, QQ):
-            assert theorem_a_report(make_context(cat, field), 2).verdict == "isomorphism"
+            assert theorem_a_report(cat, field, 2).verdict == "isomorphism"
             assert theorem_b_report(cat, field).bijection
 
 
@@ -256,7 +256,7 @@ def test_derived_tables_die_with_their_category():
     ref = weakref.ref(cat)
     hochschild_cohomology_dims(cat, GF2, 2)
     relative_cohomology_dims(cat, GF2, 2)
-    assert theorem_a_report(make_context(cat, GF2), 2).verdict == "isomorphism"
+    assert theorem_a_report(cat, GF2, 2).verdict == "isomorphism"
     del cat
     gc.collect()
     assert ref() is None
@@ -269,7 +269,7 @@ def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
     builds = [count_builds(monkeypatch, fn)
               for fn in (_full_differential, _coboundary)]
     with pytest.raises(DimensionCapExceeded) as refused:
-        theorem_a_report(make_context(cat, GF2), 10, cap=256)
+        theorem_a_report(cat, GF2, 10, cap=256)
     assert (refused.value.degree, refused.value.required) == (8, 512)
     assert not any(builds)
 
@@ -277,17 +277,17 @@ def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
 def test_theorem_a_caps_the_fad_nerve(monkeypatch):
     # {e, z} with z∘z = z: degree m has 2^(m+1) Hochschild cochains but
     # 2·3^m F^ad chains, so only the nerve count passes 100, in degree 4
-    ctx = make_context(z_monoid(), GF2)
+    cat, field = z_monoid(), GF2
     builds = [count_builds(monkeypatch, fn) for fn in
               (_full_differential, _coboundary, _chains_cached)]
     with pytest.raises(DimensionCapExceeded) as refused:
-        theorem_a_report(ctx, 4, cap=100)
+        theorem_a_report(cat, field, 4, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
     assert not any(builds)
 
 
 def test_theorem_a_report_holds_the_identity_checks():
-    rep = theorem_a_report(make_context(EX6, GF3), 2)
+    rep = theorem_a_report(EX6, GF3, 2)
     for rec in rep.degrees:
         assert [c.name for c in rec.checks] == \
             ["t_chain", "x_chain", "section", "two_sided_relative"]
@@ -295,7 +295,7 @@ def test_theorem_a_report_holds_the_identity_checks():
 
 
 def test_theorem_a_downgrades_without_hypotheses():
-    rep = theorem_a_report(make_context(collapse(), GF2), 1)
+    rep = theorem_a_report(collapse(), GF2, 1)
     assert rep.tier == "unverified" and rep.verdict == "unverified"
     assert all(rec.induced_matrix is None and rec.checks == () for rec in rep.degrees)
 
@@ -307,8 +307,7 @@ def test_theorem_a_surjection_tier_parallel_arrows():
 
     cat = parallel_arrows()
     for field in (QQ, GF2):
-        ctx = make_context(cat, field)
-        rep = theorem_a_report(ctx, 2)
+        rep = theorem_a_report(cat, field, 2)
         assert rep.tier == "surjection" and rep.verdict == "surjection"
         assert all(rec.induced_surjective for rec in rep.degrees)
         deg1 = rep.degrees[1]
@@ -317,6 +316,6 @@ def test_theorem_a_surjection_tier_parallel_arrows():
         assert all([c.name for c in rec.checks] == ["t_chain", "x_chain", "section"]
                    and all(rec.checks) for rec in rep.degrees)
         for m in range(2):
-            assert verify_t_chain_identity(ctx, m).ok
-            assert verify_x_chain_identity(ctx, m).ok
-            assert verify_section(ctx, m).ok
+            assert verify_t_chain_identity(cat, field, m).ok
+            assert verify_x_chain_identity(cat, field, m).ok
+            assert verify_section(cat, field, m).ok

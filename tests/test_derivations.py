@@ -8,13 +8,13 @@ from hochcat import (
     hochschild_differential_matrix,
     theorem_b_report,
 )
-from hochcat.errors import HypothesisViolated
+from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import basis_index, relative_basis
 from hochcat.matrix import Matrix, Subspace
 
 from . import oracles
 from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, QQ
-from .test_category import collapse
+from .test_category import collapse, z_monoid
 
 
 # --- derivations ------------------------------------------------------------------
@@ -146,6 +146,15 @@ def test_theorem_b_all_hypothesis_fixtures():
             assert rep.bijection, (name, str(field))
 
 
+def test_character_space_honours_the_cap():
+    # the F^ad of {e, z} has 6 morphisms and 18 2-chains
+    fad = adjoint_category(z_monoid())
+    with pytest.raises(DimensionCapExceeded) as refused:
+        character_space(fad, GF2, cap=10)
+    assert (refused.value.degree, refused.value.required) == (2, 18)
+    assert character_space(fad, GF2, cap=18).ambient_dim == 6
+
+
 def test_theorem_b_requires_hypotheses():
     with pytest.raises(HypothesisViolated):
         theorem_b_report(collapse(), GF2)
@@ -154,13 +163,13 @@ def test_theorem_b_requires_hypotheses():
 def _perturb_x(monkeypatch, perturb):
     x_rel = derivations.x_map_relative_matrix
     monkeypatch.setattr(derivations, "x_map_relative_matrix",
-                        lambda ctx, m: perturb(ctx, x_rel(ctx, m)))
+                        lambda cat, field, m: perturb(cat, field, x_rel(cat, field, m)))
 
 
 def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypatch):
     # 2X still sends characters to derivations, but is not T's inverse
     honest = theorem_b_report(A2, QQ)
-    _perturb_x(monkeypatch, lambda ctx, x: x.scaled(QQ.scalar(2)))
+    _perturb_x(monkeypatch, lambda cat, field, x: x.scaled(QQ.scalar(2)))
     rep = theorem_b_report(A2, QQ)
     assert rep.bijection is False
     assert rep.restricted_matrix == honest.restricted_matrix
@@ -169,13 +178,13 @@ def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypat
 def test_theorem_b_rejects_a_perturbed_x_that_leaves_the_derivations(monkeypatch):
     # adding the identity slot e_(id, id) to X's image of the first character
     # basis vector leaves the derivations, which vanish on identities
-    def leave(ctx, x):
-        ident = ctx.cat.identity[0]
-        row = relative_basis(ctx.cat, 1).index(((ident,), ident))
-        col = character_space(ctx.fad, ctx.field).pivots[0]
+    def leave(cat, field, x):
+        ident = cat.identity[0]
+        row = relative_basis(cat, 1).index(((ident,), ident))
+        col = character_space(adjoint_category(cat), field).pivots[0]
         cells = {(r, c): v for r, c, v in x.entries()}
-        cells[row, col] = ctx.field.add(cells.get((row, col), ctx.field.zero), ctx.field.one)
-        return Matrix.from_entries(ctx.field, x.nrows, x.ncols, cells)
+        cells[row, col] = field.add(cells.get((row, col), field.zero), field.one)
+        return Matrix.from_entries(field, x.nrows, x.ncols, cells)
 
     honest = theorem_b_report(C2, GF2)
     _perturb_x(monkeypatch, leave)

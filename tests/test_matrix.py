@@ -296,7 +296,6 @@ def test_induced_comparison_degree_one_c2_gf2():
     from hochcat import (
         adjoint_category,
         hochschild_differential_matrix,
-        make_context,
         simplicial_coboundary_matrix,
         t_map_matrix,
     )
@@ -304,13 +303,12 @@ def test_induced_comparison_degree_one_c2_gf2():
     from .catalog import C2
 
     fad = adjoint_category(C2)
-    ctx = make_context(C2, GF2)
     d1 = hochschild_differential_matrix(C2, GF2, 1)
     d0 = hochschild_differential_matrix(C2, GF2, 0)
     e1 = simplicial_coboundary_matrix(fad, GF2, 1)
     e0 = simplicial_coboundary_matrix(fad, GF2, 0)
     Q, invertible = induced_quotient_map(
-        t_map_matrix(ctx, 1),
+        t_map_matrix(C2, GF2, 1),
         d1.kernel_basis(), d0.image_basis(),
         e1.kernel_basis(), e0.image_basis(),
     )

@@ -195,3 +195,13 @@ def test_simplicial_dims_cap_refuses_before_any_chain(monkeypatch):
     assert simplicial_cohomology_dims(fad, GF2, 2, cap=100) == \
         oracles.naive_simplicial_dims(fad, 2, 2)
     assert builds
+
+
+def test_coboundary_cap_refuses_before_any_chain(monkeypatch):
+    # 2·3^m chains in degree m: degree 6 is the first past 1000
+    fad = adjoint_category(z_monoid())
+    builds = count_builds(monkeypatch, _chains_cached)
+    with pytest.raises(DimensionCapExceeded) as refused:
+        simplicial_coboundary_matrix(fad, GF2, 7, cap=1000)
+    assert (refused.value.degree, refused.value.required) == (6, 1458)
+    assert not builds
