@@ -9,7 +9,8 @@ indices, which makes all matrices reproducible run to run.
 ``source(g) == target(f)``.  A base category holds its composition as a
 dense ``compose_table``, which the hot loops downstream read directly.  The
 adjoint category holds none (``compose_table is None``): its composition is
-determined by its triples and the base table, so ``compose`` pastes squares.
+determined by its triples and the base table, so ``compose`` pastes squares
+and ``composites`` pastes one morphism's square under a list of others.
 
 Commuting squares ``g∘a = b∘g`` are read from one table,
 ``_completion_table``, which completes a composable chain and a base
@@ -19,6 +20,7 @@ chains into ladders and back (``ladder_of_chain``, ``chain_of_ladder``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
@@ -56,6 +58,10 @@ class FiniteCategory:
     def compose(self, g: int, f: int) -> int:
         """g∘f; UNDEFINED when source(g) != target(f)."""
         return self.compose_table[g][f]
+
+    def composites(self, g: int, fs) -> list:
+        """[g∘f for f in fs], UNDEFINED where not composable; one table row."""
+        return list(map(self.compose_table[g].__getitem__, fs))
 
     def is_identity(self, m: int) -> bool:
         return m in self._identity_set
@@ -224,28 +230,36 @@ def validate_category(raw: RawCategory) -> FiniteCategory:
         put(identity[target[f]], f, f, forced=True)
         put(f, identity[source[f]], f, forced=True)
 
-    for g in range(n_mor):
-        for f in range(n_mor):
-            if source[g] == target[f] and table[g][f] == UNDEFINED:
+    into = [[] for _ in range(n_obj)]   # object -> the morphisms into it
+    for f in range(n_mor):
+        into[target[f]].append(f)
+
+    for g, row in enumerate(table):
+        for f in into[source[g]]:
+            if row[f] == UNDEFINED:
                 raise MissingComposite(
                     f"missing composite {mor_names[g]!r} ∘ {mor_names[f]!r}",
                     g=mor_names[g], f=mor_names[f],
                 )
 
-    for h in range(n_mor):
-        for g in range(n_mor):
-            if source[h] != target[g]:
-                continue
-            hg = table[h][g]
-            for f in range(n_mor):
-                if source[g] != target[f]:
-                    continue
-                if table[hg][f] != table[h][table[g][f]]:
-                    raise AssociativityFailure(
-                        f"({mor_names[h]!r} ∘ {mor_names[g]!r}) ∘ {mor_names[f]!r} != "
-                        f"{mor_names[h]!r} ∘ ({mor_names[g]!r} ∘ {mor_names[f]!r})",
-                        h=mor_names[h], g=mor_names[g], f=mor_names[f],
-                    )
+    # Associativity a row at a time: for composable (h, g), the row of h∘g
+    # must equal h∘(g∘f) over all f.  Each row ends in an UNDEFINED
+    # sentinel, so h∘UNDEFINED (index -1) reads UNDEFINED and the f not
+    # composable with g agree on both sides.  Only a failing pair is
+    # scanned cell by cell, for its first f.
+    for row in table:
+        row.append(UNDEFINED)
+    for h, hrow in enumerate(table):
+        for g in into[source[h]]:
+            hg_row = table[hrow[g]]
+            g_row = table[g]
+            if hg_row != list(map(hrow.__getitem__, g_row)):
+                f = next(f for f in range(n_mor) if hg_row[f] != hrow[g_row[f]])
+                raise AssociativityFailure(
+                    f"({mor_names[h]!r} ∘ {mor_names[g]!r}) ∘ {mor_names[f]!r} != "
+                    f"{mor_names[h]!r} ∘ ({mor_names[g]!r} ∘ {mor_names[f]!r})",
+                    h=mor_names[h], g=mor_names[g], f=mor_names[f],
+                )
 
     return FiniteCategory(
         object_names=obj_names,
@@ -253,14 +267,18 @@ def validate_category(raw: RawCategory) -> FiniteCategory:
         source=tuple(source),
         target=tuple(target),
         identity=tuple(identity),
-        compose_table=tuple(tuple(row) for row in table),
+        compose_table=tuple(tuple(row[:-1]) for row in table),
     )
 
 
 # --- structural predicates -------------------------------------------------------
 #
-# All checkers are exhaustive searches; witnesses are the lexicographically
-# first counterexample in morphism-index order, so failures are reproducible.
+# Whether a predicate holds is decided by set algebra on the table rows, in
+# O(n²): a row or column that must be injective is compared with its set of
+# values, and a composite that must be reachable is looked up in the set of
+# composites that reach.  A witness is the lexicographically first
+# counterexample in morphism-index order, the one an exhaustive search
+# finds first, so failures are reproducible.
 
 @dataclass(frozen=True)
 class PredicateReport:
@@ -276,44 +294,53 @@ def _witness(cat: FiniteCategory, **roles: int) -> tuple:
     return tuple((role, cat.morphism_names[m]) for role, m in roles.items())
 
 
+def _first_repeat(keys, values) -> tuple | None:
+    """The first ``(h, f)`` of distinct keys with equal values, h before f in
+    ``keys`` order and f the first match of h; None when the values differ."""
+    if len(set(values)) == len(values):
+        return None
+    counts = Counter(values)
+    i = next(i for i, v in enumerate(values) if counts[v] > 1)
+    return keys[i], keys[values.index(values[i], i + 1)]
+
+
+def _cancellation(cat: FiniteCategory, name: str, lines, domains) -> PredicateReport:
+    """Each ``lines[g]`` (a row or column of the table) is injective on ``domains[g]``."""
+    for g, (line, hs) in enumerate(zip(lines, domains)):
+        repeat = _first_repeat(hs, list(map(line.__getitem__, hs)))
+        if repeat is not None:
+            return PredicateReport(name, False, _witness(cat, g=g, h=repeat[0], f=repeat[1]))
+    return PredicateReport(name, True)
+
+
 def is_left_cancellative(cat: FiniteCategory) -> PredicateReport:
     """g∘h = g∘f implies h = f, for all composable instances."""
-    comp = cat.compose_table
-    for g in range(cat.n_morphisms):
-        hs = cat.morphisms_by_target[cat.source[g]]
-        for h in hs:
-            gh = comp[g][h]
-            for f in hs:
-                if h != f and gh == comp[g][f]:
-                    return PredicateReport(
-                        "left_cancellative", False, _witness(cat, g=g, h=h, f=f)
-                    )
-    return PredicateReport("left_cancellative", True)
+    by_target = cat.morphisms_by_target
+    return _cancellation(cat, "left_cancellative", cat.compose_table,
+                         [by_target[x] for x in cat.source])
 
 
 def is_right_cancellative(cat: FiniteCategory) -> PredicateReport:
     """h∘g = f∘g implies h = f, for all composable instances."""
-    comp = cat.compose_table
-    for g in range(cat.n_morphisms):
-        hs = cat.morphisms_by_source[cat.target[g]]
-        for h in hs:
-            hg = comp[h][g]
-            for f in hs:
-                if h != f and hg == comp[f][g]:
-                    return PredicateReport(
-                        "right_cancellative", False, _witness(cat, g=g, h=h, f=f)
-                    )
-    return PredicateReport("right_cancellative", True)
+    by_source = cat.morphisms_by_source
+    return _cancellation(cat, "right_cancellative", tuple(zip(*cat.compose_table)),
+                         [by_source[y] for y in cat.target])
+
+
+def _precomposites(cat: FiniteCategory) -> list:
+    """Per g, the set g∘End(source g)."""
+    ends, source = cat.endomorphisms, cat.source
+    return [set(map(row.__getitem__, ends[source[g]])) for g, row in enumerate(cat.compose_table)]
 
 
 def is_left_deterministic(cat: FiniteCategory) -> PredicateReport:
     """Every (b, g) with b an endomorphism of target(g) completes to g∘a = b∘g."""
+    reach = _precomposites(cat)
     comp = cat.compose_table
     for b in cat.all_endomorphisms:
-        x2 = cat.source[b]
-        for g in cat.morphisms_by_target[x2]:
-            bg = comp[b][g]
-            if not any(comp[g][a] == bg for a in cat.endomorphisms[cat.source[g]]):
+        row = comp[b]
+        for g in cat.morphisms_by_target[cat.source[b]]:
+            if row[g] not in reach[g]:
                 return PredicateReport(
                     "left_deterministic", False, _witness(cat, b=b, g=g)
                 )
@@ -322,12 +349,14 @@ def is_left_deterministic(cat: FiniteCategory) -> PredicateReport:
 
 def is_right_deterministic(cat: FiniteCategory) -> PredicateReport:
     """Every (a, g) with a an endomorphism of source(g) completes to g∘a = b∘g."""
+    ends, target = cat.endomorphisms, cat.target
+    # per g, the set End(target g)∘g, read off column g
+    reach = [set(map(col.__getitem__, ends[target[g]]))
+             for g, col in enumerate(zip(*cat.compose_table))]
     comp = cat.compose_table
     for a in cat.all_endomorphisms:
-        x1 = cat.source[a]
-        for g in cat.morphisms_by_source[x1]:
-            ga = comp[g][a]
-            if not any(comp[b][g] == ga for b in cat.endomorphisms[cat.target[g]]):
+        for g in cat.morphisms_by_source[cat.source[a]]:
+            if comp[g][a] not in reach[g]:
                 return PredicateReport(
                     "right_deterministic", False, _witness(cat, a=a, g=g)
                 )
@@ -337,16 +366,19 @@ def is_right_deterministic(cat: FiniteCategory) -> PredicateReport:
 def is_rr_transitive(cat: FiniteCategory) -> PredicateReport:
     """End(x1) acts transitively on each Hom(x1, x2) by precomposition.
 
-    Empty hom sets are vacuously transitive.
+    That is Hom(x1, x2) ⊆ g∘End(x1) for every g in it.  Empty hom sets are
+    vacuously transitive.
     """
-    comp = cat.compose_table
+    reach = _precomposites(cat)
     for x1 in range(cat.n_objects):
-        ends = cat.endomorphisms[x1]
         for x2 in range(cat.n_objects):
             homs = cat.hom(x1, x2)
+            # g∘End(x1) lies in Hom(x1, x2), so it covers it when the sizes agree
+            if all(len(reach[g]) == len(homs) for g in homs):
+                continue
             for f in homs:
                 for g in homs:
-                    if not any(comp[g][a] == f for a in ends):
+                    if f not in reach[g]:
                         return PredicateReport(
                             "rr_transitive", False, _witness(cat, f=f, g=g)
                         )
@@ -422,7 +454,7 @@ class AdjointCategory(FiniteCategory):
     downstairs.  Composition pastes squares: (b, f, c)∘(a, g, b) = (a, f∘g, c).
     It is answered from the triples and the base's dense table, so there is
     no ``n × n`` table here: ``compose_table`` is None and only ``compose``
-    composes.
+    and ``composites`` (one g against many f, as the text form asks) compose.
     """
 
     base: FiniteCategory = None  # type: ignore[assignment]
@@ -436,6 +468,14 @@ class AdjointCategory(FiniteCategory):
         if a2 != b1:
             return UNDEFINED
         return self.triple_index[a1, self.base.compose(g2, g1), b2]
+
+    def composites(self, g: int, fs) -> list:
+        """[g∘f for f in fs]: the triples of fs pasted under g's, with one base row."""
+        a2, g2, b2 = self.triples[g]
+        row = self.base.compose_table[g2]
+        index = self.triple_index
+        return [index[a1, row[g1], b2] if b1 == a2 else UNDEFINED
+                for a1, g1, b1 in map(self.triples.__getitem__, fs)]
 
     @cached_property
     def triple_index(self) -> dict:

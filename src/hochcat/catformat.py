@@ -16,6 +16,8 @@ be omitted and are filled in by validation.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from .category import FiniteCategory, RawCategory, validate_category
 from .errors import CategoryFormatError
 from .hochschild import check_table_size
@@ -92,20 +94,27 @@ def category_to_text(cat: FiniteCategory) -> str:
     """Serialize in declaration order; identity compositions are omitted.
 
     Compose lines run over composable pairs only: for each non-identity g,
-    the non-identity f into its source, in ascending index order.
+    the non-identity f into its source, in ascending index order.  Each g's
+    composites come from one ``composites`` call.
     """
     names = cat.morphism_names
-    lines = []
-    for name in cat.object_names:
-        lines.append(f"object {name}")
+    parts = [f"object {name}\n" for name in cat.object_names]
     for m, name in enumerate(names):
         src = cat.object_names[cat.source[m]]
         tgt = cat.object_names[cat.target[m]]
         suffix = " identity" if cat.is_identity(m) else ""
-        lines.append(f"morphism {name} : {src} -> {tgt}{suffix}")
+        parts.append(f"morphism {name} : {src} -> {tgt}{suffix}\n")
     into = [[f for f in fs if not cat.is_identity(f)] for fs in cat.morphisms_by_target]
+    # a compose line is three pieces, "compose <g> ", "<f> = " and "<h>\n",
+    # joined once at the end: no string is built per line
+    eq = [name + " = " for name in names]
+    eol = [name + "\n" for name in names]
     for g in range(cat.n_morphisms):
         if not cat.is_identity(g):
-            for f in into[cat.source[g]]:
-                lines.append(f"compose {names[g]} {names[f]} = {names[cat.compose(g, f)]}")
-    return "\n".join(lines) + "\n"
+            fs = into[cat.source[g]]
+            parts += chain.from_iterable(zip(
+                repeat(f"compose {names[g]} "),
+                map(eq.__getitem__, fs),
+                map(eol.__getitem__, cat.composites(g, fs)),
+            ))
+    return "".join(parts) or "\n"   # with no lines at all, one empty line

@@ -78,9 +78,16 @@ def _t_entries(cat: FiniteCategory, m: int) -> tuple:
     return len(chains), ncols, tuple(entries)
 
 
+def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None) -> None:
+    """Refuse degree m unless the Hochschild bases and the F^ad chain counts
+    up to it fit under the cap; both are sizes, so nothing is listed."""
+    check_cap(cat, m, cap)
+    check_sizes(nerve_sizes(adjoint_category(cat)), m, cap)
+
+
 def t_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
-    check_cap(cat, m, cap)
+    _check_map_cap(cat, m, cap)
     nrows, ncols, entries = _t_entries(cat, m)
     one = field.one
     return Matrix.from_entries(field, nrows, ncols, {rc: one for rc in entries})
@@ -134,7 +141,7 @@ def _x_entries(cat: FiniteCategory, m: int) -> tuple:
 def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains."""
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    check_cap(cat, m, cap)
+    _check_map_cap(cat, m, cap)
     nrows, ncols, entries = _x_entries(cat, m)
     return Matrix.from_int_entries(field, nrows, ncols, dict(entries))
 

@@ -138,6 +138,8 @@ def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) 
     full row index to the row number; a miss raises ``NotASubcomplex``.
     """
     n = cat.n_morphisms
+    if not n:
+        return {}   # no morphisms: kC = 0 and every cochain space is zero
     comp = cat.compose_table
     top = n ** (m + 1)
     # the outer terms' offsets from τ·n (left) and τ·n² (right), per output h

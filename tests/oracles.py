@@ -448,6 +448,107 @@ def character_system(fad) -> tuple:
     return n * n, n, entries
 
 
+# --- the predicates and associativity, by exhaustive search ---------------------------
+#
+# The package decides each predicate by set algebra and checks associativity
+# a row at a time.  These are the definitions searched cell by cell, in the
+# order that makes the first counterexample the lexicographically first.
+
+def _endos(cat):
+    return [m for m in range(cat.n_morphisms) if cat.source[m] == cat.target[m]]
+
+
+def _first_left_cancellation_failure(cat):
+    comp, src, tgt, n = cat.compose_table, cat.source, cat.target, cat.n_morphisms
+    for g in range(n):
+        hs = [h for h in range(n) if tgt[h] == src[g]]
+        for h in hs:
+            for f in hs:
+                if h != f and comp[g][h] == comp[g][f]:
+                    return {"g": g, "h": h, "f": f}
+    return None
+
+
+def _first_right_cancellation_failure(cat):
+    comp, src, tgt, n = cat.compose_table, cat.source, cat.target, cat.n_morphisms
+    for g in range(n):
+        hs = [h for h in range(n) if src[h] == tgt[g]]
+        for h in hs:
+            for f in hs:
+                if h != f and comp[h][g] == comp[f][g]:
+                    return {"g": g, "h": h, "f": f}
+    return None
+
+
+def _first_left_determinism_failure(cat):
+    comp, src, tgt, n = cat.compose_table, cat.source, cat.target, cat.n_morphisms
+    for b in _endos(cat):
+        for g in range(n):
+            if tgt[g] != src[b]:
+                continue
+            if not any(comp[g][a] == comp[b][g] for a in _endos(cat) if src[a] == src[g]):
+                return {"b": b, "g": g}
+    return None
+
+
+def _first_right_determinism_failure(cat):
+    comp, src, tgt, n = cat.compose_table, cat.source, cat.target, cat.n_morphisms
+    for a in _endos(cat):
+        for g in range(n):
+            if src[g] != src[a]:
+                continue
+            if not any(comp[b][g] == comp[g][a] for b in _endos(cat) if src[b] == tgt[g]):
+                return {"a": a, "g": g}
+    return None
+
+
+def _first_rr_transitivity_failure(cat):
+    comp, src, tgt, n = cat.compose_table, cat.source, cat.target, cat.n_morphisms
+    for x1 in range(cat.n_objects):
+        ends = [a for a in _endos(cat) if src[a] == x1]
+        for x2 in range(cat.n_objects):
+            homs = [m for m in range(n) if src[m] == x1 and tgt[m] == x2]
+            for f in homs:
+                for g in homs:
+                    if not any(comp[g][a] == f for a in ends):
+                        return {"f": f, "g": g}
+    return None
+
+
+def exhaustive_predicates(cat) -> dict:
+    """name -> (holds, witness) of the five predicates, witness as in ``PredicateReport``."""
+    searches = {
+        "left_cancellative": _first_left_cancellation_failure,
+        "right_cancellative": _first_right_cancellation_failure,
+        "left_deterministic": _first_left_determinism_failure,
+        "right_deterministic": _first_right_determinism_failure,
+        "rr_transitive": _first_rr_transitivity_failure,
+    }
+    out = {}
+    for name, search in searches.items():
+        roles = search(cat)
+        witness = None if roles is None else tuple(
+            (role, cat.morphism_names[m]) for role, m in roles.items())
+        out[name] = (roles is None, witness)
+    return out
+
+
+def first_associativity_failure(table, source, target):
+    """The first ``(h, g, f)`` with ``(h∘g)∘f != h∘(g∘f)``, scanning every cell; or None.
+
+    ``table[g][f]`` is g∘f on every composable pair, UNDEFINED elsewhere.
+    """
+    n = len(table)
+    for h in range(n):
+        for g in range(n):
+            if source[h] != target[g]:
+                continue
+            for f in range(n):
+                if source[g] == target[f] and table[table[h][g]][f] != table[h][table[g][f]]:
+                    return h, g, f
+    return None
+
+
 # --- the adjoint category and the text form, over all pairs ----------------------------
 
 def fad_compose_table(fad) -> list:

@@ -1,6 +1,10 @@
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochcat import (
     RawCategory,
@@ -16,7 +20,7 @@ from hochcat import (
     predicate_reports,
     validate_category,
 )
-from hochcat.category import Ladder, _completion_table
+from hochcat.category import UNDEFINED, Ladder, _completion_table
 from hochcat.comparison import x_map_matrix
 from hochcat.errors import (
     AssociativityFailure,
@@ -445,17 +449,20 @@ def test_adjoint_chain_ladder_roundtrip():
 
 
 def test_adjoint_composition_pastes_squares():
-    # F^ad holds no table: compose() agrees with the all-pairs fill, and the
-    # text form passes the identity and associativity checks and composes alike
+    # F^ad holds no table: compose() and composites() over every f agree
+    # with the all-pairs fill, and the text form passes the identity and
+    # associativity checks and composes alike
     for name, cat in FIXTURES.items():
         fad = adjoint_category(cat)
         assert fad.compose_table is None, name
         table = oracles.fad_compose_table(fad)
         n = fad.n_morphisms
         assert [[fad.compose(g, f) for f in range(n)] for g in range(n)] == table, name
+        assert [fad.composites(g, range(n)) for g in range(n)] == table, name
         parsed = parse_category(category_to_text(fad))
         assert parsed.morphism_names == fad.morphism_names, name
         assert parsed.compose_table == tuple(tuple(row) for row in table), name
+        assert [parsed.composites(g, range(n)) for g in range(n)] == table, name
 
 
 def test_adjoint_category_allocates_no_square_table():
@@ -471,3 +478,136 @@ def test_adjoint_category_allocates_no_square_table():
     assert fad.n_morphisms == 1600
     assert sum(len(fad.morphisms_by_target[s]) for s in fad.source) == 64_000
     assert peak < 4 * 2**20
+
+
+# --- set algebra and row checks against the exhaustive definitions ---------------
+
+def maps_category(draw):
+    """A random category of maps between small finite sets, and its table.
+
+    ``draw(k)`` picks an int in ``range(k)``.  Objects are sets of one or two
+    points (three when there is one object); the morphisms are the identities
+    and a few random maps, closed under composition, so the table is
+    associative.  They are declared in a drawn order.  Returns
+    ``(raw, table)`` with ``table[g][f]`` = g∘f, UNDEFINED where not composable.
+    """
+    n_obj = 1 + draw(3)
+    sizes = [1 + draw(3 if n_obj == 1 else 2) for _ in range(n_obj)]
+    maps = {(x, x, tuple(range(sizes[x]))) for x in range(n_obj)}
+    for _ in range(1 + draw(4)):
+        x, y = draw(n_obj), draw(n_obj)
+        maps.add((x, y, tuple(draw(sizes[y]) for _ in range(sizes[x]))))
+    grown = True
+    while grown:
+        grown = False
+        for x, y, g in list(maps):
+            for w, x2, f in list(maps):
+                if x2 == x and (gf := (w, y, tuple(g[i] for i in f))) not in maps:
+                    maps.add(gf)
+                    grown = True
+    pool = sorted(maps)
+    order = [pool.pop(draw(len(pool))) for _ in range(len(pool))]
+    index = {m: i for i, m in enumerate(order)}
+    n = len(order)
+    table = [[UNDEFINED] * n for _ in range(n)]
+    for x, y, g in order:
+        for w, x2, f in order:
+            if x2 == x:
+                table[index[x, y, g]][index[w, x2, f]] = index[w, y, tuple(g[i] for i in f)]
+    idents = {index[x, x, tuple(range(sizes[x]))] for x in range(n_obj)}
+    raw = RawCategory(
+        objects=[f"x{x}" for x in range(n_obj)],
+        morphisms=[(f"m{i}", f"x{x}", f"x{y}", i in idents) for i, (x, y, _) in enumerate(order)],
+    )
+    # a drawn composite of two non-identities may be moved within its hom
+    # set, which usually breaks associativity
+    pairs = [(g, f) for g in range(n) for f in range(n)
+             if table[g][f] != UNDEFINED and g not in idents and f not in idents]
+    if pairs and draw(2):
+        g, f = pairs[draw(len(pairs))]
+        src, tgt = order[f][0], order[g][1]
+        hom = [h for h, (x, y, _) in enumerate(order) if (x, y) == (src, tgt)]
+        table[g][f] = hom[draw(len(hom))]
+    raw.compositions = [(f"m{g}", f"m{f}", f"m{table[g][f]}") for g, f in pairs]
+    return raw, table
+
+
+def check_against_oracles(raw, table) -> tuple:
+    """Validation and the five predicates agree with the exhaustive searches.
+
+    Returns the names of what failed, the associativity check included.
+    """
+    n = len(table)
+    source = [raw.objects.index(src) for _, src, _, _ in raw.morphisms]
+    target = [raw.objects.index(tgt) for _, _, tgt, _ in raw.morphisms]
+    failure = oracles.first_associativity_failure(table, source, target)
+    if failure is not None:
+        h, g, f = (f"m{i}" for i in failure)
+        with pytest.raises(AssociativityFailure) as err:
+            validate_category(raw)
+        assert str(err.value) == f"({h!r} ∘ {g!r}) ∘ {f!r} != {h!r} ∘ ({g!r} ∘ {f!r})"
+        assert err.value.details == {"h": h, "g": g, "f": f}
+        return ("associative",)
+    cat = validate_category(raw)
+    assert cat.compose_table == tuple(map(tuple, table)) and cat.n_morphisms == n
+    return check_predicates(cat)
+
+
+def check_predicates(cat) -> tuple:
+    """The reports equal the exhaustive searches; returns the failing names."""
+    expected = oracles.exhaustive_predicates(cat)
+    reports = predicate_reports(cat)
+    assert {k: (r.holds, r.witness) for k, r in reports.items()} == expected
+    return tuple(k for k, (holds, _w) in expected.items() if not holds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_tables_agree_with_the_exhaustive_searches(data):
+    check_against_oracles(*maps_category(lambda k: data.draw(st.integers(0, k - 1))))
+
+
+def test_random_tables_fail_every_check_somewhere():
+    # the generator reaches every branch: each check both holds and fails
+    rng = random.Random(16)
+    failed = Counter()
+    runs = 300
+    for _ in range(runs):
+        failed.update(check_against_oracles(*maps_category(rng.randrange)))
+    names = ("associative",) + tuple(predicate_reports(TRIV))
+    assert all(0 < failed[name] < runs for name in names), failed
+
+
+def test_fixtures_and_their_rebuilt_fad_agree_with_the_exhaustive_searches():
+    for name, cat in FIXTURES.items():
+        check_predicates(cat)
+        check_predicates(parse_category(category_to_text(adjoint_category(cat))))
+
+
+def test_moved_fixture_composites_fail_associativity_as_the_scan_does():
+    # every composite of two non-identities of a small fixture, moved to
+    # each other morphism of its hom set in turn
+    for name in ("s3", "ex6", "cn:4", "diamond"):
+        cat = FIXTURES[name]
+        comp, names = cat.compose_table, cat.morphism_names
+        raw = RawCategory(
+            objects=list(cat.object_names),
+            morphisms=[(names[m], cat.object_names[cat.source[m]],
+                        cat.object_names[cat.target[m]], cat.is_identity(m))
+                       for m in range(cat.n_morphisms)],
+        )
+        pairs = [(g, f) for g in range(cat.n_morphisms) for f in range(cat.n_morphisms)
+                 if comp[g][f] != UNDEFINED and not cat.is_identity(g)
+                 and not cat.is_identity(f)]
+        for g, f in pairs:
+            for h in cat.hom(cat.source[f], cat.target[g]):
+                if h == comp[g][f]:
+                    continue
+                moved = [list(row) for row in comp]
+                moved[g][f] = h
+                raw.compositions = [(names[a], names[b], names[moved[a][b]]) for a, b in pairs]
+                failure = oracles.first_associativity_failure(moved, cat.source, cat.target)
+                with pytest.raises(AssociativityFailure) as err:
+                    validate_category(raw)
+                h_, g_, f_ = (names[i] for i in failure)
+                assert err.value.details == {"h": h_, "g": g_, "f": f_}, name

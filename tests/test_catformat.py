@@ -77,13 +77,13 @@ def test_roundtrip_through_text():
 
 def test_text_form_visits_only_composable_pairs(monkeypatch):
     # byte-equal to the all-pairs scan, on every fixture and its F^ad, with
-    # one compose() call per compose line, each on a composable pair
+    # one composed pair per compose line, each pair composable
     calls = []
     for cls in (FiniteCategory, AdjointCategory):
-        def recorded(self, g, f, compose=cls.compose):
-            calls.append((self, g, f))
-            return compose(self, g, f)
-        monkeypatch.setattr(cls, "compose", recorded)
+        def recorded(self, g, fs, composites=cls.composites):
+            calls.extend((self, g, f) for f in fs)
+            return composites(self, g, fs)
+        monkeypatch.setattr(cls, "composites", recorded)
     for name, base in FIXTURES.items():
         for cat in (base, adjoint_category(base)):
             expected = oracles.category_text_all_pairs(cat)

@@ -305,6 +305,30 @@ def test_non_validate_verbs_report_invalid_files(tmp_path, capsys):
     assert json.loads(out)["errors"][0]["kind"] == "MissingIdentity"
 
 
+@pytest.mark.parametrize("verb", ["cohomology", "compare"])
+def test_category_without_morphisms_has_zero_cohomology(tmp_path, capsys, verb):
+    # kC = 0: every cochain space is zero, so every dimension is 0
+    f = tmp_path / "empty.cat"
+    f.write_text("# no objects, no morphisms\n", encoding="utf-8")
+    code = main([verb, str(f), "--field", "gf:2", "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    rows = [line.split("|") for line in captured.out.splitlines()
+            if line.strip()[:1].isdigit()]
+    assert len(rows) == 3
+    assert all(cell.strip() == "0" for row in rows for cell in row[1:4])
+    code = main([verb, str(f), "--field", "q", "--max-degree", "2", "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    if verb == "cohomology":
+        assert payload["theories"] == {"full": [0, 0, 0], "relative": [0, 0, 0]}
+    else:
+        assert payload["verdict"] == "isomorphism"
+        assert [(d["dim_hh"], d["dim_rel"], d["dim_simplicial_fad"])
+                for d in payload["degrees"]] == [(0, 0, 0)] * 3
+
+
 @pytest.mark.parametrize("verb", ["validate", "cohomology"])
 def test_file_that_is_not_utf8_is_invalid(tmp_path, capsys, verb):
     f = tmp_path / "bad.cat"

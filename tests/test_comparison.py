@@ -286,6 +286,17 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
     assert not any(builds)
 
 
+def test_t_map_caps_the_fad_nerve(monkeypatch):
+    # {e, z}: 2^8 = 256 Hochschild cochains in degree 7 fit under 1000, but
+    # the F^ad chains that index T's rows pass it in degree 6 (2·3^6 = 1458)
+    cat = z_monoid()
+    builds = count_builds(monkeypatch, _chains_cached)
+    with pytest.raises(DimensionCapExceeded) as refused:
+        t_map_matrix(cat, GF2, 7, cap=1000)
+    assert (refused.value.degree, refused.value.required) == (6, 1458)
+    assert not builds
+
+
 def test_theorem_a_report_holds_the_identity_checks():
     rep = theorem_a_report(EX6, GF3, 2)
     for rec in rep.degrees:

@@ -29,7 +29,7 @@ from hochcat.matrix import (
 )
 
 from .catalog import C2, FIELDS, FIXTURES, GF2, GF3, GF5, QQ
-from .oracles import dense_product, fraction_kernel, fraction_rref, naive_rref
+from .oracles import dense_product, fraction_kernel, fraction_rref, naive_rank, naive_rref
 
 
 def mk(field, rows):
@@ -70,7 +70,7 @@ def test_rank_rationals_with_fractions():
 def test_rank_never_back_substitutes_over_gf_p(field, monkeypatch):
     # row 0 meets the pivots of rows 1 and 2, so its RREF row differs from
     # its echelon row; the wide matrix is eliminated as is, the tall one
-    # through its transpose
+    # through its transpose over GF(2) and row by row over GF(3)
     wide = mk(field, [[1, 1, 1, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 1, 1]])
     assert wide.rref(reduced=False)[1] != wide.rref()[1]
 
@@ -721,6 +721,25 @@ def test_q_product_matches_the_fraction_product(n, k, m, data):
     assert all(isinstance(v, Fraction) for _r, _c, v in product.entries())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4), st.data())
+def test_q_factor_converts_to_integers_once_and_never_changes(n, k, data):
+    # a factor reused on either side of several products, as a memoized
+    # differential is, builds its integer rows once; no product writes into
+    # them or into the matrix
+    a = [[data.draw(_fractions) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(_fractions) for _ in range(n)] for _ in range(k)]
+    A, B = Matrix.from_rows(QQ, a, k), Matrix.from_rows(QQ, b, n)
+    first = A @ B
+    rows, den = A._integer_rows
+    before = ({r: dict(row) for r, row in rows.items()}, den,
+              {r: dict(row) for r, row in A.rows.items()})
+    assert B @ A == Matrix.from_rows(QQ, dense_product(b, a, k), k)
+    assert A @ B == first == Matrix.from_rows(QQ, dense_product(a, b, n), n)
+    assert A._integer_rows[0] is rows
+    assert ({r: dict(row) for r, row in rows.items()}, den, A.rows) == before
+
+
 # --- GF(2): the bitset tail against the dict loop ---------------------------------
 
 @contextmanager
@@ -907,16 +926,34 @@ def test_only_tall_matrices_over_odd_p_and_q_skip_the_sweep():
         assert shapes == [(1, 3)], field
         assert (list(pivots), R.dense_rows()) == naive_rref(m.dense_rows(), field.p)
         assert (list(ker.pivots), ker.basis.dense_rows()) == oracle_kernel(field, m.dense_rows(), 3)
-    # a rank over GF(p) sweeps the narrow side forward; over Q the tall side
-    # is reduced as it stands
+    # a rank over odd p and over Q reduces the tall side as it stands, and
+    # over GF(2) sweeps the narrow side forward
     with _sweeps() as shapes:
         assert mk(GF3, rows).rank() == mk(QQ, rows).rank() == 2
+    assert shapes == []
+    with _sweeps() as shapes:
+        assert mk(GF2, rows).rank() == 2
     assert shapes == [(3, 6)]
     # GF(2) keeps the sweep and its bitset tail; so does a wide matrix
     with _sweeps() as shapes:
         mk(GF2, rows).rref()
         mk(GF3, rows).transpose().rref()
     assert shapes == [(4, 3), (3, 6)]  # two of the six rows vanish mod 2
+
+
+@pytest.mark.parametrize("field", [GF3, GF5], ids=str)
+def test_tall_rank_over_odd_p_matches_the_naive_rank(field):
+    # the tall differentials of the catalog, ranked row by row with no sweep
+    tall = [d for cat in FIXTURES.values() for m in (0, 1)
+            for d in (hochschild_differential_matrix(cat, field, m),
+                      relative_differential_matrix(cat, field, m))
+            if len(d.rows) > d.ncols and d.nrows * d.ncols <= 30_000]
+    assert len(tall) >= 20
+    for d in tall:
+        with _sweeps() as shapes:
+            rank = d.rank()
+        assert shapes == []
+        assert rank == naive_rank(d.dense_rows(), field.p), d
 
 
 def test_tall_q_matrix_whose_rank_drops_mod_the_first_prime():
