@@ -10,7 +10,6 @@ with the degree-one refinement relating graded derivations to characters.
 from .category import (
     AdjointCategory,
     FiniteCategory,
-    Ladder,
     PredicateReport,
     RawCategory,
     adjoint_category,
@@ -62,7 +61,6 @@ __all__ = [
     "AdjointCategory",
     "FieldSpec",
     "FiniteCategory",
-    "Ladder",
     "Matrix",
     "PredicateReport",
     "RawCategory",

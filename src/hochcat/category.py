@@ -12,10 +12,12 @@ adjoint category holds none (``compose_table is None``): its composition is
 determined by its triples and the base table, so ``compose`` pastes squares
 and ``composites`` pastes one morphism's square under a list of others.
 
-Commuting squares ``g∘a = b∘g`` are read from one table,
-``_completion_table``, which completes a composable chain and a base
-endomorphism to its unique ladder; the adjoint category decodes its nerve
-chains into ladders and back (``ladder_of_chain``, ``chain_of_ladder``).
+A morphism of the adjoint category is a commuting square ``g∘a = b∘g``,
+stored as the triple ``(a, g, b)``, so a nerve chain of ``F^ad`` is a ladder
+of squares over a chain of the base.  Under right determinism and right
+cancellation each ladder is the unique completion of its bottom chain and
+its first vertical ``a``; that is why the comparison map X is the transpose
+of T (see ``comparison``).
 """
 
 from __future__ import annotations
@@ -403,46 +405,6 @@ def require_predicates(cat: FiniteCategory, *names: str) -> None:
         raise HypothesisViolated(*missing)
 
 
-# --- commuting squares and ladders ---------------------------------------------------
-
-@memo
-def _completion_table(cat: FiniteCategory) -> dict:
-    """(g, a) -> the unique b with g∘a = b∘g, for right det/canc categories.
-
-    For each g this is the conjugation End(source g) -> End(target g); X
-    walks it along a chain to complete ladders.  Callers gate on the
-    hypotheses: right determinism gives every key, right cancellation a
-    unique b.
-    """
-    comp = cat.compose_table
-    table = {}
-    for g in range(cat.n_morphisms):
-        dst_ends = cat.endomorphisms[cat.target[g]]
-        for a in cat.endomorphisms[cat.source[g]]:
-            ga = comp[g][a]
-            for b in dst_ends:
-                if comp[b][g] == ga:
-                    table[g, a] = b
-                    break
-    return table
-
-
-@dataclass(frozen=True)
-class Ladder:
-    """A commuting strip of squares: chain (g_0..g_{m-1}) with verticals (a_0..a_m).
-
-    Each square satisfies g_i∘a_i = a_{i+1}∘g_i.  A degree-0 ladder is a bare
-    endomorphism a_0.
-    """
-
-    bottom: tuple[int, ...]
-    verticals: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.bottom)
-
-
 # --- the adjoint category ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -450,11 +412,11 @@ class AdjointCategory(FiniteCategory):
     """Category with objects the endomorphisms of ``base``.
 
     A morphism a -> b is a base morphism g with g∘a = b∘g; it is stored as
-    the triple (a, g, b) so chains upstairs can be read back as ladders
-    downstairs.  Composition pastes squares: (b, f, c)∘(a, g, b) = (a, f∘g, c).
-    It is answered from the triples and the base's dense table, so there is
-    no ``n × n`` table here: ``compose_table`` is None and only ``compose``
-    and ``composites`` (one g against many f, as the text form asks) compose.
+    the triple (a, g, b), so a chain upstairs reads as a ladder downstairs.
+    Composition pastes squares: (b, f, c)∘(a, g, b) = (a, f∘g, c).  It is
+    answered from the triples and the base's dense table, so there is no
+    ``n × n`` table here: ``compose_table`` is None and only ``compose`` and
+    ``composites`` (one g against many f, as the text form asks) compose.
     """
 
     base: FiniteCategory = None  # type: ignore[assignment]
@@ -481,33 +443,10 @@ class AdjointCategory(FiniteCategory):
     def triple_index(self) -> dict:
         return {t: i for i, t in enumerate(self.triples)}
 
-    @cached_property
-    def object_of_endo(self) -> dict:
-        return {e: i for i, e in enumerate(self.object_endos)}
-
-    def ladder_of_chain(self, chain, degree: int) -> Ladder:
-        """Decode a nerve chain of this category into a ladder in ``base``."""
-        if degree == 0:
-            return Ladder((), (self.object_endos[chain],))
-        triples = [self.triples[m] for m in chain]
-        bottom = tuple(t[1] for t in triples)
-        verticals = (triples[0][0],) + tuple(t[2] for t in triples)
-        return Ladder(bottom, verticals)
-
-    def chain_of_ladder(self, ladder: Ladder):
-        """Inverse of ladder_of_chain; raises KeyError for non-commuting input."""
-        if ladder.degree == 0:
-            return self.object_of_endo[ladder.verticals[0]]
-        idx = self.triple_index
-        return tuple(
-            idx[a, g, b]
-            for g, a, b in zip(ladder.bottom, ladder.verticals, ladder.verticals[1:])
-        )
-
 
 @memo
 def adjoint_category(cat: FiniteCategory) -> AdjointCategory:
-    """Build the adjoint category of ``cat`` with its ladder decorations."""
+    """Build the adjoint category of ``cat``, its morphisms stored as triples."""
     comp = cat.compose_table
     endos = cat.all_endomorphisms
     obj_names = tuple(cat.morphism_names[e] for e in endos)

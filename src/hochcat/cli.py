@@ -223,7 +223,7 @@ def _run_fad(cmd: Command) -> Report:
             "text": text_form,
         },
     }
-    return Report("fad", payload, 0, text=text_form.rstrip("\n"))
+    return Report("fad", payload, 0, text=text_form)
 
 
 def _run_cohomology(cmd: Command) -> Report:
@@ -345,10 +345,11 @@ def run(cmd: Command) -> Report:
 def emit(report: Report, output: str) -> str:
     if output == "json":
         return json.dumps(report.payload, indent=2) + "\n"
-    text = report.text
     if report.verb != "fad":
-        text += f"\nelapsed: {report.elapsed:.3f}s"
-    return text + "\n"
+        return f"{report.text}\nelapsed: {report.elapsed:.3f}s\n"
+    # F^ad's text form is written as it is: it ends in its one newline,
+    # and only an error line still needs one
+    return report.text if report.text.endswith("\n") else report.text + "\n"
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,18 @@
 """Graded comparison maps between Hochschild and simplicial cochains.
 
 ``T`` reads one coefficient of a Hochschild cochain per nerve chain of the
-adjoint category: a chain over bottom ``(g_0..g_{m-1})`` with base vertical
-``a_0`` reads the coefficient at input tuple ``(g_{m-1}, .., g_0)`` (chains
-are stored source to target, tensor slots run the other way) and output
+adjoint category: a chain of triples ``(a_0,g_0,a_1)..(a_{m-1},g_{m-1},a_m)``
+reads the coefficient at input tuple ``(g_{m-1}, .., g_0)`` (chains are
+stored source to target, tensor slots run the other way) and output
 ``g_{m-1}∘..∘g_0∘a_0``.  ``X`` goes back by summing over all base verticals
-of the uniquely completed ladders.
+``a_0`` of the ladders completed from a chain of the base.
+
+Lemma: under right determinism and right cancellation, each ``F^ad`` chain
+is the unique completion of its bottom ``(g_0..g_{m-1})`` and its base
+vertical ``a_0`` (right determinism completes each square
+``g_i∘a_i = a_{i+1}∘g_i``, right cancellation makes ``a_{i+1}`` unique), so
+the ladders X sums are the F^ad chains, each once, and X's matrix is Tᵀ.
+X is built as that transpose, behind the same gate.
 
 Together with the sign-twisted coboundary these are cochain maps; on the
 relative subcomplex they are mutually inverse, which is what certifies the
@@ -28,8 +35,6 @@ from dataclasses import dataclass, replace
 
 from .category import (
     FiniteCategory,
-    Ladder,
-    _completion_table,
     adjoint_category,
     memo,
     predicate_reports,
@@ -49,32 +54,36 @@ from .hochschild import (
     _relative_of_full,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
-from .nerve import _chain_index, _chains_cached, nerve_sizes, simplicial_coboundary_matrix
+from .nerve import _chains_cached, nerve_sizes, simplicial_coboundary_matrix
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
 DETERMINISTIC = ("left_deterministic", "right_deterministic")
 
 
-# --- the reading map T -------------------------------------------------------
+# --- the reading map T and its transpose X -------------------------------------
 
 @memo
 def _t_entries(cat: FiniteCategory, m: int) -> tuple:
-    """(nrows, ncols, ((row, col), ...)) of T in degree m; all entries are 1."""
+    """(nrows, ncols, ((row, col), ...)) of T in degree m; all entries are 1.
+
+    Chain σ of F^ad reads its triples: bottom g_i = triples[σ_i][1] and base
+    vertical a_0 = triples[σ_0][0].
+    """
     fad = adjoint_category(cat)
     ncols = hochschild_basis_size(cat, m)
     if m == 0:
         entries = tuple((o, e) for o, e in enumerate(fad.object_endos))
         return fad.n_objects, ncols, entries
     comp = cat.compose_table
+    triples = fad.triples
     chains = _chains_cached(fad, m)
     entries = []
     for i, sigma in enumerate(chains):
-        ladder = fad.ladder_of_chain(sigma, m)
-        c = ladder.verticals[0]
-        for g in ladder.bottom:
+        bottom = [triples[t][1] for t in sigma]
+        c = triples[sigma[0]][0]
+        for g in bottom:
             c = comp[g][c]
-        col = basis_index(cat, tuple(reversed(ladder.bottom)), c)
-        entries.append((i, col))
+        entries.append((i, basis_index(cat, tuple(reversed(bottom)), c)))
     return len(chains), ncols, tuple(entries)
 
 
@@ -102,57 +111,21 @@ def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matr
     return Matrix.from_entries(field, nrows, len(rel_of_full), cells)
 
 
-# --- the section X -----------------------------------------------------------
-
-@memo
-def _x_entries(cat: FiniteCategory, m: int) -> tuple:
-    """(nrows, ncols, entries over Z) of X in degree m.
-
-    Assumes the right determinism and right cancellation needed for ladder
-    completion; callers gate on the predicates.
-    """
-    fad = adjoint_category(cat)
-    nrows = hochschild_basis_size(cat, m)
-    if m == 0:
-        entries = {(e, o): 1 for o, e in enumerate(fad.object_endos)}
-        return nrows, fad.n_objects, tuple(entries.items())
-    comp = cat.compose_table
-    completion = _completion_table(cat)
-    col_index = _chain_index(fad, m)
-    entries: dict = {}
-    for chain in _chains_cached(cat, m):
-        src = cat.source[chain[0]]
-        rev = tuple(reversed(chain))
-        for a0 in cat.endomorphisms[src]:
-            verticals = [a0]
-            a = a0
-            for g in chain:
-                a = completion[g, a]
-                verticals.append(a)
-            col = col_index[fad.chain_of_ladder(Ladder(chain, tuple(verticals)))]
-            c = a0
-            for g in chain:
-                c = comp[g][c]
-            row = basis_index(cat, rev, c)
-            entries[row, col] = entries.get((row, col), 0) + 1
-    return nrows, len(col_index), tuple(entries.items())
-
-
 def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains."""
+    """Matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains.
+
+    X sums, over the base verticals a_0, the ladders completed from a chain
+    of ``cat``.  Under right determinism and right cancellation each F^ad
+    chain is the one completion of its bottom and a_0, so X is Tᵀ.
+    """
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    _check_map_cap(cat, m, cap)
-    nrows, ncols, entries = _x_entries(cat, m)
-    return Matrix.from_int_entries(field, nrows, ncols, dict(entries))
+    return t_map_matrix(cat, field, m, cap).transpose()
 
 
 def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """X written in relative row coordinates (its image is always relative)."""
+    """X written in relative row coordinates: the transpose of T's relative matrix."""
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    rel_of_full = _relative_of_full(cat, m)
-    _nrows, ncols, entries = _x_entries(cat, m)
-    cells = {(rel_of_full[r], c): v for (r, c), v in entries}
-    return Matrix.from_int_entries(field, len(rel_of_full), ncols, cells)
+    return t_map_relative_matrix(cat, field, m).transpose()
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -213,17 +186,18 @@ def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
 def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> VerificationResult:
     """On relative cochains T and X are mutually inverse bijections.
 
-    Checks (i) the image of X lies in the relative span, and (ii) both
-    composites of the restricted maps are identity matrices.
+    Checks (i) every Hochschild column T reads is relative, so the image of
+    X = Tᵀ lies in the relative span, and (ii) both composites of the
+    restricted maps are identity matrices.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     rel_full = _relative_of_full(cat, m)
-    _, _, entries = _x_entries(cat, m)
-    for (r, _c), _v in entries:
-        if r not in rel_full:
-            return VerificationResult("two_sided_relative", m, False, (r, -1, "image not relative", None))
+    _, _, entries = _t_entries(cat, m)
+    for _r, c in entries:
+        if c not in rel_full:
+            return VerificationResult("two_sided_relative", m, False, (c, -1, "image not relative", None))
     t_rel = t_map_relative_matrix(cat, field, m)
-    x_rel = x_map_relative_matrix(cat, field, m)
+    x_rel = t_rel.transpose()
     left = _verified("two_sided_relative", m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
     if not left.ok:
         return left

@@ -629,10 +629,56 @@ def completions(cat) -> dict:
     }
 
 
-def ladder_commutes(cat, ladder) -> bool:
+def ladder_commutes(cat, bottom, verticals) -> bool:
+    """Each square g_i∘a_i = a_{i+1}∘g_i of the ladder commutes."""
     comp = cat.compose_table
-    return all(comp[g][a] == comp[b][g]
-               for g, a, b in zip(ladder.bottom, ladder.verticals, ladder.verticals[1:]))
+    return all(comp[g][a] == comp[b][g] for g, a, b in zip(bottom, verticals, verticals[1:]))
+
+
+def complete_ladder(found, chain, a0) -> tuple:
+    """Verticals (a_0..a_m) of the ladder over ``chain`` from base vertical
+    ``a0``, each square completed by its one b in ``found``, the
+    ``completions`` of the category; raises KeyError when a square has no
+    key, ValueError when it has no or several completions."""
+    verticals = [a0]
+    for g in chain:
+        (b,) = found[g, verticals[-1]]
+        verticals.append(b)
+    return tuple(verticals)
+
+
+def ladder_completion_x(cat, fad, m, rows) -> dict:
+    """X in degree m by ladder completion: ``{(row, col): count}``.
+
+    The section built the long way: per chain (g_0..g_{m-1}) of ``cat`` and base
+    vertical a_0, complete the ladder (``complete_ladder``) and add 1 at the
+    row of the cochain (g_{m-1}..g_0) -> g_{m-1}∘..∘g_0∘a_0 in ``rows`` (a
+    list of ``(tuple, output)`` basis pairs) and the column of the F^ad chain
+    of its triples.  Assumes right determinism and right cancellation.
+    """
+    comp = cat.compose_table
+    found = completions(cat)
+    row_of = {pair: i for i, pair in enumerate(rows)}
+    col_of = {c: j for j, c in enumerate(nerve_chain_list(fad, m))}
+    triple_of = {t: i for i, t in enumerate(fad.triples)}
+    object_of = {e: o for o, e in enumerate(fad.object_endos)}
+    entries: dict = {}
+    for chain in nerve_chain_list(cat, m):
+        x = cat.source[chain[0]] if m else chain
+        for a0 in range(cat.n_morphisms):
+            if not cat.source[a0] == cat.target[a0] == x:
+                continue
+            if m == 0:
+                key = (row_of[(), a0], col_of[object_of[a0]])
+            else:
+                verticals = complete_ladder(found, chain, a0)
+                fad_chain = tuple(triple_of[t] for t in zip(verticals, chain, verticals[1:]))
+                c = a0
+                for g in chain:
+                    c = comp[g][c]
+                key = (row_of[tuple(reversed(chain)), c], col_of[fad_chain])
+            entries[key] = entries.get(key, 0) + 1
+    return entries
 
 
 def _env_mul(cat, p, u: dict, v: dict) -> dict:

@@ -11,6 +11,7 @@ from hochcat import (
 )
 from hochcat.category import AdjointCategory, FiniteCategory
 from hochcat.errors import (
+    AssociativityFailure,
     CategoryFormatError,
     MissingComposite,
     NotAGroup,
@@ -114,6 +115,15 @@ def test_group_from_table_rejects_non_groups():
     z_monoid = [[0, 1], [1, 1]]
     with pytest.raises(NotAGroup):
         group_from_table(z_monoid)
+
+
+def test_group_from_table_rejects_a_non_associative_loop():
+    # e, a, b with a∘a = b∘b = e and a∘b = b∘a = a: identity and inverses
+    # exist, but (b∘a)∘a = e while b∘(a∘a) = b; validation finds it
+    table = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(NotAGroup, match="not associative") as exc:
+        group_from_table(table, names=("e", "a", "b"))
+    assert isinstance(exc.value.__cause__, AssociativityFailure)
 
 
 def test_symmetric_group_table_is_a_group():

@@ -91,15 +91,15 @@ def test_compare_c2_text(capsys):
 
 
 def test_compare_builds_each_table_once(monkeypatch, capsys):
-    # table -> the degrees compare --max-degree 2 needs (T and X one higher
-    # for the chain identities); each must be built once, on one category,
-    # and the differentials for the one field of the run
+    # table -> the degrees compare --max-degree 2 needs (T one higher for
+    # the chain identities); each must be built once, on one category, and
+    # the differentials for the one field of the run.  X is T's transpose
+    # and has no table of its own.
     tables = {
         "hochschild": (hochschild._full_differential, {0, 1, 2}),
         "relative": (hochschild._relative_differential, {0, 1, 2}),
         "nerve": (nerve._coboundary, {0, 1, 2}),
         "t": (comparison._t_entries, {0, 1, 2, 3}),
-        "x": (comparison._x_entries, {0, 1, 2, 3}),
     }
     builds = {name: count_builds(monkeypatch, fn) for name, (fn, _) in tables.items()}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
@@ -157,6 +157,32 @@ def test_fad_c2_roundtrips_through_the_text_format(capsys):
     assert code == 0
     fad = parse_category(out)
     assert fad.n_objects == 2 and fad.n_morphisms == 4
+
+
+@pytest.mark.parametrize("name", ["c2", "ex6", "empty"])
+def test_fad_text_is_the_text_form_byte_for_byte(tmp_path, capsys, name):
+    # text mode writes the one copy of the text form, which the JSON holds
+    if name == "empty":
+        f = tmp_path / "empty.cat"
+        f.write_text("# no objects, no morphisms\n", encoding="utf-8")
+        arg, cat = str(f), catformat.load_category(str(f))
+    else:
+        arg, cat = name, fixtures.builtin(name)
+    text_form = catformat.category_to_text(category.adjoint_category(cat))
+    code, out = cli("fad", arg, capsys=capsys)
+    assert code == 0 and out == text_form
+    code, out = cli("fad", arg, "--output", "json", capsys=capsys)
+    assert code == 0 and json.loads(out)["fad"]["text"] == text_form
+    report = cli_module.run(parse_args(["fad", arg]))
+    assert report.text is report.payload["fad"]["text"]
+
+
+def test_fad_reports_an_invalid_file_on_one_line(tmp_path, capsys):
+    f = tmp_path / "broken.cat"
+    f.write_text("object x\nmorphism f : x -> x\n", encoding="utf-8")  # no identity
+    code, out = cli("fad", str(f), capsys=capsys)
+    assert code == 1
+    assert out.startswith("INVALID: ") and out.endswith("\n") and out.count("\n") == 1
 
 
 def test_cohomology_both_theories(capsys):

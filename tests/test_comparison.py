@@ -22,18 +22,20 @@ from hochcat import (
     verify_x_chain_identity,
     x_map_matrix,
 )
-from hochcat import comparison
-from hochcat.comparison import _sign_for, t_map_relative_matrix
+from hochcat import RawCategory, comparison, predicate_reports, validate_category
+from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
     _full_differential,
     basis_index,
+    hochschild_basis,
     hochschild_basis_size,
     relative_basis,
 )
 from hochcat.matrix import Matrix
 from hochcat.nerve import _chains_cached, _coboundary
 
+from . import oracles
 from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
 from .test_category import collapse, z_monoid
 from .test_hochschild import count_builds
@@ -124,9 +126,60 @@ def test_x_vanishes_on_non_composable_tuples():
 
 
 def test_x_requires_right_determinism():
-    cat, field = collapse(), GF2
-    with pytest.raises(HypothesisViolated):
-        x_map_matrix(cat, field, 1)
+    # collapse() is not right deterministic, z_monoid() not right cancellative;
+    # both X functions refuse both, though T exists for each
+    for cat in (collapse(), z_monoid()):
+        for m in range(2):
+            assert t_map_matrix(cat, GF2, m).nrows == len(nerve_chains(adjoint_category(cat), m))
+            with pytest.raises(HypothesisViolated):
+                x_map_matrix(cat, GF2, m)
+            with pytest.raises(HypothesisViolated):
+                x_map_relative_matrix(cat, GF2, m)
+
+
+def right_only():
+    """Objects x, y; s∘s = id_x; g: x -> y with g∘s = g.
+
+    Right deterministic and right cancellative, but not left cancellative:
+    the F^ad chains (id_x, g, id_y) and (s, g, id_y) read the same cochain
+    g -> g, so two columns of X share a row.
+    """
+    return validate_category(RawCategory(
+        objects=["x", "y"],
+        morphisms=[("idx", "x", "x", True), ("s", "x", "x", False),
+                   ("idy", "y", "y", True), ("g", "x", "y", False)],
+        compositions=[("s", "s", "idx"), ("g", "s", "g")],
+    ))
+
+
+X_REFERENCE_CATEGORIES = {**FIXTURES, "right_only": right_only()}
+
+
+@pytest.mark.parametrize("name", sorted(X_REFERENCE_CATEGORIES))
+def test_x_is_the_ladder_completion_reference(name):
+    # X = Tᵀ, in full and relative rows, is the sum over completed ladders
+    cat = X_REFERENCE_CATEGORIES[name]
+    reports = predicate_reports(cat)
+    assert reports["right_deterministic"].holds and reports["right_cancellative"].holds
+    fad = adjoint_category(cat)
+    for m in range(3):
+        full = oracles.ladder_completion_x(cat, fad, m, hochschild_basis(cat, m))
+        rel_rows = relative_basis(cat, m)
+        rel = oracles.ladder_completion_x(cat, fad, m, rel_rows)
+        ncols = len(nerve_chains(fad, m))
+        for field in FIELDS:
+            assert x_map_matrix(cat, field, m) == Matrix.from_int_entries(
+                field, hochschild_basis_size(cat, m), ncols, full), (name, m, field)
+            assert x_map_relative_matrix(cat, field, m) == Matrix.from_int_entries(
+                field, len(rel_rows), ncols, rel), (name, m, field)
+
+
+def test_right_only_x_has_two_columns_on_one_row():
+    cat = right_only()
+    assert not predicate_reports(cat)["left_cancellative"].holds
+    x = x_map_matrix(cat, QQ, 1)
+    rows = [r for r, _c, _v in x.entries()]
+    assert len(rows) == x.ncols and len(set(rows)) < len(rows)
 
 
 # --- the chain identities ------------------------------------------------------
