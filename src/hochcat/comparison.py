@@ -16,15 +16,34 @@ X is built as that transpose, behind the same gate.
 
 Together with the sign-twisted coboundary these are cochain maps; on the
 relative subcomplex they are mutually inverse, which is what certifies the
-dimension tables degree by degree.
+dimension tables degree by degree.  T and X are memoized on the category
+per field and degree, as the differentials are.
 
 ``theorem_a_report`` is the whole certificate: for each degree it holds the
 three dimensions, the results of the exact chain identities, and the map T
 induces on cohomology, and its verdict accounts for all of them.  The CLI
 only formats it.
 
+Lemma: when the relative complex is the full one (one object) and the
+checks hold in degrees m − 1 and m, ``H^m(F^ad) = T^m·HH^m`` with T^m
+injective, so the three dimensions are ``dim HH^m``:
+
+* ``two_sided_relative(m)`` on the full complex makes T^m invertible with
+  inverse X^m;
+* ``t_chain(m)`` gives ``T·ker ∂^m ⊆ ker δ^m``;
+* ``x_chain(m)`` and ``section(m)`` give ``ker δ^m ⊆ T·ker ∂^m`` (a cocycle
+  z is ``T(Xz)`` with ``Xz`` a cocycle);
+* ``section(m−1)`` and ``t_chain(m−1)`` give ``im δ^(m−1) = T·im ∂^(m−1)``.
+
+So for a group whose checks all hold, the report ranks the Hochschild
+complex alone and lists no cocycle or coboundary basis; the ``F^ad`` nerve
+is assembled for the checks but never eliminated.  (A finite monoid in the
+isomorphism tier is cancellative, hence a group.)  Any other category, or
+a failed check, takes the basis route, which builds the map induced on
+``Z/B``.
+
 The maps, the identity checks and the report take ``(cat, field, m)``, and
-a ``cap`` where they build full bases, like the complexes they compare.
+a ``cap`` where they build bases, like the complexes they compare.
 ``F^ad`` is ``adjoint_category(cat)``, memoized on ``cat``, and a map or
 check that needs a hypothesis tests it with ``require_predicates(cat, ...)``.
 """
@@ -44,13 +63,13 @@ from .errors import NotChainCompatible
 from .fields import FieldSpec
 from .hochschild import (
     basis_index,
-    check_cap,
     check_sizes,
     hochschild_basis_size,
     hochschild_differential_matrix,
     hochschild_sizes,
     relative_differential_matrix,
     relative_is_full,
+    relative_sizes,
     _relative_of_full,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
@@ -62,9 +81,8 @@ DETERMINISTIC = ("left_deterministic", "right_deterministic")
 
 # --- the reading map T and its transpose X -------------------------------------
 
-@memo
 def _t_entries(cat: FiniteCategory, m: int) -> tuple:
-    """(nrows, ncols, ((row, col), ...)) of T in degree m; all entries are 1.
+    """(nrows, ncols, ((row, col), ...)) of T in degree m, one entry per row; all are 1.
 
     Chain σ of F^ad reads its triples: bottom g_i = triples[σ_i][1] and base
     vertical a_0 = triples[σ_0][0].
@@ -87,28 +105,53 @@ def _t_entries(cat: FiniteCategory, m: int) -> tuple:
     return len(chains), ncols, tuple(entries)
 
 
-def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None) -> None:
-    """Refuse degree m unless the Hochschild bases and the F^ad chain counts
-    up to it fit under the cap; both are sizes, so nothing is listed."""
-    check_cap(cat, m, cap)
+@memo
+def _t_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
+    """T in degree m over ``field``, built once for as long as ``cat`` lives."""
+    nrows, ncols, entries = _t_entries(cat, m)
+    one = field.one
+    return Matrix(field, nrows, ncols, {r: {c: one} for r, c in entries})
+
+
+@memo
+def _x_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
+    """X = Tᵀ in degree m over ``field``, transposed once."""
+    return _t_matrix(cat, field, m).transpose()
+
+
+def _t_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
+    """T with its columns numbered in the relative basis; T itself when that is the full one."""
+    t = _t_matrix(cat, field, m)
+    if relative_is_full(cat, m):
+        return t
+    rel_of_full = _relative_of_full(cat, m)
+    rows = {r: {rel_of_full[c]: v for c, v in row.items()} for r, row in t.rows.items()}
+    return Matrix(field, t.nrows, len(rel_of_full), rows)
+
+
+def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None, sizes=None) -> None:
+    """Refuse degree m unless the cochain bases (Hochschild, or ``sizes``) and
+    the F^ad chain counts up to it fit under the cap; both are sizes, so
+    nothing is listed."""
+    check_sizes(hochschild_sizes(cat) if sizes is None else sizes, m, cap)
     check_sizes(nerve_sizes(adjoint_category(cat)), m, cap)
 
 
 def t_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
     _check_map_cap(cat, m, cap)
-    nrows, ncols, entries = _t_entries(cat, m)
-    one = field.one
-    return Matrix.from_entries(field, nrows, ncols, {rc: one for rc in entries})
+    return _t_matrix(cat, field, m)
 
 
-def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """T restricted to the relative subcomplex (square under the full hypotheses)."""
-    rel_of_full = _relative_of_full(cat, m)
-    nrows, _ncols, entries = _t_entries(cat, m)
-    one = field.one
-    cells = {(r, rel_of_full[c]): one for r, c in entries}
-    return Matrix.from_entries(field, nrows, len(rel_of_full), cells)
+def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
+                          cap: int | None = None) -> Matrix:
+    """T restricted to the relative subcomplex (square under the full hypotheses).
+
+    The relative sizes and F^ad chain counts up to degree m are checked
+    against the cap before any basis or chain is listed.
+    """
+    _check_map_cap(cat, m, cap, relative_sizes(cat))
+    return _t_relative(cat, field, m)
 
 
 def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
@@ -119,13 +162,18 @@ def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None 
     chain is the one completion of its bottom and a_0, so X is Tᵀ.
     """
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    return t_map_matrix(cat, field, m, cap).transpose()
+    _check_map_cap(cat, m, cap)
+    return _x_matrix(cat, field, m)
 
 
-def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
+def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
+                          cap: int | None = None) -> Matrix:
     """X written in relative row coordinates: the transpose of T's relative matrix."""
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    return t_map_relative_matrix(cat, field, m).transpose()
+    _check_map_cap(cat, m, cap, relative_sizes(cat))
+    if relative_is_full(cat, m):
+        return _x_matrix(cat, field, m)
+    return _t_relative(cat, field, m).transpose()
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -183,21 +231,29 @@ def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
     return _verified("section", m, prod, eye)
 
 
-def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> VerificationResult:
+def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
+                                 cap: int | None = None) -> VerificationResult:
     """On relative cochains T and X are mutually inverse bijections.
 
     Checks (i) every Hochschild column T reads is relative, so the image of
     X = Tᵀ lies in the relative span, and (ii) both composites of the
-    restricted maps are identity matrices.
+    restricted maps are identity matrices.  The cap is checked as in
+    ``t_map_relative_matrix``.  When the relative basis is the full one,
+    (i) holds trivially and the restricted maps are the memoized T and X.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
-    rel_full = _relative_of_full(cat, m)
-    _, _, entries = _t_entries(cat, m)
-    for _r, c in entries:
-        if c not in rel_full:
-            return VerificationResult("two_sided_relative", m, False, (c, -1, "image not relative", None))
-    t_rel = t_map_relative_matrix(cat, field, m)
-    x_rel = t_rel.transpose()
+    _check_map_cap(cat, m, cap, relative_sizes(cat))
+    if relative_is_full(cat, m):
+        t_rel, x_rel = _t_matrix(cat, field, m), _x_matrix(cat, field, m)
+    else:
+        rel_full = _relative_of_full(cat, m)
+        for row in _t_matrix(cat, field, m).rows.values():
+            for c in row:
+                if c not in rel_full:
+                    return VerificationResult("two_sided_relative", m, False,
+                                              (c, -1, "image not relative", None))
+        t_rel = _t_relative(cat, field, m)
+        x_rel = t_rel.transpose()
     left = _verified("two_sided_relative", m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
     if not left.ok:
         return left
@@ -219,7 +275,9 @@ class DegreeComparison:
     dim_hochschild: int
     dim_relative: int
     dim_simplicial: int
-    induced_matrix: Matrix | None   # None without a hypothesis tier, or when T broke a subspace
+    # None without a hypothesis tier, when T broke a subspace, or on the
+    # rank route of a group whose checks all hold (see the module lemma)
+    induced_matrix: Matrix | None
     induced_surjective: bool
     induced_invertible: bool
     checks: tuple = ()              # VerificationResult per identity
@@ -244,36 +302,53 @@ def hypothesis_tier(flags: dict) -> str:
     return "unverified"
 
 
+def _checks(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None, tier: str) -> tuple:
+    """The identity checks of degree m that the tier calls for."""
+    if tier == "unverified":
+        return ()
+    checks = (verify_t_chain_identity(cat, field, m, cap),
+              verify_x_chain_identity(cat, field, m, cap),
+              verify_section(cat, field, m, cap))
+    if tier == "isomorphism":
+        checks += (verify_two_sided_on_relative(cat, field, m, cap),)
+    return checks
+
+
 def _induced_maps(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None,
                   tier: str) -> list:
     """Per degree, the three dimensions and the map T induces on cohomology.
 
-    The cocycle and coboundary bases die with this call, so none is alive
-    while the identity checks take products of T and X.  When the relative
-    complex is the full one (``relative_is_full``), its dimensions are the
-    full ones and it is not eliminated again.
+    The cocycle and coboundary bases die with this call.  In the unverified
+    tier there is no induced map, so no basis is built: the dimensions are
+    ranks (``cohomology_dims``).  When the relative complex is the full one
+    (``relative_is_full``), its dimensions are the full ones and it is not
+    eliminated again.
     """
     fad = adjoint_category(cat)
     rng = range(max_m + 1)
-    full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
-    nerve = cohomology(simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
+    full = (hochschild_differential_matrix(cat, field, m, cap) for m in rng)
+    nerve = (simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
     relative = None
     if not relative_is_full(cat, max_m + 1):
         relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
     out = []
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s) in zip(rng, full, nerve):
+    # without the cancellation hypotheses T need not be a chain map, so
+    # there is no induced map to certify
+    if tier == "unverified":
+        for m, dim_h, dim_s in zip(rng, cohomology_dims(full), cohomology_dims(nerve)):
+            dim_r = dim_h if relative is None else next(relative)
+            out.append(DegreeComparison(m, dim_h, dim_r, dim_s, None, False, False))
+        return out
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s) in zip(rng, cohomology(full), cohomology(nerve)):
         dim_r = dim_h if relative is None else next(relative)
         induced, invertible, surjective = None, False, False
-        # without the cancellation hypotheses T need not be a chain map,
-        # so there is no induced map to certify
-        if tier != "unverified":
-            try:
-                induced, invertible = induced_quotient_map(
-                    t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
-                )
-                surjective = induced.rank() == dim_s
-            except NotChainCompatible:
-                pass   # T is not a chain map here; the identity checks show where
+        try:
+            induced, invertible = induced_quotient_map(
+                t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
+            )
+            surjective = induced.rank() == dim_s
+        except NotChainCompatible:
+            pass   # T is not a chain map here; the identity checks show where
         out.append(DegreeComparison(m, dim_h, dim_r, dim_s, induced, surjective, invertible))
     return out
 
@@ -290,23 +365,35 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     The map T always exists, so the report is computed for any category;
     the verdict claims only what the hypothesis tier supports, and a failed
     identity or a T that breaks a subspace makes it ``failed``.
+
+    In the isomorphism tier, when the relative complex is the full one,
+    the Hochschild complex is ranked before any check runs, so its
+    elimination peaks before T, X and the check products are alive.  If
+    every check of every degree then holds, the module lemma makes T an
+    isomorphism on cohomology in each degree: the three dimensions are
+    those ranks' ``dim HH^m``, and no induced matrix is built
+    (``induced_matrix`` is None).  Otherwise the basis route
+    (``_induced_maps``) builds the map on ``Z/B``, and the report is the
+    one it always gave.
     """
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
     check_sizes(nerve_sizes(adjoint_category(cat)), max_m + 1, cap)
     flags = {name: rep.holds for name, rep in predicate_reports(cat).items()}
     tier = hypothesis_tier(flags)
-    degrees = []
-    for rec in _induced_maps(cat, field, max_m, cap, tier):
-        m, checks = rec.degree, ()
-        if tier != "unverified":
-            checks = (verify_t_chain_identity(cat, field, m, cap),
-                      verify_x_chain_identity(cat, field, m, cap),
-                      verify_section(cat, field, m, cap))
-            if tier == "isomorphism":
-                checks += (verify_two_sided_on_relative(cat, field, m),)
-        ok = all(checks)
-        degrees.append(replace(rec, checks=checks, induced_surjective=rec.induced_surjective and ok,
-                               induced_invertible=rec.induced_invertible and ok))
+    rng = range(max_m + 1)
+    dims = None
+    if tier == "isomorphism" and relative_is_full(cat, max_m + 1):
+        dims = list(cohomology_dims(hochschild_differential_matrix(cat, field, m, cap) for m in rng))
+    checks = [_checks(cat, field, m, cap, tier) for m in rng]
+    if dims is not None and all(map(all, checks)):
+        degrees = [DegreeComparison(m, dim, dim, dim, None, True, True, ch)
+                   for m, dim, ch in zip(rng, dims, checks)]
+    else:
+        degrees = []
+        for rec, ch in zip(_induced_maps(cat, field, max_m, cap, tier), checks):
+            ok = all(ch)
+            degrees.append(replace(rec, checks=ch, induced_surjective=rec.induced_surjective and ok,
+                                   induced_invertible=rec.induced_invertible and ok))
     certified = all(rec.induced_invertible if tier == "isomorphism" else rec.induced_surjective
                     for rec in degrees)
     verdict = tier if (tier == "unverified" or certified) else "failed"

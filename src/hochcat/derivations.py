@@ -88,9 +88,9 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     m_t = Matrix.zeros(field, char.dim, der.dim)
     bijection = False
     try:
-        m_t, _ = induced_quotient_map(t_map_relative_matrix(cat, field, 1),
+        m_t, _ = induced_quotient_map(t_map_relative_matrix(cat, field, 1, cap),
                                       der, zero_der, char, zero_char)
-        m_x, _ = induced_quotient_map(x_map_relative_matrix(cat, field, 1),
+        m_x, _ = induced_quotient_map(x_map_relative_matrix(cat, field, 1, cap),
                                       char, zero_char, der, zero_der)
     except NotChainCompatible:
         pass

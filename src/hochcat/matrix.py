@@ -107,6 +107,24 @@ class _IntScalars(dict):
         return v
 
 
+def _unit_columns(rows: dict) -> dict | None:
+    """row -> column when every nonzero row is a single entry 1, else None.
+
+    Such a matrix reads one coordinate per row, as T does (and X = Tᵀ when
+    T is a bijection), so a product with it moves rows or columns instead
+    of multiplying.  The scan stops at the first other row.
+    """
+    reads = {}
+    for r, row in rows.items():
+        if len(row) != 1:
+            return None
+        ((c, v),) = row.items()
+        if v != 1:
+            return None
+        reads[r] = c
+    return reads
+
+
 class Matrix:
     """Immutable exact matrix.  Build via the ``from_*`` constructors."""
 
@@ -262,6 +280,15 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        reads = _unit_columns(self.rows)
+        if reads is not None:
+            # each row of self reads one row of other: share it
+            rows_b = other.rows
+            out = {i: rows_b[c] for i, c in reads.items() if c in rows_b}
+            return Matrix(self.field, self.nrows, other.ncols, out)
+        reads = _unit_columns(other.rows)
+        if reads is not None:
+            return self._gathered(reads, other.ncols)
         p = self.field.p
         rows_a, den_a = self._integer_rows
         rows_b, den_b = other._integer_rows
@@ -290,6 +317,30 @@ class Matrix:
             if row:
                 out[i] = row
         return Matrix(self.field, self.nrows, other.ncols, out)
+
+    def _gathered(self, reads: dict, ncols: int) -> "Matrix":
+        """``self @ R`` for R whose row k is one 1 in column ``reads[k]``.
+
+        Entry (i, j) sums the entries of row i in the columns k that R sends
+        to j; with no two such columns it is a copy, so nothing is multiplied.
+        """
+        add = self.field.add
+        out = {}
+        for i, row in self.rows.items():
+            acc, summed = {}, False
+            for k, v in row.items():
+                j = reads.get(k)
+                if j is None:
+                    continue
+                if j in acc:
+                    acc[j], summed = add(acc[j], v), True
+                else:
+                    acc[j] = v
+            if summed:
+                acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return Matrix(self.field, self.nrows, ncols, out)
 
     @cached_property
     def _integer_rows(self) -> tuple[dict, int]:

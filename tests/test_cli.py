@@ -91,15 +91,16 @@ def test_compare_c2_text(capsys):
 
 
 def test_compare_builds_each_table_once(monkeypatch, capsys):
-    # table -> the degrees compare --max-degree 2 needs (T one higher for
-    # the chain identities); each must be built once, on one category, and
-    # the differentials for the one field of the run.  X is T's transpose
-    # and has no table of its own.
+    # table -> the degrees compare --max-degree 2 needs (T and X one higher
+    # for the chain identities); each must be built once, on one category,
+    # and the matrices for the one field of the run.  X is T's transpose,
+    # memoized once per degree.
     tables = {
         "hochschild": (hochschild._full_differential, {0, 1, 2}),
         "relative": (hochschild._relative_differential, {0, 1, 2}),
         "nerve": (nerve._coboundary, {0, 1, 2}),
-        "t": (comparison._t_entries, {0, 1, 2, 3}),
+        "t": (comparison._t_matrix, {0, 1, 2, 3}),
+        "x": (comparison._x_matrix, {0, 1, 2, 3}),
     }
     builds = {name: count_builds(monkeypatch, fn) for name, (fn, _) in tables.items()}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
@@ -458,6 +459,27 @@ def test_compare_reports_a_broken_chain_identity_as_failed(monkeypatch, capsys, 
     assert all(d["t_chain_ok"] and d["iso"] for d in payload["degrees"][1:])
 
 
+def test_compare_a_group_with_a_misread_chain_prints_the_basis_route(monkeypatch, capsys):
+    # one chain of T^1 reads the wrong column, so the checks fail and the
+    # group leaves the rank route: the JSON is the one the basis route
+    # prints when no category is taken for one object
+    honest = comparison._t_entries
+
+    def misread(cat, m):
+        nrows, ncols, entries = honest(cat, m)
+        if m == 1:
+            (r, c), *rest = entries
+            entries = ((r, (c + 1) % ncols), *rest)
+        return nrows, ncols, entries
+
+    monkeypatch.setattr(comparison, "_t_entries", misread)
+    argv = ("compare", "c2", "--field", "gf:2", "--max-degree", "2", "--output", "json")
+    code, out = cli(*argv, capsys=capsys)
+    assert code == 1 and json.loads(out)["verdict"] == "failed"
+    monkeypatch.setattr(comparison, "relative_is_full", lambda cat, top: False)
+    assert cli(*argv, capsys=capsys) == (code, out)
+
+
 def test_derivations_c2(capsys):
     code, out = cli("derivations", "c2", "--field", "gf:2", "--output", "json",
                     capsys=capsys)
@@ -481,8 +503,12 @@ def test_derivations_honours_the_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: degree 2 needs 64 basis elements, cap is 16\n"
     assert elapsed < 1.0
     assert not any(builds)
-    # the counters are live: under the default cap both lists are built
+    # under the default cap the chains are listed; with one object the
+    # relative basis is the full one and is never listed
     assert main(["derivations", "cn:4"]) == 0
+    assert builds[1] and not builds[0]
+    # the counters are live: with two objects both lists are built
+    assert main(["derivations", "ex6"]) == 0
     assert all(builds)
 
 

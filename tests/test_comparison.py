@@ -13,6 +13,7 @@ from hochcat import (
     nerve_chains,
     relative_cohomology_dims,
     simplicial_coboundary_matrix,
+    simplicial_cohomology_dims,
     t_map_matrix,
     theorem_a_report,
     theorem_b_report,
@@ -22,21 +23,25 @@ from hochcat import (
     verify_x_chain_identity,
     x_map_matrix,
 )
-from hochcat import RawCategory, comparison, predicate_reports, validate_category
+from hochcat import RawCategory, comparison, group_from_table, predicate_reports, validate_category
 from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
     _full_differential,
+    _relative_basis_cached,
     basis_index,
     hochschild_basis,
     hochschild_basis_size,
     relative_basis,
+    relative_is_full,
 )
 from hochcat.matrix import Matrix
 from hochcat.nerve import _chains_cached, _coboundary
 
 from . import oracles
-from .catalog import A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
+from .catalog import (
+    A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV, symmetric_group_table,
+)
 from .test_category import collapse, z_monoid
 from .test_hochschild import count_builds
 
@@ -350,6 +355,33 @@ def test_t_map_caps_the_fad_nerve(monkeypatch):
     assert not builds
 
 
+def test_relative_maps_cap_the_bases_before_listing(monkeypatch):
+    # {e, z}: 2^5 = 32 relative cochains in degree 4 fit under 100, but the
+    # F^ad chains pass it there (2·3^4 = 162); c2 passes at 2^7 in degree 6
+    builds = [count_builds(monkeypatch, fn) for fn in (_chains_cached, _relative_basis_cached)]
+    with pytest.raises(DimensionCapExceeded) as refused:
+        t_map_relative_matrix(z_monoid(), GF2, 4, cap=100)
+    assert (refused.value.degree, refused.value.required) == (4, 162)
+    with pytest.raises(HypothesisViolated):   # the hypotheses come first
+        x_map_relative_matrix(z_monoid(), GF2, 4, cap=100)
+    cat = builtin("c2")
+    for refuse in (t_map_relative_matrix, x_map_relative_matrix, verify_two_sided_on_relative):
+        with pytest.raises(DimensionCapExceeded) as refused:
+            refuse(cat, GF2, 6, cap=100)
+        assert (refused.value.degree, refused.value.required) == (6, 128), refuse.__name__
+    assert not any(builds)
+    assert verify_two_sided_on_relative(cat, GF2, 5, cap=100).ok
+
+
+def test_one_object_relative_maps_are_the_memoized_full_ones():
+    cat = builtin("cn:3")
+    for field in (GF2, QQ):
+        for m in range(3):
+            assert t_map_relative_matrix(cat, field, m) is t_map_matrix(cat, field, m)
+            assert x_map_relative_matrix(cat, field, m) is x_map_matrix(cat, field, m)
+            assert x_map_matrix(cat, field, m) == t_map_matrix(cat, field, m).transpose()
+
+
 def test_theorem_a_report_holds_the_identity_checks():
     rep = theorem_a_report(EX6, GF3, 2)
     for rec in rep.degrees:
@@ -358,10 +390,19 @@ def test_theorem_a_report_holds_the_identity_checks():
         assert all(c.degree == rec.degree and c.ok for c in rec.checks)
 
 
-def test_theorem_a_downgrades_without_hypotheses():
-    rep = theorem_a_report(collapse(), GF2, 1)
+def test_theorem_a_downgrades_without_hypotheses(monkeypatch):
+    # no induced map in this tier, so no cocycle basis either: dims are ranks
+    expected = [(rec.dim_hochschild, rec.dim_relative, rec.dim_simplicial)
+                for rec in theorem_a_report(collapse(), GF2, 1).degrees]
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
+    cat = collapse()
+    rep = theorem_a_report(cat, GF2, 1)
     assert rep.tier == "unverified" and rep.verdict == "unverified"
     assert all(rec.induced_matrix is None and rec.checks == () for rec in rep.degrees)
+    assert [(rec.dim_hochschild, rec.dim_relative, rec.dim_simplicial) for rec in rep.degrees] == \
+        expected == list(zip(hochschild_cohomology_dims(cat, GF2, 1),
+                             relative_cohomology_dims(cat, GF2, 1),
+                             simplicial_cohomology_dims(adjoint_category(cat), GF2, 1)))
 
 
 def test_theorem_a_surjection_tier_parallel_arrows():
@@ -383,3 +424,74 @@ def test_theorem_a_surjection_tier_parallel_arrows():
             assert verify_t_chain_identity(cat, field, m).ok
             assert verify_x_chain_identity(cat, field, m).ok
             assert verify_section(cat, field, m).ok
+
+
+# --- the rank route of a group ------------------------------------------------------
+
+def refuse_basis(*_args, **_kwargs):
+    raise AssertionError("a cocycle or coboundary basis was built")
+
+
+def basis_route(cat, field, max_m):
+    """(dims, surjective, invertible, checks) per degree and the verdict, as the
+    basis route computes them: the induced map on Z/B and the identity checks."""
+    checks = [comparison._checks(cat, field, m, None, "isomorphism") for m in range(max_m + 1)]
+    rows = [((rec.dim_hochschild, rec.dim_relative, rec.dim_simplicial),
+             rec.induced_surjective and all(ch), rec.induced_invertible and all(ch),
+             [(c.name, c.ok) for c in ch])
+            for rec, ch in zip(comparison._induced_maps(cat, field, max_m, None, "isomorphism"),
+                               checks)]
+    return rows, "isomorphism" if all(inv for _d, _s, inv, _c in rows) else "failed"
+
+
+def summary(rep):
+    return [((rec.dim_hochschild, rec.dim_relative, rec.dim_simplicial),
+             rec.induced_surjective, rec.induced_invertible,
+             [(c.name, c.ok) for c in rec.checks]) for rec in rep.degrees], rep.verdict
+
+
+ONE_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects == 1)
+
+
+@pytest.mark.parametrize("name", ONE_OBJECT)
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_group_rank_route_matches_the_basis_route(name, field):
+    cat = FIXTURES[name]
+    # degree 3 reads T^4 on n^5 cochains; keep that under 4000
+    max_m = 3 if cat.n_morphisms ** 5 <= 4000 else 2
+    assert relative_is_full(cat, max_m + 1)
+    rep = theorem_a_report(cat, field, max_m)
+    assert rep.tier == "isomorphism"
+    assert all(rec.induced_matrix is None for rec in rep.degrees)
+    assert summary(rep) == basis_route(cat, field, max_m)
+
+
+def test_group_rank_route_builds_no_basis(monkeypatch):
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
+    monkeypatch.setattr(comparison, "induced_quotient_map", refuse_basis)
+    for field, max_m, dims in ((GF2, 3, [3, 2, 2, 2]), (QQ, 2, [3, 0, 0])):
+        # a fresh S3, so no memo of an earlier test answers for it
+        rep = theorem_a_report(group_from_table(symmetric_group_table(3)), field, max_m)
+        assert rep.verdict == "isomorphism"
+        assert [rec.dim_simplicial for rec in rep.degrees] == dims
+
+
+def test_group_with_a_misread_chain_takes_the_basis_route():
+    # one chain of T^1 reads the wrong column: the checks fail, and the
+    # report is the basis route's, verdict failed
+    cat = builtin("cn:3")
+    honest = comparison._t_entries
+
+    def misread(cat, m):
+        nrows, ncols, entries = honest(cat, m)
+        if m == 1:
+            (r, c), *rest = entries
+            entries = ((r, (c + 1) % ncols), *rest)
+        return nrows, ncols, entries
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comparison, "_t_entries", misread)
+        rep = theorem_a_report(cat, GF3, 2)
+        assert rep.verdict == "failed"
+        assert summary(rep) == basis_route(cat, GF3, 2)
+        assert rep.degrees[1].induced_matrix is not None

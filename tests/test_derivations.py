@@ -163,7 +163,7 @@ def test_theorem_b_requires_hypotheses():
 def _perturb_x(monkeypatch, perturb):
     x_rel = derivations.x_map_relative_matrix
     monkeypatch.setattr(derivations, "x_map_relative_matrix",
-                        lambda cat, field, m: perturb(cat, field, x_rel(cat, field, m)))
+                        lambda cat, field, m, cap=None: perturb(cat, field, x_rel(cat, field, m, cap)))
 
 
 def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypatch):

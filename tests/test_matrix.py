@@ -740,6 +740,46 @@ def test_q_factor_converts_to_integers_once_and_never_changes(n, k, data):
     assert ({r: dict(row) for r, row in rows.items()}, den, A.rows) == before
 
 
+def _reading(field, rng, nrows, ncols):
+    """A matrix whose nonzero rows are each one 1, columns drawn with repeats."""
+    rows = {r: {rng.randrange(ncols): field.one} for r in range(nrows) if rng.random() < 0.8}
+    return Matrix(field, nrows, ncols, rows)
+
+
+def _dense_field_product(a: Matrix, b: Matrix) -> Matrix:
+    """The textbook product over a's field, entry by entry."""
+    f, da, db = a.field, a.dense_rows(), b.dense_rows()
+    out = [[f.zero] * b.ncols for _ in range(a.nrows)]
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for k in range(a.ncols):
+                out[i][j] = f.add(out[i][j], f.mul(da[i][k], db[k][j]))
+    return Matrix.from_rows(f, out, b.ncols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_products_with_a_reading_matrix_match_the_textbook_product(field):
+    # a factor whose rows are single 1s (as T is) moves rows or columns;
+    # repeated columns make the column move add entries, which can cancel
+    rng = random.Random(7)
+    for _ in range(40):
+        n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        t = _reading(field, rng, n, k)
+        a = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(k)], m)
+        b = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)], n)
+        ta, bt = t @ a, b @ t
+        assert ta == _dense_field_product(t, a) and bt == _dense_field_product(b, t)
+        assert all(row is a.rows[next(iter(t.rows[i]))] for i, row in ta.rows.items())
+        assert all(row for row in bt.rows.values())
+
+
+def test_column_move_drops_cancelled_entries():
+    # columns 0 and 1 both go to column 0, and 1 + 1 = 0 over GF(2)
+    t = Matrix(GF2, 2, 1, {0: {0: 1}, 1: {0: 1}})
+    a = Matrix(GF2, 2, 2, {0: {0: 1, 1: 1}, 1: {1: 1}})
+    assert (a @ t).rows == {1: {0: 1}}
+
+
 # --- GF(2): the bitset tail against the dict loop ---------------------------------
 
 @contextmanager
