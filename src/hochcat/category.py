@@ -11,6 +11,8 @@ dense ``compose_table``, which the hot loops downstream read directly.  The
 adjoint category holds none (``compose_table is None``): its composition is
 determined by its triples and the base table, so ``compose`` pastes squares
 and ``composites`` pastes one morphism's square under a list of others.
+Code that reads the table takes it through ``require_table``, which refuses
+an adjoint category with a ``HochcatError``.
 
 A morphism of the adjoint category is a commuting square ``g∘a = b∘g``,
 stored as the triple ``(a, g, b)``, so a nerve chain of ``F^ad`` is a ladder
@@ -29,6 +31,7 @@ from functools import cached_property, wraps
 from .errors import (
     AssociativityFailure,
     DuplicateName,
+    HochcatError,
     HypothesisViolated,
     IdentityLawViolation,
     IllTypedComposite,
@@ -318,21 +321,21 @@ def _cancellation(cat: FiniteCategory, name: str, lines, domains) -> PredicateRe
 def is_left_cancellative(cat: FiniteCategory) -> PredicateReport:
     """g∘h = g∘f implies h = f, for all composable instances."""
     by_target = cat.morphisms_by_target
-    return _cancellation(cat, "left_cancellative", cat.compose_table,
+    return _cancellation(cat, "left_cancellative", require_table(cat),
                          [by_target[x] for x in cat.source])
 
 
 def is_right_cancellative(cat: FiniteCategory) -> PredicateReport:
     """h∘g = f∘g implies h = f, for all composable instances."""
     by_source = cat.morphisms_by_source
-    return _cancellation(cat, "right_cancellative", tuple(zip(*cat.compose_table)),
+    return _cancellation(cat, "right_cancellative", tuple(zip(*require_table(cat))),
                          [by_source[y] for y in cat.target])
 
 
 def _precomposites(cat: FiniteCategory) -> list:
     """Per g, the set g∘End(source g)."""
     ends, source = cat.endomorphisms, cat.source
-    return [set(map(row.__getitem__, ends[source[g]])) for g, row in enumerate(cat.compose_table)]
+    return [set(map(row.__getitem__, ends[source[g]])) for g, row in enumerate(require_table(cat))]
 
 
 def is_left_deterministic(cat: FiniteCategory) -> PredicateReport:
@@ -354,7 +357,7 @@ def is_right_deterministic(cat: FiniteCategory) -> PredicateReport:
     ends, target = cat.endomorphisms, cat.target
     # per g, the set End(target g)∘g, read off column g
     reach = [set(map(col.__getitem__, ends[target[g]]))
-             for g, col in enumerate(zip(*cat.compose_table))]
+             for g, col in enumerate(zip(*require_table(cat)))]
     comp = cat.compose_table
     for a in cat.all_endomorphisms:
         for g in cat.morphisms_by_source[cat.source[a]]:
@@ -389,6 +392,7 @@ def is_rr_transitive(cat: FiniteCategory) -> PredicateReport:
 
 @memo
 def predicate_reports(cat: FiniteCategory) -> dict:
+    """The five predicate reports; each predicate refuses an ``F^ad`` (``require_table``)."""
     return {
         "left_cancellative": is_left_cancellative(cat),
         "right_cancellative": is_right_cancellative(cat),
@@ -396,6 +400,16 @@ def predicate_reports(cat: FiniteCategory) -> dict:
         "right_deterministic": is_right_deterministic(cat),
         "rr_transitive": is_rr_transitive(cat),
     }
+
+
+def require_table(cat: FiniteCategory) -> tuple:
+    """``cat.compose_table``; an ``F^ad``, which holds none, is refused."""
+    if cat.compose_table is None:
+        raise HochcatError(
+            "an adjoint category holds no composition table: write it out with "
+            "category_to_text and parse that text back to use it as a base category"
+        )
+    return cat.compose_table
 
 
 def require_predicates(cat: FiniteCategory, *names: str) -> None:
@@ -447,7 +461,7 @@ class AdjointCategory(FiniteCategory):
 @memo
 def adjoint_category(cat: FiniteCategory) -> AdjointCategory:
     """Build the adjoint category of ``cat``, its morphisms stored as triples."""
-    comp = cat.compose_table
+    comp = require_table(cat)
     endos = cat.all_endomorphisms
     obj_names = tuple(cat.morphism_names[e] for e in endos)
     endo_obj = {e: i for i, e in enumerate(endos)}

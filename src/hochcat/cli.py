@@ -105,10 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, degree=True):
+    def common(p, degree=True, field=True):
         p.add_argument("input", help="builtin fixture name or category file path")
-        p.add_argument("--field", type=_field_arg, default=FieldSpec(None),
-                       help="scalar field: 'q' (default) or 'gf:<p>'")
+        if field:
+            p.add_argument("--field", type=_field_arg, default=FieldSpec(None),
+                           help="scalar field: 'q' (default) or 'gf:<p>'")
         if degree:
             p.add_argument("--max-degree", type=_degree_arg, default=3,
                            help="highest cohomological degree (default 3)")
@@ -116,14 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=_cap_arg, default=None,
                        help="basis-size cap (default 2e6, env HOCHCAT_CAP)")
 
-    common(sub.add_parser("validate", help="check the category axioms"), degree=False)
-    common(sub.add_parser("props", help="run the structural predicate checks"), degree=False)
-    common(sub.add_parser("fad", help="emit the adjoint category"), degree=False)
+    # a verb takes only the options it reads
+    common(sub.add_parser("validate", help="check the category axioms"), degree=False, field=False)
+    common(sub.add_parser("props", help="run the structural predicate checks"),
+           degree=False, field=False)
+    common(sub.add_parser("fad", help="emit the adjoint category"), degree=False, field=False)
     coh = sub.add_parser("cohomology", help="Hochschild cohomology dimensions")
     common(coh)
     coh.add_argument("--theory", choices=("full", "relative", "both"), default="both")
     common(sub.add_parser("compare", help="certify the comparison isomorphism"))
-    common(sub.add_parser("derivations", help="graded derivations vs characters"))
+    common(sub.add_parser("derivations", help="graded derivations vs characters"), degree=False)
     return parser
 
 

@@ -20,9 +20,9 @@ dimension tables degree by degree.  T and X are memoized on the category
 per field and degree, as the differentials are.
 
 ``theorem_a_report`` is the whole certificate: for each degree it holds the
-three dimensions, the results of the exact chain identities, and the map T
-induces on cohomology, and its verdict accounts for all of them.  The CLI
-only formats it.
+three dimensions, the results of the exact chain identities, and whether T
+induces a surjection or an isomorphism on cohomology, and its verdict
+accounts for all of them.  The CLI only formats it.
 
 Lemma: when the relative complex is the full one (one object) and the
 checks hold in degrees m − 1 and m, ``H^m(F^ad) = T^m·HH^m`` with T^m
@@ -38,9 +38,10 @@ injective, so the three dimensions are ``dim HH^m``:
 So for a group whose checks all hold, the report ranks the Hochschild
 complex alone and lists no cocycle or coboundary basis; the ``F^ad`` nerve
 is assembled for the checks but never eliminated.  (A finite monoid in the
-isomorphism tier is cancellative, hence a group.)  Any other category, or
-a failed check, takes the basis route, which builds the map induced on
-``Z/B``.
+isomorphism tier is cancellative, hence a group.)  The unverified tier
+certifies nothing, so it too takes only ranks, of all three complexes.
+Any other category, or a group with a failed check, takes the basis
+route, which builds the map induced on ``Z/B``.
 
 The maps, the identity checks and the report take ``(cat, field, m)``, and
 a ``cap`` where they build bases, like the complexes they compare.
@@ -50,7 +51,7 @@ check that needs a hypothesis tests it with ``require_predicates(cat, ...)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .category import (
     FiniteCategory,
@@ -65,15 +66,18 @@ from .hochschild import (
     basis_index,
     check_sizes,
     hochschild_basis_size,
+    hochschild_cohomology_dims,
     hochschild_differential_matrix,
     hochschild_sizes,
+    relative_cohomology_dims,
     relative_differential_matrix,
     relative_is_full,
     relative_sizes,
     _relative_of_full,
 )
 from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
-from .nerve import _chains_cached, nerve_sizes, simplicial_coboundary_matrix
+from .nerve import (_chains_cached, nerve_sizes, simplicial_coboundary_matrix,
+                    simplicial_cohomology_dims)
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
 DETERMINISTIC = ("left_deterministic", "right_deterministic")
@@ -275,9 +279,6 @@ class DegreeComparison:
     dim_hochschild: int
     dim_relative: int
     dim_simplicial: int
-    # None without a hypothesis tier, when T broke a subspace, or on the
-    # rank route of a group whose checks all hold (see the module lemma)
-    induced_matrix: Matrix | None
     induced_surjective: bool
     induced_invertible: bool
     checks: tuple = ()              # VerificationResult per identity
@@ -285,9 +286,6 @@ class DegreeComparison:
 
 @dataclass(frozen=True)
 class TheoremAReport:
-    field: FieldSpec
-    max_degree: int
-    flags: dict
     tier: str          # "isomorphism" | "surjection" | "unverified"
     degrees: tuple
     verdict: str       # tier name when certified, "failed" when a check broke
@@ -314,15 +312,15 @@ def _checks(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None, tier
     return checks
 
 
-def _induced_maps(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None,
-                  tier: str) -> list:
-    """Per degree, the three dimensions and the map T induces on cohomology.
+def _basis_route(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None,
+                 checks: list) -> list:
+    """Per degree, the three dimensions and whether the map T induces on ``Z/B``
+    is surjective or invertible, given that degree's identity ``checks``.
 
-    The cocycle and coboundary bases die with this call.  In the unverified
-    tier there is no induced map, so no basis is built: the dimensions are
-    ranks (``cohomology_dims``).  When the relative complex is the full one
-    (``relative_is_full``), its dimensions are the full ones and it is not
-    eliminated again.
+    The cocycle and coboundary bases die with this call.  The relative
+    complex is ranked lazily, one degree per step of the two basis walks;
+    when it is the full one (``relative_is_full``), its dimensions are the
+    full ones and it is not eliminated again.
     """
     fad = adjoint_category(cat)
     rng = range(max_m + 1)
@@ -332,16 +330,10 @@ def _induced_maps(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | 
     if not relative_is_full(cat, max_m + 1):
         relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
     out = []
-    # without the cancellation hypotheses T need not be a chain map, so
-    # there is no induced map to certify
-    if tier == "unverified":
-        for m, dim_h, dim_s in zip(rng, cohomology_dims(full), cohomology_dims(nerve)):
-            dim_r = dim_h if relative is None else next(relative)
-            out.append(DegreeComparison(m, dim_h, dim_r, dim_s, None, False, False))
-        return out
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s) in zip(rng, cohomology(full), cohomology(nerve)):
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full),
+                                                            cohomology(nerve), checks):
         dim_r = dim_h if relative is None else next(relative)
-        induced, invertible, surjective = None, False, False
+        invertible, surjective = False, False
         try:
             induced, invertible = induced_quotient_map(
                 t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
@@ -349,7 +341,9 @@ def _induced_maps(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | 
             surjective = induced.rank() == dim_s
         except NotChainCompatible:
             pass   # T is not a chain map here; the identity checks show where
-        out.append(DegreeComparison(m, dim_h, dim_r, dim_s, induced, surjective, invertible))
+        ok = all(ch)
+        out.append(DegreeComparison(m, dim_h, dim_r, dim_s, surjective and ok,
+                                    invertible and ok, ch))
     return out
 
 
@@ -357,51 +351,43 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
                      cap: int | None = None) -> TheoremAReport:
     """Compute both cohomologies and certify the comparison degree by degree.
 
-    The report is the whole certificate: per degree the three dimensions,
-    the exact chain identities of T and X, and the map T induces on
-    cohomology.  Every degree's Hochschild basis size and ``F^ad`` chain
-    count is checked against the cap before anything is built (relative
-    bases are subsets of the full ones).
-    The map T always exists, so the report is computed for any category;
-    the verdict claims only what the hypothesis tier supports, and a failed
-    identity or a T that breaks a subspace makes it ``failed``.
+    Every degree's Hochschild basis size, then its ``F^ad`` chain count, is
+    checked against the cap before anything is assembled (relative bases
+    are subsets of the full ones).  The map T always exists, so the report
+    is computed for any category; the verdict claims only what the
+    hypothesis tier supports, and a failed identity or a T that breaks a
+    subspace makes it ``failed``.
 
-    In the isomorphism tier, when the relative complex is the full one,
-    the Hochschild complex is ranked before any check runs, so its
+    The rank route serves the unverified tier and a group in the
+    isomorphism tier.  It ranks the Hochschild complex
+    (``hochschild_cohomology_dims``) before any check runs, so the
     elimination peaks before T, X and the check products are alive.  If
-    every check of every degree then holds, the module lemma makes T an
-    isomorphism on cohomology in each degree: the three dimensions are
-    those ranks' ``dim HH^m``, and no induced matrix is built
-    (``induced_matrix`` is None).  Otherwise the basis route
-    (``_induced_maps``) builds the map on ``Z/B``, and the report is the
-    one it always gave.
+    every check holds, a group takes all three dimensions from those ranks
+    (module lemma), while the unverified tier ranks the relative complex
+    (when it is not the full one) and the nerve, and certifies nothing.
+    Any other category, or a failed check, takes ``_basis_route``.
     """
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
-    check_sizes(nerve_sizes(adjoint_category(cat)), max_m + 1, cap)
-    flags = {name: rep.holds for name, rep in predicate_reports(cat).items()}
-    tier = hypothesis_tier(flags)
+    fad = adjoint_category(cat)
+    check_sizes(nerve_sizes(fad), max_m + 1, cap)
+    tier = hypothesis_tier({name: rep.holds for name, rep in predicate_reports(cat).items()})
     rng = range(max_m + 1)
+    full = relative_is_full(cat, max_m + 1)
     dims = None
-    if tier == "isomorphism" and relative_is_full(cat, max_m + 1):
-        dims = list(cohomology_dims(hochschild_differential_matrix(cat, field, m, cap) for m in rng))
+    if tier == "unverified" or (tier == "isomorphism" and full):
+        dims = hochschild_cohomology_dims(cat, field, max_m, cap)
     checks = [_checks(cat, field, m, cap, tier) for m in rng]
     if dims is not None and all(map(all, checks)):
-        degrees = [DegreeComparison(m, dim, dim, dim, None, True, True, ch)
-                   for m, dim, ch in zip(rng, dims, checks)]
+        group = tier == "isomorphism"
+        dims_r = dims_s = dims
+        if not group:
+            dims_r = dims if full else relative_cohomology_dims(cat, field, max_m, cap)
+            dims_s = simplicial_cohomology_dims(fad, field, max_m, cap)
+        degrees = [DegreeComparison(m, h, r, s, group, group, ch)
+                   for m, h, r, s, ch in zip(rng, dims, dims_r, dims_s, checks)]
     else:
-        degrees = []
-        for rec, ch in zip(_induced_maps(cat, field, max_m, cap, tier), checks):
-            ok = all(ch)
-            degrees.append(replace(rec, checks=ch, induced_surjective=rec.induced_surjective and ok,
-                                   induced_invertible=rec.induced_invertible and ok))
+        degrees = _basis_route(cat, field, max_m, cap, checks)
     certified = all(rec.induced_invertible if tier == "isomorphism" else rec.induced_surjective
                     for rec in degrees)
     verdict = tier if (tier == "unverified" or certified) else "failed"
-    return TheoremAReport(
-        field=field,
-        max_degree=max_m,
-        flags=flags,
-        tier=tier,
-        degrees=tuple(degrees),
-        verdict=verdict,
-    )
+    return TheoremAReport(tier=tier, degrees=tuple(degrees), verdict=verdict)

@@ -16,7 +16,6 @@ adjoint category itself, since its kernel lives on any category's nerve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .category import FiniteCategory, adjoint_category, require_predicates
@@ -27,8 +26,8 @@ from .comparison import (
     x_map_relative_matrix,
 )
 from .fields import FieldSpec
-from .hochschild import DEFAULT_BASIS_CAP, relative_differential_matrix
-from .errors import DimensionCapExceeded, NotChainCompatible
+from .hochschild import check_sizes, relative_differential_matrix
+from .errors import NotChainCompatible
 from .matrix import Matrix, Subspace, induced_quotient_map
 from .nerve import nerve_sizes, simplicial_coboundary_matrix
 
@@ -53,7 +52,6 @@ def character_space(fad: FiniteCategory, field: FieldSpec, cap: int | None = Non
 
 @dataclass(frozen=True)
 class TheoremBReport:
-    field: FieldSpec
     dim_derivations: int
     dim_characters: int
     restricted_matrix: Matrix     # derivation coordinates -> character coordinates
@@ -70,16 +68,14 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     that leaves its space gives ``bijection=False``; the T matrix is
     reported whenever T's check passed, else it is zero.
 
-    Before any basis or chain list exists, the number of F^ad 2-chains
-    (``nerve_sizes``) and (in ``graded_derivation_space``) the degree-1 and
-    degree-2 relative sizes are checked against the cap.
+    Before any basis or chain list exists, the numbers of F^ad 1- and
+    2-chains (``nerve_sizes``, as in ``character_space``) and (in
+    ``graded_derivation_space``) the degree-1 and degree-2 relative sizes
+    are checked against the cap.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     fad = adjoint_category(cat)
-    cap = DEFAULT_BASIS_CAP if cap is None else cap
-    chains = next(itertools.islice(nerve_sizes(fad), 2, None))
-    if chains > cap:
-        raise DimensionCapExceeded(2, chains, cap)
+    check_sizes(nerve_sizes(fad), 2, cap)
     der = graded_derivation_space(cat, field, cap)
     char = character_space(fad, field, cap)
 
@@ -101,7 +97,6 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
             and m_t @ m_x == Matrix.identity(field, char.dim)
         )
     return TheoremBReport(
-        field=field,
         dim_derivations=der.dim,
         dim_characters=char.dim,
         restricted_matrix=m_t,

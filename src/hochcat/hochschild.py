@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 
-from .category import FiniteCategory, memo
+from .category import FiniteCategory, memo, require_table
 from .errors import DimensionCapExceeded, NotASubcomplex
 from .matrix import Matrix, _IntScalars, cohomology_dims
 
@@ -140,7 +140,7 @@ def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) 
     n = cat.n_morphisms
     if not n:
         return {}   # no morphisms: kC = 0 and every cochain space is zero
-    comp = cat.compose_table
+    comp = require_table(cat)
     top = n ** (m + 1)
     # the outer terms' offsets from τ·n (left) and τ·n² (right), per output h
     lefts = [tuple(u * top + comp[u][h] for u in cat.morphisms_by_source[cat.target[h]])

@@ -11,6 +11,7 @@ from hochcat import (
     adjoint_category,
     builtin,
     category_to_text,
+    hochschild_cohomology_dims,
     is_left_cancellative,
     is_left_deterministic,
     is_right_cancellative,
@@ -18,6 +19,7 @@ from hochcat import (
     is_rr_transitive,
     parse_category,
     predicate_reports,
+    theorem_a_report,
     validate_category,
 )
 from hochcat.category import UNDEFINED
@@ -25,6 +27,7 @@ from hochcat.comparison import x_map_matrix
 from hochcat.errors import (
     AssociativityFailure,
     DuplicateName,
+    HochcatError,
     HypothesisViolated,
     MissingComposite,
     MissingIdentity,
@@ -492,6 +495,26 @@ def test_adjoint_category_allocates_no_square_table():
     assert fad.n_morphisms == 1600
     assert sum(len(fad.morphisms_by_target[s]) for s in fad.source) == 64_000
     assert peak < 4 * 2**20
+
+
+def test_table_readers_refuse_an_adjoint_category():
+    # an F^ad holds no composition table: the readers refuse it with a typed
+    # error that says how to get a base category, and the text round trip works
+    fad = adjoint_category(EX6)
+    predicates = (is_left_cancellative, is_right_cancellative, is_left_deterministic,
+                  is_right_deterministic, is_rr_transitive)
+    for call in (lambda: predicate_reports(fad),
+                 *(lambda p=p: p(fad) for p in predicates),
+                 lambda: hochschild_cohomology_dims(fad, GF2, 1),
+                 lambda: theorem_a_report(fad, GF2, 1),
+                 lambda: adjoint_category(fad)):
+        with pytest.raises(HochcatError, match="category_to_text") as refused:
+            call()
+        assert type(refused.value) is HochcatError
+    rebuilt = parse_category(category_to_text(fad))
+    assert len(nerve_chains(fad, 2)) == len(nerve_chains(rebuilt, 2))
+    assert len(predicate_reports(rebuilt)) == 5
+    assert len(hochschild_cohomology_dims(rebuilt, GF2, 1)) == 2
 
 
 # --- set algebra and row checks against the exhaustive definitions ---------------

@@ -58,6 +58,20 @@ def test_parse_rejects_unknown_verb():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "c2", "--field", "gf:2"],
+    ["props", "c2", "--field", "gf:2"],
+    ["fad", "c2", "--field", "gf:2"],
+    ["derivations", "c2", "--max-degree", "2"],
+])
+def test_options_a_verb_would_drop_are_usage_errors(capsys, argv):
+    # no verb parses an option it never reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HOCHCAT_CAP", "12345")
     assert parse_args(["props", "ex6"]).cap == 12345

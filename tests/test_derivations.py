@@ -155,6 +155,19 @@ def test_character_space_honours_the_cap():
     assert character_space(fad, GF2, cap=18).ambient_dim == 6
 
 
+def test_theorem_b_refuses_the_first_fad_degree_over_the_cap():
+    # the F^ad of C4 has 16 morphisms: the 1-chains already pass 15, and
+    # the report names degree 1 as character_space does
+    cat = FIXTURES["cn:4"]
+    refusals = []
+    for call in (lambda: theorem_b_report(cat, GF2, cap=15),
+                 lambda: character_space(adjoint_category(cat), GF2, cap=15)):
+        with pytest.raises(DimensionCapExceeded) as refused:
+            call()
+        refusals.append((refused.value.degree, refused.value.required))
+    assert refusals == [(1, 16)] * 2
+
+
 def test_theorem_b_requires_hypotheses():
     with pytest.raises(HypothesisViolated):
         theorem_b_report(collapse(), GF2)
