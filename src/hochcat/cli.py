@@ -158,6 +158,8 @@ def _load_input(cmd: Command) -> tuple[str, FiniteCategory]:
     try:
         return name, builtin(name, cmd.cap)
     except UnknownFixture:
+        if name.startswith(("cn:", "chain:")):
+            raise  # a sized family with a bad size: builtin names the reason
         raise UnknownFixture(
             f"{name!r} is neither a file nor a builtin fixture"
         ) from None

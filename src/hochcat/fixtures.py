@@ -196,7 +196,7 @@ def _parse_size(name: str, prefix_len: int) -> int:
     try:
         k = int(name[prefix_len:])
     except ValueError:
-        raise UnknownFixture(f"unknown fixture {name!r}") from None
+        k = 0
     if k < 1:
-        raise UnknownFixture(f"fixture size must be positive in {name!r}")
+        raise UnknownFixture(f"fixture size must be a positive integer in {name!r}")
     return k

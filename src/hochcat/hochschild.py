@@ -58,15 +58,6 @@ def hochschild_sizes(cat: FiniteCategory):
         size *= cat.n_morphisms
 
 
-def check_cap(cat, m: int, cap: int | None) -> None:
-    """Refuse degree m unless every Hochschild basis up to it fits under the cap.
-
-    The sizes are read as running products (``check_sizes``), so no size
-    above ``n_morphisms * cap`` is ever formed.
-    """
-    check_sizes(hochschild_sizes(cat), m, cap)
-
-
 def check_sizes(sizes, top: int, cap: int | None) -> None:
     """Refuse the first degree in 1..top (0 when top is 0) whose size passes the cap.
 
@@ -208,8 +199,12 @@ def _full_differential(cat: FiniteCategory, field, m: int) -> Matrix:
 
 
 def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the degree-m differential in the lexicographic bases."""
-    check_cap(cat, m + 1, cap)
+    """Matrix of the degree-m differential in the lexicographic bases.
+
+    Every basis up to degree m + 1 is checked against the cap first, as
+    running products, so no size above ``n_morphisms * cap`` is formed.
+    """
+    check_sizes(hochschild_sizes(cat), m + 1, cap)
     return _full_differential(cat, field, m)
 
 
@@ -302,14 +297,12 @@ def _relative_differential(cat: FiniteCategory, field, m: int) -> Matrix:
 def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
     """Matrix of the differential restricted to relative cochains.
 
-    The cap is checked on the sizes of the two bases before either basis is
-    enumerated.  When the relative complex is the full one up to degree
+    Every relative basis up to degree m + 1 is checked against the cap,
+    and the first one over it refused, before any basis is enumerated.
+    When the relative complex is the full one up to degree
     m + 1 (``relative_is_full``), this is the full differential itself.
     """
-    cap_val = DEFAULT_BASIS_CAP if cap is None else cap
-    required = max(itertools.islice(relative_sizes(cat), m, m + 2))
-    if required > cap_val:
-        raise DimensionCapExceeded(m + 1, required, cap_val)
+    check_sizes(relative_sizes(cat), m + 1, cap)
     if relative_is_full(cat, m + 1):
         return _full_differential(cat, field, m)
     return _relative_differential(cat, field, m)

@@ -3,7 +3,7 @@
 A matrix is its nonzero rows: ``Matrix.rows`` maps a row index to a dict
 column -> nonzero scalar, and holds no empty row (the differentials of a
 poset are mostly zero rows).  Elimination, products, subspace residues and
-the multimodular lift all work on these row dicts, so no operation
+the modular lift all work on these row dicts, so no operation
 converts between formats.  Elimination is generic over the field through
 three scalar hooks (ints mod p for GF(p), Fractions for Q), and
 ``_rref_sparse`` picks its route by shape alone: the column sweep
@@ -12,14 +12,14 @@ selection, then ``_back_substitute``) for wide and square matrices and
 over GF(2), and a row-by-row reduction against a reduced basis
 (``_rref_by_rows``) for tall matrices over odd p and Q.
 
-Over Q, ``Matrix.rref`` eliminates modulo primes, lifts and certifies.  It
-clears each row's denominators, runs the engine modulo word-size primes
-(combined by CRT), lifts every entry of the reduced form by rational
-reconstruction and verifies the lift exactly over Z: every integer row
-must leave no residue against it.  Since ``rank_p <= rank_Q`` for an
-integer matrix, a lift that passes spans the row space and is the
-canonical RREF, whichever primes produced it.  Only when no prime of the
-fixed list verifies does the engine run on Fractions.  Products over Q
+Over Q, ``Matrix.rref`` eliminates modulo one prime, lifts and certifies.
+It clears each row's denominators, runs the engine modulo ``2^31 - 1``,
+lifts every entry of the reduced form by rational reconstruction and
+verifies the lift exactly over Z: every integer row must leave no residue
+against it.  Since ``rank_p <= rank_Q`` for an integer matrix, a lift that
+passes spans the row space and is the canonical RREF.  When the lift fails
+(an entry past about 2^15) or the check refuses it (the prime divides a
+pivot), the engine runs on Fractions instead.  Products over Q
 scale both factors to integers by their common denominators (once per
 matrix, kept for its later products), accumulate on ints and build one
 Fraction per distinct output numerator.
@@ -75,7 +75,7 @@ and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
 containment and coordinates all come from one sparse step, clearing a
 vector's pivot columns with the basis rows (``_residue``, through
 ``Subspace.residues``), so no basis vector is ever written out densely.
-The same step checks a multimodular lift and reduces each row of a tall
+The same step checks a modular lift and reduces each row of a tall
 matrix.
 """
 
@@ -384,8 +384,11 @@ class Matrix:
         With ``reduced=False`` over GF(p), R is the forward elimination
         alone: unit pivots and zeros left of each pivot, but rows not
         cleared above later pivots.  Its pivots are still the RREF pivots.
-        Over Q, ``reduced=False`` returns the certified RREF all the same:
-        a modular echelon form only bounds the rank over Q from below.
+        Over Q, R is always the RREF: eliminated modulo one prime, lifted
+        by rational reconstruction and checked exactly, or computed on
+        Fractions when the lift fails or the check refuses it
+        (``_rref_modular``).  ``reduced=False`` changes nothing there, as a
+        modular echelon form only bounds the rank over Q from below.
         """
         if self.field.is_prime_field:
             # copies, in ascending row index: the engine works in place,
@@ -398,7 +401,7 @@ class Matrix:
             else:
                 pivots, rows = _in_pivot_order(rows, _echelon(rows, self.ncols, *hooks, gf2=gf2))
         else:
-            pivots, rows = _rref_multimodular(self)
+            pivots, rows = _rref_modular(self)
         return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, dict(enumerate(rows)))
 
     def rank(self) -> int:
@@ -452,7 +455,8 @@ class Matrix:
 # --- elimination ----------------------------------------------------------------
 #
 # GF(p) works on ints mod p, Q on Fractions (``Subspace.residues`` and the
-# fallback of ``_rref_multimodular``); the engine only sees the hooks.
+# fallback of ``_rref_modular`` when its one-prime lift fails or its exact
+# check refuses it); the engine only sees the hooks.
 
 def _scalar_hooks(field: FieldSpec) -> tuple:
     """``(inv, mul, sub)`` with ``sub(a, f, b) = a - f*b`` in the field."""
@@ -749,51 +753,35 @@ def _in_pivot_order(rows, piv_list):
     return [c for c, _ in ordered], [rows[r] for _, r in ordered]
 
 
-# --- Q: multimodular elimination with an exact check ---------------------------
+# --- Q: modular elimination with an exact check -------------------------------
 #
 # W. Stein, Modular Forms: A Computational Approach (AMS GSM 79, 2007), ch. 7;
 # rational reconstruction after P. S. Wang, M. J. T. Guy and J. H. Davenport,
 # SIGSAM Bull. 16 (1982).
 
-# The primes below 2^31 from the top, in order.  Their product bounds the
-# numerators and denominators a lift can reach: about 2^15 with the first
-# prime alone, 2^61 with all four.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+# The largest prime below 2^31.  A lift modulo it reaches numerators and
+# denominators up to about 2^15; a reduced form with larger entries goes to
+# the Fraction engine.
+_PRIME = 2 ** 31 - 1
 
 
-def _rref_multimodular(m: Matrix):
+def _rref_modular(m: Matrix):
     """Canonical RREF of a matrix over Q: ``(pivots, rows)``, rows of Fractions in pivot order.
 
-    Each prime's RREF of ``m._cleared_rows()`` is combined by CRT with the
-    earlier ones that share its pivots; a prime with a larger rank, or the
-    same rank and lexicographically smaller pivots, replaces them (an
-    unlucky prime can only lower the rank or push pivots right).  After
-    each prime the combined form is lifted and verified exactly
-    (``_verified``); when no prime of ``_PRIMES`` verifies, the Fraction
-    engine reduces the rows of ``m``.  The integer rows are built once:
-    each prime eliminates its own reduction of them, and every lift is
-    verified against them.
+    ``m._cleared_rows()`` is eliminated modulo ``_PRIME``, the reduced form
+    is lifted by rational reconstruction, and the lift is verified exactly
+    against the integer rows (``_verified``).  When the lift fails or does
+    not verify (the prime divides a pivot, or an entry passes the lift's
+    bound), the Fraction engine reduces the integer rows instead.
     """
     cleared = m._cleared_rows()
-    pivots, residues, modulus = None, None, 1
-    for p in _PRIMES:
-        rows = [{c: r for c, v in row.items() if (r := v % p)} for row in cleared]
-        piv, rows = _rref_sparse(rows, m.ncols, *_mod_hooks(p))
-        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
-            pivots, residues, modulus = piv, rows, p
-        elif piv == pivots:
-            residues = _crt(residues, modulus, rows, p)
-            modulus *= p
-        else:
-            continue
-        del rows
-        lifted = _lift(residues, modulus)
-        if lifted is not None and _verified(cleared, pivots, *lifted):
-            break
-    else:
+    rows = [{c: r for c, v in row.items() if (r := v % _PRIME)} for row in cleared]
+    pivots, rows = _rref_sparse(rows, m.ncols, *_mod_hooks(_PRIME))
+    lifted = _lift(rows, _PRIME)
+    del rows  # the lift holds the same entries; free these before the Fractions exist
+    if lifted is None or not _verified(cleared, pivots, *lifted):
         rows = [{c: Fraction(v) for c, v in row.items()} for row in cleared]
         return _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
-    del residues  # the lift holds the same entries; free these before the Fractions exist
     num, den = lifted
     fractions = {}  # RREF entries repeat: one Fraction per distinct value
     for row in num:
@@ -803,19 +791,6 @@ def _rref_multimodular(m: Matrix):
                 f = fractions[v] = Fraction(v, den)
             row[c] = f
     return pivots, num
-
-
-def _crt(rows_a, mod_a, rows_b, mod_b):
-    """Rows of residues mod ``mod_a * mod_b`` from rows mod each (coprime) modulus."""
-    inv = pow(mod_a, -1, mod_b)
-    out = []
-    for ra, rb in zip(rows_a, rows_b):
-        row = {}
-        for c in ra.keys() | rb.keys():
-            a = ra.get(c, 0)
-            row[c] = a + mod_a * ((rb.get(c, 0) - a) * inv % mod_b)
-        out.append(row)
-    return out
 
 
 def _lift(rows, modulus):

@@ -276,6 +276,19 @@ def test_unknown_input_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("cn:0", "fixture size must be a positive integer in 'cn:0'"),
+    ("chain:0", "fixture size must be a positive integer in 'chain:0'"),
+    ("chain:x", "fixture size must be a positive integer in 'chain:x'"),
+    ("no-such-fixture", "'no-such-fixture' is neither a file nor a builtin fixture"),
+])
+def test_a_bad_fixture_name_is_refused_with_its_reason(capsys, name, reason):
+    # a sized family keeps builtin's reason; a name no fixture matches gets
+    # the generic message
+    assert main(["cohomology", name]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_full_theory_over_cap_is_a_refusal(capsys):
     code = main(["cohomology", "chain:4", "--theory", "full",
                  "--max-degree", "3", "--cap", "3000"])

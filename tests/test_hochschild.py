@@ -21,8 +21,9 @@ from hochcat.hochschild import (
     _relative_basis_cached,
     _relative_differential,
     basis_index,
-    check_cap,
+    check_sizes,
     hochschild_basis,
+    hochschild_sizes,
     relative_differential_matrix,
     relative_is_full,
     relative_sizes,
@@ -276,11 +277,11 @@ def test_cap_refuses_large_degrees():
 def test_check_cap_reads_running_products():
     # 6^100001 is never formed: the first degree over the cap is refused
     with pytest.raises(DimensionCapExceeded) as refused:
-        check_cap(EX6, 10**5, 1000)
+        check_sizes(hochschild_sizes(EX6), 10**5, 1000)
     assert (refused.value.degree, refused.value.required) == (3, 1296)
-    check_cap(EX6, 2, 216)
+    check_sizes(hochschild_sizes(EX6), 2, 216)
     with pytest.raises(DimensionCapExceeded):
-        check_cap(EX6, 0, 5)
+        check_sizes(hochschild_sizes(EX6), 0, 5)
 
 
 def test_relative_basis_at_a_degree_deeper_than_the_recursion_limit():
@@ -294,7 +295,9 @@ def test_relative_cap_is_checked_before_assembly(monkeypatch):
     builds = count_builds(monkeypatch, _relative_basis_cached)
     with pytest.raises(DimensionCapExceeded) as refused:
         relative_differential_matrix(cat, GF2, 7, cap=5)
-    assert refused.value.required == 220   # the degree-8 basis, never enumerated
+    # the first relative basis over the cap is degree 1's, as for the full
+    # and nerve differentials; no basis is enumerated
+    assert (refused.value.degree, refused.value.required) == (1, 10)
     assert not builds
     # the dimension tables check every degree before assembling the first:
     # degrees 0..7 fit under 200, so only that up-front check keeps them unbuilt

@@ -14,6 +14,8 @@ from hochcat import (
     relative_cohomology_dims,
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
+    theorem_a_report,
+    theorem_b_report,
 )
 from hochcat import matrix
 from hochcat.errors import NotASubspace, NotChainCompatible
@@ -539,7 +541,7 @@ def test_serialization_triplets():
 
 
 
-# --- Q: multimodular elimination against the Fraction engine ------------------------
+# --- Q: modular elimination against the Fraction engine ------------------------
 
 def _q_complexes():
     for name, cat in FIXTURES.items():
@@ -604,6 +606,20 @@ def _routes():
         yield eliminations, verdicts
 
 
+def test_catalog_q_eliminations_verify_on_the_first_lift():
+    # the traffic that justifies one prime: every Q elimination of the
+    # catalog's dimensions and Theorem A and B certificates lifts modulo
+    # _PRIME and passes the exact check, so none reaches the Fraction engine
+    for name, cat in FIXTURES.items():
+        max_m = 2 if cat.n_morphisms <= 4 else 1
+        with _routes() as (eliminations, verdicts):
+            hochschild_cohomology_dims(cat, QQ, max_m)
+            theorem_a_report(cat, QQ, max_m)
+            theorem_b_report(cat, QQ)
+        assert eliminations and set(eliminations) == {"modular"}, name
+        assert verdicts == [True] * len(eliminations), name
+
+
 def _block_diagonal(rows, extra):
     """Integer rows of ``rows`` and of the one row ``extra`` on disjoint columns."""
     width = len(rows[0]) if rows else 0
@@ -618,16 +634,17 @@ def _block_diagonal(rows, extra):
     st.booleans(),
     st.data(),
 )
-def test_q_elimination_crt_and_fallback_branches(nrows, ncols, fallback, data):
-    # beside a block of height 2^8, a row (a, ±(ka + 1)) reduces to
-    # (1, ±(k + 1/a)); a's size picks the branch: above 2^15 one prime cannot
-    # lift 1/a, above 2^62 no prime of the list can
-    bound = 2 ** 8
+def test_q_elimination_lift_and_fallback_branches(nrows, ncols, fallback, data):
+    # beside a block of height 2^4, whose RREF entries are ratios of minors
+    # below 2^15 (Hadamard), a row (a, ±(ka + 1)) reduces to (1, ±(k + 1/a));
+    # a's size picks the branch: up to 2^7 the prime lifts every entry, above
+    # 2^15 it cannot lift 1/a and the Fraction engine answers
+    bound = 2 ** 4
     rows = [[data.draw(st.integers(min_value=-bound, max_value=bound)) for _ in range(ncols)]
             for _ in range(nrows)]
-    lo, hi = (2 ** 63, 2 ** 80) if fallback else (2 ** 16, 2 ** 29)
+    lo, hi = (2 ** 16, 2 ** 29) if fallback else (1, 2 ** 7)
     a = data.draw(st.integers(min_value=lo, max_value=hi))
-    k = data.draw(st.integers(min_value=0, max_value=2 ** 20))
+    k = data.draw(st.integers(min_value=0, max_value=2 ** 20 if fallback else 2 ** 7))
     sign = data.draw(st.sampled_from([1, -1]))
     rows = _block_diagonal(rows, (a, sign * (k * a + 1)))
     m = Matrix.from_int_entries(QQ, len(rows), len(rows[0]), {
@@ -637,61 +654,66 @@ def test_q_elimination_crt_and_fallback_branches(nrows, ncols, fallback, data):
     expected = naive_rref([[Fraction(v) for v in row] for row in rows], None)
     assert (list(pivots), R.dense_rows()) == expected
     if fallback:
-        assert eliminations == ["modular"] * len(matrix._PRIMES) + ["fraction"]
-        assert True not in verdicts
+        # the lift fails, or finds a small fraction that the check refuses
+        assert eliminations == ["modular", "fraction"]
+        assert verdicts in ([], [False])
     else:
-        assert "fraction" not in eliminations
-        assert len(eliminations) >= 2 and verdicts[-1] is True
+        assert eliminations == ["modular"] and verdicts == [True]
 
 
 def test_q_elimination_rejects_a_prime_that_divides_a_pivot():
-    p = matrix._PRIMES[0]
+    p = matrix._PRIME
     m = mk(QQ, [[p, 0], [0, 1]])
     with _routes() as (eliminations, verdicts):
         pivots, R = m.rref()
     # mod p the first row vanishes: rank 1 with pivot column 1, which the
-    # exact check refuses because (p, 0) is not a multiple of (0, 1)
-    assert eliminations == ["modular", "modular"]
-    assert verdicts == [False, True]
-    assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2))
+    # exact check refuses because (p, 0) is not a multiple of (0, 1); the
+    # Fraction engine answers
+    assert eliminations == ["modular", "fraction"]
+    assert verdicts == [False]
+    assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2)) == fraction_rref(m)
     assert m.rank() == 2 and m.kernel_basis().dim == 0
 
 
 def test_q_elimination_clears_denominators_once(monkeypatch):
-    # every prime and every exact check of a lift read the same integer rows
+    # the prime, the exact check of its lift and the Fraction engine read
+    # the same integer rows, built once per elimination
     calls = []
     cleared = Matrix._cleared_rows
     monkeypatch.setattr(Matrix, "_cleared_rows", lambda self: calls.append(self) or cleared(self))
-    p = matrix._PRIMES[0]
-    m = mk(QQ, [[p, 0], [0, Fraction(1, 2)]])
+    m = mk(QQ, [[2, Fraction(1, 3)], [0, Fraction(1, 2)]])
     with _routes() as (eliminations, verdicts):
         assert m.rref() == ((0, 1), Matrix.identity(QQ, 2))
-    assert eliminations == ["modular", "modular"] and verdicts == [False, True]
-    assert calls == [m]
-    monkeypatch.setattr(matrix, "_PRIMES", (5,))
-    m = mk(QQ, [[7, 1], [14, 2]])
+    assert eliminations == ["modular"] and verdicts == [True]
+    p = matrix._PRIME
+    refused = mk(QQ, [[p, 0], [0, Fraction(1, 2)]])
     with _routes() as (eliminations, verdicts):
-        m.rref()
-    assert eliminations == ["modular", "fraction"]
-    assert calls[1:] == [m]
-
-
-def test_q_elimination_falls_back_when_no_prime_verifies(monkeypatch):
-    # modulo 5 alone, the 1/7 of the reduced form cannot be lifted, so the
-    # Fraction engine answers
-    monkeypatch.setattr(matrix, "_PRIMES", (5,))
-    m = mk(QQ, [[7, 1], [14, 2]])
+        assert refused.rref() == ((0, 1), Matrix.identity(QQ, 2))
+    assert eliminations == ["modular", "fraction"] and verdicts == [False]
+    unlifted = mk(QQ, [[65537, 1], [131074, 2]])
     with _routes() as (eliminations, verdicts):
-        pivots, R = m.rref()
-    assert eliminations == ["modular", "fraction"]
-    assert verdicts == []
-    assert (pivots, R) == fraction_rref(m) == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
+        assert unlifted.rref() == ((0,), mk(QQ, [[1, Fraction(1, 65537)]]))
+    assert eliminations == ["modular", "fraction"] and verdicts == []
+    assert calls == [m, refused, unlifted]
 
 
-def test_primes_are_distinct_primes_below_2_to_the_31():
-    assert matrix._PRIMES[0] == 2 ** 31 - 1
-    assert len(set(matrix._PRIMES)) == len(matrix._PRIMES)
-    assert all(is_prime(p) and p < 2 ** 31 for p in matrix._PRIMES)
+def test_q_elimination_falls_back_when_no_prime_verifies():
+    # 1/65537 has no lift with numerator and denominator below 2^15, and
+    # 1/100003 lifts to -21474/19225, which the exact check refuses: either
+    # way the Fraction engine answers
+    for a, expected_verdicts in ((65537, []), (100003, [False])):
+        m = mk(QQ, [[a, 1], [2 * a, 2]])
+        with _routes() as (eliminations, verdicts):
+            pivots, R = m.rref()
+        assert eliminations == ["modular", "fraction"]
+        assert verdicts == expected_verdicts
+        assert (pivots, R) == fraction_rref(m) == ((0,), mk(QQ, [[1, Fraction(1, a)]]))
+
+
+def test_the_prime_is_the_largest_below_2_to_the_31():
+    assert matrix._PRIME == 2 ** 31 - 1 and is_prime(matrix._PRIME)
+    # so a lift reaches numerators and denominators below 2^15
+    assert math.isqrt(matrix._PRIME // 2) == 2 ** 15 - 1
 
 
 _fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
@@ -881,14 +903,13 @@ def test_only_gf2_enters_the_tail(monkeypatch):
     # Theorem B over GF(3) and over Q, as in the benchmark's structure ops
     d = relative_differential_matrix(FIXTURES["s3"], GF3, 1)
     assert d.kernel_basis().dim == d.ncols - d.rank()
-    # the multimodular primes, even with 2 among them, and the Fraction fallback
-    monkeypatch.setattr(matrix, "_PRIMES", (2,) + matrix._PRIMES)
+    # the modular pass over Q, even modulo 2, and the Fraction fallback
+    monkeypatch.setattr(matrix, "_PRIME", 2)
     d = relative_differential_matrix(FIXTURES["s3"], QQ, 1)
     assert d.rref() == fraction_rref(d)
-    monkeypatch.setattr(matrix, "_PRIMES", (5,))
-    with _routes() as (eliminations, _verdicts):
+    with _routes() as (eliminations, verdicts):
         assert mk(QQ, [[7, 1], [14, 2]]).rref() == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
-    assert eliminations == ["modular", "fraction"]
+    assert eliminations == ["modular", "fraction"] and verdicts == [False]
     with pytest.raises(AssertionError, match="bitset tail entered"):
         mk(GF2, rows).rref()
 
@@ -923,7 +944,7 @@ def _dense(ncols, rows):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
-@pytest.mark.parametrize("p", [3, 5, matrix._PRIMES[0]])
+@pytest.mark.parametrize("p", [3, 5, matrix._PRIME])
 @pytest.mark.parametrize("seed", range(3))
 def test_row_by_row_rref_matches_the_sweep_and_the_oracle(p, seed):
     hooks = matrix._mod_hooks(p)
@@ -998,12 +1019,12 @@ def test_tall_rank_over_odd_p_matches_the_naive_rank(field):
 
 def test_tall_q_matrix_whose_rank_drops_mod_the_first_prime():
     # modulo 2^31 - 1 all three rows are multiples of (1, 1): rank 1, which
-    # the exact check refuses; the next prime sees rank 2
-    p = matrix._PRIMES[0]
+    # the exact check refuses; the Fraction engine reduces the tall rows
+    p = matrix._PRIME
     m = mk(QQ, [[1, 1], [1, 1 + p], [2, 2]])
     with _routes() as (eliminations, verdicts):
         pivots, R = m.rref()
-    assert eliminations == ["modular", "modular"] and verdicts == [False, True]
+    assert eliminations == ["modular", "fraction"] and verdicts == [False]
     assert (pivots, R) == ((0, 1), Matrix.identity(QQ, 2))
     assert (list(pivots), R.dense_rows()) == naive_rref(m.dense_rows(), None)
     assert (pivots, R) == fraction_rref(m)
