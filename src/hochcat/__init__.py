@@ -47,7 +47,7 @@ from .hochschild import (
     relative_basis,
     relative_cohomology_dims,
 )
-from .matrix import Matrix, Subspace, induced_quotient_map, quotient_dim
+from .matrix import Matrix, Subspace, quotient_dim, restricted_map
 from .nerve import (
     face,
     nerve_chains,
@@ -77,7 +77,6 @@ __all__ = [
     "hochschild_basis",
     "hochschild_cohomology_dims",
     "hochschild_differential_matrix",
-    "induced_quotient_map",
     "is_left_cancellative",
     "is_left_deterministic",
     "is_right_cancellative",
@@ -92,6 +91,7 @@ __all__ = [
     "quotient_dim",
     "relative_basis",
     "relative_cohomology_dims",
+    "restricted_map",
     "simplicial_coboundary_matrix",
     "simplicial_cohomology_dims",
     "t_map_matrix",

@@ -24,9 +24,24 @@ three dimensions, the results of the exact chain identities, and whether T
 induces a surjection or an isomorphism on cohomology, and its verdict
 accounts for all of them.  The CLI only formats it.
 
-Lemma: when the relative complex is the full one (one object) and the
-checks hold in degrees m − 1 and m, ``H^m(F^ad) = T^m·HH^m`` with T^m
-injective, so the three dimensions are ``dim HH^m``:
+Lemma (the flags): if ``t_chain(m−1)``, ``t_chain(m)``, ``x_chain(m)`` and
+``section(m)`` hold, T induces a surjection ``HH^m → H^m(F^ad)``:
+
+* ``t_chain(m)`` gives ``T·ker ∂^m ⊆ ker δ^m`` and ``t_chain(m−1)`` gives
+  ``T·im ∂^(m−1) ⊆ im δ^(m−1)``, so T induces a map ``T_*``;
+* ``x_chain(m)`` sends a cocycle z to a cocycle ``Xz``, and ``section(m)``
+  makes ``T(Xz) = z``, so ``T_* X_* = id`` and ``T_*`` is onto.
+
+It is an isomorphism exactly when ``dim HH^m = dim H^m(F^ad)``.  So a
+degree is ``induced_surjective`` when all of its checks hold (never in the
+unverified tier, which has none), and ``induced_invertible`` when the two
+dimensions also agree.  A degree's flags read its own checks only, but the
+verdict requires every degree's, so on every report whose checks all hold
+the flags are the induced map's answer, and that map is never built.
+
+Lemma (a group): when the relative complex is the full one (one object)
+and the checks hold in degrees m − 1 and m, ``H^m(F^ad) = T^m·HH^m`` with
+T^m injective, so the three dimensions are ``dim HH^m``:
 
 * ``two_sided_relative(m)`` on the full complex makes T^m invertible with
   inverse X^m;
@@ -36,12 +51,11 @@ injective, so the three dimensions are ``dim HH^m``:
 * ``section(m−1)`` and ``t_chain(m−1)`` give ``im δ^(m−1) = T·im ∂^(m−1)``.
 
 So for a group whose checks all hold, the report ranks the Hochschild
-complex alone and lists no cocycle or coboundary basis; the ``F^ad`` nerve
-is assembled for the checks but never eliminated.  (A finite monoid in the
-isomorphism tier is cancellative, hence a group.)  The unverified tier
-certifies nothing, so it too takes only ranks, of all three complexes.
-Any other category, or a group with a failed check, takes the basis
-route, which builds the map induced on ``Z/B``.
+complex alone; the ``F^ad`` nerve is assembled for the checks but never
+eliminated.  (A finite monoid in the isomorphism tier is cancellative,
+hence a group.)  A group with a failed check and the unverified tier rank
+the nerve too.  Any other category counts its dimensions on the cocycle
+and coboundary bases of ``matrix.cohomology``, which serve only to count.
 
 The maps, the identity checks and the report take ``(cat, field, m)``, and
 a ``cap`` where they build bases, like the complexes they compare.
@@ -60,10 +74,10 @@ from .category import (
     predicate_reports,
     require_predicates,
 )
-from .errors import NotChainCompatible
 from .fields import FieldSpec
 from .hochschild import (
     basis_index,
+    check_degree,
     check_sizes,
     hochschild_basis_size,
     hochschild_cohomology_dims,
@@ -75,7 +89,7 @@ from .hochschild import (
     relative_sizes,
     _relative_of_full,
 )
-from .matrix import Matrix, cohomology, cohomology_dims, induced_quotient_map
+from .matrix import Matrix, cohomology, cohomology_dims
 from .nerve import (_chains_cached, nerve_sizes, simplicial_coboundary_matrix,
                     simplicial_cohomology_dims)
 
@@ -136,7 +150,8 @@ def _t_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
 def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None, sizes=None) -> None:
     """Refuse degree m unless the cochain bases (Hochschild, or ``sizes``) and
     the F^ad chain counts up to it fit under the cap; both are sizes, so
-    nothing is listed."""
+    nothing is listed.  A negative degree is refused first."""
+    check_degree(m)
     check_sizes(hochschild_sizes(cat) if sizes is None else sizes, m, cap)
     check_sizes(nerve_sizes(adjoint_category(cat)), m, cap)
 
@@ -271,8 +286,9 @@ class DegreeComparison:
     """One degree of the Theorem A certificate.
 
     ``checks`` holds the ``t_chain``, ``x_chain``, ``section`` and (isomorphism
-    tier) ``two_sided_relative`` results, none in the unverified tier; the
-    induced map counts as surjective or invertible only if all of them hold.
+    tier) ``two_sided_relative`` results, none in the unverified tier.
+    ``induced_surjective`` is that there are checks and all hold, and
+    ``induced_invertible`` adds ``dim_hochschild == dim_simplicial``.
     """
 
     degree: int
@@ -312,39 +328,19 @@ def _checks(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None, tier
     return checks
 
 
-def _basis_route(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None,
-                 checks: list) -> list:
-    """Per degree, the three dimensions and whether the map T induces on ``Z/B``
-    is surjective or invertible, given that degree's identity ``checks``.
-
-    The cocycle and coboundary bases die with this call.  The relative
-    complex is ranked lazily, one degree per step of the two basis walks;
-    when it is the full one (``relative_is_full``), its dimensions are the
-    full ones and it is not eliminated again.
+def _basis_dims(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None) -> tuple:
+    """The three dimension lists: the full and nerve complexes walk their
+    cocycle and coboundary bases (``cohomology``), which die with this call,
+    and the relative complex, not the full one here, is ranked one degree
+    per step of the walks.
     """
     fad = adjoint_category(cat)
     rng = range(max_m + 1)
-    full = (hochschild_differential_matrix(cat, field, m, cap) for m in rng)
-    nerve = (simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
-    relative = None
-    if not relative_is_full(cat, max_m + 1):
-        relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
-    out = []
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full),
-                                                            cohomology(nerve), checks):
-        dim_r = dim_h if relative is None else next(relative)
-        invertible, surjective = False, False
-        try:
-            induced, invertible = induced_quotient_map(
-                t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
-            )
-            surjective = induced.rank() == dim_s
-        except NotChainCompatible:
-            pass   # T is not a chain map here; the identity checks show where
-        ok = all(ch)
-        out.append(DegreeComparison(m, dim_h, dim_r, dim_s, surjective and ok,
-                                    invertible and ok, ch))
-    return out
+    full = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
+    nerve = cohomology(simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
+    relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
+    return tuple(zip(*((dim_h, next(relative), dim_s)
+                       for (*_, dim_h), (*_, dim_s) in zip(full, nerve))))
 
 
 def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
@@ -355,38 +351,39 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     checked against the cap before anything is assembled (relative bases
     are subsets of the full ones).  The map T always exists, so the report
     is computed for any category; the verdict claims only what the
-    hypothesis tier supports, and a failed identity or a T that breaks a
-    subspace makes it ``failed``.
+    hypothesis tier supports, and a failed identity makes it ``failed``.
+    Each degree's flags come from its checks (the flags lemma).
 
-    The rank route serves the unverified tier and a group in the
-    isomorphism tier.  It ranks the Hochschild complex
-    (``hochschild_cohomology_dims``) before any check runs, so the
-    elimination peaks before T, X and the check products are alive.  If
-    every check holds, a group takes all three dimensions from those ranks
-    (module lemma), while the unverified tier ranks the relative complex
-    (when it is not the full one) and the nerve, and certifies nothing.
-    Any other category, or a failed check, takes ``_basis_route``.
+    With one object or in the unverified tier, the dimensions are ranks.
+    The Hochschild complex is ranked before any check runs, so the
+    elimination peaks before T, X and the check products are alive; a group
+    whose checks all hold takes all three dimensions from it (the group
+    lemma), and otherwise the nerve, and the relative complex when it is
+    not the full one, are ranked too.  Any other category counts its
+    dimensions with ``_basis_dims``.
     """
+    check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
     fad = adjoint_category(cat)
     check_sizes(nerve_sizes(fad), max_m + 1, cap)
     tier = hypothesis_tier({name: rep.holds for name, rep in predicate_reports(cat).items()})
     rng = range(max_m + 1)
     full = relative_is_full(cat, max_m + 1)
-    dims = None
-    if tier == "unverified" or (tier == "isomorphism" and full):
-        dims = hochschild_cohomology_dims(cat, field, max_m, cap)
+    ranks = tier == "unverified" or full
+    if ranks:
+        dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
     checks = [_checks(cat, field, m, cap, tier) for m in rng]
-    if dims is not None and all(map(all, checks)):
-        group = tier == "isomorphism"
-        dims_r = dims_s = dims
-        if not group:
-            dims_r = dims if full else relative_cohomology_dims(cat, field, max_m, cap)
-            dims_s = simplicial_cohomology_dims(fad, field, max_m, cap)
-        degrees = [DegreeComparison(m, h, r, s, group, group, ch)
-                   for m, h, r, s, ch in zip(rng, dims, dims_r, dims_s, checks)]
+    if not ranks:
+        dims_h, dims_r, dims_s = _basis_dims(cat, field, max_m, cap)
+    elif tier == "isomorphism" and all(map(all, checks)):
+        dims_r = dims_s = dims_h
     else:
-        degrees = _basis_route(cat, field, max_m, cap, checks)
+        dims_r = dims_h if full else relative_cohomology_dims(cat, field, max_m, cap)
+        dims_s = simplicial_cohomology_dims(fad, field, max_m, cap)
+    degrees = []
+    for m, h, r, s, ch in zip(rng, dims_h, dims_r, dims_s, checks):
+        surjective = bool(ch) and all(ch)
+        degrees.append(DegreeComparison(m, h, r, s, surjective, surjective and h == s, ch))
     certified = all(rec.induced_invertible if tier == "isomorphism" else rec.induced_surjective
                     for rec in degrees)
     verdict = tier if (tier == "unverified" or certified) else "failed"

@@ -7,7 +7,8 @@ degree-1 cocycles of the relative complex, ``ker d_1``.  The characters on
 F^ad, scalar functions on morphisms additive under composition, are the
 degree-1 cocycles of its nerve, ``ker δ^1``.  The degree-1 comparison map
 restricts to a bijection between the two kernels, and this module certifies
-that bijection by explicit matrices.
+that bijection by explicit matrices: T and X restricted to the two kernels
+(``matrix.restricted_map``) and their two products.
 
 As in ``comparison``, the functions take ``(cat, field)`` and an optional
 ``cap``; the degree is always 1.  ``character_space`` alone takes the
@@ -28,7 +29,7 @@ from .comparison import (
 from .fields import FieldSpec
 from .hochschild import check_sizes, relative_differential_matrix
 from .errors import NotChainCompatible
-from .matrix import Matrix, Subspace, induced_quotient_map
+from .matrix import Matrix, Subspace, restricted_map
 from .nerve import nerve_sizes, simplicial_coboundary_matrix
 
 
@@ -62,11 +63,11 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     """Certify the bijection between graded derivations and characters.
 
     Restricts the degree-1 comparison maps T and X to the two solution
-    spaces with ``induced_quotient_map`` (over zero subspaces), which checks
-    that T sends derivations to characters and X characters to derivations,
-    and certifies the two restricted matrices are mutually inverse.  A map
-    that leaves its space gives ``bijection=False``; the T matrix is
-    reported whenever T's check passed, else it is zero.
+    spaces with ``restricted_map``, which checks that T sends derivations
+    to characters and X characters to derivations, and certifies the two
+    restricted matrices are mutually inverse.  A map that leaves its space
+    gives ``bijection=False``; the T matrix is reported whenever T's check
+    passed, else it is zero.
 
     Before any basis or chain list exists, the numbers of F^ad 1- and
     2-chains (``nerve_sizes``, as in ``character_space``) and (in
@@ -79,15 +80,11 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     der = graded_derivation_space(cat, field, cap)
     char = character_space(fad, field, cap)
 
-    zero_der = Subspace.zero(field, der.ambient_dim)
-    zero_char = Subspace.zero(field, char.ambient_dim)
     m_t = Matrix.zeros(field, char.dim, der.dim)
     bijection = False
     try:
-        m_t, _ = induced_quotient_map(t_map_relative_matrix(cat, field, 1, cap),
-                                      der, zero_der, char, zero_char)
-        m_x, _ = induced_quotient_map(x_map_relative_matrix(cat, field, 1, cap),
-                                      char, zero_char, der, zero_der)
+        m_t = restricted_map(t_map_relative_matrix(cat, field, 1, cap), der, char)
+        m_x = restricted_map(x_map_relative_matrix(cat, field, 1, cap), char, der)
     except NotChainCompatible:
         pass
     else:

@@ -58,6 +58,12 @@ def hochschild_sizes(cat: FiniteCategory):
         size *= cat.n_morphisms
 
 
+def check_degree(m: int) -> None:
+    """Refuse a negative degree: every cochain space starts at degree 0."""
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+
+
 def check_sizes(sizes, top: int, cap: int | None) -> None:
     """Refuse the first degree in 1..top (0 when top is 0) whose size passes the cap.
 
@@ -85,6 +91,7 @@ def check_table_size(cells: int, cap: int | None) -> None:
 
 def hochschild_basis(cat: FiniteCategory, m: int) -> list:
     """All (tuple, output) pairs of degree m in lexicographic order."""
+    check_degree(m)
     n = cat.n_morphisms
     return [
         (tup, h)
@@ -204,6 +211,7 @@ def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -
     Every basis up to degree m + 1 is checked against the cap first, as
     running products, so no size above ``n_morphisms * cap`` is formed.
     """
+    check_degree(m)
     check_sizes(hochschild_sizes(cat), m + 1, cap)
     return _full_differential(cat, field, m)
 
@@ -213,6 +221,7 @@ def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -
 
     Every degree's basis size is checked against the cap first.
     """
+    check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
     mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats))
@@ -245,6 +254,7 @@ def relative_basis(cat: FiniteCategory, m: int) -> list:
     is the next factor's target) and h running over Hom(source, target) of
     the composite; in degree 0, the endomorphisms of the category.
     """
+    check_degree(m)
     return list(_relative_basis_cached(cat, m))
 
 
@@ -302,6 +312,7 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
     When the relative complex is the full one up to degree
     m + 1 (``relative_is_full``), this is the full differential itself.
     """
+    check_degree(m)
     check_sizes(relative_sizes(cat), m + 1, cap)
     if relative_is_full(cat, m + 1):
         return _full_differential(cat, field, m)
@@ -313,6 +324,7 @@ def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> 
 
     Every degree's basis size is checked against the cap first.
     """
+    check_degree(max_m)
     check_sizes(relative_sizes(cat), max_m + 1, cap)
     mats = [relative_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats))

@@ -66,9 +66,10 @@ elimination.
 
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
 rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
-product, building no basis.  ``cohomology`` serves certificates: it
-yields each degree's cocycle and coboundary bases, which the induced
-comparison map needs, with the dimension.
+product, building no basis.  ``cohomology`` yields each degree's
+cocycle and coboundary bases with the dimension, which is all a
+certificate reads of them; ``restricted_map`` writes a map between two
+subspaces in their bases, for Theorem B.
 
 A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
 and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
@@ -949,49 +950,21 @@ def cohomology_dims(differentials):
         prev, prev_rank = d, rank
 
 
-def _quotient_pivot_index(Z: Subspace, B: Subspace) -> list[int]:
-    """Indices of Z-basis rows whose pivots are not pivots of B.
+def restricted_map(T: Matrix, src: Subspace, dst: Subspace) -> Matrix:
+    """Matrix of T restricted to ``src -> dst``, in their canonical bases.
 
-    Because both bases are in RREF and B is contained in Z, these rows
-    represent a complement of B in Z.
+    Column j holds the ``dst`` coordinates of T applied to basis row j of
+    ``src``; NotChainCompatible when an image leaves ``dst``.
     """
-    bpiv = set(B.pivots)
-    return [i for i, p in enumerate(Z.pivots) if p not in bpiv]
-
-
-def induced_quotient_map(T: Matrix, Z_src: Subspace, B_src: Subspace,
-                         Z_dst: Subspace, B_dst: Subspace) -> tuple[Matrix, bool]:
-    """Matrix of the map Z_src/B_src -> Z_dst/B_dst induced by T.
-
-    Verifies B <= Z on both sides with ``quotient_dim`` (NotASubspace
-    otherwise) and that T maps Z_src into Z_dst and B_src into B_dst
-    (NotChainCompatible otherwise).  Returns (matrix, invertible) where the
-    matrix is written in the canonical quotient bases and ``invertible``
-    reports whether it is square of full rank.
-    """
-    q_src, q_dst = quotient_dim(Z_src, B_src), quotient_dim(Z_dst, B_dst)
-    f = T.field
-    images = Z_src.basis @ T.transpose()   # row i: T applied to basis row i of Z_src
-    if not Z_dst.residues(images).is_zero():
-        raise NotChainCompatible("map does not preserve cocycles")
-    # a row b of B_src is the combination b[pivot] of the Z_src rows, so
-    # T(b) is the same combination of their images (B <= Z, so no row of
-    # B_src has all-zero coordinates)
-    row_of = {p: i for i, p in enumerate(Z_src.pivots)}
-    coords = Matrix(f, B_src.dim, Z_src.dim,
-                    {r: {row_of[c]: v for c, v in row.items() if c in row_of}
-                     for r, row in B_src.basis.rows.items()})
-    if not B_dst.residues(coords @ images).is_zero():
-        raise NotChainCompatible("map does not preserve coboundaries")
-    # coordinates of image + B_dst in the canonical complement basis of B_dst
-    reps = B_dst.residues(images).rows
-    r_of = {Z_dst.pivots[i]: r for r, i in enumerate(_quotient_pivot_index(Z_dst, B_dst))}
+    images = src.basis @ T.transpose()   # row j: T applied to basis row j of src
+    if not dst.residues(images).is_zero():
+        raise NotChainCompatible("map leaves the target subspace")
+    # an image in dst is the combination of dst's rows given by its pivot entries
+    r_of = {p: r for r, p in enumerate(dst.pivots)}
     rows = {}
-    for j, i in enumerate(_quotient_pivot_index(Z_src, B_src)):
-        for c, v in reps.get(i, {}).items():
+    for j, image in images.rows.items():
+        for c, v in image.items():
             r = r_of.get(c)
             if r is not None:
                 rows.setdefault(r, {})[j] = v
-    Q = Matrix(f, q_dst, q_src, rows)
-    invertible = q_src == q_dst and Q.rank() == q_src
-    return Q, invertible
+    return Matrix(T.field, dst.dim, src.dim, rows)

@@ -18,7 +18,7 @@ from collections import Counter
 
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
-from .hochschild import check_sizes
+from .hochschild import check_degree, check_sizes
 from .matrix import Matrix, _IntScalars, cohomology_dims
 
 
@@ -55,6 +55,7 @@ def nerve_sizes(cat: FiniteCategory):
 
 def nerve_chains(cat: FiniteCategory, m: int) -> list:
     """All degree-m chains in lexicographic order (objects for m = 0)."""
+    check_degree(m)
     return list(_chains_cached(cat, m))
 
 
@@ -64,14 +65,14 @@ def _chain_index(cat: FiniteCategory, m: int) -> dict:
 
 
 def face(cat: FiniteCategory, chain, i: int):
-    """i-th face of a degree-m chain, 0 <= i <= m.
+    """i-th face of a degree-m chain, 0 <= i <= m, for m >= 1.
 
     Drops the first morphism (i = 0), composes two consecutive steps into
     one (inner i), or drops the last (i = m).  Faces of a 1-chain are its
-    endpoint objects.
+    endpoint objects.  A degree-0 chain (an object, or ``()``) has no face.
     """
-    m = len(chain)
-    if not 0 <= i <= m:
+    m = 0 if isinstance(chain, int) else len(chain)
+    if not (m and 0 <= i <= m):
         raise IndexError(f"face index {i} out of range for a degree-{m} chain")
     if m == 1:
         return cat.target[chain[0]] if i == 0 else cat.source[chain[0]]
@@ -130,6 +131,7 @@ def simplicial_coboundary_matrix(cat, field, m: int, cap: int | None = None) -> 
     Every chain count up to degree m + 1 is checked against the cap
     (``nerve_sizes``) before the memo is read.
     """
+    check_degree(m)
     check_sizes(nerve_sizes(cat), m + 1, cap)
     return _coboundary(cat, field, m)
 
@@ -140,6 +142,7 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     Every degree's chain count up to ``max_m + 1`` is checked against the
     cap (``nerve_sizes``) before the first chain is listed.
     """
+    check_degree(max_m)
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
     mats = (simplicial_coboundary_matrix(cat, field, m, cap) for m in range(max_m + 1))
     return list(cohomology_dims(mats))

@@ -2,18 +2,26 @@
 
 A public name must be read by some package module other than ``__init__``
 (counted on the syntax tree, as a name or an attribute, so strings and
-comments never count), or be named in code in README's "Library" section.
+comments never count), or be named in code in README's "Library" section;
+the names of README's Library table are exactly ``hochcat.__all__``.
 A private helper (a function, method or class named ``_x``, dunders
 aside) must be read somewhere in the package, counted the same way.  A
 module-level ALL_CAPS constant must be read in the package, in the tests,
 or in code in README's "Library" section.
+Every public function that takes a degree refuses a negative one.
 """
 
 import ast
+import inspect
 import os
 import re
 
+import pytest
+
 import hochcat
+from hochcat.comparison import t_map_relative_matrix, x_map_relative_matrix
+from hochcat.fields import FieldSpec
+from hochcat.hochschild import relative_differential_matrix
 
 SRC = os.path.dirname(os.path.abspath(hochcat.__file__))
 README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
@@ -44,18 +52,35 @@ def names_read_by_the_engine() -> set:
                          if fname != "__init__.py"))
 
 
-def names_documented_as_library() -> set:
+def library_section() -> str:
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    section = re.search(r"^## Library\n(.*?)(?=^## |\Z)", text, re.S | re.M).group(1)
-    code = re.findall(r"```.*?```|`[^`\n]+`", section, re.S)
+    return re.search(r"^## Library\n(.*?)(?=^## |\Z)", text, re.S | re.M).group(1)
+
+
+def names_documented_as_library() -> set:
+    code = re.findall(r"```.*?```|`[^`\n]+`", library_section(), re.S)
     return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def names_in_the_library_table() -> list:
+    """The names column of README's table of ``hochcat.__all__``, row by row."""
+    rows = re.findall(r"^\| `\w+` \| (.*) \|$", library_section(), re.M)
+    return [name for row in rows for name in re.findall(r"`(\w+)`", row)]
 
 
 def test_every_public_name_is_used_or_documented():
     allowed = names_read_by_the_engine() | names_documented_as_library()
     assert sorted(set(hochcat.__all__) - allowed) == []
     assert all(hasattr(hochcat, name) for name in hochcat.__all__)
+
+
+def test_the_library_table_is_the_public_surface():
+    # both ways: a public name with no row, a row naming no public name
+    listed = names_in_the_library_table()
+    assert len(listed) == len(set(listed))
+    assert sorted(set(hochcat.__all__) - set(listed)) == []
+    assert sorted(set(listed) - set(hochcat.__all__)) == []
 
 
 def test_every_private_helper_is_read():
@@ -87,3 +112,49 @@ def test_every_constant_is_read():
                        if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
                        and t.id not in read]
     assert unread == []
+
+
+# --- degrees ---------------------------------------------------------------------
+
+def parameters(name: str) -> set:
+    return set(inspect.signature(getattr(hochcat, name)).parameters)
+
+
+def takes_a_degree() -> set:
+    """The public functions with a parameter ``m`` or ``max_m``."""
+    return {name for name in hochcat.__all__
+            if inspect.isfunction(getattr(hochcat, name)) and {"m", "max_m"} & parameters(name)}
+
+
+def _degree_calls() -> dict:
+    """name -> a call of that function at degree m, on the order-two group."""
+    cat = hochcat.builtin("c2")
+    fad = hochcat.adjoint_category(cat)
+    field = FieldSpec(2)
+    calls = {name: (lambda m, fn=getattr(hochcat, name): fn(cat, field, m))
+             for name in takes_a_degree() if "field" in parameters(name)}
+    calls.update(
+        hochschild_basis=lambda m: hochcat.hochschild_basis(cat, m),
+        relative_basis=lambda m: hochcat.relative_basis(cat, m),
+        nerve_chains=lambda m: hochcat.nerve_chains(cat, m),
+        simplicial_coboundary_matrix=lambda m: hochcat.simplicial_coboundary_matrix(fad, field, m),
+        simplicial_cohomology_dims=lambda m: hochcat.simplicial_cohomology_dims(fad, field, m),
+        relative_differential_matrix=lambda m: relative_differential_matrix(cat, field, m),
+        t_map_relative_matrix=lambda m: t_map_relative_matrix(cat, field, m),
+        x_map_relative_matrix=lambda m: x_map_relative_matrix(cat, field, m),
+    )
+    return calls
+
+
+DEGREE_CALLS = _degree_calls()
+
+
+def test_every_public_function_with_a_degree_is_covered():
+    assert sorted(takes_a_degree() - set(DEGREE_CALLS)) == []
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_CALLS))
+def test_a_negative_degree_is_refused(name):
+    DEGREE_CALLS[name](0)
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        DEGREE_CALLS[name](-1)

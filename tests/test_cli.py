@@ -488,8 +488,8 @@ def test_compare_reports_a_broken_chain_identity_as_failed(monkeypatch, capsys, 
 
 def test_compare_a_group_with_a_misread_chain_prints_the_basis_route(monkeypatch, capsys):
     # one chain of T^1 reads the wrong column, so the checks fail and the
-    # group leaves the rank route: the JSON is the one the basis route
-    # prints when no category is taken for one object
+    # group ranks its nerve too: the JSON is the one the basis route, which
+    # counts on cocycle bases, prints when no category is taken for one object
     honest = comparison._t_entries
 
     def misread(cat, m):

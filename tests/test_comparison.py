@@ -459,11 +459,9 @@ def rows_of(degrees):
 
 def basis_route(cat, field, max_m):
     """(dims, surjective, invertible, checks) per degree and the verdict, as the
-    basis route computes them: the induced map on Z/B and the identity checks."""
-    checks = [comparison._checks(cat, field, m, None, "isomorphism") for m in range(max_m + 1)]
-    degrees = comparison._basis_route(cat, field, max_m, None, checks)
-    return rows_of(degrees), \
-        "isomorphism" if all(rec.induced_invertible for rec in degrees) else "failed"
+    reference computes them: flags from the map T induces on Z/B."""
+    _tier, degrees, verdict = oracles.basis_route_report(cat, field, max_m)
+    return rows_of(degrees), verdict
 
 
 def summary(rep):
@@ -471,23 +469,43 @@ def summary(rep):
 
 
 ONE_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects == 1)
+MULTI_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects > 1)
+
+
+def degree_bound(cat) -> int:
+    # degree 3 reads T^4 on n^5 cochains; keep that under 4000
+    return 3 if cat.n_morphisms ** 5 <= 4000 else 2
 
 
 @pytest.mark.parametrize("name", ONE_OBJECT)
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
 def test_group_rank_route_matches_the_basis_route(name, field):
     cat = FIXTURES[name]
-    # degree 3 reads T^4 on n^5 cochains; keep that under 4000
-    max_m = 3 if cat.n_morphisms ** 5 <= 4000 else 2
+    max_m = degree_bound(cat)
     assert relative_is_full(cat, max_m + 1)
     rep = theorem_a_report(cat, field, max_m)
     assert rep.tier == "isomorphism"
     assert summary(rep) == basis_route(cat, field, max_m)
 
 
+@pytest.mark.parametrize("name", MULTI_OBJECT + ["parallel_arrows"])
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_flags_from_the_checks_match_the_induced_map(name, field):
+    # every FIXTURES entry with more than one object (the groups are above),
+    # and the surjection tier, where degree 1 is onto but not invertible
+    from .test_category import parallel_arrows
+
+    cat = parallel_arrows() if name == "parallel_arrows" else FIXTURES[name]
+    max_m = degree_bound(cat)
+    rep = theorem_a_report(cat, field, max_m)
+    tier, _degrees, _verdict = oracles.basis_route_report(cat, field, max_m)
+    assert rep.tier == tier and tier != "unverified"
+    assert summary(rep) == basis_route(cat, field, max_m)
+
+
 def test_group_rank_route_builds_no_basis(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
-    monkeypatch.setattr(comparison, "induced_quotient_map", refuse_basis)
+    monkeypatch.setattr(comparison, "cohomology", refuse_basis)
     for field, max_m, dims in ((GF2, 3, [3, 2, 2, 2]), (QQ, 2, [3, 0, 0])):
         # a fresh S3, so no memo of an earlier test answers for it
         rep = theorem_a_report(group_from_table(symmetric_group_table(3)), field, max_m)
@@ -495,21 +513,60 @@ def test_group_rank_route_builds_no_basis(monkeypatch):
         assert [rec.dim_simplicial for rec in rep.degrees] == dims
 
 
-def test_group_with_a_misread_chain_takes_the_basis_route():
-    # one chain of T^1 reads the wrong column: the checks fail, and the
-    # report is the basis route's, verdict failed
-    cat = builtin("cn:3")
-    honest = comparison._t_entries
-
+def misread_t1(honest):
+    """``_t_entries`` with the first chain of T^1 reading the next column."""
     def misread(cat, m):
         nrows, ncols, entries = honest(cat, m)
         if m == 1:
             (r, c), *rest = entries
             entries = ((r, (c + 1) % ncols), *rest)
         return nrows, ncols, entries
+    return misread
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(comparison, "_t_entries", misread)
-        rep = theorem_a_report(cat, GF3, 2)
-        assert rep.verdict == "failed"
-        assert summary(rep) == basis_route(cat, GF3, 2)
+
+def toggled_t0(honest, cell):
+    """``t_map_matrix`` with one cell of T^0 toggled; ``cell`` may name the
+    last column as -1."""
+    def toggled(cat, field, m, cap=None):
+        t = honest(cat, field, m, cap)
+        if m:
+            return t
+        r, c = cell
+        cells = {(r_, c_): v for r_, c_, v in t.entries()}
+        key = (r, c % t.ncols)
+        cells[key] = field.add(cells.get(key, field.zero), field.one)
+        return Matrix.from_entries(field, t.nrows, t.ncols, cells)
+    return toggled
+
+
+def test_group_with_a_misread_chain_ranks_the_nerve(monkeypatch):
+    # one chain of T^1 reads the wrong column: the checks fail, the verdict
+    # is failed, and the group still takes its dims from ranks, the nerve's
+    # included; they and the flags are the reference's
+    monkeypatch.setattr(comparison, "_t_entries", misread_t1(comparison._t_entries))
+    expected = basis_route(builtin("cn:3"), GF3, 2)
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
+    rep = theorem_a_report(builtin("cn:3"), GF3, 2)
+    assert rep.verdict == "failed"
+    assert summary(rep) == expected
+
+
+PERTURBATIONS = {
+    "t0_cell_0_0": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, 0))),
+    "t0_cell_0_last": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, -1))),
+    "t1_misread": ("_t_entries", misread_t1),
+}
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("name", ("c2", "cn:3", "ex6", "diamond"))
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_flags_match_the_induced_map_under_a_perturbed_t(monkeypatch, perturbation, name, field):
+    # a perturbed T breaks the checks of its degree (and of the one below),
+    # never the flags of a degree whose checks hold; fresh categories, so
+    # no perturbed T outlives the test in a memo
+    attr, perturb = PERTURBATIONS[perturbation]
+    monkeypatch.setattr(comparison, attr, perturb(getattr(comparison, attr)))
+    rep = theorem_a_report(builtin(name), field, 2)
+    assert rep.verdict == "failed"
+    assert summary(rep) == basis_route(builtin(name), field, 2)

@@ -26,12 +26,14 @@ from hochcat.matrix import (
     Subspace,
     cohomology,
     cohomology_dims,
-    induced_quotient_map,
     quotient_dim,
+    restricted_map,
 )
 
 from .catalog import C2, FIELDS, FIXTURES, GF2, GF3, GF5, QQ
-from .oracles import dense_product, fraction_kernel, fraction_rref, naive_rank, naive_rref
+from .oracles import (
+    dense_product, fraction_kernel, fraction_rref, induced_quotient_map, naive_rank, naive_rref,
+)
 
 
 def mk(field, rows):
@@ -256,7 +258,7 @@ def test_rank_path_matches_subspace_path():
                     (name, str(field), complex_name)
 
 
-# --- induced maps on quotients ---------------------------------------------
+# --- induced maps on quotients (the reference in tests/oracles.py) ----------------
 
 def test_induced_identity_map():
     Z = Subspace.from_matrix(mk(QQ, [[1, 0, 0], [0, 1, 0]]))
@@ -277,10 +279,12 @@ def test_induced_rejects_incompatible_map():
     swap = mk(QQ, [[0, 1], [1, 0]])
     e0 = Subspace.from_matrix(mk(QQ, [[1, 0]]))
     everything = Subspace.from_matrix(mk(QQ, [[1, 0], [0, 1]]))
-    # cocycles <e0> leave; then all of k^2 is kept but coboundaries <e0> leave
-    for Z, B in ((e0, Subspace.zero(QQ, 2)), (everything, e0)):
-        with pytest.raises(NotChainCompatible):
-            induced_quotient_map(swap, Z, B, Z, B)
+    # cocycles <e0> leave, as a restriction to <e0>; then all of k^2 is
+    # kept but coboundaries <e0> leave
+    with pytest.raises(NotChainCompatible):
+        restricted_map(swap, e0, e0)
+    with pytest.raises(NotChainCompatible):
+        induced_quotient_map(swap, everything, e0, everything, e0)
 
 
 def test_induced_map_rejects_b_not_in_z():
@@ -315,6 +319,45 @@ def test_induced_comparison_degree_one_c2_gf2():
         e1.kernel_basis(), e0.image_basis(),
     )
     assert (Q.nrows, Q.ncols) == (2, 2) and invertible
+
+
+# --- restriction to subspaces --------------------------------------------------
+
+def test_restricted_identity_and_zero_maps():
+    Z = Subspace.from_matrix(mk(QQ, [[1, 2, 0], [0, 1, 1]]))
+    assert restricted_map(Matrix.identity(QQ, 3), Z, Z) == Matrix.identity(QQ, 2)
+    zero = restricted_map(Matrix.zeros(GF2, 2, 2), Subspace.from_matrix(mk(GF2, [[1, 1]])),
+                          Subspace.zero(GF2, 2))
+    assert (zero.nrows, zero.ncols) == (0, 1) and zero.is_zero()
+
+
+def test_restricted_map_reads_coordinates_in_the_target_basis():
+    # T(x, y) = (x + y, y, x) on <e0> and <e1> lands in <(1,0,1), (1,1,0)>,
+    # whose canonical basis is (1,0,1), (0,1,-1)
+    T = mk(QQ, [[1, 1], [0, 1], [1, 0]])
+    src = Subspace.from_matrix(Matrix.identity(QQ, 2))
+    dst = Subspace.from_matrix(mk(QQ, [[1, 0, 1], [1, 1, 0]]))
+    assert restricted_map(T, src, dst) == mk(QQ, [[1, 1], [0, 1]])
+    with pytest.raises(NotChainCompatible):
+        restricted_map(T, src, Subspace.from_matrix(mk(QQ, [[1, 0, 1]])))
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_restricted_map_is_the_quotient_map_over_zero_subspaces(field):
+    # Theorem B's restriction: T^1 from derivations to characters, and X^1
+    # back, as the reference's induced map over zero coboundaries
+    from hochcat import character_space, graded_derivation_space
+    from hochcat.comparison import t_map_relative_matrix, x_map_relative_matrix
+
+    for name, cat in FIXTURES.items():
+        der = graded_derivation_space(cat, field)
+        char = character_space(adjoint_category(cat), field)
+        for T, src, dst in ((t_map_relative_matrix(cat, field, 1), der, char),
+                            (x_map_relative_matrix(cat, field, 1), char, der)):
+            zero_src = Subspace.zero(field, src.ambient_dim)
+            zero_dst = Subspace.zero(field, dst.ambient_dim)
+            expected, _ = induced_quotient_map(T, src, zero_src, dst, zero_dst)
+            assert restricted_map(T, src, dst) == expected, name
 
 
 # --- elimination against the textbook oracle -----------------------------------

@@ -81,6 +81,14 @@ def test_face_out_of_range():
         face(A2, (2,), 2)
 
 
+@pytest.mark.parametrize("chain", [0, 1, ()], ids=repr)
+def test_a_degree_zero_chain_has_no_face(chain):
+    # an object (or the empty chain) is a degree-0 chain: every face index
+    # is out of range, as past the end of a longer chain
+    with pytest.raises(IndexError, match="degree-0 chain"):
+        face(A2, chain, 0)
+
+
 def test_simplicial_identities():
     # d_i ∘ d_j = d_{j-1} ∘ d_i for i < j, on all chains up to degree 4
     for name in ("a2", "c2", "ex6", "diamond"):
