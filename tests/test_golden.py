@@ -1,8 +1,10 @@
 """Golden digests of the JSON reports: any byte change in them fails here.
 
 Every catalog fixture is written to ``<name>.cat`` and run through the CLI
-as ``compare`` (``--max-degree 2``) and ``derivations``, over GF(2) and Q,
-and as ``fad``.  The sha256 of stdout and the exit code of each run are pinned in
+as ``compare`` (``--max-degree 2``) over GF(2), GF(3) and Q, as
+``derivations`` over GF(2) and Q, as ``cohomology`` (``--theory both
+--max-degree 2``) over GF(2) and Q, and as ``fad``; the surjection-tier
+``parallel_arrows`` runs as ``compare`` over the same three fields.  The sha256 of stdout and the exit code of each run are pinned in
 ``golden_digests.json``.  After a change that is meant to alter a report,
 rewrite the file with
 
@@ -25,23 +27,30 @@ from hochcat.catformat import category_to_text
 from hochcat.cli import main
 
 from .catalog import FIXTURES
+from .test_category import parallel_arrows
 
+CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows()}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
-RUNS = tuple((verb, name, field)
-             for verb in ("compare", "derivations")
-             for name in FIXTURES
-             for field in ("gf:2", "q")) + tuple(("fad", name, None) for name in FIXTURES)
+RUNS = (tuple((verb, name, field)
+              for verb in ("compare", "derivations", "cohomology")
+              for name in FIXTURES
+              for field in ("gf:2", "q"))
+        + tuple(("compare", name, "gf:3") for name in FIXTURES)
+        + tuple(("compare", "parallel_arrows", field) for field in ("gf:2", "gf:3", "q"))
+        + tuple(("fad", name, None) for name in FIXTURES))
 
 
 def run_digest(directory: str, verb: str, name: str, field: str | None) -> list:
-    """``[exit code, sha256 of stdout]`` of one JSON run on fixture ``name``."""
+    """``[exit code, sha256 of stdout]`` of one JSON run on category ``name``."""
     path = os.path.join(directory, f"{name}.cat")
     if not os.path.exists(path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(category_to_text(FIXTURES[name]))
+            fh.write(category_to_text(CATEGORIES[name]))
     argv = [verb, path, "--output", "json"] + (["--field", field] if field else [])
-    if verb == "compare":
+    if verb in ("compare", "cohomology"):
         argv += ["--max-degree", "2"]
+    if verb == "cohomology":
+        argv += ["--theory", "both"]
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
