@@ -148,8 +148,12 @@ def validate_category(raw: RawCategory) -> FiniteCategory:
 
     Composition entries for pairs involving identities may be omitted; they
     are filled in from the identity laws.  Everything else must be present
-    and associative.
+    and associative.  A name must be one token of the text form: not
+    empty, with no whitespace and no ``#``.
     """
+    for name in [*raw.objects, *(m[0] for m in raw.morphisms)]:
+        if name.split() != [name] or "#" in name:
+            raise InvalidCategory(f"name {name!r} is not one text-form token", name=name)
     obj_index: dict[str, int] = {}
     for name in raw.objects:
         if name in obj_index:

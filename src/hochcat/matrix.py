@@ -67,9 +67,11 @@ elimination.
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
 rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
 product, building no basis.  ``cohomology`` yields each degree's
-cocycle and coboundary bases with the dimension, which is all a
-certificate reads of them; ``restricted_map`` writes a map between two
-subspaces in their bases, for Theorem B.
+cocycle and coboundary bases with the dimension; its one caller is
+Theorem A's count of the full Hochschild complex of a category with more
+than one object, which reads only the dimension (the ``comparison``
+docstring says why that walk stays).  ``restricted_map`` writes a map
+between two subspaces in their bases, for Theorem B.
 
 A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
 and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,

@@ -7,7 +7,9 @@ the names of README's Library table are exactly ``hochcat.__all__``.
 A private helper (a function, method or class named ``_x``, dunders
 aside) must be read somewhere in the package, counted the same way.  A
 module-level ALL_CAPS constant must be read in the package, in the tests,
-or in code in README's "Library" section.
+or in code in README's "Library" section.  Every name a module imports
+must be read in that module (``__init__`` re-exports its imports through
+``__all__``, which counts as a read there).
 Every public function that takes a degree refuses a negative one.
 """
 
@@ -111,6 +113,23 @@ def test_every_constant_is_read():
             unread += [(fname, t.id) for t in targets
                        if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
                        and t.id not in read]
+    assert unread == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for fname, tree in module_trees():
+        read = names_read(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [(fname, name) for name in bound if name not in read]
     assert unread == []
 
 

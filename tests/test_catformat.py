@@ -1,6 +1,7 @@
 import pytest
 
 from hochcat import (
+    RawCategory,
     adjoint_category,
     builtin,
     category_to_text,
@@ -8,11 +9,13 @@ from hochcat import (
     parse_category,
     parse_category_text,
     poset_from_relation,
+    validate_category,
 )
 from hochcat.category import AdjointCategory, FiniteCategory
 from hochcat.errors import (
     AssociativityFailure,
     CategoryFormatError,
+    InvalidCategory,
     MissingComposite,
     NotAGroup,
     NotAPartialOrder,
@@ -74,6 +77,37 @@ def test_parse_rejects_malformed_lines(line):
 def test_roundtrip_through_text():
     for cat in (EX6, C2, A2, builtin("diamond")):
         assert parse_category(category_to_text(cat)) == cat
+
+
+def table(cat) -> dict:
+    """Names, endpoints, identities and every composite, the adjoint's included."""
+    n = cat.n_morphisms
+    return {"objects": cat.object_names, "morphisms": cat.morphism_names,
+            "source": cat.source, "target": cat.target, "identity": cat.identity,
+            "compose": [[cat.compose(g, f) for f in range(n)] for g in range(n)]}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_fixture_and_its_fad_round_trip_through_text(name):
+    for cat in (FIXTURES[name], adjoint_category(FIXTURES[name])):
+        assert table(parse_category(category_to_text(cat))) == table(cat)
+
+
+@pytest.mark.parametrize("bad", ["a b", "t#1", "", "x\ty", "#"])
+def test_a_name_the_text_form_cannot_hold_is_refused(bad):
+    # every constructor goes through validate_category, which refuses the
+    # name before category_to_text could write a line its parser rejects
+    builds = (
+        lambda: validate_category(RawCategory(objects=[bad], morphisms=[("id", bad, bad, True)])),
+        lambda: validate_category(RawCategory(objects=["x"], morphisms=[(bad, "x", "x", True)])),
+        lambda: group_from_table(cyclic_group_table(2), names=("e", bad)),
+        lambda: group_from_table(cyclic_group_table(2), object_name=bad),
+        lambda: poset_from_relation(chain_poset_matrix(2), names=("x", bad)),
+    )
+    for build in builds:
+        with pytest.raises(InvalidCategory) as refused:
+            build()
+        assert refused.value.details == {"name": bad}
 
 
 def test_text_form_visits_only_composable_pairs(monkeypatch):

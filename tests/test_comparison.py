@@ -23,7 +23,9 @@ from hochcat import (
     verify_x_chain_identity,
     x_map_matrix,
 )
-from hochcat import RawCategory, comparison, group_from_table, predicate_reports, validate_category
+from hochcat import (
+    RawCategory, comparison, group_from_table, hochschild, predicate_reports, validate_category,
+)
 from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
@@ -278,18 +280,21 @@ def test_theorem_a_eliminates_a_one_object_relative_complex_once(monkeypatch):
     # with one object the relative complex is the full one: its dimensions
     # are the full ones and no relative differential is assembled
     built = []
-    relative = comparison.relative_differential_matrix
+    relative = hochschild.relative_differential_matrix
+    cats = (C2, FIXTURES["s3"], EX6)
+    expected = {(cat, field): relative_cohomology_dims(cat, field, 1)
+                for cat in cats for field in (GF2, QQ)}
 
     def counted(cat, field, m, cap=None):
         built.append((cat.n_objects, m))
         return relative(cat, field, m, cap)
 
-    monkeypatch.setattr(comparison, "relative_differential_matrix", counted)
-    for cat in (C2, FIXTURES["s3"], EX6):
+    monkeypatch.setattr(hochschild, "relative_differential_matrix", counted)
+    for cat in cats:
         for field in (GF2, QQ):
             rep = theorem_a_report(cat, field, 1)
             assert [rec.dim_relative for rec in rep.degrees] == \
-                relative_cohomology_dims(cat, field, 1), (cat.n_objects, str(field))
+                expected[cat, field], (cat.n_objects, str(field))
             assert rep.verdict == "isomorphism"
     assert built == [(EX6.n_objects, 0), (EX6.n_objects, 1)] * 2
 
@@ -488,19 +493,54 @@ def test_group_rank_route_matches_the_basis_route(name, field):
     assert summary(rep) == basis_route(cat, field, max_m)
 
 
+def spy_nerve_ranks(monkeypatch) -> list:
+    """The F^ad of every nerve ``theorem_a_report`` ranks, in call order."""
+    ranked = []
+    honest = comparison.simplicial_cohomology_dims
+
+    def spied(fad, field, max_m, cap=None):
+        ranked.append(fad)
+        return honest(fad, field, max_m, cap)
+
+    monkeypatch.setattr(comparison, "simplicial_cohomology_dims", spied)
+    return ranked
+
+
+def refuse_eliminating(monkeypatch, matrices):
+    """``Matrix.rref`` and ``image_basis`` (ranks, kernels and images all go
+    through them) refuse each of ``matrices``, told apart by identity."""
+    ids = {id(m) for m in matrices}
+    for attr in ("rref", "image_basis"):
+        def guarded(self, *args, honest=getattr(Matrix, attr), **kwargs):
+            if id(self) in ids:
+                raise AssertionError(f"a {self.nrows}x{self.ncols} nerve coboundary was eliminated")
+            return honest(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, attr, guarded)
+
+
 @pytest.mark.parametrize("name", MULTI_OBJECT + ["parallel_arrows"])
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
-def test_flags_from_the_checks_match_the_induced_map(name, field):
+def test_flags_from_the_checks_match_the_induced_map(monkeypatch, name, field):
     # every FIXTURES entry with more than one object (the groups are above),
-    # and the surjection tier, where degree 1 is onto but not invertible
+    # and the surjection tier, where degree 1 is onto but not invertible.
+    # The isomorphism tier reads H(F^ad) off H(rel) (the relative lemma), so
+    # it never eliminates a nerve coboundary (memoized: the report reads
+    # these very matrices); the surjection tier ranks the nerve.
     from .test_category import parallel_arrows
 
     cat = parallel_arrows() if name == "parallel_arrows" else FIXTURES[name]
     max_m = degree_bound(cat)
-    rep = theorem_a_report(cat, field, max_m)
     tier, _degrees, _verdict = oracles.basis_route_report(cat, field, max_m)
-    assert rep.tier == tier and tier != "unverified"
-    assert summary(rep) == basis_route(cat, field, max_m)
+    expected = basis_route(cat, field, max_m)
+    fad = adjoint_category(cat)
+    ranked = spy_nerve_ranks(monkeypatch)
+    if tier == "isomorphism":
+        refuse_eliminating(monkeypatch, [simplicial_coboundary_matrix(fad, field, m)
+                                         for m in range(max_m + 1)])
+    rep = theorem_a_report(cat, field, max_m)
+    assert rep.tier == rep.verdict == tier != "unverified"
+    assert ranked == ([] if tier == "isomorphism" else [fad])
+    assert summary(rep) == expected
 
 
 def test_group_rank_route_builds_no_basis(monkeypatch):
@@ -564,9 +604,13 @@ PERTURBATIONS = {
 def test_flags_match_the_induced_map_under_a_perturbed_t(monkeypatch, perturbation, name, field):
     # a perturbed T breaks the checks of its degree (and of the one below),
     # never the flags of a degree whose checks hold; fresh categories, so
-    # no perturbed T outlives the test in a memo
+    # no perturbed T outlives the test in a memo; a failed check sends the
+    # report to the nerve's own ranks
     attr, perturb = PERTURBATIONS[perturbation]
     monkeypatch.setattr(comparison, attr, perturb(getattr(comparison, attr)))
-    rep = theorem_a_report(builtin(name), field, 2)
+    ranked = spy_nerve_ranks(monkeypatch)
+    cat = builtin(name)
+    rep = theorem_a_report(cat, field, 2)
     assert rep.verdict == "failed"
+    assert ranked == [adjoint_category(cat)]
     assert summary(rep) == basis_route(builtin(name), field, 2)

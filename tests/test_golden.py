@@ -4,7 +4,8 @@ Every catalog fixture is written to ``<name>.cat`` and run through the CLI
 as ``compare`` (``--max-degree 2``) over GF(2), GF(3) and Q, as
 ``derivations`` over GF(2) and Q, as ``cohomology`` (``--theory both
 --max-degree 2``) over GF(2) and Q, and as ``fad``; the surjection-tier
-``parallel_arrows`` runs as ``compare`` over the same three fields.  The sha256 of stdout and the exit code of each run are pinned in
+``parallel_arrows`` runs as ``compare`` over the same three fields.  The
+sha256 of stdout and the exit code of each run are pinned in
 ``golden_digests.json``.  After a change that is meant to alter a report,
 rewrite the file with
 
