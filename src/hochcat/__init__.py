@@ -26,6 +26,7 @@ from .comparison import (
     TheoremAReport,
     t_map_matrix,
     theorem_a_report,
+    verify_prism_identity,
     verify_section,
     verify_t_chain_identity,
     verify_two_sided_on_relative,
@@ -98,6 +99,7 @@ __all__ = [
     "theorem_a_report",
     "theorem_b_report",
     "validate_category",
+    "verify_prism_identity",
     "verify_section",
     "verify_t_chain_identity",
     "verify_two_sided_on_relative",

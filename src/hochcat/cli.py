@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="highest cohomological degree (default 3)")
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--cap", type=_cap_arg, default=None,
-                       help="basis-size cap (default 2e6, env HOCHCAT_CAP)")
+                       help=f"basis-size cap (default {DEFAULT_BASIS_CAP}, env HOCHCAT_CAP)")
 
     # a verb takes only the options it reads
     common(sub.add_parser("validate", help="check the category axioms"), degree=False, field=False)

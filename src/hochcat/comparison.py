@@ -49,13 +49,33 @@ degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
   ``X_rel T_rel = I`` and ``T_rel X_rel = I``;
 * so ``X_* T_*`` and ``T_* X_*`` are induced by identities.
 
-For one object the relative complex is the full one: a group whose checks
-all hold takes all three dimensions from the Hochschild ranks.  So the
-``F^ad`` nerve is ranked only in the surjection and unverified tiers and
-after a failed check.  Only the full complex with more than one object in
-a certified tier is still counted on the bases of ``matrix.cohomology``:
-the benchmark harness requires a ``matrix.subspace`` call on ``compare``
-(``perfbench/test_harness.py``, ``USED["certify"]``).
+Lemma (the skeleton): let S be the skeleton of D = ``F^ad`` that
+``nerve._skeleton`` picks, i: S → D its inclusion and r the retraction.
+If ``verify_prism_identity`` holds in degrees 0..m, restriction to S's
+chains induces an isomorphism ``H^k(D) ≅ H^k(S)`` for k ≤ m:
+
+* each ``c_a`` is a checked isomorphism (both composites with its inverse
+  are identities), so r is a functor and ``r^*`` a cochain map;
+* ``c_rep = id`` makes ``r∘i = id_S``, so ``i^* r^* = I``;
+* the prism identity ``P δ + δ P = (i∘r)^* − I`` makes ``r^* i^*``
+  homotopic to I, so ``i^*`` and ``r^*`` are inverse on cohomology;
+* S is a full subcategory, so the faces of its chains are its chains,
+  and its coboundary ``δ_S`` is the restriction of δ to them.
+
+When every isomorphism class is one object, S = D and there is no prism
+to check.
+
+For one object the relative complex is the full one.  So a group whose
+checks all hold takes all three dimensions from its skeleton, the disjoint
+union of its centralizers (the relative and skeleton lemmas), and no
+Hochschild differential is ranked; a failed prism identity, or a
+coboundary row that leaves S, falls back to the Hochschild ranks.  The
+``F^ad`` nerve itself is ranked only in the surjection and unverified
+tiers and after a failed check.  Only the full complex with more than one
+object in a certified tier is still counted on the bases of
+``matrix.cohomology``: the benchmark harness requires a
+``matrix.subspace`` call on ``compare`` (``perfbench/test_harness.py``,
+``USED["certify"]``).
 
 The maps, the identity checks and the report take ``(cat, field, m)``, and
 a ``cap`` where they build bases, like the complexes they compare.
@@ -88,8 +108,9 @@ from .hochschild import (
     relative_sizes,
     _relative_of_full,
 )
-from .matrix import Matrix, cohomology
-from .nerve import (_chains_cached, nerve_sizes, simplicial_coboundary_matrix,
+from .matrix import Matrix, cohomology, cohomology_dims
+from .nerve import (_chains_cached, _prism, _retraction_minus_identity, _skeleton_coboundary,
+                    _skeleton_is_whole, nerve_sizes, simplicial_coboundary_matrix,
                     simplicial_cohomology_dims)
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
@@ -278,6 +299,42 @@ def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
     return _verified("two_sided_relative", m, t_rel @ x_rel, Matrix.identity(field, t_rel.nrows))
 
 
+def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
+                          cap: int | None = None) -> VerificationResult:
+    """P^m δ^m + δ^(m−1) P^(m−1) = (i∘r)^* − I on degree-m nerve cochains of F^ad.
+
+    P is the prism of the skeleton of ``F^ad`` (``nerve``), i its inclusion
+    and r the retraction onto it; there is no ``δ^(−1)`` term in degree 0.
+    The F^ad chain counts up to degree m + 1 are checked against the cap
+    first.  A prism term or a retracted chain that is no chain fails the
+    check.
+    """
+    fad = adjoint_category(cat)
+    delta = simplicial_coboundary_matrix(fad, field, m, cap)
+    prisms = [_prism(fad, field, k) for k in range(max(m - 1, 0), m + 1)]
+    rhs = _retraction_minus_identity(fad, field, m)
+    if None in prisms or rhs is None:
+        return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
+    lhs = prisms[-1] @ delta
+    if m:
+        lhs = lhs + simplicial_coboundary_matrix(fad, field, m - 1, cap) @ prisms[0]
+    return _verified("prism", m, lhs, rhs)
+
+
+def _skeleton_dims(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None):
+    """``dim H^m(F^ad)`` for m = 0..max_m from the skeleton's nerve (the
+    skeleton lemma), or None when a prism identity fails or a coboundary
+    row leaves the skeleton.  A skeleton that is the whole of F^ad needs
+    no prism."""
+    fad = adjoint_category(cat)
+    rng = range(max_m + 1)
+    if not _skeleton_is_whole(fad) and not all(verify_prism_identity(cat, field, m, cap)
+                                               for m in rng):
+        return None
+    deltas = [_skeleton_coboundary(fad, field, m) for m in rng]
+    return None if None in deltas else list(cohomology_dims(deltas))
+
+
 # --- Theorem A, degree by degree ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -338,13 +395,14 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     hypothesis tier supports, and a failed identity makes it ``failed``.
     Each degree's flags come from its checks (the flags lemma).
 
-    One object or the unverified tier ranks the Hochschild complex before
-    any check runs, so the elimination peaks before T, X and the check
-    products are alive; a certified tier with more objects counts it on
-    ``cohomology``'s bases after the checks (the harness reason above).
-    The relative complex is ranked unless it is the full one.  The nerve
-    takes the relative dimensions when the isomorphism tier's checks all
-    hold (the relative lemma), and is ranked otherwise.
+    A group whose checks all hold ranks only its skeleton's nerve (the
+    skeleton lemma), and falls back to the Hochschild ranks when a prism
+    identity fails.  Any other one-object category, and the unverified
+    tier, rank the Hochschild complex; a certified tier with more objects
+    counts it on ``cohomology``'s bases (the harness reason above).  The
+    relative complex is ranked unless it is the full one.  The nerve takes
+    the relative dimensions when the isomorphism tier's checks all hold
+    (the relative lemma), and is ranked otherwise.
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
@@ -353,21 +411,19 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     tier = hypothesis_tier({name: rep.holds for name, rep in predicate_reports(cat).items()})
     rng = range(max_m + 1)
     full = relative_is_full(cat, max_m + 1)
-    ranks = tier == "unverified" or full
-    if ranks:
-        dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
     checks = [_checks(cat, field, m, cap, tier) for m in rng]
-    if not ranks:
+    holds = tier == "isomorphism" and all(map(all, checks))
+    dims_h = _skeleton_dims(cat, field, max_m, cap) if holds and full else None
+    if dims_h is None and (full or tier == "unverified"):
+        dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
+    elif dims_h is None:
         # bases, not ranks: perfbench's USED["certify"] and its test
         # test_traced_child_attaches_every_wrapper require a matrix.subspace
         # call on compare
         walk = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
         dims_h = [dim for _Z, _B, dim in walk]
     dims_r = dims_h if full else relative_cohomology_dims(cat, field, max_m, cap)
-    if tier == "isomorphism" and all(map(all, checks)):
-        dims_s = dims_r
-    else:
-        dims_s = simplicial_cohomology_dims(fad, field, max_m, cap)
+    dims_s = dims_r if holds else simplicial_cohomology_dims(fad, field, max_m, cap)
     degrees = []
     for m, h, r, s, ch in zip(rng, dims_h, dims_r, dims_s, checks):
         surjective = bool(ch) and all(ch)

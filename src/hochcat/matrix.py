@@ -278,6 +278,33 @@ class Matrix:
                 out[c] = sv
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"cannot add {self.nrows}x{self.ncols} to {other.nrows}x{other.ncols}")
+        add = self.field.add
+        rows = dict(self.rows)   # rows are shared, never mutated: copy one before writing
+        for r, row in other.rows.items():
+            mine = rows.get(r)
+            if mine is None:
+                rows[r] = row
+                continue
+            acc = dict(mine)
+            for c, v in row.items():
+                if c in acc:
+                    if s := add(acc[c], v):
+                        acc[c] = s
+                    else:
+                        del acc[c]
+                else:
+                    acc[c] = v
+            if acc:
+                rows[r] = acc
+            else:
+                del rows[r]
+        return Matrix(self.field, self.nrows, self.ncols, rows)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")

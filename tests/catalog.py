@@ -28,12 +28,25 @@ def symmetric_group_table(n: int):
     ]
 
 
+def dihedral_group_table(n: int):
+    """Cayley table of the dihedral group of order 2n: index i + n·j is r^i s^j.
+
+    ``s r s = r⁻¹``, so (r^a s^b)(r^c s^d) = r^(a + (−1)^b c) s^(b + d).
+    """
+    def index(i, j):
+        return i % n + n * (j % 2)
+    elements = [(i, j) for j in range(2) for i in range(n)]
+    return [[index(a + (-1) ** b * c, b + d) for c, d in elements] for a, b in elements]
+
+
 TRIV = builtin("triv")
 A2 = builtin("a2")
 C2 = builtin("c2")
 EX6 = builtin("ex6")
 DIAMOND = builtin("diamond")
 S3 = group_from_table(symmetric_group_table(3))
+# outside FIXTURES: five conjugacy classes, centralizers of orders 8, 8, 4, 4, 4
+D4 = group_from_table(dihedral_group_table(4))
 
 
 def all_fixtures() -> dict:

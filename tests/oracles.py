@@ -13,6 +13,7 @@ be an adjoint category, which holds no table.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -309,6 +310,144 @@ def naive_simplicial_dims(cat, p, max_m):
     mats = [simplicial_coboundary_rows(cat, p, m) for m in range(max_m + 1)]
     ambients = [len(nerve_chain_list(cat, m)) for m in range(max_m + 1)]
     return cohomology_dims_by_rank(mats, p, ambients)
+
+
+def integer_rank(rows) -> int:
+    """Rank over Q of integer rows by fraction-free forward elimination.
+
+    A row is cleared as ``a·row − b·pivot_row`` (a the pivot, b the row's
+    entry), which keeps the row space over Q, and divided by the gcd of its
+    entries; no Fraction is made.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        a = prow[col]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+# --- the skeleton of a category and its prism, by tuples ---------------------------
+
+def _path_objects(cat, chain) -> list:
+    if isinstance(chain, int):
+        return [chain]
+    return [cat.source[chain[0]]] + [cat.target[g] for g in chain]
+
+
+def skeleton_by_search(cat) -> tuple:
+    """``(rep, c, r)`` found by trying every pair of morphisms for inverses.
+
+    ``rep[a]`` is the least object with an isomorphism to a; ``c[a]: a →
+    rep(a)`` is the identity when ``rep[a] == a`` and otherwise the inverse
+    of the least isomorphism ``rep(a) → a``; ``r[g] = c_b∘g∘c_a⁻¹``.
+    """
+    n, src, tgt, ident = cat.n_morphisms, cat.source, cat.target, cat.identity
+    inverse = {f: g for f in range(n) for g in range(n)
+               if src[g] == tgt[f] and tgt[g] == src[f]
+               and cat.compose(g, f) == ident[src[f]] and cat.compose(f, g) == ident[tgt[f]]}
+    rep, c, c_inv = [], [], []
+    for a in range(cat.n_objects):
+        b = min(src[f] for f in inverse if tgt[f] == a)
+        f = ident[a] if b == a else min(f for f in inverse if src[f] == b and tgt[f] == a)
+        rep.append(b)
+        c.append(inverse[f])
+        c_inv.append(f)
+    r = [cat.compose(c[tgt[g]], cat.compose(g, c_inv[src[g]])) for g in range(n)]
+    return tuple(rep), tuple(c), tuple(r)
+
+
+def retracted(skeleton, chain):
+    """r applied to a chain: its objects' representatives in degree 0."""
+    rep, _c, r = skeleton
+    return rep[chain] if isinstance(chain, int) else tuple(r[g] for g in chain)
+
+
+def prism_terms(cat, skeleton, chain) -> list:
+    """``[(sign, (m+1)-chain)]`` of the prism row of an m-chain (an object in
+    degree 0): ``(−1)^j (g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1))``."""
+    _rep, c, r = skeleton
+    sigma = () if isinstance(chain, int) else chain
+    return [((-1) ** j, sigma[:j] + (c[x],) + tuple(r[g] for g in sigma[j:]))
+            for j, x in enumerate(_path_objects(cat, chain))]
+
+
+def prism_entries(cat, skeleton, m) -> dict:
+    """P^m over Z as ``{(row, col): n}``, rows the m-chains and columns the
+    (m+1)-chains, both numbered by ``nerve_chain_list``."""
+    cols = {ch: j for j, ch in enumerate(nerve_chain_list(cat, m + 1))}
+    entries: dict = {}
+    for i, chain in enumerate(nerve_chain_list(cat, m)):
+        for sign, term in prism_terms(cat, skeleton, chain):
+            _bump(entries, (i, cols[term]), sign)
+    return entries
+
+
+def retraction_entries(cat, skeleton, m) -> dict:
+    """``(i∘r)^*`` in degree m as ``{(row, col): 1}``: row σ reads rσ."""
+    chains = nerve_chain_list(cat, m)
+    index = {ch: j for j, ch in enumerate(chains)}
+    return {(i, index[retracted(skeleton, ch)]): 1 for i, ch in enumerate(chains)}
+
+
+def prism_identity_defect(cat, skeleton, p, m) -> dict:
+    """``P δ + δ P − (i∘r)^* + I`` on degree-m cochains, evaluated chain by
+    chain from the face and prism formulas: ``{(σ, τ): coefficient}`` of its
+    entries that are nonzero in the field, empty when the identity holds."""
+    defect = {}
+    for sigma in nerve_chain_list(cat, m):
+        acc: dict = {}
+        for sign, tau in prism_terms(cat, skeleton, sigma):       # (P δ f)(σ)
+            for i in range(m + 2):
+                _bump(acc, _face(cat, tau, i), sign * (-1) ** i)
+        for i in range(m + 1 if m else 0):                          # (δ P f)(σ)
+            for sign, tau in prism_terms(cat, skeleton, _face(cat, sigma, i)):
+                _bump(acc, tau, sign * (-1) ** i)
+        _bump(acc, retracted(skeleton, sigma), -1)
+        _bump(acc, sigma, 1)
+        for tau, v in acc.items():
+            if _scal(p, v) != 0:
+                defect[sigma, tau] = v
+    return defect
+
+
+def skeleton_dims(cat, skeleton, p, max_m) -> list:
+    """Cohomology of the skeleton's nerve in degrees 0..max_m: its chains are
+    the nerve chains whose objects are all representatives, its coboundary
+    the face formula on them, ranked by ``naive_rank`` (``integer_rank``
+    over Q)."""
+    rep = skeleton[0]
+    chains = [[ch for ch in nerve_chain_list(cat, m)
+               if all(rep[x] == x for x in _path_objects(cat, ch))] for m in range(max_m + 2)]
+    mats = []
+    for m in range(max_m + 1):
+        cols = {ch: j for j, ch in enumerate(chains[m])}
+        mat = []
+        for ch in chains[m + 1]:
+            row = [0] * len(cols)
+            for i in range(m + 2):
+                row[cols[_face(cat, ch, i)]] += (-1) ** i
+            mat.append([_scal(p, v) if p is not None else v for v in row])
+        mats.append(mat)
+    dims, prev = [], 0
+    for m, mat in enumerate(mats):
+        rank = naive_rank(mat, p) if p is not None else integer_rank(mat)
+        dims.append(len(chains[m]) - rank - prev)
+        prev = rank
+    return dims
 
 
 def naive_center_dim(cat, p) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -7,7 +8,8 @@ import pytest
 
 from hochcat import category, catformat, comparison, fixtures, hochschild, nerve
 from hochcat import cli as cli_module
-from hochcat.cli import Command, main, parse_args
+from hochcat.cli import Command, _cap_arg, build_parser, main, parse_args
+from hochcat.hochschild import DEFAULT_BASIS_CAP
 from hochcat.fields import FieldSpec
 from hochcat.matrix import Matrix
 
@@ -91,6 +93,13 @@ def test_bad_cap_is_a_usage_error(monkeypatch, capsys, env, argv):
         main(["props", "c2", *argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cap_help_names_a_default_the_option_parses():
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    cap = next(a for a in sub.choices["compare"]._actions if a.dest == "cap")
+    default = re.search(r"default (\S+),", cap.help).group(1)
+    assert _cap_arg(default) == DEFAULT_BASIS_CAP
 
 
 # --- verbs ------------------------------------------------------------------------

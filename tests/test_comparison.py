@@ -17,6 +17,7 @@ from hochcat import (
     t_map_matrix,
     theorem_a_report,
     theorem_b_report,
+    verify_prism_identity,
     verify_section,
     verify_t_chain_identity,
     verify_two_sided_on_relative,
@@ -24,7 +25,8 @@ from hochcat import (
     x_map_matrix,
 )
 from hochcat import (
-    RawCategory, comparison, group_from_table, hochschild, predicate_reports, validate_category,
+    RawCategory, comparison, group_from_table, hochschild, nerve, predicate_reports,
+    validate_category,
 )
 from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
@@ -38,11 +40,14 @@ from hochcat.hochschild import (
     relative_is_full,
 )
 from hochcat.matrix import Matrix
-from hochcat.nerve import _chains_cached, _coboundary
+from hochcat.nerve import (
+    _chains_cached, _coboundary, _prism, _retraction_minus_identity, _skeleton,
+)
 
 from . import oracles
 from .catalog import (
-    A2, C2, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV, symmetric_group_table,
+    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV,
+    dihedral_group_table, symmetric_group_table,
 )
 from .test_category import collapse, z_monoid
 from .test_hochschild import count_builds
@@ -323,6 +328,15 @@ def test_derived_tables_die_with_their_category():
     del cat
     gc.collect()
     assert ref() is None
+    # a group's report memoizes the skeleton, its chains and its prisms on F^ad
+    group = group_from_table(symmetric_group_table(3), object_name="x'")
+    refs = [weakref.ref(group), weakref.ref(adjoint_category(group))]
+    assert theorem_a_report(group, GF2, 2).verdict == "isomorphism"
+    memos = {fn for fn, _args in adjoint_category(group).__dict__["_memo"]}
+    assert {nerve._skeleton, nerve._skeleton_chains, nerve._prism} <= memos
+    del group, memos
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
@@ -345,6 +359,15 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
               (_full_differential, _coboundary, _chains_cached)]
     with pytest.raises(DimensionCapExceeded) as refused:
         theorem_a_report(cat, field, 4, cap=100)
+    assert (refused.value.degree, refused.value.required) == (4, 162)
+    assert not any(builds)
+
+
+def test_prism_identity_caps_the_fad_nerve(monkeypatch):
+    # {e, z}: degree 3 reads the 4-chains of F^ad (2·3^4 = 162 > 100)
+    builds = [count_builds(monkeypatch, fn) for fn in (_coboundary, _chains_cached, _prism)]
+    with pytest.raises(DimensionCapExceeded) as refused:
+        verify_prism_identity(z_monoid(), GF2, 3, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
     assert not any(builds)
 
@@ -513,7 +536,7 @@ def refuse_eliminating(monkeypatch, matrices):
     for attr in ("rref", "image_basis"):
         def guarded(self, *args, honest=getattr(Matrix, attr), **kwargs):
             if id(self) in ids:
-                raise AssertionError(f"a {self.nrows}x{self.ncols} nerve coboundary was eliminated")
+                raise AssertionError(f"a guarded {self.nrows}x{self.ncols} matrix was eliminated")
             return honest(self, *args, **kwargs)
         monkeypatch.setattr(Matrix, attr, guarded)
 
@@ -614,3 +637,151 @@ def test_flags_match_the_induced_map_under_a_perturbed_t(monkeypatch, perturbati
     assert rep.verdict == "failed"
     assert ranked == [adjoint_category(cat)]
     assert summary(rep) == basis_route(builtin(name), field, 2)
+
+
+# --- a group's H(F^ad) from the skeleton ---------------------------------------------
+
+SKELETON_CASES = {**FIXTURES, "d4": D4}
+
+
+def test_d4_has_five_classes_with_the_centralizers_of_d4():
+    fad = adjoint_category(D4)
+    reps = sorted(set(_skeleton(fad)[0]))
+    assert sorted(len(fad.hom(x, x)) for x in reps) == [4, 4, 4, 8, 8]
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_CASES))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
+    # the oracles list chains as tuples (nerve_chain_list) and find inverses
+    # by trying every pair, never reading the engine's index tables
+    cat = SKELETON_CASES[name]
+    fad = adjoint_category(cat)
+    max_m = 3 if name == "s3" else 2
+    found = oracles.skeleton_by_search(fad)
+    assert found == _skeleton(fad)
+    for m in range(max_m + 1):
+        assert oracles.prism_identity_defect(fad, found, field.p, m) == {}
+        assert verify_prism_identity(cat, field, m).ok
+        n, n_up = len(nerve_chains(fad, m)), len(nerve_chains(fad, m + 1))
+        assert _prism(fad, field, m) == Matrix.from_int_entries(
+            field, n, n_up, oracles.prism_entries(fad, found, m))
+        minus_one = Matrix.identity(field, n).scaled(field.neg(field.one))
+        assert _retraction_minus_identity(fad, field, m) == Matrix.from_int_entries(
+            field, n, n, oracles.retraction_entries(fad, found, m)) + minus_one
+    dims = oracles.skeleton_dims(fad, found, field.p, max_m)
+    assert dims == comparison._skeleton_dims(cat, field, max_m, None)
+    assert dims == simplicial_cohomology_dims(fad, field, max_m) == \
+        hochschild_cohomology_dims(cat, field, max_m)
+
+
+def fresh(name):
+    """A group equal to a catalog one but built anew, so no memo answers for it."""
+    table = dihedral_group_table(4) if name == "d4" else symmetric_group_table(3)
+    return group_from_table(table)
+
+
+@pytest.mark.parametrize("name", ("s3", "d4", "cn:3"))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_certified_group_ranks_no_hochschild_differential(monkeypatch, name, field):
+    cat = builtin(name) if name.startswith("cn:") else fresh(name)
+    max_m = 3 if name == "s3" else 2
+    expected = hochschild_cohomology_dims(cat, field, max_m)
+    monkeypatch.setattr(comparison, "hochschild_cohomology_dims",
+                        lambda *args: pytest.fail("the Hochschild complex was ranked"))
+    refuse_eliminating(monkeypatch, [hochschild_differential_matrix(cat, field, m)
+                                     for m in range(max_m + 1)])
+    rep = theorem_a_report(cat, field, max_m)
+    assert rep.verdict == "isomorphism"
+    assert all(rec.dim_hochschild == rec.dim_relative == rec.dim_simplicial == dim
+               for rec, dim in zip(rep.degrees, expected))
+
+
+def other_arrow(fad, g):
+    """An arrow with the source and target of g other than g."""
+    return next(h for h in fad.hom(fad.source[g], fad.target[g]) if h != g)
+
+
+def c_is_an_identity(fad, skeleton):
+    # the first object that is not its class's representative keeps its
+    # identity for c_a, which is no isomorphism a -> rep(a)
+    rep, c, r = skeleton
+    a = next(a for a, x in enumerate(rep) if a != x)
+    return rep, c[:a] + (fad.identity[a],) + c[a + 1:], r
+
+
+def c_is_another_iso(fad, skeleton):
+    rep, c, r = skeleton
+    a = next(a for a, x in enumerate(rep) if a != x)
+    return rep, c[:a] + (other_arrow(fad, c[a]),) + c[a + 1:], r
+
+
+def r_misreads_an_arrow(fad, skeleton):
+    rep, c, r = skeleton
+    g = next(g for g in range(fad.n_morphisms) if len(fad.hom(fad.source[g], fad.target[g])) > 1)
+    return rep, c, r[:g] + (other_arrow(fad, r[g]),) + r[g + 1:]
+
+
+BREAKAGES = {"c_identity": c_is_an_identity, "c_other_iso": c_is_another_iso,
+             "r_misread": r_misreads_an_arrow}
+
+
+def spy_hochschild_ranks(monkeypatch) -> list:
+    calls = []
+    honest = comparison.hochschild_cohomology_dims
+
+    def spied(cat, *args):
+        calls.append(cat)
+        return honest(cat, *args)
+
+    monkeypatch.setattr(comparison, "hochschild_cohomology_dims", spied)
+    return calls
+
+
+@pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+@pytest.mark.parametrize("name", ("s3", "d4"))
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_a_broken_skeleton_fails_the_prism_and_falls_back(monkeypatch, breakage, name, field):
+    # fresh groups, so no broken prism outlives the test in a memo; the
+    # report is the reference's, through the Hochschild ranks
+    expected = basis_route(fresh(name), field, 2)
+    honest = nerve._skeleton
+    monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
+    cat = fresh(name)
+    assert not all(verify_prism_identity(cat, field, m) for m in range(3))
+    ranked = spy_hochschild_ranks(monkeypatch)
+    rep = theorem_a_report(cat, field, 2)
+    assert ranked == [cat]
+    assert summary(rep) == expected
+
+
+def test_a_row_leaving_the_skeleton_falls_back(monkeypatch):
+    # the skeleton's 2-chains take one chain of F^ad whose coboundary row
+    # reads a 1-chain outside the skeleton
+    cat = fresh("s3")
+    expected = basis_route(fresh("s3"), GF2, 2)
+    honest = nerve._skeleton_chains
+
+    def widened(fad, m):
+        picked = honest(fad, m)
+        if m != 2:
+            return picked
+        inside = set(honest(fad, 1))
+        rows = _coboundary(fad, GF2, 1).rows
+        outside = next(i for i, row in sorted(rows.items()) if not inside >= row.keys())
+        return tuple(sorted(picked + (outside,)))
+
+    monkeypatch.setattr(nerve, "_skeleton_chains", widened)
+    ranked = spy_hochschild_ranks(monkeypatch)
+    rep = theorem_a_report(cat, GF2, 2)
+    assert ranked == [cat]
+    assert summary(rep) == expected
+
+
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_a_perturbed_t_still_fails_a_group_with_a_skeleton(monkeypatch, field):
+    monkeypatch.setattr(comparison, "_t_entries", misread_t1(comparison._t_entries))
+    expected = basis_route(fresh("d4"), field, 2)
+    rep = theorem_a_report(fresh("d4"), field, 2)
+    assert rep.verdict == "failed"
+    assert summary(rep) == expected

@@ -4,7 +4,8 @@ Every catalog fixture is written to ``<name>.cat`` and run through the CLI
 as ``compare`` (``--max-degree 2``) over GF(2), GF(3) and Q, as
 ``derivations`` over GF(2) and Q, as ``cohomology`` (``--theory both
 --max-degree 2``) over GF(2) and Q, and as ``fad``; the surjection-tier
-``parallel_arrows`` runs as ``compare`` over the same three fields.  The
+``parallel_arrows`` and the dihedral group ``d4`` (outside ``FIXTURES``) run
+as ``compare`` over the same three fields.  The
 sha256 of stdout and the exit code of each run are pinned in
 ``golden_digests.json``.  After a change that is meant to alter a report,
 rewrite the file with
@@ -27,17 +28,18 @@ import pytest
 from hochcat.catformat import category_to_text
 from hochcat.cli import main
 
-from .catalog import FIXTURES
+from .catalog import D4, FIXTURES
 from .test_category import parallel_arrows
 
-CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows()}
+CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows(), "d4": D4}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 RUNS = (tuple((verb, name, field)
               for verb in ("compare", "derivations", "cohomology")
               for name in FIXTURES
               for field in ("gf:2", "q"))
         + tuple(("compare", name, "gf:3") for name in FIXTURES)
-        + tuple(("compare", "parallel_arrows", field) for field in ("gf:2", "gf:3", "q"))
+        + tuple(("compare", name, field)
+                for name in ("parallel_arrows", "d4") for field in ("gf:2", "gf:3", "q"))
         + tuple(("fad", name, None) for name in FIXTURES))
 
 
