@@ -26,7 +26,6 @@ from .comparison import (
     TheoremAReport,
     t_map_matrix,
     theorem_a_report,
-    verify_prism_identity,
     verify_section,
     verify_t_chain_identity,
     verify_two_sided_on_relative,
@@ -54,6 +53,7 @@ from .nerve import (
     nerve_chains,
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
+    verify_prism_identity,
 )
 
 __version__ = "0.1.0"

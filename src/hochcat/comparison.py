@@ -49,31 +49,16 @@ degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
   ``X_rel T_rel = I`` and ``T_rel X_rel = I``;
 * so ``X_* T_*`` and ``T_* X_*`` are induced by identities.
 
-Lemma (the skeleton): let S be the skeleton of D = ``F^ad`` that
-``nerve._skeleton`` picks, i: S → D its inclusion and r the retraction.
-If ``verify_prism_identity`` holds in degrees 0..m, restriction to S's
-chains induces an isomorphism ``H^k(D) ≅ H^k(S)`` for k ≤ m:
-
-* each ``c_a`` is a checked isomorphism (both composites with its inverse
-  are identities), so r is a functor and ``r^*`` a cochain map;
-* ``c_rep = id`` makes ``r∘i = id_S``, so ``i^* r^* = I``;
-* the prism identity ``P δ + δ P = (i∘r)^* − I`` makes ``r^* i^*``
-  homotopic to I, so ``i^*`` and ``r^*`` are inverse on cohomology;
-* S is a full subcategory, so the faces of its chains are its chains,
-  and its coboundary ``δ_S`` is the restriction of δ to them.
-
-When every isomorphism class is one object, S = D and there is no prism
-to check.
-
-For one object the relative complex is the full one.  So a group whose
-checks all hold takes all three dimensions from its skeleton, the disjoint
-union of its centralizers (the relative and skeleton lemmas), and no
-Hochschild differential is ranked; a failed prism identity, or a
-coboundary row that leaves S, falls back to the Hochschild ranks.  The
-``F^ad`` nerve itself is ranked only in the surjection and unverified
-tiers and after a failed check.  Only the full complex with more than one
-object in a certified tier is still counted on the bases of
-``matrix.cohomology``: the benchmark harness requires a
+So every report ranks the nerve of ``F^ad`` once:
+``simplicial_cohomology_dims`` ranks the skeleton of ``F^ad`` when its
+prism identity holds (the skeleton lemma in ``nerve``), and ``F^ad`` itself
+otherwise.  The relative complex takes the nerve's dimensions when the
+isomorphism tier's checks all hold, and is ranked only in the surjection
+and unverified tiers and after a failed check.  For one object the
+relative complex is the full one, so a certified group's three dimensions
+are the nerve's and no Hochschild differential is ranked.  Only the full
+complex with more than one object in a certified tier is still counted on
+the bases of ``matrix.cohomology``: the benchmark harness requires a
 ``matrix.subspace`` call on ``compare`` (``perfbench/test_harness.py``,
 ``USED["certify"]``).
 
@@ -94,6 +79,7 @@ from .category import (
     predicate_reports,
     require_predicates,
 )
+from .errors import NotChainCompatible
 from .fields import FieldSpec
 from .hochschild import (
     basis_index,
@@ -108,9 +94,8 @@ from .hochschild import (
     relative_sizes,
     _relative_of_full,
 )
-from .matrix import Matrix, cohomology, cohomology_dims
-from .nerve import (_chains_cached, _prism, _retraction_minus_identity, _skeleton_coboundary,
-                    _skeleton_is_whole, nerve_sizes, simplicial_coboundary_matrix,
+from .matrix import Matrix, VerificationResult, cohomology
+from .nerve import (_chains_cached, nerve_sizes, simplicial_coboundary_matrix,
                     simplicial_cohomology_dims)
 
 CANCELLATIVE = ("left_cancellative", "right_cancellative")
@@ -157,14 +142,23 @@ def _x_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
     return _t_matrix(cat, field, m).transpose()
 
 
-def _t_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """T with its columns numbered in the relative basis; T itself when that is the full one."""
+def _t_relative(cat: FiniteCategory, field: FieldSpec, m: int) -> tuple:
+    """``(T_rel, None)``, T with its columns numbered in the relative basis
+    (T itself when that is the full one), or ``(None, c)`` for the first
+    column c that T reads outside it; one walk over T's rows finds either."""
     t = _t_matrix(cat, field, m)
     if relative_is_full(cat, m):
-        return t
+        return t, None
     rel_of_full = _relative_of_full(cat, m)
-    rows = {r: {rel_of_full[c]: v for c, v in row.items()} for r, row in t.rows.items()}
-    return Matrix(field, t.nrows, len(rel_of_full), rows)
+    rows = {}
+    for r, row in t.rows.items():
+        rows[r] = renumbered = {}
+        for c, v in row.items():
+            i = rel_of_full.get(c)
+            if i is None:
+                return None, c
+            renumbered[i] = v
+    return Matrix(field, t.nrows, len(rel_of_full), rows), None
 
 
 def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None, sizes=None) -> None:
@@ -187,10 +181,14 @@ def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
     """T restricted to the relative subcomplex (square under the full hypotheses).
 
     The relative sizes and F^ad chain counts up to degree m are checked
-    against the cap before any basis or chain is listed.
+    against the cap before any basis or chain is listed.  Raises
+    ``NotChainCompatible`` when T reads a column that is not relative.
     """
     _check_map_cap(cat, m, cap, relative_sizes(cat))
-    return _t_relative(cat, field, m)
+    t_rel, outside = _t_relative(cat, field, m)
+    if t_rel is None:
+        raise NotChainCompatible(f"T^{m} reads column {outside}, which is not relative")
+    return t_rel
 
 
 def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
@@ -209,35 +207,15 @@ def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
                           cap: int | None = None) -> Matrix:
     """X written in relative row coordinates: the transpose of T's relative matrix."""
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    _check_map_cap(cat, m, cap, relative_sizes(cat))
-    if relative_is_full(cat, m):
-        return _x_matrix(cat, field, m)
-    return _t_relative(cat, field, m).transpose()
+    t_rel = t_map_relative_matrix(cat, field, m, cap)
+    return _x_matrix(cat, field, m) if relative_is_full(cat, m) else t_rel.transpose()
 
 
 # --- chain-map identities ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationResult:
-    """Outcome of an exact matrix identity check."""
-
-    name: str
-    degree: int
-    ok: bool
-    first_difference: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _sign_for(field: FieldSpec, m: int):
     """(-1)^(m+1) as a field scalar."""
     return field.neg(field.one) if (m + 1) % 2 else field.one
-
-
-def _verified(name: str, m: int, lhs: Matrix, rhs: Matrix) -> VerificationResult:
-    diff = lhs.first_difference(rhs)
-    return VerificationResult(name, m, diff is None, diff)
 
 
 def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -247,7 +225,7 @@ def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     lhs = t_map_matrix(cat, field, m + 1, cap) @ hochschild_differential_matrix(cat, field, m, cap)
     delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m, cap)
     rhs = (delta @ t_map_matrix(cat, field, m, cap)).scaled(_sign_for(field, m))
-    return _verified("t_chain", m, lhs, rhs)
+    return VerificationResult.of("t_chain", m, lhs, rhs)
 
 
 def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -258,7 +236,7 @@ def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     lhs = x_map_matrix(cat, field, m + 1, cap) @ delta
     rhs = (hochschild_differential_matrix(cat, field, m, cap) @ x_map_matrix(cat, field, m, cap))
     rhs = rhs.scaled(_sign_for(field, m))
-    return _verified("x_chain", m, lhs, rhs)
+    return VerificationResult.of("x_chain", m, lhs, rhs)
 
 
 def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -267,7 +245,7 @@ def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
     require_predicates(cat, "right_deterministic", *CANCELLATIVE)
     prod = t_map_matrix(cat, field, m, cap) @ x_map_matrix(cat, field, m, cap)
     eye = Matrix.identity(field, prod.nrows)
-    return _verified("section", m, prod, eye)
+    return VerificationResult.of("section", m, prod, eye)
 
 
 def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -282,57 +260,15 @@ def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     _check_map_cap(cat, m, cap, relative_sizes(cat))
-    if relative_is_full(cat, m):
-        t_rel, x_rel = _t_matrix(cat, field, m), _x_matrix(cat, field, m)
-    else:
-        rel_full = _relative_of_full(cat, m)
-        for row in _t_matrix(cat, field, m).rows.values():
-            for c in row:
-                if c not in rel_full:
-                    return VerificationResult("two_sided_relative", m, False,
-                                              (c, -1, "image not relative", None))
-        t_rel = _t_relative(cat, field, m)
-        x_rel = t_rel.transpose()
-    left = _verified("two_sided_relative", m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
+    name = "two_sided_relative"
+    t_rel, outside = _t_relative(cat, field, m)
+    if t_rel is None:
+        return VerificationResult(name, m, False, (outside, -1, "image not relative", None))
+    x_rel = _x_matrix(cat, field, m) if relative_is_full(cat, m) else t_rel.transpose()
+    left = VerificationResult.of(name, m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
     if not left.ok:
         return left
-    return _verified("two_sided_relative", m, t_rel @ x_rel, Matrix.identity(field, t_rel.nrows))
-
-
-def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
-                          cap: int | None = None) -> VerificationResult:
-    """P^m δ^m + δ^(m−1) P^(m−1) = (i∘r)^* − I on degree-m nerve cochains of F^ad.
-
-    P is the prism of the skeleton of ``F^ad`` (``nerve``), i its inclusion
-    and r the retraction onto it; there is no ``δ^(−1)`` term in degree 0.
-    The F^ad chain counts up to degree m + 1 are checked against the cap
-    first.  A prism term or a retracted chain that is no chain fails the
-    check.
-    """
-    fad = adjoint_category(cat)
-    delta = simplicial_coboundary_matrix(fad, field, m, cap)
-    prisms = [_prism(fad, field, k) for k in range(max(m - 1, 0), m + 1)]
-    rhs = _retraction_minus_identity(fad, field, m)
-    if None in prisms or rhs is None:
-        return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
-    lhs = prisms[-1] @ delta
-    if m:
-        lhs = lhs + simplicial_coboundary_matrix(fad, field, m - 1, cap) @ prisms[0]
-    return _verified("prism", m, lhs, rhs)
-
-
-def _skeleton_dims(cat: FiniteCategory, field: FieldSpec, max_m: int, cap: int | None):
-    """``dim H^m(F^ad)`` for m = 0..max_m from the skeleton's nerve (the
-    skeleton lemma), or None when a prism identity fails or a coboundary
-    row leaves the skeleton.  A skeleton that is the whole of F^ad needs
-    no prism."""
-    fad = adjoint_category(cat)
-    rng = range(max_m + 1)
-    if not _skeleton_is_whole(fad) and not all(verify_prism_identity(cat, field, m, cap)
-                                               for m in rng):
-        return None
-    deltas = [_skeleton_coboundary(fad, field, m) for m in rng]
-    return None if None in deltas else list(cohomology_dims(deltas))
+    return VerificationResult.of(name, m, t_rel @ x_rel, Matrix.identity(field, t_rel.nrows))
 
 
 # --- Theorem A, degree by degree ------------------------------------------------
@@ -395,14 +331,14 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     hypothesis tier supports, and a failed identity makes it ``failed``.
     Each degree's flags come from its checks (the flags lemma).
 
-    A group whose checks all hold ranks only its skeleton's nerve (the
-    skeleton lemma), and falls back to the Hochschild ranks when a prism
-    identity fails.  Any other one-object category, and the unverified
-    tier, rank the Hochschild complex; a certified tier with more objects
-    counts it on ``cohomology``'s bases (the harness reason above).  The
-    relative complex is ranked unless it is the full one.  The nerve takes
-    the relative dimensions when the isomorphism tier's checks all hold
-    (the relative lemma), and is ranked otherwise.
+    The nerve of ``F^ad`` is ranked once, through its skeleton when the
+    prism identity holds (``nerve.simplicial_cohomology_dims``).  The
+    relative complex takes the nerve's dimensions when the isomorphism
+    tier's checks all hold (the relative lemma), and is ranked otherwise.
+    The full complex takes the relative dimensions when the two are the
+    same complex; otherwise it is ranked in the unverified tier, and
+    counted on ``cohomology``'s bases in a certified one (the harness
+    reason above).
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
@@ -410,20 +346,22 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     check_sizes(nerve_sizes(fad), max_m + 1, cap)
     tier = hypothesis_tier({name: rep.holds for name, rep in predicate_reports(cat).items()})
     rng = range(max_m + 1)
-    full = relative_is_full(cat, max_m + 1)
     checks = [_checks(cat, field, m, cap, tier) for m in rng]
-    holds = tier == "isomorphism" and all(map(all, checks))
-    dims_h = _skeleton_dims(cat, field, max_m, cap) if holds and full else None
-    if dims_h is None and (full or tier == "unverified"):
+    dims_s = simplicial_cohomology_dims(fad, field, max_m, cap)
+    if tier == "isomorphism" and all(map(all, checks)):
+        dims_r = dims_s
+    else:
+        dims_r = relative_cohomology_dims(cat, field, max_m, cap)
+    if relative_is_full(cat, max_m + 1):
+        dims_h = dims_r
+    elif tier == "unverified":
         dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
-    elif dims_h is None:
+    else:
         # bases, not ranks: perfbench's USED["certify"] and its test
         # test_traced_child_attaches_every_wrapper require a matrix.subspace
         # call on compare
         walk = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
         dims_h = [dim for _Z, _B, dim in walk]
-    dims_r = dims_h if full else relative_cohomology_dims(cat, field, max_m, cap)
-    dims_s = dims_r if holds else simplicial_cohomology_dims(fad, field, max_m, cap)
     degrees = []
     for m, h, r, s, ch in zip(rng, dims_h, dims_r, dims_s, checks):
         surjective = bool(ch) and all(ch)

@@ -85,7 +85,6 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -126,6 +125,25 @@ def _unit_columns(rows: dict) -> dict | None:
             return None
         reads[r] = c
     return reads
+
+
+@dataclass(frozen=True)
+class VerificationResult:
+    """Outcome of an exact matrix identity check."""
+
+    name: str
+    degree: int
+    ok: bool
+    first_difference: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    @classmethod
+    def of(cls, name: str, degree: int, lhs: "Matrix", rhs: "Matrix") -> "VerificationResult":
+        """Whether ``lhs == rhs``, with their first differing cell when not."""
+        diff = lhs.first_difference(rhs)
+        return cls(name, degree, diff is None, diff)
 
 
 class Matrix:
@@ -320,8 +338,8 @@ class Matrix:
         if reads is not None:
             return self._gathered(reads, other.ncols)
         p = self.field.p
-        rows_a, den_a = self._integer_rows
-        rows_b, den_b = other._integer_rows
+        rows_a, den_a = self._integer_rows()
+        rows_b, den_b = other._integer_rows()
         den = den_a * den_b
         out, fractions = {}, {}  # over Q: one Fraction per distinct numerator
         for i, ra in rows_a.items():
@@ -372,14 +390,12 @@ class Matrix:
                 out[i] = acc
         return Matrix(self.field, self.nrows, ncols, out)
 
-    @cached_property
     def _integer_rows(self) -> tuple[dict, int]:
         """``(rows, L)``: integer rows with ``self = rows / L``; read, never mutated.
 
         Over GF(p) the scalars are ints already: the rows are ``self.rows``
         and L is 1.  Over Q, L is the common denominator of the scalars, and
-        the rows are built on the first product and kept, since a memoized
-        differential enters several products.
+        the rows are built for the product at hand and dropped with it.
         """
         if self.field.is_prime_field:
             return self.rows, 1

@@ -24,8 +24,27 @@ the prism ``P^m: C^(m+1)(D) → C^m(D)``,
     (P f)(g_0..g_(m−1)) = Σ_(j=0..m) (−1)^j f(g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1)),
 
 with ``x_j`` the object after j arrows and ``(P f)(x) = f(c_x)`` in degree
-0; ``comparison.verify_prism_identity`` checks ``P δ + δ P = (i∘r)^* − I``
-with it.
+0; ``verify_prism_identity`` checks ``P δ + δ P = (i∘r)^* − I`` with it.
+
+Lemma (the skeleton; Quillen, *Higher algebraic K-theory I*, 1973, §1):
+with i: S → D the inclusion, if ``verify_prism_identity`` holds in degrees
+0..m, restriction to S's chains induces an isomorphism ``H^k(D) ≅ H^k(S)``
+for k ≤ m:
+
+* each ``c_a`` is a checked isomorphism (both composites with its inverse
+  are identities), so r is a functor and ``r^*`` a cochain map;
+* ``c_rep = id`` makes ``r∘i = id_S``, so ``i^* r^* = I``;
+* the prism identity makes ``r^* i^*`` homotopic to I, so ``i^*`` and
+  ``r^*`` are inverse on cohomology;
+* S is a full subcategory, so the faces of its chains are its chains,
+  and its coboundary ``δ_S`` is the restriction of δ to them.
+
+So ``simplicial_cohomology_dims`` ranks ``δ_S`` once the identity holds in
+every degree it reports, and D's own coboundaries when it fails or a row of
+``δ_S`` leaves S.  When every isomorphism class is one object, S = D and no
+prism is built.  The lemma needs nothing but D: for a group C and
+D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
+conjugacy class.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from itertools import accumulate
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
 from .hochschild import check_degree, check_sizes
-from .matrix import Matrix, _IntScalars, cohomology_dims
+from .matrix import Matrix, VerificationResult, _IntScalars, cohomology_dims
 
 
 @memo
@@ -153,18 +172,6 @@ def simplicial_coboundary_matrix(cat, field, m: int, cap: int | None = None) -> 
     return _coboundary(cat, field, m)
 
 
-def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
-    """Dimensions of the nerve cohomology in degrees 0..max_m.
-
-    Every degree's chain count up to ``max_m + 1`` is checked against the
-    cap (``nerve_sizes``) before the first chain is listed.
-    """
-    check_degree(max_m)
-    check_sizes(nerve_sizes(cat), max_m + 1, cap)
-    mats = (simplicial_coboundary_matrix(cat, field, m, cap) for m in range(max_m + 1))
-    return list(cohomology_dims(mats))
-
-
 # --- the skeleton and its prism ------------------------------------------------
 
 def _inverse(cat: FiniteCategory, f: int):
@@ -206,11 +213,6 @@ def _skeleton(cat: FiniteCategory) -> tuple:
     return tuple(rep), tuple(c), r
 
 
-def _skeleton_is_whole(cat: FiniteCategory) -> bool:
-    """Every isomorphism class is one object: S is the whole category and r = id."""
-    return len(_skeleton_chains(cat, 0)) == cat.n_objects
-
-
 @memo
 def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
     """Indices in ``_chains_cached(cat, m)``, ascending, of the chains of the skeleton.
@@ -239,13 +241,10 @@ def _skeleton_coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matri
     """The degree-m coboundary of the skeleton: the memoized one's rows and
     columns on the skeleton's chains, renumbered in their order.
 
-    The whole coboundary when the skeleton is the whole category.  None
-    when a selected row reads a chain outside the skeleton, which a full
-    subcategory never does.
+    None when a selected row reads a chain outside the skeleton, which a
+    full subcategory never does.
     """
     delta = _coboundary(cat, field, m)
-    if _skeleton_is_whole(cat):
-        return delta
     col_of = {c: j for j, c in enumerate(_skeleton_chains(cat, m))}
     picked = _skeleton_chains(cat, m + 1)
     rows = {}
@@ -312,3 +311,44 @@ def _retraction_minus_identity(cat: FiniteCategory, field: FieldSpec, m: int) ->
         if moved != i:
             rows[i] = {moved: one, i: minus}
     return Matrix(field, len(index), len(index), rows)
+
+
+def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
+                          cap: int | None = None) -> VerificationResult:
+    """P^m δ^m + δ^(m−1) P^(m−1) = (i∘r)^* − I on degree-m cochains of ``cat``.
+
+    P is the prism of the skeleton of ``cat``, i its inclusion and r the
+    retraction onto it; there is no ``δ^(−1)`` term in degree 0.  The chain
+    counts up to degree m + 1 are checked against the cap first.  A prism
+    term or a retracted chain that is no chain fails the check.
+    """
+    delta = simplicial_coboundary_matrix(cat, field, m, cap)
+    prisms = [_prism(cat, field, k) for k in range(max(m - 1, 0), m + 1)]
+    rhs = _retraction_minus_identity(cat, field, m)
+    if None in prisms or rhs is None:
+        return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
+    lhs = prisms[-1] @ delta
+    if m:
+        lhs = lhs + simplicial_coboundary_matrix(cat, field, m - 1, cap) @ prisms[0]
+    return VerificationResult.of("prism", m, lhs, rhs)
+
+
+# --- cohomology ------------------------------------------------------------------
+
+def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
+    """Dimensions of the nerve cohomology in degrees 0..max_m.
+
+    Every degree's chain count up to ``max_m + 1`` is checked against the
+    cap (``nerve_sizes``) before the first chain is listed.  The skeleton
+    is ranked when it is smaller than the category and the skeleton lemma
+    applies; the category's own coboundaries otherwise.
+    """
+    check_degree(max_m)
+    check_sizes(nerve_sizes(cat), max_m + 1, cap)
+    rng = range(max_m + 1)
+    smaller = len(_skeleton_chains(cat, 0)) < cat.n_objects
+    if smaller and all(verify_prism_identity(cat, field, m, cap) for m in rng):
+        deltas = [_skeleton_coboundary(cat, field, m) for m in rng]
+        if None not in deltas:
+            return list(cohomology_dims(deltas))
+    return list(cohomology_dims(simplicial_coboundary_matrix(cat, field, m, cap) for m in rng))

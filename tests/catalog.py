@@ -6,7 +6,7 @@ import itertools
 import os
 
 import hochcat
-from hochcat import builtin, group_from_table
+from hochcat import RawCategory, builtin, group_from_table, validate_category
 from hochcat.fields import FieldSpec
 
 GF2 = FieldSpec(2)
@@ -39,6 +39,21 @@ def dihedral_group_table(n: int):
     return [[index(a + (-1) ** b * c, b + d) for c, d in elements] for a, b in elements]
 
 
+def sum_of_groups(*tables):
+    """The disjoint union of groups: object ``x<k>`` carries the group of
+    ``tables[k]`` (a Cayley table as for ``group_from_table``), element i
+    as the morphism ``g<k>_<i>``."""
+    raw = RawCategory(objects=[f"x{k}" for k in range(len(tables))])
+    for k, table in enumerate(tables):
+        n = len(table)
+        e = next(i for i in range(n) if table[i] == list(range(n)))
+        names = [f"g{k}_{i}" for i in range(n)]
+        raw.morphisms += [(names[i], f"x{k}", f"x{k}", i == e) for i in range(n)]
+        raw.compositions += [(names[i], names[j], names[table[i][j]])
+                             for i in range(n) for j in range(n) if e not in (i, j)]
+    return validate_category(raw)
+
+
 TRIV = builtin("triv")
 A2 = builtin("a2")
 C2 = builtin("c2")
@@ -47,6 +62,9 @@ DIAMOND = builtin("diamond")
 S3 = group_from_table(symmetric_group_table(3))
 # outside FIXTURES: five conjugacy classes, centralizers of orders 8, 8, 4, 4, 4
 D4 = group_from_table(dihedral_group_table(4))
+# outside FIXTURES: two objects, and F^ad (8 objects, 40 arrows) has
+# isomorphism classes of more than one object, so its skeleton is not F^ad
+S3_PLUS_C2 = sum_of_groups(symmetric_group_table(3), [[0, 1], [1, 0]])
 
 
 def all_fixtures() -> dict:

@@ -117,10 +117,11 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     # table -> the degrees compare --max-degree 2 needs (T and X one higher
     # for the chain identities); each must be built once, on one category,
     # and the matrices for the one field of the run.  X is T's transpose,
-    # memoized once per degree.
+    # memoized once per degree.  The certified report reads the relative
+    # dimensions off the nerve, so no relative differential is built.
     tables = {
         "hochschild": (hochschild._full_differential, {0, 1, 2}),
-        "relative": (hochschild._relative_differential, {0, 1, 2}),
+        "relative": (hochschild._relative_differential, set()),
         "nerve": (nerve._coboundary, {0, 1, 2}),
         "t": (comparison._t_matrix, {0, 1, 2, 3}),
         "x": (comparison._x_matrix, {0, 1, 2, 3}),
@@ -132,6 +133,8 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     for name, (_fn, degrees) in tables.items():
         calls = builds[name]
         assert {args[-1] for _cat, args in calls} == degrees, name
+        if not degrees:
+            continue
         assert len({cat for cat, _args in calls}) == 1, name
         assert {args[:-1] for _cat, args in calls} in ({()}, {(GF2,)}), name
         assert set(calls.values()) == {1}, (name, calls)

@@ -29,14 +29,16 @@ from hochcat import (
     validate_category,
 )
 from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
-from hochcat.errors import DimensionCapExceeded, HypothesisViolated
+from hochcat.errors import DimensionCapExceeded, HypothesisViolated, NotChainCompatible
 from hochcat.hochschild import (
     _full_differential,
     _relative_basis_cached,
+    _relative_of_full,
     basis_index,
     hochschild_basis,
     hochschild_basis_size,
     relative_basis,
+    relative_differential_matrix,
     relative_is_full,
 )
 from hochcat.matrix import Matrix
@@ -46,7 +48,7 @@ from hochcat.nerve import (
 
 from . import oracles
 from .catalog import (
-    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV,
+    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3_PLUS_C2, TRIV,
     dihedral_group_table, symmetric_group_table,
 )
 from .test_category import collapse, z_monoid
@@ -282,8 +284,9 @@ def test_theorem_a_ex6_agreement(field):
 
 
 def test_theorem_a_eliminates_a_one_object_relative_complex_once(monkeypatch):
-    # with one object the relative complex is the full one: its dimensions
-    # are the full ones and no relative differential is assembled
+    # a certified report takes the relative dimensions from the nerve (the
+    # relative lemma), so no relative differential is assembled, with one
+    # object or more
     built = []
     relative = hochschild.relative_differential_matrix
     cats = (C2, FIXTURES["s3"], EX6)
@@ -301,7 +304,7 @@ def test_theorem_a_eliminates_a_one_object_relative_complex_once(monkeypatch):
             assert [rec.dim_relative for rec in rep.degrees] == \
                 expected[cat, field], (cat.n_objects, str(field))
             assert rep.verdict == "isomorphism"
-    assert built == [(EX6.n_objects, 0), (EX6.n_objects, 1)] * 2
+    assert built == []
 
 
 def test_certificates_never_write_a_basis_out_densely(monkeypatch):
@@ -367,7 +370,7 @@ def test_prism_identity_caps_the_fad_nerve(monkeypatch):
     # {e, z}: degree 3 reads the 4-chains of F^ad (2·3^4 = 162 > 100)
     builds = [count_builds(monkeypatch, fn) for fn in (_coboundary, _chains_cached, _prism)]
     with pytest.raises(DimensionCapExceeded) as refused:
-        verify_prism_identity(z_monoid(), GF2, 3, cap=100)
+        verify_prism_identity(adjoint_category(z_monoid()), GF2, 3, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
     assert not any(builds)
 
@@ -436,14 +439,15 @@ def test_theorem_a_downgrades_without_hypotheses(monkeypatch):
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_unverified_one_object_report_is_the_public_ranks(monkeypatch, field):
     # {e, z} is not cancellative: the rank route, with the relative complex
-    # the full one, so its dims are the Hochschild ones and it is not ranked
+    # the full one, so its dims are the Hochschild ones and the full complex
+    # is not ranked a second time
     cat = z_monoid()
     expected = list(zip(hochschild_cohomology_dims(cat, field, 3),
                         relative_cohomology_dims(cat, field, 3),
                         simplicial_cohomology_dims(adjoint_category(cat), field, 3)))
     monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
-    monkeypatch.setattr(comparison, "relative_cohomology_dims",
-                        lambda *args: pytest.fail("the full relative complex was ranked again"))
+    monkeypatch.setattr(comparison, "hochschild_cohomology_dims",
+                        lambda *args: pytest.fail("the full complex was ranked again"))
     rep = theorem_a_report(cat, field, 3)
     assert rep.tier == "unverified" and rep.verdict == "unverified"
     assert [(rec.dim_hochschild, rec.dim_relative, rec.dim_simplicial)
@@ -530,10 +534,11 @@ def spy_nerve_ranks(monkeypatch) -> list:
 
 
 def refuse_eliminating(monkeypatch, matrices):
-    """``Matrix.rref`` and ``image_basis`` (ranks, kernels and images all go
-    through them) refuse each of ``matrices``, told apart by identity."""
+    """``Matrix.rank``, ``rref`` and ``image_basis`` refuse each of
+    ``matrices``, told apart by identity; kernels go through ``rref``, and a
+    rank may eliminate a transpose, so it is guarded on its own."""
     ids = {id(m) for m in matrices}
-    for attr in ("rref", "image_basis"):
+    for attr in ("rank", "rref", "image_basis"):
         def guarded(self, *args, honest=getattr(Matrix, attr), **kwargs):
             if id(self) in ids:
                 raise AssertionError(f"a guarded {self.nrows}x{self.ncols} matrix was eliminated")
@@ -546,9 +551,9 @@ def refuse_eliminating(monkeypatch, matrices):
 def test_flags_from_the_checks_match_the_induced_map(monkeypatch, name, field):
     # every FIXTURES entry with more than one object (the groups are above),
     # and the surjection tier, where degree 1 is onto but not invertible.
-    # The isomorphism tier reads H(F^ad) off H(rel) (the relative lemma), so
-    # it never eliminates a nerve coboundary (memoized: the report reads
-    # these very matrices); the surjection tier ranks the nerve.
+    # Every tier ranks the nerve once; the isomorphism tier reads H(rel) off
+    # it (the relative lemma), so it never eliminates a relative differential
+    # (memoized: the report reads these very matrices).
     from .test_category import parallel_arrows
 
     cat = parallel_arrows() if name == "parallel_arrows" else FIXTURES[name]
@@ -558,11 +563,11 @@ def test_flags_from_the_checks_match_the_induced_map(monkeypatch, name, field):
     fad = adjoint_category(cat)
     ranked = spy_nerve_ranks(monkeypatch)
     if tier == "isomorphism":
-        refuse_eliminating(monkeypatch, [simplicial_coboundary_matrix(fad, field, m)
+        refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, field, m)
                                          for m in range(max_m + 1)])
     rep = theorem_a_report(cat, field, max_m)
     assert rep.tier == rep.verdict == tier != "unverified"
-    assert ranked == ([] if tier == "isomorphism" else [fad])
+    assert ranked == [fad]
     assert summary(rep) == expected
 
 
@@ -614,6 +619,35 @@ def test_group_with_a_misread_chain_ranks_the_nerve(monkeypatch):
     assert summary(rep) == expected
 
 
+def misread_t1_outside(honest):
+    """``_t_entries`` with the first chain of T^1 reading the first column
+    that is not relative."""
+    def misread(cat, m):
+        nrows, ncols, entries = honest(cat, m)
+        if m == 1:
+            relative = _relative_of_full(cat, 1)
+            (r, _c), *rest = entries
+            entries = ((r, next(c for c in range(ncols) if c not in relative)), *rest)
+        return nrows, ncols, entries
+    return misread
+
+
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_t_reading_a_non_relative_column_is_no_relative_map(monkeypatch, field):
+    # a fresh ex6, so the perturbed T dies with it: two_sided_relative names
+    # the column, the relative maps refuse, and Theorem B finds no bijection
+    monkeypatch.setattr(comparison, "_t_entries", misread_t1_outside(comparison._t_entries))
+    cat = builtin("ex6")
+    outside = next(c for c in range(hochschild_basis_size(cat, 1))
+                   if c not in _relative_of_full(cat, 1))
+    check = verify_two_sided_on_relative(cat, field, 1)
+    assert (check.ok, check.first_difference) == (False, (outside, -1, "image not relative", None))
+    for relative_map in (t_map_relative_matrix, x_map_relative_matrix):
+        with pytest.raises(NotChainCompatible):
+            relative_map(cat, field, 1)
+    assert not theorem_b_report(cat, field).bijection
+
+
 PERTURBATIONS = {
     "t0_cell_0_0": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, 0))),
     "t0_cell_0_last": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, -1))),
@@ -662,7 +696,7 @@ def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
     assert found == _skeleton(fad)
     for m in range(max_m + 1):
         assert oracles.prism_identity_defect(fad, found, field.p, m) == {}
-        assert verify_prism_identity(cat, field, m).ok
+        assert verify_prism_identity(fad, field, m).ok
         n, n_up = len(nerve_chains(fad, m)), len(nerve_chains(fad, m + 1))
         assert _prism(fad, field, m) == Matrix.from_int_entries(
             field, n, n_up, oracles.prism_entries(fad, found, m))
@@ -670,9 +704,29 @@ def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
         assert _retraction_minus_identity(fad, field, m) == Matrix.from_int_entries(
             field, n, n, oracles.retraction_entries(fad, found, m)) + minus_one
     dims = oracles.skeleton_dims(fad, found, field.p, max_m)
-    assert dims == comparison._skeleton_dims(cat, field, max_m, None)
     assert dims == simplicial_cohomology_dims(fad, field, max_m) == \
         hochschild_cohomology_dims(cat, field, max_m)
+
+
+S3_PLUS_C2_DIMS = {GF2: [5, 4, 4], GF3: [5, 1, 1], QQ: [5, 0, 0]}
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_two_objects_with_a_skeleton_rank_only_the_skeleton(monkeypatch, field):
+    # S3 ⊔ C2: F^ad has classes of more than one object, so its skeleton is
+    # not F^ad; a certified report ranks the skeleton, and neither F^ad's own
+    # coboundaries nor a relative differential
+    cat = S3_PLUS_C2
+    expected = basis_route(cat, field, 2)
+    fad = adjoint_category(cat)
+    assert (fad.n_objects, fad.n_morphisms) == (8, 40)
+    assert len(set(_skeleton(fad)[0])) < fad.n_objects
+    refuse_eliminating(monkeypatch, own_coboundaries(cat, field, 2)
+                       + [relative_differential_matrix(cat, field, m) for m in range(3)])
+    rep = theorem_a_report(cat, field, 2)
+    assert rep.tier == rep.verdict == "isomorphism"
+    assert summary(rep) == expected
+    assert [rec.dim_simplicial for rec in rep.degrees] == S3_PLUS_C2_DIMS[field]
 
 
 def fresh(name):
@@ -726,16 +780,24 @@ BREAKAGES = {"c_identity": c_is_an_identity, "c_other_iso": c_is_another_iso,
              "r_misread": r_misreads_an_arrow}
 
 
-def spy_hochschild_ranks(monkeypatch) -> list:
+def spy_nerve_eliminations(monkeypatch) -> list:
+    """The coboundaries of every complex the nerve ranks, a list per complex."""
     calls = []
-    honest = comparison.hochschild_cohomology_dims
+    honest = nerve.cohomology_dims
 
-    def spied(cat, *args):
-        calls.append(cat)
-        return honest(cat, *args)
+    def spied(deltas):
+        deltas = list(deltas)
+        calls.append(deltas)
+        return honest(deltas)
 
-    monkeypatch.setattr(comparison, "hochschild_cohomology_dims", spied)
+    monkeypatch.setattr(nerve, "cohomology_dims", spied)
     return calls
+
+
+def own_coboundaries(cat, field, max_m) -> list:
+    """The coboundaries of F^ad itself, not of its skeleton, in degrees 0..max_m."""
+    fad = adjoint_category(cat)
+    return [_coboundary(fad, field, m) for m in range(max_m + 1)]
 
 
 @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
@@ -743,15 +805,15 @@ def spy_hochschild_ranks(monkeypatch) -> list:
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_a_broken_skeleton_fails_the_prism_and_falls_back(monkeypatch, breakage, name, field):
     # fresh groups, so no broken prism outlives the test in a memo; the
-    # report is the reference's, through the Hochschild ranks
+    # report is the reference's, through the ranks of F^ad's own nerve
     expected = basis_route(fresh(name), field, 2)
     honest = nerve._skeleton
     monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
     cat = fresh(name)
-    assert not all(verify_prism_identity(cat, field, m) for m in range(3))
-    ranked = spy_hochschild_ranks(monkeypatch)
+    assert not all(verify_prism_identity(adjoint_category(cat), field, m) for m in range(3))
+    ranked = spy_nerve_eliminations(monkeypatch)
     rep = theorem_a_report(cat, field, 2)
-    assert ranked == [cat]
+    assert ranked == [own_coboundaries(cat, field, 2)]
     assert summary(rep) == expected
 
 
@@ -772,9 +834,9 @@ def test_a_row_leaving_the_skeleton_falls_back(monkeypatch):
         return tuple(sorted(picked + (outside,)))
 
     monkeypatch.setattr(nerve, "_skeleton_chains", widened)
-    ranked = spy_hochschild_ranks(monkeypatch)
+    ranked = spy_nerve_eliminations(monkeypatch)
     rep = theorem_a_report(cat, GF2, 2)
-    assert ranked == [cat]
+    assert ranked == [own_coboundaries(cat, GF2, 2)]
     assert summary(rep) == expected
 
 

@@ -4,8 +4,9 @@ Every catalog fixture is written to ``<name>.cat`` and run through the CLI
 as ``compare`` (``--max-degree 2``) over GF(2), GF(3) and Q, as
 ``derivations`` over GF(2) and Q, as ``cohomology`` (``--theory both
 --max-degree 2``) over GF(2) and Q, and as ``fad``; the surjection-tier
-``parallel_arrows`` and the dihedral group ``d4`` (outside ``FIXTURES``) run
-as ``compare`` over the same three fields.  The
+``parallel_arrows``, the dihedral group ``d4`` and the two-object
+``s3+c2`` (outside ``FIXTURES``) run as ``compare`` over the same three
+fields.  The
 sha256 of stdout and the exit code of each run are pinned in
 ``golden_digests.json``.  After a change that is meant to alter a report,
 rewrite the file with
@@ -28,10 +29,10 @@ import pytest
 from hochcat.catformat import category_to_text
 from hochcat.cli import main
 
-from .catalog import D4, FIXTURES
+from .catalog import D4, FIXTURES, S3_PLUS_C2
 from .test_category import parallel_arrows
 
-CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows(), "d4": D4}
+CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows(), "d4": D4, "s3+c2": S3_PLUS_C2}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 RUNS = (tuple((verb, name, field)
               for verb in ("compare", "derivations", "cohomology")
@@ -39,7 +40,7 @@ RUNS = (tuple((verb, name, field)
               for field in ("gf:2", "q"))
         + tuple(("compare", name, "gf:3") for name in FIXTURES)
         + tuple(("compare", name, field)
-                for name in ("parallel_arrows", "d4") for field in ("gf:2", "gf:3", "q"))
+                for name in ("parallel_arrows", "d4", "s3+c2") for field in ("gf:2", "gf:3", "q"))
         + tuple(("fad", name, None) for name in FIXTURES))
 
 

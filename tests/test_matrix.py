@@ -788,20 +788,19 @@ def test_q_product_matches_the_fraction_product(n, k, m, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4), st.data())
-def test_q_factor_converts_to_integers_once_and_never_changes(n, k, data):
+def test_q_products_never_change_their_factors(n, k, data):
     # a factor reused on either side of several products, as a memoized
-    # differential is, builds its integer rows once; no product writes into
-    # them or into the matrix
+    # differential is: no product writes into its integer rows or into
+    # the matrix
     a = [[data.draw(_fractions) for _ in range(k)] for _ in range(n)]
     b = [[data.draw(_fractions) for _ in range(n)] for _ in range(k)]
     A, B = Matrix.from_rows(QQ, a, k), Matrix.from_rows(QQ, b, n)
     first = A @ B
-    rows, den = A._integer_rows
+    rows, den = A._integer_rows()
     before = ({r: dict(row) for r, row in rows.items()}, den,
               {r: dict(row) for r, row in A.rows.items()})
     assert B @ A == Matrix.from_rows(QQ, dense_product(b, a, k), k)
     assert A @ B == first == Matrix.from_rows(QQ, dense_product(a, b, n), n)
-    assert A._integer_rows[0] is rows
     assert ({r: dict(row) for r, row in rows.items()}, den, A.rows) == before
 
 

@@ -12,11 +12,13 @@ from hochcat import (
     simplicial_cohomology_dims,
 )
 from hochcat.errors import DimensionCapExceeded
-from hochcat.nerve import _chains_cached, nerve_sizes
+from hochcat.matrix import cohomology_dims
+from hochcat.nerve import _chains_cached, _coboundary, _prism, _skeleton, nerve_sizes
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, QQ, TRIV
+from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV
 from .test_category import z_monoid
+from .test_comparison import refuse_eliminating, spy_nerve_eliminations
 from .test_hochschild import count_builds
 
 
@@ -212,4 +214,37 @@ def test_coboundary_cap_refuses_before_any_chain(monkeypatch):
     with pytest.raises(DimensionCapExceeded) as refused:
         simplicial_coboundary_matrix(fad, GF2, 7, cap=1000)
     assert (refused.value.degree, refused.value.required) == (6, 1458)
+    assert not builds
+
+
+# --- the skeleton route ------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ("s3", "s3+c2"))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_dims_rank_the_skeleton_once_the_prism_holds(monkeypatch, name, field):
+    # F^ad with isomorphism classes of several objects: the dims are the
+    # ranks of the whole nerve, and no coboundary of F^ad is eliminated
+    fad = adjoint_category(S3_PLUS_C2 if name == "s3+c2" else FIXTURES[name])
+    assert len(set(_skeleton(fad)[0])) < fad.n_objects
+    own = [simplicial_coboundary_matrix(fad, field, m) for m in range(3)]
+    expected = list(cohomology_dims(own))
+    refuse_eliminating(monkeypatch, own)
+    ranked = spy_nerve_eliminations(monkeypatch)
+    assert simplicial_cohomology_dims(fad, field, 2) == expected
+    # one complex, the skeleton's: fewer chains than F^ad in every degree
+    (deltas,) = ranked
+    assert all(d.nrows < whole.nrows and d.ncols < whole.ncols
+               for d, whole in zip(deltas, own, strict=True))
+
+
+@pytest.mark.parametrize("name", ("chain:3", "diamond", "ex6", "cn:4"))
+def test_a_whole_skeleton_builds_no_prism(monkeypatch, name):
+    # every isomorphism class is one object, so S is F^ad: its own
+    # coboundaries are ranked and no prism is built (a fresh category, so
+    # no memo answers for it)
+    fad = adjoint_category(builtin(name))
+    builds = count_builds(monkeypatch, _prism)
+    ranked = spy_nerve_eliminations(monkeypatch)
+    assert simplicial_cohomology_dims(fad, GF3, 2) == oracles.naive_simplicial_dims(fad, 3, 2)
+    assert ranked == [[_coboundary(fad, GF3, m) for m in range(3)]]
     assert not builds
