@@ -52,6 +52,7 @@ from .nerve import (
     face,
     nerve_chains,
     simplicial_coboundary_matrix,
+    simplicial_cocycle_space,
     simplicial_cohomology_dims,
     verify_prism_identity,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "relative_cohomology_dims",
     "restricted_map",
     "simplicial_coboundary_matrix",
+    "simplicial_cocycle_space",
     "simplicial_cohomology_dims",
     "t_map_matrix",
     "theorem_a_report",

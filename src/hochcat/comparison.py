@@ -82,7 +82,6 @@ from .category import (
 from .errors import NotChainCompatible
 from .fields import FieldSpec
 from .hochschild import (
-    basis_index,
     check_degree,
     check_sizes,
     hochschild_basis_size,
@@ -108,7 +107,9 @@ def _t_entries(cat: FiniteCategory, m: int) -> tuple:
     """(nrows, ncols, ((row, col), ...)) of T in degree m, one entry per row; all are 1.
 
     Chain σ of F^ad reads its triples: bottom g_i = triples[σ_i][1] and base
-    vertical a_0 = triples[σ_0][0].
+    vertical a_0 = triples[σ_0][0].  The column is ``basis_index`` of
+    ``((g_(m−1), .., g_0), c)``, which is ``Σ_i g_i·n^(i+1) + c``, summed as
+    the ladder is climbed.
     """
     fad = adjoint_category(cat)
     ncols = hochschild_basis_size(cat, m)
@@ -116,15 +117,19 @@ def _t_entries(cat: FiniteCategory, m: int) -> tuple:
         entries = tuple((o, e) for o, e in enumerate(fad.object_endos))
         return fad.n_objects, ncols, entries
     comp = cat.compose_table
-    triples = fad.triples
+    n = cat.n_morphisms
+    base = [a for a, _g, _b in fad.triples]
+    bottom = [g for _a, g, _b in fad.triples]
     chains = _chains_cached(fad, m)
     entries = []
     for i, sigma in enumerate(chains):
-        bottom = [triples[t][1] for t in sigma]
-        c = triples[sigma[0]][0]
-        for g in bottom:
+        c, col, weight = base[sigma[0]], 0, n
+        for t in sigma:
+            g = bottom[t]
             c = comp[g][c]
-        entries.append((i, basis_index(cat, tuple(reversed(bottom)), c)))
+            col += g * weight
+            weight *= n
+        entries.append((i, col + c))
     return len(chains), ncols, tuple(entries)
 
 

@@ -10,6 +10,29 @@ restricts to a bijection between the two kernels, and this module certifies
 that bijection by explicit matrices: T and X restricted to the two kernels
 (``matrix.restricted_map``) and their two products.
 
+The characters are ``nerve.simplicial_cocycle_space`` of F^ad, which
+eliminates only the skeleton's ``δ^1`` when F^ad has isomorphic objects
+(the cocycle lemma in ``nerve``).  The derivations are X of the characters
+once three checks hold; ``d_1`` is eliminated only when one fails.
+
+Lemma (derivations through X): suppose
+
+(a) ``verify_two_sided_on_relative(cat, field, 1)``: ``X_rel T_rel = I``
+    and ``T_rel X_rel = I`` in degree 1;
+(b) ``T²_rel`` is injective: it reads only relative columns, and each of
+    them is the sole entry of one of its rows;
+(c) ``T²_rel d_1 = δ^1 T¹_rel`` exactly (the sign ``(−1)^2`` is +1).
+
+Then ``ker d_1 = X¹_rel(ker δ^1)``:
+
+* for a character z, ``T² d_1 X z = δ^1 T X z = δ^1 z = 0``, so
+  ``d_1 X z = 0`` by (b);
+* for a derivation w, ``δ^1 T w = T² d_1 w = 0``, and ``w = X(T w)`` by (a).
+
+So the derivations are the row space of ``char.basis @ T¹_rel``, X applied
+to each character.  Both spaces are canonical RREFs, so they equal the
+eliminated kernels whichever route gave them.
+
 As in ``comparison``, the functions take ``(cat, field)`` and an optional
 ``cap``; the degree is always 1.  ``character_space`` alone takes the
 adjoint category itself, since its kernel lives on any category's nerve.
@@ -24,13 +47,14 @@ from .comparison import (
     CANCELLATIVE,
     DETERMINISTIC,
     t_map_relative_matrix,
+    verify_two_sided_on_relative,
     x_map_relative_matrix,
 )
 from .fields import FieldSpec
-from .hochschild import check_sizes, relative_differential_matrix
+from .hochschild import check_sizes, relative_differential_matrix, relative_sizes
 from .errors import NotChainCompatible
 from .matrix import Matrix, Subspace, restricted_map
-from .nerve import nerve_sizes, simplicial_coboundary_matrix
+from .nerve import nerve_sizes, simplicial_coboundary_matrix, simplicial_cocycle_space
 
 
 def graded_derivation_space(cat: FiniteCategory, field: FieldSpec, cap: int | None = None) -> Subspace:
@@ -48,7 +72,28 @@ def character_space(fad: FiniteCategory, field: FieldSpec, cap: int | None = Non
     Coordinates are indexed by the morphisms of ``fad``; the cap is checked
     on the 1- and 2-chain counts before any chain is listed.
     """
-    return simplicial_coboundary_matrix(fad, field, 1, cap).kernel_basis()
+    return simplicial_cocycle_space(fad, field, 1, cap)
+
+
+def _derivations_through_x(cat: FiniteCategory, field: FieldSpec, char: Subspace,
+                           cap: int | None) -> Subspace | None:
+    """``ker d_1`` as X of the characters ``char``, or None when one of the
+    checks (a)-(c) of the module's lemma fails."""
+    if not verify_two_sided_on_relative(cat, field, 1, cap):
+        return None
+    t1 = t_map_relative_matrix(cat, field, 1, cap)
+    try:
+        t2 = t_map_relative_matrix(cat, field, 2, cap)
+    except NotChainCompatible:
+        return None
+    sole = {c for row in t2.rows.values() if len(row) == 1 for c in row}
+    if len(sole) < t2.ncols:
+        return None
+    d1 = relative_differential_matrix(cat, field, 1, cap)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, 1, cap)
+    if t2 @ d1 != delta @ t1:
+        return None
+    return Subspace.from_matrix(char.basis @ t1)
 
 
 @dataclass(frozen=True)
@@ -62,23 +107,27 @@ class TheoremBReport:
 def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = None) -> TheoremBReport:
     """Certify the bijection between graded derivations and characters.
 
-    Restricts the degree-1 comparison maps T and X to the two solution
-    spaces with ``restricted_map``, which checks that T sends derivations
-    to characters and X characters to derivations, and certifies the two
-    restricted matrices are mutually inverse.  A map that leaves its space
-    gives ``bijection=False``; the T matrix is reported whenever T's check
-    passed, else it is zero.
+    The characters are ``character_space`` of F^ad, and the derivations X of
+    them when the checks of the module's lemma hold, ``graded_derivation_space``
+    otherwise.  Restricts the degree-1 comparison maps T and X to the two
+    solution spaces with ``restricted_map``, which checks that T sends
+    derivations to characters and X characters to derivations, and
+    certifies the two restricted matrices are mutually inverse.  A map that
+    leaves its space gives ``bijection=False``; the T matrix is reported
+    whenever T's check passed, else it is zero.
 
     Before any basis or chain list exists, the numbers of F^ad 1- and
-    2-chains (``nerve_sizes``, as in ``character_space``) and (in
-    ``graded_derivation_space``) the degree-1 and degree-2 relative sizes
-    are checked against the cap.
+    2-chains (``nerve_sizes``), then the degree-1 and degree-2 relative
+    sizes, are checked against the cap.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     fad = adjoint_category(cat)
     check_sizes(nerve_sizes(fad), 2, cap)
-    der = graded_derivation_space(cat, field, cap)
+    check_sizes(relative_sizes(cat), 2, cap)
     char = character_space(fad, field, cap)
+    der = _derivations_through_x(cat, field, char, cap)
+    if der is None:
+        der = graded_derivation_space(cat, field, cap)
 
     m_t = Matrix.zeros(field, char.dim, der.dim)
     bijection = False

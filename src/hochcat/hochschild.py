@@ -36,6 +36,7 @@ differential preserves.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .category import FiniteCategory, memo, require_table
 from .errors import DimensionCapExceeded, NotASubcomplex
@@ -264,15 +265,22 @@ def relative_sizes(cat: FiniteCategory):
     With ``A[x][y] = |Hom(x, y)|`` there are ``(A^m)[x][y]`` composable
     m-chains from x to y, each paired with every morphism of Hom(x, y), so
     the size is ``Σ_{x,y} (A^m)[x][y]·A[x][y]``; in degree 0 it is the
-    number of endomorphisms.
+    number of endomorphisms.  A and its powers are kept by their nonzero
+    entries, so a degree costs a step per pair of composable hom sets.
     """
     yield len(cat.all_endomorphisms)
-    objs = range(cat.n_objects)
-    hom = [[len(cat.hom(x, y)) for y in objs] for x in objs]
+    hom = Counter(zip(cat.source, cat.target))
+    out = [[] for _ in range(cat.n_objects)]   # z -> (y, |Hom(z, y)|)
+    for (z, y), k in hom.items():
+        out[z].append((y, k))
     paths = hom
     while True:
-        yield sum(paths[x][y] * hom[x][y] for x in objs for y in objs)
-        paths = [[sum(row[z] * hom[z][y] for z in objs) for y in objs] for row in paths]
+        yield sum(n * hom[xy] for xy, n in paths.items())
+        nxt = Counter()
+        for (x, z), n in paths.items():
+            for y, k in out[z]:
+                nxt[x, y] += n * k
+        paths = nxt
 
 
 def relative_is_full(cat: FiniteCategory, top: int) -> bool:

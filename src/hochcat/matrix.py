@@ -339,7 +339,7 @@ class Matrix:
             return self._gathered(reads, other.ncols)
         p = self.field.p
         rows_a, den_a = self._integer_rows()
-        rows_b, den_b = other._integer_rows()
+        rows_b, den_b = other._integer_rows(rows_a)
         den = den_a * den_b
         out, fractions = {}, {}  # over Q: one Fraction per distinct numerator
         for i, ra in rows_a.items():
@@ -390,18 +390,24 @@ class Matrix:
                 out[i] = acc
         return Matrix(self.field, self.nrows, ncols, out)
 
-    def _integer_rows(self) -> tuple[dict, int]:
+    def _integer_rows(self, left=None) -> tuple[dict, int]:
         """``(rows, L)``: integer rows with ``self = rows / L``; read, never mutated.
 
         Over GF(p) the scalars are ints already: the rows are ``self.rows``
         and L is 1.  Over Q, L is the common denominator of the scalars, and
-        the rows are built for the product at hand and dropped with it.
+        the rows are built for the product at hand and dropped with it.  For
+        the right factor of ``left @ self`` (``left`` as integer rows) only
+        the rows at ``left``'s columns are read, so only they are built.
         """
         if self.field.is_prime_field:
             return self.rows, 1
-        den = lcm(*{v.denominator for row in self.rows.values() for v in row.values()})
+        rows = self.rows
+        if left is not None:
+            read = {c for row in left.values() for c in row}
+            rows = {r: rows[r] for r in read & rows.keys()}
+        den = lcm(*{v.denominator for row in rows.values() for v in row.values()})
         return {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-                for r, row in self.rows.items()}, den
+                for r, row in rows.items()}, den
 
     def _cleared_rows(self) -> list[dict]:
         """The nonzero rows over Q by row index, each times the LCM of its denominators.

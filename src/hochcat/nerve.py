@@ -45,6 +45,23 @@ every degree it reports, and D's own coboundaries when it fails or a row of
 prism is built.  The lemma needs nothing but D: for a group C and
 D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
 conjugacy class.
+
+Lemma (the cocycles): if r is a functor onto S (``_retraction_is_functor``:
+each ``c_a: a → rep(a)`` has an inverse and ``r(g) = c_b∘g∘c_a⁻¹``) and the
+prism identity holds in degree m, then
+
+    ker δ^m_D = r^*(ker δ^m_S) + im δ^(m−1)_D      (no image term for m = 0):
+
+* if ``δ^m z = 0``, the identity applied to z gives
+  ``z = r^*(i^*z) − δ^(m−1)(P^(m−1) z)``, and ``i^*z`` is a cocycle of S
+  since ``δ_S`` is the restriction of δ;
+* r is a functor onto S, so ``r^*`` is a cochain map and sends cocycles of
+  S to cocycles of D, and ``δ^m δ^(m−1) = 0``.
+
+So ``simplicial_cocycle_space`` is the row space of the rows ``z∘r``, one
+per basis row z of ``ker δ^m_S``, and the rows of ``(δ^(m−1)_D)ᵀ``, one per
+(m−1)-chain; only S's coboundary is eliminated.  For ``F^ad`` of ``s4``
+that is 681 × 43 against D's 13,824 × 576 in degree 1.
 """
 
 from __future__ import annotations
@@ -55,7 +72,7 @@ from itertools import accumulate
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
 from .hochschild import check_degree, check_sizes
-from .matrix import Matrix, VerificationResult, _IntScalars, cohomology_dims
+from .matrix import Matrix, Subspace, VerificationResult, _IntScalars, cohomology_dims
 
 
 @memo
@@ -333,7 +350,65 @@ def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     return VerificationResult.of("prism", m, lhs, rhs)
 
 
+def _retraction_is_functor(cat: FiniteCategory) -> bool:
+    """Whether r is a functor onto the skeleton: each ``c_a`` runs
+    ``a → rep(a)``, a representative, and has an inverse, and
+    ``r(g) = c_b ∘ g ∘ c_a⁻¹`` for every ``g: a → b``.
+
+    Then ``r(g∘f) = c_c g c_b⁻¹ c_b f c_a⁻¹ = r(g)∘r(f)`` by associativity,
+    and ``r(g)`` runs ``rep(a) → rep(b)``, inside the full subcategory S:
+    one inverse per object and two composites per arrow are checked.
+    """
+    rep, c, r = _skeleton(cat)
+    inverse = [_inverse(cat, f) for f in c]
+    if None in inverse or any(cat.target[f] != x or rep[x] != x for f, x in zip(c, rep)):
+        return False
+    compose, source, target = cat.compose, cat.source, cat.target
+    return all(r[g] == compose(c[target[g]], compose(g, inverse[source[g]]))
+               for g in range(cat.n_morphisms))
+
+
+def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> Matrix:
+    """The rows ``z∘r`` of the rows z of ``cochains``, degree-m cochains of the
+    skeleton, in the coordinates of the degree-m chains of ``cat``; r must
+    be a functor onto the skeleton (``_retraction_is_functor``)."""
+    rep, _c, r = _skeleton(cat)
+    position = {d: j for j, d in enumerate(_skeleton_chains(cat, m))}
+    index = _chain_index(cat, m)
+    # chain i of cat -> the position of rσ_i among the skeleton's chains
+    at = [position[rep[chain] if m == 0 else index[tuple(r[g] for g in chain)]]
+          for chain in _chains_cached(cat, m)]
+    rows = {}
+    for k, z in cochains.rows.items():
+        if row := {i: z[j] for i, j in enumerate(at) if j in z}:
+            rows[k] = row
+    return Matrix(cochains.field, cochains.nrows, len(at), rows)
+
+
 # --- cohomology ------------------------------------------------------------------
+
+def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = None) -> Subspace:
+    """The degree-m cocycles of the nerve, ``ker δ^m``, in the coordinates of
+    the degree-m chains.
+
+    The chain counts up to degree m + 1 are checked against the cap first.
+    When the skeleton is smaller than the category, r is a functor onto it
+    and the prism identity holds in degree m, the cocycles are spanned by
+    those of the skeleton pulled back along r and the coboundaries of
+    degree m − 1 (the cocycle lemma); otherwise ``δ^m`` is eliminated.
+    """
+    delta = simplicial_coboundary_matrix(cat, field, m, cap)
+    if (len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
+            and verify_prism_identity(cat, field, m, cap)
+            and (delta_s := _skeleton_coboundary(cat, field, m)) is not None):
+        pulled = _pulled_back(cat, m, delta_s.kernel_basis().basis)
+        if m:   # and the rows of (δ^(m−1))ᵀ below them
+            bounded = simplicial_coboundary_matrix(cat, field, m - 1, cap).transpose()
+            rows = {**pulled.rows, **{pulled.nrows + i: row for i, row in bounded.rows.items()}}
+            pulled = Matrix(field, pulled.nrows + bounded.nrows, delta.ncols, rows)
+        return Subspace.from_matrix(pulled)
+    return delta.kernel_basis()
+
 
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the nerve cohomology in degrees 0..max_m.

@@ -133,18 +133,29 @@ def test_every_import_is_read():
     assert unread == []
 
 
-def test_comparison_reads_no_private_nerve_name_but_its_chains():
-    # the skeleton, its prism and their checks are the nerve's own business:
-    # comparison lists F^ad's chains and ranks it through the public route
+def private_nerve_names_read_by(fname: str) -> list:
+    """The private ``nerve`` functions and classes that module ``fname`` imports or reads."""
     trees = dict(module_trees())
     private = {node.name for node in ast.walk(trees["nerve.py"])
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
-    tree = trees["comparison.py"]
+    tree = trees[fname]
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "nerve"
                 for alias in node.names}
-    assert sorted(private & (imported | names_read(tree))) == ["_chains_cached"]
+    return sorted(private & (imported | names_read(tree)))
+
+
+def test_comparison_reads_no_private_nerve_name_but_its_chains():
+    # the skeleton, its prism and their checks are the nerve's own business:
+    # comparison lists F^ad's chains and ranks it through the public route
+    assert private_nerve_names_read_by("comparison.py") == ["_chains_cached"]
+
+
+def test_derivations_reads_no_private_nerve_name():
+    # the characters come through the public cocycle route, whichever
+    # complex it eliminates
+    assert private_nerve_names_read_by("derivations.py") == []
 
 
 # --- degrees ---------------------------------------------------------------------
@@ -172,6 +183,7 @@ def _degree_calls() -> dict:
         nerve_chains=lambda m: hochcat.nerve_chains(cat, m),
         simplicial_coboundary_matrix=lambda m: hochcat.simplicial_coboundary_matrix(fad, field, m),
         simplicial_cohomology_dims=lambda m: hochcat.simplicial_cohomology_dims(fad, field, m),
+        simplicial_cocycle_space=lambda m: hochcat.simplicial_cocycle_space(fad, field, m),
         verify_prism_identity=lambda m: hochcat.verify_prism_identity(fad, field, m),
         relative_differential_matrix=lambda m: relative_differential_matrix(cat, field, m),
         t_map_relative_matrix=lambda m: t_map_relative_matrix(cat, field, m),

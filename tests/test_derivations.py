@@ -1,20 +1,37 @@
+import itertools
+
 import pytest
 
 from hochcat import (
     adjoint_category,
+    builtin,
     derivations,
     character_space,
     graded_derivation_space,
+    group_from_table,
     hochschild_differential_matrix,
+    nerve,
+    simplicial_coboundary_matrix,
     theorem_b_report,
 )
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
-from hochcat.hochschild import basis_index, relative_basis
-from hochcat.matrix import Matrix, Subspace
+from hochcat.hochschild import (
+    _relative_basis_cached,
+    basis_index,
+    relative_basis,
+    relative_differential_matrix,
+    relative_sizes,
+)
+from hochcat.matrix import Matrix, Subspace, VerificationResult
+from hochcat.nerve import _chains_cached, nerve_sizes
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, QQ
+from .catalog import (
+    A2, C2, D4, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, symmetric_group_table,
+)
 from .test_category import collapse, z_monoid
+from .test_comparison import BREAKAGES, fresh, refuse_eliminating
+from .test_hochschild import count_builds
 
 
 # --- derivations ------------------------------------------------------------------
@@ -204,3 +221,153 @@ def test_theorem_b_rejects_a_perturbed_x_that_leaves_the_derivations(monkeypatch
     rep = theorem_b_report(C2, GF2)
     assert rep.bijection is False
     assert rep.restricted_matrix == honest.restricted_matrix
+
+
+# --- the routes: characters through the skeleton, derivations as X of them ----------
+
+ROUTED = {**FIXTURES, "d4": D4, "s3+c2": S3_PLUS_C2}
+SKELETAL = ("s3", "d4", "s3+c2")   # F^ad has isomorphism classes of several objects
+
+
+def spy_eliminations(monkeypatch) -> list:
+    """The matrices ``Matrix.rref`` is called on (kernels go through it), in order."""
+    calls = []
+    honest = Matrix.rref
+
+    def spied(self, *args, **kwargs):
+        calls.append(self)
+        return honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "rref", spied)
+    return calls
+
+
+def eliminated(calls, matrix) -> bool:
+    return any(m is matrix for m in calls)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_characters_are_the_kernel_of_delta_one(name, field):
+    fad = adjoint_category(ROUTED[name])
+    assert character_space(fad, field) == \
+        simplicial_coboundary_matrix(fad, field, 1).kernel_basis()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_derivations_through_x_are_the_kernel_of_d_one(name, field):
+    # every fixture passes the three checks, and X of the characters is
+    # the eliminated ker d_1, basis for basis
+    cat = ROUTED[name]
+    char = character_space(adjoint_category(cat), field)
+    der = derivations._derivations_through_x(cat, field, char, None)
+    assert der == graded_derivation_space(cat, field)
+    rep = theorem_b_report(cat, field)
+    assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (der.dim, char.dim, True)
+
+
+@pytest.mark.parametrize("name", SKELETAL)
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_theorem_b_eliminates_no_degree_two_system(monkeypatch, name, field):
+    # the characters come from the skeleton's δ^1 and the derivations from
+    # X, so neither d_1 nor F^ad's δ^1 is eliminated (memoized: the report
+    # reads these very matrices)
+    cat = ROUTED[name]
+    fad = adjoint_category(cat)
+    expected = oracles.naive_graded_derivation_dim(cat, field.p)
+    refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, field, 1),
+                                     simplicial_coboundary_matrix(fad, field, 1)])
+    rep = theorem_b_report(cat, field)
+    assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (expected, expected, True)
+
+
+@pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+@pytest.mark.parametrize("name", ("s3", "d4"))
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_a_broken_skeleton_eliminates_the_characters(monkeypatch, breakage, name, field):
+    # fresh groups, so no broken prism outlives the test in a memo
+    expected = character_space(adjoint_category(fresh(name)), field)
+    honest = nerve._skeleton
+    monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
+    fad = adjoint_category(fresh(name))
+    calls = spy_eliminations(monkeypatch)
+    assert character_space(fad, field) == expected
+    assert eliminated(calls, simplicial_coboundary_matrix(fad, field, 1))
+
+
+def moved_read(t, _d1):
+    """T with the read of its first row moved to the next column."""
+    rows = dict(t.rows)
+    ((c, v),) = rows[0].items()
+    rows[0] = {(c + 1) % t.ncols: v}
+    return Matrix(t.field, t.nrows, t.ncols, rows)
+
+
+def swapped_reads(t, d1):
+    """T with the reads of row 0 and of the first row whose column's row of
+    ``d1`` differs swapped: every column is still read once."""
+    def d1_row(r):
+        (c,) = t.rows[r]
+        return d1.rows.get(c)
+    other = next(r for r in sorted(t.rows) if d1_row(r) != d1_row(0))
+    rows = dict(t.rows)
+    rows[0], rows[other] = rows[other], rows[0]
+    return Matrix(t.field, t.nrows, t.ncols, rows)
+
+
+def refused_check(*_args):
+    return VerificationResult("two_sided_relative", 1, False, (0, 0, "perturbed", None))
+
+
+@pytest.mark.parametrize("name", ("a2", "s3", "s3+c2"))
+@pytest.mark.parametrize("perturbation", ("moved", "swapped", "two_sided"))
+def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturbation):
+    # moving a read of T² leaves a column unread (check b), swapping two
+    # breaks T²d_1 = δ^1T¹ (check c), and a failed two-sided check is (a):
+    # each falls back to ker d_1, and the report is the same
+    cat = ROUTED[name]
+    honest = theorem_b_report(cat, GF3)
+    if perturbation == "two_sided":
+        monkeypatch.setattr(derivations, "verify_two_sided_on_relative", refused_check)
+    else:
+        perturb = moved_read if perturbation == "moved" else swapped_reads
+        t_rel = derivations.t_map_relative_matrix
+
+        def perturbed(cat, field, m, cap=None):
+            t = t_rel(cat, field, m, cap)
+            return perturb(t, relative_differential_matrix(cat, field, 1)) if m == 2 else t
+
+        monkeypatch.setattr(derivations, "t_map_relative_matrix", perturbed)
+    char = character_space(adjoint_category(cat), GF3)
+    assert derivations._derivations_through_x(cat, GF3, char, None) is None
+    calls = spy_eliminations(monkeypatch)
+    assert theorem_b_report(cat, GF3) == honest
+    assert eliminated(calls, relative_differential_matrix(cat, GF3, 1))
+
+
+def fresh_fixture(name):
+    """A catalog fixture built anew, so no memo has listed its chains or bases."""
+    return group_from_table(symmetric_group_table(3)) if name == "s3" else builtin(name)
+
+
+def refusal(call):
+    with pytest.raises(DimensionCapExceeded) as refused:
+        call()
+    return refused.value.degree, refused.value.required
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_theorem_b_refuses_in_the_order_of_the_eliminating_report(monkeypatch, name):
+    # the eliminating report checked F^ad's 1- and 2-chain counts, then
+    # d_1's degree-1 and degree-2 relative sizes: at one below each of them
+    # the refusal names the first size over the cap, and nothing is listed
+    cat = fresh_fixture(name)
+    order = [*zip((1, 2), itertools.islice(nerve_sizes(adjoint_category(cat)), 1, 3)),
+             *zip((1, 2), itertools.islice(relative_sizes(cat), 1, 3))]
+    chains = count_builds(monkeypatch, _chains_cached)
+    bases = count_builds(monkeypatch, _relative_basis_cached)
+    for cap in sorted({size - 1 for _m, size in order}):
+        first = next((m, size) for m, size in order if size > cap)
+        assert refusal(lambda: theorem_b_report(cat, GF2, cap)) == first, cap
+    assert not chains and not bases

@@ -1,15 +1,14 @@
 """Golden digests of the JSON reports: any byte change in them fails here.
 
 Every catalog fixture is written to ``<name>.cat`` and run through the CLI
-as ``compare`` (``--max-degree 2``) over GF(2), GF(3) and Q, as
-``derivations`` over GF(2) and Q, as ``cohomology`` (``--theory both
---max-degree 2``) over GF(2) and Q, and as ``fad``; the surjection-tier
-``parallel_arrows``, the dihedral group ``d4`` and the two-object
-``s3+c2`` (outside ``FIXTURES``) run as ``compare`` over the same three
-fields.  The
-sha256 of stdout and the exit code of each run are pinned in
-``golden_digests.json``.  After a change that is meant to alter a report,
-rewrite the file with
+as ``compare`` (``--max-degree 2``) and ``derivations`` over GF(2), GF(3)
+and Q, as ``cohomology`` (``--theory both --max-degree 2``) over GF(2) and
+Q, and as ``fad``; the surjection-tier ``parallel_arrows``, the dihedral
+group ``d4`` and the two-object ``s3+c2`` (outside ``FIXTURES``) run as
+``compare`` over the same three fields, and the last two as
+``derivations`` too.  The sha256 of stdout and the exit code of each run
+are pinned in ``golden_digests.json``.  After a change that is meant to
+alter a report, rewrite the file with
 
     PYTHONPATH=src python -m tests.test_golden
 
@@ -41,6 +40,9 @@ RUNS = (tuple((verb, name, field)
         + tuple(("compare", name, "gf:3") for name in FIXTURES)
         + tuple(("compare", name, field)
                 for name in ("parallel_arrows", "d4", "s3+c2") for field in ("gf:2", "gf:3", "q"))
+        + tuple(("derivations", name, "gf:3") for name in FIXTURES)
+        + tuple(("derivations", name, field)
+                for name in ("d4", "s3+c2") for field in ("gf:2", "gf:3", "q"))
         + tuple(("fad", name, None) for name in FIXTURES))
 
 

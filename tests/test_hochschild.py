@@ -33,7 +33,7 @@ from hochcat.matrix import Matrix
 from hochcat.nerve import _coboundary, nerve_chains, simplicial_coboundary_matrix
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, TRIV
+from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3_PLUS_C2, TRIV
 
 
 def count_builds(monkeypatch, memoized) -> Counter:
@@ -322,8 +322,8 @@ def test_relative_basis_sizes():
     assert len(relative_basis(A2, 2)) == 4
     assert len(relative_basis(C2, 1)) == 4
     assert len(relative_basis(TRIV, 5)) == 1
-    for name in ("a2", "c2", "ex6", "diamond", "chain:3"):
-        cat = FIXTURES[name]
+    for name in ("a2", "c2", "ex6", "diamond", "chain:3", "s3+c2"):
+        cat = S3_PLUS_C2 if name == "s3+c2" else FIXTURES[name]
         sizes = relative_sizes(cat)
         assert [next(sizes) for _ in range(4)] == \
             [len(relative_basis(cat, m)) for m in range(4)], name

@@ -804,6 +804,24 @@ def test_q_products_never_change_their_factors(n, k, data):
     assert ({r: dict(row) for r, row in rows.items()}, den, A.rows) == before
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=4), st.data())
+def test_q_product_builds_only_the_right_rows_it_reads(n, k, m, data):
+    # a left factor with empty columns: the right factor's rows there, with
+    # denominators of their own, are never made integer, and the product
+    # is the Fraction one
+    read = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    a = [[data.draw(_fractions) if c in read else Fraction(0) for c in range(k)]
+         for _ in range(n)]
+    b = [[data.draw(_fractions) for _ in range(m)] for _ in range(k)]
+    A, B = Matrix.from_rows(QQ, a, k), Matrix.from_rows(QQ, b, m)
+    rows, den = B._integer_rows(A._integer_rows()[0])
+    assert rows.keys() <= read
+    assert all(Fraction(v, den) == B.rows[r][c] for r, row in rows.items() for c, v in row.items())
+    assert A @ B == Matrix.from_rows(QQ, dense_product(a, b, m), m)
+
+
 def _reading(field, rng, nrows, ncols):
     """A matrix whose nonzero rows are each one 1, columns drawn with repeats."""
     rows = {r: {rng.randrange(ncols): field.one} for r in range(nrows) if rng.random() < 0.8}

@@ -9,16 +9,18 @@ from hochcat import (
     face,
     nerve_chains,
     simplicial_coboundary_matrix,
+    simplicial_cocycle_space,
     simplicial_cohomology_dims,
 )
+from hochcat import nerve
 from hochcat.errors import DimensionCapExceeded
-from hochcat.matrix import cohomology_dims
+from hochcat.matrix import VerificationResult, cohomology_dims
 from hochcat.nerve import _chains_cached, _coboundary, _prism, _skeleton, nerve_sizes
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV
+from .catalog import A2, C2, D4, EX6, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV
 from .test_category import z_monoid
-from .test_comparison import refuse_eliminating, spy_nerve_eliminations
+from .test_comparison import BREAKAGES, fresh, refuse_eliminating, spy_nerve_eliminations
 from .test_hochschild import count_builds
 
 
@@ -248,3 +250,56 @@ def test_a_whole_skeleton_builds_no_prism(monkeypatch, name):
     assert simplicial_cohomology_dims(fad, GF3, 2) == oracles.naive_simplicial_dims(fad, 3, 2)
     assert ranked == [[_coboundary(fad, GF3, m) for m in range(3)]]
     assert not builds
+
+
+# --- cocycles through the skeleton --------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["d4", "s3+c2"])
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_cocycles_are_the_kernel_of_delta(name, field):
+    # degrees 0..2 of every fixture's F^ad while the (m+1)-chains number at
+    # most 5000: the same canonical RREF as the eliminated kernel
+    cat = {"d4": D4, "s3+c2": S3_PLUS_C2}.get(name) or FIXTURES[name]
+    fad = adjoint_category(cat)
+    counts = list(itertools.islice(nerve_sizes(fad), 4))
+    for m in range(3):
+        if counts[m + 1] > 5000:
+            break
+        want = simplicial_coboundary_matrix(fad, field, m).kernel_basis()
+        assert simplicial_cocycle_space(fad, field, m) == want, m
+
+
+@pytest.mark.parametrize("name", ("s3", "d4", "s3+c2"))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_cocycles_eliminate_only_the_skeleton(monkeypatch, name, field):
+    # isomorphism classes of several objects: F^ad's own δ^m is never
+    # eliminated (memoized, so the route reads these very matrices)
+    cat = {"s3": FIXTURES["s3"], "d4": D4, "s3+c2": S3_PLUS_C2}[name]
+    fad = adjoint_category(cat)
+    own = [simplicial_coboundary_matrix(fad, field, m) for m in range(2)]
+    expected = [delta.kernel_basis() for delta in own]
+    refuse_eliminating(monkeypatch, own)
+    assert [simplicial_cocycle_space(fad, field, m) for m in range(2)] == expected
+
+
+@pytest.mark.parametrize("name", ("chain:3", "diamond", "ex6", "cn:4"))
+def test_whole_skeleton_cocycles_build_no_prism(monkeypatch, name):
+    fad = adjoint_category(builtin(name))
+    builds = count_builds(monkeypatch, _prism)
+    assert simplicial_cocycle_space(fad, GF3, 1) == \
+        simplicial_coboundary_matrix(fad, GF3, 1).kernel_basis()
+    assert not builds
+
+
+@pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+def test_a_retraction_that_is_no_functor_falls_back_past_a_passing_prism(monkeypatch, breakage):
+    # the prism check is made to pass, so only the functor check stands
+    # between a broken skeleton and the pulled-back cocycles
+    expected = simplicial_cocycle_space(adjoint_category(fresh("d4")), GF3, 1)
+    honest = nerve._skeleton
+    monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
+    monkeypatch.setattr(nerve, "verify_prism_identity",
+                        lambda fad, field, m, cap=None: VerificationResult("prism", m, True))
+    fad = adjoint_category(fresh("d4"))
+    assert not nerve._retraction_is_functor(fad)
+    assert simplicial_cocycle_space(fad, GF3, 1) == expected
