@@ -19,8 +19,8 @@ Lemma (derivations through X): suppose
 
 (a) ``verify_two_sided_on_relative(cat, field, 1)``: ``X_rel T_rel = I``
     and ``T_rel X_rel = I`` in degree 1;
-(b) ``T²_rel`` is injective: it reads only relative columns, and each of
-    them is the sole entry of one of its rows;
+(b) ``T²_rel`` is injective: it reads only relative columns, and every
+    one of them is read by some chain, so the sole entry of its row;
 (c) ``T²_rel d_1 = δ^1 T¹_rel`` exactly (the sign ``(−1)^2`` is +1).
 
 Then ``ker d_1 = X¹_rel(ker δ^1)``:
@@ -30,8 +30,11 @@ Then ``ker d_1 = X¹_rel(ker δ^1)``:
 * for a derivation w, ``δ^1 T w = T² d_1 w = 0``, and ``w = X(T w)`` by (a).
 
 So the derivations are the row space of ``char.basis @ T¹_rel``, X applied
-to each character.  Both spaces are canonical RREFs, so they equal the
-eliminated kernels whichever route gave them.
+to each character.  T is read as its index array (``matrix.Reading``), so
+(b) is a set fact about its reads, and the products of (c) and of the
+characters move rows and columns without multiplying.  Both spaces are
+canonical RREFs, so they equal the eliminated kernels whichever route gave
+them.
 
 As in ``comparison``, the functions take ``(cat, field)`` and an optional
 ``cap``; the degree is always 1.  ``character_space`` alone takes the
@@ -46,6 +49,7 @@ from .category import FiniteCategory, adjoint_category, require_predicates
 from .comparison import (
     CANCELLATIVE,
     DETERMINISTIC,
+    _relative_reading,
     t_map_relative_matrix,
     verify_two_sided_on_relative,
     x_map_relative_matrix,
@@ -81,13 +85,12 @@ def _derivations_through_x(cat: FiniteCategory, field: FieldSpec, char: Subspace
     checks (a)-(c) of the module's lemma fails."""
     if not verify_two_sided_on_relative(cat, field, 1, cap):
         return None
-    t1 = t_map_relative_matrix(cat, field, 1, cap)
+    t1 = _relative_reading(cat, 1, cap)
     try:
-        t2 = t_map_relative_matrix(cat, field, 2, cap)
+        t2 = _relative_reading(cat, 2, cap)
     except NotChainCompatible:
         return None
-    sole = {c for row in t2.rows.values() if len(row) == 1 for c in row}
-    if len(sole) < t2.ncols:
+    if len(set(t2.cols)) < t2.ncols:   # a relative column no chain reads
         return None
     d1 = relative_differential_matrix(cat, field, 1, cap)
     delta = simplicial_coboundary_matrix(adjoint_category(cat), field, 1, cap)

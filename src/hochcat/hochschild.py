@@ -296,8 +296,10 @@ def relative_is_full(cat: FiniteCategory, top: int) -> bool:
     return all(rel == full for rel, full in itertools.islice(sizes, top + 1))
 
 
+@memo
 def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
-    """Full Hochschild basis index -> relative basis index, in degree m."""
+    """Full Hochschild basis index -> relative basis index, in degree m,
+    built once for as long as ``cat`` lives."""
     return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_relative_basis_cached(cat, m))}
 
 

@@ -73,6 +73,12 @@ than one object, which reads only the dimension (the ``comparison``
 docstring says why that walk stays).  ``restricted_map`` writes a map
 between two subspaces in their bases, for Theorem B.
 
+A ``Reading`` is a matrix with a single 1 in each row, such as the
+comparison map T, held as the index array of the columns its rows read.
+Its products with a ``Matrix``, and those of its transpose, move rows or
+columns instead of multiplying; ``Matrix.__matmul__`` never looks for
+that shape in a matrix of row dicts.
+
 A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
 and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
 containment and coordinates all come from one sparse step, clearing a
@@ -86,7 +92,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 from math import isqrt, lcm
+from operator import lt
 
 from .errors import NotASubspace, NotChainCompatible
 from .fields import QQ, FieldSpec
@@ -107,24 +116,6 @@ class _IntScalars(dict):
         v = self.field.scalar(n)
         v = self[n] = v if v != 0 else None
         return v
-
-
-def _unit_columns(rows: dict) -> dict | None:
-    """row -> column when every nonzero row is a single entry 1, else None.
-
-    Such a matrix reads one coordinate per row, as T does (and X = Tᵀ when
-    T is a bijection), so a product with it moves rows or columns instead
-    of multiplying.  The scan stops at the first other row.
-    """
-    reads = {}
-    for r, row in rows.items():
-        if len(row) != 1:
-            return None
-        ((c, v),) = row.items()
-        if v != 1:
-            return None
-        reads[r] = c
-    return reads
 
 
 @dataclass(frozen=True)
@@ -324,19 +315,12 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented   # a Reading on the right moves columns
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        reads = _unit_columns(self.rows)
-        if reads is not None:
-            # each row of self reads one row of other: share it
-            rows_b = other.rows
-            out = {i: rows_b[c] for i, c in reads.items() if c in rows_b}
-            return Matrix(self.field, self.nrows, other.ncols, out)
-        reads = _unit_columns(other.rows)
-        if reads is not None:
-            return self._gathered(reads, other.ncols)
         p = self.field.p
         rows_a, den_a = self._integer_rows()
         rows_b, den_b = other._integer_rows(rows_a)
@@ -365,30 +349,6 @@ class Matrix:
             if row:
                 out[i] = row
         return Matrix(self.field, self.nrows, other.ncols, out)
-
-    def _gathered(self, reads: dict, ncols: int) -> "Matrix":
-        """``self @ R`` for R whose row k is one 1 in column ``reads[k]``.
-
-        Entry (i, j) sums the entries of row i in the columns k that R sends
-        to j; with no two such columns it is a copy, so nothing is multiplied.
-        """
-        add = self.field.add
-        out = {}
-        for i, row in self.rows.items():
-            acc, summed = {}, False
-            for k, v in row.items():
-                j = reads.get(k)
-                if j is None:
-                    continue
-                if j in acc:
-                    acc[j], summed = add(acc[j], v), True
-                else:
-                    acc[j] = v
-            if summed:
-                acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return Matrix(self.field, self.nrows, ncols, out)
 
     def _integer_rows(self, left=None) -> tuple[dict, int]:
         """``(rows, L)``: integer rows with ``self = rows / L``; read, never mutated.
@@ -895,6 +855,100 @@ def _verified(rows, pivots, num, den):
     """
     pivot_rows, sub = dict(zip(pivots, num)), _scalar_hooks(QQ)[2]
     return not any(_residue(v, pivot_rows, sub, den) for v in rows)
+
+
+# --- readings ------------------------------------------------------------------
+
+class Reading:
+    """A matrix whose row i is a single 1, in column ``cols[i]``, held as
+    that index array (an ``array('l')`` or any sequence of ints), or the
+    transpose of one (``R.T``).  Its products with a ``Matrix`` A move
+    entries instead of multiplying:
+
+    * ``R @ A`` puts row ``cols[i]`` of A in row i, sharing it;
+    * ``A @ R`` renames column k of A to ``cols[k]``, adding the entries
+      of a row that land on one column;
+    * ``A @ R.T`` copies column j of A to each column k with ``cols[k] = j``.
+
+    Whether R is injective or onto is a fact about ``cols`` alone, so
+    ``R @ R.T = I`` and ``R.T @ R = I`` are decided without a product.
+    """
+
+    __slots__ = ("cols", "width", "transposed")
+
+    def __init__(self, cols, width: int, transposed: bool = False):
+        self.cols = cols          # row i of the untransposed matrix reads column cols[i]
+        self.width = width        # the number of columns of the untransposed matrix
+        self.transposed = transposed
+
+    @property
+    def nrows(self) -> int:
+        return self.width if self.transposed else len(self.cols)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.cols) if self.transposed else self.width
+
+    @property
+    def T(self) -> "Reading":
+        return Reading(self.cols, self.width, not self.transposed)
+
+    def injective(self) -> bool:
+        """No two rows of the untransposed matrix read one column: ``R @ R.T = I``."""
+        return len(set(self.cols)) == len(self.cols)
+
+    def bijective(self) -> bool:
+        """Every column is read by exactly one row: ``R.T @ R = I`` as well."""
+        return len(self.cols) == self.width and self.injective()
+
+    def matrix(self, field: FieldSpec) -> Matrix:
+        """The matrix itself, one 1 per row (per column when transposed)."""
+        one = field.one
+        if self.transposed:
+            rows: dict = {}
+            for k, j in enumerate(self.cols):
+                rows.setdefault(j, {})[k] = one
+        else:
+            rows = {i: {j: one} for i, j in enumerate(self.cols)}
+        return Matrix(field, self.nrows, self.ncols, rows)
+
+    def __matmul__(self, a: Matrix) -> Matrix:
+        if self.transposed or not isinstance(a, Matrix):
+            return NotImplemented
+        if self.ncols != a.nrows:
+            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {a.nrows}x{a.ncols}")
+        picked = list(map(a.rows.get, self.cols))
+        return Matrix(a.field, self.nrows, a.ncols, dict(compress(enumerate(picked), picked)))
+
+    def __rmatmul__(self, a: Matrix) -> Matrix:
+        if not isinstance(a, Matrix):
+            return NotImplemented
+        if a.ncols != self.nrows:
+            raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {self.nrows}x{self.ncols}")
+        cols, rows = self.cols, a.rows
+        if self.transposed:       # column j of A -> the columns k with cols[k] = j
+            readers: dict = {}
+            for k, j in enumerate(cols):
+                readers.setdefault(j, []).append(k)
+            read_cols = readers.keys()
+            out = {i: {k: v for j, v in row.items() for k in readers.get(j, ())}
+                   for i, row in rows.items() if not read_cols.isdisjoint(row)}
+            return Matrix(a.field, a.nrows, self.ncols, out)
+        read = partial(map, cols.__getitem__)
+        out = dict(zip(rows, map(dict, map(zip, map(read, rows.values()),
+                                           map(dict.values, rows.values())))))
+        # a row that read one column twice: add its entries there
+        add = a.field.add
+        for i in list(compress(rows, map(lt, map(len, out.values()), map(len, rows.values())))):
+            acc: dict = {}
+            for k, v in rows[i].items():
+                j = cols[k]
+                acc[j] = add(acc[j], v) if j in acc else v
+            if row := {j: v for j, v in acc.items() if v}:
+                out[i] = row
+            else:
+                del out[i]
+        return Matrix(a.field, a.nrows, self.ncols, out)
 
 
 # --- subspaces ---------------------------------------------------------------

@@ -6,10 +6,25 @@ the objects.  Degenerate chains (those containing identities) are kept: the
 nerve is the full simplicial set, cohomology is unaffected, and keeping them
 makes the index bijections with Hochschild data exact.
 
+Chains are addressed by index arithmetic, never by tuple.  Degree-1
+chains are numbered by morphism, and the degree-(m+1) chains list the
+extensions of the degree-m chains in order, each by the morphisms out of
+its end in ``morphisms_by_source`` order; that is the lexicographic order
+``nerve_chains`` lists.  So two arrays per degree address every chain
+(``_layer``): ``last[i]``, the last morphism of chain i, and ``start[i]``,
+the number of its first extension, so that ``(g_0..g_k)`` is chain
+``start[(g_0..g_(k−1))] + pos(g_k)`` with ``pos(g)`` the place of g among
+the morphisms out of its source.  Everything built on the nerve is an
+array of such numbers, climbed from the degree below: each face of a
+chain, each prism term and each retracted chain is the same thing for its
+prefix, extended by one morphism.  ``nerve_chains`` and ``face`` list the
+tuples, for a reader and for the test oracles; no route here reads them.
+
 The coboundary of a scalar cochain f is
-``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built row by row,
-one row per (m+1)-chain, straight into the row dicts of a ``Matrix``, and
-memoized on the category per field and degree.
+``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built from the
+face arrays of the (m+1)-chains (``_faces``), one row per chain, straight
+into the row dicts of a ``Matrix``, and memoized on the category per field
+and degree.
 
 A skeleton S of a category D is the full subcategory on one object per
 isomorphism class; here the least one, ``rep(a)``.  ``_skeleton`` picks an
@@ -66,8 +81,9 @@ that is 681 × 43 against D's 13,824 × 576 in degree 1.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, repeat
 
 from .category import FiniteCategory, memo
 from .fields import FieldSpec
@@ -112,11 +128,6 @@ def nerve_chains(cat: FiniteCategory, m: int) -> list:
     return list(_chains_cached(cat, m))
 
 
-@memo
-def _chain_index(cat: FiniteCategory, m: int) -> dict:
-    return {c: i for i, c in enumerate(_chains_cached(cat, m))}
-
-
 def face(cat: FiniteCategory, chain, i: int):
     """i-th face of a degree-m chain, 0 <= i <= m, for m >= 1.
 
@@ -137,45 +148,119 @@ def face(cat: FiniteCategory, chain, i: int):
     return chain[: i - 1] + (glued,) + chain[i + 1:]
 
 
+# --- chains by prefix offsets ----------------------------------------------------
+
+@memo
+def _positions(cat: FiniteCategory) -> array:
+    """Per morphism g, its place in ``morphisms_by_source[source g]``: the
+    offset of the extension by g among the extensions of a chain."""
+    pos = array("l", [0]) * cat.n_morphisms
+    for outs in cat.morphisms_by_source:
+        for j, g in enumerate(outs):
+            pos[g] = j
+    return pos
+
+
+@memo
+def _layer(cat: FiniteCategory, m: int) -> tuple:
+    """``(last, start)`` for the degree-m chains, m >= 1: ``last[i]`` is the
+    last morphism of chain i, and its extensions are the degree-(m+1)
+    chains ``start[i] .. start[i+1] − 1``, in ``morphisms_by_source`` order.
+
+    Degree 1 is numbered by morphism, and degree m + 1 lists the
+    extensions of degree m's chains in order, so these arrays address
+    every chain: ``(g_0..g_k)`` is ``start[(g_0..g_(k−1))] + pos(g_k)``.
+    """
+    outs, target = cat.morphisms_by_source, cat.target
+    if m == 1:
+        last = array("l", range(cat.n_morphisms))
+    else:
+        below = _layer(cat, m - 1)[0]
+        last = array("l", chain.from_iterable(map(outs.__getitem__, map(target.__getitem__, below))))
+    ends = map(outs.__getitem__, map(target.__getitem__, last))
+    return last, array("l", accumulate(map(len, ends), initial=0))
+
+
+def _blocks(cat: FiniteCategory, m: int):
+    """Yield ``(p, first, x)`` for the degree-m chains, m >= 2, grouped by
+    prefix: p is a degree-(m−1) chain ending at x, and its extensions by
+    ``morphisms_by_source[x]`` are the chains from ``first`` on."""
+    last, start = _layer(cat, m - 1)
+    return zip(count(), start, map(cat.target.__getitem__, last))
+
+
+def _faces(cat: FiniteCategory, m: int) -> list:
+    """Per i in 0..m, the array of ``face(σ, i)`` over the degree-m chains σ,
+    m >= 1, as indices of degree m − 1 (objects for m = 1).
+
+    For σ the extension of p by g, a face that keeps g is the same face of
+    p extended by g, so over p's extensions it runs through consecutive
+    chains; the inner face that glues g to p's last arrow h is p's last
+    face extended by g∘h; the last face is p.  Each degree is built from
+    the one below, and only the top one is kept.
+    """
+    if m == 1:
+        return [array("l", cat.target), array("l", cat.source)]
+    compose = cat.compose
+    pos = _positions(cat)
+    # degree 2: σ = (h, g) has faces g, g∘h and h
+    faces = [array("l"), array("l"), array("l")]
+    by_source = cat.morphisms_by_source
+    for h, _first, x in _blocks(cat, 2):
+        outs = by_source[x]
+        faces[0].extend(outs)
+        faces[1].extend(compose(g, h) for g in outs)
+        faces[2].extend(repeat(h, len(outs)))
+    glued = array("l", map(pos.__getitem__, faces[1]))   # 2-chain -> place of its composite
+    starts_1 = _layer(cat, 1)[1]
+    for k in range(2, m):   # degree k -> k + 1
+        below, last, starts = faces, _layer(cat, k)[0], _layer(cat, k - 1)[1]
+        faces = [array("l") for _ in range(k + 2)]
+        for p, _first, x in _blocks(cat, k + 1):
+            size = len(by_source[x])
+            for i in range(k):
+                s = starts[below[i][p]]
+                faces[i].extend(range(s, s + size))
+            s, h = starts[below[k][p]], starts_1[last[p]]
+            faces[k].extend(map(s.__add__, glued[h:h + size]))
+            faces[k + 1].extend(repeat(p, size))
+    return faces
+
+
+def _signed_rows(field: FieldSpec, terms: list) -> dict:
+    """``{i: Σ_j (−1)^j e[terms[j][i]]}`` over the nonzero rows.
+
+    Rows whose terms are distinct are built in one pass; where terms
+    coincide (a degenerate chain), their signs are summed over Z before
+    they are reduced into the field.
+    """
+    scalars = _IntScalars(field)
+    signs = [(-1) ** j for j in range(len(terms))]
+    signed = [scalars[s] for s in signs]
+    rows = dict(enumerate(map(dict, map(zip, zip(*terms), repeat(signed)))))
+    width = len(terms)
+    for i in list(compress(count(), map(width.__gt__, map(len, rows.values())))):
+        acc: dict = {}
+        for j, s in enumerate(signs):
+            c = terms[j][i]
+            acc[c] = acc.get(c, 0) + s
+        if row := {c: v for c, s in acc.items() if (v := scalars[s]) is not None}:
+            rows[i] = row
+        else:
+            del rows[i]
+    return rows
+
+
+def _chain_count(cat: FiniteCategory, m: int) -> int:
+    return cat.n_objects if m == 0 else len(_layer(cat, m)[0])
+
+
 @memo
 def _coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """The degree-m coboundary, built one row per (m+1)-chain.
-
-    A row's faces (``face``, written out) are looked up in the degree-m
-    chain index.  Faces of a degenerate chain can coincide; only then are
-    their signs summed over Z before they are reduced into the field.
-    Each composite of an inner face is computed once per build.
-    """
-    col_index = _chain_index(cat, m)
-    chains = _chains_cached(cat, m + 1)
-    scalars = _IntScalars(field)
-    signs = [(-1) ** i for i in range(m + 2)]
-    signed = [scalars[s] for s in signs]
-    n, compose, source, target = cat.n_morphisms, cat.compose, cat.source, cat.target
-    glued: dict = {}   # g·n + f -> g∘f
-    rows = {}
-    for r, chain in enumerate(chains):
-        if m == 0:   # a 1-chain's faces are objects, which index themselves
-            cols = [target[chain[0]], source[chain[0]]]
-        else:
-            cols = [col_index[chain[1:]]]
-            for i in range(1, m + 1):
-                f, g = chain[i - 1], chain[i]
-                gf = glued.get(g * n + f)
-                if gf is None:
-                    gf = glued[g * n + f] = compose(g, f)
-                cols.append(col_index[chain[: i - 1] + (gf,) + chain[i + 1:]])
-            cols.append(col_index[chain[:-1]])
-        row = dict(zip(cols, signed))
-        if len(row) < m + 2:
-            acc: dict = {}
-            for c, s in zip(cols, signs):
-                acc[c] = acc.get(c, 0) + s
-            row = {c: v for c, s in acc.items() if (v := scalars[s]) is not None}
-            if not row:
-                continue
-        rows[r] = row
-    return Matrix(field, len(chains), len(col_index), rows)
+    """The degree-m coboundary: row σ, a degree-(m+1) chain, is
+    ``Σ_i (−1)^i e[face(σ, i)]``, its faces read off ``_faces``."""
+    faces = _faces(cat, m + 1)
+    return Matrix(field, len(faces[0]), _chain_count(cat, m), _signed_rows(field, faces))
 
 
 def simplicial_coboundary_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
@@ -232,12 +317,11 @@ def _skeleton(cat: FiniteCategory) -> tuple:
 
 @memo
 def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
-    """Indices in ``_chains_cached(cat, m)``, ascending, of the chains of the skeleton.
+    """Indices of the degree-m chains of the skeleton, ascending.
 
     A chain is the skeleton's when its objects are all representatives.
-    Chains of degree k + 1 are listed grouped by their degree-k prefix, so
-    the extensions of chain i start where those of the chains before it
-    end; those offsets place each extension without listing degree k + 1.
+    The extensions of chain i start at its offset (``_layer``), so each
+    extension is placed without listing degree k + 1.
     """
     rep = _skeleton(cat)[0]
     if m == 0:
@@ -247,10 +331,9 @@ def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
               for g in range(cat.n_morphisms)]
     picked = [g for g in range(cat.n_morphisms) if inside[g]]   # chain (g,) is number g
     for k in range(1, m):
-        chains = _chains_cached(cat, k)
-        starts = list(accumulate((len(by_source[target[ch[-1]]]) for ch in chains), initial=0))
+        last, starts = _layer(cat, k)
         picked = [starts[i] + j for i in picked
-                  for j, g in enumerate(by_source[target[chains[i][-1]]]) if inside[g]]
+                  for j, g in enumerate(by_source[target[last[i]]]) if inside[g]]
     return tuple(picked)
 
 
@@ -275,41 +358,100 @@ def _skeleton_coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matri
     return Matrix(field, len(picked), len(col_of), rows)
 
 
-def _path(cat: FiniteCategory, chain) -> list:
-    """The objects ``x_0..x_m`` a chain passes through; an object is its own path."""
-    if isinstance(chain, int):
-        return [chain]
-    return [cat.source[chain[0]], *(cat.target[g] for g in chain)]
+def _common_sources(cat: FiniteCategory, r) -> list:
+    """Per object x, the one source of ``r g`` over the arrows g out of x, or
+    None when they differ; a chain ending at y extends by every such ``r g``
+    exactly when y is that source."""
+    source = cat.source
+    out = []
+    for outs in cat.morphisms_by_source:
+        found = {source[r[g]] for g in outs}
+        out.append(found.pop() if len(found) == 1 else None)
+    return out
+
+
+def _prism_terms(cat: FiniteCategory, m: int) -> list | None:
+    """Per j in 0..m, the array over the degree-m chains σ of the
+    degree-(m+1) chain ``(g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1))``, the
+    j-th term of σ's prism row; None when a term is no chain.
+
+    For σ the extension of p by g, term j < m is p's term j extended by
+    ``r g``, and term m is σ extended by ``c_(target g)``.  A term that is
+    no chain has none above it (every chain extends by an identity), so
+    building degree by degree and stopping at the first finds every one.
+    """
+    _rep, c, r = _skeleton(cat)
+    source, target = cat.source, cat.target
+    if m == 0:
+        return [array("l", c)]
+    pos = _positions(cat)
+    if any(source[c[x]] != x for x in range(cat.n_objects)):
+        return None   # the last term (id_x, c_x) of the 1-chain (id_x) is no chain
+    common = _common_sources(cat, r)
+    r_pos = [[pos[r[g]] for g in outs] for outs in cat.morphisms_by_source]
+    c_pos = [[pos[c[target[g]]] for g in outs] for outs in cat.morphisms_by_source]
+    starts_1 = _layer(cat, 1)[1]
+    # degree 1: σ = (g) through x_0 = source g
+    if any(target[c[source[g]]] != source[r[g]] for g in range(cat.n_morphisms)):
+        return None
+    terms = [array("l", (starts_1[c[source[g]]] + pos[r[g]] for g in range(cat.n_morphisms))),
+             array("l", (starts_1[g] + pos[c[target[g]]] for g in range(cat.n_morphisms)))]
+    for k in range(2, m + 1):   # degree k − 1 -> k
+        below, (last, starts) = terms, _layer(cat, k)
+        terms = [array("l") for _ in range(k + 1)]
+        for p, first, x in _blocks(cat, k):
+            for j in range(k):
+                t = below[j][p]
+                if target[last[t]] != common[x]:
+                    return None
+                terms[j].extend(map(starts[t].__add__, r_pos[x]))
+            terms[k].extend(map(int.__add__, starts[first:first + len(c_pos[x])], c_pos[x]))
+    return terms
 
 
 @memo
 def _prism(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix | None:
     """P^m as a matrix, one row per m-chain over the (m+1)-chains.
 
-    Row σ sums ``(−1)^j e[(g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1))]``,
-    looked up in the degree-(m+1) chain index.  Terms can coincide (a
-    degenerate σ over identity c's), so signs are summed over Z before
-    they are reduced into the field.  None when a term is no chain, which
-    happens only when c or r is not what ``_skeleton`` makes.
+    Row σ sums ``(−1)^j e[term j]`` over the terms of ``_prism_terms``;
+    terms can coincide (a degenerate σ over identity c's), so signs are
+    summed over Z before they are reduced into the field.  None when a
+    term is no chain, which happens only when c or r is not what
+    ``_skeleton`` makes.
     """
-    _rep, c, r = _skeleton(cat)
-    col_index = _chain_index(cat, m + 1)
-    chains = _chains_cached(cat, m)
-    scalars = _IntScalars(field)
-    rows = {}
-    for i, chain in enumerate(chains):
-        sigma = () if m == 0 else chain
-        moved = tuple(r[g] for g in sigma)
-        acc: dict = {}
-        for j, x in enumerate(_path(cat, chain)):
-            col = col_index.get(sigma[:j] + (c[x],) + moved[j:])
-            if col is None:
-                return None
-            acc[col] = acc.get(col, 0) + (-1) ** j
-        row = {col: v for col, s in acc.items() if (v := scalars[s]) is not None}
-        if row:
-            rows[i] = row
-    return Matrix(field, len(chains), len(col_index), rows)
+    terms = _prism_terms(cat, m)
+    if terms is None:
+        return None
+    return Matrix(field, _chain_count(cat, m), _chain_count(cat, m + 1), _signed_rows(field, terms))
+
+
+@memo
+def _retracted(cat: FiniteCategory, m: int) -> array | None:
+    """Per degree-m chain σ, the index of rσ, or None when some rσ is no
+    chain, which happens only when r is no functor.
+
+    ``r(p, g)`` is ``r p`` extended by ``r g``; as for the prism terms, a
+    retracted chain that is no chain has none above it.
+    """
+    rep, _c, r = _skeleton(cat)
+    if m == 0:
+        return array("l", rep)
+    if m == 1:
+        return array("l", r)
+    below = _retracted(cat, m - 1)
+    if below is None:
+        return None
+    last, starts = _layer(cat, m - 1)
+    pos, target = _positions(cat), cat.target
+    common = _common_sources(cat, r)
+    r_pos = [[pos[r[g]] for g in outs] for outs in cat.morphisms_by_source]
+    out = array("l")
+    for p, _first, x in _blocks(cat, m):
+        t = below[p]
+        if target[last[t]] != common[x]:
+            return None
+        out.extend(map(starts[t].__add__, r_pos[x]))
+    return out
 
 
 def _retraction_minus_identity(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix | None:
@@ -317,17 +459,12 @@ def _retraction_minus_identity(cat: FiniteCategory, field: FieldSpec, m: int) ->
 
     None when some rσ is no chain, which happens only when r is no functor.
     """
-    rep, _c, r = _skeleton(cat)
-    index = _chain_index(cat, m)
+    moved = _retracted(cat, m)
+    if moved is None:
+        return None
     one, minus = field.one, field.neg(field.one)
-    rows = {}
-    for i, chain in enumerate(_chains_cached(cat, m)):
-        moved = rep[chain] if m == 0 else index.get(tuple(r[g] for g in chain))
-        if moved is None:
-            return None
-        if moved != i:
-            rows[i] = {moved: one, i: minus}
-    return Matrix(field, len(index), len(index), rows)
+    rows = {i: {j: one, i: minus} for i, j in enumerate(moved) if j != i}
+    return Matrix(field, len(moved), len(moved), rows)
 
 
 def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -372,12 +509,9 @@ def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> Matrix:
     """The rows ``z∘r`` of the rows z of ``cochains``, degree-m cochains of the
     skeleton, in the coordinates of the degree-m chains of ``cat``; r must
     be a functor onto the skeleton (``_retraction_is_functor``)."""
-    rep, _c, r = _skeleton(cat)
     position = {d: j for j, d in enumerate(_skeleton_chains(cat, m))}
-    index = _chain_index(cat, m)
     # chain i of cat -> the position of rσ_i among the skeleton's chains
-    at = [position[rep[chain] if m == 0 else index[tuple(r[g] for g in chain)]]
-          for chain in _chains_cached(cat, m)]
+    at = list(map(position.__getitem__, _retracted(cat, m)))
     rows = {}
     for k, z in cochains.rows.items():
         if row := {i: z[j] for i, j in enumerate(at) if j in z}:

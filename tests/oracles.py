@@ -403,6 +403,18 @@ def retraction_entries(cat, skeleton, m) -> dict:
     return {(i, index[retracted(skeleton, ch)]): 1 for i, ch in enumerate(chains)}
 
 
+def pulled_back_entries(cat, skeleton, m, cochains) -> dict:
+    """The rows ``z∘r`` of ``cochains`` (a Matrix over the skeleton's degree-m
+    chains, listed as tuples whose objects are all representatives) in the
+    coordinates of ``nerve_chain_list(cat, m)``, as ``{(row, col): value}``."""
+    rep = skeleton[0]
+    chains = nerve_chain_list(cat, m)
+    inside = [ch for ch in chains if all(rep[x] == x for x in _path_objects(cat, ch))]
+    position = {ch: j for j, ch in enumerate(inside)}
+    at = [position[retracted(skeleton, ch)] for ch in chains]
+    return {(k, i): z[j] for k, z in cochains.rows.items() for i, j in enumerate(at) if j in z}
+
+
 def prism_identity_defect(cat, skeleton, p, m) -> dict:
     """``P δ + δ P − (i∘r)^* + I`` on degree-m cochains, evaluated chain by
     chain from the face and prism formulas: ``{(σ, τ): coefficient}`` of its
@@ -766,6 +778,27 @@ def completions(cat) -> dict:
         for g in range(cat.n_morphisms)
         for a in range(cat.n_morphisms) if cat.source[a] == cat.target[a] == cat.source[g]
     }
+
+
+def read_columns(cat, m) -> list:
+    """Per chain of ``nerve_chains(adjoint_category(cat), m)``, the Hochschild
+    column T reads, from the tuples: ``basis_index`` of the reversed
+    bottoms and the composite ``g_(m−1)∘..∘g_0∘a_0`` (the endomorphism
+    itself for an object)."""
+    from hochcat import adjoint_category, nerve_chains
+    from hochcat.hochschild import basis_index
+
+    fad = adjoint_category(cat)
+    if m == 0:
+        return [basis_index(cat, (), fad.object_endos[o]) for o in nerve_chains(fad, 0)]
+    out = []
+    for chain in nerve_chains(fad, m):
+        c = fad.triples[chain[0]][0]
+        bottoms = [fad.triples[t][1] for t in chain]
+        for g in bottoms:
+            c = cat.compose(g, c)
+        out.append(basis_index(cat, tuple(reversed(bottoms)), c))
+    return out
 
 
 def ladder_commutes(cat, bottom, verticals) -> bool:

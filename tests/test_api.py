@@ -148,8 +148,9 @@ def private_nerve_names_read_by(fname: str) -> list:
 
 def test_comparison_reads_no_private_nerve_name_but_its_chains():
     # the skeleton, its prism and their checks are the nerve's own business:
-    # comparison lists F^ad's chains and ranks it through the public route
-    assert private_nerve_names_read_by("comparison.py") == ["_chains_cached"]
+    # comparison walks F^ad's chains by prefix (to read T) and ranks it
+    # through the public route
+    assert private_nerve_names_read_by("comparison.py") == ["_blocks"]
 
 
 def test_derivations_reads_no_private_nerve_name():

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -11,9 +12,8 @@ from hochcat import cli as cli_module
 from hochcat.cli import Command, _cap_arg, build_parser, main, parse_args
 from hochcat.hochschild import DEFAULT_BASIS_CAP
 from hochcat.fields import FieldSpec
-from hochcat.matrix import Matrix
 
-from .catalog import GF2, child_env
+from .catalog import GF2, S3, child_env
 from .test_hochschild import C2_PLUS_C3_TEXT, count_builds
 
 
@@ -114,17 +114,20 @@ def test_compare_c2_text(capsys):
 
 
 def test_compare_builds_each_table_once(monkeypatch, capsys):
-    # table -> the degrees compare --max-degree 2 needs (T and X one higher
-    # for the chain identities); each must be built once, on one category,
-    # and the matrices for the one field of the run.  X is T's transpose,
-    # memoized once per degree.  The certified report reads the relative
-    # dimensions off the nerve, so no relative differential is built.
+    # table -> the degrees compare --max-degree 2 needs (T's reads one
+    # higher for the chain identities); each must be built once, on one
+    # category, and the matrices for the one field of the run.  The checks
+    # read T as an index array, so T is never built as a matrix, and X only
+    # one degree up, for x_chain's product with δ (ex6 has two objects, so
+    # the x_chain lemma does not apply).  The certified report reads the
+    # relative dimensions off the nerve, so no relative differential is built.
     tables = {
         "hochschild": (hochschild._full_differential, {0, 1, 2}),
         "relative": (hochschild._relative_differential, set()),
         "nerve": (nerve._coboundary, {0, 1, 2}),
-        "t": (comparison._t_matrix, {0, 1, 2, 3}),
-        "x": (comparison._x_matrix, {0, 1, 2, 3}),
+        "reads": (comparison._read, {0, 1, 2, 3}),
+        "t": (comparison._t_matrix, set()),
+        "x": (comparison._x_matrix, {1, 2, 3}),
     }
     builds = {name: count_builds(monkeypatch, fn) for name, (fn, _) in tables.items()}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
@@ -426,6 +429,23 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
     assert main(["compare", str(f)]) == 3
 
 
+@pytest.mark.parametrize("verb", ["compare", "derivations"])
+@pytest.mark.parametrize("field", ["gf:2", "q"])
+@pytest.mark.parametrize("name", ["cn:4", "s3"])
+def test_a_catalog_group_lists_no_chain(monkeypatch, tmp_path, capsys, verb, field, name):
+    # the nerve of F^ad is addressed by prefix offsets and T is an index
+    # array: no tuple chain list is built, and compare builds no X
+    if name == "s3":
+        name = tmp_path / "s3.cat"
+        name.write_text(catformat.category_to_text(S3), encoding="utf-8")
+    chains = count_builds(monkeypatch, nerve._chains_cached)
+    xs = count_builds(monkeypatch, comparison._x_matrix)
+    code, _out = cli(verb, str(name), "--field", field, "--output", "json", capsys=capsys)
+    assert code == 0
+    assert not chains
+    assert not xs or verb == "derivations"   # Theorem B restricts X to the characters
+
+
 def test_compare_refuses_before_building_fad(monkeypatch, tmp_path, capsys):
     # {e, z} with z∘z = z is not left cancellative
     f = tmp_path / "z.cat"
@@ -470,21 +490,26 @@ def test_compare_surjection_tier(tmp_path, capsys):
     assert payload["degrees"][1]["iso"] is False
 
 
+def misread(degree, column):
+    """``comparison._read`` with row 0 of T^degree reading ``column(read)``."""
+    honest = comparison._read
+
+    def misread(cat, m):
+        read = honest(cat, m)
+        if m == degree:
+            read = array("l", read)
+            read[0] = column(read)
+        return read
+    return misread
+
+
 @pytest.mark.parametrize("cell", [(0, 0), (0, 4)])
 def test_compare_reports_a_broken_chain_identity_as_failed(monkeypatch, capsys, cell):
-    # toggling one cell of T^0 breaks its chain identity; with (0, 0) T also
-    # stops preserving cocycles, which must still end in a report
-    honest = comparison.t_map_matrix
-
-    def toggled(cat, field, m, cap=None):
-        t = honest(cat, field, m, cap)
-        if m:
-            return t
-        cells = {(r, c): v for r, c, v in t.entries()}
-        cells[cell] = field.add(cells.get(cell, field.zero), field.one)
-        return Matrix.from_entries(field, t.nrows, t.ncols, cells)
-
-    monkeypatch.setattr(comparison, "t_map_matrix", toggled)
+    # moving the read of row 0 of T^0 onto or off column cell[1] breaks its
+    # chain identity; off column 0 it lands on row 1's column, so section
+    # fails as well, which must still end in a report
+    _row, c = cell
+    monkeypatch.setattr(comparison, "_read", misread(0, lambda read: c if read[0] != c else c + 1))
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
                     "--output", "json", capsys=capsys)
     assert code == 1
@@ -502,16 +527,7 @@ def test_compare_a_group_with_a_misread_chain_prints_the_basis_route(monkeypatch
     # one chain of T^1 reads the wrong column, so the checks fail and the
     # group ranks its nerve too: the JSON is the one the basis route, which
     # counts on cocycle bases, prints when no category is taken for one object
-    honest = comparison._t_entries
-
-    def misread(cat, m):
-        nrows, ncols, entries = honest(cat, m)
-        if m == 1:
-            (r, c), *rest = entries
-            entries = ((r, (c + 1) % ncols), *rest)
-        return nrows, ncols, entries
-
-    monkeypatch.setattr(comparison, "_t_entries", misread)
+    monkeypatch.setattr(comparison, "_read", misread(1, lambda read: (read[0] + 1) % 4))
     argv = ("compare", "c2", "--field", "gf:2", "--max-degree", "2", "--output", "json")
     code, out = cli(*argv, capsys=capsys)
     assert code == 1 and json.loads(out)["verdict"] == "failed"
@@ -533,7 +549,7 @@ def test_derivations_c2(capsys):
 def test_derivations_honours_the_cap(monkeypatch, capsys):
     # the F^ad 2-chains and the relative sizes are counted, never enumerated
     builds = [count_builds(monkeypatch, fn)
-              for fn in (hochschild._relative_basis_cached, nerve._chains_cached)]
+              for fn in (hochschild._relative_basis_cached, nerve._layer)]
     start = time.perf_counter()
     # cn:4 has a 16-cell composition table, so a cap of 16 admits the fixture
     code = main(["derivations", "cn:4", "--cap", "16"])
@@ -542,7 +558,7 @@ def test_derivations_honours_the_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: degree 2 needs 64 basis elements, cap is 16\n"
     assert elapsed < 1.0
     assert not any(builds)
-    # under the default cap the chains are listed; with one object the
+    # under the default cap the chains are addressed; with one object the
     # relative basis is the full one and is never listed
     assert main(["derivations", "cn:4"]) == 0
     assert builds[1] and not builds[0]

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import itertools
+from array import array
 import random
 import weakref
 
@@ -41,9 +43,9 @@ from hochcat.hochschild import (
     relative_differential_matrix,
     relative_is_full,
 )
-from hochcat.matrix import Matrix
+from hochcat.matrix import Matrix, VerificationResult
 from hochcat.nerve import (
-    _chains_cached, _coboundary, _prism, _retraction_minus_identity, _skeleton,
+    _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton, nerve_sizes,
 )
 
 from . import oracles
@@ -359,7 +361,7 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
     # 2·3^m F^ad chains, so only the nerve count passes 100, in degree 4
     cat, field = z_monoid(), GF2
     builds = [count_builds(monkeypatch, fn) for fn in
-              (_full_differential, _coboundary, _chains_cached)]
+              (_full_differential, _coboundary, _layer)]
     with pytest.raises(DimensionCapExceeded) as refused:
         theorem_a_report(cat, field, 4, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
@@ -368,7 +370,7 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
 
 def test_prism_identity_caps_the_fad_nerve(monkeypatch):
     # {e, z}: degree 3 reads the 4-chains of F^ad (2·3^4 = 162 > 100)
-    builds = [count_builds(monkeypatch, fn) for fn in (_coboundary, _chains_cached, _prism)]
+    builds = [count_builds(monkeypatch, fn) for fn in (_coboundary, _layer, _prism)]
     with pytest.raises(DimensionCapExceeded) as refused:
         verify_prism_identity(adjoint_category(z_monoid()), GF2, 3, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
@@ -379,7 +381,7 @@ def test_t_map_caps_the_fad_nerve(monkeypatch):
     # {e, z}: 2^8 = 256 Hochschild cochains in degree 7 fit under 1000, but
     # the F^ad chains that index T's rows pass it in degree 6 (2·3^6 = 1458)
     cat = z_monoid()
-    builds = count_builds(monkeypatch, _chains_cached)
+    builds = count_builds(monkeypatch, _layer)
     with pytest.raises(DimensionCapExceeded) as refused:
         t_map_matrix(cat, GF2, 7, cap=1000)
     assert (refused.value.degree, refused.value.required) == (6, 1458)
@@ -389,7 +391,7 @@ def test_t_map_caps_the_fad_nerve(monkeypatch):
 def test_relative_maps_cap_the_bases_before_listing(monkeypatch):
     # {e, z}: 2^5 = 32 relative cochains in degree 4 fit under 100, but the
     # F^ad chains pass it there (2·3^4 = 162); c2 passes at 2^7 in degree 6
-    builds = [count_builds(monkeypatch, fn) for fn in (_chains_cached, _relative_basis_cached)]
+    builds = [count_builds(monkeypatch, fn) for fn in (_layer, _relative_basis_cached)]
     with pytest.raises(DimensionCapExceeded) as refused:
         t_map_relative_matrix(z_monoid(), GF2, 4, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
@@ -581,37 +583,29 @@ def test_group_rank_route_builds_no_basis(monkeypatch):
         assert [rec.dim_simplicial for rec in rep.degrees] == dims
 
 
-def misread_t1(honest):
-    """``_t_entries`` with the first chain of T^1 reading the next column."""
-    def misread(cat, m):
-        nrows, ncols, entries = honest(cat, m)
-        if m == 1:
-            (r, c), *rest = entries
-            entries = ((r, (c + 1) % ncols), *rest)
-        return nrows, ncols, entries
-    return misread
+def misread(degree, column):
+    """A perturbation of ``comparison._read``: row 0 of T^degree reads
+    ``column(cat, read, ncols)`` instead.  ``_read`` climbs the degrees
+    below on its own, so every other degree's reads stay honest."""
+    def perturb(honest):
+        def misread(cat, m):
+            read = honest(cat, m)
+            if m == degree:
+                read = array("l", read)
+                read[0] = column(cat, read, hochschild_basis_size(cat, m))
+            return read
+        return misread
+    return perturb
 
 
-def toggled_t0(honest, cell):
-    """``t_map_matrix`` with one cell of T^0 toggled; ``cell`` may name the
-    last column as -1."""
-    def toggled(cat, field, m, cap=None):
-        t = honest(cat, field, m, cap)
-        if m:
-            return t
-        r, c = cell
-        cells = {(r_, c_): v for r_, c_, v in t.entries()}
-        key = (r, c % t.ncols)
-        cells[key] = field.add(cells.get(key, field.zero), field.one)
-        return Matrix.from_entries(field, t.nrows, t.ncols, cells)
-    return toggled
+misread_t1 = misread(1, lambda cat, read, ncols: (read[0] + 1) % ncols)
 
 
 def test_group_with_a_misread_chain_ranks_the_nerve(monkeypatch):
     # one chain of T^1 reads the wrong column: the checks fail, the verdict
     # is failed, and the group still takes its dims from ranks, the nerve's
     # included; they and the flags are the reference's
-    monkeypatch.setattr(comparison, "_t_entries", misread_t1(comparison._t_entries))
+    monkeypatch.setattr(comparison, "_read", misread_t1(comparison._read))
     expected = basis_route(builtin("cn:3"), GF3, 2)
     monkeypatch.setattr(Matrix, "kernel_basis", refuse_basis)
     rep = theorem_a_report(builtin("cn:3"), GF3, 2)
@@ -619,24 +613,15 @@ def test_group_with_a_misread_chain_ranks_the_nerve(monkeypatch):
     assert summary(rep) == expected
 
 
-def misread_t1_outside(honest):
-    """``_t_entries`` with the first chain of T^1 reading the first column
-    that is not relative."""
-    def misread(cat, m):
-        nrows, ncols, entries = honest(cat, m)
-        if m == 1:
-            relative = _relative_of_full(cat, 1)
-            (r, _c), *rest = entries
-            entries = ((r, next(c for c in range(ncols) if c not in relative)), *rest)
-        return nrows, ncols, entries
-    return misread
+misread_t1_outside = misread(1, lambda cat, read, ncols: next(
+    c for c in range(ncols) if c not in _relative_of_full(cat, 1)))
 
 
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_t_reading_a_non_relative_column_is_no_relative_map(monkeypatch, field):
     # a fresh ex6, so the perturbed T dies with it: two_sided_relative names
     # the column, the relative maps refuse, and Theorem B finds no bijection
-    monkeypatch.setattr(comparison, "_t_entries", misread_t1_outside(comparison._t_entries))
+    monkeypatch.setattr(comparison, "_read", misread_t1_outside(comparison._read))
     cat = builtin("ex6")
     outside = next(c for c in range(hochschild_basis_size(cat, 1))
                    if c not in _relative_of_full(cat, 1))
@@ -648,10 +633,19 @@ def test_t_reading_a_non_relative_column_is_no_relative_map(monkeypatch, field):
     assert not theorem_b_report(cat, field).bijection
 
 
+def toggled_t0(cell):
+    """Row 0 of T^0 reads column ``cell`` (-1 for the last), or the one after
+    it when it reads that column already: either way cell (0, cell) flips."""
+    def column(cat, read, ncols):
+        c = cell % ncols
+        return c if read[0] != c else (c + 1) % ncols
+    return misread(0, column)
+
+
 PERTURBATIONS = {
-    "t0_cell_0_0": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, 0))),
-    "t0_cell_0_last": ("t_map_matrix", lambda honest: toggled_t0(honest, (0, -1))),
-    "t1_misread": ("_t_entries", misread_t1),
+    "t0_cell_0_0": toggled_t0(0),
+    "t0_cell_0_last": toggled_t0(-1),
+    "t1_misread": misread_t1,
 }
 
 
@@ -663,8 +657,7 @@ def test_flags_match_the_induced_map_under_a_perturbed_t(monkeypatch, perturbati
     # never the flags of a degree whose checks hold; fresh categories, so
     # no perturbed T outlives the test in a memo; a failed check sends the
     # report to the nerve's own ranks
-    attr, perturb = PERTURBATIONS[perturbation]
-    monkeypatch.setattr(comparison, attr, perturb(getattr(comparison, attr)))
+    monkeypatch.setattr(comparison, "_read", PERTURBATIONS[perturbation](comparison._read))
     ranked = spy_nerve_ranks(monkeypatch)
     cat = builtin(name)
     rep = theorem_a_report(cat, field, 2)
@@ -842,8 +835,140 @@ def test_a_row_leaving_the_skeleton_falls_back(monkeypatch):
 
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_a_perturbed_t_still_fails_a_group_with_a_skeleton(monkeypatch, field):
-    monkeypatch.setattr(comparison, "_t_entries", misread_t1(comparison._t_entries))
+    monkeypatch.setattr(comparison, "_read", misread_t1(comparison._read))
     expected = basis_route(fresh("d4"), field, 2)
     rep = theorem_a_report(fresh("d4"), field, 2)
     assert rep.verdict == "failed"
     assert summary(rep) == expected
+
+
+# --- T as an index array: the set facts and the x_chain lemma -------------------------
+
+GROUPS = {**{name: cat for name, cat in FIXTURES.items() if cat.n_objects == 1}, "d4": D4}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_reads_match_the_tuple_oracle(name, field):
+    # T's column per F^ad chain, climbed by prefix, against the column read
+    # off the chain's triples as tuples; degrees 0..3 while T's rows number
+    # at most 5000
+    cat = FIXTURES[name]
+    counts = list(itertools.islice(nerve_sizes(adjoint_category(cat)), 4))
+    for m, count in enumerate(counts):
+        if count > 5000:
+            break
+        want = oracles.read_columns(cat, m)
+        assert list(comparison._read(cat, m)) == want, (name, m)
+        entries = {(i, c): 1 for i, c in enumerate(want)}
+        assert t_map_matrix(cat, field, m) == Matrix.from_int_entries(
+            field, count, hochschild_basis_size(cat, m), entries)
+        assert x_map_matrix(cat, field, m) == t_map_matrix(cat, field, m).transpose()
+
+
+def product_section(cat, field, m):
+    """``section`` as the product T X against the identity, on the matrices."""
+    prod = t_map_matrix(cat, field, m) @ x_map_matrix(cat, field, m)
+    return VerificationResult.of("section", m, prod, Matrix.identity(field, prod.nrows))
+
+
+def product_two_sided(cat, field, m):
+    """``two_sided_relative`` by products: T renumbered in the relative basis
+    (listed as tuples), the first column read outside it, then both
+    composites with the transpose."""
+    name = "two_sided_relative"
+    rel = {basis_index(cat, *pair): i for i, pair in enumerate(relative_basis(cat, m))}
+    t = t_map_matrix(cat, field, m)
+    rows = {}
+    for r, row in sorted(t.rows.items()):
+        for c, v in row.items():
+            if c not in rel:
+                return VerificationResult(name, m, False, (c, -1, "image not relative", None))
+            rows.setdefault(r, {})[rel[c]] = v
+    t_rel = Matrix(field, t.nrows, len(rel), rows)
+    x_rel = t_rel.transpose()
+    left = VerificationResult.of(name, m, x_rel @ t_rel, Matrix.identity(field, x_rel.nrows))
+    if not left:
+        return left
+    return VerificationResult.of(name, m, t_rel @ x_rel, Matrix.identity(field, t_rel.nrows))
+
+
+def product_x_chain(cat, field, m):
+    """``x_chain`` as the two products on the X matrices."""
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m)
+    lhs = x_map_matrix(cat, field, m + 1) @ delta
+    rhs = hochschild_differential_matrix(cat, field, m) @ x_map_matrix(cat, field, m)
+    return VerificationResult.of("x_chain", m, lhs, rhs.scaled(_sign_for(field, m)))
+
+
+def assert_checks_are_the_products(cat, field, rep):
+    for rec in rep.degrees:
+        m = rec.degree
+        t_chain, x_chain, section, two_sided = rec.checks
+        assert x_chain == product_x_chain(cat, field, m), m
+        assert section == product_section(cat, field, m), m
+        assert two_sided == product_two_sided(cat, field, m), m
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_lemma_and_set_facts_give_the_products(monkeypatch, name, field):
+    # on one object the x_chain lemma stands in for the product and the set
+    # facts for T X = I and the relative composites; each gives the result,
+    # witness included, that the products give.  No X is built for it.
+    cat = fresh(name) if name in ("s3", "d4") else builtin(name)
+    max_m = degree_bound(cat)
+    xs = count_builds(monkeypatch, comparison._x_matrix)
+    monkeypatch.setattr(comparison, "verify_x_chain_identity",
+                        lambda *args: pytest.fail("x_chain took the product route"))
+    rep = theorem_a_report(cat, field, max_m)
+    assert rep.verdict == "isomorphism"
+    assert not xs
+    assert_checks_are_the_products(cat, field, rep)
+
+
+def shared(cat, read, ncols):
+    """Row 0 reads the column of row 1, so that column is read twice and
+    row 0's own column by no row."""
+    return read[1]
+
+
+def moved(cat, read, ncols):
+    """Row 0 reads the next column."""
+    return (read[0] + 1) % ncols
+
+
+def outside(cat, read, ncols):
+    """Row 0 reads the first column that is not relative (no row reads it)."""
+    return next(c for c in range(ncols) if c not in _relative_of_full(cat, 1))
+
+
+MISREADS = {"shared": shared, "moved": moved, "outside": outside}
+
+
+# on one object every column is relative, so no read can leave them
+MISREAD_CASES = [(misread_name, name) for misread_name in sorted(MISREADS)
+                 for name in ("c2", "cn:3", "s3", "ex6", "diamond")
+                 if misread_name != "outside" or FIXTURES[name].n_objects > 1]
+
+
+@pytest.mark.parametrize(("misread_name", "name"), MISREAD_CASES)
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_perturbed_reads_flip_the_set_facts_as_the_products_do(monkeypatch, misread_name,
+                                                               name, field):
+    # two rows on one column, a column no row reads, a read outside the
+    # relative columns: section, two_sided_relative and x_chain are the
+    # products' results, witnesses included, and so is the report
+    cat = fresh(name) if name == "s3" else builtin(name)
+    monkeypatch.setattr(comparison, "_read", misread(1, MISREADS[misread_name])(comparison._read))
+    rep = theorem_a_report(cat, field, 2)
+    assert rep.verdict == "failed"
+    assert_checks_are_the_products(cat, field, rep)
+    section, two_sided = rep.degrees[1].checks[2:]
+    assert not two_sided.ok
+    if misread_name == "shared":
+        assert not section.ok
+    if misread_name == "outside":   # the reads stay distinct
+        assert section.ok and two_sided.first_difference[2] == "image not relative"
+    fresh_cat = fresh(name) if name == "s3" else builtin(name)
+    assert summary(rep) == basis_route(fresh_cat, field, 2)

@@ -1,16 +1,20 @@
 import itertools
+from array import array
 
 import pytest
 
 from hochcat import (
     adjoint_category,
     builtin,
+    comparison,
     derivations,
     character_space,
     graded_derivation_space,
     group_from_table,
+    hochschild,
     hochschild_differential_matrix,
     nerve,
+    poset_from_relation,
     simplicial_coboundary_matrix,
     theorem_b_report,
 )
@@ -22,8 +26,8 @@ from hochcat.hochschild import (
     relative_differential_matrix,
     relative_sizes,
 )
-from hochcat.matrix import Matrix, Subspace, VerificationResult
-from hochcat.nerve import _chains_cached, nerve_sizes
+from hochcat.matrix import Matrix, Reading, Subspace, VerificationResult
+from hochcat.nerve import _layer, nerve_sizes
 
 from . import oracles
 from .catalog import (
@@ -298,22 +302,18 @@ def test_a_broken_skeleton_eliminates_the_characters(monkeypatch, breakage, name
 
 def moved_read(t, _d1):
     """T with the read of its first row moved to the next column."""
-    rows = dict(t.rows)
-    ((c, v),) = rows[0].items()
-    rows[0] = {(c + 1) % t.ncols: v}
-    return Matrix(t.field, t.nrows, t.ncols, rows)
+    cols = array("l", t.cols)
+    cols[0] = (cols[0] + 1) % t.ncols
+    return Reading(cols, t.ncols)
 
 
 def swapped_reads(t, d1):
     """T with the reads of row 0 and of the first row whose column's row of
     ``d1`` differs swapped: every column is still read once."""
-    def d1_row(r):
-        (c,) = t.rows[r]
-        return d1.rows.get(c)
-    other = next(r for r in sorted(t.rows) if d1_row(r) != d1_row(0))
-    rows = dict(t.rows)
-    rows[0], rows[other] = rows[other], rows[0]
-    return Matrix(t.field, t.nrows, t.ncols, rows)
+    cols = array("l", t.cols)
+    other = next(r for r, c in enumerate(cols) if d1.rows.get(c) != d1.rows.get(cols[0]))
+    cols[0], cols[other] = cols[other], cols[0]
+    return Reading(cols, t.ncols)
 
 
 def refused_check(*_args):
@@ -332,13 +332,13 @@ def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturba
         monkeypatch.setattr(derivations, "verify_two_sided_on_relative", refused_check)
     else:
         perturb = moved_read if perturbation == "moved" else swapped_reads
-        t_rel = derivations.t_map_relative_matrix
+        t_rel = derivations._relative_reading
 
-        def perturbed(cat, field, m, cap=None):
-            t = t_rel(cat, field, m, cap)
-            return perturb(t, relative_differential_matrix(cat, field, 1)) if m == 2 else t
+        def perturbed(cat, m, cap=None):
+            t = t_rel(cat, m, cap)
+            return perturb(t, relative_differential_matrix(cat, GF3, 1)) if m == 2 else t
 
-        monkeypatch.setattr(derivations, "t_map_relative_matrix", perturbed)
+        monkeypatch.setattr(derivations, "_relative_reading", perturbed)
     char = character_space(adjoint_category(cat), GF3)
     assert derivations._derivations_through_x(cat, GF3, char, None) is None
     calls = spy_eliminations(monkeypatch)
@@ -365,9 +365,28 @@ def test_theorem_b_refuses_in_the_order_of_the_eliminating_report(monkeypatch, n
     cat = fresh_fixture(name)
     order = [*zip((1, 2), itertools.islice(nerve_sizes(adjoint_category(cat)), 1, 3)),
              *zip((1, 2), itertools.islice(relative_sizes(cat), 1, 3))]
-    chains = count_builds(monkeypatch, _chains_cached)
+    chains = count_builds(monkeypatch, _layer)
     bases = count_builds(monkeypatch, _relative_basis_cached)
     for cap in sorted({size - 1 for _m, size in order}):
         first = next((m, size) for m, size in order if size > cap)
         assert refusal(lambda: theorem_b_report(cat, GF2, cap)) == first, cap
     assert not chains and not bases
+
+
+def boolean_lattice(k):
+    """The subsets of a k-set ordered by inclusion: 2^k objects and 3^k arrows."""
+    return poset_from_relation([[a & b == a for b in range(2 ** k)] for a in range(2 ** k)])
+
+
+def test_theorem_b_builds_each_relative_table_once_per_degree(monkeypatch):
+    # on the 16 subsets of a 4-set the relative basis is not the full one;
+    # the two-sided check, the route's T¹ and T², d_1 and the restricted
+    # maps all read the relative index and T's relative reads, and each is
+    # built once per degree
+    cat = boolean_lattice(4)
+    builds = [count_builds(monkeypatch, fn)
+              for fn in (hochschild._relative_of_full, comparison._read_relative)]
+    rep = theorem_b_report(cat, QQ)
+    assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (15, 15, True)
+    for calls in builds:
+        assert calls == {(id(cat), (1,)): 1, (id(cat), (2,)): 1}

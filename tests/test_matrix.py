@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from hochcat.fields import FieldSpec, is_prime
 from hochcat.hochschild import relative_differential_matrix
 from hochcat.matrix import (
     Matrix,
+    Reading,
     Subspace,
     cohomology,
     cohomology_dims,
@@ -822,10 +824,9 @@ def test_q_product_builds_only_the_right_rows_it_reads(n, k, m, data):
     assert A @ B == Matrix.from_rows(QQ, dense_product(a, b, m), m)
 
 
-def _reading(field, rng, nrows, ncols):
-    """A matrix whose nonzero rows are each one 1, columns drawn with repeats."""
-    rows = {r: {rng.randrange(ncols): field.one} for r in range(nrows) if rng.random() < 0.8}
-    return Matrix(field, nrows, ncols, rows)
+def _reading(rng, nrows, ncols) -> Reading:
+    """Row i reads a column drawn with repeats, so columns may be read twice or never."""
+    return Reading(array("l", (rng.randrange(ncols) for _ in range(nrows))), ncols)
 
 
 def _dense_field_product(a: Matrix, b: Matrix) -> Matrix:
@@ -839,25 +840,38 @@ def _dense_field_product(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_rows(f, out, b.ncols)
 
 
+def _random_matrix(field, rng, nrows, ncols) -> Matrix:
+    return Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(ncols)]
+                                    for _ in range(nrows)], ncols)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_products_with_a_reading_matrix_match_the_textbook_product(field):
-    # a factor whose rows are single 1s (as T is) moves rows or columns;
-    # repeated columns make the column move add entries, which can cancel
+    # a Reading (one 1 per row, as T is) moves rows or columns, and its
+    # transpose copies columns; repeated columns make entries add, which
+    # can cancel
     rng = random.Random(7)
     for _ in range(40):
         n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
-        t = _reading(field, rng, n, k)
-        a = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(k)], m)
-        b = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)], n)
+        t = _reading(rng, n, k)
+        dense_t, dense_x = t.matrix(field), t.T.matrix(field)
+        assert dense_x == dense_t.transpose()
+        a, b = _random_matrix(field, rng, k, m), _random_matrix(field, rng, m, n)
         ta, bt = t @ a, b @ t
-        assert ta == _dense_field_product(t, a) and bt == _dense_field_product(b, t)
-        assert all(row is a.rows[next(iter(t.rows[i]))] for i, row in ta.rows.items())
+        assert ta == _dense_field_product(dense_t, a) and bt == _dense_field_product(b, dense_t)
+        assert all(row is a.rows[t.cols[i]] for i, row in ta.rows.items())
         assert all(row for row in bt.rows.values())
+        d = _random_matrix(field, rng, m, k)
+        assert d @ t.T == _dense_field_product(d, dense_x)
+        assert t.injective() == (dense_t @ dense_x == Matrix.identity(field, n))
+        assert t.bijective() == (t.injective() and dense_x @ dense_t == Matrix.identity(field, k))
+        with pytest.raises(ValueError):
+            _random_matrix(field, rng, m, n + 1) @ t
 
 
 def test_column_move_drops_cancelled_entries():
     # columns 0 and 1 both go to column 0, and 1 + 1 = 0 over GF(2)
-    t = Matrix(GF2, 2, 1, {0: {0: 1}, 1: {0: 1}})
+    t = Reading([0, 0], 1)
     a = Matrix(GF2, 2, 2, {0: {0: 1, 1: 1}, 1: {1: 1}})
     assert (a @ t).rows == {1: {0: 1}}
 

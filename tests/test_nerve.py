@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -11,11 +12,15 @@ from hochcat import (
     simplicial_coboundary_matrix,
     simplicial_cocycle_space,
     simplicial_cohomology_dims,
+    verify_prism_identity,
 )
 from hochcat import nerve
 from hochcat.errors import DimensionCapExceeded
-from hochcat.matrix import VerificationResult, cohomology_dims
-from hochcat.nerve import _chains_cached, _coboundary, _prism, _skeleton, nerve_sizes
+from hochcat.matrix import Matrix, VerificationResult, cohomology_dims
+from hochcat.nerve import (
+    _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton, _skeleton_chains,
+    nerve_sizes,
+)
 
 from . import oracles
 from .catalog import A2, C2, D4, EX6, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV
@@ -151,17 +156,73 @@ def test_coboundary_matches_oracle():
 
 
 def test_coboundary_matches_face_assembly():
-    # every fixture and its F^ad over GF(2), GF(3) and Q, degrees 0..3 while
-    # the (m+1)-chains number at most 5000
+    # every fixture and its F^ad over GF(2), GF(3) and Q, degrees 0..3 (at
+    # most 7776 chains of degree 4); the oracle sums faces chain by chain
     for name, cat in FIXTURES.items():
         for target in (cat, adjoint_category(cat)):
-            counts = list(itertools.islice(nerve_sizes(target), 5))
+            assert list(itertools.islice(nerve_sizes(target), 5))[4] <= 7776
             for m in range(4):
-                if counts[m + 1] > 5000:
-                    break
                 for field in (GF2, GF3, QQ):
                     want = oracles.face_coboundary(target, field, m)
                     assert simplicial_coboundary_matrix(target, field, m) == want, (name, field, m)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_offset_addressing_matches_the_tuple_oracles(name):
+    # the skeleton's chains, the prism, (i∘r)^* − I and the pullback along
+    # r, addressed by prefix offsets, against tuple chains
+    # (nerve_chain_list) and a skeleton found by trying every pair for
+    # inverses: every fixture and its F^ad over GF(2), GF(3) and Q, degrees
+    # 0..3 (at most 7776 chains of degree 4)
+    rng = random.Random(name)
+    cat = FIXTURES[name]
+    for target in (cat, adjoint_category(cat)):
+        found = oracles.skeleton_by_search(target)
+        assert found == _skeleton(target)
+        counts = list(itertools.islice(nerve_sizes(target), 5))
+        assert counts[4] <= 7776
+        for m in range(4):
+            chains = oracles.nerve_chain_list(target, m)
+            inside = [i for i, ch in enumerate(chains)
+                      if all(found[0][x] == x for x in oracles._path_objects(target, ch))]
+            assert list(_skeleton_chains(target, m)) == inside
+            for field in (GF2, GF3, QQ):
+                n, n_up = counts[m], counts[m + 1]
+                assert _prism(target, field, m) == Matrix.from_int_entries(
+                    field, n, n_up, oracles.prism_entries(target, found, m)), (name, field, m)
+                minus_one = Matrix.identity(field, n).scaled(field.neg(field.one))
+                assert _retraction_minus_identity(target, field, m) == Matrix.from_int_entries(
+                    field, n, n, oracles.retraction_entries(target, found, m)) + minus_one
+                z = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in inside]
+                                             for _ in range(3)], len(inside))
+                assert nerve._pulled_back(target, m, z) == Matrix.from_entries(
+                    field, 3, n, oracles.pulled_back_entries(target, found, m, z))
+
+
+def test_a_retraction_that_moves_a_target_leaves_the_chains_in_degree_two(monkeypatch):
+    # one r g keeps its source but not its target: every prism term and
+    # retracted chain of degree 1 is a chain, and from degree 2 on some are
+    # not, as the tuple chains show; the offsets find them and refuse
+    fad = adjoint_category(fresh("s3"))
+    rep, c, r = _skeleton(fad)
+    source, target = fad.source, fad.target
+    g, h = next((g, h) for g in range(fad.n_morphisms) for h in fad.morphisms_by_source[source[r[g]]]
+                if target[h] != target[r[g]])
+    broken = (rep, c, r[:g] + (h,) + r[g + 1:])
+    monkeypatch.setattr(nerve, "_skeleton", lambda cat: broken)
+
+    def is_chain(ch):
+        return isinstance(ch, int) or all(target[a] == source[b] for a, b in zip(ch, ch[1:]))
+
+    for m, whole in ((1, True), (2, False)):
+        chains = oracles.nerve_chain_list(fad, m)
+        terms = [t for ch in chains for _sign, t in oracles.prism_terms(fad, broken, ch)]
+        assert all(map(is_chain, terms)) == all(is_chain(oracles.retracted(broken, ch))
+                                                for ch in chains) == whole
+        assert (_prism(fad, GF2, m) is not None) == whole
+        assert (_retraction_minus_identity(fad, GF2, m) is not None) == whole
+    assert verify_prism_identity(fad, GF2, 2) == \
+        VerificationResult("prism", 2, False, (-1, -1, "no chain", None))
 
 
 # --- cohomology ------------------------------------------------------------------
@@ -199,7 +260,7 @@ def test_simplicial_dims_cap_refuses_before_any_chain(monkeypatch):
     # the F^ad of {e, z} with z∘z = z has 2·3^m chains in degree m: degree
     # 4 is the first past 100, long before the 8-chains of degree 7
     fad = adjoint_category(z_monoid())
-    builds = count_builds(monkeypatch, _chains_cached)
+    builds = count_builds(monkeypatch, _layer)
     with pytest.raises(DimensionCapExceeded) as refused:
         simplicial_cohomology_dims(fad, GF2, 7, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
@@ -212,7 +273,7 @@ def test_simplicial_dims_cap_refuses_before_any_chain(monkeypatch):
 def test_coboundary_cap_refuses_before_any_chain(monkeypatch):
     # 2·3^m chains in degree m: degree 6 is the first past 1000
     fad = adjoint_category(z_monoid())
-    builds = count_builds(monkeypatch, _chains_cached)
+    builds = count_builds(monkeypatch, _layer)
     with pytest.raises(DimensionCapExceeded) as refused:
         simplicial_coboundary_matrix(fad, GF2, 7, cap=1000)
     assert (refused.value.degree, refused.value.required) == (6, 1458)
