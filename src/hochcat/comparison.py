@@ -17,24 +17,26 @@ X is built as that transpose, behind the same gate.
 T is pure index data: ``_read(cat, m)`` holds, per F^ad chain, the column
 it reads, as a stdlib ``array('l')``, climbed from the chain's prefix in
 the nerve's own order (the ``nerve`` docstring).  It is kept on the
-category as the differentials are, once for every field.  The checks use
-it as a ``matrix.Reading``: T on the left selects rows, T on the right
-renames columns, and X = Tᵀ gathers rows or copies columns.  T and X are
-built as matrices only for the public ``*_map_matrix`` functions, for
-Theorem B's restricted maps, for X^(m+1) in the x_chain product, and for
-the products a failed set fact below falls back on.
+category as the differentials are, once for every field.  Every reader
+takes it as a ``matrix.Reading``: T on the left selects rows, T on the
+right renames columns, and X = Tᵀ copies columns, in the checks here and
+in Theorem B's restricted maps (``derivations``).  T and X are built as
+matrices only by the public ``t_map_matrix`` and ``x_map_matrix``, and X
+only for X^(m+1) in the x_chain product.
 
 The set facts: entry (σ, τ) of ``T Tᵀ`` is 1 when σ and τ read the same
 column and 0 otherwise, and entry (j, j) of ``Tᵀ T`` counts the chains
 that read j.  So ``section(m)`` (``T X = I``) holds exactly when T's reads
-are distinct, and ``two_sided_relative(m)`` (``X_rel T_rel = I`` and
-``T_rel X_rel = I``) exactly when T reads only relative columns and each
-of them once.  Both are decided on the reads in O(rows); the products run,
-with the same first difference as before, only when a fact fails.
+are distinct, and ``two_sided_relative(m)`` (``X_rel T_rel = I``, then
+``T_rel X_rel = I``) when T reads only relative columns and each of them
+once (over GF(p), a count of p + 1 passes the first and fails the second).
+Both are decided on the reads in O(rows), with the first difference the
+products would give (``Reading.identity_difference``); no product is taken.
 
 Lemma (x_chain on one object): if the relative complex is the full one up
-to degree m + 1, ``t_chain(m)``, ``section(m)`` and T^(m+1) reading every
-column exactly once (``X^(m+1) T^(m+1) = I``) give ``x_chain(m)``.  With
+to degree m + 1, ``t_chain(m)``, ``section(m)`` and ``X^(m+1) T^(m+1) = I``
+(the set fact: each column is read by a number of chains that is 1 in the
+field) give ``x_chain(m)``.  With
 ``s = (−1)^(m+1)``, so that ``t_chain(m)`` reads ``δ^m T^m = s T^(m+1) ∂^m``:
 
     X^(m+1) δ^m = X^(m+1) δ^m T^m X^m           (section: T^m X^m = I)
@@ -180,19 +182,6 @@ def _read_relative(cat: FiniteCategory, m: int) -> tuple:
     return Reading(renumbered, len(rel_of_full)), None
 
 
-@memo
-def _t_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """T in degree m over ``field`` as a ``Matrix``, for the callers that
-    take one; built once for as long as ``cat`` lives."""
-    return Reading(_read(cat, m), hochschild_basis_size(cat, m)).matrix(field)
-
-
-@memo
-def _x_matrix(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """X = Tᵀ in degree m over ``field`` as a ``Matrix``."""
-    return Reading(_read(cat, m), hochschild_basis_size(cat, m)).T.matrix(field)
-
-
 def _check_map_cap(cat: FiniteCategory, m: int, cap: int | None, sizes=None) -> None:
     """Refuse degree m unless the cochain bases (Hochschild, or ``sizes``) and
     the F^ad chain counts up to it fit under the cap; both are sizes, so
@@ -221,20 +210,7 @@ def _relative_reading(cat: FiniteCategory, m: int, cap: int | None) -> Reading:
 
 def t_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
     """Matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
-    _check_map_cap(cat, m, cap)
-    return _t_matrix(cat, field, m)
-
-
-def t_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
-                          cap: int | None = None) -> Matrix:
-    """T restricted to the relative subcomplex (square under the full hypotheses).
-
-    The relative sizes and F^ad chain counts up to degree m are checked
-    against the cap before any basis or chain is listed.  Raises
-    ``NotChainCompatible`` when T reads a column that is not relative.
-    """
-    t_rel = _relative_reading(cat, m, cap)
-    return _t_matrix(cat, field, m) if relative_is_full(cat, m) else t_rel.matrix(field)
+    return _reading(cat, m, cap).matrix(field)
 
 
 def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
@@ -245,16 +221,7 @@ def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None 
     chain is the one completion of its bottom and a_0, so X is Tᵀ.
     """
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    _check_map_cap(cat, m, cap)
-    return _x_matrix(cat, field, m)
-
-
-def x_map_relative_matrix(cat: FiniteCategory, field: FieldSpec, m: int,
-                          cap: int | None = None) -> Matrix:
-    """X written in relative row coordinates: the transpose of T's relative matrix."""
-    require_predicates(cat, "right_deterministic", "right_cancellative")
-    t_rel = _relative_reading(cat, m, cap)
-    return _x_matrix(cat, field, m) if relative_is_full(cat, m) else t_rel.T.matrix(field)
+    return _reading(cat, m, cap).T.matrix(field)
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -298,15 +265,12 @@ def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
     """T^m ∘ X^m is the identity on degree-m nerve cochains of F^ad.
 
     Entry (σ, τ) of ``T Tᵀ`` is 1 when σ and τ read one column, so the
-    identity holds exactly when T's reads are distinct; the product is
-    taken, with its first difference, only when they are not.
+    identity holds exactly when T's reads are distinct; its verdict and
+    first difference are read off them.
     """
     require_predicates(cat, "right_deterministic", *CANCELLATIVE)
-    t = _reading(cat, m, cap)
-    if t.injective():
-        return VerificationResult("section", m, True)
-    prod = t @ _x_matrix(cat, field, m)
-    return VerificationResult.of("section", m, prod, Matrix.identity(field, prod.nrows))
+    diff = _reading(cat, m, cap).identity_difference(field)
+    return VerificationResult("section", m, diff is None, diff)
 
 
 def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -314,11 +278,10 @@ def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
     """On relative cochains T and X are mutually inverse bijections.
 
     Checks (i) every Hochschild column T reads is relative, so the image of
-    X = Tᵀ lies in the relative span, and (ii) both composites of the
-    restricted maps are identity matrices.  The cap is checked as in
-    ``t_map_relative_matrix``.  (ii) holds exactly when T_rel reads every
-    relative column once, a fact about its reads; the two products are
-    taken, for their first difference, only when it fails.
+    X = Tᵀ lies in the relative span, and (ii) ``X_rel T_rel = I``, then
+    ``T_rel X_rel = I``.  The relative sizes and F^ad chain counts up to
+    degree m are checked against the cap first.  (ii) is read off T_rel's
+    reads, first difference included.
     """
     require_predicates(cat, "rr_transitive", *DETERMINISTIC, *CANCELLATIVE)
     _check_map_cap(cat, m, cap, relative_sizes(cat))
@@ -326,13 +289,8 @@ def verify_two_sided_on_relative(cat: FiniteCategory, field: FieldSpec, m: int,
     t_rel, outside = _read_relative(cat, m)
     if t_rel is None:
         return VerificationResult(name, m, False, (outside, -1, "image not relative", None))
-    if t_rel.bijective():
-        return VerificationResult(name, m, True)
-    t, x = t_rel.matrix(field), t_rel.T.matrix(field)
-    left = VerificationResult.of(name, m, x @ t, Matrix.identity(field, x.nrows))
-    if not left.ok:
-        return left
-    return VerificationResult.of(name, m, t @ x, Matrix.identity(field, t.nrows))
+    diff = t_rel.T.identity_difference(field) or t_rel.identity_difference(field)
+    return VerificationResult(name, m, diff is None, diff)
 
 
 # --- Theorem A, degree by degree ------------------------------------------------
@@ -379,7 +337,7 @@ def _checks(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None, tier
     t_chain = verify_t_chain_identity(cat, field, m, cap)
     section = verify_section(cat, field, m, cap)
     if (relative_is_full(cat, m + 1) and t_chain and section
-            and _reading(cat, m + 1, cap).bijective()):
+            and _reading(cat, m + 1, cap).T.identity_difference(field) is None):
         x_chain = VerificationResult("x_chain", m, True)   # the x_chain lemma
     else:
         x_chain = verify_x_chain_identity(cat, field, m, cap)

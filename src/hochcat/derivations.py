@@ -8,7 +8,10 @@ F^ad, scalar functions on morphisms additive under composition, are the
 degree-1 cocycles of its nerve, ``ker δ^1``.  The degree-1 comparison map
 restricts to a bijection between the two kernels, and this module certifies
 that bijection by explicit matrices: T and X restricted to the two kernels
-(``matrix.restricted_map``) and their two products.
+(``matrix.restricted_map``) and their two products.  T¹_rel is read as its
+index array (``matrix.Reading``, from ``comparison``): the derivation basis
+times ``T¹_relᵀ`` is T of each derivation, and the character basis times
+``T¹_rel`` is X of each character, so neither map is built as a matrix.
 
 The characters are ``nerve.simplicial_cocycle_space`` of F^ad, which
 eliminates only the skeleton's ``δ^1`` when F^ad has isomorphic objects
@@ -19,8 +22,8 @@ Lemma (derivations through X): suppose
 
 (a) ``verify_two_sided_on_relative(cat, field, 1)``: ``X_rel T_rel = I``
     and ``T_rel X_rel = I`` in degree 1;
-(b) ``T²_rel`` is injective: it reads only relative columns, and every
-    one of them is read by some chain, so the sole entry of its row;
+(b) ``X²_rel T²_rel = I``: T² reads only relative columns, and a left
+    inverse makes ``T²_rel`` injective;
 (c) ``T²_rel d_1 = δ^1 T¹_rel`` exactly (the sign ``(−1)^2`` is +1).
 
 Then ``ker d_1 = X¹_rel(ker δ^1)``:
@@ -30,9 +33,9 @@ Then ``ker d_1 = X¹_rel(ker δ^1)``:
 * for a derivation w, ``δ^1 T w = T² d_1 w = 0``, and ``w = X(T w)`` by (a).
 
 So the derivations are the row space of ``char.basis @ T¹_rel``, X applied
-to each character.  T is read as its index array (``matrix.Reading``), so
-(b) is a set fact about its reads, and the products of (c) and of the
-characters move rows and columns without multiplying.  Both spaces are
+to each character, the very images X's restriction reads.  (b) is a set
+fact about T²'s reads (``Reading.identity_difference``), and the products
+of (c) move rows and columns without multiplying.  Both spaces are
 canonical RREFs, so they equal the eliminated kernels whichever route gave
 them.
 
@@ -46,18 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import FiniteCategory, adjoint_category, require_predicates
-from .comparison import (
-    CANCELLATIVE,
-    DETERMINISTIC,
-    _relative_reading,
-    t_map_relative_matrix,
-    verify_two_sided_on_relative,
-    x_map_relative_matrix,
-)
+from .comparison import CANCELLATIVE, DETERMINISTIC, _relative_reading, verify_two_sided_on_relative
 from .fields import FieldSpec
 from .hochschild import check_sizes, relative_differential_matrix, relative_sizes
 from .errors import NotChainCompatible
-from .matrix import Matrix, Subspace, restricted_map
+from .matrix import Matrix, Reading, Subspace, restricted_map
 from .nerve import nerve_sizes, simplicial_coboundary_matrix, simplicial_cocycle_space
 
 
@@ -79,24 +75,24 @@ def character_space(fad: FiniteCategory, field: FieldSpec, cap: int | None = Non
     return simplicial_cocycle_space(fad, field, 1, cap)
 
 
-def _derivations_through_x(cat: FiniteCategory, field: FieldSpec, char: Subspace,
-                           cap: int | None) -> Subspace | None:
-    """``ker d_1`` as X of the characters ``char``, or None when one of the
-    checks (a)-(c) of the module's lemma fails."""
+def _derivations_through_x(cat: FiniteCategory, field: FieldSpec, t1: Reading,
+                           x_char: Matrix, cap: int | None) -> Subspace | None:
+    """``ker d_1`` as the row space of ``x_char``, X¹_rel of each character
+    (``t1`` is T¹_rel), or None when one of the checks (a)-(c) of the
+    module's lemma fails."""
     if not verify_two_sided_on_relative(cat, field, 1, cap):
         return None
-    t1 = _relative_reading(cat, 1, cap)
     try:
         t2 = _relative_reading(cat, 2, cap)
     except NotChainCompatible:
         return None
-    if len(set(t2.cols)) < t2.ncols:   # a relative column no chain reads
+    if t2.T.identity_difference(field) is not None:
         return None
     d1 = relative_differential_matrix(cat, field, 1, cap)
     delta = simplicial_coboundary_matrix(adjoint_category(cat), field, 1, cap)
     if t2 @ d1 != delta @ t1:
         return None
-    return Subspace.from_matrix(char.basis @ t1)
+    return Subspace.from_matrix(x_char)
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,11 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     The characters are ``character_space`` of F^ad, and the derivations X of
     them when the checks of the module's lemma hold, ``graded_derivation_space``
     otherwise.  Restricts the degree-1 comparison maps T and X to the two
-    solution spaces with ``restricted_map``, which checks that T sends
-    derivations to characters and X characters to derivations, and
-    certifies the two restricted matrices are mutually inverse.  A map that
-    leaves its space gives ``bijection=False``; the T matrix is reported
+    solution spaces with ``restricted_map``, from T¹_rel's reads, which
+    checks that T sends derivations to characters and X characters to
+    derivations, and certifies the two restricted matrices are mutually
+    inverse.  T reading a column that is not relative, or a map that
+    leaves its space, gives ``bijection=False``; the T matrix is reported
     whenever T's check passed, else it is zero.
 
     Before any basis or chain list exists, the numbers of F^ad 1- and
@@ -128,15 +125,21 @@ def theorem_b_report(cat: FiniteCategory, field: FieldSpec, cap: int | None = No
     check_sizes(nerve_sizes(fad), 2, cap)
     check_sizes(relative_sizes(cat), 2, cap)
     char = character_space(fad, field, cap)
-    der = _derivations_through_x(cat, field, char, cap)
+    try:
+        t1 = _relative_reading(cat, 1, cap)
+    except NotChainCompatible:
+        der = graded_derivation_space(cat, field, cap)
+        return TheoremBReport(der.dim, char.dim, Matrix.zeros(field, char.dim, der.dim), False)
+    x_char = char.basis @ t1     # row i: X of character i
+    der = _derivations_through_x(cat, field, t1, x_char, cap)
     if der is None:
         der = graded_derivation_space(cat, field, cap)
 
     m_t = Matrix.zeros(field, char.dim, der.dim)
     bijection = False
     try:
-        m_t = restricted_map(t_map_relative_matrix(cat, field, 1, cap), der, char)
-        m_x = restricted_map(x_map_relative_matrix(cat, field, 1, cap), char, der)
+        m_t = restricted_map(der.basis @ t1.T, char)    # row j: T of derivation j
+        m_x = restricted_map(x_char, der)
     except NotChainCompatible:
         pass
     else:

@@ -71,13 +71,15 @@ cocycle and coboundary bases with the dimension; its one caller is
 Theorem A's count of the full Hochschild complex of a category with more
 than one object, which reads only the dimension (the ``comparison``
 docstring says why that walk stays).  ``restricted_map`` writes a map
-between two subspaces in their bases, for Theorem B.
+between two subspaces in their bases, from the images of the source's
+basis rows, for Theorem B.
 
 A ``Reading`` is a matrix with a single 1 in each row, such as the
 comparison map T, held as the index array of the columns its rows read.
 Its products with a ``Matrix``, and those of its transpose, move rows or
 columns instead of multiplying; ``Matrix.__matmul__`` never looks for
-that shape in a matrix of row dicts.
+that shape in a matrix of row dicts.  Whether ``R Rᵀ`` or ``Rᵀ R`` is the
+identity, and where it first is not, is read off the index array.
 
 A ``Subspace`` is its canonical RREF and nothing else: the pivot columns
 and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
@@ -90,6 +92,7 @@ matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -870,8 +873,8 @@ class Reading:
       of a row that land on one column;
     * ``A @ R.T`` copies column j of A to each column k with ``cols[k] = j``.
 
-    Whether R is injective or onto is a fact about ``cols`` alone, so
-    ``R @ R.T = I`` and ``R.T @ R = I`` are decided without a product.
+    ``R @ R.T`` is decided against the identity from ``cols`` alone,
+    witness included (``identity_difference``), for R and for R.T.
     """
 
     __slots__ = ("cols", "width", "transposed")
@@ -893,13 +896,38 @@ class Reading:
     def T(self) -> "Reading":
         return Reading(self.cols, self.width, not self.transposed)
 
-    def injective(self) -> bool:
-        """No two rows of the untransposed matrix read one column: ``R @ R.T = I``."""
-        return len(set(self.cols)) == len(self.cols)
+    def identity_difference(self, field: FieldSpec):
+        """``first_difference`` of ``self @ self.T`` against the identity,
+        or None, in O(rows) and without the product.
 
-    def bijective(self) -> bool:
-        """Every column is read by exactly one row: ``R.T @ R = I`` as well."""
-        return len(self.cols) == self.width and self.injective()
+        Untransposed, entry (σ, τ) of ``R @ R.T`` is 1 when rows σ and τ read
+        one column: the first difference is ``(σ, τ, 1, 0)`` for the least
+        row σ whose column another row reads and the least such τ.
+        Transposed, ``R.T @ R`` is diagonal and entry (j, j) counts the rows
+        that read column j: the first difference is ``(j, j, count, 1)`` at
+        the least j whose count is not 1 in the field (a count of 0 there
+        is no entry, so it reads as zero).
+        """
+        cols = self.cols
+        distinct = len(set(cols)) == len(cols)
+        if not self.transposed:
+            if distinct:
+                return None
+            first, second = {}, {}
+            for i, j in enumerate(cols):
+                if j not in first:
+                    first[j] = i
+                elif j not in second:
+                    second[j] = i
+            j = min(second, key=first.__getitem__)
+            return first[j], second[j], field.one, field.zero
+        if distinct and len(cols) == self.width:
+            return None
+        counts, one = Counter(cols), field.one
+        for j in range(self.width):
+            if (count := field.scalar(counts[j])) != one:
+                return j, j, count, one
+        return None
 
     def matrix(self, field: FieldSpec) -> Matrix:
         """The matrix itself, one 1 per row (per column when transposed)."""
@@ -1055,13 +1083,13 @@ def cohomology_dims(differentials):
         prev, prev_rank = d, rank
 
 
-def restricted_map(T: Matrix, src: Subspace, dst: Subspace) -> Matrix:
-    """Matrix of T restricted to ``src -> dst``, in their canonical bases.
+def restricted_map(images: Matrix, dst: Subspace) -> Matrix:
+    """Matrix of a map restricted to ``src -> dst``, in their canonical bases.
 
-    Column j holds the ``dst`` coordinates of T applied to basis row j of
-    ``src``; NotChainCompatible when an image leaves ``dst``.
+    Row j of ``images`` is the map applied to basis row j of ``src``.
+    Column j of the result holds its ``dst`` coordinates;
+    NotChainCompatible when an image leaves ``dst``.
     """
-    images = src.basis @ T.transpose()   # row j: T applied to basis row j of src
     if not dst.residues(images).is_zero():
         raise NotChainCompatible("map leaves the target subspace")
     # an image in dst is the combination of dst's rows given by its pivot entries
@@ -1072,4 +1100,4 @@ def restricted_map(T: Matrix, src: Subspace, dst: Subspace) -> Matrix:
             r = r_of.get(c)
             if r is not None:
                 rows.setdefault(r, {})[j] = v
-    return Matrix(T.field, dst.dim, src.dim, rows)
+    return Matrix(images.field, dst.dim, images.nrows, rows)

@@ -54,6 +54,40 @@ def sum_of_groups(*tables):
     return validate_category(raw)
 
 
+def _composites(cat):
+    """``(g, f, g∘f)`` for every composable pair of non-identities of ``cat``."""
+    ids = set(cat.identity)
+    return [(g, f, h) for g in range(cat.n_morphisms) if g not in ids
+            for f in cat.morphisms_by_target[cat.source[g]] if f not in ids
+            for h in (cat.compose(g, f),)]
+
+
+def opposite(cat):
+    """C^op: the objects and morphisms of ``cat``, each arrow reversed, and
+    f∘g in C^op the composite g∘f of C."""
+    names, objects = cat.morphism_names, cat.object_names
+    return validate_category(RawCategory(
+        objects=list(objects),
+        morphisms=[(names[m], objects[cat.target[m]], objects[cat.source[m]], cat.is_identity(m))
+                   for m in range(cat.n_morphisms)],
+        compositions=[(names[f], names[g], names[h]) for g, f, h in _composites(cat)],
+    ))
+
+
+def coproduct(c, d):
+    """C ⊔ D: the objects and morphisms of both, those of ``c`` prefixed
+    ``l`` and those of ``d`` prefixed ``r``, composing within each."""
+    raw = RawCategory()
+    for prefix, cat in (("l", c), ("r", d)):
+        names = [prefix + name for name in cat.morphism_names]
+        objects = [prefix + name for name in cat.object_names]
+        raw.objects += objects
+        raw.morphisms += [(names[m], objects[cat.source[m]], objects[cat.target[m]],
+                           cat.is_identity(m)) for m in range(cat.n_morphisms)]
+        raw.compositions += [(names[g], names[f], names[h]) for g, f, h in _composites(cat)]
+    return validate_category(raw)
+
+
 TRIV = builtin("triv")
 A2 = builtin("a2")
 C2 = builtin("c2")

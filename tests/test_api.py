@@ -21,7 +21,6 @@ import re
 import pytest
 
 import hochcat
-from hochcat.comparison import t_map_relative_matrix, x_map_relative_matrix
 from hochcat.fields import FieldSpec
 from hochcat.hochschild import relative_differential_matrix
 
@@ -187,8 +186,6 @@ def _degree_calls() -> dict:
         simplicial_cocycle_space=lambda m: hochcat.simplicial_cocycle_space(fad, field, m),
         verify_prism_identity=lambda m: hochcat.verify_prism_identity(fad, field, m),
         relative_differential_matrix=lambda m: relative_differential_matrix(cat, field, m),
-        t_map_relative_matrix=lambda m: t_map_relative_matrix(cat, field, m),
-        x_map_relative_matrix=lambda m: x_map_relative_matrix(cat, field, m),
     )
     return calls
 

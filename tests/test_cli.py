@@ -14,6 +14,7 @@ from hochcat.hochschild import DEFAULT_BASIS_CAP
 from hochcat.fields import FieldSpec
 
 from .catalog import GF2, S3, child_env
+from .test_comparison import count_map_builds
 from .test_hochschild import C2_PLUS_C3_TEXT, count_builds
 
 
@@ -105,12 +106,25 @@ def test_cap_help_names_a_default_the_option_parses():
 # --- verbs ------------------------------------------------------------------------
 
 def test_compare_c2_text(capsys):
-    code, out = cli("compare", "c2", "--field", "gf:2", "--max-degree", "3", capsys=capsys)
+    # every row of the text table is the JSON's degree: m, the three dims,
+    # the three checks and iso
+    argv = ("compare", "c2", "--field", "gf:2", "--max-degree", "3")
+    code, out = cli(*argv, capsys=capsys)
     assert code == 0
     assert "verdict: isomorphism" in out
-    for line in out.splitlines():
-        if line.strip().startswith(("0 |", "1 |", "2 |", "3 |")):
-            assert "| 2 |" not in line or True  # dims rendered; exact check below
+    json_code, json_out = cli(*argv, "--output", "json", capsys=capsys)
+    assert json_code == code
+    degrees = json.loads(json_out)["degrees"]
+    lines = out.splitlines()
+    header = lines.index(" m | dim HH | dim rel | dim H(F^ad) | T-chain | X-chain | section | iso")
+    rows = [[cell.strip() for cell in line.split("|")]
+            for line in lines[header + 1:header + 1 + len(degrees)]]
+    assert lines[header + 1 + len(degrees)] == "verdict: isomorphism"
+    ok, yes = {True: "ok", False: "FAIL"}, {True: "yes", False: "no"}
+    assert rows == [[str(d["m"]), str(d["dim_hh"]), str(d["dim_rel"]),
+                     str(d["dim_simplicial_fad"]), ok[d["t_chain_ok"]], ok[d["x_chain_ok"]],
+                     ok[d["section_ok"]], yes[d["iso"]]] for d in degrees]
+    assert [d["m"] for d in degrees] == [0, 1, 2, 3]
 
 
 def test_compare_builds_each_table_once(monkeypatch, capsys):
@@ -121,19 +135,21 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     # one degree up, for x_chain's product with δ (ex6 has two objects, so
     # the x_chain lemma does not apply).  The certified report reads the
     # relative dimensions off the nerve, so no relative differential is built.
-    tables = {
-        "hochschild": (hochschild._full_differential, {0, 1, 2}),
-        "relative": (hochschild._relative_differential, set()),
-        "nerve": (nerve._coboundary, {0, 1, 2}),
-        "reads": (comparison._read, {0, 1, 2, 3}),
-        "t": (comparison._t_matrix, set()),
-        "x": (comparison._x_matrix, {1, 2, 3}),
+    memos = {
+        "hochschild": hochschild._full_differential,
+        "relative": hochschild._relative_differential,
+        "nerve": nerve._coboundary,
+        "reads": comparison._read,
     }
-    builds = {name: count_builds(monkeypatch, fn) for name, (fn, _) in tables.items()}
+    builds = {name: count_builds(monkeypatch, fn) for name, fn in memos.items()}
+    builds.update({name: count_map_builds(monkeypatch, name)
+                   for name in ("t_map_matrix", "x_map_matrix")})
+    wanted = {"hochschild": {0, 1, 2}, "relative": set(), "nerve": {0, 1, 2},
+              "reads": {0, 1, 2, 3}, "t_map_matrix": set(), "x_map_matrix": {1, 2, 3}}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
                     "--output", "json", capsys=capsys)
     assert code == 0 and json.loads(out)["verdict"] == "isomorphism"
-    for name, (_fn, degrees) in tables.items():
+    for name, degrees in wanted.items():
         calls = builds[name]
         assert {args[-1] for _cat, args in calls} == degrees, name
         if not degrees:
@@ -434,16 +450,17 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
 @pytest.mark.parametrize("name", ["cn:4", "s3"])
 def test_a_catalog_group_lists_no_chain(monkeypatch, tmp_path, capsys, verb, field, name):
     # the nerve of F^ad is addressed by prefix offsets and T is an index
-    # array: no tuple chain list is built, and compare builds no X
+    # array: no tuple chain list is built, and neither verb builds T or X
+    # as a matrix (Theorem B restricts them from T's reads)
     if name == "s3":
         name = tmp_path / "s3.cat"
         name.write_text(catformat.category_to_text(S3), encoding="utf-8")
     chains = count_builds(monkeypatch, nerve._chains_cached)
-    xs = count_builds(monkeypatch, comparison._x_matrix)
+    maps = [count_map_builds(monkeypatch, fn) for fn in ("t_map_matrix", "x_map_matrix")]
     code, _out = cli(verb, str(name), "--field", field, "--output", "json", capsys=capsys)
     assert code == 0
     assert not chains
-    assert not xs or verb == "derivations"   # Theorem B restricts X to the characters
+    assert not any(maps)
 
 
 def test_compare_refuses_before_building_fad(monkeypatch, tmp_path, capsys):

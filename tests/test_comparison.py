@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+from collections import Counter
 from array import array
 import random
 import weakref
@@ -30,7 +31,7 @@ from hochcat import (
     RawCategory, comparison, group_from_table, hochschild, nerve, predicate_reports,
     validate_category,
 )
-from hochcat.comparison import _sign_for, t_map_relative_matrix, x_map_relative_matrix
+from hochcat.comparison import _read_relative, _relative_reading, _sign_for
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated, NotChainCompatible
 from hochcat.hochschild import (
     _full_differential,
@@ -65,6 +66,21 @@ def column(matrix: Matrix, c: int) -> dict:
 
 def as_column(field, vec) -> Matrix:
     return Matrix.from_rows(field, [[v] for v in vec], ncols=1)
+
+
+def count_map_builds(monkeypatch, name) -> Counter:
+    """Count the calls of ``comparison.<name>`` (``t_map_matrix`` or
+    ``x_map_matrix``), each of which builds its matrix, keyed as
+    ``count_builds`` keys a memo's misses: ``(id(cat), (field, m))``."""
+    calls: Counter = Counter()
+    build = getattr(comparison, name)
+
+    def counting(cat, field, m, cap=None):
+        calls[id(cat), (field, m)] += 1
+        return build(cat, field, m, cap)
+
+    monkeypatch.setattr(comparison, name, counting)
+    return calls
 
 
 # --- structure of T ---------------------------------------------------------
@@ -143,14 +159,14 @@ def test_x_vanishes_on_non_composable_tuples():
 
 def test_x_requires_right_determinism():
     # collapse() is not right deterministic, z_monoid() not right cancellative;
-    # both X functions refuse both, though T exists for each
+    # X and Theorem B, which restricts it, refuse both, though T exists for each
     for cat in (collapse(), z_monoid()):
         for m in range(2):
             assert t_map_matrix(cat, GF2, m).nrows == len(nerve_chains(adjoint_category(cat), m))
             with pytest.raises(HypothesisViolated):
                 x_map_matrix(cat, GF2, m)
-            with pytest.raises(HypothesisViolated):
-                x_map_relative_matrix(cat, GF2, m)
+        with pytest.raises(HypothesisViolated):
+            theorem_b_report(cat, GF2)
 
 
 def right_only():
@@ -186,7 +202,8 @@ def test_x_is_the_ladder_completion_reference(name):
         for field in FIELDS:
             assert x_map_matrix(cat, field, m) == Matrix.from_int_entries(
                 field, hochschild_basis_size(cat, m), ncols, full), (name, m, field)
-            assert x_map_relative_matrix(cat, field, m) == Matrix.from_int_entries(
+            t_rel, _outside = _read_relative(cat, m)
+            assert t_rel.T.matrix(field) == Matrix.from_int_entries(
                 field, len(rel_rows), ncols, rel), (name, m, field)
 
 
@@ -253,9 +270,9 @@ def test_relative_t_is_square_under_full_hypotheses():
     for name in HYPOTHESIS_FIXTURES:
         cat, field = FIXTURES[name], GF2
         for m in range(4):
-            t_rel = t_map_relative_matrix(cat, field, m)
+            t_rel = _relative_reading(cat, m, None)
             assert t_rel.nrows == t_rel.ncols == len(nerve_chains(adjoint_category(cat), m))
-            assert t_rel.rank() == t_rel.nrows, (name, m)
+            assert t_rel.matrix(field).rank() == t_rel.nrows, (name, m)
 
 
 # --- Theorem A reports ------------------------------------------------------------
@@ -393,26 +410,18 @@ def test_relative_maps_cap_the_bases_before_listing(monkeypatch):
     # F^ad chains pass it there (2·3^4 = 162); c2 passes at 2^7 in degree 6
     builds = [count_builds(monkeypatch, fn) for fn in (_layer, _relative_basis_cached)]
     with pytest.raises(DimensionCapExceeded) as refused:
-        t_map_relative_matrix(z_monoid(), GF2, 4, cap=100)
+        _relative_reading(z_monoid(), 4, 100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
     with pytest.raises(HypothesisViolated):   # the hypotheses come first
-        x_map_relative_matrix(z_monoid(), GF2, 4, cap=100)
+        verify_two_sided_on_relative(z_monoid(), GF2, 4, cap=100)
     cat = builtin("c2")
-    for refuse in (t_map_relative_matrix, x_map_relative_matrix, verify_two_sided_on_relative):
+    for refuse in (lambda: _relative_reading(cat, 6, 100),
+                   lambda: verify_two_sided_on_relative(cat, GF2, 6, cap=100)):
         with pytest.raises(DimensionCapExceeded) as refused:
-            refuse(cat, GF2, 6, cap=100)
-        assert (refused.value.degree, refused.value.required) == (6, 128), refuse.__name__
+            refuse()
+        assert (refused.value.degree, refused.value.required) == (6, 128)
     assert not any(builds)
     assert verify_two_sided_on_relative(cat, GF2, 5, cap=100).ok
-
-
-def test_one_object_relative_maps_are_the_memoized_full_ones():
-    cat = builtin("cn:3")
-    for field in (GF2, QQ):
-        for m in range(3):
-            assert t_map_relative_matrix(cat, field, m) is t_map_matrix(cat, field, m)
-            assert x_map_relative_matrix(cat, field, m) is x_map_matrix(cat, field, m)
-            assert x_map_matrix(cat, field, m) == t_map_matrix(cat, field, m).transpose()
 
 
 def test_theorem_a_report_holds_the_identity_checks():
@@ -620,17 +629,18 @@ misread_t1_outside = misread(1, lambda cat, read, ncols: next(
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_t_reading_a_non_relative_column_is_no_relative_map(monkeypatch, field):
     # a fresh ex6, so the perturbed T dies with it: two_sided_relative names
-    # the column, the relative maps refuse, and Theorem B finds no bijection
+    # the column, the relative reading refuses, and Theorem B finds no
+    # bijection and reports a zero T
     monkeypatch.setattr(comparison, "_read", misread_t1_outside(comparison._read))
     cat = builtin("ex6")
     outside = next(c for c in range(hochschild_basis_size(cat, 1))
                    if c not in _relative_of_full(cat, 1))
     check = verify_two_sided_on_relative(cat, field, 1)
     assert (check.ok, check.first_difference) == (False, (outside, -1, "image not relative", None))
-    for relative_map in (t_map_relative_matrix, x_map_relative_matrix):
-        with pytest.raises(NotChainCompatible):
-            relative_map(cat, field, 1)
-    assert not theorem_b_report(cat, field).bijection
+    with pytest.raises(NotChainCompatible):
+        _relative_reading(cat, 1, None)
+    rep = theorem_b_report(cat, field)
+    assert not rep.bijection and rep.restricted_matrix.is_zero()
 
 
 def toggled_t0(cell):
@@ -918,7 +928,7 @@ def test_lemma_and_set_facts_give_the_products(monkeypatch, name, field):
     # witness included, that the products give.  No X is built for it.
     cat = fresh(name) if name in ("s3", "d4") else builtin(name)
     max_m = degree_bound(cat)
-    xs = count_builds(monkeypatch, comparison._x_matrix)
+    xs = count_map_builds(monkeypatch, "x_map_matrix")
     monkeypatch.setattr(comparison, "verify_x_chain_identity",
                         lambda *args: pytest.fail("x_chain took the product route"))
     rep = theorem_a_report(cat, field, max_m)
@@ -972,3 +982,45 @@ def test_perturbed_reads_flip_the_set_facts_as_the_products_do(monkeypatch, misr
         assert section.ok and two_sided.first_difference[2] == "image not relative"
     fresh_cat = fresh(name) if name == "s3" else builtin(name)
     assert summary(rep) == basis_route(fresh_cat, field, 2)
+
+
+RESHAPES = {
+    # row 0 reads row 1's column: two chains on one column, row 0's unread
+    "two_on_one": lambda read: array("l", [read[1], *read[1:]]),
+    # the last chain dropped: a relative column no chain reads, reads distinct
+    "unread": lambda read: read[:-1],
+    # two more chains read row 0's column: three chains on it, none unread
+    "thrice": lambda read: read + array("l", (read[0], read[0])),
+}
+
+
+@pytest.mark.parametrize("reshape", sorted(RESHAPES))
+@pytest.mark.parametrize("name", ("c2", "cn:3", "ex6", "diamond"))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_set_fact_witnesses_are_the_products_of_the_reads(monkeypatch, reshape, name, field):
+    # section and two_sided_relative read their verdict and first difference
+    # off T's reads; the products T Tᵀ and Tᵀ T of the matrices built from
+    # the same reads give both.  Over GF(2) three chains on one column pass
+    # Tᵀ T = I and fail T Tᵀ = I; over GF(3) the count 3 is absent, so zero
+    # T^1's reads become RESHAPES[reshape](read), which may add or drop
+    # chains; the set facts read nothing else, so they are called alone
+    honest = comparison._read
+    monkeypatch.setattr(comparison, "_read", lambda cat, m: (
+        RESHAPES[reshape](array("l", honest(cat, m))) if m == 1 else honest(cat, m)))
+    cat = builtin(name)
+    section = verify_section(cat, field, 1)
+    two_sided = verify_two_sided_on_relative(cat, field, 1)
+    assert section == product_section(cat, field, 1)
+    assert two_sided == product_two_sided(cat, field, 1)
+    assert not two_sided.ok
+    n = len(honest(cat, 1))
+    if reshape == "two_on_one":
+        assert section.first_difference == (0, 1, field.one, field.zero)
+    elif reshape == "unread":
+        assert section.ok
+        assert two_sided.first_difference[2:] == (field.zero, field.one)
+    elif field == GF2:
+        assert section.first_difference == (0, n, field.one, field.zero)
+        assert two_sided.first_difference == section.first_difference
+    else:
+        assert two_sided.first_difference[2:] == (field.scalar(3), field.one)

@@ -195,15 +195,22 @@ def test_theorem_b_requires_hypotheses():
 
 
 def _perturb_x(monkeypatch, perturb):
-    x_rel = derivations.x_map_relative_matrix
-    monkeypatch.setattr(derivations, "x_map_relative_matrix",
-                        lambda cat, field, m, cap=None: perturb(cat, field, x_rel(cat, field, m, cap)))
+    """Perturb the images of X that ``theorem_b_report`` restricts to the
+    derivations, its second ``restricted_map`` call (T's comes first); row i
+    is X of character i, so the derivations found from them are untouched."""
+    honest, calls = derivations.restricted_map, []
+
+    def restricted(images, dst):
+        calls.append(dst)
+        return honest(perturb(images) if len(calls) == 2 else images, dst)
+
+    monkeypatch.setattr(derivations, "restricted_map", restricted)
 
 
 def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypatch):
     # 2X still sends characters to derivations, but is not T's inverse
     honest = theorem_b_report(A2, QQ)
-    _perturb_x(monkeypatch, lambda cat, field, x: x.scaled(QQ.scalar(2)))
+    _perturb_x(monkeypatch, lambda images: images.scaled(QQ.scalar(2)))
     rep = theorem_b_report(A2, QQ)
     assert rep.bijection is False
     assert rep.restricted_matrix == honest.restricted_matrix
@@ -212,13 +219,12 @@ def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypat
 def test_theorem_b_rejects_a_perturbed_x_that_leaves_the_derivations(monkeypatch):
     # adding the identity slot e_(id, id) to X's image of the first character
     # basis vector leaves the derivations, which vanish on identities
-    def leave(cat, field, x):
-        ident = cat.identity[0]
-        row = relative_basis(cat, 1).index(((ident,), ident))
-        col = character_space(adjoint_category(cat), field).pivots[0]
-        cells = {(r, c): v for r, c, v in x.entries()}
-        cells[row, col] = field.add(cells.get((row, col), field.zero), field.one)
-        return Matrix.from_entries(field, x.nrows, x.ncols, cells)
+    def leave(images):
+        ident = C2.identity[0]
+        col = relative_basis(C2, 1).index(((ident,), ident))
+        cells = {(r, c): v for r, c, v in images.entries()}
+        cells[0, col] = GF2.add(cells.get((0, col), GF2.zero), GF2.one)
+        return Matrix.from_entries(GF2, images.nrows, images.ncols, cells)
 
     honest = theorem_b_report(C2, GF2)
     _perturb_x(monkeypatch, leave)
@@ -265,7 +271,8 @@ def test_derivations_through_x_are_the_kernel_of_d_one(name, field):
     # the eliminated ker d_1, basis for basis
     cat = ROUTED[name]
     char = character_space(adjoint_category(cat), field)
-    der = derivations._derivations_through_x(cat, field, char, None)
+    t1 = derivations._relative_reading(cat, 1, None)
+    der = derivations._derivations_through_x(cat, field, t1, char.basis @ t1, None)
     assert der == graded_derivation_space(cat, field)
     rep = theorem_b_report(cat, field)
     assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (der.dim, char.dim, True)
@@ -323,9 +330,10 @@ def refused_check(*_args):
 @pytest.mark.parametrize("name", ("a2", "s3", "s3+c2"))
 @pytest.mark.parametrize("perturbation", ("moved", "swapped", "two_sided"))
 def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturbation):
-    # moving a read of T² leaves a column unread (check b), swapping two
-    # breaks T²d_1 = δ^1T¹ (check c), and a failed two-sided check is (a):
-    # each falls back to ker d_1, and the report is the same
+    # moving a read of T² leaves a column unread, so X² T² is not I (check
+    # b), swapping two breaks T²d_1 = δ^1T¹ (check c), and a failed
+    # two-sided check is (a): each falls back to ker d_1, and the report is
+    # the same
     cat = ROUTED[name]
     honest = theorem_b_report(cat, GF3)
     if perturbation == "two_sided":
@@ -340,7 +348,8 @@ def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturba
 
         monkeypatch.setattr(derivations, "_relative_reading", perturbed)
     char = character_space(adjoint_category(cat), GF3)
-    assert derivations._derivations_through_x(cat, GF3, char, None) is None
+    t1 = derivations._relative_reading(cat, 1, None)
+    assert derivations._derivations_through_x(cat, GF3, t1, char.basis @ t1, None) is None
     calls = spy_eliminations(monkeypatch)
     assert theorem_b_report(cat, GF3) == honest
     assert eliminated(calls, relative_differential_matrix(cat, GF3, 1))

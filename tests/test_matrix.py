@@ -284,7 +284,7 @@ def test_induced_rejects_incompatible_map():
     # cocycles <e0> leave, as a restriction to <e0>; then all of k^2 is
     # kept but coboundaries <e0> leave
     with pytest.raises(NotChainCompatible):
-        restricted_map(swap, e0, e0)
+        restricted_map(e0.basis @ swap.transpose(), e0)
     with pytest.raises(NotChainCompatible):
         induced_quotient_map(swap, everything, e0, everything, e0)
 
@@ -326,10 +326,10 @@ def test_induced_comparison_degree_one_c2_gf2():
 # --- restriction to subspaces --------------------------------------------------
 
 def test_restricted_identity_and_zero_maps():
+    # the images of the source basis rows: Z's own rows, then one zero row
     Z = Subspace.from_matrix(mk(QQ, [[1, 2, 0], [0, 1, 1]]))
-    assert restricted_map(Matrix.identity(QQ, 3), Z, Z) == Matrix.identity(QQ, 2)
-    zero = restricted_map(Matrix.zeros(GF2, 2, 2), Subspace.from_matrix(mk(GF2, [[1, 1]])),
-                          Subspace.zero(GF2, 2))
+    assert restricted_map(Z.basis, Z) == Matrix.identity(QQ, 2)
+    zero = restricted_map(Matrix.zeros(GF2, 1, 2), Subspace.zero(GF2, 2))
     assert (zero.nrows, zero.ncols) == (0, 1) and zero.is_zero()
 
 
@@ -337,29 +337,31 @@ def test_restricted_map_reads_coordinates_in_the_target_basis():
     # T(x, y) = (x + y, y, x) on <e0> and <e1> lands in <(1,0,1), (1,1,0)>,
     # whose canonical basis is (1,0,1), (0,1,-1)
     T = mk(QQ, [[1, 1], [0, 1], [1, 0]])
-    src = Subspace.from_matrix(Matrix.identity(QQ, 2))
+    images = Subspace.from_matrix(Matrix.identity(QQ, 2)).basis @ T.transpose()
     dst = Subspace.from_matrix(mk(QQ, [[1, 0, 1], [1, 1, 0]]))
-    assert restricted_map(T, src, dst) == mk(QQ, [[1, 1], [0, 1]])
+    assert restricted_map(images, dst) == mk(QQ, [[1, 1], [0, 1]])
     with pytest.raises(NotChainCompatible):
-        restricted_map(T, src, Subspace.from_matrix(mk(QQ, [[1, 0, 1]])))
+        restricted_map(images, Subspace.from_matrix(mk(QQ, [[1, 0, 1]])))
 
 
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
 def test_restricted_map_is_the_quotient_map_over_zero_subspaces(field):
     # Theorem B's restriction: T^1 from derivations to characters, and X^1
-    # back, as the reference's induced map over zero coboundaries
+    # back, from the images T's relative reads give, as the reference's
+    # induced map of the matrices over zero coboundaries
     from hochcat import character_space, graded_derivation_space
-    from hochcat.comparison import t_map_relative_matrix, x_map_relative_matrix
+    from hochcat.comparison import _relative_reading
 
     for name, cat in FIXTURES.items():
         der = graded_derivation_space(cat, field)
         char = character_space(adjoint_category(cat), field)
-        for T, src, dst in ((t_map_relative_matrix(cat, field, 1), der, char),
-                            (x_map_relative_matrix(cat, field, 1), char, der)):
+        t1 = _relative_reading(cat, 1, None)
+        for T, src, dst, images in ((t1.matrix(field), der, char, der.basis @ t1.T),
+                                    (t1.T.matrix(field), char, der, char.basis @ t1)):
             zero_src = Subspace.zero(field, src.ambient_dim)
             zero_dst = Subspace.zero(field, dst.ambient_dim)
             expected, _ = induced_quotient_map(T, src, zero_src, dst, zero_dst)
-            assert restricted_map(T, src, dst) == expected, name
+            assert restricted_map(images, dst) == expected, name
 
 
 # --- elimination against the textbook oracle -----------------------------------
@@ -863,8 +865,11 @@ def test_products_with_a_reading_matrix_match_the_textbook_product(field):
         assert all(row for row in bt.rows.values())
         d = _random_matrix(field, rng, m, k)
         assert d @ t.T == _dense_field_product(d, dense_x)
-        assert t.injective() == (dense_t @ dense_x == Matrix.identity(field, n))
-        assert t.bijective() == (t.injective() and dense_x @ dense_t == Matrix.identity(field, k))
+        # R Rᵀ and Rᵀ R against I, witness included, as the textbook products give them
+        assert t.identity_difference(field) == \
+            _dense_field_product(dense_t, dense_x).first_difference(Matrix.identity(field, n))
+        assert t.T.identity_difference(field) == \
+            _dense_field_product(dense_x, dense_t).first_difference(Matrix.identity(field, k))
         with pytest.raises(ValueError):
             _random_matrix(field, rng, m, n + 1) @ t
 

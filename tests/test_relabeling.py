@@ -6,8 +6,12 @@ address the nerve of ``F^ad``.  None of that may show in a report: every
 catalog fixture in the isomorphism tier, read back from its text form with
 the object and morphism lines in three seeded orders, gives byte for byte
 the JSON of ``compare`` and ``cohomology --theory both`` it gives as it is.
+``derivations`` keeps its dimensions, verdict and matrix shape; its matrix
+entries are coordinates in bases that follow the labeling, so its JSON is
+not expected to be byte-identical.
 """
 
+import json
 import random
 
 import pytest
@@ -62,4 +66,30 @@ def test_reports_do_not_depend_on_the_labeling(tmp_path, capsys, name):
         path.write_text(labeled, encoding="utf-8")
         runs.append(reports(str(path), capsys))
     assert all(code == 0 for code, _out in runs[0])
+    assert runs[1:] == [runs[0]] * 3
+
+
+def derivations_summary(path, capsys) -> list:
+    """Per field: exit code, the two dimensions, the verdict and the shape of
+    the restricted matrix, which is all of the JSON that does not name a
+    basis coordinate (the triplets do, and move with the labeling)."""
+    out = []
+    for field in ("gf:2", "gf:3", "q"):
+        code = main(["derivations", path, "--field", field, "--output", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        out.append((code, doc["dim_graded_derivations"], doc["dim_characters"],
+                    doc["bijection"], doc["verdict"],
+                    doc["matrix"]["rows"], doc["matrix"]["cols"]))
+    return out
+
+
+@pytest.mark.parametrize("name", ISOMORPHISM_TIER)
+def test_derivations_do_not_depend_on_the_labeling(tmp_path, capsys, name):
+    text = category_to_text(FIXTURES[name])
+    runs = []
+    for k, labeled in enumerate([text] + [relabeled(text, seed) for seed in (1, 2, 3)]):
+        path = tmp_path / f"{k}.cat"
+        path.write_text(labeled, encoding="utf-8")
+        runs.append(derivations_summary(str(path), capsys))
+    assert all(code == 0 for code, *_rest in runs[0])
     assert runs[1:] == [runs[0]] * 3
