@@ -17,8 +17,8 @@ X is built as that transpose, behind the same gate.
 T is pure index data: ``_read(cat, m)`` holds, per F^ad chain, the column
 it reads, as a stdlib ``array('l')``, climbed from the chain's prefix in
 the nerve's own order (the ``nerve`` docstring).  It is kept on the
-category as the differentials are, once for every field.  Every reader
-takes it as a ``matrix.Reading``: T on the left selects rows, T on the
+category as the integer differentials are, once for every field.  Every
+reader takes it as a ``matrix.Reading``: T on the left selects rows, T on the
 right renames columns, and X = Tᵀ copies columns, in the checks here and
 in Theorem B's restricted maps (``derivations``).  T and X are built as
 matrices only by the public ``t_map_matrix`` and ``x_map_matrix``, and X
@@ -93,7 +93,9 @@ the bases of ``matrix.cohomology``: the benchmark harness requires a
 ``USED["certify"]``).
 
 The maps, the identity checks and the report take ``(cat, field, m)``, and
-a ``cap`` where they build bases, like the complexes they compare.
+a ``cap`` where they build bases, like the complexes they compare.  The
+checks read ∂, δ and X as integer matrices, evaluate both sides over Z with
+``(−1)^(m+1)`` as an int, and reduce their difference into the field.
 ``F^ad`` is ``adjoint_category(cat)``, memoized on ``cat``, and a map or
 check that needs a hypothesis tests it with ``require_predicates(cat, ...)``.
 """
@@ -113,7 +115,7 @@ from .category import (
     require_predicates,
 )
 from .errors import NotChainCompatible
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 from .hochschild import (
     check_degree,
     check_sizes,
@@ -226,11 +228,6 @@ def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None 
 
 # --- chain-map identities ---------------------------------------------------------
 
-def _sign_for(field: FieldSpec, m: int):
-    """(-1)^(m+1) as a field scalar."""
-    return field.neg(field.one) if (m + 1) % 2 else field.one
-
-
 def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
                             cap: int | None = None) -> VerificationResult:
     """T^(m+1) ∘ ∂^m = (-1)^(m+1) δ^m ∘ T^m, as exact matrices.
@@ -239,10 +236,10 @@ def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     right, so neither product multiplies.
     """
     require_predicates(cat, *CANCELLATIVE)
-    lhs = _reading(cat, m + 1, cap) @ hochschild_differential_matrix(cat, field, m, cap)
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m, cap)
-    rhs = (delta @ _reading(cat, m, cap)).scaled(_sign_for(field, m))
-    return VerificationResult.of("t_chain", m, lhs, rhs)
+    lhs = _reading(cat, m + 1, cap) @ hochschild_differential_matrix(cat, QQ, m, cap)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, m, cap)
+    rhs = delta @ _reading(cat, m, cap)
+    return VerificationResult.of("t_chain", m, lhs, rhs, field, (-1) ** (m + 1))
 
 
 def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -254,10 +251,10 @@ def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     much larger ∂ by T's reads (a ``Reading``), and no X^m is built.
     """
     require_predicates(cat, *DETERMINISTIC, *CANCELLATIVE)
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m, cap)
-    lhs = x_map_matrix(cat, field, m + 1, cap) @ delta
-    rhs = hochschild_differential_matrix(cat, field, m, cap) @ _reading(cat, m, cap).T
-    return VerificationResult.of("x_chain", m, lhs, rhs.scaled(_sign_for(field, m)))
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, m, cap)
+    lhs = x_map_matrix(cat, QQ, m + 1, cap) @ delta
+    rhs = hochschild_differential_matrix(cat, QQ, m, cap) @ _reading(cat, m, cap).T
+    return VerificationResult.of("x_chain", m, lhs, rhs, field, (-1) ** (m + 1))
 
 
 def verify_section(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -356,16 +353,8 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     are subsets of the full ones).  The map T always exists, so the report
     is computed for any category; the verdict claims only what the
     hypothesis tier supports, and a failed identity makes it ``failed``.
-    Each degree's flags come from its checks (the flags lemma).
-
-    The nerve of ``F^ad`` is ranked once, through its skeleton when the
-    prism identity holds (``nerve.simplicial_cohomology_dims``).  The
-    relative complex takes the nerve's dimensions when the isomorphism
-    tier's checks all hold (the relative lemma), and is ranked otherwise.
-    The full complex takes the relative dimensions when the two are the
-    same complex; otherwise it is ranked in the unverified tier, and
-    counted on ``cohomology``'s bases in a certified one (the harness
-    reason above).
+    Each degree's flags come from its checks (the flags lemma); which
+    complex is ranked is the module docstring's "So every report ranks".
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
@@ -384,10 +373,8 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
     elif tier == "unverified":
         dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
     else:
-        # bases, not ranks: perfbench's USED["certify"] and its test
-        # test_traced_child_attaches_every_wrapper require a matrix.subspace
-        # call on compare
-        walk = cohomology(hochschild_differential_matrix(cat, field, m, cap) for m in rng)
+        # bases, not ranks: the harness reason in the module docstring
+        walk = cohomology((hochschild_differential_matrix(cat, QQ, m, cap) for m in rng), field)
         dims_h = [dim for _Z, _B, dim in walk]
     degrees = []
     for m, h, r, s, ch in zip(rng, dims_h, dims_r, dims_s, checks):

@@ -1,8 +1,11 @@
 """Exact scalar domains: prime fields GF(p) and the rationals.
 
-Scalars are plain Python objects: ints in ``[0, p)`` for GF(p), and
-``fractions.Fraction`` for the rationals.  All arithmetic is exact; there is
-deliberately no floating point anywhere in this package.
+Scalars are plain Python objects: ints in ``[0, p)`` for GF(p), and ints
+or ``fractions.Fraction`` for the rationals (an int is an exact rational:
+the engine's structural matrices are integer matrices over Q, which an
+elimination or a verdict reduces into GF(p), see ``matrix``).  All
+arithmetic is exact; there is deliberately no floating point anywhere in
+this package.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ The differential of the coefficient tensor of f sends the basis cochain
 A basis pair is addressed by its base-n index ``τ·n + h`` (n morphisms, τ
 the base-n number whose digits are the tuple), so every term's row is
 computed by index arithmetic, never by building a tuple.  Each column's
-terms are summed over the integers, reduced into the field and written
-straight into the row dicts of a ``Matrix``.  The matrix is memoized on the
-category per field and degree: built once for as long as the category
-lives, and freed with it.  Every cap is checked before the memo is read,
+terms are summed over the integers and written straight into the row dicts
+of an integer ``Matrix`` (over Q, with int entries).  The matrix is
+memoized on the category per degree, for every field, which enters only
+when it is ranked: built once for as long as the category lives, and freed
+with it.  Every cap is checked before the memo is read,
 and the dimension tables check every degree's basis size
 (``check_sizes``) before the first differential is assembled.
 
@@ -40,7 +41,8 @@ from collections import Counter
 
 from .category import FiniteCategory, memo, require_table
 from .errors import DimensionCapExceeded, NotASubcomplex
-from .matrix import Matrix, _IntScalars, cohomology_dims
+from .fields import QQ, FieldSpec
+from .matrix import Matrix, cohomology_dims
 
 DEFAULT_BASIS_CAP = 2_000_000
 
@@ -120,7 +122,7 @@ def _factorizations(cat: FiniteCategory) -> tuple:
     return tuple(tuple(ps) for ps in out)
 
 
-def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) -> dict:
+def _differential_rows(cat: FiniteCategory, m: int, groups, row_of=None) -> dict:
     """Nonzero row dicts of the degree-m differential on the columns of ``groups``.
 
     ``groups`` yields ``(tup, τ, cols)``: an m-tuple, its base-n index τ
@@ -132,8 +134,8 @@ def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) 
       with ``hi = τ // n^(m−j+1)`` and ``lo = τ mod n^(m−j)``;
     * right ``(tup, u; h∘u)``: ``(τ·n + u)·n + h∘u``.
 
-    The terms of one column are summed over Z before they are reduced,
-    since identity factorizations cancel.  ``row_of``, when given, maps a
+    The terms of one column are summed over Z, since identity
+    factorizations cancel, and a sum of 0 is no entry.  ``row_of``, when given, maps a
     full row index to the row number; a miss raises ``NotASubcomplex``.
     """
     n = cat.n_morphisms
@@ -149,7 +151,6 @@ def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) 
     right_sign = -1 if (m + 1) % 2 else 1
     # v∘w = z as the two digits v·n + w
     pairs = tuple(tuple(v * n + w for v, w in ps) for ps in _factorizations(cat))
-    scalars = _IntScalars(field)
     rows: dict = {}
     for tup, tau, cols in groups:
         # inner terms do not depend on h: row = key + h
@@ -188,44 +189,43 @@ def _differential_rows(cat: FiniteCategory, field, m: int, groups, row_of=None) 
                             f"column {(tup, h)} hits {(tuple(digits[:-1]), digits[-1])}"
                         )
                     r = i
-                s = scalars[v]
-                if s is not None:
-                    row = rows.get(r)
-                    if row is None:
-                        rows[r] = row = {}
-                    row[c] = s
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = row = {}
+                row[c] = v
     return rows
 
 
 @memo
-def _full_differential(cat: FiniteCategory, field, m: int) -> Matrix:
-    """The degree-m differential over ``field``, every column in base-n order."""
+def _full_differential(cat: FiniteCategory, m: int) -> Matrix:
+    """The degree-m differential as an integer matrix, every column in base-n order."""
     n = cat.n_morphisms
     groups = ((tup, tau, zip(range(tau * n, tau * n + n), range(n)))
               for tau, tup in enumerate(itertools.product(range(n), repeat=m)))
-    return Matrix(field, n ** (m + 2), n ** (m + 1), _differential_rows(cat, field, m, groups))
+    return Matrix(QQ, n ** (m + 2), n ** (m + 1), _differential_rows(cat, m, groups))
 
 
-def hochschild_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the degree-m differential in the lexicographic bases.
+def hochschild_differential_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the degree-m differential in the lexicographic bases, over
+    ``field``: over Q the memoized integer matrix itself.
 
     Every basis up to degree m + 1 is checked against the cap first, as
     running products, so no size above ``n_morphisms * cap`` is formed.
     """
     check_degree(m)
     check_sizes(hochschild_sizes(cat), m + 1, cap)
-    return _full_differential(cat, field, m)
+    return _full_differential(cat, m).over(field)
 
 
-def hochschild_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
+def hochschild_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of HH^0..HH^max_m over the full cochain complex.
 
     Every degree's basis size is checked against the cap first.
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
-    mats = [hochschild_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return list(cohomology_dims(mats))
+    mats = [hochschild_differential_matrix(cat, QQ, m, cap) for m in range(max_m + 1)]
+    return list(cohomology_dims(mats, field))
 
 
 # --- the relative subcomplex ---------------------------------------------------
@@ -304,18 +304,19 @@ def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
 
 
 @memo
-def _relative_differential(cat: FiniteCategory, field, m: int) -> Matrix:
-    """The differential on the relative columns, rows numbered in the relative basis."""
+def _relative_differential(cat: FiniteCategory, m: int) -> Matrix:
+    """The integer differential on the relative columns, rows numbered in the relative basis."""
     n = cat.n_morphisms
     cols = _relative_basis_cached(cat, m)
     row_of = _relative_of_full(cat, m + 1)
     groups = ((tup, basis_index(cat, tup, 0) // n, [(c, h) for c, (_tup, h) in pairs])
               for tup, pairs in itertools.groupby(enumerate(cols), key=lambda item: item[1][0]))
-    return Matrix(field, len(row_of), len(cols), _differential_rows(cat, field, m, groups, row_of))
+    return Matrix(QQ, len(row_of), len(cols), _differential_rows(cat, m, groups, row_of))
 
 
-def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the differential restricted to relative cochains.
+def relative_differential_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the differential restricted to relative cochains, over
+    ``field`` as for ``hochschild_differential_matrix``.
 
     Every relative basis up to degree m + 1 is checked against the cap,
     and the first one over it refused, before any basis is enumerated.
@@ -325,17 +326,17 @@ def relative_differential_matrix(cat, field, m: int, cap: int | None = None) -> 
     check_degree(m)
     check_sizes(relative_sizes(cat), m + 1, cap)
     if relative_is_full(cat, m + 1):
-        return _full_differential(cat, field, m)
-    return _relative_differential(cat, field, m)
+        return _full_differential(cat, m).over(field)
+    return _relative_differential(cat, m).over(field)
 
 
-def relative_cohomology_dims(cat, field, max_m: int, cap: int | None = None) -> list[int]:
+def relative_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the relative cohomology in degrees 0..max_m.
 
     Every degree's basis size is checked against the cap first.
     """
     check_degree(max_m)
     check_sizes(relative_sizes(cat), max_m + 1, cap)
-    mats = [relative_differential_matrix(cat, field, m, cap) for m in range(max_m + 1)]
-    return list(cohomology_dims(mats))
+    mats = [relative_differential_matrix(cat, QQ, m, cap) for m in range(max_m + 1)]
+    return list(cohomology_dims(mats, field))
 

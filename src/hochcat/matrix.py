@@ -5,12 +5,26 @@ column -> nonzero scalar, and holds no empty row (the differentials of a
 poset are mostly zero rows).  Elimination, products, subspace residues and
 the modular lift all work on these row dicts, so no operation
 converts between formats.  Elimination is generic over the field through
-three scalar hooks (ints mod p for GF(p), Fractions for Q), and
+three scalar hooks (ints mod p for GF(p), ints and Fractions for Q), and
 ``_rref_sparse`` picks its route by shape alone: the column sweep
 (``_echelon``, with column-indexed bookkeeping and Markowitz-style row
 selection, then ``_back_substitute``) for wide and square matrices and
 over GF(2), and a row-by-row reduction against a reduced basis
 (``_rref_by_rows``) for tall matrices over odd p and Q.
+
+Where a field enters.  The engine's structural matrices (differentials,
+coboundaries, prisms) are integer matrices: matrices over Q whose entries
+are ints, built once and shared by every field, since each reaches a
+field by the base change Z -> k.  A field enters in two places only:
+
+* an elimination (``rref``, ``rank``, ``kernel_basis``, ``image_basis``
+  given a ``field``) reduces the entries mod p inside the row copy or the
+  transpose it makes anyway, so no reduced copy is held beside the integer
+  matrix (``over`` makes one for a caller that asks);
+* an identity's verdict: ``first_difference`` (``VerificationResult.of``)
+  compares two integer matrices, one of them times a sign, over Z, and
+  reduces a difference into the field.  Z -> k is a ring map, so this one
+  test decides equality in k, with the reduced matrices' witness.
 
 Over Q, ``Matrix.rref`` eliminates modulo one prime, lifts and certifies.
 It clears each row's denominators, runs the engine modulo ``2^31 - 1``,
@@ -19,9 +33,9 @@ verifies the lift exactly over Z: every integer row must leave no residue
 against it.  Since ``rank_p <= rank_Q`` for an integer matrix, a lift that
 passes spans the row space and is the canonical RREF.  When the lift fails
 (an entry past about 2^15) or the check refuses it (the prime divides a
-pivot), the engine runs on Fractions instead.  Products over Q
-scale both factors to integers by their common denominators (once per
-matrix, kept for its later products), accumulate on ints and build one
+pivot), the engine runs on Fractions instead.  Products over Q multiply
+integer matrices as they stand; otherwise they scale both factors to
+integers by their common denominators, accumulate on ints and build one
 Fraction per distinct output numerator.
 
 The sweep processes columns left to right, so the pivot columns are the
@@ -29,16 +43,6 @@ RREF pivots, and the result is the canonical reduced row echelon form (RREF
 is unique for a given row space).  Ranks, kernels and reported bases are
 therefore determined by the matrix alone.  Pivot choice is deterministic:
 the sparsest usable row, ties broken by row index.
-
-A tall matrix, such as Theorem B's ``d_1`` and ``δ^1`` (13,824 x 576 for
-``s4``, rank about 560), is mostly dependent rows.  The sweep updates each
-of them once per pivot column it meets; the row-by-row route instead
-clears each row, sparsest first, against the basis found so far, which is
-kept reduced, and a nonzero residue joins it as a new pivot row.  The
-leading columns of an echelon basis are the RREF pivots, so this route
-returns the same canonical RREF.  On the ``s4`` kernels it is 3-4x faster
-over GF(3) and modulo each prime of Q; on wide matrices it is 2-3x slower,
-and over GF(2) the sweep's bitset tail beats it, hence the shape rule.
 
 Over GF(2) the engine switches from sparse to dense once fill sets in, as
 in Dumas and Villard, *Computing the rank of large sparse matrices over
@@ -50,19 +54,10 @@ pivots are the RREF pivots either way, so ranks, the canonical RREF and
 kernels do not depend on where the switch happens.  GF(p) for odd p and
 Q never count the fill and never switch.
 
-A rank is the number of pivots of any echelon form.  A tall matrix over
-odd p or Q is reduced as it stands, row by row: on the ``s4`` relative
-``d_1`` over GF(3) that takes a third of the time of sweeping its wide
-transpose, though on the sparser ``ex6`` ``d_3`` it takes an eighth
-longer.  Otherwise over GF(p) ``Matrix.rank`` sweeps the side with
-fewer rows and skips back-substitution (``rref(reduced=False)``), which on
-a large differential triples the nonzeros of the pivot rows; over GF(2)
-that includes every tall matrix, for the bitset tail.  Only the consumers
-of the canonical RREF (kernels, images, ``Subspace``) back-substitute.
-Over Q the rank is that of the certified RREF, so it is taken on the
-matrix as it stands.  The rank still goes through ``Matrix.rref``, so
-that one entry point sees, and a tracer that wraps it counts, every
-elimination.
+A rank is the number of pivots of any echelon form, so over GF(p)
+``Matrix.rank`` skips back-substitution, which on a large differential
+triples the nonzeros of the pivot rows; only the consumers of the
+canonical RREF (kernels, images, ``Subspace``) back-substitute.
 
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
 rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
@@ -96,29 +91,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, lcm
-from operator import lt
+from operator import lt, mul
 
 from .errors import NotASubspace, NotChainCompatible
 from .fields import QQ, FieldSpec
-
-
-class _IntScalars(dict):
-    """Integer -> its scalar in ``field``, None for zero; each computed once.
-
-    Integer entries are small and repeat, so the cells built from them
-    share one scalar per distinct integer (scalars are immutable).
-    """
-
-    def __init__(self, field: FieldSpec):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, n: int):
-        v = self.field.scalar(n)
-        v = self[n] = v if v != 0 else None
-        return v
 
 
 @dataclass(frozen=True)
@@ -134,9 +112,11 @@ class VerificationResult:
         return self.ok
 
     @classmethod
-    def of(cls, name: str, degree: int, lhs: "Matrix", rhs: "Matrix") -> "VerificationResult":
-        """Whether ``lhs == rhs``, with their first differing cell when not."""
-        diff = lhs.first_difference(rhs)
+    def of(cls, name: str, degree: int, lhs: "Matrix", rhs: "Matrix",
+           field: FieldSpec | None = None, sign: int = 1) -> "VerificationResult":
+        """Whether ``lhs == sign * rhs`` in ``field``, with their first
+        differing cell when not (``Matrix.first_difference``)."""
+        diff = lhs.first_difference(rhs, field, sign)
         return cls(name, degree, diff is None, diff)
 
 
@@ -162,7 +142,8 @@ class Matrix:
     def from_entries(cls, field, nrows, ncols, entries) -> "Matrix":
         """``entries``: mapping or iterable of ((r, c), value) in field scalars.
 
-        Over GF(p) each value is reduced mod p, as in ``from_int_entries``.
+        Over GF(p) each value is reduced mod p, so integers may be given;
+        entries that are zero in the field are dropped.
         """
         p = field.p
         items = entries.items() if hasattr(entries, "items") else entries
@@ -173,17 +154,6 @@ class Matrix:
             if p is not None:
                 v %= p
             if v != 0:
-                rows.setdefault(r, {})[c] = v
-        return cls(field, nrows, ncols, rows)
-
-    @classmethod
-    def from_int_entries(cls, field, nrows, ncols, entries) -> "Matrix":
-        """Reduce integer entries into the field (``_IntScalars``); drops entries that map to 0."""
-        items = entries.items() if hasattr(entries, "items") else entries
-        rows, scalars = {}, _IntScalars(field)
-        for (r, c), n in items:
-            v = scalars[n]
-            if v is not None:
                 rows.setdefault(r, {})[c] = v
         return cls(field, nrows, ncols, rows)
 
@@ -251,44 +221,54 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
 
-    def first_difference(self, other: "Matrix"):
-        """First (r, c, self_val, other_val) where the matrices differ, or None."""
+    def first_difference(self, other: "Matrix", field: FieldSpec | None = None, sign: int = 1):
+        """First ``(r, c, a, b)`` where ``self`` and ``sign * other`` differ in
+        ``field`` (by default their own), or None.  A row that differs over Z
+        is compared with its difference reduced into the field, so integer
+        matrices get the verdict and witness of their reduced copies.
+        """
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return (-1, -1, (self.nrows, self.ncols), (other.nrows, other.ncols))
-        if self.rows == other.rows:
+        mine, theirs, signed = self.rows, other.rows, partial(_times, sign)
+        # equal over Z, so in every field: one signed row at a time is held
+        if mine.keys() == theirs.keys() and all(a == signed(theirs[r]) for r, a in mine.items()):
             return None
-        for r in sorted(self.rows.keys() | other.rows.keys()):
-            a, b = self.rows.get(r, {}), other.rows.get(r, {})
-            if a != b:
-                c = min(c for c in a.keys() | b.keys() if a.get(c) != b.get(c))
-                return (r, c, a.get(c, self.field.zero), b.get(c, other.field.zero))
+        scalar = (field or self.field).scalar
+        for r in sorted(mine.keys() | theirs.keys()):
+            a, b = mine.get(r, {}), signed(theirs.get(r, {}))
+            if a != b and (cols := [c for c in a.keys() | b.keys()
+                                    if scalar(a.get(c, 0) - b.get(c, 0))]):
+                c = min(cols)
+                return (r, c, scalar(a.get(c, 0)), scalar(b.get(c, 0)))
         return None
 
     # --- algebra -----------------------------------------------------------
 
-    def transpose(self) -> "Matrix":
+    def transpose(self, field: FieldSpec | None = None) -> "Matrix":
+        """The transpose, over ``field`` when given: an integer matrix's
+        entries are reduced into it as they are moved."""
+        field = self._in_field(field)
+        p = None if field == self.field else field.p
         cols = {}
         for r, row in self.rows.items():
             for c, v in row.items():
-                cols.setdefault(c, {})[r] = v
-        return Matrix(self.field, self.ncols, self.nrows, cols)
+                if p is None or (v := v % p):
+                    cols.setdefault(c, {})[r] = v
+        return Matrix(field, self.ncols, self.nrows, cols)
 
-    def scaled(self, s) -> "Matrix":
-        if s == 1:
-            return self  # immutable, so sharing is safe
-        if s == 0:
-            return Matrix.zeros(self.field, self.nrows, self.ncols)
-        # few distinct scalars, many cells: one product per scalar, shared
-        mul, products = self.field.mul, {}
-        rows = {}
+    def over(self, field: FieldSpec) -> "Matrix":
+        """This integer matrix over ``field``: itself over Q, reduced mod p over GF(p)."""
+        if self._in_field(field) == self.field:
+            return self
+        p, rows = field.p, {}
         for r, row in self.rows.items():
-            out = rows[r] = {}
+            reduced = {}
             for c, v in row.items():
-                sv = products.get(v)
-                if sv is None:
-                    sv = products[v] = mul(s, v)
-                out[c] = sv
-        return Matrix(self.field, self.nrows, self.ncols, rows)
+                if v := v % p:
+                    reduced[c] = v
+            if reduced:
+                rows[r] = reduced
+        return Matrix(field, self.nrows, self.ncols, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -328,6 +308,7 @@ class Matrix:
         rows_a, den_a = self._integer_rows()
         rows_b, den_b = other._integer_rows(rows_a)
         den = den_a * den_b
+        integral = rows_a is self.rows and rows_b is other.rows   # over Q: a product over Z
         out, fractions = {}, {}  # over Q: one Fraction per distinct numerator
         for i, ra in rows_a.items():
             acc = {}
@@ -341,6 +322,10 @@ class Matrix:
             if p is not None:
                 for j, v in acc.items():
                     if v := v % p:
+                        row[j] = v
+            elif integral:
+                for j, v in acc.items():
+                    if v:
                         row[j] = v
             else:
                 for j, v in acc.items():
@@ -356,15 +341,17 @@ class Matrix:
     def _integer_rows(self, left=None) -> tuple[dict, int]:
         """``(rows, L)``: integer rows with ``self = rows / L``; read, never mutated.
 
-        Over GF(p) the scalars are ints already: the rows are ``self.rows``
-        and L is 1.  Over Q, L is the common denominator of the scalars, and
-        the rows are built for the product at hand and dropped with it.  For
-        the right factor of ``left @ self`` (``left`` as integer rows) only
-        the rows at ``left``'s columns are read, so only they are built.
+        Over GF(p), and for an integer matrix over Q, the scalars are ints
+        already: the rows are ``self.rows`` and L is 1.  Otherwise over Q, L
+        is the common denominator of the scalars, and the rows are built for
+        the product at hand and dropped with it.  For the right factor of
+        ``left @ self`` (``left`` as integer rows) only the rows at
+        ``left``'s columns are read, so only they are built.
         """
-        if self.field.is_prime_field:
-            return self.rows, 1
         rows = self.rows
+        if self.field.is_prime_field or {int} >= set(map(type, chain.from_iterable(
+                map(dict.values, rows.values())))):
+            return rows, 1
         if left is not None:
             read = {c for row in left.values() for c in row}
             rows = {r: rows[r] for r in read & rows.keys()}
@@ -391,8 +378,9 @@ class Matrix:
 
     # --- elimination ------------------------------------------------------------
 
-    def rref(self, reduced: bool = True) -> tuple[tuple, "Matrix"]:
-        """Reduced row echelon form, or over GF(p) a row echelon form.
+    def rref(self, field: FieldSpec | None = None, reduced: bool = True) -> tuple[tuple, "Matrix"]:
+        """Reduced row echelon form in ``field`` (an integer matrix is reduced
+        into GF(p) in the engine's row copy), or over GF(p) a row echelon form.
 
         Returns ``(pivot_cols, R)`` where R holds only the nonzero rows, in
         pivot order.  By default R is the canonical RREF of the row space.
@@ -402,25 +390,36 @@ class Matrix:
         Over Q, R is always the RREF: eliminated modulo one prime, lifted
         by rational reconstruction and checked exactly, or computed on
         Fractions when the lift fails or the check refuses it
-        (``_rref_modular``).  ``reduced=False`` changes nothing there, as a
-        modular echelon form only bounds the rank over Q from below.
+        (``_rref_modular``), which ``reduced=False`` does not change.
         """
-        if self.field.is_prime_field:
+        field = self._in_field(field)
+        if field.is_prime_field:
             # copies, in ascending row index: the engine works in place,
             # and its ties are broken by position
-            rows = [dict(self.rows[r]) for r in sorted(self.rows)]
-            hooks = _scalar_hooks(self.field)
-            gf2 = self.field.p == 2
+            if field == self.field:
+                rows = [dict(self.rows[r]) for r in sorted(self.rows)]
+            else:   # the reduced copy is the engine's own
+                rows = self.over(field).rows
+                rows = [rows[r] for r in sorted(rows)]
+            hooks = _scalar_hooks(field)
+            gf2 = field.p == 2
             if reduced:
                 pivots, rows = _rref_sparse(rows, self.ncols, *hooks, gf2=gf2)
             else:
                 pivots, rows = _in_pivot_order(rows, _echelon(rows, self.ncols, *hooks, gf2=gf2))
         else:
             pivots, rows = _rref_modular(self)
-        return tuple(pivots), Matrix(self.field, len(pivots), self.ncols, dict(enumerate(rows)))
+        return tuple(pivots), Matrix(field, len(pivots), self.ncols, dict(enumerate(rows)))
 
-    def rank(self) -> int:
-        """Row rank, through ``rref`` so that one entry point sees every elimination.
+    def _in_field(self, field: FieldSpec | None) -> FieldSpec:
+        """``field``, by default the matrix's own: only an integer matrix changes field."""
+        if field not in (None, self.field) and self.field.is_prime_field:
+            raise ValueError("field mismatch")
+        return field or self.field
+
+    def rank(self, field: FieldSpec | None = None) -> int:
+        """Row rank in ``field`` (as for ``rref``), through ``rref`` so that
+        one entry point sees every elimination.
 
         A tall matrix over odd p or Q (more nonzero rows than columns) is
         reduced as it stands, row by row (``_rref_by_rows``): faster than
@@ -428,18 +427,21 @@ class Matrix:
         RREF whatever the shape.  Otherwise over GF(p) the side with fewer
         rows is swept forward only (``reduced=False``): any echelon form has
         one pivot per unit of rank.  Over GF(2) the sweep's bitset tail beats
-        the row route, so a tall matrix is swept through its transpose.
+        the row route, so a tall matrix is swept through its transpose,
+        whose entries an integer matrix reduces as it is taken.
         """
-        p = self.field.p
+        field = self._in_field(field)
+        p = field.p
         if p is None or (p != 2 and len(self.rows) > self.ncols):
-            return len(self.rref()[0])
+            return len(self.rref(field)[0])
         narrow = self.ncols < self.nrows
-        return len((self.transpose() if narrow else self).rref(reduced=False)[0])
+        return len((self.transpose(field) if narrow else self).rref(field, reduced=False)[0])
 
-    def kernel_basis(self) -> "Subspace":
-        """Canonical basis of the right kernel (solutions of Mx = 0)."""
-        f = self.field
-        pivots, R = self.rref()
+    def kernel_basis(self, field: FieldSpec | None = None) -> "Subspace":
+        """Canonical basis of the right kernel (solutions of Mx = 0) in
+        ``field``, as for ``rref``."""
+        pivots, R = self.rref(field)
+        f = R.field
         pivset = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivset]
         # one vector per free column j: 1 at j, -R[i][j] at pivots[i]
@@ -452,9 +454,9 @@ class Matrix:
                     rows[k][pivots[i]] = f.neg(v)
         return Subspace.from_matrix(Matrix(f, len(free), self.ncols, rows))
 
-    def image_basis(self) -> "Subspace":
-        """Canonical basis of the column space."""
-        return Subspace.from_matrix(self.transpose())
+    def image_basis(self, field: FieldSpec | None = None) -> "Subspace":
+        """Canonical basis of the column space in ``field``, as for ``rref``."""
+        return Subspace.from_matrix(self.transpose(field))
 
     # --- serialization -----------------------------------------------------------
 
@@ -473,12 +475,17 @@ class Matrix:
 # fallback of ``_rref_modular`` when its one-prime lift fails or its exact
 # check refuses it); the engine only sees the hooks.
 
+def _times(s: int, row: dict) -> dict:
+    """The row dict ``s * row``; ``row`` itself when s is 1."""
+    return row if s == 1 else dict(zip(row, map(partial(mul, s), row.values())))
+
+
 def _scalar_hooks(field: FieldSpec) -> tuple:
     """``(inv, mul, sub)`` with ``sub(a, f, b) = a - f*b`` in the field."""
     if field.is_prime_field:
         return _mod_hooks(field.p)
     return (
-        lambda a: 1 / a,
+        lambda a: Fraction(1) / a,
         lambda a, b: a * b,
         lambda a, f, b: a - f * b,
     )
@@ -516,7 +523,7 @@ def _rref_by_rows(rows, inv, mul, sub):
     The basis kept so far is reduced: every basis row has a unit pivot and
     is zero at every other pivot column.  Sparsest first (ties by row
     index), each row is cleared at the basis's pivot columns
-    (``_residue``).  A nonzero residue is scaled to a unit at its leftmost
+    (``_residue``).  A nonzero residue is normalized to a unit at its leftmost
     column, which becomes a pivot; that column is cleared from the basis
     rows that hold it, found through a column -> basis-rows index, and the
     residue joins the basis.  The leading columns of an echelon basis are
@@ -592,7 +599,7 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
     Columns are processed left to right so the pivot columns are the
     canonical RREF pivots; within a column the sparsest available row is
     chosen (Markowitz-style row selection), ties broken by row index.
-    Each pivot row is scaled to a unit pivot and is zero left of it.
+    Each pivot row is normalized to a unit pivot and is zero left of it.
     Forward elimination only touches rows not yet chosen, so each pivot row
     is contaminated only at later pivot columns; the back-substitution
     sweep removes exactly that.  The column index dies on return, before
@@ -854,7 +861,7 @@ def _verified(rows, pivots, num, den):
     """Whether every integer row lies in the row space of ``num / den``.
 
     ``num`` has the RREF shape with pivot entries ``den``; the check is
-    ``_residue`` scaled by ``den``, so it stays on integers.
+    ``_residue`` times ``den``, so it stays on integers.
     """
     pivot_rows, sub = dict(zip(pivots, num)), _scalar_hooks(QQ)[2]
     return not any(_residue(v, pivot_rows, sub, den) for v in rows)
@@ -1049,8 +1056,8 @@ def quotient_dim(Z: Subspace, B: Subspace) -> int:
     return Z.dim - B.dim
 
 
-def cohomology(differentials):
-    """Walk a cochain complex ``d_0, d_1, ..`` degree by degree.
+def cohomology(differentials, field: FieldSpec | None = None):
+    """Walk a cochain complex ``d_0, d_1, ..`` degree by degree, in ``field``.
 
     Yields ``(Z_m, B_m, dim H^m)`` for each differential, where
     ``Z_m = ker d_m`` and ``B_m = im d_{m-1}`` (zero in degree 0).  The
@@ -1060,25 +1067,26 @@ def cohomology(differentials):
     """
     prev = None
     for d in differentials:
-        Z = d.kernel_basis()
-        B = prev.image_basis() if prev is not None else Subspace.zero(d.field, d.ncols)
+        Z = d.kernel_basis(field)
+        B = prev.image_basis(field) if prev is not None else Subspace.zero(Z.field, d.ncols)
         yield Z, B, quotient_dim(Z, B)
         prev = d
 
 
-def cohomology_dims(differentials):
+def cohomology_dims(differentials, field: FieldSpec | None = None):
     """Walk a cochain complex like ``cohomology``, yielding only ``dim H^m``.
 
     ``dim H^m = n_m - rank d_m - rank d_{m-1}``, one rank per differential.
-    Before counting degree m it checks ``d_m d_{m-1} = 0`` with a sparse
-    product and raises NotASubspace otherwise, as ``cohomology`` does; no
-    kernel, image or Subspace is built.
+    Before counting degree m it checks ``d_m d_{m-1} = 0`` in ``field``
+    with a sparse product and raises NotASubspace otherwise, as
+    ``cohomology`` does; no kernel, image or Subspace is built.
     """
     prev, prev_rank = None, 0
     for d in differentials:
-        if prev is not None and not (d @ prev).is_zero():
+        if prev is not None and (d @ prev).first_difference(
+                Matrix.zeros(d.field, d.nrows, prev.ncols), field):
             raise NotASubspace("differential does not square to zero")
-        rank = d.rank()
+        rank = d.rank(field)
         yield d.ncols - rank - prev_rank
         prev, prev_rank = d, rank
 

@@ -23,8 +23,9 @@ tuples, for a reader and for the test oracles; no route here reads them.
 The coboundary of a scalar cochain f is
 ``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built from the
 face arrays of the (m+1)-chains (``_faces``), one row per chain, straight
-into the row dicts of a ``Matrix``, and memoized on the category per field
-and degree.
+into the row dicts of an integer ``Matrix``, and memoized on the category
+per degree, for every field; a field enters only at an elimination and at
+the verdict of an identity.
 
 A skeleton S of a category D is the full subcategory on one object per
 isomorphism class; here the least one, ``rep(a)``.  ``_skeleton`` picks an
@@ -86,9 +87,9 @@ from collections import Counter
 from itertools import accumulate, chain, compress, count, repeat
 
 from .category import FiniteCategory, memo
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 from .hochschild import check_degree, check_sizes
-from .matrix import Matrix, Subspace, VerificationResult, _IntScalars, cohomology_dims
+from .matrix import Matrix, Subspace, VerificationResult, cohomology_dims
 
 
 @memo
@@ -227,24 +228,21 @@ def _faces(cat: FiniteCategory, m: int) -> list:
     return faces
 
 
-def _signed_rows(field: FieldSpec, terms: list) -> dict:
-    """``{i: Σ_j (−1)^j e[terms[j][i]]}`` over the nonzero rows.
+def _signed_rows(terms: list) -> dict:
+    """``{i: Σ_j (−1)^j e[terms[j][i]]}`` over Z, on the nonzero rows.
 
     Rows whose terms are distinct are built in one pass; where terms
-    coincide (a degenerate chain), their signs are summed over Z before
-    they are reduced into the field.
+    coincide (a degenerate chain), their signs are summed.
     """
-    scalars = _IntScalars(field)
     signs = [(-1) ** j for j in range(len(terms))]
-    signed = [scalars[s] for s in signs]
-    rows = dict(enumerate(map(dict, map(zip, zip(*terms), repeat(signed)))))
+    rows = dict(enumerate(map(dict, map(zip, zip(*terms), repeat(signs)))))
     width = len(terms)
     for i in list(compress(count(), map(width.__gt__, map(len, rows.values())))):
         acc: dict = {}
         for j, s in enumerate(signs):
             c = terms[j][i]
             acc[c] = acc.get(c, 0) + s
-        if row := {c: v for c, s in acc.items() if (v := scalars[s]) is not None}:
+        if row := {c: s for c, s in acc.items() if s}:
             rows[i] = row
         else:
             del rows[i]
@@ -256,22 +254,23 @@ def _chain_count(cat: FiniteCategory, m: int) -> int:
 
 
 @memo
-def _coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix:
-    """The degree-m coboundary: row σ, a degree-(m+1) chain, is
-    ``Σ_i (−1)^i e[face(σ, i)]``, its faces read off ``_faces``."""
+def _coboundary(cat: FiniteCategory, m: int) -> Matrix:
+    """The degree-m coboundary as an integer matrix: row σ, a degree-(m+1)
+    chain, is ``Σ_i (−1)^i e[face(σ, i)]``, its faces read off ``_faces``."""
     faces = _faces(cat, m + 1)
-    return Matrix(field, len(faces[0]), _chain_count(cat, m), _signed_rows(field, faces))
+    return Matrix(QQ, len(faces[0]), _chain_count(cat, m), _signed_rows(faces))
 
 
-def simplicial_coboundary_matrix(cat, field, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the coboundary from degree-m to degree-(m+1) cochains.
+def simplicial_coboundary_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the coboundary from degree-m to degree-(m+1) cochains, over
+    ``field``: over Q the memoized integer matrix itself.
 
     Every chain count up to degree m + 1 is checked against the cap
     (``nerve_sizes``) before the memo is read.
     """
     check_degree(m)
     check_sizes(nerve_sizes(cat), m + 1, cap)
-    return _coboundary(cat, field, m)
+    return _coboundary(cat, m).over(field)
 
 
 # --- the skeleton and its prism ------------------------------------------------
@@ -337,14 +336,14 @@ def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
     return tuple(picked)
 
 
-def _skeleton_coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix | None:
-    """The degree-m coboundary of the skeleton: the memoized one's rows and
-    columns on the skeleton's chains, renumbered in their order.
+def _skeleton_coboundary(cat: FiniteCategory, m: int) -> Matrix | None:
+    """The degree-m integer coboundary of the skeleton: the memoized one's
+    rows and columns on the skeleton's chains, renumbered in their order.
 
     None when a selected row reads a chain outside the skeleton, which a
     full subcategory never does.
     """
-    delta = _coboundary(cat, field, m)
+    delta = _coboundary(cat, m)
     col_of = {c: j for j, c in enumerate(_skeleton_chains(cat, m))}
     picked = _skeleton_chains(cat, m + 1)
     rows = {}
@@ -355,7 +354,7 @@ def _skeleton_coboundary(cat: FiniteCategory, field: FieldSpec, m: int) -> Matri
         if not col_of.keys() >= row.keys():
             return None
         rows[i] = {col_of[c]: v for c, v in row.items()}
-    return Matrix(field, len(picked), len(col_of), rows)
+    return Matrix(QQ, len(picked), len(col_of), rows)
 
 
 def _common_sources(cat: FiniteCategory, r) -> list:
@@ -410,19 +409,18 @@ def _prism_terms(cat: FiniteCategory, m: int) -> list | None:
 
 
 @memo
-def _prism(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix | None:
-    """P^m as a matrix, one row per m-chain over the (m+1)-chains.
+def _prism(cat: FiniteCategory, m: int) -> Matrix | None:
+    """P^m as an integer matrix, one row per m-chain over the (m+1)-chains.
 
     Row σ sums ``(−1)^j e[term j]`` over the terms of ``_prism_terms``;
     terms can coincide (a degenerate σ over identity c's), so signs are
-    summed over Z before they are reduced into the field.  None when a
-    term is no chain, which happens only when c or r is not what
-    ``_skeleton`` makes.
+    summed.  None when a term is no chain, which happens only when c or r
+    is not what ``_skeleton`` makes.
     """
     terms = _prism_terms(cat, m)
     if terms is None:
         return None
-    return Matrix(field, _chain_count(cat, m), _chain_count(cat, m + 1), _signed_rows(field, terms))
+    return Matrix(QQ, _chain_count(cat, m), _chain_count(cat, m + 1), _signed_rows(terms))
 
 
 @memo
@@ -454,17 +452,17 @@ def _retracted(cat: FiniteCategory, m: int) -> array | None:
     return out
 
 
-def _retraction_minus_identity(cat: FiniteCategory, field: FieldSpec, m: int) -> Matrix | None:
-    """``(i∘r)^* − I`` on degree-m cochains: row σ is ``e[rσ] − e[σ]``.
+def _retraction_minus_identity(cat: FiniteCategory, m: int) -> Matrix | None:
+    """``(i∘r)^* − I`` on degree-m cochains as an integer matrix: row σ is
+    ``e[rσ] − e[σ]``.
 
     None when some rσ is no chain, which happens only when r is no functor.
     """
     moved = _retracted(cat, m)
     if moved is None:
         return None
-    one, minus = field.one, field.neg(field.one)
-    rows = {i: {j: one, i: minus} for i, j in enumerate(moved) if j != i}
-    return Matrix(field, len(moved), len(moved), rows)
+    rows = {i: {j: 1, i: -1} for i, j in enumerate(moved) if j != i}
+    return Matrix(QQ, len(moved), len(moved), rows)
 
 
 def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
@@ -476,15 +474,15 @@ def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     counts up to degree m + 1 are checked against the cap first.  A prism
     term or a retracted chain that is no chain fails the check.
     """
-    delta = simplicial_coboundary_matrix(cat, field, m, cap)
-    prisms = [_prism(cat, field, k) for k in range(max(m - 1, 0), m + 1)]
-    rhs = _retraction_minus_identity(cat, field, m)
+    delta = simplicial_coboundary_matrix(cat, QQ, m, cap)
+    prisms = [_prism(cat, k) for k in range(max(m - 1, 0), m + 1)]
+    rhs = _retraction_minus_identity(cat, m)
     if None in prisms or rhs is None:
         return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
     lhs = prisms[-1] @ delta
     if m:
-        lhs = lhs + simplicial_coboundary_matrix(cat, field, m - 1, cap) @ prisms[0]
-    return VerificationResult.of("prism", m, lhs, rhs)
+        lhs = lhs + simplicial_coboundary_matrix(cat, QQ, m - 1, cap) @ prisms[0]
+    return VerificationResult.of("prism", m, lhs, rhs, field)
 
 
 def _retraction_is_functor(cat: FiniteCategory) -> bool:
@@ -505,10 +503,10 @@ def _retraction_is_functor(cat: FiniteCategory) -> bool:
                for g in range(cat.n_morphisms))
 
 
-def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> Matrix:
+def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> dict:
     """The rows ``z∘r`` of the rows z of ``cochains``, degree-m cochains of the
-    skeleton, in the coordinates of the degree-m chains of ``cat``; r must
-    be a functor onto the skeleton (``_retraction_is_functor``)."""
+    skeleton, in the coordinates of the degree-m chains of ``cat``, by row
+    number; r must be a functor onto the skeleton (``_retraction_is_functor``)."""
     position = {d: j for j, d in enumerate(_skeleton_chains(cat, m))}
     # chain i of cat -> the position of rσ_i among the skeleton's chains
     at = list(map(position.__getitem__, _retracted(cat, m)))
@@ -516,7 +514,7 @@ def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> Matrix:
     for k, z in cochains.rows.items():
         if row := {i: z[j] for i, j in enumerate(at) if j in z}:
             rows[k] = row
-    return Matrix(cochains.field, cochains.nrows, len(at), rows)
+    return rows
 
 
 # --- cohomology ------------------------------------------------------------------
@@ -531,17 +529,18 @@ def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = No
     those of the skeleton pulled back along r and the coboundaries of
     degree m − 1 (the cocycle lemma); otherwise ``δ^m`` is eliminated.
     """
-    delta = simplicial_coboundary_matrix(cat, field, m, cap)
+    delta = simplicial_coboundary_matrix(cat, QQ, m, cap)
     if (len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
             and verify_prism_identity(cat, field, m, cap)
-            and (delta_s := _skeleton_coboundary(cat, field, m)) is not None):
-        pulled = _pulled_back(cat, m, delta_s.kernel_basis().basis)
+            and (delta_s := _skeleton_coboundary(cat, m)) is not None):
+        cocycles = delta_s.kernel_basis(field).basis
+        rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
         if m:   # and the rows of (δ^(m−1))ᵀ below them
-            bounded = simplicial_coboundary_matrix(cat, field, m - 1, cap).transpose()
-            rows = {**pulled.rows, **{pulled.nrows + i: row for i, row in bounded.rows.items()}}
-            pulled = Matrix(field, pulled.nrows + bounded.nrows, delta.ncols, rows)
-        return Subspace.from_matrix(pulled)
-    return delta.kernel_basis()
+            bounded = simplicial_coboundary_matrix(cat, QQ, m - 1, cap).transpose(field)
+            rows.update((nrows + i, row) for i, row in bounded.rows.items())
+            nrows += bounded.nrows
+        return Subspace.from_matrix(Matrix(field, nrows, delta.ncols, rows))
+    return delta.kernel_basis(field)
 
 
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
@@ -557,7 +556,7 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     rng = range(max_m + 1)
     smaller = len(_skeleton_chains(cat, 0)) < cat.n_objects
     if smaller and all(verify_prism_identity(cat, field, m, cap) for m in rng):
-        deltas = [_skeleton_coboundary(cat, field, m) for m in rng]
+        deltas = [_skeleton_coboundary(cat, m) for m in rng]
         if None not in deltas:
-            return list(cohomology_dims(deltas))
-    return list(cohomology_dims(simplicial_coboundary_matrix(cat, field, m, cap) for m in rng))
+            return list(cohomology_dims(deltas, field))
+    return list(cohomology_dims((simplicial_coboundary_matrix(cat, QQ, m, cap) for m in rng), field))

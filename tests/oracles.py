@@ -258,11 +258,19 @@ def column_contributions(cat, tup, h) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
+def times(s: int, m):
+    """The matrix ``s * m``, entry by entry, in the field of ``m``."""
+    from hochcat.matrix import Matrix
+
+    return Matrix.from_entries(m.field, m.nrows, m.ncols,
+                               {(r, c): s * v for r, c, v in m.entries()})
+
+
 def column_wise_differential(cat, field, cols, rows):
     """The differential from the pairs ``cols`` to the pairs ``rows``, one column at a time.
 
     Every term of a column must be a pair of ``rows``; integer entries
-    are reduced into the field by ``Matrix.from_int_entries``.
+    are reduced into the field by ``Matrix.from_entries``.
     """
     from hochcat.matrix import Matrix
 
@@ -271,7 +279,7 @@ def column_wise_differential(cat, field, cols, rows):
     for c, (tup, h) in enumerate(cols):
         for pair, v in column_contributions(cat, tup, h).items():
             entries[row_index[pair], c] = v
-    return Matrix.from_int_entries(field, len(rows), len(cols), entries)
+    return Matrix.from_entries(field, len(rows), len(cols), entries)
 
 
 def face_coboundary(cat, field, m):
@@ -286,7 +294,7 @@ def face_coboundary(cat, field, m):
         for i in range(m + 2):
             key = r, cols[face(cat, chain, i)]
             entries[key] = entries.get(key, 0) + (-1) ** i
-    return Matrix.from_int_entries(field, len(rows), len(cols), entries)
+    return Matrix.from_entries(field, len(rows), len(cols), entries)
 
 
 def cohomology_dims_by_rank(matrices, p, ambient_dims):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from fractions import Fraction
 import itertools
 from collections import Counter
 from array import array
@@ -31,7 +32,7 @@ from hochcat import (
     RawCategory, comparison, group_from_table, hochschild, nerve, predicate_reports,
     validate_category,
 )
-from hochcat.comparison import _read_relative, _relative_reading, _sign_for
+from hochcat.comparison import _read_relative, _relative_reading
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated, NotChainCompatible
 from hochcat.hochschild import (
     _full_differential,
@@ -200,10 +201,10 @@ def test_x_is_the_ladder_completion_reference(name):
         rel = oracles.ladder_completion_x(cat, fad, m, rel_rows)
         ncols = len(nerve_chains(fad, m))
         for field in FIELDS:
-            assert x_map_matrix(cat, field, m) == Matrix.from_int_entries(
+            assert x_map_matrix(cat, field, m) == Matrix.from_entries(
                 field, hochschild_basis_size(cat, m), ncols, full), (name, m, field)
             t_rel, _outside = _read_relative(cat, m)
-            assert t_rel.T.matrix(field) == Matrix.from_int_entries(
+            assert t_rel.T.matrix(field) == Matrix.from_entries(
                 field, len(rel_rows), ncols, rel), (name, m, field)
 
 
@@ -248,11 +249,11 @@ def test_random_cochain_spot_check():
             t_low = t_map_matrix(cat, field, m)
             t_high = t_map_matrix(cat, field, m + 1)
             delta = simplicial_coboundary_matrix(adjoint_category(cat), GF5, m)
-            sign = GF5.one if (m + 1) % 2 == 0 else GF5.neg(GF5.one)
             for _ in range(5):
-                vec = as_column(GF5, [rng.randrange(5) for _ in range(hochschild_basis_size(cat, m))])
-                lhs = t_high @ (d @ vec)
-                rhs = (delta @ (t_low @ vec)).scaled(sign)
+                values = [rng.randrange(5) for _ in range(hochschild_basis_size(cat, m))]
+                lhs = t_high @ (d @ as_column(GF5, values))
+                # (-1)^(m+1) δ T v, the sign carried by v
+                rhs = delta @ (t_low @ as_column(GF5, [(-1) ** (m + 1) * v for v in values]))
                 assert lhs == rhs
 
 
@@ -261,7 +262,7 @@ def test_signed_coboundary_preserves_kernel_and_image():
         cat, field = FIXTURES[name], GF3
         for m in range(3):
             delta = simplicial_coboundary_matrix(adjoint_category(cat), GF3, m)
-            alpha = delta.scaled(_sign_for(GF3, m))
+            alpha = oracles.times((-1) ** (m + 1), delta)
             assert alpha.kernel_basis() == delta.kernel_basis()
             assert alpha.image_basis() == delta.image_basis()
 
@@ -547,7 +548,9 @@ def spy_nerve_ranks(monkeypatch) -> list:
 def refuse_eliminating(monkeypatch, matrices):
     """``Matrix.rank``, ``rref`` and ``image_basis`` refuse each of
     ``matrices``, told apart by identity; kernels go through ``rref``, and a
-    rank may eliminate a transpose, so it is guarded on its own."""
+    rank may eliminate a transpose, so it is guarded on its own.  The routes
+    eliminate the memoized integer matrices in every field, so those (the
+    matrices over Q) are the ones to guard."""
     ids = {id(m) for m in matrices}
     for attr in ("rank", "rref", "image_basis"):
         def guarded(self, *args, honest=getattr(Matrix, attr), **kwargs):
@@ -574,7 +577,7 @@ def test_flags_from_the_checks_match_the_induced_map(monkeypatch, name, field):
     fad = adjoint_category(cat)
     ranked = spy_nerve_ranks(monkeypatch)
     if tier == "isomorphism":
-        refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, field, m)
+        refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, QQ, m)
                                          for m in range(max_m + 1)])
     rep = theorem_a_report(cat, field, max_m)
     assert rep.tier == rep.verdict == tier != "unverified"
@@ -701,10 +704,10 @@ def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
         assert oracles.prism_identity_defect(fad, found, field.p, m) == {}
         assert verify_prism_identity(fad, field, m).ok
         n, n_up = len(nerve_chains(fad, m)), len(nerve_chains(fad, m + 1))
-        assert _prism(fad, field, m) == Matrix.from_int_entries(
+        assert _prism(fad, m).over(field) == Matrix.from_entries(
             field, n, n_up, oracles.prism_entries(fad, found, m))
-        minus_one = Matrix.identity(field, n).scaled(field.neg(field.one))
-        assert _retraction_minus_identity(fad, field, m) == Matrix.from_int_entries(
+        minus_one = Matrix.from_entries(field, n, n, {(i, i): -1 for i in range(n)})
+        assert _retraction_minus_identity(fad, m).over(field) == Matrix.from_entries(
             field, n, n, oracles.retraction_entries(fad, found, m)) + minus_one
     dims = oracles.skeleton_dims(fad, found, field.p, max_m)
     assert dims == simplicial_cohomology_dims(fad, field, max_m) == \
@@ -725,7 +728,7 @@ def test_two_objects_with_a_skeleton_rank_only_the_skeleton(monkeypatch, field):
     assert (fad.n_objects, fad.n_morphisms) == (8, 40)
     assert len(set(_skeleton(fad)[0])) < fad.n_objects
     refuse_eliminating(monkeypatch, own_coboundaries(cat, field, 2)
-                       + [relative_differential_matrix(cat, field, m) for m in range(3)])
+                       + [relative_differential_matrix(cat, QQ, m) for m in range(3)])
     rep = theorem_a_report(cat, field, 2)
     assert rep.tier == rep.verdict == "isomorphism"
     assert summary(rep) == expected
@@ -746,7 +749,7 @@ def test_certified_group_ranks_no_hochschild_differential(monkeypatch, name, fie
     expected = hochschild_cohomology_dims(cat, field, max_m)
     monkeypatch.setattr(comparison, "hochschild_cohomology_dims",
                         lambda *args: pytest.fail("the Hochschild complex was ranked"))
-    refuse_eliminating(monkeypatch, [hochschild_differential_matrix(cat, field, m)
+    refuse_eliminating(monkeypatch, [hochschild_differential_matrix(cat, QQ, m)
                                      for m in range(max_m + 1)])
     rep = theorem_a_report(cat, field, max_m)
     assert rep.verdict == "isomorphism"
@@ -788,19 +791,20 @@ def spy_nerve_eliminations(monkeypatch) -> list:
     calls = []
     honest = nerve.cohomology_dims
 
-    def spied(deltas):
+    def spied(deltas, field):
         deltas = list(deltas)
         calls.append(deltas)
-        return honest(deltas)
+        return honest(deltas, field)
 
     monkeypatch.setattr(nerve, "cohomology_dims", spied)
     return calls
 
 
 def own_coboundaries(cat, field, max_m) -> list:
-    """The coboundaries of F^ad itself, not of its skeleton, in degrees 0..max_m."""
+    """The integer coboundaries of F^ad itself, not of its skeleton, in
+    degrees 0..max_m, which the nerve ranks in any field."""
     fad = adjoint_category(cat)
-    return [_coboundary(fad, field, m) for m in range(max_m + 1)]
+    return [_coboundary(fad, m) for m in range(max_m + 1)]
 
 
 @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
@@ -832,7 +836,7 @@ def test_a_row_leaving_the_skeleton_falls_back(monkeypatch):
         if m != 2:
             return picked
         inside = set(honest(fad, 1))
-        rows = _coboundary(fad, GF2, 1).rows
+        rows = _coboundary(fad, 1).rows
         outside = next(i for i, row in sorted(rows.items()) if not inside >= row.keys())
         return tuple(sorted(picked + (outside,)))
 
@@ -871,7 +875,7 @@ def test_reads_match_the_tuple_oracle(name, field):
         want = oracles.read_columns(cat, m)
         assert list(comparison._read(cat, m)) == want, (name, m)
         entries = {(i, c): 1 for i, c in enumerate(want)}
-        assert t_map_matrix(cat, field, m) == Matrix.from_int_entries(
+        assert t_map_matrix(cat, field, m) == Matrix.from_entries(
             field, count, hochschild_basis_size(cat, m), entries)
         assert x_map_matrix(cat, field, m) == t_map_matrix(cat, field, m).transpose()
 
@@ -908,7 +912,7 @@ def product_x_chain(cat, field, m):
     delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m)
     lhs = x_map_matrix(cat, field, m + 1) @ delta
     rhs = hochschild_differential_matrix(cat, field, m) @ x_map_matrix(cat, field, m)
-    return VerificationResult.of("x_chain", m, lhs, rhs.scaled(_sign_for(field, m)))
+    return VerificationResult.of("x_chain", m, lhs, oracles.times((-1) ** (m + 1), rhs))
 
 
 def assert_checks_are_the_products(cat, field, rep):
@@ -1024,3 +1028,65 @@ def test_set_fact_witnesses_are_the_products_of_the_reads(monkeypatch, reshape, 
         assert two_sided.first_difference == section.first_difference
     else:
         assert two_sided.first_difference[2:] == (field.scalar(3), field.one)
+
+
+# --- integer matrices: built once for every field, verdicts in the field --------
+
+def test_the_memos_serve_every_field_from_one_build(monkeypatch):
+    # one s3 object certified over GF(2), GF(3) and Q: ∂, δ and the prism of
+    # F^ad's skeleton are integer matrices, each built once per degree
+    cat = fresh("s3")
+    fad = adjoint_category(cat)
+    memos = {_full_differential: cat, _coboundary: fad, _prism: fad}
+    builds = {fn: count_builds(monkeypatch, fn) for fn in memos}
+    for field in (GF2, GF3, QQ):
+        assert theorem_a_report(cat, field, 2).verdict == "isomorphism", field
+    for fn, on in memos.items():
+        assert builds[fn] == {(id(on), (m,)): 1 for m in range(3)}, fn.__name__
+
+
+def flip_one_entry(monkeypatch, degree):
+    """δ^degree of every category built from now on has the sign of its
+    first entry (least row, least column) flipped; returns that cell."""
+    honest, cells = nerve._coboundary.__wrapped__, []
+
+    def flipped(cat, m):
+        delta = honest(cat, m)
+        if m != degree:
+            return delta
+        r = min(delta.rows)
+        c = min(delta.rows[r])
+        cells.append((r, c))
+        rows = {**delta.rows, r: {**delta.rows[r], c: -delta.rows[r][c]}}
+        return Matrix(delta.field, delta.nrows, delta.ncols, rows)
+
+    monkeypatch.setattr(nerve._coboundary, "__wrapped__", flipped)
+    return cells
+
+
+def test_a_sign_flip_is_a_verdict_of_the_field(monkeypatch, tmp_path, capsys):
+    # GF(2) cannot see a sign: t_chain holds there and compare's JSON is
+    # unchanged; GF(3) and Q see it, and the witness is that of the
+    # product on the matrices reduced into the field, in the field's scalars
+    from hochcat.catformat import category_to_text
+    from hochcat.cli import main
+
+    path = tmp_path / "s3.cat"
+    path.write_text(category_to_text(FIXTURES["s3"]), encoding="utf-8")
+    argv = ["compare", str(path), "--field", "gf:2", "--max-degree", "2", "--output", "json"]
+    assert main(argv) == 0
+    honest = capsys.readouterr().out
+    cells = flip_one_entry(monkeypatch, 1)
+    assert main(argv) == 0 and capsys.readouterr().out == honest
+    assert cells   # the CLI's own category read the flipped δ^1
+    cat = fresh("s3")
+    assert verify_t_chain_identity(cat, GF2, 1).ok
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, 1)
+    for field, kind in ((GF3, int), (QQ, Fraction)):
+        result = verify_t_chain_identity(cat, field, 1)
+        lhs = t_map_matrix(cat, field, 2) @ hochschild_differential_matrix(cat, field, 1)
+        rhs = delta.over(field) @ t_map_matrix(cat, field, 1)   # the sign (−1)^2 is 1
+        assert not result.ok and result.first_difference == lhs.first_difference(rhs)
+        assert all(type(v) is kind for v in result.first_difference[2:])
+        if field == GF3:
+            assert all(0 <= v < 3 for v in result.first_difference[2:])

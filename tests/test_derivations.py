@@ -60,7 +60,7 @@ def test_derivation_space_is_the_kernel_of_the_derivation_law():
     for name, cat in FIXTURES.items():
         system = oracles.derivation_system(cat)
         for field in (GF2, GF3, QQ):
-            law = Matrix.from_int_entries(field, *system).kernel_basis()
+            law = Matrix.from_entries(field, *system).kernel_basis()
             assert graded_derivation_space(cat, field) == law, (name, str(field))
 
 
@@ -121,7 +121,7 @@ def test_characters_equal_degree_one_cocycles():
         fad = adjoint_category(cat)
         system = oracles.character_system(fad)
         for field in (GF2, GF3, QQ):
-            additive = Matrix.from_int_entries(field, *system).kernel_basis()
+            additive = Matrix.from_entries(field, *system).kernel_basis()
             assert character_space(fad, field) == additive, (name, str(field))
 
 
@@ -210,7 +210,7 @@ def _perturb_x(monkeypatch, perturb):
 def test_theorem_b_rejects_a_perturbed_x_that_stays_in_the_derivations(monkeypatch):
     # 2X still sends characters to derivations, but is not T's inverse
     honest = theorem_b_report(A2, QQ)
-    _perturb_x(monkeypatch, lambda images: images.scaled(QQ.scalar(2)))
+    _perturb_x(monkeypatch, lambda images: oracles.times(2, images))
     rep = theorem_b_report(A2, QQ)
     assert rep.bijection is False
     assert rep.restricted_matrix == honest.restricted_matrix
@@ -253,6 +253,8 @@ def spy_eliminations(monkeypatch) -> list:
 
 
 def eliminated(calls, matrix) -> bool:
+    """Whether ``matrix`` itself was eliminated: the routes eliminate the
+    memoized integer matrices (over Q) in every field."""
     return any(m is matrix for m in calls)
 
 
@@ -287,8 +289,8 @@ def test_theorem_b_eliminates_no_degree_two_system(monkeypatch, name, field):
     cat = ROUTED[name]
     fad = adjoint_category(cat)
     expected = oracles.naive_graded_derivation_dim(cat, field.p)
-    refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, field, 1),
-                                     simplicial_coboundary_matrix(fad, field, 1)])
+    refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, QQ, 1),
+                                     simplicial_coboundary_matrix(fad, QQ, 1)])
     rep = theorem_b_report(cat, field)
     assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (expected, expected, True)
 
@@ -304,7 +306,7 @@ def test_a_broken_skeleton_eliminates_the_characters(monkeypatch, breakage, name
     fad = adjoint_category(fresh(name))
     calls = spy_eliminations(monkeypatch)
     assert character_space(fad, field) == expected
-    assert eliminated(calls, simplicial_coboundary_matrix(fad, field, 1))
+    assert eliminated(calls, simplicial_coboundary_matrix(fad, QQ, 1))
 
 
 def moved_read(t, _d1):
@@ -352,7 +354,7 @@ def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturba
     assert derivations._derivations_through_x(cat, GF3, t1, char.basis @ t1, None) is None
     calls = spy_eliminations(monkeypatch)
     assert theorem_b_report(cat, GF3) == honest
-    assert eliminated(calls, relative_differential_matrix(cat, GF3, 1))
+    assert eliminated(calls, relative_differential_matrix(cat, QQ, 1))
 
 
 def fresh_fixture(name):

@@ -213,8 +213,10 @@ def test_relative_differential_refuses_a_term_outside_the_subcomplex(monkeypatch
         f"differential leaves the relative subcomplex at degree 1: column {col} hits {hit}"
 
 
-def test_each_differential_is_built_once_per_field(monkeypatch):
-    # a fresh copy of ex6, so that no other test has filled its memos
+def test_each_differential_is_built_once_for_every_field(monkeypatch):
+    # a fresh copy of ex6, so that no other test has filled its memos; the
+    # memo is the integer matrix, handed out as it is over Q and reduced
+    # into GF(p) on each call
     cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
     fad = adjoint_category(cat)
     builders = (
@@ -224,12 +226,14 @@ def test_each_differential_is_built_once_per_field(monkeypatch):
     )
     for memoized, on, matrix in builders:
         builds = count_builds(monkeypatch, memoized)
-        first = matrix(on, GF2, 1)
-        assert matrix(on, FieldSpec(2), 1) is first
-        other = matrix(on, GF3, 1)
-        assert other is not first and other.field == GF3
-        assert matrix(on, GF3, 1) is other
-        assert builds == {(id(on), (GF2, 1)): 1, (id(on), (GF3, 1)): 1}, memoized
+        integer = matrix(on, QQ, 1)
+        assert matrix(on, FieldSpec(None), 1) is integer
+        assert integer.field == QQ and all(type(v) is int for _r, _c, v in integer.entries())
+        for field in (GF2, GF3):
+            reduced = matrix(on, field, 1)
+            assert reduced.field == field and reduced == Matrix.from_entries(
+                field, integer.nrows, integer.ncols, {(r, c): v for r, c, v in integer.entries()})
+        assert builds == {(id(on), (1,)): 1}, memoized
 
 
 # --- cohomology dimensions ----------------------------------------------------

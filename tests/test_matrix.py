@@ -19,13 +19,14 @@ from hochcat import (
     theorem_b_report,
 )
 from hochcat import matrix
-from hochcat.errors import NotASubspace, NotChainCompatible
-from hochcat.fields import FieldSpec, is_prime
+from hochcat.errors import HypothesisViolated, NotASubspace, NotChainCompatible
+from hochcat.fields import is_prime
 from hochcat.hochschild import relative_differential_matrix
 from hochcat.matrix import (
     Matrix,
     Reading,
     Subspace,
+    VerificationResult,
     cohomology,
     cohomology_dims,
     quotient_dim,
@@ -64,7 +65,7 @@ def test_gf_p_scalars_are_reduced_on_entry():
     assert m == mk(GF2, [[0, 0], [0, 1]])
     assert Matrix.from_entries(GF2, 2, 2, {(0, 0): 2, (1, 1): 3}) == m
     assert Matrix.from_rows(GF5, [[-1, 7, 5]]) == \
-        Matrix.from_int_entries(GF5, 1, 3, {(0, 0): 4, (0, 1): 2})
+        Matrix.from_entries(GF5, 1, 3, {(0, 0): 4, (0, 1): 2})
 
 
 def test_rank_rationals_with_fractions():
@@ -93,16 +94,29 @@ def test_rank_never_back_substitutes_over_gf_p(field, monkeypatch):
 
 # --- assembly and identity checks ---------------------------------------------
 
-def test_int_entries_share_one_scalar_per_integer():
-    entries = {(0, 0): 3, (1, 2): 3, (0, 1): -2, (1, 0): -2, (1, 1): 0, (0, 2): 7}
-    m = Matrix.from_int_entries(QQ, 2, 3, entries)
-    assert m.rows[0][0] is m.rows[1][2] and m.rows[0][1] is m.rows[1][0]
-    assert {(r, c): v for r, c, v in m.entries()} == {
-        k: QQ.scalar(n) for k, n in entries.items() if n}
-    assert all(type(v) is Fraction for _r, _c, v in m.entries())
-    g = Matrix.from_int_entries(GF3, 2, 3, entries)
-    assert {(r, c): v for r, c, v in g.entries()} == {
+def test_an_integer_matrix_is_reduced_into_each_field():
+    # an integer matrix is a matrix over Q with int entries; each field
+    # enters through a reduced copy, or inside an elimination's own copy
+    entries = {(0, 0): 3, (1, 2): 3, (0, 1): -2, (1, 0): -2, (1, 1): 0, (0, 2): 7, (2, 1): 6}
+    m = Matrix.from_entries(QQ, 3, 3, entries)
+    assert {(r, c): v for r, c, v in m.entries()} == {k: n for k, n in entries.items() if n}
+    assert all(type(v) is int for _r, _c, v in m.entries())
+    assert m.over(QQ) is m
+    g = m.over(GF3)
+    assert g.field == GF3 and {(r, c): v for r, c, v in g.entries()} == {
         k: GF3.scalar(n) for k, n in entries.items() if n % 3}
+    assert 2 not in g.rows   # a row that vanishes mod 3 is no row
+    for field in (GF2, GF3, GF5, QQ):
+        reduced = Matrix.from_entries(field, 3, 3, entries)
+        assert m.over(field) == reduced
+        assert m.transpose(field) == reduced.transpose()
+        assert m.rref(field) == reduced.rref()
+        assert m.rref(field, reduced=False) == reduced.rref(reduced=False)
+        assert m.rank(field) == reduced.rank()
+        assert m.kernel_basis(field) == reduced.kernel_basis()
+        assert m.image_basis(field) == reduced.image_basis()
+    with pytest.raises(ValueError, match="field mismatch"):   # GF(p) has no other field
+        g.rank(GF5)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -116,28 +130,24 @@ def test_first_difference(field):
     assert a.first_difference(Matrix.zeros(field, 3, 2)) == (-1, -1, (2, 3), (3, 2))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_scaled(field):
-    one = field.one
-    m = mk(field, [[one, 0, one], [0, one, 0]])
-    assert m.scaled(one) is m
-    zero = m.scaled(field.zero)
-    assert zero.is_zero() and (zero.nrows, zero.ncols) == (2, 3)
-    minus = field.neg(one)
-    flipped = m.scaled(minus)
-    assert flipped == mk(field, [[minus, 0, minus], [0, minus, 0]])
-    # equal cells share the one product of their scalar
-    assert len({id(v) for row in flipped.rows.values() for v in row.values()}) == 1
-
-
-def test_scaled_multiplies_each_distinct_scalar_once(monkeypatch):
-    products = []
-    mul = FieldSpec.mul
-    monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: products.append((a, b)) or mul(self, a, b))
-    entries = {(r, c): 1 + (r + c) % 2 for r in range(3) for c in range(3)}
-    scaled = Matrix.from_int_entries(QQ, 3, 3, entries).scaled(QQ.scalar(-3))
-    assert sorted(products) == [(-3, 1), (-3, 2)]
-    assert scaled == Matrix.from_int_entries(QQ, 3, 3, {rc: -3 * v for rc, v in entries.items()})
+def test_first_difference_reduces_the_integer_difference_into_the_field():
+    # a = -b over Z but for 2 at (1, 1), which GF(2) does not see; c adds a
+    # 3 at (1, 0), which GF(3) does not see
+    a = Matrix.from_entries(QQ, 2, 2, {(0, 0): 1, (0, 1): -1, (1, 1): 2})
+    b = Matrix.from_entries(QQ, 2, 2, {(0, 0): -1, (0, 1): 1, (1, 1): -4})
+    c = Matrix.from_entries(QQ, 2, 2, {(0, 0): 1, (0, 1): -1, (1, 0): 3, (1, 1): 2})
+    assert a.first_difference(b, QQ, -1) == (1, 1, Fraction(2), Fraction(4))
+    assert a.first_difference(b, GF2, -1) is None
+    assert a.first_difference(b, GF3, -1) == (1, 1, 2, 1)
+    assert a.first_difference(b, GF2) is None   # a sign is invisible mod 2
+    assert a.first_difference(b, GF3) == (0, 0, 1, 2)
+    assert a.first_difference(c, GF3) is None
+    assert a.first_difference(c, GF2) == (1, 0, 0, 1)
+    # the witness holds the field's scalars: Fractions over Q
+    diff = a.first_difference(c)
+    assert diff == (1, 0, 0, 3) and all(type(v) is Fraction for v in diff[2:])
+    assert VerificationResult.of("x", 0, a, b, GF2, -1).ok
+    assert VerificationResult.of("x", 0, a, b, GF5, -1).first_difference == (1, 1, 2, 4)
 
 
 # --- kernel and image -------------------------------------------------------
@@ -203,13 +213,13 @@ def test_cohomology_never_builds_the_last_image(monkeypatch):
     image_basis = Matrix.image_basis
     kernel_basis = Matrix.kernel_basis
 
-    def counted(self):
+    def counted(self, *args):
         calls.append((self.nrows, self.ncols))
-        return image_basis(self)
+        return image_basis(self, *args)
 
-    def counted_kernel(self):
+    def counted_kernel(self, *args):
         calls.append("kernel")
-        return kernel_basis(self)
+        return kernel_basis(self, *args)
 
     monkeypatch.setattr(Matrix, "image_basis", counted)
     max_m = 2
@@ -505,19 +515,22 @@ def test_every_operation_keeps_the_row_format(nrows, ncols, width, field, data):
     cells = {(r, c): v for r, row in enumerate(scalars) for c, v in enumerate(row)}
     a = Matrix.from_rows(field, scalars, ncols)
     # zero entries are offered to every constructor, and each drops them
+    integer = Matrix.from_entries(QQ, nrows, ncols,
+                                  {(r, c): n for r, row in enumerate(dense) for c, n in enumerate(row)})
     made = [
         a,
         Matrix.from_entries(field, nrows, ncols, cells),
-        Matrix.from_int_entries(field, nrows, ncols,
+        Matrix.from_entries(field, nrows, ncols,
                                 {(r, c): n for r, row in enumerate(dense) for c, n in enumerate(row)}),
+        integer.over(field),
     ]
-    assert made[1] == made[2] == a
+    assert made[1] == made[2] == made[3] == a
     b = Matrix.from_rows(field, [[field.scalar(v) for v in row] for row in ints(ncols, width)], width)
-    s = field.scalar(data.draw(st.integers(min_value=-3, max_value=3)))
     ker = a.kernel_basis()
     results = made + [
-        Matrix.zeros(field, nrows, ncols), Matrix.identity(field, ncols),
-        a.transpose(), a.scaled(s), a @ b, a.rref()[1], a.rref(reduced=False)[1],
+        Matrix.zeros(field, nrows, ncols), Matrix.identity(field, ncols), integer,
+        a.transpose(), integer.transpose(field), a @ b, a.rref()[1], a.rref(reduced=False)[1],
+        integer.rref(field)[1],
         ker.basis, a.image_basis().basis, ker.residues(a),
     ]
     assert all(_well_formed(m) for m in results)
@@ -561,7 +574,7 @@ def test_rank_over_rationals_reduces_mod_p(nrows, ncols, p, data):
     clean = all(
         v.denominator % p != 0 and v.numerator % p != 0 for v in pivot_values
     )
-    m_p = Matrix.from_int_entries(
+    m_p = Matrix.from_entries(
         FIELD_OF_PRIME[p], nrows, ncols,
         {(r, c): v for r, row in enumerate(ints) for c, v in enumerate(row)},
     )
@@ -601,7 +614,7 @@ def _q_complexes():
 def _with_denominators(m):
     """``m`` with cell (r, c) divided by 1 + (r + c) % 3: mixed denominators in a row."""
     return Matrix.from_entries(QQ, m.nrows, m.ncols,
-                               {(r, c): v / (1 + (r + c) % 3) for r, c, v in m.entries()})
+                               {(r, c): Fraction(v, 1 + (r + c) % 3) for r, c, v in m.entries()})
 
 
 def _q_spaces(m):
@@ -694,7 +707,7 @@ def test_q_elimination_lift_and_fallback_branches(nrows, ncols, fallback, data):
     k = data.draw(st.integers(min_value=0, max_value=2 ** 20 if fallback else 2 ** 7))
     sign = data.draw(st.sampled_from([1, -1]))
     rows = _block_diagonal(rows, (a, sign * (k * a + 1)))
-    m = Matrix.from_int_entries(QQ, len(rows), len(rows[0]), {
+    m = Matrix.from_entries(QQ, len(rows), len(rows[0]), {
         (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
     with _routes() as (eliminations, verdicts):
         pivots, R = m.rref()
@@ -1110,3 +1123,42 @@ def test_tall_q_matrix_whose_rank_drops_mod_the_first_prime():
     ker = m.kernel_basis()
     assert (ker.pivots, ker.basis) == fraction_kernel(m) == ((), Matrix.zeros(QQ, 0, 2))
     assert m.rank() == 2
+
+
+# --- ints are Q scalars ---------------------------------------------------------------
+
+def test_the_fraction_engine_on_int_rows_returns_ints_and_fractions():
+    # the pivots 2 and 4 are not units over Z: their inverses must be
+    # Fractions, never floats, on both routes (tall: row by row; wide: the sweep)
+    rows = [{0: 2, 1: 3, 2: -1}, {0: 4, 1: 1}, {1: 5, 2: 7}, {0: 1, 2: 3}]
+    tall = Matrix.from_entries(QQ, 4, 3, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+    for m in (tall, tall.transpose()):
+        engine_rows = [dict(m.rows[r]) for r in sorted(m.rows)]
+        pivots, reduced = matrix._rref_sparse(engine_rows, m.ncols, *matrix._scalar_hooks(QQ))
+        assert {type(v) for row in reduced for v in row.values()} <= {int, Fraction}
+        assert (tuple(pivots), Matrix(QQ, len(pivots), m.ncols, dict(enumerate(reduced)))) \
+            == fraction_rref(m)
+
+
+def test_no_q_report_on_the_catalog_holds_a_float(monkeypatch):
+    # every matrix built while compare, derivations and cohomology run over Q
+    built = []
+    init = Matrix.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    for name, cat in FIXTURES.items():
+        checks = [c for rec in theorem_a_report(cat, QQ, 2).degrees for c in rec.checks]
+        assert not any(isinstance(v, float) for c in checks for v in c.first_difference or ())
+        try:
+            built.append(theorem_b_report(cat, QQ).restricted_matrix)
+        except HypothesisViolated:
+            pass
+        hochschild_cohomology_dims(cat, QQ, 2)
+        relative_cohomology_dims(cat, QQ, 2)
+    assert built
+    for m in built:
+        assert all(type(v) in (int, Fraction) for _r, _c, v in m.entries()), m
