@@ -17,7 +17,7 @@ X is built as that transpose, behind the same gate.
 T is pure index data: ``_read(cat, m)`` holds, per F^ad chain, the column
 it reads, as a stdlib ``array('l')``, climbed from the chain's prefix in
 the nerve's own order (the ``nerve`` docstring).  It is kept on the
-category as the integer differentials are, once for every field.  Every
+category as the integer differentials are, once for all fields.  Every
 reader takes it as a ``matrix.Reading``: T on the left selects rows, T on the
 right renames columns, and X = Tᵀ copies columns, in the checks here and
 in Theorem B's restricted maps (``derivations``).  T and X are built as
@@ -92,10 +92,11 @@ the bases of ``matrix.cohomology``: the benchmark harness requires a
 ``matrix.subspace`` call on ``compare`` (``perfbench/test_harness.py``,
 ``USED["certify"]``).
 
-The maps, the identity checks and the report take ``(cat, field, m)``, and
-a ``cap`` where they build bases, like the complexes they compare.  The
-checks read ∂, δ and X as integer matrices, evaluate both sides over Z with
-``(−1)^(m+1)`` as an int, and reduce their difference into the field.
+The maps are integer matrices and take ``(cat, m)``, the identity checks
+and the report ``(cat, field, m)``, each with a ``cap`` where it builds
+bases, like the complexes they compare.  The checks read ∂, δ and X as
+integer matrices, evaluate both sides over Z with ``(−1)^(m+1)`` as an
+int, and reduce their difference into the field.
 ``F^ad`` is ``adjoint_category(cat)``, memoized on ``cat``, and a map or
 check that needs a hypothesis tests it with ``require_predicates(cat, ...)``.
 """
@@ -115,7 +116,7 @@ from .category import (
     require_predicates,
 )
 from .errors import NotChainCompatible
-from .fields import QQ, FieldSpec
+from .fields import FieldSpec
 from .hochschild import (
     check_degree,
     check_sizes,
@@ -210,20 +211,20 @@ def _relative_reading(cat: FiniteCategory, m: int, cap: int | None) -> Reading:
     return t_rel
 
 
-def t_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
-    return _reading(cat, m, cap).matrix(field)
+def t_map_matrix(cat: FiniteCategory, m: int, cap: int | None = None) -> Matrix:
+    """Integer matrix of T from degree-m Hochschild cochains to nerve cochains of F^ad."""
+    return _reading(cat, m, cap).matrix()
 
 
-def x_map_matrix(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains.
+def x_map_matrix(cat: FiniteCategory, m: int, cap: int | None = None) -> Matrix:
+    """Integer matrix of X from nerve cochains of F^ad to degree-m Hochschild cochains.
 
     X sums, over the base verticals a_0, the ladders completed from a chain
     of ``cat``.  Under right determinism and right cancellation each F^ad
     chain is the one completion of its bottom and a_0, so X is Tᵀ.
     """
     require_predicates(cat, "right_deterministic", "right_cancellative")
-    return _reading(cat, m, cap).T.matrix(field)
+    return _reading(cat, m, cap).T.matrix()
 
 
 # --- chain-map identities ---------------------------------------------------------
@@ -236,8 +237,8 @@ def verify_t_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     right, so neither product multiplies.
     """
     require_predicates(cat, *CANCELLATIVE)
-    lhs = _reading(cat, m + 1, cap) @ hochschild_differential_matrix(cat, QQ, m, cap)
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, m, cap)
+    lhs = _reading(cat, m + 1, cap) @ hochschild_differential_matrix(cat, m, cap)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), m, cap)
     rhs = delta @ _reading(cat, m, cap)
     return VerificationResult.of("t_chain", m, lhs, rhs, field, (-1) ** (m + 1))
 
@@ -251,9 +252,9 @@ def verify_x_chain_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     much larger ∂ by T's reads (a ``Reading``), and no X^m is built.
     """
     require_predicates(cat, *DETERMINISTIC, *CANCELLATIVE)
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, m, cap)
-    lhs = x_map_matrix(cat, QQ, m + 1, cap) @ delta
-    rhs = hochschild_differential_matrix(cat, QQ, m, cap) @ _reading(cat, m, cap).T
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), m, cap)
+    lhs = x_map_matrix(cat, m + 1, cap) @ delta
+    rhs = hochschild_differential_matrix(cat, m, cap) @ _reading(cat, m, cap).T
     return VerificationResult.of("x_chain", m, lhs, rhs, field, (-1) ** (m + 1))
 
 
@@ -374,7 +375,7 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
         dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)
     else:
         # bases, not ranks: the harness reason in the module docstring
-        walk = cohomology((hochschild_differential_matrix(cat, QQ, m, cap) for m in rng), field)
+        walk = cohomology((hochschild_differential_matrix(cat, m, cap) for m in rng), field)
         dims_h = [dim for _Z, _B, dim in walk]
     degrees = []
     for m, h, r, s, ch in zip(rng, dims_h, dims_r, dims_s, checks):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory, adjoint_category, require_predicates
 from .comparison import CANCELLATIVE, DETERMINISTIC, _relative_reading, verify_two_sided_on_relative
-from .fields import QQ, FieldSpec
+from .fields import FieldSpec
 from .hochschild import check_sizes, relative_differential_matrix, relative_sizes
 from .errors import NotChainCompatible
 from .matrix import Matrix, Reading, Subspace, restricted_map
@@ -64,7 +64,7 @@ def graded_derivation_space(cat: FiniteCategory, field: FieldSpec, cap: int | No
     Coordinates are indexed by ``relative_basis(cat, 1)``; the cap is checked
     on the degree-1 and degree-2 relative sizes before either basis exists.
     """
-    return relative_differential_matrix(cat, QQ, 1, cap).kernel_basis(field)
+    return relative_differential_matrix(cat, 1, cap).kernel_basis(field)
 
 
 def character_space(fad: FiniteCategory, field: FieldSpec, cap: int | None = None) -> Subspace:
@@ -89,8 +89,8 @@ def _derivations_through_x(cat: FiniteCategory, field: FieldSpec, t1: Reading,
         return None
     if t2.T.identity_difference(field) is not None:
         return None
-    d1 = relative_differential_matrix(cat, QQ, 1, cap)
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, 1, cap)
+    d1 = relative_differential_matrix(cat, 1, cap)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), 1, cap)
     if (t2 @ d1).first_difference(delta @ t1, field) is not None:
         return None
     return Subspace.from_matrix(x_char)

@@ -22,7 +22,7 @@ the base-n number whose digits are the tuple), so every term's row is
 computed by index arithmetic, never by building a tuple.  Each column's
 terms are summed over the integers and written straight into the row dicts
 of an integer ``Matrix`` (over Q, with int entries).  The matrix is
-memoized on the category per degree, for every field, which enters only
+memoized on the category per degree and takes no field, which enters only
 when it is ranked: built once for as long as the category lives, and freed
 with it.  Every cap is checked before the memo is read,
 and the dimension tables check every degree's basis size
@@ -205,16 +205,16 @@ def _full_differential(cat: FiniteCategory, m: int) -> Matrix:
     return Matrix(QQ, n ** (m + 2), n ** (m + 1), _differential_rows(cat, m, groups))
 
 
-def hochschild_differential_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the degree-m differential in the lexicographic bases, over
-    ``field``: over Q the memoized integer matrix itself.
+def hochschild_differential_matrix(cat, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the degree-m differential in the lexicographic bases: the
+    memoized integer matrix itself.
 
     Every basis up to degree m + 1 is checked against the cap first, as
     running products, so no size above ``n_morphisms * cap`` is formed.
     """
     check_degree(m)
     check_sizes(hochschild_sizes(cat), m + 1, cap)
-    return _full_differential(cat, m).over(field)
+    return _full_differential(cat, m)
 
 
 def hochschild_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
@@ -224,7 +224,7 @@ def hochschild_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
-    mats = [hochschild_differential_matrix(cat, QQ, m, cap) for m in range(max_m + 1)]
+    mats = [hochschild_differential_matrix(cat, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats, field))
 
 
@@ -314,9 +314,9 @@ def _relative_differential(cat: FiniteCategory, m: int) -> Matrix:
     return Matrix(QQ, len(row_of), len(cols), _differential_rows(cat, m, groups, row_of))
 
 
-def relative_differential_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the differential restricted to relative cochains, over
-    ``field`` as for ``hochschild_differential_matrix``.
+def relative_differential_matrix(cat, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the differential restricted to relative cochains: the
+    memoized integer matrix itself.
 
     Every relative basis up to degree m + 1 is checked against the cap,
     and the first one over it refused, before any basis is enumerated.
@@ -326,8 +326,8 @@ def relative_differential_matrix(cat, field: FieldSpec, m: int, cap: int | None 
     check_degree(m)
     check_sizes(relative_sizes(cat), m + 1, cap)
     if relative_is_full(cat, m + 1):
-        return _full_differential(cat, m).over(field)
-    return _relative_differential(cat, m).over(field)
+        return _full_differential(cat, m)
+    return _relative_differential(cat, m)
 
 
 def relative_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
@@ -337,6 +337,6 @@ def relative_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None 
     """
     check_degree(max_m)
     check_sizes(relative_sizes(cat), max_m + 1, cap)
-    mats = [relative_differential_matrix(cat, QQ, m, cap) for m in range(max_m + 1)]
+    mats = [relative_differential_matrix(cat, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats, field))
 

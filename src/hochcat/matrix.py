@@ -13,14 +13,15 @@ over GF(2), and a row-by-row reduction against a reduced basis
 (``_rref_by_rows``) for tall matrices over odd p and Q.
 
 Where a field enters.  The engine's structural matrices (differentials,
-coboundaries, prisms) are integer matrices: matrices over Q whose entries
-are ints, built once and shared by every field, since each reaches a
-field by the base change Z -> k.  A field enters in two places only:
+coboundaries, prisms, the maps T and X) are integer matrices: matrices
+over Q whose entries are ints, built once and shared by every field,
+since each reaches a field by the base change Z -> k.  Their builders
+take no field.  A field enters in two places only:
 
 * an elimination (``rref``, ``rank``, ``kernel_basis``, ``image_basis``
   given a ``field``) reduces the entries mod p inside the row copy or the
-  transpose it makes anyway, so no reduced copy is held beside the integer
-  matrix (``over`` makes one for a caller that asks);
+  transpose it makes anyway, so no reduced copy of an integer matrix is
+  ever held;
 * an identity's verdict: ``first_difference`` (``VerificationResult.of``)
   compares two integer matrices, one of them times a sign, over Z, and
   reduces a difference into the field.  Z -> k is a ring map, so this one
@@ -33,10 +34,9 @@ verifies the lift exactly over Z: every integer row must leave no residue
 against it.  Since ``rank_p <= rank_Q`` for an integer matrix, a lift that
 passes spans the row space and is the canonical RREF.  When the lift fails
 (an entry past about 2^15) or the check refuses it (the prime divides a
-pivot), the engine runs on Fractions instead.  Products over Q multiply
-integer matrices as they stand; otherwise they scale both factors to
-integers by their common denominators, accumulate on ints and build one
-Fraction per distinct output numerator.
+pivot), the engine runs on Fractions instead.  A product adds up the
+products of its factors' own scalars, reduced mod p over GF(p): over Q
+the product of integer matrices is taken over Z and holds ints.
 
 The sweep processes columns left to right, so the pivot columns are the
 RREF pivots, and the result is the canonical reduced row echelon form (RREF
@@ -91,7 +91,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress
+from itertools import compress
 from math import isqrt, lcm
 from operator import lt, mul
 
@@ -142,15 +142,19 @@ class Matrix:
     def from_entries(cls, field, nrows, ncols, entries) -> "Matrix":
         """``entries``: mapping or iterable of ((r, c), value) in field scalars.
 
-        Over GF(p) each value is reduced mod p, so integers may be given;
-        entries that are zero in the field are dropped.
+        Over GF(p) each value is an int, reduced mod p; over Q an int or a
+        Fraction.  Any other value raises TypeError naming its cell.
+        Entries that are zero in the field are dropped.
         """
         p = field.p
+        exact = int if p is not None else (int, Fraction)
         items = entries.items() if hasattr(entries, "items") else entries
         rows = {}
         for (r, c), v in items:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r}, {c}) outside {nrows}x{ncols}")
+            if not isinstance(v, exact):
+                raise TypeError(f"entry ({r}, {c}) is {v!r}, not a scalar of {field}")
             if p is not None:
                 v %= p
             if v != 0:
@@ -159,8 +163,10 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
-        """Dense rows of field scalars; over GF(p) each is reduced mod p."""
+        """Dense rows of field scalars, as for ``from_entries``; over GF(p)
+        each is reduced mod p."""
         p = field.p
+        exact = int if p is not None else (int, Fraction)
         rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
@@ -168,6 +174,9 @@ class Matrix:
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
+            for j, v in enumerate(row):
+                if not isinstance(v, exact):
+                    raise TypeError(f"entry ({i}, {j}) is {v!r}, not a scalar of {field}")
             if p is not None:
                 row = [v % p for v in row]
             if nonzero := {j: v for j, v in enumerate(row) if v != 0}:
@@ -256,20 +265,6 @@ class Matrix:
                     cols.setdefault(c, {})[r] = v
         return Matrix(field, self.ncols, self.nrows, cols)
 
-    def over(self, field: FieldSpec) -> "Matrix":
-        """This integer matrix over ``field``: itself over Q, reduced mod p over GF(p)."""
-        if self._in_field(field) == self.field:
-            return self
-        p, rows = field.p, {}
-        for r, row in self.rows.items():
-            reduced = {}
-            for c, v in row.items():
-                if v := v % p:
-                    reduced[c] = v
-            if reduced:
-                rows[r] = reduced
-        return Matrix(field, self.nrows, self.ncols, rows)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -304,13 +299,9 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        p = self.field.p
-        rows_a, den_a = self._integer_rows()
-        rows_b, den_b = other._integer_rows(rows_a)
-        den = den_a * den_b
-        integral = rows_a is self.rows and rows_b is other.rows   # over Q: a product over Z
-        out, fractions = {}, {}  # over Q: one Fraction per distinct numerator
-        for i, ra in rows_a.items():
+        p, rows_b = self.field.p, other.rows
+        out = {}
+        for i, ra in self.rows.items():
             acc = {}
             for k, v in ra.items():
                 rb = rows_b.get(k)
@@ -318,46 +309,13 @@ class Matrix:
                     continue
                 for j, w in rb.items():
                     acc[j] = acc.get(j, 0) + v * w
-            row = {}
             if p is not None:
-                for j, v in acc.items():
-                    if v := v % p:
-                        row[j] = v
-            elif integral:
-                for j, v in acc.items():
-                    if v:
-                        row[j] = v
+                row = {j: r for j, v in acc.items() if (r := v % p)}
             else:
-                for j, v in acc.items():
-                    if v:
-                        f = fractions.get(v)
-                        if f is None:
-                            f = fractions[v] = Fraction(v, den)
-                        row[j] = f
+                row = {j: v for j, v in acc.items() if v}
             if row:
                 out[i] = row
         return Matrix(self.field, self.nrows, other.ncols, out)
-
-    def _integer_rows(self, left=None) -> tuple[dict, int]:
-        """``(rows, L)``: integer rows with ``self = rows / L``; read, never mutated.
-
-        Over GF(p), and for an integer matrix over Q, the scalars are ints
-        already: the rows are ``self.rows`` and L is 1.  Otherwise over Q, L
-        is the common denominator of the scalars, and the rows are built for
-        the product at hand and dropped with it.  For the right factor of
-        ``left @ self`` (``left`` as integer rows) only the rows at
-        ``left``'s columns are read, so only they are built.
-        """
-        rows = self.rows
-        if self.field.is_prime_field or {int} >= set(map(type, chain.from_iterable(
-                map(dict.values, rows.values())))):
-            return rows, 1
-        if left is not None:
-            read = {c for row in left.values() for c in row}
-            rows = {r: rows[r] for r in read & rows.keys()}
-        den = lcm(*{v.denominator for row in rows.values() for v in row.values()})
-        return {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-                for r, row in rows.items()}, den
 
     def _cleared_rows(self) -> list[dict]:
         """The nonzero rows over Q by row index, each times the LCM of its denominators.
@@ -398,9 +356,15 @@ class Matrix:
             # and its ties are broken by position
             if field == self.field:
                 rows = [dict(self.rows[r]) for r in sorted(self.rows)]
-            else:   # the reduced copy is the engine's own
-                rows = self.over(field).rows
-                rows = [rows[r] for r in sorted(rows)]
+            else:   # an integer matrix, reduced mod p as it is copied
+                p, rows = field.p, []
+                for r in sorted(self.rows):
+                    row = {}
+                    for c, v in self.rows[r].items():
+                        if v := v % p:
+                            row[c] = v
+                    if row:
+                        rows.append(row)
             hooks = _scalar_hooks(field)
             gf2 = field.p == 2
             if reduced:
@@ -936,16 +900,16 @@ class Reading:
                 return j, j, count, one
         return None
 
-    def matrix(self, field: FieldSpec) -> Matrix:
-        """The matrix itself, one 1 per row (per column when transposed)."""
-        one = field.one
+    def matrix(self) -> Matrix:
+        """The matrix itself as an integer matrix, one 1 per row (per column
+        when transposed)."""
         if self.transposed:
             rows: dict = {}
             for k, j in enumerate(self.cols):
-                rows.setdefault(j, {})[k] = one
+                rows.setdefault(j, {})[k] = 1
         else:
-            rows = {i: {j: one} for i, j in enumerate(self.cols)}
-        return Matrix(field, self.nrows, self.ncols, rows)
+            rows = {i: {j: 1} for i, j in enumerate(self.cols)}
+        return Matrix(QQ, self.nrows, self.ncols, rows)
 
     def __matmul__(self, a: Matrix) -> Matrix:
         if self.transposed or not isinstance(a, Matrix):

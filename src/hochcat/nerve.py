@@ -24,7 +24,7 @@ The coboundary of a scalar cochain f is
 ``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built from the
 face arrays of the (m+1)-chains (``_faces``), one row per chain, straight
 into the row dicts of an integer ``Matrix``, and memoized on the category
-per degree, for every field; a field enters only at an elimination and at
+per degree; it takes no field, which enters only at an elimination and at
 the verdict of an identity.
 
 A skeleton S of a category D is the full subcategory on one object per
@@ -261,16 +261,16 @@ def _coboundary(cat: FiniteCategory, m: int) -> Matrix:
     return Matrix(QQ, len(faces[0]), _chain_count(cat, m), _signed_rows(faces))
 
 
-def simplicial_coboundary_matrix(cat, field: FieldSpec, m: int, cap: int | None = None) -> Matrix:
-    """Matrix of the coboundary from degree-m to degree-(m+1) cochains, over
-    ``field``: over Q the memoized integer matrix itself.
+def simplicial_coboundary_matrix(cat, m: int, cap: int | None = None) -> Matrix:
+    """Matrix of the coboundary from degree-m to degree-(m+1) cochains: the
+    memoized integer matrix itself.
 
     Every chain count up to degree m + 1 is checked against the cap
     (``nerve_sizes``) before the memo is read.
     """
     check_degree(m)
     check_sizes(nerve_sizes(cat), m + 1, cap)
-    return _coboundary(cat, m).over(field)
+    return _coboundary(cat, m)
 
 
 # --- the skeleton and its prism ------------------------------------------------
@@ -474,14 +474,14 @@ def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
     counts up to degree m + 1 are checked against the cap first.  A prism
     term or a retracted chain that is no chain fails the check.
     """
-    delta = simplicial_coboundary_matrix(cat, QQ, m, cap)
+    delta = simplicial_coboundary_matrix(cat, m, cap)
     prisms = [_prism(cat, k) for k in range(max(m - 1, 0), m + 1)]
     rhs = _retraction_minus_identity(cat, m)
     if None in prisms or rhs is None:
         return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
     lhs = prisms[-1] @ delta
     if m:
-        lhs = lhs + simplicial_coboundary_matrix(cat, QQ, m - 1, cap) @ prisms[0]
+        lhs = lhs + simplicial_coboundary_matrix(cat, m - 1, cap) @ prisms[0]
     return VerificationResult.of("prism", m, lhs, rhs, field)
 
 
@@ -529,14 +529,14 @@ def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = No
     those of the skeleton pulled back along r and the coboundaries of
     degree m − 1 (the cocycle lemma); otherwise ``δ^m`` is eliminated.
     """
-    delta = simplicial_coboundary_matrix(cat, QQ, m, cap)
+    delta = simplicial_coboundary_matrix(cat, m, cap)
     if (len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
             and verify_prism_identity(cat, field, m, cap)
             and (delta_s := _skeleton_coboundary(cat, m)) is not None):
         cocycles = delta_s.kernel_basis(field).basis
         rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
         if m:   # and the rows of (δ^(m−1))ᵀ below them
-            bounded = simplicial_coboundary_matrix(cat, QQ, m - 1, cap).transpose(field)
+            bounded = simplicial_coboundary_matrix(cat, m - 1, cap).transpose(field)
             rows.update((nrows + i, row) for i, row in bounded.rows.items())
             nrows += bounded.nrows
         return Subspace.from_matrix(Matrix(field, nrows, delta.ncols, rows))
@@ -559,4 +559,4 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
         deltas = [_skeleton_coboundary(cat, m) for m in rng]
         if None not in deltas:
             return list(cohomology_dims(deltas, field))
-    return list(cohomology_dims((simplicial_coboundary_matrix(cat, QQ, m, cap) for m in rng), field))
+    return list(cohomology_dims((simplicial_coboundary_matrix(cat, m, cap) for m in rng), field))

@@ -266,6 +266,13 @@ def times(s: int, m):
                                {(r, c): s * v for r, c, v in m.entries()})
 
 
+def reduced(m, field):
+    """The integer matrix ``m`` over ``field``, entry by entry (base change Z -> field)."""
+    from hochcat.matrix import Matrix
+
+    return Matrix.from_entries(field, m.nrows, m.ncols, {(r, c): v for r, c, v in m.entries()})
+
+
 def column_wise_differential(cat, field, cols, rows):
     """The differential from the pairs ``cols`` to the pairs ``rows``, one column at a time.
 
@@ -972,19 +979,19 @@ def basis_route(cat, field, max_m: int, cap, checks: list) -> list:
 
     fad = comparison.adjoint_category(cat)
     rng = range(max_m + 1)
-    full = (hochschild_differential_matrix(cat, field, m, cap) for m in rng)
-    nerve = (simplicial_coboundary_matrix(fad, field, m, cap) for m in rng)
+    full = (hochschild_differential_matrix(cat, m, cap) for m in rng)
+    nerve = (simplicial_coboundary_matrix(fad, m, cap) for m in rng)
     relative = None
     if not relative_is_full(cat, max_m + 1):
-        relative = cohomology_dims(relative_differential_matrix(cat, field, m, cap) for m in rng)
+        relative = cohomology_dims((relative_differential_matrix(cat, m, cap) for m in rng), field)
     out = []
-    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full),
-                                                            cohomology(nerve), checks):
+    for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full, field),
+                                                            cohomology(nerve, field), checks):
         dim_r = dim_h if relative is None else next(relative)
         invertible, surjective = False, False
         try:
             induced, invertible = induced_quotient_map(
-                comparison.t_map_matrix(cat, field, m, cap), Z_h, B_h, Z_s, B_s
+                reduced(comparison.t_map_matrix(cat, m, cap), field), Z_h, B_h, Z_s, B_s
             )
             surjective = induced.rank() == dim_s
         except NotChainCompatible:

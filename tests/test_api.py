@@ -10,7 +10,9 @@ module-level ALL_CAPS constant must be read in the package, in the tests,
 or in code in README's "Library" section.  Every name a module imports
 must be read in that module (``__init__`` re-exports its imports through
 ``__all__``, which counts as a read there).
-Every public function that takes a degree refuses a negative one.
+Every public function that takes a degree refuses a negative one, and no
+matrix builder takes a field: structural matrices are integer matrices,
+and a field enters only at an elimination and at an identity's verdict.
 """
 
 import ast
@@ -23,6 +25,7 @@ import pytest
 import hochcat
 from hochcat.fields import FieldSpec
 from hochcat.hochschild import relative_differential_matrix
+from hochcat.matrix import Reading
 
 SRC = os.path.dirname(os.path.abspath(hochcat.__file__))
 README = os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md")
@@ -170,23 +173,25 @@ def takes_a_degree() -> set:
             if inspect.isfunction(getattr(hochcat, name)) and {"m", "max_m"} & parameters(name)}
 
 
+def _at_degree(fn, cat, field):
+    """A call of ``fn`` at degree m, read off its signature: ``fn(cat, field, m)``
+    when it takes a field, ``fn(cat, m)`` otherwise."""
+    if "field" in inspect.signature(fn).parameters:
+        return lambda m: fn(cat, field, m)
+    return lambda m: fn(cat, m)
+
+
 def _degree_calls() -> dict:
-    """name -> a call of that function at degree m, on the order-two group."""
+    """name -> a call of that function at degree m, on the order-two group,
+    or on its F^ad for the functions of the nerve."""
     cat = hochcat.builtin("c2")
     fad = hochcat.adjoint_category(cat)
     field = FieldSpec(2)
-    calls = {name: (lambda m, fn=getattr(hochcat, name): fn(cat, field, m))
-             for name in takes_a_degree() if "field" in parameters(name)}
-    calls.update(
-        hochschild_basis=lambda m: hochcat.hochschild_basis(cat, m),
-        relative_basis=lambda m: hochcat.relative_basis(cat, m),
-        nerve_chains=lambda m: hochcat.nerve_chains(cat, m),
-        simplicial_coboundary_matrix=lambda m: hochcat.simplicial_coboundary_matrix(fad, field, m),
-        simplicial_cohomology_dims=lambda m: hochcat.simplicial_cohomology_dims(fad, field, m),
-        simplicial_cocycle_space=lambda m: hochcat.simplicial_cocycle_space(fad, field, m),
-        verify_prism_identity=lambda m: hochcat.verify_prism_identity(fad, field, m),
-        relative_differential_matrix=lambda m: relative_differential_matrix(cat, field, m),
-    )
+    on_fad = {"simplicial_coboundary_matrix", "simplicial_cohomology_dims",
+              "simplicial_cocycle_space", "verify_prism_identity"}
+    calls = {name: _at_degree(getattr(hochcat, name), fad if name in on_fad else cat, field)
+             for name in takes_a_degree()}
+    calls["relative_differential_matrix"] = _at_degree(relative_differential_matrix, cat, field)
     return calls
 
 
@@ -202,3 +207,15 @@ def test_a_negative_degree_is_refused(name):
     DEGREE_CALLS[name](0)
     with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
         DEGREE_CALLS[name](-1)
+
+
+def test_no_matrix_builder_takes_a_field():
+    # a public ``*_matrix`` function of any module, and ``Reading.matrix``
+    builders = [node for _fname, tree in module_trees() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.endswith("_matrix")
+                and not node.name.startswith("_")]
+    assert len(builders) >= 5
+    taking_a_field = [node.name for node in builders
+                      if "field" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}]
+    assert taking_a_field == []
+    assert "field" not in inspect.signature(Reading.matrix).parameters

@@ -332,7 +332,7 @@ def test_conjugation_requires_hypotheses():
     with pytest.raises(ValueError):
         complete(z_monoid(), (1,), 1)
     with pytest.raises(HypothesisViolated):
-        x_map_matrix(z_monoid(), GF2, 1)
+        x_map_matrix(z_monoid(), 1)
 
 
 def test_conjugation_inverse_is_inverse():
@@ -385,7 +385,7 @@ def test_ladder_requires_hypotheses():
     with pytest.raises(ValueError):
         complete(cat, (3,), 1)
     with pytest.raises(HypothesisViolated):
-        x_map_matrix(cat, GF2, 1)
+        x_map_matrix(cat, 1)
 
 
 def test_ladder_equals_iterated_conjugation():

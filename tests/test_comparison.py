@@ -72,13 +72,13 @@ def as_column(field, vec) -> Matrix:
 def count_map_builds(monkeypatch, name) -> Counter:
     """Count the calls of ``comparison.<name>`` (``t_map_matrix`` or
     ``x_map_matrix``), each of which builds its matrix, keyed as
-    ``count_builds`` keys a memo's misses: ``(id(cat), (field, m))``."""
+    ``count_builds`` keys a memo's misses: ``(id(cat), (m,))``."""
     calls: Counter = Counter()
     build = getattr(comparison, name)
 
-    def counting(cat, field, m, cap=None):
-        calls[id(cat), (field, m)] += 1
-        return build(cat, field, m, cap)
+    def counting(cat, m, cap=None):
+        calls[id(cat), (m,)] += 1
+        return build(cat, m, cap)
 
     monkeypatch.setattr(comparison, name, counting)
     return calls
@@ -88,69 +88,62 @@ def count_map_builds(monkeypatch, name) -> Counter:
 
 def test_t_has_one_unit_entry_per_row():
     for name in HYPOTHESIS_FIXTURES:
-        cat, field = FIXTURES[name], GF3
+        cat = FIXTURES[name]
         for m in range(3):
-            t = t_map_matrix(cat, field, m)
+            t = t_map_matrix(cat, m)
             assert t.nrows == len(nerve_chains(adjoint_category(cat), m))
             per_row = {}
             for r, c, v in t.entries():
-                assert v == GF3.one
+                assert type(v) is int and v == 1
                 per_row[r] = per_row.get(r, 0) + 1
             assert all(per_row.get(r) == 1 for r in range(t.nrows)), name
 
 
 def test_t_degree_zero_reads_base_endomorphism():
-    cat, field = TRIV, QQ
-    assert t_map_matrix(cat, field, 0) == Matrix.identity(QQ, 1)
+    assert t_map_matrix(TRIV, 0) == Matrix.identity(QQ, 1)
 
 
 def test_t_degree_one_c2_reads_composite():
     # the chain over bottom t with base vertical t reads coefficient (t,), e
-    cat, field = C2, GF2
-    fad = adjoint_category(cat)
-    t = t_map_matrix(cat, field, 1)
+    fad = adjoint_category(C2)
+    t = t_map_matrix(C2, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[1, 1, 1],))
-    assert column(t, basis_index(C2, (1,), 0))[row] == GF2.one
+    assert column(t, basis_index(C2, (1,), 0))[row] == 1
 
 
 def test_t_degree_one_a2_identity_verticals():
-    cat, field = A2, QQ
-    fad = adjoint_category(cat)
-    t = t_map_matrix(cat, field, 1)
+    fad = adjoint_category(A2)
+    t = t_map_matrix(A2, 1)
     row = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
-    assert column(t, basis_index(A2, (2,), 2))[row] == QQ.one
+    assert column(t, basis_index(A2, (2,), 2))[row] == 1
 
 
 # --- structure of X ----------------------------------------------------------
 
 def test_x_indicator_a2():
     # indicator of the unique chain over g maps to the cochain g -> g
-    cat, field = A2, QQ
-    fad = adjoint_category(cat)
-    x = x_map_matrix(cat, field, 1)
+    fad = adjoint_category(A2)
+    x = x_map_matrix(A2, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
-    assert column(x, col) == {basis_index(A2, (2,), 2): QQ.one}
+    assert column(x, col) == {basis_index(A2, (2,), 2): 1}
 
 
 def test_x_indicator_c2_expands_base_sum():
     # indicator of the chain (bottom t, base e): value t -> t·e = t, e -> 0
-    cat, field = C2, GF2
-    fad = adjoint_category(cat)
-    x = x_map_matrix(cat, field, 1)
+    fad = adjoint_category(C2)
+    x = x_map_matrix(C2, 1)
     col = nerve_chains(fad, 1).index((fad.triple_index[0, 1, 0],))
-    assert column(x, col) == {basis_index(C2, (1,), 1): GF2.one}
+    assert column(x, col) == {basis_index(C2, (1,), 1): 1}
 
 
 def test_x_zero_cochain_maps_to_zero():
-    cat, field = EX6, GF5
-    x = x_map_matrix(cat, field, 2)
-    zero = as_column(GF5, [GF5.zero] * x.ncols)
+    x = x_map_matrix(EX6, 2)
+    zero = as_column(QQ, [0] * x.ncols)
     assert (x @ zero).is_zero()
 
 
 def test_x_vanishes_on_non_composable_tuples():
-    cat, field = EX6, QQ
-    x = x_map_matrix(cat, field, 2)
+    x = x_map_matrix(EX6, 2)
     rel_rows = {
         basis_index(EX6, tup, h) for tup, h in relative_basis(EX6, 2)
     }
@@ -163,9 +156,9 @@ def test_x_requires_right_determinism():
     # X and Theorem B, which restricts it, refuse both, though T exists for each
     for cat in (collapse(), z_monoid()):
         for m in range(2):
-            assert t_map_matrix(cat, GF2, m).nrows == len(nerve_chains(adjoint_category(cat), m))
+            assert t_map_matrix(cat, m).nrows == len(nerve_chains(adjoint_category(cat), m))
             with pytest.raises(HypothesisViolated):
-                x_map_matrix(cat, GF2, m)
+                x_map_matrix(cat, m)
         with pytest.raises(HypothesisViolated):
             theorem_b_report(cat, GF2)
 
@@ -201,17 +194,17 @@ def test_x_is_the_ladder_completion_reference(name):
         rel = oracles.ladder_completion_x(cat, fad, m, rel_rows)
         ncols = len(nerve_chains(fad, m))
         for field in FIELDS:
-            assert x_map_matrix(cat, field, m) == Matrix.from_entries(
+            assert oracles.reduced(x_map_matrix(cat, m), field) == Matrix.from_entries(
                 field, hochschild_basis_size(cat, m), ncols, full), (name, m, field)
             t_rel, _outside = _read_relative(cat, m)
-            assert t_rel.T.matrix(field) == Matrix.from_entries(
+            assert oracles.reduced(t_rel.T.matrix(), field) == Matrix.from_entries(
                 field, len(rel_rows), ncols, rel), (name, m, field)
 
 
 def test_right_only_x_has_two_columns_on_one_row():
     cat = right_only()
     assert not predicate_reports(cat)["left_cancellative"].holds
-    x = x_map_matrix(cat, QQ, 1)
+    x = x_map_matrix(cat, 1)
     rows = [r for r, _c, _v in x.entries()]
     assert len(rows) == x.ncols and len(set(rows)) < len(rows)
 
@@ -243,12 +236,11 @@ def test_random_cochain_spot_check():
     rng = random.Random(11)
     for name in ("c2", "ex6", "a2"):
         cat = FIXTURES[name]
-        field = GF5
         for m in range(2):
-            d = hochschild_differential_matrix(cat, GF5, m)
-            t_low = t_map_matrix(cat, field, m)
-            t_high = t_map_matrix(cat, field, m + 1)
-            delta = simplicial_coboundary_matrix(adjoint_category(cat), GF5, m)
+            d = oracles.reduced(hochschild_differential_matrix(cat, m), GF5)
+            t_low = oracles.reduced(t_map_matrix(cat, m), GF5)
+            t_high = oracles.reduced(t_map_matrix(cat, m + 1), GF5)
+            delta = oracles.reduced(simplicial_coboundary_matrix(adjoint_category(cat), m), GF5)
             for _ in range(5):
                 values = [rng.randrange(5) for _ in range(hochschild_basis_size(cat, m))]
                 lhs = t_high @ (d @ as_column(GF5, values))
@@ -259,12 +251,12 @@ def test_random_cochain_spot_check():
 
 def test_signed_coboundary_preserves_kernel_and_image():
     for name in ("c2", "ex6"):
-        cat, field = FIXTURES[name], GF3
+        cat = FIXTURES[name]
         for m in range(3):
-            delta = simplicial_coboundary_matrix(adjoint_category(cat), GF3, m)
+            delta = simplicial_coboundary_matrix(adjoint_category(cat), m)
             alpha = oracles.times((-1) ** (m + 1), delta)
-            assert alpha.kernel_basis() == delta.kernel_basis()
-            assert alpha.image_basis() == delta.image_basis()
+            assert alpha.kernel_basis(GF3) == delta.kernel_basis(GF3)
+            assert alpha.image_basis(GF3) == delta.image_basis(GF3)
 
 
 def test_relative_t_is_square_under_full_hypotheses():
@@ -273,7 +265,7 @@ def test_relative_t_is_square_under_full_hypotheses():
         for m in range(4):
             t_rel = _relative_reading(cat, m, None)
             assert t_rel.nrows == t_rel.ncols == len(nerve_chains(adjoint_category(cat), m))
-            assert t_rel.matrix(field).rank() == t_rel.nrows, (name, m)
+            assert t_rel.matrix().rank(field) == t_rel.nrows, (name, m)
 
 
 # --- Theorem A reports ------------------------------------------------------------
@@ -401,7 +393,7 @@ def test_t_map_caps_the_fad_nerve(monkeypatch):
     cat = z_monoid()
     builds = count_builds(monkeypatch, _layer)
     with pytest.raises(DimensionCapExceeded) as refused:
-        t_map_matrix(cat, GF2, 7, cap=1000)
+        t_map_matrix(cat, 7, cap=1000)
     assert (refused.value.degree, refused.value.required) == (6, 1458)
     assert not builds
 
@@ -516,6 +508,30 @@ ONE_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects == 1
 MULTI_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects > 1)
 
 
+@pytest.mark.parametrize("name", MULTI_OBJECT)
+def test_structural_products_over_q_hold_ints(monkeypatch, name):
+    # X^(m+1) δ^m, the x_chain product of a category with several objects,
+    # and the two products of the prism identity multiply integer matrices,
+    # so they are taken over Z: no Fraction is made on the way
+    cat = FIXTURES[name]
+    fad = adjoint_category(cat)
+    multiply, products = Matrix.__matmul__, []
+
+    def recorded(a, b):
+        products.append(multiply(a, b))
+        return products[-1]
+
+    for m in range(3):
+        x_delta = x_map_matrix(cat, m + 1) @ simplicial_coboundary_matrix(fad, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__matmul__", recorded)
+            assert verify_prism_identity(fad, QQ, m).ok
+        assert len(products) == (2 if m else 1), (name, m)
+        for product in (x_delta, *products):
+            assert all(type(v) is int for _r, _c, v in product.entries()), (name, m)
+        products.clear()
+
+
 def degree_bound(cat) -> int:
     # degree 3 reads T^4 on n^5 cochains; keep that under 4000
     return 3 if cat.n_morphisms ** 5 <= 4000 else 2
@@ -577,7 +593,7 @@ def test_flags_from_the_checks_match_the_induced_map(monkeypatch, name, field):
     fad = adjoint_category(cat)
     ranked = spy_nerve_ranks(monkeypatch)
     if tier == "isomorphism":
-        refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, QQ, m)
+        refuse_eliminating(monkeypatch, [relative_differential_matrix(cat, m)
                                          for m in range(max_m + 1)])
     rep = theorem_a_report(cat, field, max_m)
     assert rep.tier == rep.verdict == tier != "unverified"
@@ -704,10 +720,10 @@ def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
         assert oracles.prism_identity_defect(fad, found, field.p, m) == {}
         assert verify_prism_identity(fad, field, m).ok
         n, n_up = len(nerve_chains(fad, m)), len(nerve_chains(fad, m + 1))
-        assert _prism(fad, m).over(field) == Matrix.from_entries(
+        assert oracles.reduced(_prism(fad, m), field) == Matrix.from_entries(
             field, n, n_up, oracles.prism_entries(fad, found, m))
         minus_one = Matrix.from_entries(field, n, n, {(i, i): -1 for i in range(n)})
-        assert _retraction_minus_identity(fad, m).over(field) == Matrix.from_entries(
+        assert oracles.reduced(_retraction_minus_identity(fad, m), field) == Matrix.from_entries(
             field, n, n, oracles.retraction_entries(fad, found, m)) + minus_one
     dims = oracles.skeleton_dims(fad, found, field.p, max_m)
     assert dims == simplicial_cohomology_dims(fad, field, max_m) == \
@@ -728,7 +744,7 @@ def test_two_objects_with_a_skeleton_rank_only_the_skeleton(monkeypatch, field):
     assert (fad.n_objects, fad.n_morphisms) == (8, 40)
     assert len(set(_skeleton(fad)[0])) < fad.n_objects
     refuse_eliminating(monkeypatch, own_coboundaries(cat, field, 2)
-                       + [relative_differential_matrix(cat, QQ, m) for m in range(3)])
+                       + [relative_differential_matrix(cat, m) for m in range(3)])
     rep = theorem_a_report(cat, field, 2)
     assert rep.tier == rep.verdict == "isomorphism"
     assert summary(rep) == expected
@@ -749,7 +765,7 @@ def test_certified_group_ranks_no_hochschild_differential(monkeypatch, name, fie
     expected = hochschild_cohomology_dims(cat, field, max_m)
     monkeypatch.setattr(comparison, "hochschild_cohomology_dims",
                         lambda *args: pytest.fail("the Hochschild complex was ranked"))
-    refuse_eliminating(monkeypatch, [hochschild_differential_matrix(cat, QQ, m)
+    refuse_eliminating(monkeypatch, [hochschild_differential_matrix(cat, m)
                                      for m in range(max_m + 1)])
     rep = theorem_a_report(cat, field, max_m)
     assert rep.verdict == "isomorphism"
@@ -875,14 +891,14 @@ def test_reads_match_the_tuple_oracle(name, field):
         want = oracles.read_columns(cat, m)
         assert list(comparison._read(cat, m)) == want, (name, m)
         entries = {(i, c): 1 for i, c in enumerate(want)}
-        assert t_map_matrix(cat, field, m) == Matrix.from_entries(
+        assert oracles.reduced(t_map_matrix(cat, m), field) == Matrix.from_entries(
             field, count, hochschild_basis_size(cat, m), entries)
-        assert x_map_matrix(cat, field, m) == t_map_matrix(cat, field, m).transpose()
+        assert x_map_matrix(cat, m) == t_map_matrix(cat, m).transpose()
 
 
 def product_section(cat, field, m):
     """``section`` as the product T X against the identity, on the matrices."""
-    prod = t_map_matrix(cat, field, m) @ x_map_matrix(cat, field, m)
+    prod = oracles.reduced(t_map_matrix(cat, m), field) @ oracles.reduced(x_map_matrix(cat, m), field)
     return VerificationResult.of("section", m, prod, Matrix.identity(field, prod.nrows))
 
 
@@ -892,7 +908,7 @@ def product_two_sided(cat, field, m):
     composites with the transpose."""
     name = "two_sided_relative"
     rel = {basis_index(cat, *pair): i for i, pair in enumerate(relative_basis(cat, m))}
-    t = t_map_matrix(cat, field, m)
+    t = oracles.reduced(t_map_matrix(cat, m), field)
     rows = {}
     for r, row in sorted(t.rows.items()):
         for c, v in row.items():
@@ -908,10 +924,13 @@ def product_two_sided(cat, field, m):
 
 
 def product_x_chain(cat, field, m):
-    """``x_chain`` as the two products on the X matrices."""
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), field, m)
-    lhs = x_map_matrix(cat, field, m + 1) @ delta
-    rhs = hochschild_differential_matrix(cat, field, m) @ x_map_matrix(cat, field, m)
+    """``x_chain`` as the two products on the X matrices, reduced into ``field``."""
+    def over(matrix):
+        return oracles.reduced(matrix, field)
+
+    delta = over(simplicial_coboundary_matrix(adjoint_category(cat), m))
+    lhs = over(x_map_matrix(cat, m + 1)) @ delta
+    rhs = over(hochschild_differential_matrix(cat, m)) @ over(x_map_matrix(cat, m))
     return VerificationResult.of("x_chain", m, lhs, oracles.times((-1) ** (m + 1), rhs))
 
 
@@ -1081,11 +1100,14 @@ def test_a_sign_flip_is_a_verdict_of_the_field(monkeypatch, tmp_path, capsys):
     assert cells   # the CLI's own category read the flipped δ^1
     cat = fresh("s3")
     assert verify_t_chain_identity(cat, GF2, 1).ok
-    delta = simplicial_coboundary_matrix(adjoint_category(cat), QQ, 1)
+    delta = simplicial_coboundary_matrix(adjoint_category(cat), 1)
     for field, kind in ((GF3, int), (QQ, Fraction)):
+        def over(matrix):
+            return oracles.reduced(matrix, field)
+
         result = verify_t_chain_identity(cat, field, 1)
-        lhs = t_map_matrix(cat, field, 2) @ hochschild_differential_matrix(cat, field, 1)
-        rhs = delta.over(field) @ t_map_matrix(cat, field, 1)   # the sign (−1)^2 is 1
+        lhs = over(t_map_matrix(cat, 2)) @ over(hochschild_differential_matrix(cat, 1))
+        rhs = over(delta) @ over(t_map_matrix(cat, 1))   # the sign (−1)^2 is 1
         assert not result.ok and result.first_difference == lhs.first_difference(rhs)
         assert all(type(v) is kind for v in result.first_difference[2:])
         if field == GF3:

@@ -36,6 +36,7 @@ from hochcat.matrix import (
 from .catalog import C2, FIELDS, FIXTURES, GF2, GF3, GF5, QQ
 from .oracles import (
     dense_product, fraction_kernel, fraction_rref, induced_quotient_map, naive_rank, naive_rref,
+    reduced,
 )
 
 
@@ -68,6 +69,18 @@ def test_gf_p_scalars_are_reduced_on_entry():
         Matrix.from_entries(GF5, 1, 3, {(0, 0): 4, (0, 1): 2})
 
 
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in (GF2, GF3, QQ) for value in (0.5, "1", Fraction(1, 2))
+    if field != QQ or not isinstance(value, Fraction)], ids=repr)
+def test_constructors_refuse_an_inexact_scalar(field, value):
+    # a scalar of GF(p) is an int and one of Q an int or a Fraction; any
+    # other value is refused where it enters, naming its cell
+    with pytest.raises(TypeError, match=r"entry \(0, 1\) is"):
+        Matrix.from_entries(field, 1, 2, {(0, 0): 1, (0, 1): value})
+    with pytest.raises(TypeError, match=r"entry \(1, 0\) is"):
+        Matrix.from_rows(field, [[1, 0], [value, 1]])
+
+
 def test_rank_rationals_with_fractions():
     m = mk(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]])
     assert m.rank() == 2
@@ -96,19 +109,17 @@ def test_rank_never_back_substitutes_over_gf_p(field, monkeypatch):
 
 def test_an_integer_matrix_is_reduced_into_each_field():
     # an integer matrix is a matrix over Q with int entries; each field
-    # enters through a reduced copy, or inside an elimination's own copy
+    # enters inside an elimination's own copy or transpose
     entries = {(0, 0): 3, (1, 2): 3, (0, 1): -2, (1, 0): -2, (1, 1): 0, (0, 2): 7, (2, 1): 6}
     m = Matrix.from_entries(QQ, 3, 3, entries)
     assert {(r, c): v for r, c, v in m.entries()} == {k: n for k, n in entries.items() if n}
     assert all(type(v) is int for _r, _c, v in m.entries())
-    assert m.over(QQ) is m
-    g = m.over(GF3)
-    assert g.field == GF3 and {(r, c): v for r, c, v in g.entries()} == {
+    g = Matrix.from_entries(GF3, 3, 3, entries)
+    assert {(r, c): v for r, c, v in g.entries()} == {
         k: GF3.scalar(n) for k, n in entries.items() if n % 3}
     assert 2 not in g.rows   # a row that vanishes mod 3 is no row
     for field in (GF2, GF3, GF5, QQ):
         reduced = Matrix.from_entries(field, 3, 3, entries)
-        assert m.over(field) == reduced
         assert m.transpose(field) == reduced.transpose()
         assert m.rref(field) == reduced.rref()
         assert m.rref(field, reduced=False) == reduced.rref(reduced=False)
@@ -201,9 +212,9 @@ def test_quotient_c2_fad_nerve_degree_one():
     from .catalog import C2
 
     fad = adjoint_category(C2)
-    d1 = simplicial_coboundary_matrix(fad, GF2, 1)
-    d0 = simplicial_coboundary_matrix(fad, GF2, 0)
-    assert quotient_dim(d1.kernel_basis(), d0.image_basis()) == 2
+    d1 = simplicial_coboundary_matrix(fad, 1)
+    d0 = simplicial_coboundary_matrix(fad, 0)
+    assert quotient_dim(d1.kernel_basis(GF2), d0.image_basis(GF2)) == 2
 
 
 # --- the shared cohomology walk ----------------------------------------------
@@ -223,8 +234,8 @@ def test_cohomology_never_builds_the_last_image(monkeypatch):
 
     monkeypatch.setattr(Matrix, "image_basis", counted)
     max_m = 2
-    mats = [hochschild_differential_matrix(C2, GF2, m) for m in range(max_m + 1)]
-    dims = [dim for _Z, _B, dim in cohomology(mats)]
+    mats = [hochschild_differential_matrix(C2, m) for m in range(max_m + 1)]
+    dims = [dim for _Z, _B, dim in cohomology(mats, GF2)]
     assert dims == [2, 2, 2]
     assert calls == [(m.nrows, m.ncols) for m in mats[:-1]]
     # the dims-only functions count ranks and build no basis at all
@@ -251,13 +262,13 @@ def test_cohomology_dims_rejects_a_differential_that_does_not_square_to_zero():
 
 
 def _complexes(cat, field, max_m):
-    """The Hochschild, relative and F^ad nerve differentials in degrees 0..max_m."""
+    """The Hochschild, relative and F^ad nerve differentials in degrees 0..max_m, over ``field``."""
     fad = adjoint_category(cat)
     rng = range(max_m + 1)
     return {
-        "hochschild": [hochschild_differential_matrix(cat, field, m) for m in rng],
-        "relative": [relative_differential_matrix(cat, field, m) for m in rng],
-        "nerve": [simplicial_coboundary_matrix(fad, field, m) for m in rng],
+        "hochschild": [reduced(hochschild_differential_matrix(cat, m), field) for m in rng],
+        "relative": [reduced(relative_differential_matrix(cat, m), field) for m in rng],
+        "nerve": [reduced(simplicial_coboundary_matrix(fad, m), field) for m in rng],
     }
 
 
@@ -321,14 +332,14 @@ def test_induced_comparison_degree_one_c2_gf2():
     from .catalog import C2
 
     fad = adjoint_category(C2)
-    d1 = hochschild_differential_matrix(C2, GF2, 1)
-    d0 = hochschild_differential_matrix(C2, GF2, 0)
-    e1 = simplicial_coboundary_matrix(fad, GF2, 1)
-    e0 = simplicial_coboundary_matrix(fad, GF2, 0)
+    d1 = hochschild_differential_matrix(C2, 1)
+    d0 = hochschild_differential_matrix(C2, 0)
+    e1 = simplicial_coboundary_matrix(fad, 1)
+    e0 = simplicial_coboundary_matrix(fad, 0)
     Q, invertible = induced_quotient_map(
-        t_map_matrix(C2, GF2, 1),
-        d1.kernel_basis(), d0.image_basis(),
-        e1.kernel_basis(), e0.image_basis(),
+        reduced(t_map_matrix(C2, 1), GF2),
+        d1.kernel_basis(GF2), d0.image_basis(GF2),
+        e1.kernel_basis(GF2), e0.image_basis(GF2),
     )
     assert (Q.nrows, Q.ncols) == (2, 2) and invertible
 
@@ -366,8 +377,8 @@ def test_restricted_map_is_the_quotient_map_over_zero_subspaces(field):
         der = graded_derivation_space(cat, field)
         char = character_space(adjoint_category(cat), field)
         t1 = _relative_reading(cat, 1, None)
-        for T, src, dst, images in ((t1.matrix(field), der, char, der.basis @ t1.T),
-                                    (t1.T.matrix(field), char, der, char.basis @ t1)):
+        for T, src, dst, images in ((reduced(t1.matrix(), field), der, char, der.basis @ t1.T),
+                                    (reduced(t1.T.matrix(), field), char, der, char.basis @ t1)):
             zero_src = Subspace.zero(field, src.ambient_dim)
             zero_dst = Subspace.zero(field, dst.ambient_dim)
             expected, _ = induced_quotient_map(T, src, zero_src, dst, zero_dst)
@@ -522,9 +533,8 @@ def test_every_operation_keeps_the_row_format(nrows, ncols, width, field, data):
         Matrix.from_entries(field, nrows, ncols, cells),
         Matrix.from_entries(field, nrows, ncols,
                                 {(r, c): n for r, row in enumerate(dense) for c, n in enumerate(row)}),
-        integer.over(field),
     ]
-    assert made[1] == made[2] == made[3] == a
+    assert made[1] == made[2] == a
     b = Matrix.from_rows(field, [[field.scalar(v) for v in row] for row in ints(ncols, width)], width)
     ker = a.kernel_basis()
     results = made + [
@@ -778,6 +788,7 @@ def test_the_prime_is_the_largest_below_2_to_the_31():
 
 _fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
                        st.integers(min_value=1, max_value=6))
+_small_ints = st.integers(min_value=-9, max_value=9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -796,11 +807,17 @@ def test_q_rref_with_denominators_matches_oracle(nrows, ncols, data):
     st.data(),
 )
 def test_q_product_matches_the_fraction_product(n, k, m, data):
+    # Fraction x Fraction, int x Fraction and int x int: each scalar is
+    # multiplied as it stands, and a product of integer matrices holds ints
     a = [[data.draw(_fractions) for _ in range(k)] for _ in range(n)]
     b = [[data.draw(_fractions) for _ in range(m)] for _ in range(k)]
-    product = Matrix.from_rows(QQ, a, k) @ Matrix.from_rows(QQ, b, m)
-    assert product == Matrix.from_rows(QQ, dense_product(a, b, m), m)
-    assert all(isinstance(v, Fraction) for _r, _c, v in product.entries())
+    int_a = [[data.draw(_small_ints) for _ in range(k)] for _ in range(n)]
+    int_b = [[data.draw(_small_ints) for _ in range(m)] for _ in range(k)]
+    for left, right in ((a, b), (int_a, b), (int_a, int_b)):
+        product = Matrix.from_rows(QQ, left, k) @ Matrix.from_rows(QQ, right, m)
+        assert product == Matrix.from_rows(QQ, dense_product(left, right, m), m)
+        kind = int if right is int_b else Fraction
+        assert all(type(v) is kind for _r, _c, v in product.entries())
 
 
 @settings(max_examples=60, deadline=None)
@@ -813,30 +830,10 @@ def test_q_products_never_change_their_factors(n, k, data):
     b = [[data.draw(_fractions) for _ in range(n)] for _ in range(k)]
     A, B = Matrix.from_rows(QQ, a, k), Matrix.from_rows(QQ, b, n)
     first = A @ B
-    rows, den = A._integer_rows()
-    before = ({r: dict(row) for r, row in rows.items()}, den,
-              {r: dict(row) for r, row in A.rows.items()})
+    before = {r: dict(row) for r, row in A.rows.items()}
     assert B @ A == Matrix.from_rows(QQ, dense_product(b, a, k), k)
     assert A @ B == first == Matrix.from_rows(QQ, dense_product(a, b, n), n)
-    assert ({r: dict(row) for r, row in rows.items()}, den, A.rows) == before
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=4), st.data())
-def test_q_product_builds_only_the_right_rows_it_reads(n, k, m, data):
-    # a left factor with empty columns: the right factor's rows there, with
-    # denominators of their own, are never made integer, and the product
-    # is the Fraction one
-    read = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
-    a = [[data.draw(_fractions) if c in read else Fraction(0) for c in range(k)]
-         for _ in range(n)]
-    b = [[data.draw(_fractions) for _ in range(m)] for _ in range(k)]
-    A, B = Matrix.from_rows(QQ, a, k), Matrix.from_rows(QQ, b, m)
-    rows, den = B._integer_rows(A._integer_rows()[0])
-    assert rows.keys() <= read
-    assert all(Fraction(v, den) == B.rows[r][c] for r, row in rows.items() for c, v in row.items())
-    assert A @ B == Matrix.from_rows(QQ, dense_product(a, b, m), m)
+    assert A.rows == before
 
 
 def _reading(rng, nrows, ncols) -> Reading:
@@ -869,7 +866,7 @@ def test_products_with_a_reading_matrix_match_the_textbook_product(field):
     for _ in range(40):
         n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
         t = _reading(rng, n, k)
-        dense_t, dense_x = t.matrix(field), t.T.matrix(field)
+        dense_t, dense_x = reduced(t.matrix(), field), reduced(t.T.matrix(), field)
         assert dense_x == dense_t.transpose()
         a, b = _random_matrix(field, rng, k, m), _random_matrix(field, rng, m, n)
         ta, bt = t @ a, b @ t
@@ -993,11 +990,10 @@ def test_only_gf2_enters_the_tail(monkeypatch):
         m = mk(field, rows)
         assert (m.rank(), m.kernel_basis().dim) == (m.rref()[1].nrows, 4 - m.rank())
     # Theorem B over GF(3) and over Q, as in the benchmark's structure ops
-    d = relative_differential_matrix(FIXTURES["s3"], GF3, 1)
-    assert d.kernel_basis().dim == d.ncols - d.rank()
+    d = relative_differential_matrix(FIXTURES["s3"], 1)
+    assert d.kernel_basis(GF3).dim == d.ncols - d.rank(GF3)
     # the modular pass over Q, even modulo 2, and the Fraction fallback
     monkeypatch.setattr(matrix, "_PRIME", 2)
-    d = relative_differential_matrix(FIXTURES["s3"], QQ, 1)
     assert d.rref() == fraction_rref(d)
     with _routes() as (eliminations, verdicts):
         assert mk(QQ, [[7, 1], [14, 2]]).rref() == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
@@ -1098,8 +1094,8 @@ def test_only_tall_matrices_over_odd_p_and_q_skip_the_sweep():
 def test_tall_rank_over_odd_p_matches_the_naive_rank(field):
     # the tall differentials of the catalog, ranked row by row with no sweep
     tall = [d for cat in FIXTURES.values() for m in (0, 1)
-            for d in (hochschild_differential_matrix(cat, field, m),
-                      relative_differential_matrix(cat, field, m))
+            for d in (reduced(hochschild_differential_matrix(cat, m), field),
+                      reduced(relative_differential_matrix(cat, m), field))
             if len(d.rows) > d.ncols and d.nrows * d.ncols <= 30_000]
     assert len(tall) >= 20
     for d in tall:
