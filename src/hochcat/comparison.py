@@ -82,9 +82,12 @@ degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
 So every report ranks the nerve of ``F^ad`` once:
 ``simplicial_cohomology_dims`` ranks the skeleton of ``F^ad`` when its
 prism identity holds (the skeleton lemma in ``nerve``), and ``F^ad`` itself
-otherwise.  The relative complex takes the nerve's dimensions when the
-isomorphism tier's checks all hold, and is ranked only in the surjection
-and unverified tiers and after a failed check.  For one object the
+otherwise.  Either is ranked on one component per class of equal
+components (the component lemma in ``nerve``): a group's ``F^ad`` has one
+component per conjugacy class, and an abelian group's are all one class.
+The relative complex takes the nerve's dimensions when the isomorphism
+tier's checks all hold, and is ranked only in the surjection and
+unverified tiers and after a failed check.  For one object the
 relative complex is the full one, so a certified group's three dimensions
 are the nerve's and no Hochschild differential is ranked.  Only the full
 complex with more than one object in a certified tier is still counted on

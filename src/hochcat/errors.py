@@ -117,6 +117,11 @@ class DimensionCapExceeded(HochcatError):
         }
 
 
+class NotAnIntegerMatrix(HochcatError):
+    """A matrix over Q with an entry that is no int was asked for its
+    reduction into GF(p), which only an integer matrix has."""
+
+
 class NotASubspace(HochcatError):
     """Claimed containment of subspaces fails; signals a broken complex."""
 

@@ -21,7 +21,8 @@ take no field.  A field enters in two places only:
 * an elimination (``rref``, ``rank``, ``kernel_basis``, ``image_basis``
   given a ``field``) reduces the entries mod p inside the row copy or the
   transpose it makes anyway, so no reduced copy of an integer matrix is
-  ever held;
+  ever held; the same pass refuses a matrix over Q with an entry that is
+  no int (``NotAnIntegerMatrix``), which has no base change;
 * an identity's verdict: ``first_difference`` (``VerificationResult.of``)
   compares two integer matrices, one of them times a sign, over Z, and
   reduces a difference into the field.  Z -> k is a ring map, so this one
@@ -88,14 +89,15 @@ matrix.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress
 from math import isqrt, lcm
-from operator import lt, mul
+from operator import index, lt, mul
 
-from .errors import NotASubspace, NotChainCompatible
+from .errors import NotAnIntegerMatrix, NotASubspace, NotChainCompatible
 from .fields import QQ, FieldSpec
 
 
@@ -259,10 +261,11 @@ class Matrix:
         field = self._in_field(field)
         p = None if field == self.field else field.p
         cols = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                if p is None or (v := v % p):
-                    cols.setdefault(c, {})[r] = v
+        with _integers_only(field):
+            for r, row in self.rows.items():
+                for c, v in row.items():
+                    if p is None or (v := index(v) % p):
+                        cols.setdefault(c, {})[r] = v
         return Matrix(field, self.ncols, self.nrows, cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -358,13 +361,14 @@ class Matrix:
                 rows = [dict(self.rows[r]) for r in sorted(self.rows)]
             else:   # an integer matrix, reduced mod p as it is copied
                 p, rows = field.p, []
-                for r in sorted(self.rows):
-                    row = {}
-                    for c, v in self.rows[r].items():
-                        if v := v % p:
-                            row[c] = v
-                    if row:
-                        rows.append(row)
+                with _integers_only(field):
+                    for r in sorted(self.rows):
+                        row = {}
+                        for c, v in self.rows[r].items():
+                            if v := index(v) % p:
+                                row[c] = v
+                        if row:
+                            rows.append(row)
             hooks = _scalar_hooks(field)
             gf2 = field.p == 2
             if reduced:
@@ -376,7 +380,9 @@ class Matrix:
         return tuple(pivots), Matrix(field, len(pivots), self.ncols, dict(enumerate(rows)))
 
     def _in_field(self, field: FieldSpec | None) -> FieldSpec:
-        """``field``, by default the matrix's own: only an integer matrix changes field."""
+        """``field``, by default the matrix's own: only a matrix over Q changes
+        field, and its reduction into GF(p) (``_integers_only``) refuses an
+        entry that is no int."""
         if field not in (None, self.field) and self.field.is_prime_field:
             raise ValueError("field mismatch")
         return field or self.field
@@ -431,6 +437,18 @@ class Matrix:
             "cols": self.ncols,
             "triplets": [[r, c, fmt(v)] for r, c, v in self.entries()],
         }
+
+
+@contextmanager
+def _integers_only(field: FieldSpec):
+    """Around a reduction of a matrix over Q into ``field`` that reads each
+    entry through ``operator.index``: the TypeError of an entry that is no
+    int becomes ``NotAnIntegerMatrix``, and the pass makes no second scan."""
+    try:
+        yield
+    except TypeError:
+        raise NotAnIntegerMatrix(f"a matrix over Q with an entry that is no int "
+                                 f"has no reduction into {field}") from None
 
 
 # --- elimination ----------------------------------------------------------------

@@ -57,10 +57,43 @@ for k ≤ m:
 
 So ``simplicial_cohomology_dims`` ranks ``δ_S`` once the identity holds in
 every degree it reports, and D's own coboundaries when it fails or a row of
-``δ_S`` leaves S.  When every isomorphism class is one object, S = D and no
+``δ_S`` leaves S, in both cases one component per class (the component
+lemma below).  When every isomorphism class is one object, S = D and no
 prism is built.  The lemma needs nothing but D: for a group C and
 D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
 conjugacy class.
+
+Lemma (the components): let K and K' be connected components of a
+category E (here S or D) with as many objects and as many arrows, and φ
+the map that sends the i-th object and the j-th arrow of K, in ascending
+index, to the i-th object and the j-th arrow of K'.  If φ keeps sources,
+targets and composites, the blocks of δ^m on the chains of K and of K',
+each renumbered in ascending order, are equal matrices, so
+
+    dim H^m(E) = Σ_classes (class size) · dim H^m(first component of the class):
+
+* a chain's objects are joined by its arrows, so each chain lies in one
+  component, that of its last arrow's target (of itself in degree 0), and
+  its faces in the same one: δ is block diagonal, one block per component;
+* φ is a bijection that keeps composites, so it is an isomorphism of
+  categories (it keeps identities too), and it sends chains of K to chains
+  of K' and each face to the same face;
+* chains are listed in the lexicographic order of their arrows' indices
+  (the prefix order above), and φ is increasing on arrows, so it keeps
+  their order and sends the k-th chain of K in each degree to the k-th
+  of K'.
+
+``_classes`` joins each component to the first class, in the order of the
+components' least objects, whose first component passes this check, and
+compares only components with equal object and arrow counts.  The
+composites read are those of the 2-chains, which the cap admits whenever
+``max_m ≥ 1``; δ^0 reads only sources and targets, so for ``max_m = 0``
+only those are compared.  ``simplicial_cohomology_dims`` ranks, per class,
+δ or ``δ_S`` restricted to the chains of its first component, and the
+whole matrices when E is one component; each walk checks ``d∘d = 0`` on
+its own.  For D = ``F^ad`` of an abelian group every component is one
+object carrying the group, all in one class, so ``F^ad(c8)`` is ranked on
+one of its eight components.
 
 Lemma (the cocycles): if r is a functor onto S (``_retraction_is_functor``:
 each ``c_a: a → rep(a)`` has an inverse and ``r(g) = c_b∘g∘c_a⁻¹``) and the
@@ -336,6 +369,26 @@ def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
     return tuple(picked)
 
 
+def _submatrix(delta: Matrix, rows, cols) -> Matrix | None:
+    """``delta``'s rows ``rows`` and columns ``cols``, both ascending,
+    renumbered in their order; ``delta`` itself when they are all of it.
+
+    None when a picked row has an entry outside ``cols``.
+    """
+    if len(rows) == delta.nrows and len(cols) == delta.ncols:
+        return delta
+    col_of = {c: j for j, c in enumerate(cols)}
+    out = {}
+    for i, r in enumerate(rows):
+        row = delta.rows.get(r)
+        if row is None:
+            continue
+        if not col_of.keys() >= row.keys():
+            return None
+        out[i] = {col_of[c]: v for c, v in row.items()}
+    return Matrix(QQ, len(rows), len(col_of), out)
+
+
 def _skeleton_coboundary(cat: FiniteCategory, m: int) -> Matrix | None:
     """The degree-m integer coboundary of the skeleton: the memoized one's
     rows and columns on the skeleton's chains, renumbered in their order.
@@ -343,18 +396,7 @@ def _skeleton_coboundary(cat: FiniteCategory, m: int) -> Matrix | None:
     None when a selected row reads a chain outside the skeleton, which a
     full subcategory never does.
     """
-    delta = _coboundary(cat, m)
-    col_of = {c: j for j, c in enumerate(_skeleton_chains(cat, m))}
-    picked = _skeleton_chains(cat, m + 1)
-    rows = {}
-    for i, r in enumerate(picked):
-        row = delta.rows.get(r)
-        if row is None:
-            continue
-        if not col_of.keys() >= row.keys():
-            return None
-        rows[i] = {col_of[c]: v for c, v in row.items()}
-    return Matrix(QQ, len(picked), len(col_of), rows)
+    return _submatrix(_coboundary(cat, m), _skeleton_chains(cat, m + 1), _skeleton_chains(cat, m))
 
 
 def _common_sources(cat: FiniteCategory, r) -> list:
@@ -517,6 +559,129 @@ def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> dict:
     return rows
 
 
+# --- components and their classes ----------------------------------------------------
+
+def _same_component(cat: FiniteCategory, one: tuple, other: tuple, composites: bool) -> bool:
+    """Whether the map that sends the i-th object and the j-th arrow of the
+    component ``one`` to those of ``other`` keeps sources and targets, and
+    with ``composites`` every composite: then it is an isomorphism and the
+    two have equal coboundaries (the component lemma).
+
+    A component is ``(objects, arrows, into)``: its objects and arrows
+    ascending, and per object the arrows into it.  The map keeps targets
+    and is increasing, so it sends the arrows into x to those into its
+    image, in order, and g's composites with them to h's with theirs.
+    """
+    (objects, arrows, into), (objects_2, arrows_2, into_2) = one, other
+    at = dict(zip(objects, objects_2))
+    source, target = cat.source, cat.target
+    if any(at[source[g]] != source[h] or at[target[g]] != target[h]
+           for g, h in zip(arrows, arrows_2)):
+        return False
+    if not composites:
+        return True
+    to = dict(zip(arrows, arrows_2))
+    return all(list(map(to.get, cat.composites(g, into[source[g]])))
+               == cat.composites(h, into_2[source[h]]) for g, h in zip(arrows, arrows_2))
+
+
+@memo
+def _classes(cat: FiniteCategory, skeleton: bool, composites: bool) -> tuple:
+    """``(root, classes)`` for the components of the skeleton, or of ``cat``
+    when ``skeleton`` is false: ``root[x]`` is the least object of x's
+    component (None off the skeleton), and ``classes`` lists per class of
+    equal components ``(root, size)`` of its first one, in root order.
+
+    Components are found by union-find over the arrows, each tree hung
+    from its least object.  A component joins the first class whose
+    representative has as many objects and arrows and passes
+    ``_same_component``, reading composites only with ``composites``.
+    """
+    if skeleton:
+        objects, arrows = _skeleton_chains(cat, 0), _skeleton_chains(cat, 1)
+    else:
+        objects, arrows = range(cat.n_objects), range(cat.n_morphisms)
+    source, target = cat.source, cat.target
+    root = [None] * cat.n_objects
+    for x in objects:
+        root[x] = x
+
+    def find(x):
+        while (up := root[x]) != x:
+            root[x] = x = root[up]
+        return x
+
+    for g in arrows:
+        a, b = find(source[g]), find(target[g])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    members = {}   # root -> (objects, arrows, into), in root order
+    for x in objects:
+        root[x] = find(x)
+        members.setdefault(root[x], ([], [], {}))[0].append(x)
+    for g in arrows:
+        _objects, mine, into = members[root[target[g]]]
+        mine.append(g)
+        into.setdefault(target[g], []).append(g)
+    firsts, classes = {}, {}   # (objects, arrows) counts -> class representatives
+    for k, part in members.items():
+        same = firsts.setdefault((len(part[0]), len(part[1])), [])
+        first = next((j for j in same if _same_component(cat, members[j], part, composites)), None)
+        if first is None:
+            same.append(k)
+            classes[k] = 1
+        else:
+            classes[first] += 1
+    return tuple(root), tuple(classes.items())
+
+
+def _by_component(cat: FiniteCategory, m: int, chains, root) -> dict:
+    """The degree-m chains ``chains``, ascending, by the root of their
+    component: that of the last arrow's target, or of the object."""
+    ends = chains
+    if m:
+        last = _layer(cat, m)[0]
+        ends = map(cat.target.__getitem__, map(last.__getitem__, chains))
+    out: dict = {}
+    for i, x in zip(chains, ends):
+        out.setdefault(root[x], []).append(i)
+    return out
+
+
+def _class_complexes(cat: FiniteCategory, skeleton: bool, max_m: int, cap: int | None) -> list | None:
+    """Per class of equal components, its size and the coboundaries
+    ``δ^0..δ^max_m`` of its first component: those of ``cat`` restricted to
+    that component's chains in the skeleton, or in ``cat`` when
+    ``skeleton`` is false, and the whole matrices for one component of
+    ``cat``.  Composites are compared only from ``max_m`` 1 on, where the
+    2-chains are within the cap.
+
+    None when a row of a skeleton chain reads a chain outside the
+    skeleton, which a full subcategory never does, or a row leaves its
+    component.
+    """
+    rng = range(max_m + 1)
+    if skeleton:
+        chains = [_skeleton_chains(cat, m) for m in range(max_m + 2)]
+        deltas = [_coboundary(cat, m) for m in rng]
+        for m, delta in enumerate(deltas):
+            inside, rows = set(chains[m]), delta.rows
+            if not all(inside >= rows[r].keys() for r in chains[m + 1] if r in rows):
+                return None
+    else:
+        chains = [range(_chain_count(cat, m)) for m in range(max_m + 2)]
+        deltas = [simplicial_coboundary_matrix(cat, m, cap) for m in rng]
+    root, classes = _classes(cat, skeleton, max_m > 0)
+    at = [_by_component(cat, m, picked, root) for m, picked in enumerate(chains)]
+    out = []
+    for k, size in classes:
+        blocks = [_submatrix(delta, at[m + 1][k], at[m][k]) for m, delta in enumerate(deltas)]
+        if None in blocks:
+            return None
+        out.append((size, blocks))
+    return out
+
+
 # --- cohomology ------------------------------------------------------------------
 
 def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = None) -> Subspace:
@@ -549,14 +714,20 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     Every degree's chain count up to ``max_m + 1`` is checked against the
     cap (``nerve_sizes``) before the first chain is listed.  The skeleton
     is ranked when it is smaller than the category and the skeleton lemma
-    applies; the category's own coboundaries otherwise.
+    applies; the category's own coboundaries otherwise.  Either complex is
+    ranked once per class of equal components, and each class's dimensions
+    count once per component in it (the component lemma).
     """
     check_degree(max_m)
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
     rng = range(max_m + 1)
-    smaller = len(_skeleton_chains(cat, 0)) < cat.n_objects
-    if smaller and all(verify_prism_identity(cat, field, m, cap) for m in rng):
-        deltas = [_skeleton_coboundary(cat, m) for m in rng]
-        if None not in deltas:
-            return list(cohomology_dims(deltas, field))
-    return list(cohomology_dims((simplicial_coboundary_matrix(cat, m, cap) for m in rng), field))
+    skeleton = (len(_skeleton_chains(cat, 0)) < cat.n_objects
+                and all(verify_prism_identity(cat, field, m, cap) for m in rng))
+    complexes = _class_complexes(cat, True, max_m, cap) if skeleton else None
+    if complexes is None:
+        complexes = _class_complexes(cat, False, max_m, cap)
+    dims = [0] * len(rng)
+    for size, deltas in complexes:
+        for m, dim in enumerate(cohomology_dims(deltas, field)):
+            dims[m] += size * dim
+    return dims

@@ -477,6 +477,61 @@ def skeleton_dims(cat, skeleton, p, max_m) -> list:
     return dims
 
 
+# --- components and their classes, by search ----------------------------------------
+
+def component_classes(cat, keep=None, composites=True) -> list:
+    """``[(objects, size)]``: per class of equal components of the full
+    subcategory on ``keep`` (every object by default), the objects of its
+    first component and the number of components in the class.
+
+    Components come by breadth-first search, in the order of their least
+    objects.  One joins the first class whose first component it matches
+    under the map that sends the i-th object and the j-th arrow of that
+    component, ascending, to its own i-th and j-th: sources and targets
+    agree, and with ``composites`` the composite of every composable pair.
+    """
+    src, tgt = cat.source, cat.target
+    keep = set(range(cat.n_objects) if keep is None else keep)
+    arrows = [g for g in range(cat.n_morphisms) if src[g] in keep and tgt[g] in keep]
+    adj = {x: set() for x in keep}
+    for g in arrows:
+        adj[src[g]].add(tgt[g])
+        adj[tgt[g]].add(src[g])
+    seen, classes = set(), []   # [objects, arrows, size]
+    for start in sorted(keep):
+        if start in seen:
+            continue
+        objs, frontier = {start}, [start]
+        while frontier:
+            frontier = [y for x in frontier for y in adj[x] if y not in objs]
+            objs.update(frontier)
+        seen |= objs
+        mine = [g for g in arrows if src[g] in objs]
+        for cls in classes:
+            first, theirs = cls[0], cls[1]
+            if (len(first), len(theirs)) != (len(objs), len(mine)):
+                continue
+            at = dict(zip(first, sorted(objs)))
+            to = dict(zip(theirs, mine))
+            if any(at[src[g]] != src[to[g]] or at[tgt[g]] != tgt[to[g]] for g in theirs):
+                continue
+            if composites and any(to[cat.compose(g, f)] != cat.compose(to[g], to[f])
+                                  for g in theirs for f in theirs if src[g] == tgt[f]):
+                continue
+            cls[2] += 1
+            break
+        else:
+            classes.append([sorted(objs), mine, 1])
+    return [(objs, size) for objs, _mine, size in classes]
+
+
+def chains_within(cat, objects, m) -> list:
+    """Positions in ``nerve_chain_list(cat, m)`` of the chains whose objects
+    all lie in ``objects``."""
+    return [i for i, ch in enumerate(nerve_chain_list(cat, m))
+            if all(x in objects for x in _path_objects(cat, ch))]
+
+
 def naive_center_dim(cat, p) -> int:
     """Dimension of the centralizer of all of kC: solve cg = gc per basis g."""
     n = cat.n_morphisms

@@ -19,7 +19,9 @@ from hochcat import (
     theorem_b_report,
 )
 from hochcat import matrix
-from hochcat.errors import HypothesisViolated, NotASubspace, NotChainCompatible
+from hochcat.errors import (
+    HypothesisViolated, NotAnIntegerMatrix, NotASubspace, NotChainCompatible,
+)
 from hochcat.fields import is_prime
 from hochcat.hochschild import relative_differential_matrix
 from hochcat.matrix import (
@@ -128,6 +130,21 @@ def test_an_integer_matrix_is_reduced_into_each_field():
         assert m.image_basis(field) == reduced.image_basis()
     with pytest.raises(ValueError, match="field mismatch"):   # GF(p) has no other field
         g.rank(GF5)
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, GF5), ids=str)
+def test_a_matrix_over_q_with_a_fraction_has_no_reduction(field):
+    # only an integer matrix reaches GF(p): a half is refused by the pass
+    # that reduces the entries, whatever the shape routes the rank through
+    square = Matrix.from_rows(QQ, [[Fraction(1, 2), 1], [1, 2]])
+    tall = Matrix.from_rows(QQ, [[1, 0], [0, 1], [Fraction(1, 2), 1]])
+    for m in (square, tall):
+        for reduce in (m.rank, m.rref, m.transpose, m.kernel_basis, m.image_basis,
+                       lambda f, m=m: m.rref(f, reduced=False)):
+            with pytest.raises(NotAnIntegerMatrix, match=str(field)):
+                reduce(field)
+    assert (square.rank(), tall.rank(), square.rank(QQ)) == (1, 2, 1)
+    assert Matrix.from_rows(QQ, [[2, 1], [1, 2]]).rank(GF3) == 1   # det 3
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

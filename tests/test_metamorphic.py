@@ -9,20 +9,27 @@ of their parts, with no reference data.
   graded derivations and the characters add, and the comparison stays an
   isomorphism.  The relative complex of C ⊔ D is never the full one, so
   Theorem B restricts T and X on a proper relative complex.
+* For a group G, F^ad(G) has one component per conjugacy class, and its
+  skeleton one object per class carrying the centralizer (Mishchenko), so
+  ``H*(F^ad(G)) ≅ ⊕_[g] H*(C_G(g))``.  Each centralizer is a group of its
+  own, one component, so its nerve is ranked with no class or skeleton.
 """
 
 import pytest
 
 from hochcat import (
+    adjoint_category,
+    group_from_table,
     hochschild_cohomology_dims,
     relative_cohomology_dims,
+    simplicial_cohomology_dims,
     theorem_a_report,
     theorem_b_report,
 )
 
 from hochcat.hochschild import relative_is_full
 
-from .catalog import FIXTURES, GF2, GF3, QQ, coproduct, opposite
+from .catalog import D4, FIXTURES, GF2, GF3, QQ, coproduct, opposite
 
 MAX_M = 2
 
@@ -54,3 +61,33 @@ def test_a_coproduct_adds_its_parts(left, right, field):
     for dim in ("dim_derivations", "dim_characters"):
         values = [getattr(rep, dim) for rep in reports]
         assert values[0] == values[1] + values[2], dim
+
+
+def centralizer_tables(group) -> list:
+    """Per conjugacy class of a one-object category, the Cayley table of the
+    centralizer of its least element, read off ``compose``."""
+    n, compose = group.n_morphisms, group.compose
+    e = group.identity[0]
+    inverse = [next(h for h in range(n) if compose(g, h) == e) for g in range(n)]
+    seen, tables = set(), []
+    for x in range(n):
+        if x in seen:
+            continue
+        seen |= {compose(compose(g, x), inverse[g]) for g in range(n)}
+        cent = [g for g in range(n) if compose(g, x) == compose(x, g)]
+        at = {g: i for i, g in enumerate(cent)}
+        tables.append([[at[compose(g, h)] for h in cent] for g in cent])
+    return tables
+
+
+GROUPS = ["c2", "cn:3", "cn:4", "cn:5", "cn:6", "s3", "d4"]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_the_nerve_of_fad_is_the_sum_over_centralizers(name, field):
+    group = D4 if name == "d4" else FIXTURES[name]
+    parts = [simplicial_cohomology_dims(group_from_table(table), field, MAX_M)
+             for table in centralizer_tables(group)]
+    assert simplicial_cohomology_dims(adjoint_category(group), field, MAX_M) == \
+        [sum(dims) for dims in zip(*parts)]

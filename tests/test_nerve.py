@@ -15,17 +15,23 @@ from hochcat import (
     verify_prism_identity,
 )
 from hochcat import nerve
+from hochcat.category import AdjointCategory
 from hochcat.errors import DimensionCapExceeded
 from hochcat.matrix import Matrix, VerificationResult, cohomology_dims
 from hochcat.nerve import (
-    _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton, _skeleton_chains,
-    nerve_sizes,
+    _classes, _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton,
+    _skeleton_chains, _skeleton_coboundary, nerve_sizes,
 )
 
 from . import oracles
-from .catalog import A2, C2, D4, EX6, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV
+from .catalog import (
+    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV, coproduct,
+    sum_of_groups,
+)
 from .test_category import z_monoid
-from .test_comparison import BREAKAGES, fresh, refuse_eliminating, spy_nerve_eliminations
+from .test_comparison import (
+    BREAKAGES, class_slices, component_block, fresh, refuse_eliminating, spy_nerve_eliminations,
+)
 from .test_hochschild import count_builds
 
 
@@ -295,23 +301,155 @@ def test_dims_rank_the_skeleton_once_the_prism_holds(monkeypatch, name, field):
     refuse_eliminating(monkeypatch, own)
     ranked = spy_nerve_eliminations(monkeypatch)
     assert simplicial_cohomology_dims(fad, field, 2) == expected
-    # one complex, the skeleton's: fewer chains than F^ad in every degree
-    (deltas,) = ranked
+    # the skeleton's complex, one component per class of equal components:
+    # fewer chains than F^ad in every degree
+    reps = {a for a, x in enumerate(_skeleton(fad)[0]) if a == x}
+    assert ranked == class_slices(fad, own, reps)
     assert all(d.nrows < whole.nrows and d.ncols < whole.ncols
-               for d, whole in zip(deltas, own, strict=True))
+               for deltas in ranked for d, whole in zip(deltas, own, strict=True))
 
 
 @pytest.mark.parametrize("name", ("chain:3", "diamond", "ex6", "cn:4"))
 def test_a_whole_skeleton_builds_no_prism(monkeypatch, name):
     # every isomorphism class is one object, so S is F^ad: its own
-    # coboundaries are ranked and no prism is built (a fresh category, so
-    # no memo answers for it)
+    # coboundaries are ranked, on one component per class, and no prism is
+    # built (a fresh category, so no memo answers for it)
     fad = adjoint_category(builtin(name))
     builds = count_builds(monkeypatch, _prism)
     ranked = spy_nerve_eliminations(monkeypatch)
     assert simplicial_cohomology_dims(fad, GF3, 2) == oracles.naive_simplicial_dims(fad, 3, 2)
-    assert ranked == [[_coboundary(fad, m) for m in range(3)]]
+    assert ranked == class_slices(fad, [_coboundary(fad, m) for m in range(3)])
     assert not builds
+
+
+# --- one rank per class of equal components -------------------------------------------
+
+C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+V4 = [[i ^ j for j in range(4)] for i in range(4)]
+REPEATED = {
+    "c4+v4+c4": sum_of_groups(C4, V4, C4),
+    "ex6+ex6": coproduct(EX6, EX6),
+    "diamond+diamond": coproduct(DIAMOND, DIAMOND),
+    "s3+c2": S3_PLUS_C2,
+    "d4": D4,
+}
+
+
+def whole_dims(cat, field, max_m) -> list:
+    """The dims from the ranks of the whole δ, one complex and no classes;
+    where the skeleton is smaller, those of the whole δ_S must agree."""
+    whole = list(cohomology_dims([simplicial_coboundary_matrix(cat, m) for m in range(max_m + 1)],
+                                 field))
+    if len(_skeleton_chains(cat, 0)) < cat.n_objects:
+        assert list(cohomology_dims([_skeleton_coboundary(cat, m) for m in range(max_m + 1)],
+                                    field)) == whole
+    return whole
+
+
+def ranked_degrees(cat, limit=5000) -> int:
+    """The highest max_m ≤ 2 whose (max_m + 1)-chains number at most ``limit``."""
+    counts = list(itertools.islice(nerve_sizes(cat), 4))
+    return max(m for m in range(3) if counts[m + 1] <= limit)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_class_route_matches_the_whole_complex(name, field):
+    for cat in (FIXTURES[name], adjoint_category(FIXTURES[name])):
+        max_m = ranked_degrees(cat)
+        assert simplicial_cohomology_dims(cat, field, max_m) == whole_dims(cat, field, max_m)
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED))
+@pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
+def test_class_route_matches_on_repeated_components(name, field):
+    # categories whose components repeat, themselves and their F^ad, with
+    # the route's classes those of the oracle's search
+    for cat in (REPEATED[name], adjoint_category(REPEATED[name])):
+        max_m = ranked_degrees(cat)
+        assert simplicial_cohomology_dims(cat, field, max_m) == whole_dims(cat, field, max_m)
+        for skeleton in (False, True):
+            keep = _skeleton_chains(cat, 0) if skeleton else None
+            want = [(objects[0], size) for objects, size in oracles.component_classes(cat, keep)]
+            assert list(_classes(cat, skeleton, True)[1]) == want, skeleton
+
+
+def test_the_central_components_of_d4_form_one_class():
+    # the skeleton of F^ad(D4) has one object per conjugacy class: e (0)
+    # and r² (2) carry all of D4, r (1) carries C4, s (4) and sr (5) a V4
+    fad = adjoint_category(D4)
+    assert _skeleton_chains(fad, 0) == (0, 1, 2, 4, 5)
+    root, classes = _classes(fad, True, True)
+    assert classes == ((0, 2), (1, 1), (4, 2))
+    assert [root[x] for x in (0, 1, 2, 4, 5)] == [0, 1, 2, 4, 5]
+
+
+def test_equal_counts_with_other_composites_are_two_classes():
+    # F^ad of C4 ⊔ V4: eight one-object components of four arrows each,
+    # C4's on objects 0..3 and V4's on 4..7; only composites tell them
+    # apart, and degree 0 alone compares none
+    fad = adjoint_category(sum_of_groups(C4, V4))
+    assert _classes(fad, False, True)[1] == ((0, 4), (4, 4))
+    assert _classes(fad, False, False)[1] == ((0, 8),)
+    for field in (GF2, GF3, QQ):
+        assert simplicial_cohomology_dims(fad, field, 2) == whole_dims(fad, field, 2)
+    assert simplicial_cohomology_dims(fad, GF2, 0) == [8]
+
+
+@pytest.mark.parametrize(("name", "skeleton", "first", "other"), (
+    ("cn:4", False, {0}, {3}),
+    ("c4+v4+c4", False, {0}, {9}),
+    ("d4", True, {0}, {2}),
+    ("d4", True, {4}, {5}),
+))
+def test_same_class_components_slice_to_equal_matrices(name, skeleton, first, other):
+    cat = REPEATED.get(name) or FIXTURES[name]
+    fad = adjoint_category(cat)
+    root, classes = _classes(fad, skeleton, True)
+    (k,) = {root[x] for x in first}
+    assert (k, 1) not in classes and k in dict(classes)
+    assert {root[x] for x in other} != {k}
+    for m in range(3):
+        delta = simplicial_coboundary_matrix(fad, m)
+        assert component_block(fad, delta, m, first) == component_block(fad, delta, m, other), m
+
+
+@pytest.mark.parametrize("name", ("cn:6", "c4+v4+c4", "d4", "s3+c2", "diamond"))
+def test_one_walk_per_class(monkeypatch, name):
+    cat = REPEATED.get(name) or FIXTURES[name]
+    fad = adjoint_category(cat)
+    skeleton = len(_skeleton_chains(fad, 0)) < fad.n_objects
+    classes = _classes(fad, skeleton, True)[1]
+    ranked = spy_nerve_eliminations(monkeypatch)
+    assert simplicial_cohomology_dims(fad, GF3, 2) == whole_dims(fad, GF3, 2)
+    assert len(ranked) == len(classes)
+    if len(classes) == 1 and classes[0][1] == 1 and not skeleton:
+        # one component: the memoized matrices themselves, not a slice
+        assert all(d is _coboundary(fad, m) for m, d in enumerate(ranked[0]))
+
+
+@pytest.mark.parametrize("k", (3, 5))
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_degree_zero_reads_no_composite_within_a_cap_below_the_two_chains(monkeypatch, k, field):
+    # F^ad(cn:k) has k objects, k² arrows and k³ 2-chains: a cap of k² admits
+    # degree 1 only.  The skeleton's retraction composes once or twice per
+    # arrow, within the cap; it is built first, and the classes compare
+    # sources and targets alone
+    fad = adjoint_category(builtin(f"cn:{k}"))
+    _skeleton(fad)
+    reads = []
+    for attr in ("compose", "composites"):
+        def counted(self, *args, honest=getattr(AdjointCategory, attr), attr=attr):
+            reads.append(attr)
+            return honest(self, *args)
+        monkeypatch.setattr(AdjointCategory, attr, counted)
+    assert simplicial_cohomology_dims(fad, field, 0, cap=k * k) == [k]
+    assert not reads
+    with pytest.raises(DimensionCapExceeded):
+        simplicial_cohomology_dims(fad, field, 1, cap=k * k)
+    # past the cap's degree the classes compare composites, and are counted
+    assert simplicial_cohomology_dims(fad, field, 1) == [k, 0 if field == QQ or k % 2 else k]
+    assert reads
 
 
 # --- cocycles through the skeleton --------------------------------------------------
