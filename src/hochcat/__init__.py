@@ -49,12 +49,9 @@ from .hochschild import (
 )
 from .matrix import Matrix, Subspace, quotient_dim, restricted_map
 from .nerve import (
-    face,
-    nerve_chains,
     simplicial_coboundary_matrix,
     simplicial_cocycle_space,
     simplicial_cohomology_dims,
-    verify_prism_identity,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +70,6 @@ __all__ = [
     "builtin",
     "category_to_text",
     "character_space",
-    "face",
     "graded_derivation_space",
     "group_from_table",
     "hochschild_basis",
@@ -85,7 +81,6 @@ __all__ = [
     "is_right_deterministic",
     "is_rr_transitive",
     "load_category",
-    "nerve_chains",
     "parse_category",
     "parse_category_text",
     "poset_from_relation",
@@ -101,7 +96,6 @@ __all__ = [
     "theorem_a_report",
     "theorem_b_report",
     "validate_category",
-    "verify_prism_identity",
     "verify_section",
     "verify_t_chain_identity",
     "verify_two_sided_on_relative",

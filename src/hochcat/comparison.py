@@ -81,7 +81,8 @@ degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
 
 So every report ranks the nerve of ``F^ad`` once:
 ``simplicial_cohomology_dims`` ranks the skeleton of ``F^ad`` when its
-prism identity holds (the skeleton lemma in ``nerve``), and ``F^ad`` itself
+retraction is checked to be a functor with ``c: id ⇒ i∘r`` a natural
+isomorphism (the skeleton lemma in ``nerve``), and ``F^ad`` itself
 otherwise.  Either is ranked on one component per class of equal
 components (the component lemma in ``nerve``): a group's ``F^ad`` has one
 component per conjugacy class, and an abelian group's are all one class.

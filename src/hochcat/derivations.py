@@ -15,7 +15,9 @@ times ``T¹_relᵀ`` is T of each derivation, and the character basis times
 
 The characters are ``nerve.simplicial_cocycle_space`` of F^ad, which
 eliminates only the skeleton's ``δ^1`` when F^ad has isomorphic objects
-(the cocycle lemma in ``nerve``).  The derivations are X of the characters
+and its retraction onto the skeleton is checked to be a functor, with
+``c: id ⇒ i∘r`` a natural isomorphism and ``c_rep = id`` (the cocycle
+lemma in ``nerve``).  The derivations are X of the characters
 once three checks hold; ``d_1`` is eliminated only when one fails.
 
 Lemma (derivations through X): suppose

@@ -13,7 +13,7 @@ over GF(2), and a row-by-row reduction against a reduced basis
 (``_rref_by_rows``) for tall matrices over odd p and Q.
 
 Where a field enters.  The engine's structural matrices (differentials,
-coboundaries, prisms, the maps T and X) are integer matrices: matrices
+coboundaries, the maps T and X) are integer matrices: matrices
 over Q whose entries are ints, built once and shared by every field,
 since each reaches a field by the base change Z -> k.  Their builders
 take no field.  A field enters in two places only:
@@ -267,33 +267,6 @@ class Matrix:
                     if p is None or (v := index(v) % p):
                         cols.setdefault(c, {})[r] = v
         return Matrix(field, self.ncols, self.nrows, cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"cannot add {self.nrows}x{self.ncols} to {other.nrows}x{other.ncols}")
-        add = self.field.add
-        rows = dict(self.rows)   # rows are shared, never mutated: copy one before writing
-        for r, row in other.rows.items():
-            mine = rows.get(r)
-            if mine is None:
-                rows[r] = row
-                continue
-            acc = dict(mine)
-            for c, v in row.items():
-                if c in acc:
-                    if s := add(acc[c], v):
-                        acc[c] = s
-                    else:
-                        del acc[c]
-                else:
-                    acc[c] = v
-            if acc:
-                rows[r] = acc
-            else:
-                del rows[r]
-        return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):

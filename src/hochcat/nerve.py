@@ -10,22 +10,22 @@ Chains are addressed by index arithmetic, never by tuple.  Degree-1
 chains are numbered by morphism, and the degree-(m+1) chains list the
 extensions of the degree-m chains in order, each by the morphisms out of
 its end in ``morphisms_by_source`` order; that is the lexicographic order
-``nerve_chains`` lists.  So two arrays per degree address every chain
-(``_layer``): ``last[i]``, the last morphism of chain i, and ``start[i]``,
-the number of its first extension, so that ``(g_0..g_k)`` is chain
-``start[(g_0..g_(k−1))] + pos(g_k)`` with ``pos(g)`` the place of g among
-the morphisms out of its source.  Everything built on the nerve is an
-array of such numbers, climbed from the degree below: each face of a
-chain, each prism term and each retracted chain is the same thing for its
-prefix, extended by one morphism.  ``nerve_chains`` and ``face`` list the
-tuples, for a reader and for the test oracles; no route here reads them.
+of the chains' arrow indices.  So two arrays per degree address every
+chain (``_layer``): ``last[i]``, the last morphism of chain i, and
+``start[i]``, the number of its first extension, so that ``(g_0..g_k)``
+is chain ``start[(g_0..g_(k−1))] + pos(g_k)`` with ``pos(g)`` the place
+of g among the morphisms out of its source.  Everything built on the
+nerve is an array of such numbers, climbed from the degree below: each
+face of a chain and each retracted chain is the same thing for its
+prefix, extended by one morphism.
 
 The coboundary of a scalar cochain f is
-``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``.  Its matrix is built from the
-face arrays of the (m+1)-chains (``_faces``), one row per chain, straight
-into the row dicts of an integer ``Matrix``, and memoized on the category
-per degree; it takes no field, which enters only at an elimination and at
-the verdict of an identity.
+``(δf)(σ) = Σ_i (-1)^i f(face(σ, i))``, where ``face(σ, 0)`` drops the
+first arrow, ``face(σ, m)`` the last, and an inner face composes two
+consecutive arrows.  Its matrix is built from the face arrays of the
+(m+1)-chains (``_faces``), one row per chain, straight into the row dicts
+of an integer ``Matrix``, and memoized on the category per degree; it
+takes no field, which enters only at an elimination.
 
 A skeleton S of a category D is the full subcategory on one object per
 isomorphism class; here the least one, ``rep(a)``.  ``_skeleton`` picks an
@@ -34,34 +34,44 @@ isomorphism ``rep(a) → a`` (so ``c_rep`` is the identity), and the
 retraction ``r(g: a → b) = c_b ∘ g ∘ c_a⁻¹`` onto S.  The nerve of S is a
 simplicial subset of D's: its chains are the chains of D whose objects are
 all representatives, and its coboundary is the submatrix of D's on them
-(``_skeleton_coboundary``).  The natural isomorphism ``c: id ⇒ i∘r`` gives
-the prism ``P^m: C^(m+1)(D) → C^m(D)``,
+(``_skeleton_coboundary``).
+
+Lemma (the skeleton): with i: S → D the inclusion, if
+``_retraction_is_functor`` holds, restriction to S's chains induces an
+isomorphism ``H^m(D) ≅ H^m(S)`` in every degree and over every field.
+The check reads, exactly and in O(arrows):
+
+* for each object a, ``source(c_a) = a`` and ``target(c_a) = rep(a)``,
+  with ``rep(rep(a)) = rep(a)`` and ``c_rep(a)`` the identity;
+* each ``c_a`` has an inverse (both composites are identities);
+* ``r(g) = c_b ∘ g ∘ c_a⁻¹`` for every ``g: a → b``.
+
+Then every composite read is defined, r is a functor D → S
+(``r(g∘f) = c_c g c_b⁻¹ c_b f c_a⁻¹ = r(g)∘r(f)``), and
+``c: id_D ⇒ i∘r`` is a natural isomorphism, since
+``r(g)∘c_a = c_b∘g``.  A natural transformation between two functors
+induces a homotopy between the maps they induce on nerves (Quillen,
+*Higher algebraic K-theory I*, 1973, §1, Prop. 2; Segal, *Classifying
+spaces and spectral sequences*, 1968), so ``r^* i^*`` is homotopic to I
+on cochains.  ``c_rep = id`` makes ``r∘i = id_S``, so ``i^* r^* = I``.
+Hence ``i^*`` and ``r^*`` are inverse on cohomology.  The homotopy is the
+prism ``P^m: C^(m+1)(D) → C^m(D)``,
 
     (P f)(g_0..g_(m−1)) = Σ_(j=0..m) (−1)^j f(g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1)),
 
-with ``x_j`` the object after j arrows and ``(P f)(x) = f(c_x)`` in degree
-0; ``verify_prism_identity`` checks ``P δ + δ P = (i∘r)^* − I`` with it.
+with ``x_j`` the object after j arrows and ``(P f)(x) = f(c_x)`` in
+degree 0, and ``P δ + δ P = (i∘r)^* − I``; the engine never builds it
+(``tests/oracles.py`` evaluates the identity chain by chain).  S is a
+full subcategory, so the faces of its chains are its chains, and its
+coboundary ``δ_S`` is the restriction of δ to them.
 
-Lemma (the skeleton; Quillen, *Higher algebraic K-theory I*, 1973, §1):
-with i: S → D the inclusion, if ``verify_prism_identity`` holds in degrees
-0..m, restriction to S's chains induces an isomorphism ``H^k(D) ≅ H^k(S)``
-for k ≤ m:
-
-* each ``c_a`` is a checked isomorphism (both composites with its inverse
-  are identities), so r is a functor and ``r^*`` a cochain map;
-* ``c_rep = id`` makes ``r∘i = id_S``, so ``i^* r^* = I``;
-* the prism identity makes ``r^* i^*`` homotopic to I, so ``i^*`` and
-  ``r^*`` are inverse on cohomology;
-* S is a full subcategory, so the faces of its chains are its chains,
-  and its coboundary ``δ_S`` is the restriction of δ to them.
-
-So ``simplicial_cohomology_dims`` ranks ``δ_S`` once the identity holds in
-every degree it reports, and D's own coboundaries when it fails or a row of
-``δ_S`` leaves S, in both cases one component per class (the component
-lemma below).  When every isomorphism class is one object, S = D and no
-prism is built.  The lemma needs nothing but D: for a group C and
-D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
-conjugacy class.
+So ``simplicial_cohomology_dims`` ranks ``δ_S`` when S is smaller than D
+and the check holds, one decision for every degree and field, and D's own
+coboundaries when it fails or a row of ``δ_S`` leaves S, in both cases
+one component per class (the component lemma below).  When every
+isomorphism class is one object, S = D and nothing is checked.  The lemma
+needs nothing but D: for a group C and D = ``F^ad(C)``, S is the disjoint
+union of the centralizers, one per conjugacy class.
 
 Lemma (the components): let K and K' be connected components of a
 category E (here S or D) with as many objects and as many arrows, and φ
@@ -95,15 +105,13 @@ its own.  For D = ``F^ad`` of an abelian group every component is one
 object carrying the group, all in one class, so ``F^ad(c8)`` is ranked on
 one of its eight components.
 
-Lemma (the cocycles): if r is a functor onto S (``_retraction_is_functor``:
-each ``c_a: a → rep(a)`` has an inverse and ``r(g) = c_b∘g∘c_a⁻¹``) and the
-prism identity holds in degree m, then
+Lemma (the cocycles): if ``_retraction_is_functor`` holds, then
 
     ker δ^m_D = r^*(ker δ^m_S) + im δ^(m−1)_D      (no image term for m = 0):
 
-* if ``δ^m z = 0``, the identity applied to z gives
-  ``z = r^*(i^*z) − δ^(m−1)(P^(m−1) z)``, and ``i^*z`` is a cocycle of S
-  since ``δ_S`` is the restriction of δ;
+* if ``δ^m z = 0``, the prism identity of the skeleton lemma applied to z
+  gives ``z = r^*(i^*z) − δ^(m−1)(P^(m−1) z)``, and ``i^*z`` is a cocycle
+  of S since ``δ_S`` is the restriction of δ;
 * r is a functor onto S, so ``r^*`` is a cochain map and sends cocycles of
   S to cocycles of D, and ``δ^m δ^(m−1) = 0``.
 
@@ -122,21 +130,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from .category import FiniteCategory, memo
 from .fields import QQ, FieldSpec
 from .hochschild import check_degree, check_sizes
-from .matrix import Matrix, Subspace, VerificationResult, cohomology_dims
-
-
-@memo
-def _chains_cached(cat: FiniteCategory, m: int) -> tuple:
-    if m == 0:
-        return tuple(range(cat.n_objects))
-    # extend every chain by each morphism out of its end, m - 1 times: a
-    # loop, so the degree is not bounded by the recursion limit
-    by_source = cat.morphisms_by_source
-    target = cat.target
-    chains = [(g,) for g in range(cat.n_morphisms)]
-    for _ in range(m - 1):
-        chains = [chain + (g,) for chain in chains for g in by_source[target[chain[-1]]]]
-    return tuple(chains)
+from .matrix import Matrix, Subspace, cohomology_dims
 
 
 def nerve_sizes(cat: FiniteCategory):
@@ -154,32 +148,6 @@ def nerve_sizes(cat: FiniteCategory):
         for (x, y), n in hom.items():
             nxt[y] += ends[x] * n
         ends = nxt
-
-
-def nerve_chains(cat: FiniteCategory, m: int) -> list:
-    """All degree-m chains in lexicographic order (objects for m = 0)."""
-    check_degree(m)
-    return list(_chains_cached(cat, m))
-
-
-def face(cat: FiniteCategory, chain, i: int):
-    """i-th face of a degree-m chain, 0 <= i <= m, for m >= 1.
-
-    Drops the first morphism (i = 0), composes two consecutive steps into
-    one (inner i), or drops the last (i = m).  Faces of a 1-chain are its
-    endpoint objects.  A degree-0 chain (an object, or ``()``) has no face.
-    """
-    m = 0 if isinstance(chain, int) else len(chain)
-    if not (m and 0 <= i <= m):
-        raise IndexError(f"face index {i} out of range for a degree-{m} chain")
-    if m == 1:
-        return cat.target[chain[0]] if i == 0 else cat.source[chain[0]]
-    if i == 0:
-        return chain[1:]
-    if i == m:
-        return chain[:-1]
-    glued = cat.compose(chain[i], chain[i - 1])
-    return chain[: i - 1] + (glued,) + chain[i + 1:]
 
 
 # --- chains by prefix offsets ----------------------------------------------------
@@ -306,7 +274,7 @@ def simplicial_coboundary_matrix(cat, m: int, cap: int | None = None) -> Matrix:
     return _coboundary(cat, m)
 
 
-# --- the skeleton and its prism ------------------------------------------------
+# --- the skeleton and its retraction -------------------------------------------
 
 def _inverse(cat: FiniteCategory, f: int):
     """The inverse of f, or None: a g with g∘f and f∘g both identities."""
@@ -399,148 +367,47 @@ def _skeleton_coboundary(cat: FiniteCategory, m: int) -> Matrix | None:
     return _submatrix(_coboundary(cat, m), _skeleton_chains(cat, m + 1), _skeleton_chains(cat, m))
 
 
-def _common_sources(cat: FiniteCategory, r) -> list:
-    """Per object x, the one source of ``r g`` over the arrows g out of x, or
-    None when they differ; a chain ending at y extends by every such ``r g``
-    exactly when y is that source."""
-    source = cat.source
-    out = []
-    for outs in cat.morphisms_by_source:
-        found = {source[r[g]] for g in outs}
-        out.append(found.pop() if len(found) == 1 else None)
-    return out
-
-
-def _prism_terms(cat: FiniteCategory, m: int) -> list | None:
-    """Per j in 0..m, the array over the degree-m chains σ of the
-    degree-(m+1) chain ``(g_0..g_(j−1), c_(x_j), r g_j..r g_(m−1))``, the
-    j-th term of σ's prism row; None when a term is no chain.
-
-    For σ the extension of p by g, term j < m is p's term j extended by
-    ``r g``, and term m is σ extended by ``c_(target g)``.  A term that is
-    no chain has none above it (every chain extends by an identity), so
-    building degree by degree and stopping at the first finds every one.
-    """
-    _rep, c, r = _skeleton(cat)
-    source, target = cat.source, cat.target
-    if m == 0:
-        return [array("l", c)]
-    pos = _positions(cat)
-    if any(source[c[x]] != x for x in range(cat.n_objects)):
-        return None   # the last term (id_x, c_x) of the 1-chain (id_x) is no chain
-    common = _common_sources(cat, r)
-    r_pos = [[pos[r[g]] for g in outs] for outs in cat.morphisms_by_source]
-    c_pos = [[pos[c[target[g]]] for g in outs] for outs in cat.morphisms_by_source]
-    starts_1 = _layer(cat, 1)[1]
-    # degree 1: σ = (g) through x_0 = source g
-    if any(target[c[source[g]]] != source[r[g]] for g in range(cat.n_morphisms)):
-        return None
-    terms = [array("l", (starts_1[c[source[g]]] + pos[r[g]] for g in range(cat.n_morphisms))),
-             array("l", (starts_1[g] + pos[c[target[g]]] for g in range(cat.n_morphisms)))]
-    for k in range(2, m + 1):   # degree k − 1 -> k
-        below, (last, starts) = terms, _layer(cat, k)
-        terms = [array("l") for _ in range(k + 1)]
-        for p, first, x in _blocks(cat, k):
-            for j in range(k):
-                t = below[j][p]
-                if target[last[t]] != common[x]:
-                    return None
-                terms[j].extend(map(starts[t].__add__, r_pos[x]))
-            terms[k].extend(map(int.__add__, starts[first:first + len(c_pos[x])], c_pos[x]))
-    return terms
-
-
 @memo
-def _prism(cat: FiniteCategory, m: int) -> Matrix | None:
-    """P^m as an integer matrix, one row per m-chain over the (m+1)-chains.
+def _retracted(cat: FiniteCategory, m: int) -> array:
+    """Per degree-m chain σ, the index of rσ; r must be a functor onto the
+    skeleton (``_retraction_is_functor``).
 
-    Row σ sums ``(−1)^j e[term j]`` over the terms of ``_prism_terms``;
-    terms can coincide (a degenerate σ over identity c's), so signs are
-    summed.  None when a term is no chain, which happens only when c or r
-    is not what ``_skeleton`` makes.
-    """
-    terms = _prism_terms(cat, m)
-    if terms is None:
-        return None
-    return Matrix(QQ, _chain_count(cat, m), _chain_count(cat, m + 1), _signed_rows(terms))
-
-
-@memo
-def _retracted(cat: FiniteCategory, m: int) -> array | None:
-    """Per degree-m chain σ, the index of rσ, or None when some rσ is no
-    chain, which happens only when r is no functor.
-
-    ``r(p, g)`` is ``r p`` extended by ``r g``; as for the prism terms, a
-    retracted chain that is no chain has none above it.
+    ``r(p, g)`` is ``r p`` extended by ``r g``: ``r p`` ends at
+    ``rep(source g)``, the source of ``r g``.
     """
     rep, _c, r = _skeleton(cat)
     if m == 0:
         return array("l", rep)
     if m == 1:
         return array("l", r)
-    below = _retracted(cat, m - 1)
-    if below is None:
-        return None
-    last, starts = _layer(cat, m - 1)
-    pos, target = _positions(cat), cat.target
-    common = _common_sources(cat, r)
+    below, starts = _retracted(cat, m - 1), _layer(cat, m - 1)[1]
+    pos = _positions(cat)
     r_pos = [[pos[r[g]] for g in outs] for outs in cat.morphisms_by_source]
     out = array("l")
     for p, _first, x in _blocks(cat, m):
-        t = below[p]
-        if target[last[t]] != common[x]:
-            return None
-        out.extend(map(starts[t].__add__, r_pos[x]))
+        out.extend(map(starts[below[p]].__add__, r_pos[x]))
     return out
 
 
-def _retraction_minus_identity(cat: FiniteCategory, m: int) -> Matrix | None:
-    """``(i∘r)^* − I`` on degree-m cochains as an integer matrix: row σ is
-    ``e[rσ] − e[σ]``.
-
-    None when some rσ is no chain, which happens only when r is no functor.
-    """
-    moved = _retracted(cat, m)
-    if moved is None:
-        return None
-    rows = {i: {j: 1, i: -1} for i, j in enumerate(moved) if j != i}
-    return Matrix(QQ, len(moved), len(moved), rows)
-
-
-def verify_prism_identity(cat: FiniteCategory, field: FieldSpec, m: int,
-                          cap: int | None = None) -> VerificationResult:
-    """P^m δ^m + δ^(m−1) P^(m−1) = (i∘r)^* − I on degree-m cochains of ``cat``.
-
-    P is the prism of the skeleton of ``cat``, i its inclusion and r the
-    retraction onto it; there is no ``δ^(−1)`` term in degree 0.  The chain
-    counts up to degree m + 1 are checked against the cap first.  A prism
-    term or a retracted chain that is no chain fails the check.
-    """
-    delta = simplicial_coboundary_matrix(cat, m, cap)
-    prisms = [_prism(cat, k) for k in range(max(m - 1, 0), m + 1)]
-    rhs = _retraction_minus_identity(cat, m)
-    if None in prisms or rhs is None:
-        return VerificationResult("prism", m, False, (-1, -1, "no chain", None))
-    lhs = prisms[-1] @ delta
-    if m:
-        lhs = lhs + simplicial_coboundary_matrix(cat, m - 1, cap) @ prisms[0]
-    return VerificationResult.of("prism", m, lhs, rhs, field)
-
-
 def _retraction_is_functor(cat: FiniteCategory) -> bool:
-    """Whether r is a functor onto the skeleton: each ``c_a`` runs
-    ``a → rep(a)``, a representative, and has an inverse, and
-    ``r(g) = c_b ∘ g ∘ c_a⁻¹`` for every ``g: a → b``.
+    """Whether ``c: id ⇒ i∘r`` is a natural isomorphism onto the skeleton
+    with ``c_rep = id``, the premise of the skeleton lemma.
 
-    Then ``r(g∘f) = c_c g c_b⁻¹ c_b f c_a⁻¹ = r(g)∘r(f)`` by associativity,
-    and ``r(g)`` runs ``rep(a) → rep(b)``, inside the full subcategory S:
-    one inverse per object and two composites per arrow are checked.
+    Each ``c_a`` must run ``a → rep(a)``, with ``rep(a)`` a representative
+    whose c is its identity, and have an inverse, and
+    ``r(g) = c_b ∘ g ∘ c_a⁻¹`` for every ``g: a → b``.  The sources and
+    targets are checked before any composite is read, so every composite
+    read is defined: one inverse per object and two composites per arrow.
     """
     rep, c, r = _skeleton(cat)
-    inverse = [_inverse(cat, f) for f in c]
-    if None in inverse or any(cat.target[f] != x or rep[x] != x for f, x in zip(c, rep)):
+    source, target, identity = cat.source, cat.target, cat.identity
+    if any(source[f] != a or target[f] != x or rep[x] != x or c[x] != identity[x]
+           for a, (f, x) in enumerate(zip(c, rep))):
         return False
-    compose, source, target = cat.compose, cat.source, cat.target
+    inverse = [_inverse(cat, f) for f in c]
+    if None in inverse:
+        return False
+    compose = cat.compose
     return all(r[g] == compose(c[target[g]], compose(g, inverse[source[g]]))
                for g in range(cat.n_morphisms))
 
@@ -684,20 +551,25 @@ def _class_complexes(cat: FiniteCategory, skeleton: bool, max_m: int, cap: int |
 
 # --- cohomology ------------------------------------------------------------------
 
+def _skeleton_applies(cat: FiniteCategory) -> bool:
+    """Whether the skeleton stands for ``cat`` in every degree and field:
+    it is smaller than ``cat`` and ``_retraction_is_functor`` holds (the
+    skeleton lemma)."""
+    return len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
+
+
 def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = None) -> Subspace:
     """The degree-m cocycles of the nerve, ``ker δ^m``, in the coordinates of
     the degree-m chains.
 
     The chain counts up to degree m + 1 are checked against the cap first.
-    When the skeleton is smaller than the category, r is a functor onto it
-    and the prism identity holds in degree m, the cocycles are spanned by
-    those of the skeleton pulled back along r and the coboundaries of
-    degree m − 1 (the cocycle lemma); otherwise ``δ^m`` is eliminated.
+    When the skeleton is smaller than the category and r is a functor onto
+    it, the cocycles are spanned by those of the skeleton pulled back
+    along r and the coboundaries of degree m − 1 (the cocycle lemma);
+    otherwise ``δ^m`` is eliminated.
     """
     delta = simplicial_coboundary_matrix(cat, m, cap)
-    if (len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
-            and verify_prism_identity(cat, field, m, cap)
-            and (delta_s := _skeleton_coboundary(cat, m)) is not None):
+    if _skeleton_applies(cat) and (delta_s := _skeleton_coboundary(cat, m)) is not None:
         cocycles = delta_s.kernel_basis(field).basis
         rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
         if m:   # and the rows of (δ^(m−1))ᵀ below them
@@ -713,20 +585,18 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
 
     Every degree's chain count up to ``max_m + 1`` is checked against the
     cap (``nerve_sizes``) before the first chain is listed.  The skeleton
-    is ranked when it is smaller than the category and the skeleton lemma
-    applies; the category's own coboundaries otherwise.  Either complex is
-    ranked once per class of equal components, and each class's dimensions
-    count once per component in it (the component lemma).
+    is ranked when the skeleton lemma applies, a decision made once for
+    every degree and field; the category's own coboundaries otherwise.
+    Either complex is ranked once per class of equal components, and each
+    class's dimensions count once per component in it (the component
+    lemma).
     """
     check_degree(max_m)
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
-    rng = range(max_m + 1)
-    skeleton = (len(_skeleton_chains(cat, 0)) < cat.n_objects
-                and all(verify_prism_identity(cat, field, m, cap) for m in rng))
-    complexes = _class_complexes(cat, True, max_m, cap) if skeleton else None
+    complexes = _class_complexes(cat, True, max_m, cap) if _skeleton_applies(cat) else None
     if complexes is None:
         complexes = _class_complexes(cat, False, max_m, cap)
-    dims = [0] * len(rng)
+    dims = [0] * (max_m + 1)
     for size, deltas in complexes:
         for m, dim in enumerate(cohomology_dims(deltas, field)):
             dims[m] += size * dim

@@ -99,6 +99,9 @@ D4 = group_from_table(dihedral_group_table(4))
 # outside FIXTURES: two objects, and F^ad (8 objects, 40 arrows) has
 # isomorphism classes of more than one object, so its skeleton is not F^ad
 S3_PLUS_C2 = sum_of_groups(symmetric_group_table(3), [[0, 1], [1, 0]])
+# the group tables of C4 and V4, for sums whose components repeat
+C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+V4 = [[i ^ j for j in range(4)] for i in range(4)]
 
 
 def all_fixtures() -> dict:

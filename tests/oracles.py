@@ -191,7 +191,13 @@ def hochschild_differential_rows(cat, p, m):
 
 
 def _face(cat, chain, i):
-    m = len(chain)
+    """The i-th face of a degree-m chain, 0 <= i <= m, m >= 1: drop the
+    first arrow (i = 0) or the last (i = m), or compose arrows i − 1 and i;
+    the endpoint objects of a 1-chain.  A degree-0 chain (an object, or
+    ``()``) has no face."""
+    m = 0 if isinstance(chain, int) else len(chain)
+    if not (m and 0 <= i <= m):
+        raise IndexError(f"face index {i} out of range for a degree-{m} chain")
     if m == 1:
         return cat.target[chain[0]] if i == 0 else cat.source[chain[0]]
     if i == 0:
@@ -202,6 +208,8 @@ def _face(cat, chain, i):
 
 
 def nerve_chain_list(cat, m):
+    """Every degree-m chain as a tuple, in lexicographic order of its arrow
+    indices; the objects for m = 0."""
     if m == 0:
         return list(range(cat.n_objects))
     chains = [()]
@@ -290,16 +298,15 @@ def column_wise_differential(cat, field, cols, rows):
 
 
 def face_coboundary(cat, field, m):
-    """The degree-m nerve coboundary, summed over ``hochcat.face`` chain by chain."""
-    from hochcat import face, nerve_chains
+    """The degree-m nerve coboundary, summed over ``_face`` chain by chain."""
     from hochcat.matrix import Matrix
 
-    cols = {c: j for j, c in enumerate(nerve_chains(cat, m))}
-    rows = nerve_chains(cat, m + 1)
+    cols = {c: j for j, c in enumerate(nerve_chain_list(cat, m))}
+    rows = nerve_chain_list(cat, m + 1)
     entries: dict = {}
     for r, chain in enumerate(rows):
         for i in range(m + 2):
-            key = r, cols[face(cat, chain, i)]
+            key = r, cols[_face(cat, chain, i)]
             entries[key] = entries.get(key, 0) + (-1) ** i
     return Matrix.from_entries(field, len(rows), len(cols), entries)
 
@@ -398,17 +405,6 @@ def prism_terms(cat, skeleton, chain) -> list:
     sigma = () if isinstance(chain, int) else chain
     return [((-1) ** j, sigma[:j] + (c[x],) + tuple(r[g] for g in sigma[j:]))
             for j, x in enumerate(_path_objects(cat, chain))]
-
-
-def prism_entries(cat, skeleton, m) -> dict:
-    """P^m over Z as ``{(row, col): n}``, rows the m-chains and columns the
-    (m+1)-chains, both numbered by ``nerve_chain_list``."""
-    cols = {ch: j for j, ch in enumerate(nerve_chain_list(cat, m + 1))}
-    entries: dict = {}
-    for i, chain in enumerate(nerve_chain_list(cat, m)):
-        for sign, term in prism_terms(cat, skeleton, chain):
-            _bump(entries, (i, cols[term]), sign)
-    return entries
 
 
 def retraction_entries(cat, skeleton, m) -> dict:
@@ -851,18 +847,18 @@ def completions(cat) -> dict:
 
 
 def read_columns(cat, m) -> list:
-    """Per chain of ``nerve_chains(adjoint_category(cat), m)``, the Hochschild
+    """Per chain of ``nerve_chain_list(adjoint_category(cat), m)``, the Hochschild
     column T reads, from the tuples: ``basis_index`` of the reversed
     bottoms and the composite ``g_(m−1)∘..∘g_0∘a_0`` (the endomorphism
     itself for an object)."""
-    from hochcat import adjoint_category, nerve_chains
+    from hochcat import adjoint_category
     from hochcat.hochschild import basis_index
 
     fad = adjoint_category(cat)
     if m == 0:
-        return [basis_index(cat, (), fad.object_endos[o]) for o in nerve_chains(fad, 0)]
+        return [basis_index(cat, (), fad.object_endos[o]) for o in nerve_chain_list(fad, 0)]
     out = []
-    for chain in nerve_chains(fad, m):
+    for chain in nerve_chain_list(fad, m):
         c = fad.triples[chain[0]][0]
         bottoms = [fad.triples[t][1] for t in chain]
         for g in bottoms:

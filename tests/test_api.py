@@ -149,7 +149,7 @@ def private_nerve_names_read_by(fname: str) -> list:
 
 
 def test_comparison_reads_no_private_nerve_name_but_its_chains():
-    # the skeleton, its prism and their checks are the nerve's own business:
+    # the skeleton, its retraction and its check are the nerve's own business:
     # comparison walks F^ad's chains by prefix (to read T) and ranks it
     # through the public route
     assert private_nerve_names_read_by("comparison.py") == ["_blocks"]
@@ -188,7 +188,7 @@ def _degree_calls() -> dict:
     fad = hochcat.adjoint_category(cat)
     field = FieldSpec(2)
     on_fad = {"simplicial_coboundary_matrix", "simplicial_cohomology_dims",
-              "simplicial_cocycle_space", "verify_prism_identity"}
+              "simplicial_cocycle_space"}
     calls = {name: _at_degree(getattr(hochcat, name), fad if name in on_fad else cat, field)
              for name in takes_a_degree()}
     calls["relative_differential_matrix"] = _at_degree(relative_differential_matrix, cat, field)

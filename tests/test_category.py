@@ -33,7 +33,6 @@ from hochcat.errors import (
     MissingIdentity,
 )
 from hochcat.fields import GF2
-from hochcat.nerve import nerve_chains
 
 from . import oracles
 from .catalog import A2, C2, EX6, FIXTURES, TRIV
@@ -393,11 +392,12 @@ def test_ladder_equals_iterated_conjugation():
     for name in ("c2", "s3", "ex6"):
         cat = FIXTURES[name]
         fad = adjoint_category(cat)
-        for chain in nerve_chains(fad, 2):
+        for chain in oracles.nerve_chain_list(fad, 2):
             bottom, verticals = ladder_of_chain(fad, chain)
             assert complete(cat, bottom, verticals[0]) == verticals
-        assert len(nerve_chains(fad, 2)) == sum(
-            len(cat.endomorphisms[cat.source[chain[0]]]) for chain in nerve_chains(cat, 2)
+        assert len(oracles.nerve_chain_list(fad, 2)) == sum(
+            len(cat.endomorphisms[cat.source[chain[0]]])
+            for chain in oracles.nerve_chain_list(cat, 2)
         )
 
 
@@ -457,12 +457,13 @@ def test_adjoint_morphisms_commute_in_base():
 def test_adjoint_chain_ladder_roundtrip():
     fad = adjoint_category(EX6)
     for m in (1, 2):
-        for chain in nerve_chains(fad, m):
+        for chain in oracles.nerve_chain_list(fad, m):
             bottom, verticals = ladder_of_chain(fad, chain)
             assert oracles.ladder_commutes(EX6, bottom, verticals)
             assert chain_of_ladder(fad, bottom, verticals) == chain
     # a 0-chain is an object of F^ad, that is an endomorphism of the base
-    assert [fad.object_endos[o] for o in nerve_chains(fad, 0)] == list(EX6.all_endomorphisms)
+    assert [fad.object_endos[o] for o in oracles.nerve_chain_list(fad, 0)] == \
+        list(EX6.all_endomorphisms)
 
 
 def test_adjoint_composition_pastes_squares():
@@ -512,7 +513,7 @@ def test_table_readers_refuse_an_adjoint_category():
             call()
         assert type(refused.value) is HochcatError
     rebuilt = parse_category(category_to_text(fad))
-    assert len(nerve_chains(fad, 2)) == len(nerve_chains(rebuilt, 2))
+    assert len(oracles.nerve_chain_list(fad, 2)) == len(oracles.nerve_chain_list(rebuilt, 2))
     assert len(predicate_reports(rebuilt)) == 5
     assert len(hochschild_cohomology_dims(rebuilt, GF2, 1)) == 2
 

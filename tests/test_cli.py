@@ -450,17 +450,15 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
 @pytest.mark.parametrize("field", ["gf:2", "q"])
 @pytest.mark.parametrize("name", ["cn:4", "s3"])
 def test_a_catalog_group_lists_no_chain(monkeypatch, tmp_path, capsys, verb, field, name):
-    # the nerve of F^ad is addressed by prefix offsets and T is an index
-    # array: no tuple chain list is built, and neither verb builds T or X
-    # as a matrix (Theorem B restricts them from T's reads)
+    # the nerve of F^ad is addressed by prefix offsets (the package lists no
+    # tuple chain) and T is an index array: neither verb builds T or X as a
+    # matrix (Theorem B restricts them from T's reads)
     if name == "s3":
         name = tmp_path / "s3.cat"
         name.write_text(catformat.category_to_text(S3), encoding="utf-8")
-    chains = count_builds(monkeypatch, nerve._chains_cached)
     maps = [count_map_builds(monkeypatch, fn) for fn in ("t_map_matrix", "x_map_matrix")]
     code, _out = cli(verb, str(name), "--field", field, "--output", "json", capsys=capsys)
     assert code == 0
-    assert not chains
     assert not any(maps)
 
 

@@ -14,14 +14,12 @@ from hochcat import (
     builtin,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
-    nerve_chains,
     relative_cohomology_dims,
     simplicial_coboundary_matrix,
     simplicial_cohomology_dims,
     t_map_matrix,
     theorem_a_report,
     theorem_b_report,
-    verify_prism_identity,
     verify_section,
     verify_t_chain_identity,
     verify_two_sided_on_relative,
@@ -46,14 +44,12 @@ from hochcat.hochschild import (
     relative_is_full,
 )
 from hochcat.matrix import Matrix, VerificationResult
-from hochcat.nerve import (
-    _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton, nerve_sizes,
-)
+from hochcat.nerve import _coboundary, _layer, _skeleton, nerve_sizes
 
 from . import oracles
 from .catalog import (
-    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3_PLUS_C2, TRIV,
-    dihedral_group_table, symmetric_group_table,
+    A2, C2, C4, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3_PLUS_C2, TRIV, V4,
+    dihedral_group_table, sum_of_groups, symmetric_group_table,
 )
 from .test_category import collapse, z_monoid
 from .test_hochschild import count_builds
@@ -91,7 +87,7 @@ def test_t_has_one_unit_entry_per_row():
         cat = FIXTURES[name]
         for m in range(3):
             t = t_map_matrix(cat, m)
-            assert t.nrows == len(nerve_chains(adjoint_category(cat), m))
+            assert t.nrows == len(oracles.nerve_chain_list(adjoint_category(cat), m))
             per_row = {}
             for r, c, v in t.entries():
                 assert type(v) is int and v == 1
@@ -107,14 +103,14 @@ def test_t_degree_one_c2_reads_composite():
     # the chain over bottom t with base vertical t reads coefficient (t,), e
     fad = adjoint_category(C2)
     t = t_map_matrix(C2, 1)
-    row = nerve_chains(fad, 1).index((fad.triple_index[1, 1, 1],))
+    row = oracles.nerve_chain_list(fad, 1).index((fad.triple_index[1, 1, 1],))
     assert column(t, basis_index(C2, (1,), 0))[row] == 1
 
 
 def test_t_degree_one_a2_identity_verticals():
     fad = adjoint_category(A2)
     t = t_map_matrix(A2, 1)
-    row = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
+    row = oracles.nerve_chain_list(fad, 1).index((fad.triple_index[0, 2, 1],))
     assert column(t, basis_index(A2, (2,), 2))[row] == 1
 
 
@@ -124,7 +120,7 @@ def test_x_indicator_a2():
     # indicator of the unique chain over g maps to the cochain g -> g
     fad = adjoint_category(A2)
     x = x_map_matrix(A2, 1)
-    col = nerve_chains(fad, 1).index((fad.triple_index[0, 2, 1],))
+    col = oracles.nerve_chain_list(fad, 1).index((fad.triple_index[0, 2, 1],))
     assert column(x, col) == {basis_index(A2, (2,), 2): 1}
 
 
@@ -132,7 +128,7 @@ def test_x_indicator_c2_expands_base_sum():
     # indicator of the chain (bottom t, base e): value t -> t·e = t, e -> 0
     fad = adjoint_category(C2)
     x = x_map_matrix(C2, 1)
-    col = nerve_chains(fad, 1).index((fad.triple_index[0, 1, 0],))
+    col = oracles.nerve_chain_list(fad, 1).index((fad.triple_index[0, 1, 0],))
     assert column(x, col) == {basis_index(C2, (1,), 1): 1}
 
 
@@ -156,7 +152,8 @@ def test_x_requires_right_determinism():
     # X and Theorem B, which restricts it, refuse both, though T exists for each
     for cat in (collapse(), z_monoid()):
         for m in range(2):
-            assert t_map_matrix(cat, m).nrows == len(nerve_chains(adjoint_category(cat), m))
+            chains = oracles.nerve_chain_list(adjoint_category(cat), m)
+            assert t_map_matrix(cat, m).nrows == len(chains)
             with pytest.raises(HypothesisViolated):
                 x_map_matrix(cat, m)
         with pytest.raises(HypothesisViolated):
@@ -192,7 +189,7 @@ def test_x_is_the_ladder_completion_reference(name):
         full = oracles.ladder_completion_x(cat, fad, m, hochschild_basis(cat, m))
         rel_rows = relative_basis(cat, m)
         rel = oracles.ladder_completion_x(cat, fad, m, rel_rows)
-        ncols = len(nerve_chains(fad, m))
+        ncols = len(oracles.nerve_chain_list(fad, m))
         for field in FIELDS:
             assert oracles.reduced(x_map_matrix(cat, m), field) == Matrix.from_entries(
                 field, hochschild_basis_size(cat, m), ncols, full), (name, m, field)
@@ -264,7 +261,8 @@ def test_relative_t_is_square_under_full_hypotheses():
         cat, field = FIXTURES[name], GF2
         for m in range(4):
             t_rel = _relative_reading(cat, m, None)
-            assert t_rel.nrows == t_rel.ncols == len(nerve_chains(adjoint_category(cat), m))
+            chains = oracles.nerve_chain_list(adjoint_category(cat), m)
+            assert t_rel.nrows == t_rel.ncols == len(chains)
             assert t_rel.matrix().rank(field) == t_rel.nrows, (name, m)
 
 
@@ -343,12 +341,12 @@ def test_derived_tables_die_with_their_category():
     del cat
     gc.collect()
     assert ref() is None
-    # a group's report memoizes the skeleton, its chains and its prisms on F^ad
+    # a group's report memoizes the skeleton, its chains and its classes on F^ad
     group = group_from_table(symmetric_group_table(3), object_name="x'")
     refs = [weakref.ref(group), weakref.ref(adjoint_category(group))]
     assert theorem_a_report(group, GF2, 2).verdict == "isomorphism"
     memos = {fn for fn, _args in adjoint_category(group).__dict__["_memo"]}
-    assert {nerve._skeleton, nerve._skeleton_chains, nerve._prism} <= memos
+    assert {nerve._skeleton, nerve._skeleton_chains, nerve._classes} <= memos
     del group, memos
     gc.collect()
     assert [r() for r in refs] == [None, None]
@@ -379,12 +377,17 @@ def test_theorem_a_caps_the_fad_nerve(monkeypatch):
 
 
 def test_prism_identity_caps_the_fad_nerve(monkeypatch):
-    # {e, z}: degree 3 reads the 4-chains of F^ad (2·3^4 = 162 > 100)
-    builds = [count_builds(monkeypatch, fn) for fn in (_coboundary, _layer, _prism)]
+    # {e, z}: the nerve's dims to degree 3 read the 4-chains of F^ad
+    # (2·3^4 = 162 > 100); the cap refuses before the skeleton, its check
+    # or any coboundary is built
+    builds = [count_builds(monkeypatch, fn) for fn in
+              (_coboundary, _layer, _skeleton, nerve._skeleton_chains)]
+    checks = []
+    monkeypatch.setattr(nerve, "_retraction_is_functor", checks.append)
     with pytest.raises(DimensionCapExceeded) as refused:
-        verify_prism_identity(adjoint_category(z_monoid()), GF2, 3, cap=100)
+        simplicial_cohomology_dims(adjoint_category(z_monoid()), GF2, 3, cap=100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
-    assert not any(builds)
+    assert not any(builds) and not checks
 
 
 def test_t_map_caps_the_fad_nerve(monkeypatch):
@@ -509,27 +512,15 @@ MULTI_OBJECT = sorted(name for name, cat in FIXTURES.items() if cat.n_objects > 
 
 
 @pytest.mark.parametrize("name", MULTI_OBJECT)
-def test_structural_products_over_q_hold_ints(monkeypatch, name):
+def test_structural_products_over_q_hold_ints(name):
     # X^(m+1) δ^m, the x_chain product of a category with several objects,
-    # and the two products of the prism identity multiply integer matrices,
-    # so they are taken over Z: no Fraction is made on the way
+    # multiplies integer matrices, so it is taken over Z: no Fraction is
+    # made on the way
     cat = FIXTURES[name]
     fad = adjoint_category(cat)
-    multiply, products = Matrix.__matmul__, []
-
-    def recorded(a, b):
-        products.append(multiply(a, b))
-        return products[-1]
-
     for m in range(3):
         x_delta = x_map_matrix(cat, m + 1) @ simplicial_coboundary_matrix(fad, m)
-        with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "__matmul__", recorded)
-            assert verify_prism_identity(fad, QQ, m).ok
-        assert len(products) == (2 if m else 1), (name, m)
-        for product in (x_delta, *products):
-            assert all(type(v) is int for _r, _c, v in product.entries()), (name, m)
-        products.clear()
+        assert all(type(v) is int for _r, _c, v in x_delta.entries()), (name, m)
 
 
 def degree_bound(cat) -> int:
@@ -697,7 +688,7 @@ def test_flags_match_the_induced_map_under_a_perturbed_t(monkeypatch, perturbati
 
 # --- a group's H(F^ad) from the skeleton ---------------------------------------------
 
-SKELETON_CASES = {**FIXTURES, "d4": D4}
+SKELETON_CASES = {**FIXTURES, "d4": D4, "s3+c2": S3_PLUS_C2, "c4+v4+c4": sum_of_groups(C4, V4, C4)}
 
 
 def test_d4_has_five_classes_with_the_centralizers_of_d4():
@@ -710,22 +701,20 @@ def test_d4_has_five_classes_with_the_centralizers_of_d4():
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
 def test_prism_and_skeleton_match_the_tuple_oracles(name, field):
     # the oracles list chains as tuples (nerve_chain_list) and find inverses
-    # by trying every pair, never reading the engine's index tables
+    # by trying every pair, never reading the engine's index tables.  On
+    # the category and its F^ad the skeleton passes the functor check, and
+    # the prism identity, the skeleton lemma's conclusion, holds chain by
+    # chain; the skeleton's dims are F^ad's and HH's
     cat = SKELETON_CASES[name]
     fad = adjoint_category(cat)
     max_m = 3 if name == "s3" else 2
-    found = oracles.skeleton_by_search(fad)
-    assert found == _skeleton(fad)
-    for m in range(max_m + 1):
-        assert oracles.prism_identity_defect(fad, found, field.p, m) == {}
-        assert verify_prism_identity(fad, field, m).ok
-        n, n_up = len(nerve_chains(fad, m)), len(nerve_chains(fad, m + 1))
-        assert oracles.reduced(_prism(fad, m), field) == Matrix.from_entries(
-            field, n, n_up, oracles.prism_entries(fad, found, m))
-        minus_one = Matrix.from_entries(field, n, n, {(i, i): -1 for i in range(n)})
-        assert oracles.reduced(_retraction_minus_identity(fad, m), field) == Matrix.from_entries(
-            field, n, n, oracles.retraction_entries(fad, found, m)) + minus_one
-    dims = oracles.skeleton_dims(fad, found, field.p, max_m)
+    for target in (cat, fad):
+        found = oracles.skeleton_by_search(target)
+        assert found == _skeleton(target)
+        assert nerve._retraction_is_functor(target)
+        for m in range(max_m + 1):
+            assert oracles.prism_identity_defect(target, found, field.p, m) == {}, m
+    dims = oracles.skeleton_dims(fad, _skeleton(fad), field.p, max_m)
     assert dims == simplicial_cohomology_dims(fad, field, max_m) == \
         hochschild_cohomology_dims(cat, field, max_m)
 
@@ -798,8 +787,39 @@ def r_misreads_an_arrow(fad, skeleton):
     return rep, c, r[:g] + (other_arrow(fad, r[g]),) + r[g + 1:]
 
 
+def recomputed(fad, rep, c) -> tuple:
+    """``(rep, c, r)`` with ``r[g] = c_b∘g∘c_a⁻¹`` recomputed from c by the
+    skeleton's own formula, whatever its composites give."""
+    source, target = fad.source, fad.target
+    inverse = [next(h for h in fad.hom(target[f], source[f])
+                    if fad.compose(h, f) == fad.identity[source[f]]) for f in c]
+    return rep, c, tuple(fad.compose(c[target[g]], fad.compose(g, inverse[source[g]]))
+                         for g in range(fad.n_morphisms))
+
+
+def c_has_another_source(fad, skeleton):
+    # c_a is c_b for another object b of a's class, a non-representative
+    # when there is one (s3) and the representative otherwise (d4): it has
+    # the right target rep(a) but runs from b, so every g∘c_a⁻¹ with g out
+    # of a is UNDEFINED, and r is recomputed from those composites
+    rep, c, _r = skeleton
+    a = next(a for a, x in enumerate(rep) if a != x)
+    b = max(b for b, x in enumerate(rep) if x == rep[a] and b != a)
+    return recomputed(fad, rep, c[:a] + (c[b],) + c[a + 1:])
+
+
+def c_rep_is_an_automorphism(fad, skeleton):
+    # c_rep is an automorphism of rep other than its identity, and r is
+    # recomputed: c is still a natural isomorphism, but r∘i is no longer
+    # the identity of the skeleton
+    rep, c, _r = skeleton
+    x = next(x for x, y in enumerate(rep) if x == y and len(fad.hom(x, x)) > 1)
+    return recomputed(fad, rep, c[:x] + (other_arrow(fad, c[x]),) + c[x + 1:])
+
+
 BREAKAGES = {"c_identity": c_is_an_identity, "c_other_iso": c_is_another_iso,
-             "r_misread": r_misreads_an_arrow}
+             "r_misread": r_misreads_an_arrow, "c_wrong_source": c_has_another_source,
+             "c_rep_automorphism": c_rep_is_an_automorphism}
 
 
 def spy_nerve_eliminations(monkeypatch) -> list:
@@ -845,14 +865,15 @@ def class_slices(cat, deltas, keep=None) -> list:
 @pytest.mark.parametrize("name", ("s3", "d4"))
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_a_broken_skeleton_fails_the_prism_and_falls_back(monkeypatch, breakage, name, field):
-    # fresh groups, so no broken prism outlives the test in a memo; the
-    # report is the reference's, through the ranks of F^ad's own nerve:
-    # its coboundaries on one component per class of equal components
+    # fresh groups, so no broken skeleton outlives the test in a memo; the
+    # functor check refuses it, and the report is the reference's, through
+    # the ranks of F^ad's own nerve: its coboundaries on one component per
+    # class of equal components
     expected = basis_route(fresh(name), field, 2)
     honest = nerve._skeleton
     monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
     cat = fresh(name)
-    assert not all(verify_prism_identity(adjoint_category(cat), field, m) for m in range(3))
+    assert not nerve._retraction_is_functor(adjoint_category(cat))
     ranked = spy_nerve_eliminations(monkeypatch)
     rep = theorem_a_report(cat, field, 2)
     assert ranked == class_slices(adjoint_category(cat), own_coboundaries(cat, field, 2))
@@ -1071,16 +1092,18 @@ def test_set_fact_witnesses_are_the_products_of_the_reads(monkeypatch, reshape, 
 # --- integer matrices: built once for every field, verdicts in the field --------
 
 def test_the_memos_serve_every_field_from_one_build(monkeypatch):
-    # one s3 object certified over GF(2), GF(3) and Q: ∂, δ and the prism of
-    # F^ad's skeleton are integer matrices, each built once per degree
+    # one s3 object certified over GF(2), GF(3) and Q: ∂ and δ are integer
+    # matrices, each built once per degree, and F^ad's skeleton is found once
     cat = fresh("s3")
     fad = adjoint_category(cat)
-    memos = {_full_differential: cat, _coboundary: fad, _prism: fad}
+    memos = {_full_differential: cat, _coboundary: fad}
     builds = {fn: count_builds(monkeypatch, fn) for fn in memos}
+    skeletons = count_builds(monkeypatch, _skeleton)
     for field in (GF2, GF3, QQ):
         assert theorem_a_report(cat, field, 2).verdict == "isomorphism", field
     for fn, on in memos.items():
         assert builds[fn] == {(id(on), (m,)): 1 for m in range(3)}, fn.__name__
+    assert skeletons == {(id(fad), ()): 1}
 
 
 def flip_one_entry(monkeypatch, degree):

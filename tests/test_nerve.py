@@ -7,26 +7,23 @@ import pytest
 from hochcat import (
     adjoint_category,
     builtin,
-    face,
-    nerve_chains,
     simplicial_coboundary_matrix,
     simplicial_cocycle_space,
     simplicial_cohomology_dims,
-    verify_prism_identity,
 )
 from hochcat import nerve
 from hochcat.category import AdjointCategory
 from hochcat.errors import DimensionCapExceeded
-from hochcat.matrix import Matrix, VerificationResult, cohomology_dims
+from hochcat.matrix import Matrix, cohomology_dims
 from hochcat.nerve import (
-    _classes, _coboundary, _layer, _prism, _retraction_minus_identity, _skeleton,
-    _skeleton_chains, _skeleton_coboundary, nerve_sizes,
+    _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_chains,
+    _skeleton_coboundary, nerve_sizes,
 )
 
 from . import oracles
 from .catalog import (
-    A2, C2, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV, coproduct,
-    sum_of_groups,
+    A2, C2, C4, D4, DIAMOND, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, TRIV, V4,
+    coproduct, sum_of_groups,
 )
 from .test_category import z_monoid
 from .test_comparison import (
@@ -38,17 +35,17 @@ from .test_hochschild import count_builds
 # --- chains -----------------------------------------------------------------
 
 def test_chain_counts_a2():
-    assert nerve_chains(A2, 0) == [0, 1]
+    assert oracles.nerve_chain_list(A2, 0) == [0, 1]
     # source-to-target order: (id1,id1), (id1,g), (g,id2), (id2,id2)
-    assert nerve_chains(A2, 2) == [(0, 0), (0, 2), (1, 1), (2, 1)]
+    assert oracles.nerve_chain_list(A2, 2) == [(0, 0), (0, 2), (1, 1), (2, 1)]
 
 
 def test_chain_counts_one_object():
-    assert len(nerve_chains(C2, 3)) == 8
+    assert len(oracles.nerve_chain_list(C2, 3)) == 8
     for name in ("c2", "s3", "cn:5"):
         cat = FIXTURES[name]
         for m in range(4):
-            assert len(nerve_chains(cat, m)) == (
+            assert len(oracles.nerve_chain_list(cat, m)) == (
                 cat.n_objects if m == 0 else cat.n_morphisms ** m
             )
 
@@ -56,7 +53,7 @@ def test_chain_counts_one_object():
 def test_chain_degree_is_not_bounded_by_the_recursion_limit():
     # the trivial category has one chain, of identities, in every degree
     m = sys.getrecursionlimit() + 50
-    assert nerve_chains(builtin("triv"), m) == [(0,) * m]
+    assert next(itertools.islice(nerve_sizes(builtin("triv")), m, None)) == 1
 
 
 def test_nerve_sizes_count_the_chains():
@@ -64,36 +61,38 @@ def test_nerve_sizes_count_the_chains():
         for c in (cat, adjoint_category(cat)):
             sizes = nerve_sizes(c)
             assert [next(sizes) for _ in range(4)] == \
-                [len(nerve_chains(c, m)) for m in range(4)], name
+                [len(oracles.nerve_chain_list(c, m)) for m in range(4)], name
 
 
 def test_chains_are_composable():
     for name, cat in FIXTURES.items():
-        for chain in nerve_chains(cat, 3):
+        for chain in oracles.nerve_chain_list(cat, 3):
             for g, h in zip(chain, chain[1:]):
                 assert cat.target[g] == cat.source[h], name
 
 
 # --- faces ------------------------------------------------------------------
+#
+# the faces of the tuple oracles, which the coboundary tests below read
 
 def test_face_absorbs_identities():
-    assert face(A2, (0, 2), 1) == (2,)  # g ∘ id1 = g
+    assert oracles._face(A2, (0, 2), 1) == (2,)  # g ∘ id1 = g
 
 
 def test_face_composes_group_elements():
-    assert face(C2, (1, 1), 1) == (0,)  # t ∘ t = e
-    assert face(C2, (1, 1), 0) == (1,)
-    assert face(C2, (1, 1), 2) == (1,)
+    assert oracles._face(C2, (1, 1), 1) == (0,)  # t ∘ t = e
+    assert oracles._face(C2, (1, 1), 0) == (1,)
+    assert oracles._face(C2, (1, 1), 2) == (1,)
 
 
 def test_face_degree_one_gives_objects():
-    assert face(A2, (2,), 0) == 1  # target
-    assert face(A2, (2,), 1) == 0  # source
+    assert oracles._face(A2, (2,), 0) == 1  # target
+    assert oracles._face(A2, (2,), 1) == 0  # source
 
 
 def test_face_out_of_range():
     with pytest.raises(IndexError):
-        face(A2, (2,), 2)
+        oracles._face(A2, (2,), 2)
 
 
 @pytest.mark.parametrize("chain", [0, 1, ()], ids=repr)
@@ -101,15 +100,16 @@ def test_a_degree_zero_chain_has_no_face(chain):
     # an object (or the empty chain) is a degree-0 chain: every face index
     # is out of range, as past the end of a longer chain
     with pytest.raises(IndexError, match="degree-0 chain"):
-        face(A2, chain, 0)
+        oracles._face(A2, chain, 0)
 
 
 def test_simplicial_identities():
     # d_i ∘ d_j = d_{j-1} ∘ d_i for i < j, on all chains up to degree 4
+    face = oracles._face
     for name in ("a2", "c2", "ex6", "diamond"):
         cat = FIXTURES[name]
         for m in (2, 3, 4):
-            for chain in nerve_chains(cat, m):
+            for chain in oracles.nerve_chain_list(cat, m):
                 for j in range(1, m + 1):
                     for i in range(j):
                         left = face(cat, face(cat, chain, j), i)
@@ -175,16 +175,17 @@ def test_coboundary_matches_face_assembly():
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_offset_addressing_matches_the_tuple_oracles(name):
-    # the skeleton's chains, the prism, (i∘r)^* − I and the pullback along
-    # r, addressed by prefix offsets, against tuple chains
-    # (nerve_chain_list) and a skeleton found by trying every pair for
-    # inverses: every fixture and its F^ad over GF(2), GF(3) and Q, degrees
-    # 0..3 (at most 7776 chains of degree 4)
+    # the skeleton's chains, the retracted chains and the pullback along r,
+    # addressed by prefix offsets, against tuple chains (nerve_chain_list)
+    # and a skeleton found by trying every pair for inverses: every fixture
+    # and its F^ad over GF(2), GF(3) and Q, degrees 0..3 (at most 7776
+    # chains of degree 4)
     rng = random.Random(name)
     cat = FIXTURES[name]
     for target in (cat, adjoint_category(cat)):
         found = oracles.skeleton_by_search(target)
         assert found == _skeleton(target)
+        assert nerve._retraction_is_functor(target)
         counts = list(itertools.islice(nerve_sizes(target), 5))
         assert counts[4] <= 7776
         for m in range(4):
@@ -192,24 +193,21 @@ def test_offset_addressing_matches_the_tuple_oracles(name):
             inside = [i for i, ch in enumerate(chains)
                       if all(found[0][x] == x for x in oracles._path_objects(target, ch))]
             assert list(_skeleton_chains(target, m)) == inside
+            assert dict.fromkeys(enumerate(_retracted(target, m)), 1) == \
+                oracles.retraction_entries(target, found, m)
             for field in (GF2, GF3, QQ):
-                n, n_up = counts[m], counts[m + 1]
-                assert oracles.reduced(_prism(target, m), field) == Matrix.from_entries(
-                    field, n, n_up, oracles.prism_entries(target, found, m)), (name, field, m)
-                minus_one = Matrix.from_entries(field, n, n, {(i, i): -1 for i in range(n)})
-                moved = oracles.reduced(_retraction_minus_identity(target, m), field)
-                assert moved == Matrix.from_entries(
-                    field, n, n, oracles.retraction_entries(target, found, m)) + minus_one
                 z = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in inside]
                                              for _ in range(3)], len(inside))
                 assert nerve._pulled_back(target, m, z) == Matrix.from_entries(
-                    field, 3, n, oracles.pulled_back_entries(target, found, m, z)).rows
+                    field, 3, counts[m], oracles.pulled_back_entries(target, found, m, z)).rows
 
 
 def test_a_retraction_that_moves_a_target_leaves_the_chains_in_degree_two(monkeypatch):
     # one r g keeps its source but not its target: every prism term and
     # retracted chain of degree 1 is a chain, and from degree 2 on some are
-    # not, as the tuple chains show; the offsets find them and refuse
+    # not, as the tuple chains show; the functor check refuses such an r,
+    # and the dims are those of F^ad's own nerve
+    expected = simplicial_cohomology_dims(adjoint_category(fresh("s3")), GF2, 2)
     fad = adjoint_category(fresh("s3"))
     rep, c, r = _skeleton(fad)
     source, target = fad.source, fad.target
@@ -226,10 +224,8 @@ def test_a_retraction_that_moves_a_target_leaves_the_chains_in_degree_two(monkey
         terms = [t for ch in chains for _sign, t in oracles.prism_terms(fad, broken, ch)]
         assert all(map(is_chain, terms)) == all(is_chain(oracles.retracted(broken, ch))
                                                 for ch in chains) == whole
-        assert (_prism(fad, m) is not None) == whole
-        assert (_retraction_minus_identity(fad, m) is not None) == whole
-    assert verify_prism_identity(fad, GF2, 2) == \
-        VerificationResult("prism", 2, False, (-1, -1, "no chain", None))
+    assert not nerve._retraction_is_functor(fad)
+    assert simplicial_cohomology_dims(fad, GF2, 2) == expected
 
 
 # --- cohomology ------------------------------------------------------------------
@@ -289,13 +285,16 @@ def test_coboundary_cap_refuses_before_any_chain(monkeypatch):
 
 # --- the skeleton route ------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ("s3", "s3+c2"))
+@pytest.mark.parametrize("name", ("s3", "s3+c2", "d4"))
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
 def test_dims_rank_the_skeleton_once_the_prism_holds(monkeypatch, name, field):
-    # F^ad with isomorphism classes of several objects: the dims are the
-    # ranks of the whole nerve, and no coboundary of F^ad is eliminated
-    fad = adjoint_category(S3_PLUS_C2 if name == "s3+c2" else FIXTURES[name])
+    # F^ad with isomorphism classes of several objects, whose retraction
+    # passes the functor check, so the prism identity holds (the skeleton
+    # lemma): the dims are the ranks of the whole nerve, and no coboundary
+    # of F^ad is eliminated, in every field
+    fad = adjoint_category({"s3+c2": S3_PLUS_C2, "d4": D4}.get(name) or FIXTURES[name])
     assert len(set(_skeleton(fad)[0])) < fad.n_objects
+    assert nerve._retraction_is_functor(fad)
     own = [simplicial_coboundary_matrix(fad, m) for m in range(3)]
     expected = list(cohomology_dims(own, field))
     refuse_eliminating(monkeypatch, own)
@@ -309,23 +308,46 @@ def test_dims_rank_the_skeleton_once_the_prism_holds(monkeypatch, name, field):
                for deltas in ranked for d, whole in zip(deltas, own, strict=True))
 
 
+def spy_functor_checks(monkeypatch) -> list:
+    """The categories whose retraction is checked, one entry per check."""
+    calls = []
+    honest = nerve._retraction_is_functor
+
+    def spied(cat):
+        calls.append(cat)
+        return honest(cat)
+
+    monkeypatch.setattr(nerve, "_retraction_is_functor", spied)
+    return calls
+
+
+def test_the_skeleton_is_decided_once_for_every_degree_and_field(monkeypatch):
+    # the skeleton lemma gives every degree over every field at once: one
+    # functor check per call, whatever the field and the degrees
+    fad = adjoint_category(fresh("s3"))
+    checks = spy_functor_checks(monkeypatch)
+    for field in (GF2, GF3, QQ):
+        for max_m in (0, 2):
+            assert simplicial_cohomology_dims(fad, field, max_m) == whole_dims(fad, field, max_m)
+    assert checks == [fad] * 6
+
+
 @pytest.mark.parametrize("name", ("chain:3", "diamond", "ex6", "cn:4"))
 def test_a_whole_skeleton_builds_no_prism(monkeypatch, name):
     # every isomorphism class is one object, so S is F^ad: its own
-    # coboundaries are ranked, on one component per class, and no prism is
-    # built (a fresh category, so no memo answers for it)
+    # coboundaries are ranked, on one component per class, and the
+    # retraction is not even checked (a fresh category, so no memo answers
+    # for it)
     fad = adjoint_category(builtin(name))
-    builds = count_builds(monkeypatch, _prism)
+    checks = spy_functor_checks(monkeypatch)
     ranked = spy_nerve_eliminations(monkeypatch)
     assert simplicial_cohomology_dims(fad, GF3, 2) == oracles.naive_simplicial_dims(fad, 3, 2)
     assert ranked == class_slices(fad, [_coboundary(fad, m) for m in range(3)])
-    assert not builds
+    assert not checks
 
 
 # --- one rank per class of equal components -------------------------------------------
 
-C4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-V4 = [[i ^ j for j in range(4)] for i in range(4)]
 REPEATED = {
     "c4+v4+c4": sum_of_groups(C4, V4, C4),
     "ex6+ex6": coproduct(EX6, EX6),
@@ -485,21 +507,24 @@ def test_cocycles_eliminate_only_the_skeleton(monkeypatch, name, field):
 @pytest.mark.parametrize("name", ("chain:3", "diamond", "ex6", "cn:4"))
 def test_whole_skeleton_cocycles_build_no_prism(monkeypatch, name):
     fad = adjoint_category(builtin(name))
-    builds = count_builds(monkeypatch, _prism)
+    checks = spy_functor_checks(monkeypatch)
     assert simplicial_cocycle_space(fad, GF3, 1) == \
         simplicial_coboundary_matrix(fad, 1).kernel_basis(GF3)
-    assert not builds
+    assert not checks
 
 
 @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
 def test_a_retraction_that_is_no_functor_falls_back_past_a_passing_prism(monkeypatch, breakage):
-    # the prism check is made to pass, so only the functor check stands
-    # between a broken skeleton and the pulled-back cocycles
+    # the functor check alone stands between a broken skeleton and the
+    # pulled-back cocycles; it refuses every breakage, also one whose prism
+    # identity holds, evaluated by the tuple oracle (c_rep an automorphism,
+    # with r recomputed: c is still a natural isomorphism, but r∘i ≠ id_S)
     expected = simplicial_cocycle_space(adjoint_category(fresh("d4")), GF3, 1)
     honest = nerve._skeleton
     monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
-    monkeypatch.setattr(nerve, "verify_prism_identity",
-                        lambda fad, field, m, cap=None: VerificationResult("prism", m, True))
     fad = adjoint_category(fresh("d4"))
+    if breakage == "c_rep_automorphism":
+        assert oracles.prism_identity_defect(fad, nerve._skeleton(fad), 3, 1) == {}
     assert not nerve._retraction_is_functor(fad)
     assert simplicial_cocycle_space(fad, GF3, 1) == expected
+
