@@ -79,13 +79,15 @@ degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
   ``X_rel T_rel = I`` and ``T_rel X_rel = I``;
 * so ``X_* T_*`` and ``T_* X_*`` are induced by identities.
 
-So every report ranks the nerve of ``F^ad`` once:
-``simplicial_cohomology_dims`` ranks the skeleton of ``F^ad`` when its
-retraction is checked to be a functor with ``c: id ⇒ i∘r`` a natural
-isomorphism (the skeleton lemma in ``nerve``), and ``F^ad`` itself
-otherwise.  Either is ranked on one component per class of equal
-components (the component lemma in ``nerve``): a group's ``F^ad`` has one
-component per conjugacy class, and an abelian group's are all one class.
+So every report ranks one nerve once: ``simplicial_cohomology_dims``
+ranks the nerve of F^ad's skeleton, a category of its own, when the
+retraction onto it is checked to be a functor with ``c: id ⇒ i∘r`` a
+natural isomorphism (the skeleton lemma in ``nerve``), and that of
+``F^ad`` otherwise.  The chain identities read F^ad's own coboundaries.
+Either nerve is ranked on one component per class of equal components
+(the component lemma in ``nerve``): a group's skeleton has one component
+per conjugacy class, and an abelian group's ``F^ad`` is its own skeleton,
+its components all one class.
 The relative complex takes the nerve's dimensions when the isomorphism
 tier's checks all hold, and is ranked only in the surjection and
 unverified tiers and after a failed check.  For one object the

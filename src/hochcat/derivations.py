@@ -13,12 +13,13 @@ index array (``matrix.Reading``, from ``comparison``): the derivation basis
 times ``T¹_relᵀ`` is T of each derivation, and the character basis times
 ``T¹_rel`` is X of each character, so neither map is built as a matrix.
 
-The characters are ``nerve.simplicial_cocycle_space`` of F^ad, which
-eliminates only the skeleton's ``δ^1`` when F^ad has isomorphic objects
-and its retraction onto the skeleton is checked to be a functor, with
-``c: id ⇒ i∘r`` a natural isomorphism and ``c_rep = id`` (the cocycle
-lemma in ``nerve``).  The derivations are X of the characters
-once three checks hold; ``d_1`` is eliminated only when one fails.
+The characters are ``nerve.simplicial_cocycle_space`` of F^ad.  When F^ad
+has isomorphic objects and its retraction onto the skeleton is checked
+to be a functor, with ``c: id ⇒ i∘r`` a natural isomorphism and
+``c_rep = id``, it eliminates only ``δ^1`` of the skeleton, a category of
+its own, and pulls its cocycles back along r (the cocycle lemma in
+``nerve``).  The derivations are X of the characters once three checks
+hold; ``d_1`` is eliminated only when one fails.
 
 Lemma (derivations through X): suppose
 

@@ -31,14 +31,15 @@ A skeleton S of a category D is the full subcategory on one object per
 isomorphism class; here the least one, ``rep(a)``.  ``_skeleton`` picks an
 isomorphism ``c_a: a → rep(a)`` for each object, the inverse of the least
 isomorphism ``rep(a) → a`` (so ``c_rep`` is the identity), and the
-retraction ``r(g: a → b) = c_b ∘ g ∘ c_a⁻¹`` onto S.  The nerve of S is a
-simplicial subset of D's: its chains are the chains of D whose objects are
-all representatives, and its coboundary is the submatrix of D's on them
-(``_skeleton_coboundary``).
+retraction ``r(g: a → b) = c_b ∘ g ∘ c_a⁻¹`` onto S.  S is a category of
+its own (``_skeleton_category``): its objects are the representatives and
+its arrows those between them, both numbered in ascending order of D's
+indices, and it composes as D does.  Its nerve, coboundaries and classes
+are built as any category's.
 
 Lemma (the skeleton): with i: S → D the inclusion, if
-``_retraction_is_functor`` holds, restriction to S's chains induces an
-isomorphism ``H^m(D) ≅ H^m(S)`` in every degree and over every field.
+``_retraction_is_functor`` holds, ``i^*`` induces an isomorphism
+``H^m(D) ≅ H^m(S)`` in every degree and over every field.
 The check reads, exactly and in O(arrows):
 
 * for each object a, ``source(c_a) = a`` and ``target(c_a) = rep(a)``,
@@ -61,17 +62,15 @@ prism ``P^m: C^(m+1)(D) → C^m(D)``,
 
 with ``x_j`` the object after j arrows and ``(P f)(x) = f(c_x)`` in
 degree 0, and ``P δ + δ P = (i∘r)^* − I``; the engine never builds it
-(``tests/oracles.py`` evaluates the identity chain by chain).  S is a
-full subcategory, so the faces of its chains are its chains, and its
-coboundary ``δ_S`` is the restriction of δ to them.
+(``tests/oracles.py`` evaluates the identity chain by chain).
 
-So ``simplicial_cohomology_dims`` ranks ``δ_S`` when S is smaller than D
-and the check holds, one decision for every degree and field, and D's own
-coboundaries when it fails or a row of ``δ_S`` leaves S, in both cases
-one component per class (the component lemma below).  When every
-isomorphism class is one object, S = D and nothing is checked.  The lemma
-needs nothing but D: for a group C and D = ``F^ad(C)``, S is the disjoint
-union of the centralizers, one per conjugacy class.
+So ``simplicial_cohomology_dims`` ranks S's own nerve when S is smaller
+than D and the check holds, one decision for every degree and field, and
+D's otherwise, in both cases one component per class (the component
+lemma below).  When every isomorphism class is one object, S = D and
+nothing is checked.  The lemma needs nothing but D: for a group C and
+D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
+conjugacy class.
 
 Lemma (the components): let K and K' be connected components of a
 category E (here S or D) with as many objects and as many arrows, and φ
@@ -93,13 +92,17 @@ each renumbered in ascending order, are equal matrices, so
   their order and sends the k-th chain of K in each degree to the k-th
   of K'.
 
+The same argument, with the inclusion i increasing on S's arrows, makes
+S's chains in their order D's chains through representatives in D's
+order, and S's coboundary D's restricted to them.
+
 ``_classes`` joins each component to the first class, in the order of the
 components' least objects, whose first component passes this check, and
 compares only components with equal object and arrow counts.  The
 composites read are those of the 2-chains, which the cap admits whenever
 ``max_m ≥ 1``; δ^0 reads only sources and targets, so for ``max_m = 0``
 only those are compared.  ``simplicial_cohomology_dims`` ranks, per class,
-δ or ``δ_S`` restricted to the chains of its first component, and the
+E's coboundaries restricted to the chains of its first component, and the
 whole matrices when E is one component; each walk checks ``d∘d = 0`` on
 its own.  For D = ``F^ad`` of an abelian group every component is one
 object carrying the group, all in one class, so ``F^ad(c8)`` is ranked on
@@ -111,14 +114,15 @@ Lemma (the cocycles): if ``_retraction_is_functor`` holds, then
 
 * if ``δ^m z = 0``, the prism identity of the skeleton lemma applied to z
   gives ``z = r^*(i^*z) − δ^(m−1)(P^(m−1) z)``, and ``i^*z`` is a cocycle
-  of S since ``δ_S`` is the restriction of δ;
+  of S since i is a functor, so ``i^*`` a cochain map;
 * r is a functor onto S, so ``r^*`` is a cochain map and sends cocycles of
   S to cocycles of D, and ``δ^m δ^(m−1) = 0``.
 
 So ``simplicial_cocycle_space`` is the row space of the rows ``z∘r``, one
 per basis row z of ``ker δ^m_S``, and the rows of ``(δ^(m−1)_D)ᵀ``, one per
-(m−1)-chain; only S's coboundary is eliminated.  For ``F^ad`` of ``s4``
-that is 681 × 43 against D's 13,824 × 576 in degree 1.
+(m−1)-chain; ``_retracted`` numbers each rσ among S's own chains.  Only
+S's coboundary is eliminated, and D's ``δ^m`` is not built.  For ``F^ad``
+of ``s4`` that is 681 × 43 against D's 13,824 × 576 in degree 1.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain, compress, count, repeat
 
-from .category import FiniteCategory, memo
+from .category import UNDEFINED, FiniteCategory, memo
 from .fields import QQ, FieldSpec
 from .hochschild import check_degree, check_sizes
 from .matrix import Matrix, Subspace, cohomology_dims
@@ -316,73 +320,57 @@ def _skeleton(cat: FiniteCategory) -> tuple:
 
 
 @memo
-def _skeleton_chains(cat: FiniteCategory, m: int) -> tuple:
-    """Indices of the degree-m chains of the skeleton, ascending.
-
-    A chain is the skeleton's when its objects are all representatives.
-    The extensions of chain i start at its offset (``_layer``), so each
-    extension is placed without listing degree k + 1.
-    """
+def _skeleton_numbering(cat: FiniteCategory) -> tuple:
+    """``(objects, arrows)``: per representative, and per arrow between
+    representatives, its number in the skeleton (``_skeleton_category``),
+    keyed and numbered in ascending order of ``cat``'s indices."""
     rep = _skeleton(cat)[0]
-    if m == 0:
-        return tuple(a for a, x in enumerate(rep) if a == x)
-    source, target, by_source = cat.source, cat.target, cat.morphisms_by_source
-    inside = [rep[source[g]] == source[g] and rep[target[g]] == target[g]
-              for g in range(cat.n_morphisms)]
-    picked = [g for g in range(cat.n_morphisms) if inside[g]]   # chain (g,) is number g
-    for k in range(1, m):
-        last, starts = _layer(cat, k)
-        picked = [starts[i] + j for i in picked
-                  for j, g in enumerate(by_source[target[last[i]]]) if inside[g]]
-    return tuple(picked)
+    objects = {x: i for i, x in enumerate(a for a, x in enumerate(rep) if a == x)}
+    arrows = [g for g, (a, b) in enumerate(zip(cat.source, cat.target)) if a in objects and b in objects]
+    return objects, {g: i for i, g in enumerate(arrows)}
 
 
-def _submatrix(delta: Matrix, rows, cols) -> Matrix | None:
-    """``delta``'s rows ``rows`` and columns ``cols``, both ascending,
-    renumbered in their order; ``delta`` itself when they are all of it.
-
-    None when a picked row has an entry outside ``cols``.
-    """
-    if len(rows) == delta.nrows and len(cols) == delta.ncols:
-        return delta
-    col_of = {c: j for j, c in enumerate(cols)}
-    out = {}
-    for i, r in enumerate(rows):
-        row = delta.rows.get(r)
-        if row is None:
-            continue
-        if not col_of.keys() >= row.keys():
-            return None
-        out[i] = {col_of[c]: v for c, v in row.items()}
-    return Matrix(QQ, len(rows), len(col_of), out)
-
-
-def _skeleton_coboundary(cat: FiniteCategory, m: int) -> Matrix | None:
-    """The degree-m integer coboundary of the skeleton: the memoized one's
-    rows and columns on the skeleton's chains, renumbered in their order.
-
-    None when a selected row reads a chain outside the skeleton, which a
-    full subcategory never does.
-    """
-    return _submatrix(_coboundary(cat, m), _skeleton_chains(cat, m + 1), _skeleton_chains(cat, m))
+@memo
+def _skeleton_category(cat: FiniteCategory) -> FiniteCategory:
+    """The skeleton as a category of its own: the full subcategory on the
+    representatives, numbered by ``_skeleton_numbering``, its composition
+    table read with one ``composites`` call per arrow, over the arrows
+    into its source."""
+    objects, arrows = _skeleton_numbering(cat)
+    into = {x: [f for f in cat.morphisms_by_target[x] if f in arrows] for x in objects}
+    table = []
+    for g in arrows:
+        row, fs = [UNDEFINED] * len(arrows), into[cat.source[g]]
+        for f, h in zip(fs, cat.composites(g, fs)):
+            row[arrows[f]] = arrows[h]
+        table.append(tuple(row))
+    return FiniteCategory(
+        object_names=tuple(map(cat.object_names.__getitem__, objects)),
+        morphism_names=tuple(map(cat.morphism_names.__getitem__, arrows)),
+        source=tuple(objects[cat.source[g]] for g in arrows),
+        target=tuple(objects[cat.target[g]] for g in arrows),
+        identity=tuple(arrows[cat.identity[x]] for x in objects), compose_table=tuple(table))
 
 
 @memo
 def _retracted(cat: FiniteCategory, m: int) -> array:
-    """Per degree-m chain σ, the index of rσ; r must be a functor onto the
-    skeleton (``_retraction_is_functor``).
+    """Per degree-m chain σ, the index of rσ among the degree-m chains of
+    the skeleton's own nerve (``_skeleton_category``); r must be a functor
+    onto the skeleton (``_retraction_is_functor``).
 
     ``r(p, g)`` is ``r p`` extended by ``r g``: ``r p`` ends at
     ``rep(source g)``, the source of ``r g``.
     """
     rep, _c, r = _skeleton(cat)
+    objects, arrows = _skeleton_numbering(cat)
     if m == 0:
-        return array("l", rep)
+        return array("l", map(objects.__getitem__, rep))
     if m == 1:
-        return array("l", r)
-    below, starts = _retracted(cat, m - 1), _layer(cat, m - 1)[1]
-    pos = _positions(cat)
-    r_pos = [[pos[r[g]] for g in outs] for outs in cat.morphisms_by_source]
+        return array("l", map(arrows.__getitem__, r))
+    skeleton = _skeleton_category(cat)
+    below, starts = _retracted(cat, m - 1), _layer(skeleton, m - 1)[1]
+    pos = _positions(skeleton)
+    r_pos = [[pos[arrows[r[g]]] for g in outs] for outs in cat.morphisms_by_source]
     out = array("l")
     for p, _first, x in _blocks(cat, m):
         out.extend(map(starts[below[p]].__add__, r_pos[x]))
@@ -414,11 +402,10 @@ def _retraction_is_functor(cat: FiniteCategory) -> bool:
 
 def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> dict:
     """The rows ``z∘r`` of the rows z of ``cochains``, degree-m cochains of the
-    skeleton, in the coordinates of the degree-m chains of ``cat``, by row
-    number; r must be a functor onto the skeleton (``_retraction_is_functor``)."""
-    position = {d: j for j, d in enumerate(_skeleton_chains(cat, m))}
-    # chain i of cat -> the position of rσ_i among the skeleton's chains
-    at = list(map(position.__getitem__, _retracted(cat, m)))
+    skeleton's own nerve, in the coordinates of the degree-m chains of
+    ``cat``, by row number; r must be a functor onto the skeleton
+    (``_retraction_is_functor``)."""
+    at = _retracted(cat, m)
     rows = {}
     for k, z in cochains.rows.items():
         if row := {i: z[j] for i, j in enumerate(at) if j in z}:
@@ -453,10 +440,9 @@ def _same_component(cat: FiniteCategory, one: tuple, other: tuple, composites: b
 
 
 @memo
-def _classes(cat: FiniteCategory, skeleton: bool, composites: bool) -> tuple:
-    """``(root, classes)`` for the components of the skeleton, or of ``cat``
-    when ``skeleton`` is false: ``root[x]`` is the least object of x's
-    component (None off the skeleton), and ``classes`` lists per class of
+def _classes(cat: FiniteCategory, composites: bool) -> tuple:
+    """``(root, classes)`` for the components of ``cat``: ``root[x]`` is the
+    least object of x's component, and ``classes`` lists per class of
     equal components ``(root, size)`` of its first one, in root order.
 
     Components are found by union-find over the arrows, each tree hung
@@ -464,32 +450,26 @@ def _classes(cat: FiniteCategory, skeleton: bool, composites: bool) -> tuple:
     representative has as many objects and arrows and passes
     ``_same_component``, reading composites only with ``composites``.
     """
-    if skeleton:
-        objects, arrows = _skeleton_chains(cat, 0), _skeleton_chains(cat, 1)
-    else:
-        objects, arrows = range(cat.n_objects), range(cat.n_morphisms)
     source, target = cat.source, cat.target
-    root = [None] * cat.n_objects
-    for x in objects:
-        root[x] = x
+    root = list(range(cat.n_objects))
 
     def find(x):
         while (up := root[x]) != x:
             root[x] = x = root[up]
         return x
 
-    for g in arrows:
-        a, b = find(source[g]), find(target[g])
+    for a, b in zip(source, target):
+        a, b = find(a), find(b)
         if a != b:
             root[max(a, b)] = min(a, b)
     members = {}   # root -> (objects, arrows, into), in root order
-    for x in objects:
+    for x in range(cat.n_objects):
         root[x] = find(x)
         members.setdefault(root[x], ([], [], {}))[0].append(x)
-    for g in arrows:
-        _objects, mine, into = members[root[target[g]]]
+    for g, y in enumerate(target):
+        _objects, mine, into = members[root[y]]
         mine.append(g)
-        into.setdefault(target[g], []).append(g)
+        into.setdefault(y, []).append(g)
     firsts, classes = {}, {}   # (objects, arrows) counts -> class representatives
     for k, part in members.items():
         same = firsts.setdefault((len(part[0]), len(part[1])), [])
@@ -502,51 +482,41 @@ def _classes(cat: FiniteCategory, skeleton: bool, composites: bool) -> tuple:
     return tuple(root), tuple(classes.items())
 
 
-def _by_component(cat: FiniteCategory, m: int, chains, root) -> dict:
-    """The degree-m chains ``chains``, ascending, by the root of their
-    component: that of the last arrow's target, or of the object."""
-    ends = chains
-    if m:
-        last = _layer(cat, m)[0]
-        ends = map(cat.target.__getitem__, map(last.__getitem__, chains))
+def _by_component(cat: FiniteCategory, m: int, root) -> dict:
+    """The degree-m chains, ascending, by the root of their component: that
+    of the last arrow's target, or of the object."""
+    ends = map(cat.target.__getitem__, _layer(cat, m)[0]) if m else range(cat.n_objects)
     out: dict = {}
-    for i, x in zip(chains, ends):
+    for i, x in enumerate(ends):
         out.setdefault(root[x], []).append(i)
     return out
 
 
-def _class_complexes(cat: FiniteCategory, skeleton: bool, max_m: int, cap: int | None) -> list | None:
-    """Per class of equal components, its size and the coboundaries
-    ``δ^0..δ^max_m`` of its first component: those of ``cat`` restricted to
-    that component's chains in the skeleton, or in ``cat`` when
-    ``skeleton`` is false, and the whole matrices for one component of
-    ``cat``.  Composites are compared only from ``max_m`` 1 on, where the
-    2-chains are within the cap.
+def _submatrix(delta: Matrix, rows, cols) -> Matrix:
+    """``delta``'s rows ``rows`` and columns ``cols``, both ascending,
+    renumbered in their order; ``delta`` itself when they are all of it.
+    The picked rows must read only the picked columns."""
+    if len(rows) == delta.nrows and len(cols) == delta.ncols:
+        return delta
+    col_of = {c: j for j, c in enumerate(cols)}
+    picked = ((i, delta.rows.get(r)) for i, r in enumerate(rows))
+    return Matrix(QQ, len(rows), len(cols),
+                  {i: {col_of[c]: v for c, v in row.items()} for i, row in picked if row})
 
-    None when a row of a skeleton chain reads a chain outside the
-    skeleton, which a full subcategory never does, or a row leaves its
-    component.
+
+def _class_complexes(cat: FiniteCategory, max_m: int) -> list:
+    """Per class of equal components of ``cat``, its size and the
+    coboundaries ``δ^0..δ^max_m`` of its first component: ``cat``'s
+    restricted to that component's chains, and the whole matrices for one
+    component.  The caller checks the chain counts against the cap;
+    composites are compared only from ``max_m`` 1 on, where the 2-chains
+    are within it.
     """
-    rng = range(max_m + 1)
-    if skeleton:
-        chains = [_skeleton_chains(cat, m) for m in range(max_m + 2)]
-        deltas = [_coboundary(cat, m) for m in rng]
-        for m, delta in enumerate(deltas):
-            inside, rows = set(chains[m]), delta.rows
-            if not all(inside >= rows[r].keys() for r in chains[m + 1] if r in rows):
-                return None
-    else:
-        chains = [range(_chain_count(cat, m)) for m in range(max_m + 2)]
-        deltas = [simplicial_coboundary_matrix(cat, m, cap) for m in rng]
-    root, classes = _classes(cat, skeleton, max_m > 0)
-    at = [_by_component(cat, m, picked, root) for m, picked in enumerate(chains)]
-    out = []
-    for k, size in classes:
-        blocks = [_submatrix(delta, at[m + 1][k], at[m][k]) for m, delta in enumerate(deltas)]
-        if None in blocks:
-            return None
-        out.append((size, blocks))
-    return out
+    deltas = [_coboundary(cat, m) for m in range(max_m + 1)]
+    root, classes = _classes(cat, max_m > 0)
+    at = [_by_component(cat, m, root) for m in range(max_m + 2)]
+    return [(size, [_submatrix(delta, at[m + 1][k], at[m][k]) for m, delta in enumerate(deltas)])
+            for k, size in classes]
 
 
 # --- cohomology ------------------------------------------------------------------
@@ -555,7 +525,7 @@ def _skeleton_applies(cat: FiniteCategory) -> bool:
     """Whether the skeleton stands for ``cat`` in every degree and field:
     it is smaller than ``cat`` and ``_retraction_is_functor`` holds (the
     skeleton lemma)."""
-    return len(_skeleton_chains(cat, 0)) < cat.n_objects and _retraction_is_functor(cat)
+    return len(_skeleton_numbering(cat)[0]) < cat.n_objects and _retraction_is_functor(cat)
 
 
 def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = None) -> Subspace:
@@ -563,41 +533,41 @@ def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = No
     the degree-m chains.
 
     The chain counts up to degree m + 1 are checked against the cap first.
-    When the skeleton is smaller than the category and r is a functor onto
-    it, the cocycles are spanned by those of the skeleton pulled back
-    along r and the coboundaries of degree m − 1 (the cocycle lemma);
-    otherwise ``δ^m`` is eliminated.
+    When the skeleton lemma applies, the cocycles are spanned by those of
+    the skeleton's own nerve pulled back along r and the coboundaries of
+    degree m − 1 (the cocycle lemma), and ``δ^m`` of ``cat`` is never
+    built; otherwise it is eliminated.
     """
-    delta = simplicial_coboundary_matrix(cat, m, cap)
-    if _skeleton_applies(cat) and (delta_s := _skeleton_coboundary(cat, m)) is not None:
-        cocycles = delta_s.kernel_basis(field).basis
-        rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
-        if m:   # and the rows of (δ^(m−1))ᵀ below them
-            bounded = simplicial_coboundary_matrix(cat, m - 1, cap).transpose(field)
-            rows.update((nrows + i, row) for i, row in bounded.rows.items())
-            nrows += bounded.nrows
-        return Subspace.from_matrix(Matrix(field, nrows, delta.ncols, rows))
-    return delta.kernel_basis(field)
+    check_degree(m)
+    check_sizes(nerve_sizes(cat), m + 1, cap)
+    if not _skeleton_applies(cat):
+        return _coboundary(cat, m).kernel_basis(field)
+    cocycles = _coboundary(_skeleton_category(cat), m).kernel_basis(field).basis
+    rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
+    if m:   # and the rows of (δ^(m−1))ᵀ below them
+        bounded = _coboundary(cat, m - 1).transpose(field)
+        rows.update((nrows + i, row) for i, row in bounded.rows.items())
+        nrows += bounded.nrows
+    return Subspace.from_matrix(Matrix(field, nrows, _chain_count(cat, m), rows))
 
 
 def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the nerve cohomology in degrees 0..max_m.
 
     Every degree's chain count up to ``max_m + 1`` is checked against the
-    cap (``nerve_sizes``) before the first chain is listed.  The skeleton
-    is ranked when the skeleton lemma applies, a decision made once for
-    every degree and field; the category's own coboundaries otherwise.
-    Either complex is ranked once per class of equal components, and each
-    class's dimensions count once per component in it (the component
-    lemma).
+    cap (``nerve_sizes``) before the first chain is listed; the skeleton's
+    counts are no larger.  The skeleton's own nerve is ranked when the
+    skeleton lemma applies, a decision made once for every degree and
+    field, and that of ``cat`` otherwise, once per class of equal
+    components, each class's dimensions counting once per component in it
+    (the component lemma).
     """
     check_degree(max_m)
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
-    complexes = _class_complexes(cat, True, max_m, cap) if _skeleton_applies(cat) else None
-    if complexes is None:
-        complexes = _class_complexes(cat, False, max_m, cap)
+    if _skeleton_applies(cat):
+        cat = _skeleton_category(cat)
     dims = [0] * (max_m + 1)
-    for size, deltas in complexes:
+    for size, deltas in _class_complexes(cat, max_m):
         for m, dim in enumerate(cohomology_dims(deltas, field)):
             dims[m] += size * dim
     return dims

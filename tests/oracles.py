@@ -362,6 +362,83 @@ def integer_rank(rows) -> int:
     return rank
 
 
+# --- invariant factors over Z ------------------------------------------------------
+
+def _combined(x, u: dict, y, v: dict) -> dict:
+    """``x·u + y·v`` for sparse integer rows, without its zero entries."""
+    out = {k: x * w for k, w in u.items()} if x else {}
+    for k, w in v.items():
+        out[k] = out.get(k, 0) + y * w
+    return {k: w for k, w in out.items() if w}
+
+
+def _gcd_echelon(rows) -> list:
+    """An echelon form over Z of sparse integer rows (``{col: int}``) with
+    the same row lattice: per column, ascending, the rows that start there
+    are folded into the one with the least leading entry a.  A row whose
+    leading entry b is a multiple of a loses ``(b/a)·u``; otherwise the
+    unimodular gcd step ``(u, v) → (x·u + y·v, (a/g)·v − (b/g)·u)``, with
+    ``g = x·a + y·b`` the gcd, makes g the lead.  The second row starts
+    later."""
+    starting: dict = {}
+    for row in rows:
+        if row:
+            starting.setdefault(min(row), []).append(dict(row))
+    block = []
+    while starting:
+        col = min(starting)
+        lead, *rest = sorted(starting.pop(col), key=lambda row: abs(row[col]))
+        for row in rest:
+            a, b = lead[col], row[col]
+            if b % a == 0:
+                row = _combined(-(b // a), lead, 1, row)
+            else:
+                g, x, y = _extended_gcd(a, b)
+                lead, row = _combined(x, lead, y, row), _combined(-(b // g), lead, a // g, row)
+            if row:
+                starting.setdefault(min(row), []).append(row)
+        block.append(lead)
+    return block
+
+
+def _extended_gcd(a: int, b: int) -> tuple:
+    """``(g, x, y)`` with ``g = x·a + y·b = gcd(a, b) > 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def invariant_factors(rows) -> list:
+    """The invariant factors of an integer matrix given by its sparse rows
+    (``{col: int}``): the nonzero diagonal of its Smith normal form,
+    ascending, each dividing the next.
+
+    The rows are brought to an echelon form with gcd steps
+    (``_gcd_echelon``); that block is echeloned again, transposed, until
+    every row has one entry, which gives a diagonal form by unimodular row
+    and column steps.  Its entries are then made a divisor chain by
+    replacing pairs with their gcd and lcm, which keeps their product at
+    every prime.
+    """
+    block = _gcd_echelon(rows)
+    while any(len(row) > 1 for row in block):
+        columns: dict = {}
+        for i, row in enumerate(block):
+            for j, v in row.items():
+                columns.setdefault(j, {})[i] = v
+        block = _gcd_echelon(columns.values())
+    diagonal = sorted(abs(v) for row in block for v in row.values())
+    big = [d for d in diagonal if d > 1]
+    for i in range(len(big)):
+        for j in range(i + 1, len(big)):
+            g = math.gcd(big[i], big[j])
+            big[i], big[j] = g, big[i] * big[j] // g
+    return diagonal[:len(diagonal) - len(big)] + big
+
+
 # --- the skeleton of a category and its prism, by tuples ---------------------------
 
 def _path_objects(cat, chain) -> list:

@@ -341,15 +341,18 @@ def test_derived_tables_die_with_their_category():
     del cat
     gc.collect()
     assert ref() is None
-    # a group's report memoizes the skeleton, its chains and its classes on F^ad
+    # a group's report memoizes the skeleton and its numbering on F^ad, and
+    # the skeleton as a category, whose own memos hold its classes
     group = group_from_table(symmetric_group_table(3), object_name="x'")
-    refs = [weakref.ref(group), weakref.ref(adjoint_category(group))]
+    skeleton = nerve._skeleton_category(adjoint_category(group))
+    refs = [weakref.ref(group), weakref.ref(adjoint_category(group)), weakref.ref(skeleton)]
     assert theorem_a_report(group, GF2, 2).verdict == "isomorphism"
     memos = {fn for fn, _args in adjoint_category(group).__dict__["_memo"]}
-    assert {nerve._skeleton, nerve._skeleton_chains, nerve._classes} <= memos
-    del group, memos
+    assert {nerve._skeleton, nerve._skeleton_numbering, nerve._skeleton_category} <= memos
+    assert nerve._classes in {fn for fn, _args in skeleton.__dict__["_memo"]}
+    del group, memos, skeleton
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
@@ -381,7 +384,7 @@ def test_prism_identity_caps_the_fad_nerve(monkeypatch):
     # (2·3^4 = 162 > 100); the cap refuses before the skeleton, its check
     # or any coboundary is built
     builds = [count_builds(monkeypatch, fn) for fn in
-              (_coboundary, _layer, _skeleton, nerve._skeleton_chains)]
+              (_coboundary, _layer, _skeleton, nerve._skeleton_numbering, nerve._skeleton_category)]
     checks = []
     monkeypatch.setattr(nerve, "_retraction_is_functor", checks.append)
     with pytest.raises(DimensionCapExceeded) as refused:
@@ -880,29 +883,6 @@ def test_a_broken_skeleton_fails_the_prism_and_falls_back(monkeypatch, breakage,
     assert summary(rep) == expected
 
 
-def test_a_row_leaving_the_skeleton_falls_back(monkeypatch):
-    # the skeleton's 2-chains take one chain of F^ad whose coboundary row
-    # reads a 1-chain outside the skeleton
-    cat = fresh("s3")
-    expected = basis_route(fresh("s3"), GF2, 2)
-    honest = nerve._skeleton_chains
-
-    def widened(fad, m):
-        picked = honest(fad, m)
-        if m != 2:
-            return picked
-        inside = set(honest(fad, 1))
-        rows = _coboundary(fad, 1).rows
-        outside = next(i for i, row in sorted(rows.items()) if not inside >= row.keys())
-        return tuple(sorted(picked + (outside,)))
-
-    monkeypatch.setattr(nerve, "_skeleton_chains", widened)
-    ranked = spy_nerve_eliminations(monkeypatch)
-    rep = theorem_a_report(cat, GF2, 2)
-    assert ranked == class_slices(adjoint_category(cat), own_coboundaries(cat, GF2, 2))
-    assert summary(rep) == expected
-
-
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
 def test_a_perturbed_t_still_fails_a_group_with_a_skeleton(monkeypatch, field):
     monkeypatch.setattr(comparison, "_read", misread_t1(comparison._read))
@@ -1093,17 +1073,19 @@ def test_set_fact_witnesses_are_the_products_of_the_reads(monkeypatch, reshape, 
 
 def test_the_memos_serve_every_field_from_one_build(monkeypatch):
     # one s3 object certified over GF(2), GF(3) and Q: ∂ and δ are integer
-    # matrices, each built once per degree, and F^ad's skeleton is found once
+    # matrices, each built once per degree, F^ad's skeleton is found and
+    # built as a category once, and its δ (ranked) and F^ad's (in the
+    # chain identities) are each built once per degree
     cat = fresh("s3")
     fad = adjoint_category(cat)
-    memos = {_full_differential: cat, _coboundary: fad}
-    builds = {fn: count_builds(monkeypatch, fn) for fn in memos}
-    skeletons = count_builds(monkeypatch, _skeleton)
+    builds = {fn: count_builds(monkeypatch, fn) for fn in (_full_differential, _coboundary)}
+    skeletons = [count_builds(monkeypatch, fn) for fn in (_skeleton, nerve._skeleton_category)]
     for field in (GF2, GF3, QQ):
         assert theorem_a_report(cat, field, 2).verdict == "isomorphism", field
+    memos = {_full_differential: (cat,), _coboundary: (fad, nerve._skeleton_category(fad))}
     for fn, on in memos.items():
-        assert builds[fn] == {(id(on), (m,)): 1 for m in range(3)}, fn.__name__
-    assert skeletons == {(id(fad), ()): 1}
+        assert builds[fn] == {(id(c), (m,)): 1 for c in on for m in range(3)}, fn.__name__
+    assert skeletons == [{(id(fad), ()): 1}] * 2
 
 
 def flip_one_entry(monkeypatch, degree):

@@ -13,6 +13,12 @@ of their parts, with no reference data.
   skeleton one object per class carrying the centralizer (Mishchenko), so
   ``H*(F^ad(G)) ≅ ⊕_[g] H*(C_G(g))``.  Each centralizer is a group of its
   own, one component, so its nerve is ranked with no class or skeleton.
+* The universal coefficient theorem: for a complex of free Z-modules with
+  integer differentials ``d^m``,
+  ``dim_Fp H^m = dim_Q H^m + e_p(d^m) + e_p(d^(m−1))``, with ``e_p(d)`` the
+  number of invariant factors of d that p divides
+  (``oracles.invariant_factors``).  So for p ∤ |G| a group's GF(p) dims
+  are its Q dims (Maschke).
 """
 
 import pytest
@@ -27,9 +33,12 @@ from hochcat import (
     theorem_b_report,
 )
 
-from hochcat.hochschild import relative_is_full
+from hochcat import nerve
+from hochcat.hochschild import relative_differential_matrix, relative_is_full
 
-from .catalog import D4, FIXTURES, GF2, GF3, QQ, coproduct, opposite
+from . import oracles
+from .catalog import D4, FIXTURES, GF2, GF3, GF5, QQ, coproduct, opposite
+from .test_comparison import spy_nerve_eliminations
 
 MAX_M = 2
 
@@ -91,3 +100,77 @@ def test_the_nerve_of_fad_is_the_sum_over_centralizers(name, field):
              for table in centralizer_tables(group)]
     assert simplicial_cohomology_dims(adjoint_category(group), field, MAX_M) == \
         [sum(dims) for dims in zip(*parts)]
+
+
+# --- one integer complex explains every field -------------------------------------------
+
+PRIMES = (GF2, GF3, GF5)
+
+
+def torsion_counts(complexes, p) -> list:
+    """Per degree m ≤ MAX_M, ``e_p(d^m) + e_p(d^(m−1))`` summed over the
+    complexes ``(size, factors)``, each counted ``size`` times, with
+    ``factors[m]`` the invariant factors of its ``d^m``."""
+    def e(factors, m):
+        return sum(f % p == 0 for f in factors[m]) if m >= 0 else 0
+
+    return [sum(size * (e(factors, m) + e(factors, m - 1)) for size, factors in complexes)
+            for m in range(MAX_M + 1)]
+
+
+def factors_of(deltas) -> list:
+    return [oracles.invariant_factors(delta.rows.values()) for delta in deltas]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_universal_coefficients_on_the_relative_complex(name):
+    cat = FIXTURES[name]
+    factors = factors_of(relative_differential_matrix(cat, m) for m in range(MAX_M + 1))
+    over_q = relative_cohomology_dims(cat, QQ, MAX_M)
+    for field in PRIMES:
+        extra = torsion_counts([(1, factors)], field.p)
+        assert relative_cohomology_dims(cat, field, MAX_M) == \
+            [q + t for q, t in zip(over_q, extra)], field
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_universal_coefficients_on_the_nerve_of_fad(monkeypatch, name):
+    # through simplicial_cohomology_dims, so through the skeleton where it
+    # applies, with the factors of the complexes it ranks, one per class
+    fad = adjoint_category(FIXTURES[name])
+    ranked = spy_nerve_eliminations(monkeypatch)
+    over_q = simplicial_cohomology_dims(fad, QQ, MAX_M)
+    target = nerve._skeleton_category(fad) if nerve._skeleton_applies(fad) else fad
+    complexes = nerve._class_complexes(target, MAX_M)
+    assert ranked == [deltas for _size, deltas in complexes]
+    factored = [(size, factors_of(deltas)) for size, deltas in complexes]
+    for field in PRIMES:
+        extra = torsion_counts(factored, field.p)
+        assert simplicial_cohomology_dims(fad, field, MAX_M) == \
+            [q + t for q, t in zip(over_q, extra)], field
+
+
+TORSION_OF_D1 = {"c2": [2, 2], "cn:4": [4] * 4, "cn:6": [6] * 6, "s3": [2, 6], "ex6": [2, 2],
+                 "diamond": [], "a2": []}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_OF_D1))
+def test_the_torsion_of_the_relative_d1(name):
+    # the invariant factors above 1 of d^1, the torsion of H^2(−; Z): Z/n
+    # once per class for the cyclic groups, Z/2 ⊕ Z/2 ⊕ Z/3 for S3
+    factors = oracles.invariant_factors(relative_differential_matrix(FIXTURES[name], 1).rows.values())
+    assert [f for f in factors if f > 1] == TORSION_OF_D1[name]
+
+
+def fad_dims(cat, field, max_m) -> list:
+    return simplicial_cohomology_dims(adjoint_category(cat), field, max_m)
+
+
+@pytest.mark.parametrize("name", [name for name, cat in FIXTURES.items() if cat.n_objects == 1])
+def test_maschke_fields_prime_to_the_order_see_the_rational_dims(name):
+    group = FIXTURES[name]
+    for dims in (relative_cohomology_dims, fad_dims):
+        over_q = dims(group, QQ, MAX_M)
+        for field in PRIMES:
+            if group.n_morphisms % field.p:
+                assert dims(group, field, MAX_M) == over_q, field

@@ -7,6 +7,7 @@ import pytest
 from hochcat import (
     adjoint_category,
     builtin,
+    character_space,
     simplicial_coboundary_matrix,
     simplicial_cocycle_space,
     simplicial_cohomology_dims,
@@ -16,8 +17,8 @@ from hochcat.category import AdjointCategory
 from hochcat.errors import DimensionCapExceeded
 from hochcat.matrix import Matrix, cohomology_dims
 from hochcat.nerve import (
-    _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_chains,
-    _skeleton_coboundary, nerve_sizes,
+    _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_category, _skeleton_numbering,
+    nerve_sizes,
 )
 
 from . import oracles
@@ -175,11 +176,11 @@ def test_coboundary_matches_face_assembly():
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_offset_addressing_matches_the_tuple_oracles(name):
-    # the skeleton's chains, the retracted chains and the pullback along r,
-    # addressed by prefix offsets, against tuple chains (nerve_chain_list)
-    # and a skeleton found by trying every pair for inverses: every fixture
-    # and its F^ad over GF(2), GF(3) and Q, degrees 0..3 (at most 7776
-    # chains of degree 4)
+    # the skeleton's own chains, the retracted chains in their numbering
+    # and the pullback along r, addressed by prefix offsets, against tuple
+    # chains (nerve_chain_list) and a skeleton found by trying every pair
+    # for inverses: every fixture and its F^ad over GF(2), GF(3) and Q,
+    # degrees 0..3 (at most 7776 chains of degree 4)
     rng = random.Random(name)
     cat = FIXTURES[name]
     for target in (cat, adjoint_category(cat)):
@@ -188,13 +189,15 @@ def test_offset_addressing_matches_the_tuple_oracles(name):
         assert nerve._retraction_is_functor(target)
         counts = list(itertools.islice(nerve_sizes(target), 5))
         assert counts[4] <= 7776
+        sizes = nerve_sizes(_skeleton_category(target))
         for m in range(4):
             chains = oracles.nerve_chain_list(target, m)
             inside = [i for i, ch in enumerate(chains)
                       if all(found[0][x] == x for x in oracles._path_objects(target, ch))]
-            assert list(_skeleton_chains(target, m)) == inside
+            assert next(sizes) == len(inside)
+            place = {j: k for k, j in enumerate(inside)}   # chain of target -> of S
             assert dict.fromkeys(enumerate(_retracted(target, m)), 1) == \
-                oracles.retraction_entries(target, found, m)
+                {(i, place[j]): 1 for i, j in oracles.retraction_entries(target, found, m)}
             for field in (GF2, GF3, QQ):
                 z = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in inside]
                                              for _ in range(3)], len(inside))
@@ -346,6 +349,78 @@ def test_a_whole_skeleton_builds_no_prism(monkeypatch, name):
     assert not checks
 
 
+# --- the skeleton as a category of its own ------------------------------------------
+
+SKELETONS = {**FIXTURES, "d4": D4, "s3+c2": S3_PLUS_C2, "c4+v4+c4": sum_of_groups(C4, V4, C4)}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETONS))
+def test_the_skeletons_coboundaries_restrict_those_of_fad(name):
+    # S's own δ, from its own chains, is F^ad's δ on the chains whose
+    # objects are all representatives (tuple chains, oracles.chains_within),
+    # renumbered in order: S's arrows are numbered in F^ad's order, so its
+    # chain order is F^ad's restricted.  Where S is F^ad, the two agree.
+    fad = adjoint_category(SKELETONS[name])
+    reps = set(_skeleton_numbering(fad)[0])
+    skeleton = _skeleton_category(fad)
+    assert (skeleton.n_objects, skeleton.n_morphisms) == tuple(map(len, _skeleton_numbering(fad)))
+    for m in range(3 if name == "d4" else 4):
+        delta = simplicial_coboundary_matrix(fad, m)
+        assert _coboundary(skeleton, m) == component_block(fad, delta, m, reps), m
+
+
+@pytest.mark.parametrize("name", ("s3", "d4", "s3+c2", "c4+v4+c4"))
+def test_pulling_back_the_unit_cochains_reads_the_retraction(name):
+    # z∘r for the unit cochain z = e_k of S's k-th chain is 1 exactly on
+    # the chains σ of F^ad with rσ that chain: row σ of (i∘r)^*, as the
+    # tuple oracle reads it
+    fad = adjoint_category(SKELETONS[name])
+    found = oracles.skeleton_by_search(fad)
+    for m in range(3):
+        inside = [i for i, ch in enumerate(oracles.nerve_chain_list(fad, m))
+                  if all(found[0][x] == x for x in oracles._path_objects(fad, ch))]
+        pulled = nerve._pulled_back(fad, m, Matrix.identity(QQ, len(inside)))
+        assert {(i, inside[k]): v for k, row in pulled.items() for i, v in row.items()} == \
+            oracles.retraction_entries(fad, found, m), m
+
+
+def test_dims_build_no_coboundary_of_fad_through_the_skeleton(monkeypatch):
+    # a fresh D4, so no memo answers: only the skeleton's own δ^0..δ^2
+    builds = count_builds(monkeypatch, _coboundary)
+    fad = adjoint_category(fresh("d4"))
+    dims = simplicial_cohomology_dims(fad, GF2, 2)
+    assert builds == {(id(_skeleton_category(fad)), (m,)): 1 for m in range(3)}
+    assert dims == whole_dims(fad, GF2, 2)
+
+
+def test_characters_build_fads_delta_zero_and_the_skeletons_delta_one(monkeypatch):
+    # the cocycle route eliminates S's δ^1 and bounds by F^ad's δ^0; F^ad's
+    # δ^1 is never built
+    builds = count_builds(monkeypatch, _coboundary)
+    fad = adjoint_category(fresh("s3"))
+    characters = character_space(fad, QQ)
+    assert builds == {(id(fad), (0,)): 1, (id(_skeleton_category(fad)), (1,)): 1}
+    assert characters == simplicial_coboundary_matrix(fad, 1).kernel_basis(QQ)
+
+
+@pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+def test_a_broken_skeleton_ranks_the_classes_of_fad(monkeypatch, breakage):
+    # the functor check refuses: no skeleton category is built, and F^ad's
+    # own coboundaries are built and ranked, one component per class
+    honest = nerve._skeleton
+    monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
+    builds = count_builds(monkeypatch, _coboundary)
+    skeletons = count_builds(monkeypatch, _skeleton_category)
+    fad = adjoint_category(fresh("d4"))
+    ranked = spy_nerve_eliminations(monkeypatch)
+    dims = simplicial_cohomology_dims(fad, GF2, 2)
+    assert builds == {(id(fad), (m,)): 1 for m in range(3)}
+    assert not skeletons
+    own = [_coboundary(fad, m) for m in range(3)]
+    assert ranked == class_slices(fad, own)
+    assert dims == list(cohomology_dims(own, GF2))
+
+
 # --- one rank per class of equal components -------------------------------------------
 
 REPEATED = {
@@ -359,11 +434,12 @@ REPEATED = {
 
 def whole_dims(cat, field, max_m) -> list:
     """The dims from the ranks of the whole δ, one complex and no classes;
-    where the skeleton is smaller, those of the whole δ_S must agree."""
+    where the skeleton is smaller, those of its own whole δ must agree."""
     whole = list(cohomology_dims([simplicial_coboundary_matrix(cat, m) for m in range(max_m + 1)],
                                  field))
-    if len(_skeleton_chains(cat, 0)) < cat.n_objects:
-        assert list(cohomology_dims([_skeleton_coboundary(cat, m) for m in range(max_m + 1)],
+    if len(_skeleton_numbering(cat)[0]) < cat.n_objects:
+        skeleton = _skeleton_category(cat)
+        assert list(cohomology_dims([_coboundary(skeleton, m) for m in range(max_m + 1)],
                                     field)) == whole
     return whole
 
@@ -386,24 +462,27 @@ def test_class_route_matches_the_whole_complex(name, field):
 @pytest.mark.parametrize("field", (GF2, GF3, QQ), ids=str)
 def test_class_route_matches_on_repeated_components(name, field):
     # categories whose components repeat, themselves and their F^ad, with
-    # the route's classes those of the oracle's search
+    # the route's classes, of the category and of its skeleton, those of
+    # the oracle's search (the skeleton's roots renumbered as the category's)
     for cat in (REPEATED[name], adjoint_category(REPEATED[name])):
         max_m = ranked_degrees(cat)
         assert simplicial_cohomology_dims(cat, field, max_m) == whole_dims(cat, field, max_m)
-        for skeleton in (False, True):
-            keep = _skeleton_chains(cat, 0) if skeleton else None
+        reps = list(_skeleton_numbering(cat)[0])
+        for keep, target in ((None, cat), (reps, _skeleton_category(cat))):
             want = [(objects[0], size) for objects, size in oracles.component_classes(cat, keep)]
-            assert list(_classes(cat, skeleton, True)[1]) == want, skeleton
+            at = keep or range(cat.n_objects)
+            assert [(at[k], size) for k, size in _classes(target, True)[1]] == want, keep
 
 
 def test_the_central_components_of_d4_form_one_class():
     # the skeleton of F^ad(D4) has one object per conjugacy class: e (0)
-    # and r² (2) carry all of D4, r (1) carries C4, s (4) and sr (5) a V4
+    # and r² (2) carry all of D4, r (1) carries C4, s (4) and sr (5) a V4;
+    # they are the skeleton's objects 0..4, each its own component
     fad = adjoint_category(D4)
-    assert _skeleton_chains(fad, 0) == (0, 1, 2, 4, 5)
-    root, classes = _classes(fad, True, True)
-    assert classes == ((0, 2), (1, 1), (4, 2))
-    assert [root[x] for x in (0, 1, 2, 4, 5)] == [0, 1, 2, 4, 5]
+    assert list(_skeleton_numbering(fad)[0]) == [0, 1, 2, 4, 5]
+    root, classes = _classes(_skeleton_category(fad), True)
+    assert classes == ((0, 2), (1, 1), (3, 2))
+    assert root == (0, 1, 2, 3, 4)
 
 
 def test_equal_counts_with_other_composites_are_two_classes():
@@ -411,8 +490,8 @@ def test_equal_counts_with_other_composites_are_two_classes():
     # C4's on objects 0..3 and V4's on 4..7; only composites tell them
     # apart, and degree 0 alone compares none
     fad = adjoint_category(sum_of_groups(C4, V4))
-    assert _classes(fad, False, True)[1] == ((0, 4), (4, 4))
-    assert _classes(fad, False, False)[1] == ((0, 8),)
+    assert _classes(fad, True)[1] == ((0, 4), (4, 4))
+    assert _classes(fad, False)[1] == ((0, 8),)
     for field in (GF2, GF3, QQ):
         assert simplicial_cohomology_dims(fad, field, 2) == whole_dims(fad, field, 2)
     assert simplicial_cohomology_dims(fad, GF2, 0) == [8]
@@ -421,33 +500,36 @@ def test_equal_counts_with_other_composites_are_two_classes():
 @pytest.mark.parametrize(("name", "skeleton", "first", "other"), (
     ("cn:4", False, {0}, {3}),
     ("c4+v4+c4", False, {0}, {9}),
-    ("d4", True, {0}, {2}),
-    ("d4", True, {4}, {5}),
+    ("d4", True, {0}, {2}),   # objects of the skeleton: F^ad's 0 and 2
+    ("d4", True, {3}, {4}),   # F^ad's 4 and 5
 ))
 def test_same_class_components_slice_to_equal_matrices(name, skeleton, first, other):
     cat = REPEATED.get(name) or FIXTURES[name]
     fad = adjoint_category(cat)
-    root, classes = _classes(fad, skeleton, True)
+    target = _skeleton_category(fad) if skeleton else fad
+    root, classes = _classes(target, True)
     (k,) = {root[x] for x in first}
     assert (k, 1) not in classes and k in dict(classes)
     assert {root[x] for x in other} != {k}
     for m in range(3):
-        delta = simplicial_coboundary_matrix(fad, m)
-        assert component_block(fad, delta, m, first) == component_block(fad, delta, m, other), m
+        delta = simplicial_coboundary_matrix(target, m)
+        assert component_block(target, delta, m, first) == \
+            component_block(target, delta, m, other), m
 
 
 @pytest.mark.parametrize("name", ("cn:6", "c4+v4+c4", "d4", "s3+c2", "diamond"))
 def test_one_walk_per_class(monkeypatch, name):
     cat = REPEATED.get(name) or FIXTURES[name]
     fad = adjoint_category(cat)
-    skeleton = len(_skeleton_chains(fad, 0)) < fad.n_objects
-    classes = _classes(fad, skeleton, True)[1]
+    skeleton = len(_skeleton_numbering(fad)[0]) < fad.n_objects
+    target = _skeleton_category(fad) if skeleton else fad
+    classes = _classes(target, True)[1]
     ranked = spy_nerve_eliminations(monkeypatch)
     assert simplicial_cohomology_dims(fad, GF3, 2) == whole_dims(fad, GF3, 2)
     assert len(ranked) == len(classes)
-    if len(classes) == 1 and classes[0][1] == 1 and not skeleton:
+    if len(classes) == 1 and classes[0][1] == 1:
         # one component: the memoized matrices themselves, not a slice
-        assert all(d is _coboundary(fad, m) for m, d in enumerate(ranked[0]))
+        assert all(d is _coboundary(target, m) for m, d in enumerate(ranked[0]))
 
 
 @pytest.mark.parametrize("k", (3, 5))
