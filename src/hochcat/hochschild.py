@@ -32,6 +32,26 @@ The relative subcomplex keeps only endpoint-matching coefficients on
 composable tuples; in degree 0 it is spanned by the endomorphisms (the
 centralizer of the identity span), which is exactly what the degree-0
 differential preserves.
+
+The normalization lemma.  The relative complex is the bar complex of kC
+relative to ``E = ⊕ k·1_x``.  Its normalized subcomplex, the cochains that
+vanish whenever a factor is an identity, computes the same cohomology:
+this is the normalized bar resolution (Eilenberg–Mac Lane normalization;
+May, *Simplicial Objects in Algebraic Topology*, 1967; Hochschild,
+*Relative homological algebra*, Trans. AMS 82, 1956), since kC/E has the
+non-identity morphisms as a basis.  In coordinates it is the slice of the
+relative basis to tuples with no identity factor (degree 0 keeps every
+endomorphism), and the slice is a subcomplex: on a column with no identity
+factor, every term with an identity factor cancels against another one.
+The left term with u = 1 meets the inner term 1∘t_1 = t_1, the inner terms
+t_j∘1 and 1∘t_(j+1) meet each other, and t_m∘1 meets the right term with
+u = 1, each pair with opposite signs; every other term has no identity
+factor.  So ``_normalized_differential`` leaves those terms out instead of
+summing them to zero, and ``relative_cohomology_dims`` ranks it in every
+degree.  A row outside the slice still raises ``NotASubcomplex``, and the
+dimension tables still check ``d∘d = 0`` on every matrix they rank.  Caps
+are checked on the relative and full sizes, as for the unnormalized
+complexes, so a refusal names the same degree and size.
 """
 
 from __future__ import annotations
@@ -122,7 +142,8 @@ def _factorizations(cat: FiniteCategory) -> tuple:
     return tuple(tuple(ps) for ps in out)
 
 
-def _differential_rows(cat: FiniteCategory, m: int, groups, row_of=None) -> dict:
+def _differential_rows(cat: FiniteCategory, m: int, groups, row_of=None,
+                       normalized: bool = False) -> dict:
     """Nonzero row dicts of the degree-m differential on the columns of ``groups``.
 
     ``groups`` yields ``(tup, τ, cols)``: an m-tuple, its base-n index τ
@@ -135,22 +156,30 @@ def _differential_rows(cat: FiniteCategory, m: int, groups, row_of=None) -> dict
     * right ``(tup, u; h∘u)``: ``(τ·n + u)·n + h∘u``.
 
     The terms of one column are summed over Z, since identity
-    factorizations cancel, and a sum of 0 is no entry.  ``row_of``, when given, maps a
-    full row index to the row number; a miss raises ``NotASubcomplex``.
+    factorizations cancel, and a sum of 0 is no entry.  ``normalized``
+    leaves out every term with an identity factor (an identity u, or v or
+    w an identity): on a column with no identity factor those terms cancel
+    in pairs (the normalization lemma in the module docstring).
+    ``row_of``, when given, maps a full row index to the row number; a miss
+    raises ``NotASubcomplex``.
     """
     n = cat.n_morphisms
     if not n:
         return {}   # no morphisms: kC = 0 and every cochain space is zero
     comp = require_table(cat)
     top = n ** (m + 1)
+    skip = cat._identity_set if normalized else ()
     # the outer terms' offsets from τ·n (left) and τ·n² (right), per output h
-    lefts = [tuple(u * top + comp[u][h] for u in cat.morphisms_by_source[cat.target[h]])
+    lefts = [tuple(u * top + comp[u][h] for u in cat.morphisms_by_source[cat.target[h]]
+                   if u not in skip)
              for h in range(n)]
-    rights = [tuple(u * n + comp[h][u] for u in cat.morphisms_by_target[cat.source[h]])
+    rights = [tuple(u * n + comp[h][u] for u in cat.morphisms_by_target[cat.source[h]]
+                    if u not in skip)
               for h in range(n)]
     right_sign = -1 if (m + 1) % 2 else 1
     # v∘w = z as the two digits v·n + w
-    pairs = tuple(tuple(v * n + w for v, w in ps) for ps in _factorizations(cat))
+    pairs = tuple(tuple(v * n + w for v, w in ps if v not in skip and w not in skip)
+                  for ps in _factorizations(cat))
     rows: dict = {}
     for tup, tau, cols in groups:
         # inner terms do not depend on h: row = key + h
@@ -185,7 +214,8 @@ def _differential_rows(cat: FiniteCategory, m: int, groups, row_of=None) -> dict
                     if i is None:
                         digits = [r // n ** k % n for k in range(m + 1, -1, -1)]
                         raise NotASubcomplex(
-                            f"differential leaves the relative subcomplex at degree {m}: "
+                            f"differential leaves the {'normalized' if normalized else 'relative'}"
+                            f" subcomplex at degree {m}: "
                             f"column {(tup, h)} hits {(tuple(digits[:-1]), digits[-1])}"
                         )
                     r = i
@@ -220,25 +250,33 @@ def hochschild_differential_matrix(cat, m: int, cap: int | None = None) -> Matri
 def hochschild_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of HH^0..HH^max_m over the full cochain complex.
 
-    Every degree's basis size is checked against the cap first.
+    Every degree's full basis size is checked against the cap first.  One
+    object, same complex: when the relative complex is the full one up to
+    degree max_m + 1 (``relative_is_full``, so a category with one object),
+    these are ``relative_cohomology_dims``, ranked on the normalized
+    complex.  Otherwise every full differential is ranked.
     """
     check_degree(max_m)
     check_sizes(hochschild_sizes(cat), max_m + 1, cap)
+    if relative_is_full(cat, max_m + 1):
+        return relative_cohomology_dims(cat, field, max_m, cap)
     mats = [hochschild_differential_matrix(cat, m, cap) for m in range(max_m + 1)]
     return list(cohomology_dims(mats, field))
 
 
 # --- the relative subcomplex ---------------------------------------------------
 
-@memo
-def _relative_basis_cached(cat: FiniteCategory, m: int) -> tuple:
+def _chain_basis(cat: FiniteCategory, m: int, skip=()) -> tuple:
+    """Pairs (tup, h) in lexicographic order, tup a composable m-tuple of
+    arrows not in ``skip`` and h in Hom(source, target); in degree 0, the
+    endomorphisms."""
     if m == 0:
         # degree 0 is the centralizer of the identity span: the endomorphisms
         return tuple(((), h) for h in cat.all_endomorphisms)
     # tuples are in tensor order: each next factor composes on the right
-    by_target = cat.morphisms_by_target
     source = cat.source
-    chains = [(g,) for g in range(cat.n_morphisms)]
+    by_target = [[g for g in arrows if g not in skip] for arrows in cat.morphisms_by_target]
+    chains = [(g,) for g in range(cat.n_morphisms) if g not in skip]
     for _ in range(m - 1):
         chains = [t + (g,) for t in chains for g in by_target[source[t[-1]]]]
     basis = []
@@ -246,6 +284,11 @@ def _relative_basis_cached(cat: FiniteCategory, m: int) -> tuple:
         for h in cat.hom(source[tup[-1]], cat.target[tup[0]]):
             basis.append((tup, h))
     return tuple(basis)
+
+
+@memo
+def _relative_basis_cached(cat: FiniteCategory, m: int) -> tuple:
+    return _chain_basis(cat, m)
 
 
 def relative_basis(cat: FiniteCategory, m: int) -> list:
@@ -303,15 +346,20 @@ def _relative_of_full(cat: FiniteCategory, m: int) -> dict:
     return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_relative_basis_cached(cat, m))}
 
 
+def _sliced_differential(cat: FiniteCategory, m: int, cols: tuple, row_of: dict,
+                         normalized: bool = False) -> Matrix:
+    """The integer differential on the columns ``cols``, rows numbered by ``row_of``."""
+    n = cat.n_morphisms
+    groups = ((tup, basis_index(cat, tup, 0) // n, [(c, h) for c, (_tup, h) in pairs])
+              for tup, pairs in itertools.groupby(enumerate(cols), key=lambda item: item[1][0]))
+    return Matrix(QQ, len(row_of), len(cols),
+                  _differential_rows(cat, m, groups, row_of, normalized))
+
+
 @memo
 def _relative_differential(cat: FiniteCategory, m: int) -> Matrix:
     """The integer differential on the relative columns, rows numbered in the relative basis."""
-    n = cat.n_morphisms
-    cols = _relative_basis_cached(cat, m)
-    row_of = _relative_of_full(cat, m + 1)
-    groups = ((tup, basis_index(cat, tup, 0) // n, [(c, h) for c, (_tup, h) in pairs])
-              for tup, pairs in itertools.groupby(enumerate(cols), key=lambda item: item[1][0]))
-    return Matrix(QQ, len(row_of), len(cols), _differential_rows(cat, m, groups, row_of))
+    return _sliced_differential(cat, m, _relative_basis_cached(cat, m), _relative_of_full(cat, m + 1))
 
 
 def relative_differential_matrix(cat, m: int, cap: int | None = None) -> Matrix:
@@ -333,10 +381,38 @@ def relative_differential_matrix(cat, m: int, cap: int | None = None) -> Matrix:
 def relative_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | None = None) -> list[int]:
     """Dimensions of the relative cohomology in degrees 0..max_m.
 
-    Every degree's basis size is checked against the cap first.
+    Every degree's relative basis size is checked against the cap first;
+    then the normalized complex is ranked, which has the same cohomology
+    (the normalization lemma in the module docstring).
     """
     check_degree(max_m)
     check_sizes(relative_sizes(cat), max_m + 1, cap)
-    mats = [relative_differential_matrix(cat, m, cap) for m in range(max_m + 1)]
+    mats = [_normalized_differential(cat, m) for m in range(max_m + 1)]
     return list(cohomology_dims(mats, field))
+
+
+# --- the normalized subcomplex ---------------------------------------------------
+
+@memo
+def _normalized_basis(cat: FiniteCategory, m: int) -> tuple:
+    """The relative basis pairs whose tuple has no identity factor, in order."""
+    return _chain_basis(cat, m, cat._identity_set)
+
+
+@memo
+def _normalized_of_full(cat: FiniteCategory, m: int) -> dict:
+    """Full Hochschild basis index -> normalized basis index, in degree m."""
+    return {basis_index(cat, tup, h): i for i, (tup, h) in enumerate(_normalized_basis(cat, m))}
+
+
+@memo
+def _normalized_differential(cat: FiniteCategory, m: int) -> Matrix:
+    """The integer differential of the normalized complex in degree m.
+
+    Its columns and rows are the normalized bases of degrees m and m + 1,
+    and it is the relative differential on them, built without the terms
+    that have an identity factor.
+    """
+    return _sliced_differential(cat, m, _normalized_basis(cat, m), _normalized_of_full(cat, m + 1),
+                                normalized=True)
 

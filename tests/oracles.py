@@ -297,6 +297,32 @@ def column_wise_differential(cat, field, cols, rows):
     return Matrix.from_entries(field, len(rows), len(cols), entries)
 
 
+def normalized_relative_differential(cat, m):
+    """The relative differential of degree m on the pairs whose tuple has no
+    identity factor, found by tuple lookup in ``relative_basis``.
+
+    The kept columns and rows are renumbered in basis order, and a kept
+    column with an entry on a dropped row fails the assertion: the slice
+    must be a subcomplex.
+    """
+    from hochcat.hochschild import relative_basis, relative_differential_matrix
+    from hochcat.matrix import Matrix
+
+    def kept(degree):
+        return {i: j for j, i in enumerate(
+            i for i, (tup, _h) in enumerate(relative_basis(cat, degree))
+            if not any(map(cat.is_identity, tup)))}
+
+    d = relative_differential_matrix(cat, m)
+    col_of, row_of = kept(m), kept(m + 1)
+    entries = {}
+    for r, c, v in d.entries():
+        if c in col_of:
+            assert r in row_of, (m, r, c)
+            entries[row_of[r], col_of[c]] = v
+    return Matrix.from_entries(d.field, len(row_of), len(col_of), entries)
+
+
 def face_coboundary(cat, field, m):
     """The degree-m nerve coboundary, summed over ``_face`` chain by chain."""
     from hochcat.matrix import Matrix

@@ -135,17 +135,19 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     # read T as an index array, so T is never built as a matrix, and X only
     # one degree up, for x_chain's product with δ (ex6 has two objects, so
     # the x_chain lemma does not apply).  The certified report reads the
-    # relative dimensions off the nerve, so no relative differential is built.
+    # relative dimensions off the nerve, so no relative (or normalized)
+    # differential is built.
     memos = {
         "hochschild": hochschild._full_differential,
         "relative": hochschild._relative_differential,
+        "normalized": hochschild._normalized_differential,
         "nerve": nerve._coboundary,
         "reads": comparison._read,
     }
     builds = {name: count_builds(monkeypatch, fn) for name, fn in memos.items()}
     builds.update({name: count_map_builds(monkeypatch, name)
                    for name in ("t_map_matrix", "x_map_matrix")})
-    wanted = {"hochschild": {0, 1, 2}, "relative": set(), "nerve": {0, 1, 2},
+    wanted = {"hochschild": {0, 1, 2}, "relative": set(), "normalized": set(), "nerve": {0, 1, 2},
               "reads": {0, 1, 2, 3}, "t_map_matrix": set(), "x_map_matrix": {1, 2, 3}}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
                     "--output", "json", capsys=capsys)
@@ -243,7 +245,10 @@ def test_cohomology_both_theories(capsys):
 
 def test_cohomology_both_eliminates_a_one_object_category_once(monkeypatch, tmp_path, capsys):
     # one object: the relative complex is the full one, so --theory both
-    # copies the full dimensions; C2 + C3 still eliminates its relative complex
+    # copies the full dimensions, which are ranked on the normalized complex
+    # with no full differential built; C2 + C3 still eliminates its relative
+    # complex and ranks its full one
+    full = count_builds(monkeypatch, hochschild._full_differential)
     routes = []
     relative_dims = cli_module.relative_cohomology_dims
 
@@ -254,7 +259,7 @@ def test_cohomology_both_eliminates_a_one_object_category_once(monkeypatch, tmp_
     monkeypatch.setattr(cli_module, "relative_cohomology_dims", counted)
     argv = ["--field", "gf:2", "--max-degree", "2", "--output", "json"]
     _, both = cli("cohomology", "cn:4", *argv, capsys=capsys)
-    assert routes == []
+    assert routes == [] and not full
     _, relative = cli("cohomology", "cn:4", *argv, "--theory", "relative", capsys=capsys)
     assert routes == [1]
     theories = json.loads(both)["theories"]
@@ -262,7 +267,7 @@ def test_cohomology_both_eliminates_a_one_object_category_once(monkeypatch, tmp_
     path = tmp_path / "c2_plus_c3.cat"
     path.write_text(C2_PLUS_C3_TEXT)
     _, out = cli("cohomology", str(path), *argv, capsys=capsys)
-    assert routes == [1, 2]
+    assert routes == [1, 2] and {args for _cat, args in full} == {(0,), (1,), (2,)}
     assert json.loads(out)["theories"]["relative"] == json.loads(out)["theories"]["full"]
 
 

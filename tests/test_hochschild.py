@@ -8,6 +8,7 @@ import pytest
 from hochcat import (
     adjoint_category,
     builtin,
+    group_from_table,
     parse_category,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
@@ -15,9 +16,11 @@ from hochcat import (
     relative_cohomology_dims,
 )
 from hochcat import hochschild
-from hochcat.errors import DimensionCapExceeded, NotASubcomplex
+from hochcat.errors import DimensionCapExceeded, NotASubcomplex, NotASubspace
 from hochcat.hochschild import (
     _full_differential,
+    _normalized_basis,
+    _normalized_differential,
     _relative_basis_cached,
     _relative_differential,
     basis_index,
@@ -28,11 +31,13 @@ from hochcat.hochschild import (
     relative_is_full,
     relative_sizes,
 )
-from hochcat.matrix import Matrix
+from hochcat.matrix import Matrix, cohomology_dims
 from hochcat.nerve import _coboundary, simplicial_coboundary_matrix
 
 from . import oracles
-from .catalog import A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3_PLUS_C2, TRIV
+from .catalog import (
+    A2, C2, EX6, FIELDS, FIXTURES, GF2, GF3, GF5, QQ, S3, S3_PLUS_C2, TRIV, symmetric_group_table,
+)
 
 
 def count_builds(monkeypatch, memoized) -> Counter:
@@ -220,6 +225,7 @@ def test_each_differential_is_built_once_for_every_field(monkeypatch):
     builders = (
         (_full_differential, cat, hochschild_differential_matrix),
         (_relative_differential, cat, relative_differential_matrix),
+        (_normalized_differential, cat, _normalized_differential),
         (_coboundary, fad, simplicial_coboundary_matrix),
     )
     for memoized, on, matrix in builders:
@@ -268,10 +274,21 @@ def test_degree_one_basis_and_differential_shape():
 
 
 def test_cap_refuses_large_degrees():
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(DimensionCapExceeded) as refused:
         hochschild_differential_matrix(EX6, 3, cap=1000)
-    with pytest.raises(DimensionCapExceeded):
+    assert (refused.value.degree, refused.value.required) == (3, 1296)
+    with pytest.raises(DimensionCapExceeded) as refused:
         hochschild_cohomology_dims(EX6, GF2, 3, cap=1000)
+    assert (refused.value.degree, refused.value.required) == (3, 1296)
+
+
+def test_caps_read_the_unnormalized_sizes():
+    # s3 has one object: the dims rank the normalized complex, whose degree 3
+    # has 750 elements, but both tables refuse on the 1296 of today's degree 3
+    for dims in (hochschild_cohomology_dims, relative_cohomology_dims):
+        with pytest.raises(DimensionCapExceeded) as refused:
+            dims(S3, GF2, 2, cap=1000)
+        assert (refused.value.degree, refused.value.required) == (3, 1296), dims
 
 
 def test_check_cap_reads_running_products():
@@ -447,6 +464,103 @@ def test_relative_dims_equal_full_dims_beyond_comparison_hypotheses():
         for field in (GF2, QQ):
             assert relative_cohomology_dims(cat, field, 2) == \
                 hochschild_cohomology_dims(cat, field, 2)
+
+
+# --- the normalized subcomplex ---------------------------------------------------
+#
+# The dimension tables rank the normalized complex: the relative
+# differential on the tuples with no identity factor.  Groups and ex6
+# (a∘a = id1) have non-identities whose composite is an identity, so their
+# dropped identity terms cancel in pairs on the long route.
+
+def identity_free(cat, pairs) -> list:
+    return [(tup, h) for tup, h in pairs if not any(map(cat.is_identity, tup))]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_normalized_differential_is_the_identity_free_slice(name):
+    cat = FIXTURES[name]
+    mats = [_normalized_differential(cat, m) for m in range(4)]
+    for m, d in enumerate(mats):
+        assert list(_normalized_basis(cat, m)) == identity_free(cat, relative_basis(cat, m))
+        assert d == oracles.normalized_relative_differential(cat, m), (name, m)
+        assert all(type(v) is int for _r, _c, v in d.entries())
+    for d, prev in zip(mats[1:], mats):
+        assert (d @ prev).is_zero(), name   # over Z, so in every field
+
+
+def test_normalized_differential_refuses_a_term_outside_the_slice(monkeypatch):
+    # drop one row from the degree-2 normalized basis map: the first column
+    # with a term there must name itself and the dropped pair
+    cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+    col = _normalized_basis(cat, 1)[0]
+    hit = identity_free(cat, oracles.column_contributions(cat, *col))[0]
+    index_of = hochschild._normalized_of_full
+
+    def dropping(cat, m):
+        rows = dict(index_of(cat, m))   # a copy: the memoized index stays whole
+        if m == 2:
+            del rows[basis_index(cat, *hit)]
+        return rows
+
+    monkeypatch.setattr(hochschild, "_normalized_of_full", dropping)
+    with pytest.raises(NotASubcomplex) as refused:
+        _normalized_differential(cat, 1)
+    assert str(refused.value) == \
+        f"differential leaves the normalized subcomplex at degree 1: column {col} hits {hit}"
+
+
+def unnormalized_dims(builder, cat, field, max_m) -> list:
+    """The dims of the unnormalized complex of ``builder``, ranked as it is."""
+    return list(cohomology_dims([builder(cat, m) for m in range(max_m + 1)], field))
+
+
+LONG_ROUTE = (
+    [(name, 3, True) for name in sorted(FIXTURES)]
+    + [("diamond", 7, False), ("chain:3", 7, False), ("s3+c2", 3, True)]
+)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name, max_m, full", LONG_ROUTE)
+def test_normalized_dims_equal_the_long_route(name, max_m, full, field):
+    cat = S3_PLUS_C2 if name == "s3+c2" else FIXTURES[name]
+    expected = unnormalized_dims(relative_differential_matrix, cat, field, max_m)
+    assert relative_cohomology_dims(cat, field, max_m) == expected
+    if full:
+        assert unnormalized_dims(hochschild_differential_matrix, cat, field, max_m) == expected
+        assert hochschild_cohomology_dims(cat, field, max_m) == expected
+
+
+def test_dims_check_d_squared_on_the_normalized_complex(monkeypatch):
+    honest = hochschild._normalized_differential
+
+    def broken(cat, m):
+        d = honest(cat, m)
+        if m != 1:
+            return d
+        # row 0 of d_1 reads the nonzero row r of d_0, so d_1 d_0 ≠ 0
+        r, _c, _v = next(honest(cat, 0).entries())
+        return Matrix(QQ, d.nrows, d.ncols, {0: {r: 1}})
+
+    monkeypatch.setattr(hochschild, "_normalized_differential", broken)
+    for dims, cat in ((hochschild_cohomology_dims, S3), (relative_cohomology_dims, S3),
+                      (relative_cohomology_dims, EX6)):
+        with pytest.raises(NotASubspace):
+            dims(cat, GF2, 1)
+
+
+def test_one_object_dims_build_no_full_differential(monkeypatch):
+    cat = group_from_table(symmetric_group_table(3))   # new, so no memo answers for it
+    full = count_builds(monkeypatch, _full_differential)
+    normalized = count_builds(monkeypatch, _normalized_differential)
+    assert hochschild_cohomology_dims(cat, GF2, 3) == [3, 2, 2, 2]
+    assert not full
+    assert normalized == {(id(cat), (m,)): 1 for m in range(4)}
+    # the counters are live: with two objects the full complex is ranked
+    two = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+    assert hochschild_cohomology_dims(two, GF2, 1) == [2, 2]
+    assert full == {(id(two), (0,)): 1, (id(two), (1,)): 1}
 
 
 # --- cochains as coefficient tensors ----------------------------------------------
