@@ -6,8 +6,12 @@ and Q, as ``cohomology`` (``--theory both --max-degree 2``) over the
 same three fields, and as ``fad``; the surjection-tier
 ``parallel_arrows``, the dihedral group ``d4`` and the two-object
 ``s3+c2`` (outside ``FIXTURES``) run as ``compare`` over the same three
-fields, and the last two as ``derivations`` too.  The sha256 of stdout and the exit code of each run
-are pinned in ``golden_digests.json``.  After a change that is meant to
+fields, and the last two as ``derivations`` too.  ``a2``, ``diamond``,
+``ex6`` and ``chain:3`` also run as ``cohomology --theory full
+--max-degree 3`` over GF(2), GF(5) and Q: the full dimensions of a
+category with several objects, to one degree past the others.  The
+sha256 of stdout and the exit code of each run are pinned in
+``golden_digests.json``.  After a change that is meant to
 alter a report, rewrite the file with
 
     PYTHONPATH=src python -m tests.test_golden
@@ -33,6 +37,7 @@ from .test_category import parallel_arrows
 
 CATEGORIES = {**FIXTURES, "parallel_arrows": parallel_arrows(), "d4": D4, "s3+c2": S3_PLUS_C2}
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+FULL3 = "cohomology --theory full --max-degree 3"
 RUNS = (tuple((verb, name, field)
               for verb in ("compare", "derivations", "cohomology")
               for name in FIXTURES
@@ -43,20 +48,25 @@ RUNS = (tuple((verb, name, field)
         + tuple(("derivations", name, "gf:3") for name in FIXTURES)
         + tuple(("derivations", name, field)
                 for name in ("d4", "s3+c2") for field in ("gf:2", "gf:3", "q"))
-        + tuple(("fad", name, None) for name in FIXTURES))
+        + tuple(("fad", name, None) for name in FIXTURES)
+        + tuple((FULL3, name, field)
+                for name in ("a2", "diamond", "ex6", "chain:3") for field in ("gf:2", "gf:5", "q")))
 
 
 def run_digest(directory: str, verb: str, name: str, field: str | None) -> list:
-    """``[exit code, sha256 of stdout]`` of one JSON run on category ``name``."""
+    """``[exit code, sha256 of stdout]`` of one JSON run on category ``name``.
+
+    ``verb`` may carry its own options after the verb; they replace the
+    default ``--max-degree`` and ``--theory``.
+    """
+    verb, *options = verb.split()
     path = os.path.join(directory, f"{name}.cat")
     if not os.path.exists(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(category_to_text(CATEGORIES[name]))
-    argv = [verb, path, "--output", "json"] + (["--field", field] if field else [])
-    if verb in ("compare", "cohomology"):
-        argv += ["--max-degree", "2"]
-    if verb == "cohomology":
-        argv += ["--theory", "both"]
+    if not options and verb in ("compare", "cohomology"):
+        options = ["--max-degree", "2"] + (["--theory", "both"] if verb == "cohomology" else [])
+    argv = [verb, path, "--output", "json"] + (["--field", field] if field else []) + options
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
