@@ -61,9 +61,10 @@ triples the nonzeros of the pivot rows; only the consumers of the
 canonical RREF (kernels, images, ``Subspace``) back-substitute.
 
 Cohomology dimensions come from ranks: ``cohomology_dims`` takes one
-rank per differential and checks ``d_m d_{m-1} = 0`` with a sparse
-product, building no basis.  ``cohomology`` yields each degree's
-cocycle and coboundary bases with the dimension; its one caller is
+rank per differential after ``check_complex`` has checked
+``d_m d_{m-1} = 0`` with a sparse product, building no basis.
+``cohomology`` yields each degree's cocycle and coboundary bases with
+the dimension; its one caller is
 Theorem A's count of the full Hochschild complex of a category with more
 than one object, which reads only the dimension (the ``comparison``
 docstring says why that walk stays).  ``restricted_map`` writes a map
@@ -292,6 +293,28 @@ class Matrix:
             if row:
                 out[i] = row
         return Matrix(self.field, self.nrows, other.ncols, out)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"cannot add {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}")
+        p, out = self.field.p, dict(self.rows)
+        for i, rb in other.rows.items():
+            acc = dict(out.get(i, ()))
+            for j, w in rb.items():
+                acc[j] = acc.get(j, 0) + w
+            if p is not None:
+                row = {j: r for j, v in acc.items() if (r := v % p)}
+            else:
+                row = {j: v for j, v in acc.items() if v}
+            if row:
+                out[i] = row
+            else:
+                out.pop(i, None)
+        return Matrix(self.field, self.nrows, self.ncols, out)
 
     def _cleared_rows(self) -> list[dict]:
         """The nonzero rows over Q by row index, each times the LCM of its denominators.
@@ -1028,22 +1051,30 @@ def cohomology(differentials, field: FieldSpec | None = None):
         prev = d
 
 
-def cohomology_dims(differentials, field: FieldSpec | None = None):
-    """Walk a cochain complex like ``cohomology``, yielding only ``dim H^m``.
-
-    ``dim H^m = n_m - rank d_m - rank d_{m-1}``, one rank per differential.
-    Before counting degree m it checks ``d_m d_{m-1} = 0`` in ``field``
-    with a sparse product and raises NotASubspace otherwise, as
-    ``cohomology`` does; no kernel, image or Subspace is built.
-    """
-    prev, prev_rank = None, 0
-    for d in differentials:
-        if prev is not None and (d @ prev).first_difference(
-                Matrix.zeros(d.field, d.nrows, prev.ncols), field):
+def check_complex(differentials, field: FieldSpec | None = None) -> None:
+    """Check ``d_m d_{m-1} = 0`` in ``field`` for each consecutive pair of
+    ``differentials`` (a sequence), with a sparse product; raise
+    NotASubspace, as ``cohomology`` does, at the first pair that fails."""
+    for prev, d in zip(differentials, differentials[1:]):
+        if (d @ prev).first_difference(Matrix.zeros(d.field, d.nrows, prev.ncols), field):
             raise NotASubspace("differential does not square to zero")
+
+
+def cohomology_dims(differentials, field: FieldSpec | None = None) -> list[int]:
+    """The ``dim H^m`` of a cochain complex ``d_0, d_1, ..``, as ``cohomology`` counts them.
+
+    ``check_complex`` runs first, then ``dim H^m = n_m - rank d_m - rank
+    d_{m-1}``, one rank per differential; no kernel, image or Subspace is
+    built.
+    """
+    differentials = list(differentials)
+    check_complex(differentials, field)
+    dims, prev_rank = [], 0
+    for d in differentials:
         rank = d.rank(field)
-        yield d.ncols - rank - prev_rank
-        prev, prev_rank = d, rank
+        dims.append(d.ncols - rank - prev_rank)
+        prev_rank = rank
+    return dims
 
 
 def restricted_map(images: Matrix, dst: Subspace) -> Matrix:

@@ -323,6 +323,47 @@ def normalized_relative_differential(cat, m):
     return Matrix.from_entries(d.field, len(row_of), len(col_of), entries)
 
 
+def hochschild_homotopy(cat, m):
+    """The integer matrix of ``h^m: C^m -> C^(m-1)`` (m >= 1), from tuples.
+
+    Row ``(a; out)`` of the full degree-(m-1) basis gets +1 at
+    ``((1_(target out),) + a, out)`` and, for each i = 1..m-1 with
+    ``a_1..a_i`` composable and ``target out = target a_1``, ``(-1)^i`` at
+    ``(a[:i] + (1_(source a_i),) + a[i:], out)``; columns are found by
+    lookup in the full degree-m basis, and equal columns are summed.
+    """
+    from hochcat.fields import QQ
+    from hochcat.hochschild import hochschild_basis
+    from hochcat.matrix import Matrix
+
+    col_of = {pair: j for j, pair in enumerate(hochschild_basis(cat, m))}
+    rows = hochschild_basis(cat, m - 1)
+    entries: dict = {}
+    for r, (a, out) in enumerate(rows):
+        terms = [((cat.identity[cat.target[out]],) + a, 1)]
+        for i in range(1, m):
+            composable = all(cat.source[a[j]] == cat.target[a[j + 1]] for j in range(i - 1))
+            if composable and cat.target[out] == cat.target[a[0]]:
+                terms.append((a[:i] + (cat.identity[cat.source[a[i - 1]]],) + a[i:], (-1) ** i))
+        for tup, sign in terms:
+            key = r, col_of[tup, out]
+            entries[key] = entries.get(key, 0) + sign
+    return Matrix.from_entries(QQ, len(rows), len(col_of), entries)
+
+
+def off_relative_diagonal(cat, m):
+    """``I - ιρ`` on the full degree-m cochains: 1 on each diagonal cell whose
+    basis pair is not in ``relative_basis``, found by tuple lookup."""
+    from hochcat.fields import QQ
+    from hochcat.hochschild import hochschild_basis, relative_basis
+    from hochcat.matrix import Matrix
+
+    relative = set(relative_basis(cat, m))
+    full = hochschild_basis(cat, m)
+    return Matrix.from_entries(QQ, len(full), len(full),
+                               {(i, i): 1 for i, pair in enumerate(full) if pair not in relative})
+
+
 def face_coboundary(cat, field, m):
     """The degree-m nerve coboundary, summed over ``_face`` chain by chain."""
     from hochcat.matrix import Matrix
@@ -1137,7 +1178,7 @@ def basis_route(cat, field, max_m: int, cap, checks: list) -> list:
     nerve = (simplicial_coboundary_matrix(fad, m, cap) for m in rng)
     relative = None
     if not relative_is_full(cat, max_m + 1):
-        relative = cohomology_dims((relative_differential_matrix(cat, m, cap) for m in rng), field)
+        relative = iter(cohomology_dims((relative_differential_matrix(cat, m, cap) for m in rng), field))
     out = []
     for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full, field),
                                                             cohomology(nerve, field), checks):

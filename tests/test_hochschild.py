@@ -19,6 +19,8 @@ from hochcat import hochschild
 from hochcat.errors import DimensionCapExceeded, NotASubcomplex, NotASubspace
 from hochcat.hochschild import (
     _full_differential,
+    _homotopy,
+    _homotopy_holds,
     _normalized_basis,
     _normalized_differential,
     _relative_basis_cached,
@@ -561,6 +563,137 @@ def test_one_object_dims_build_no_full_differential(monkeypatch):
     two = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
     assert hochschild_cohomology_dims(two, GF2, 1) == [2, 2]
     assert full == {(id(two), (0,)): 1, (id(two), (1,)): 1}
+
+
+# --- the homotopy lemma ----------------------------------------------------------
+#
+# With several objects the full dims are the relative ones once
+# ∂^(m−1) h^m + h^(m+1) ∂^m = I − ιρ holds on C^0..C^max_m and ∂∂ = 0.
+
+def several_objects() -> list:
+    return sorted(name for name, cat in FIXTURES.items() if cat.n_objects > 1)
+
+
+def fresh_ex6():
+    """A copy of ex6 that no memo has seen."""
+    return dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_homotopy_is_the_tuple_oracle(name):
+    cat = FIXTURES[name]
+    for m in range(1, 5):
+        h = _homotopy(cat, m)
+        assert h == oracles.hochschild_homotopy(cat, m), (name, m)
+        assert all(type(v) is int for _r, _c, v in h.entries())
+
+
+def summed_entries(*mats) -> dict:
+    """The entries of a sum of integer matrices, as a dict (r, c) -> nonzero int."""
+    out: dict = {}
+    for mat in mats:
+        for r, c, v in mat.entries():
+            out[r, c] = out.get((r, c), 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["parallel_arrows", "right_only"])
+def test_homotopy_identity_holds_over_the_integers(name):
+    # built from the tuple oracle and the package's differentials: no field,
+    # so the identity holds in every field
+    from .test_category import parallel_arrows
+    from .test_comparison import right_only
+
+    others = {"parallel_arrows": parallel_arrows, "right_only": right_only}
+    cat = others[name]() if name in others else FIXTURES[name]
+    top = 2 if name == "chain:4" else 3
+    d = [hochschild_differential_matrix(cat, m) for m in range(top + 1)]
+    h = {m: oracles.hochschild_homotopy(cat, m) for m in range(1, top + 2)}
+    for m in range(top + 1):
+        terms = [h[m + 1] @ d[m]] + ([d[m - 1] @ h[m]] if m else [])
+        expected = {(r, c): v for r, c, v in oracles.off_relative_diagonal(cat, m).entries()}
+        assert summed_entries(*terms) == expected, (name, m)
+        assert _homotopy_holds(cat, GF2, d, m)
+
+
+def counting_ranks(monkeypatch) -> list:
+    """Record every matrix ``Matrix.rank`` is called on."""
+    ranked = []
+    rank = Matrix.rank
+
+    def counted(self, field=None):
+        ranked.append(self)
+        return rank(self, field)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    return ranked
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", several_objects())
+def test_several_object_dims_equal_the_full_ranks(monkeypatch, name, field):
+    cat = FIXTURES[name]
+    full = [hochschild_differential_matrix(cat, m) for m in range(4)]
+    ranked = counting_ranks(monkeypatch)
+    dims = hochschild_cohomology_dims(cat, field, 3)
+    assert not any(d is f for d in ranked for f in full)   # the relative ranks answered
+    monkeypatch.undo()
+    assert dims == cohomology_dims(full, field)
+
+
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_a_failed_homotopy_identity_falls_back_to_the_full_ranks(monkeypatch, field):
+    # drop h^1's entry on row (; g) for a g that is no endomorphism: then
+    # (h^1 ∂^0)[g, g] reads 0 where I − ιρ has 1, in every field
+    cat = fresh_ex6()
+    g = next(g for g in range(cat.n_morphisms) if cat.source[g] != cat.target[g])
+    honest = hochschild._homotopy
+
+    def perturbed(cat, m):
+        h = honest(cat, m)
+        if m != 1:
+            return h
+        rows = dict(h.rows)   # a copy: the memoized matrix stays whole
+        del rows[g]
+        return Matrix(QQ, h.nrows, h.ncols, rows)
+
+    monkeypatch.setattr(hochschild, "_homotopy", perturbed)
+    full = [hochschild_differential_matrix(cat, m) for m in range(3)]
+    ranked = counting_ranks(monkeypatch)
+    dims = hochschild_cohomology_dims(cat, field, 2)
+    assert [id(d) for d in ranked] == [id(d) for d in full]
+    assert dims == relative_cohomology_dims(EX6, field, 2)
+
+
+def test_several_object_dims_check_d_squared_on_the_full_complex(monkeypatch):
+    honest = hochschild._full_differential
+
+    def broken(cat, m):
+        d = honest(cat, m)
+        if m != 1:
+            return d
+        # row 0 of d_1 reads the nonzero row r of d_0, so d_1 d_0 ≠ 0
+        r, _c, _v = next(honest(cat, 0).entries())
+        return Matrix(QQ, d.nrows, d.ncols, {0: {r: 1}})
+
+    monkeypatch.setattr(hochschild, "_full_differential", broken)
+    builds = count_builds(monkeypatch, _homotopy)
+    for field in (GF2, QQ):
+        with pytest.raises(NotASubspace):
+            hochschild_cohomology_dims(fresh_ex6(), field, 1)
+    assert not builds   # the check comes before h
+
+
+def test_one_object_full_dims_build_no_homotopy(monkeypatch):
+    cat = group_from_table(symmetric_group_table(3))   # new, so no memo answers for it
+    builds = count_builds(monkeypatch, _homotopy)
+    assert hochschild_cohomology_dims(cat, GF2, 3) == [3, 2, 2, 2]
+    assert not builds
+    # the counter is live: with two objects h^1..h^(max_m + 1) are built once
+    two = fresh_ex6()
+    assert hochschild_cohomology_dims(two, GF2, 1) == [2, 2]
+    assert hochschild_cohomology_dims(two, GF3, 1) == [2, 0]
+    assert builds == {(id(two), (1,)): 1, (id(two), (2,)): 1}
 
 
 # --- cochains as coefficient tensors ----------------------------------------------

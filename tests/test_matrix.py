@@ -618,6 +618,20 @@ def test_matmul_and_apply():
     assert a @ mk(GF3, [[1], [1]]) == mk(GF3, [[0], [1]])
 
 
+def test_sum_drops_cancelled_entries_and_rows():
+    a = mk(GF3, [[1, 2], [0, 1]])
+    b = mk(GF3, [[2, 2], [0, 2]])
+    assert a + b == mk(GF3, [[0, 1], [0, 0]])
+    assert (a + b).rows == {0: {1: 1}}
+    assert a.rows == {0: {0: 1, 1: 2}, 1: {1: 1}}   # the summands are untouched
+    ints = mk(QQ, [[1, -1], [2, 0]])
+    assert (ints + mk(QQ, [[-1, 1], [0, Fraction(1, 2)]])).rows == {1: {0: 2, 1: Fraction(1, 2)}}
+    with pytest.raises(ValueError):
+        a + mk(GF3, [[1, 2]])
+    with pytest.raises(ValueError):
+        a + mk(GF5, [[1, 2], [0, 1]])
+
+
 def test_serialization_triplets():
     m = mk(QQ, [[0, Fraction(1, 2)], [3, 0]])
     assert m.to_json_dict() == {
