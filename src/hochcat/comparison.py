@@ -84,10 +84,11 @@ ranks the nerve of F^ad's skeleton, a category of its own, when the
 retraction onto it is checked to be a functor with ``c: id ⇒ i∘r`` a
 natural isomorphism (the skeleton lemma in ``nerve``), and that of
 ``F^ad`` otherwise.  The chain identities read F^ad's own coboundaries.
-Either nerve is ranked on one component per class of equal components
-(the component lemma in ``nerve``): a group's skeleton has one component
-per conjugacy class, and an abelian group's ``F^ad`` is its own skeleton,
-its components all one class.
+Either nerve is ranked once per class of components with equal tables,
+on the full subcategory on the class's first component (the component
+lemma in ``nerve``): a group's skeleton has one component per conjugacy
+class, and an abelian group's ``F^ad`` is its own skeleton, its
+components all one class.
 The relative complex takes the nerve's dimensions when the isomorphism
 tier's checks all hold, and is ranked only in the surjection and
 unverified tiers and after a failed check.  For one object the

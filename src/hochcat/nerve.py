@@ -31,11 +31,12 @@ A skeleton S of a category D is the full subcategory on one object per
 isomorphism class; here the least one, ``rep(a)``.  ``_skeleton`` picks an
 isomorphism ``c_a: a → rep(a)`` for each object, the inverse of the least
 isomorphism ``rep(a) → a`` (so ``c_rep`` is the identity), and the
-retraction ``r(g: a → b) = c_b ∘ g ∘ c_a⁻¹`` onto S.  S is a category of
-its own (``_skeleton_category``): its objects are the representatives and
-its arrows those between them, both numbered in ascending order of D's
-indices, and it composes as D does.  Its nerve, coboundaries and classes
-are built as any category's.
+retraction ``r(g: a → b) = c_b ∘ g ∘ c_a⁻¹`` onto S.  A full subcategory
+is a category of its own (``_full_subcategory``): its objects and the
+arrows between them are numbered in ascending order of the parent's
+indices, and it composes as the parent does.  S is the one on the
+representatives (``_skeleton_category``), and its nerve, coboundaries and
+classes are built as any category's.
 
 Lemma (the skeleton): with i: S → D the inclusion, if
 ``_retraction_is_functor`` holds, ``i^*`` induces an isomorphism
@@ -72,41 +73,35 @@ nothing is checked.  The lemma needs nothing but D: for a group C and
 D = ``F^ad(C)``, S is the disjoint union of the centralizers, one per
 conjugacy class.
 
-Lemma (the components): let K and K' be connected components of a
-category E (here S or D) with as many objects and as many arrows, and φ
-the map that sends the i-th object and the j-th arrow of K, in ascending
-index, to the i-th object and the j-th arrow of K'.  If φ keeps sources,
-targets and composites, the blocks of δ^m on the chains of K and of K',
-each renumbered in ascending order, are equal matrices, so
+Lemma (the components): let E be a category (here S or D) and K a full
+subcategory of E, numbered as above.  Then
 
-    dim H^m(E) = Σ_classes (class size) · dim H^m(first component of the class):
+* K's chains, in its own order, are E's chains within K in E's order,
+  and K's coboundary is E's restricted to them: chains are listed in the
+  lexicographic order of their arrows' indices (the prefix order above),
+  the numbering is increasing on arrows, and each face of a chain within
+  K is within K, since K holds every composite of its arrows;
+* when K is a connected component, δ_E is block diagonal, one block per
+  component, and each block is that component's own δ: a chain's objects
+  are joined by its arrows, so each chain lies in one component, that of
+  its last arrow's target (of itself in degree 0), and its faces in the
+  same one;
+* a coboundary reads nothing but the sources, targets, identities and
+  composition table, so two components whose tables are equal have equal
+  coboundaries, and
 
-* a chain's objects are joined by its arrows, so each chain lies in one
-  component, that of its last arrow's target (of itself in degree 0), and
-  its faces in the same one: δ is block diagonal, one block per component;
-* φ is a bijection that keeps composites, so it is an isomorphism of
-  categories (it keeps identities too), and it sends chains of K to chains
-  of K' and each face to the same face;
-* chains are listed in the lexicographic order of their arrows' indices
-  (the prefix order above), and φ is increasing on arrows, so it keeps
-  their order and sends the k-th chain of K in each degree to the k-th
-  of K'.
+    dim H^m(E) = Σ_classes (class size) · dim H^m(first component of the class).
 
-The same argument, with the inclusion i increasing on S's arrows, makes
-S's chains in their order D's chains through representatives in D's
-order, and S's coboundary D's restricted to them.
-
-``_classes`` joins each component to the first class, in the order of the
-components' least objects, whose first component passes this check, and
-compares only components with equal object and arrow counts.  The
-composites read are those of the 2-chains, which the cap admits whenever
-``max_m ≥ 1``; δ^0 reads only sources and targets, so for ``max_m = 0``
-only those are compared.  ``simplicial_cohomology_dims`` ranks, per class,
-E's coboundaries restricted to the chains of its first component, and the
-whole matrices when E is one component; each walk checks ``d∘d = 0`` on
-its own.  For D = ``F^ad`` of an abelian group every component is one
-object carrying the group, all in one class, so ``F^ad(c8)`` is ranked on
-one of its eight components.
+The same argument, with K = S, makes S's coboundary D's restricted to the
+chains through representatives.  ``_classes`` builds each component's
+subcategory and joins it to the class with equal tables, one dict lookup,
+keeping only each class's first subcategory; a category of one component
+is its own class.  ``simplicial_cohomology_dims`` ranks, per class, the
+coboundaries of that subcategory, and each walk checks ``d∘d = 0`` on its
+own.  For ``max_m = 0`` it ranks all of E, since δ^0 reads no composite
+and the cap may admit no 2-chain.  For D = ``F^ad`` of an abelian group
+every component is one object carrying the group, all in one class, so
+``F^ad(c8)`` is ranked on one of its eight components.
 
 Lemma (the cocycles): if ``_retraction_is_functor`` holds, then
 
@@ -278,7 +273,7 @@ def simplicial_coboundary_matrix(cat, m: int, cap: int | None = None) -> Matrix:
     return _coboundary(cat, m)
 
 
-# --- the skeleton and its retraction -------------------------------------------
+# --- full subcategories, the skeleton and its retraction ---------------------
 
 def _inverse(cat: FiniteCategory, f: int):
     """The inverse of f, or None: a g with g∘f and f∘g both identities."""
@@ -319,37 +314,36 @@ def _skeleton(cat: FiniteCategory) -> tuple:
     return tuple(rep), tuple(c), r
 
 
-@memo
-def _skeleton_numbering(cat: FiniteCategory) -> tuple:
-    """``(objects, arrows)``: per representative, and per arrow between
-    representatives, its number in the skeleton (``_skeleton_category``),
-    keyed and numbered in ascending order of ``cat``'s indices."""
-    rep = _skeleton(cat)[0]
-    objects = {x: i for i, x in enumerate(a for a, x in enumerate(rep) if a == x)}
-    arrows = [g for g, (a, b) in enumerate(zip(cat.source, cat.target)) if a in objects and b in objects]
-    return objects, {g: i for i, g in enumerate(arrows)}
-
-
-@memo
-def _skeleton_category(cat: FiniteCategory) -> FiniteCategory:
-    """The skeleton as a category of its own: the full subcategory on the
-    representatives, numbered by ``_skeleton_numbering``, its composition
-    table read with one ``composites`` call per arrow, over the arrows
-    into its source."""
-    objects, arrows = _skeleton_numbering(cat)
-    into = {x: [f for f in cat.morphisms_by_target[x] if f in arrows] for x in objects}
+def _full_subcategory(cat: FiniteCategory, objects) -> FiniteCategory:
+    """The full subcategory of ``cat`` on ``objects``, ascending, as a
+    category of its own: its arrows are those of ``cat`` between them, both
+    numbered in ascending order of ``cat``'s indices, and it composes as
+    ``cat`` does, its table read with one ``composites`` call per arrow,
+    over the arrows into its source."""
+    at = {x: i for i, x in enumerate(objects)}
+    source, target = cat.source, cat.target
+    arrows = {g: i for i, g in enumerate(sorted(
+        g for x in objects for g in cat.morphisms_by_source[x] if target[g] in at))}
+    into = {x: [f for f in cat.morphisms_by_target[x] if source[f] in at] for x in objects}
     table = []
     for g in arrows:
-        row, fs = [UNDEFINED] * len(arrows), into[cat.source[g]]
+        row, fs = [UNDEFINED] * len(arrows), into[source[g]]
         for f, h in zip(fs, cat.composites(g, fs)):
             row[arrows[f]] = arrows[h]
         table.append(tuple(row))
     return FiniteCategory(
         object_names=tuple(map(cat.object_names.__getitem__, objects)),
         morphism_names=tuple(map(cat.morphism_names.__getitem__, arrows)),
-        source=tuple(objects[cat.source[g]] for g in arrows),
-        target=tuple(objects[cat.target[g]] for g in arrows),
+        source=tuple(at[source[g]] for g in arrows),
+        target=tuple(at[target[g]] for g in arrows),
         identity=tuple(arrows[cat.identity[x]] for x in objects), compose_table=tuple(table))
+
+
+@memo
+def _skeleton_category(cat: FiniteCategory) -> FiniteCategory:
+    """The skeleton as a category of its own: the full subcategory on the
+    representatives."""
+    return _full_subcategory(cat, sorted(set(_skeleton(cat)[0])))
 
 
 @memo
@@ -358,19 +352,20 @@ def _retracted(cat: FiniteCategory, m: int) -> array:
     the skeleton's own nerve (``_skeleton_category``); r must be a functor
     onto the skeleton (``_retraction_is_functor``).
 
+    r is the identity on the skeleton (``c_rep = id``), so the skeleton's
+    objects and arrows, ascending, are the images of rep and r, sorted.
     ``r(p, g)`` is ``r p`` extended by ``r g``: ``r p`` ends at
     ``rep(source g)``, the source of ``r g``.
     """
     rep, _c, r = _skeleton(cat)
-    objects, arrows = _skeleton_numbering(cat)
-    if m == 0:
-        return array("l", map(objects.__getitem__, rep))
-    if m == 1:
-        return array("l", map(arrows.__getitem__, r))
+    if m <= 1:
+        image = r if m else rep
+        number = {x: i for i, x in enumerate(sorted(set(image)))}
+        return array("l", map(number.__getitem__, image))
     skeleton = _skeleton_category(cat)
     below, starts = _retracted(cat, m - 1), _layer(skeleton, m - 1)[1]
-    pos = _positions(skeleton)
-    r_pos = [[pos[arrows[r[g]]] for g in outs] for outs in cat.morphisms_by_source]
+    pos, arrows = _positions(skeleton), _retracted(cat, 1)
+    r_pos = [[pos[arrows[g]] for g in outs] for outs in cat.morphisms_by_source]
     out = array("l")
     for p, _first, x in _blocks(cat, m):
         out.extend(map(starts[below[p]].__add__, r_pos[x]))
@@ -415,42 +410,18 @@ def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> dict:
 
 # --- components and their classes ----------------------------------------------------
 
-def _same_component(cat: FiniteCategory, one: tuple, other: tuple, composites: bool) -> bool:
-    """Whether the map that sends the i-th object and the j-th arrow of the
-    component ``one`` to those of ``other`` keeps sources and targets, and
-    with ``composites`` every composite: then it is an isomorphism and the
-    two have equal coboundaries (the component lemma).
-
-    A component is ``(objects, arrows, into)``: its objects and arrows
-    ascending, and per object the arrows into it.  The map keeps targets
-    and is increasing, so it sends the arrows into x to those into its
-    image, in order, and g's composites with them to h's with theirs.
-    """
-    (objects, arrows, into), (objects_2, arrows_2, into_2) = one, other
-    at = dict(zip(objects, objects_2))
-    source, target = cat.source, cat.target
-    if any(at[source[g]] != source[h] or at[target[g]] != target[h]
-           for g, h in zip(arrows, arrows_2)):
-        return False
-    if not composites:
-        return True
-    to = dict(zip(arrows, arrows_2))
-    return all(list(map(to.get, cat.composites(g, into[source[g]])))
-               == cat.composites(h, into_2[source[h]]) for g, h in zip(arrows, arrows_2))
-
-
 @memo
-def _classes(cat: FiniteCategory, composites: bool) -> tuple:
-    """``(root, classes)`` for the components of ``cat``: ``root[x]`` is the
-    least object of x's component, and ``classes`` lists per class of
-    equal components ``(root, size)`` of its first one, in root order.
+def _classes(cat: FiniteCategory) -> tuple:
+    """Per class of equal components of ``cat``, in the order of their least
+    objects, ``(sub, size)``: the full subcategory on the class's first
+    component and the number of components in it; ``((cat, 1),)`` when
+    ``cat`` is one component.
 
     Components are found by union-find over the arrows, each tree hung
-    from its least object.  A component joins the first class whose
-    representative has as many objects and arrows and passes
-    ``_same_component``, reading composites only with ``composites``.
+    from its least object.  Each one's subcategory is built, and it joins
+    the class whose sources, targets, identities and composition table are
+    its own, one dict lookup; only each class's first subcategory is kept.
     """
-    source, target = cat.source, cat.target
     root = list(range(cat.n_objects))
 
     def find(x):
@@ -458,65 +429,21 @@ def _classes(cat: FiniteCategory, composites: bool) -> tuple:
             root[x] = x = root[up]
         return x
 
-    for a, b in zip(source, target):
+    for a, b in zip(cat.source, cat.target):
         a, b = find(a), find(b)
         if a != b:
             root[max(a, b)] = min(a, b)
-    members = {}   # root -> (objects, arrows, into), in root order
+    members: dict = {}   # root -> objects, in root order
     for x in range(cat.n_objects):
-        root[x] = find(x)
-        members.setdefault(root[x], ([], [], {}))[0].append(x)
-    for g, y in enumerate(target):
-        _objects, mine, into = members[root[y]]
-        mine.append(g)
-        into.setdefault(y, []).append(g)
-    firsts, classes = {}, {}   # (objects, arrows) counts -> class representatives
-    for k, part in members.items():
-        same = firsts.setdefault((len(part[0]), len(part[1])), [])
-        first = next((j for j in same if _same_component(cat, members[j], part, composites)), None)
-        if first is None:
-            same.append(k)
-            classes[k] = 1
-        else:
-            classes[first] += 1
-    return tuple(root), tuple(classes.items())
-
-
-def _by_component(cat: FiniteCategory, m: int, root) -> dict:
-    """The degree-m chains, ascending, by the root of their component: that
-    of the last arrow's target, or of the object."""
-    ends = map(cat.target.__getitem__, _layer(cat, m)[0]) if m else range(cat.n_objects)
-    out: dict = {}
-    for i, x in enumerate(ends):
-        out.setdefault(root[x], []).append(i)
-    return out
-
-
-def _submatrix(delta: Matrix, rows, cols) -> Matrix:
-    """``delta``'s rows ``rows`` and columns ``cols``, both ascending,
-    renumbered in their order; ``delta`` itself when they are all of it.
-    The picked rows must read only the picked columns."""
-    if len(rows) == delta.nrows and len(cols) == delta.ncols:
-        return delta
-    col_of = {c: j for j, c in enumerate(cols)}
-    picked = ((i, delta.rows.get(r)) for i, r in enumerate(rows))
-    return Matrix(QQ, len(rows), len(cols),
-                  {i: {col_of[c]: v for c, v in row.items()} for i, row in picked if row})
-
-
-def _class_complexes(cat: FiniteCategory, max_m: int) -> list:
-    """Per class of equal components of ``cat``, its size and the
-    coboundaries ``δ^0..δ^max_m`` of its first component: ``cat``'s
-    restricted to that component's chains, and the whole matrices for one
-    component.  The caller checks the chain counts against the cap;
-    composites are compared only from ``max_m`` 1 on, where the 2-chains
-    are within it.
-    """
-    deltas = [_coboundary(cat, m) for m in range(max_m + 1)]
-    root, classes = _classes(cat, max_m > 0)
-    at = [_by_component(cat, m, root) for m in range(max_m + 2)]
-    return [(size, [_submatrix(delta, at[m + 1][k], at[m][k]) for m, delta in enumerate(deltas)])
-            for k, size in classes]
+        members.setdefault(find(x), []).append(x)
+    if len(members) == 1:
+        return ((cat, 1),)
+    classes: dict = {}   # tables -> [first subcategory, size]
+    for objects in members.values():
+        sub = _full_subcategory(cat, objects)
+        tables = (sub.source, sub.target, sub.identity, sub.compose_table)
+        classes.setdefault(tables, [sub, 0])[1] += 1
+    return tuple(map(tuple, classes.values()))
 
 
 # --- cohomology ------------------------------------------------------------------
@@ -525,7 +452,7 @@ def _skeleton_applies(cat: FiniteCategory) -> bool:
     """Whether the skeleton stands for ``cat`` in every degree and field:
     it is smaller than ``cat`` and ``_retraction_is_functor`` holds (the
     skeleton lemma)."""
-    return len(_skeleton_numbering(cat)[0]) < cat.n_objects and _retraction_is_functor(cat)
+    return len(set(_skeleton(cat)[0])) < cat.n_objects and _retraction_is_functor(cat)
 
 
 def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = None) -> Subspace:
@@ -560,14 +487,16 @@ def simplicial_cohomology_dims(cat, field: FieldSpec, max_m: int, cap: int | Non
     skeleton lemma applies, a decision made once for every degree and
     field, and that of ``cat`` otherwise, once per class of equal
     components, each class's dimensions counting once per component in it
-    (the component lemma).
+    (the component lemma).  Degree 0 alone is ranked on the whole
+    category, which reads no composite.
     """
     check_degree(max_m)
     check_sizes(nerve_sizes(cat), max_m + 1, cap)
     if _skeleton_applies(cat):
         cat = _skeleton_category(cat)
     dims = [0] * (max_m + 1)
-    for size, deltas in _class_complexes(cat, max_m):
+    for part, size in _classes(cat) if max_m else ((cat, 1),):
+        deltas = [_coboundary(part, m) for m in range(max_m + 1)]
         for m, dim in enumerate(cohomology_dims(deltas, field)):
             dims[m] += size * dim
     return dims

@@ -619,7 +619,7 @@ def skeleton_dims(cat, skeleton, p, max_m) -> list:
 
 # --- components and their classes, by search ----------------------------------------
 
-def component_classes(cat, keep=None, composites=True) -> list:
+def component_classes(cat, keep=None) -> list:
     """``[(objects, size)]``: per class of equal components of the full
     subcategory on ``keep`` (every object by default), the objects of its
     first component and the number of components in the class.
@@ -627,8 +627,8 @@ def component_classes(cat, keep=None, composites=True) -> list:
     Components come by breadth-first search, in the order of their least
     objects.  One joins the first class whose first component it matches
     under the map that sends the i-th object and the j-th arrow of that
-    component, ascending, to its own i-th and j-th: sources and targets
-    agree, and with ``composites`` the composite of every composable pair.
+    component, ascending, to its own i-th and j-th: sources, targets and
+    the composite of every composable pair agree.
     """
     src, tgt = cat.source, cat.target
     keep = set(range(cat.n_objects) if keep is None else keep)
@@ -655,8 +655,8 @@ def component_classes(cat, keep=None, composites=True) -> list:
             to = dict(zip(theirs, mine))
             if any(at[src[g]] != src[to[g]] or at[tgt[g]] != tgt[to[g]] for g in theirs):
                 continue
-            if composites and any(to[cat.compose(g, f)] != cat.compose(to[g], to[f])
-                                  for g in theirs for f in theirs if src[g] == tgt[f]):
+            if any(to[cat.compose(g, f)] != cat.compose(to[g], to[f])
+                   for g in theirs for f in theirs if src[g] == tgt[f]):
                 continue
             cls[2] += 1
             break

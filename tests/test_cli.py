@@ -136,7 +136,9 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     # one degree up, for x_chain's product with δ (ex6 has two objects, so
     # the x_chain lemma does not apply).  The certified report reads the
     # relative dimensions off the nerve, so no relative (or normalized)
-    # differential is built.
+    # differential is built.  δ is built on two categories: on F^ad for the
+    # chain identities, and on the full subcategory on the first of F^ad's
+    # two equal components, the one class that is ranked.
     memos = {
         "hochschild": hochschild._full_differential,
         "relative": hochschild._relative_differential,
@@ -149,6 +151,7 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
                    for name in ("t_map_matrix", "x_map_matrix")})
     wanted = {"hochschild": {0, 1, 2}, "relative": set(), "normalized": set(), "nerve": {0, 1, 2},
               "reads": {0, 1, 2, 3}, "t_map_matrix": set(), "x_map_matrix": {1, 2, 3}}
+    categories = {"nerve": 2}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
                     "--output", "json", capsys=capsys)
     assert code == 0 and json.loads(out)["verdict"] == "isomorphism"
@@ -157,7 +160,9 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
         assert {args[-1] for _cat, args in calls} == degrees, name
         if not degrees:
             continue
-        assert len({cat for cat, _args in calls}) == 1, name
+        on = {cat for cat, _args in calls}
+        assert len(on) == categories.get(name, 1), name
+        assert all({args[-1] for c, args in calls if c == cat} == degrees for cat in on), name
         assert {args[:-1] for _cat, args in calls} in ({()}, {(QQ,)}), name
         assert set(calls.values()) == {1}, (name, calls)
 

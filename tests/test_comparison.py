@@ -341,18 +341,20 @@ def test_derived_tables_die_with_their_category():
     del cat
     gc.collect()
     assert ref() is None
-    # a group's report memoizes the skeleton and its numbering on F^ad, and
-    # the skeleton as a category, whose own memos hold its classes
+    # a group's report memoizes the skeleton on F^ad, and the skeleton as a
+    # category, whose own memos hold its classes' first subcategories
     group = group_from_table(symmetric_group_table(3), object_name="x'")
     skeleton = nerve._skeleton_category(adjoint_category(group))
-    refs = [weakref.ref(group), weakref.ref(adjoint_category(group)), weakref.ref(skeleton)]
     assert theorem_a_report(group, GF2, 2).verdict == "isomorphism"
     memos = {fn for fn, _args in adjoint_category(group).__dict__["_memo"]}
-    assert {nerve._skeleton, nerve._skeleton_numbering, nerve._skeleton_category} <= memos
+    assert {nerve._skeleton, nerve._skeleton_category} <= memos
     assert nerve._classes in {fn for fn, _args in skeleton.__dict__["_memo"]}
+    refs = [weakref.ref(c) for c in (group, adjoint_category(group), skeleton,
+                                     *(sub for sub, _size in nerve._classes(skeleton)))]
+    assert len(refs) == 6
     del group, memos, skeleton
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 6
 
 
 def test_theorem_a_checks_the_cap_before_assembly(monkeypatch):
@@ -384,7 +386,7 @@ def test_prism_identity_caps_the_fad_nerve(monkeypatch):
     # (2·3^4 = 162 > 100); the cap refuses before the skeleton, its check
     # or any coboundary is built
     builds = [count_builds(monkeypatch, fn) for fn in
-              (_coboundary, _layer, _skeleton, nerve._skeleton_numbering, nerve._skeleton_category)]
+              (_coboundary, _layer, _skeleton, nerve._skeleton_category, nerve._classes)]
     checks = []
     monkeypatch.setattr(nerve, "_retraction_is_functor", checks.append)
     with pytest.raises(DimensionCapExceeded) as refused:
@@ -1074,15 +1076,18 @@ def test_set_fact_witnesses_are_the_products_of_the_reads(monkeypatch, reshape, 
 def test_the_memos_serve_every_field_from_one_build(monkeypatch):
     # one s3 object certified over GF(2), GF(3) and Q: ∂ and δ are integer
     # matrices, each built once per degree, F^ad's skeleton is found and
-    # built as a category once, and its δ (ranked) and F^ad's (in the
-    # chain identities) are each built once per degree
+    # built as a category once, and F^ad's δ (in the chain identities) and
+    # those of the first subcategories of the skeleton's classes (ranked)
+    # are each built once per degree; the whole skeleton's δ is not built
     cat = fresh("s3")
     fad = adjoint_category(cat)
     builds = {fn: count_builds(monkeypatch, fn) for fn in (_full_differential, _coboundary)}
     skeletons = [count_builds(monkeypatch, fn) for fn in (_skeleton, nerve._skeleton_category)]
     for field in (GF2, GF3, QQ):
         assert theorem_a_report(cat, field, 2).verdict == "isomorphism", field
-    memos = {_full_differential: (cat,), _coboundary: (fad, nerve._skeleton_category(fad))}
+    firsts = [sub for sub, _size in nerve._classes(nerve._skeleton_category(fad))]
+    assert len(firsts) == 3
+    memos = {_full_differential: (cat,), _coboundary: (fad, *firsts)}
     for fn, on in memos.items():
         assert builds[fn] == {(id(c), (m,)): 1 for c in on for m in range(3)}, fn.__name__
     assert skeletons == [{(id(fad), ()): 1}] * 2

@@ -136,12 +136,14 @@ def test_universal_coefficients_on_the_relative_complex(name):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_universal_coefficients_on_the_nerve_of_fad(monkeypatch, name):
     # through simplicial_cohomology_dims, so through the skeleton where it
-    # applies, with the factors of the complexes it ranks, one per class
+    # applies, with the factors of the complexes it ranks, one per class:
+    # the coboundaries of the class's first subcategory
     fad = adjoint_category(FIXTURES[name])
     ranked = spy_nerve_eliminations(monkeypatch)
     over_q = simplicial_cohomology_dims(fad, QQ, MAX_M)
     target = nerve._skeleton_category(fad) if nerve._skeleton_applies(fad) else fad
-    complexes = nerve._class_complexes(target, MAX_M)
+    complexes = [(size, [nerve._coboundary(sub, m) for m in range(MAX_M + 1)])
+                 for sub, size in nerve._classes(target)]
     assert ranked == [deltas for _size, deltas in complexes]
     factored = [(size, factors_of(deltas)) for size, deltas in complexes]
     for field in PRIMES:

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -17,8 +20,7 @@ from hochcat.category import AdjointCategory
 from hochcat.errors import DimensionCapExceeded
 from hochcat.matrix import Matrix, cohomology_dims
 from hochcat.nerve import (
-    _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_category, _skeleton_numbering,
-    nerve_sizes,
+    _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_category, nerve_sizes,
 )
 
 from . import oracles
@@ -361,9 +363,10 @@ def test_the_skeletons_coboundaries_restrict_those_of_fad(name):
     # renumbered in order: S's arrows are numbered in F^ad's order, so its
     # chain order is F^ad's restricted.  Where S is F^ad, the two agree.
     fad = adjoint_category(SKELETONS[name])
-    reps = set(_skeleton_numbering(fad)[0])
+    reps = set(_skeleton(fad)[0])
     skeleton = _skeleton_category(fad)
-    assert (skeleton.n_objects, skeleton.n_morphisms) == tuple(map(len, _skeleton_numbering(fad)))
+    assert skeleton.object_names == tuple(fad.object_names[x] for x in sorted(reps))
+    assert skeleton.n_morphisms == len(oracles.chains_within(fad, reps, 1))
     for m in range(3 if name == "d4" else 4):
         delta = simplicial_coboundary_matrix(fad, m)
         assert _coboundary(skeleton, m) == component_block(fad, delta, m, reps), m
@@ -385,11 +388,15 @@ def test_pulling_back_the_unit_cochains_reads_the_retraction(name):
 
 
 def test_dims_build_no_coboundary_of_fad_through_the_skeleton(monkeypatch):
-    # a fresh D4, so no memo answers: only the skeleton's own δ^0..δ^2
+    # a fresh D4, so no memo answers: only δ^0..δ^2 of the full
+    # subcategories on the first components of the skeleton's three
+    # classes, neither F^ad's nor the whole skeleton's
     builds = count_builds(monkeypatch, _coboundary)
     fad = adjoint_category(fresh("d4"))
     dims = simplicial_cohomology_dims(fad, GF2, 2)
-    assert builds == {(id(_skeleton_category(fad)), (m,)): 1 for m in range(3)}
+    firsts = [sub for sub, _size in _classes(_skeleton_category(fad))]
+    assert len(firsts) == 3
+    assert builds == {(id(sub), (m,)): 1 for sub in firsts for m in range(3)}
     assert dims == whole_dims(fad, GF2, 2)
 
 
@@ -405,8 +412,9 @@ def test_characters_build_fads_delta_zero_and_the_skeletons_delta_one(monkeypatc
 
 @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
 def test_a_broken_skeleton_ranks_the_classes_of_fad(monkeypatch, breakage):
-    # the functor check refuses: no skeleton category is built, and F^ad's
-    # own coboundaries are built and ranked, one component per class
+    # the functor check refuses: no skeleton category is built, and the
+    # coboundaries of the full subcategories on the first components of
+    # F^ad's classes are built and ranked: F^ad's own, one component per class
     honest = nerve._skeleton
     monkeypatch.setattr(nerve, "_skeleton", lambda fad: BREAKAGES[breakage](fad, honest(fad)))
     builds = count_builds(monkeypatch, _coboundary)
@@ -414,7 +422,7 @@ def test_a_broken_skeleton_ranks_the_classes_of_fad(monkeypatch, breakage):
     fad = adjoint_category(fresh("d4"))
     ranked = spy_nerve_eliminations(monkeypatch)
     dims = simplicial_cohomology_dims(fad, GF2, 2)
-    assert builds == {(id(fad), (m,)): 1 for m in range(3)}
+    assert builds == {(id(sub), (m,)): 1 for sub, _size in _classes(fad) for m in range(3)}
     assert not skeletons
     own = [_coboundary(fad, m) for m in range(3)]
     assert ranked == class_slices(fad, own)
@@ -437,11 +445,22 @@ def whole_dims(cat, field, max_m) -> list:
     where the skeleton is smaller, those of its own whole δ must agree."""
     whole = list(cohomology_dims([simplicial_coboundary_matrix(cat, m) for m in range(max_m + 1)],
                                  field))
-    if len(_skeleton_numbering(cat)[0]) < cat.n_objects:
+    if len(set(_skeleton(cat)[0])) < cat.n_objects:
         skeleton = _skeleton_category(cat)
         assert list(cohomology_dims([_coboundary(skeleton, m) for m in range(max_m + 1)],
                                     field)) == whole
     return whole
+
+
+def named_classes(cat) -> list:
+    """``_classes(cat)`` as ``(object names of the first component, size)``."""
+    return [(sub.object_names, size) for sub, size in _classes(cat)]
+
+
+def oracle_classes(cat, keep=None) -> list:
+    """``oracles.component_classes(cat, keep)`` in the form of ``named_classes``."""
+    return [(tuple(map(cat.object_names.__getitem__, objects)), size)
+            for objects, size in oracles.component_classes(cat, keep)]
 
 
 def ranked_degrees(cat, limit=5000) -> int:
@@ -463,15 +482,15 @@ def test_class_route_matches_the_whole_complex(name, field):
 def test_class_route_matches_on_repeated_components(name, field):
     # categories whose components repeat, themselves and their F^ad, with
     # the route's classes, of the category and of its skeleton, those of
-    # the oracle's search (the skeleton's roots renumbered as the category's)
+    # the oracle's search, which matches components by an order-preserving
+    # isomorphism, not by their tables (named, so the skeleton's objects
+    # read as the category's)
     for cat in (REPEATED[name], adjoint_category(REPEATED[name])):
         max_m = ranked_degrees(cat)
         assert simplicial_cohomology_dims(cat, field, max_m) == whole_dims(cat, field, max_m)
-        reps = list(_skeleton_numbering(cat)[0])
+        reps = sorted(set(_skeleton(cat)[0]))
         for keep, target in ((None, cat), (reps, _skeleton_category(cat))):
-            want = [(objects[0], size) for objects, size in oracles.component_classes(cat, keep)]
-            at = keep or range(cat.n_objects)
-            assert [(at[k], size) for k, size in _classes(target, True)[1]] == want, keep
+            assert named_classes(target) == oracle_classes(cat, keep), keep
 
 
 def test_the_central_components_of_d4_form_one_class():
@@ -479,22 +498,65 @@ def test_the_central_components_of_d4_form_one_class():
     # and r² (2) carry all of D4, r (1) carries C4, s (4) and sr (5) a V4;
     # they are the skeleton's objects 0..4, each its own component
     fad = adjoint_category(D4)
-    assert list(_skeleton_numbering(fad)[0]) == [0, 1, 2, 4, 5]
-    root, classes = _classes(_skeleton_category(fad), True)
-    assert classes == ((0, 2), (1, 1), (3, 2))
-    assert root == (0, 1, 2, 3, 4)
+    assert sorted(set(_skeleton(fad)[0])) == [0, 1, 2, 4, 5]
+    names = fad.object_names
+    assert named_classes(_skeleton_category(fad)) == \
+        [((names[0],), 2), ((names[1],), 1), ((names[4],), 2)]
 
 
 def test_equal_counts_with_other_composites_are_two_classes():
     # F^ad of C4 ⊔ V4: eight one-object components of four arrows each,
-    # C4's on objects 0..3 and V4's on 4..7; only composites tell them
-    # apart, and degree 0 alone compares none
+    # C4's on objects 0..3 and V4's on 4..7; only their composition tables
+    # tell them apart.  Degree 0 ranks the whole F^ad and builds no class
     fad = adjoint_category(sum_of_groups(C4, V4))
-    assert _classes(fad, True)[1] == ((0, 4), (4, 4))
-    assert _classes(fad, False)[1] == ((0, 8),)
+    assert simplicial_cohomology_dims(fad, GF2, 0) == [8]
+    assert _classes not in {fn for fn, _args in fad.__dict__["_memo"]}
+    names = fad.object_names
+    assert named_classes(fad) == [((names[0],), 4), ((names[4],), 4)]
+    (c4, _), (v4, _) = _classes(fad)
+    assert (c4.source, c4.target, c4.identity) == (v4.source, v4.target, v4.identity)
+    assert c4.compose_table != v4.compose_table
     for field in (GF2, GF3, QQ):
         assert simplicial_cohomology_dims(fad, field, 2) == whole_dims(fad, field, 2)
-    assert simplicial_cohomology_dims(fad, GF2, 0) == [8]
+
+
+def spy_subcategories(monkeypatch) -> list:
+    """A weak reference to every full subcategory built from now on."""
+    built = []
+    honest = nerve._full_subcategory
+
+    def spied(cat, objects):
+        sub = honest(cat, objects)
+        built.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(nerve, "_full_subcategory", spied)
+    return built
+
+
+def test_only_each_class_first_subcategory_stays_alive(monkeypatch):
+    # F^ad of C4 ⊔ V4: every one of the eight components is built as a
+    # subcategory and compared, and only the two classes' first ones are
+    # kept, with their own coboundaries
+    built = spy_subcategories(monkeypatch)
+    fad = adjoint_category(sum_of_groups(C4, V4))
+    assert simplicial_cohomology_dims(fad, GF2, 2) == whole_dims(fad, GF2, 2)
+    gc.collect()
+    alive = [ref() for ref in built if ref() is not None]
+    assert len(built) == 8
+    assert alive == [sub for sub, _size in _classes(fad)]
+    assert all(_coboundary in {fn for fn, _args in sub.__dict__["_memo"]} for sub in alive)
+
+
+@pytest.mark.parametrize("name", ("c2", "cn:5", "ex6", "diamond", "chain:3"))
+def test_one_component_builds_no_subcategory(monkeypatch, name):
+    # a connected category is its own class: it is ranked itself (a copy,
+    # so no memo answers for it)
+    built = spy_subcategories(monkeypatch)
+    cat = dataclasses.replace(builtin(name))
+    assert simplicial_cohomology_dims(cat, GF3, 2) == whole_dims(cat, GF3, 2)
+    assert _classes(cat) == ((cat, 1),)
+    assert not built
 
 
 @pytest.mark.parametrize(("name", "skeleton", "first", "other"), (
@@ -504,16 +566,19 @@ def test_equal_counts_with_other_composites_are_two_classes():
     ("d4", True, {3}, {4}),   # F^ad's 4 and 5
 ))
 def test_same_class_components_slice_to_equal_matrices(name, skeleton, first, other):
+    # ``first`` is the first component of a class of several, ``other``
+    # another component: the class's subcategory's own δ is the block of
+    # the whole δ on either one's chains (the component lemma)
     cat = REPEATED.get(name) or FIXTURES[name]
     fad = adjoint_category(cat)
     target = _skeleton_category(fad) if skeleton else fad
-    root, classes = _classes(target, True)
-    (k,) = {root[x] for x in first}
-    assert (k, 1) not in classes and k in dict(classes)
-    assert {root[x] for x in other} != {k}
+    names = tuple(target.object_names[x] for x in sorted(first))
+    ((sub, size),) = [(sub, size) for sub, size in _classes(target) if sub.object_names == names]
+    assert size > 1
+    assert not {target.object_names[x] for x in other} & set(names)
     for m in range(3):
         delta = simplicial_coboundary_matrix(target, m)
-        assert component_block(target, delta, m, first) == \
+        assert _coboundary(sub, m) == component_block(target, delta, m, first) == \
             component_block(target, delta, m, other), m
 
 
@@ -521,15 +586,17 @@ def test_same_class_components_slice_to_equal_matrices(name, skeleton, first, ot
 def test_one_walk_per_class(monkeypatch, name):
     cat = REPEATED.get(name) or FIXTURES[name]
     fad = adjoint_category(cat)
-    skeleton = len(_skeleton_numbering(fad)[0]) < fad.n_objects
-    target = _skeleton_category(fad) if skeleton else fad
-    classes = _classes(target, True)[1]
+    target = _skeleton_category(fad) if nerve._skeleton_applies(fad) else fad
     ranked = spy_nerve_eliminations(monkeypatch)
     assert simplicial_cohomology_dims(fad, GF3, 2) == whole_dims(fad, GF3, 2)
+    classes = _classes(target)
     assert len(ranked) == len(classes)
+    # each class's subcategory's memoized matrices themselves
+    for deltas, (sub, _size) in zip(ranked, classes):
+        assert all(d is _coboundary(sub, m) for m, d in enumerate(deltas))
     if len(classes) == 1 and classes[0][1] == 1:
-        # one component: the memoized matrices themselves, not a slice
-        assert all(d is _coboundary(target, m) for m, d in enumerate(ranked[0]))
+        # one component: the category itself, no subcategory
+        assert classes[0][0] is target
 
 
 @pytest.mark.parametrize("k", (3, 5))
