@@ -247,7 +247,7 @@ def _run_cohomology(cmd: Command) -> Report:
         want_full, want_rel = False, True
     if want_full:
         theories["full"] = hochschild_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
-    if want_rel and want_full and relative_is_full(cat, cmd.max_degree + 1):
+    if want_rel and want_full and relative_is_full(cat):
         theories["relative"] = list(theories["full"])  # the same complex
     elif want_rel:
         theories["relative"] = relative_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)

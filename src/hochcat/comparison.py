@@ -71,7 +71,7 @@ Lemma (the relative complex): in the isomorphism tier, if every check of
 degrees m − 1 and m holds, ``T_*`` and ``X_*`` are inverse maps between
 ``H^m(rel)`` and ``H^m(F^ad)``, whatever the number of objects:
 
-* the relative complex is a subcomplex (``_relative_differential`` raises
+* the relative complex is a subcomplex (``_sliced_differential`` raises
   ``NotASubcomplex`` otherwise), and ``t_chain`` and ``x_chain`` in degrees
   m − 1 and m make T and X commute with the differentials around degree m;
 * ``two_sided_relative(m)``: T reads only relative columns (so X = Tᵀ
@@ -134,7 +134,7 @@ from .hochschild import (
     relative_cohomology_dims,
     relative_is_full,
     relative_sizes,
-    _relative_of_full,
+    _slice,
 )
 from .matrix import Matrix, Reading, VerificationResult, cohomology
 from .nerve import _blocks, nerve_sizes, simplicial_coboundary_matrix, simplicial_cohomology_dims
@@ -180,12 +180,12 @@ def _read(cat: FiniteCategory, m: int) -> array:
 @memo
 def _read_relative(cat: FiniteCategory, m: int) -> tuple:
     """``(T_rel, None)``, T^m as a ``Reading`` of the relative columns (of
-    the full ones when the relative basis is the full one), or
-    ``(None, c)`` for the first column c that T reads outside it."""
+    the full ones with one object, listing no basis), or ``(None, c)`` for
+    the first column c that T reads outside it."""
     read = _read(cat, m)
-    if relative_is_full(cat, m):
+    if relative_is_full(cat):
         return Reading(read, hochschild_basis_size(cat, m)), None
-    rel_of_full = _relative_of_full(cat, m)
+    rel_of_full = _slice(cat, m, False)[1]
     renumbered = array("l", map(rel_of_full.get, read, repeat(-1)))
     if -1 in renumbered:
         return None, read[renumbered.index(-1)]
@@ -341,7 +341,7 @@ def _checks(cat: FiniteCategory, field: FieldSpec, m: int, cap: int | None, tier
         return ()
     t_chain = verify_t_chain_identity(cat, field, m, cap)
     section = verify_section(cat, field, m, cap)
-    if (relative_is_full(cat, m + 1) and t_chain and section
+    if (relative_is_full(cat) and t_chain and section
             and _reading(cat, m + 1, cap).T.identity_difference(field) is None):
         x_chain = VerificationResult("x_chain", m, True)   # the x_chain lemma
     else:
@@ -376,7 +376,7 @@ def theorem_a_report(cat: FiniteCategory, field: FieldSpec, max_m: int,
         dims_r = dims_s
     else:
         dims_r = relative_cohomology_dims(cat, field, max_m, cap)
-    if relative_is_full(cat, max_m + 1):
+    if relative_is_full(cat):
         dims_h = dims_r
     elif tier == "unverified":
         dims_h = hochschild_cohomology_dims(cat, field, max_m, cap)

@@ -1177,7 +1177,7 @@ def basis_route(cat, field, max_m: int, cap, checks: list) -> list:
     full = (hochschild_differential_matrix(cat, m, cap) for m in rng)
     nerve = (simplicial_coboundary_matrix(fad, m, cap) for m in rng)
     relative = None
-    if not relative_is_full(cat, max_m + 1):
+    if not relative_is_full(cat):
         relative = iter(cohomology_dims((relative_differential_matrix(cat, m, cap) for m in rng), field))
     out = []
     for m, (Z_h, B_h, dim_h), (Z_s, B_s, dim_s), ch in zip(rng, cohomology(full, field),

@@ -135,15 +135,15 @@ def test_every_import_is_read():
     assert unread == []
 
 
-def private_nerve_names_read_by(fname: str) -> list:
-    """The private ``nerve`` functions and classes that module ``fname`` imports or reads."""
+def private_names_read_by(module: str, fname: str) -> list:
+    """The private functions and classes of ``module`` that module ``fname`` imports or reads."""
     trees = dict(module_trees())
-    private = {node.name for node in ast.walk(trees["nerve.py"])
+    private = {node.name for node in ast.walk(trees[f"{module}.py"])
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
     tree = trees[fname]
     imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "nerve"
+                if isinstance(node, ast.ImportFrom) and node.module == module
                 for alias in node.names}
     return sorted(private & (imported | names_read(tree)))
 
@@ -152,13 +152,24 @@ def test_comparison_reads_no_private_nerve_name_but_its_chains():
     # the skeleton, its retraction and its check are the nerve's own business:
     # comparison walks F^ad's chains by prefix (to read T) and ranks it
     # through the public route
-    assert private_nerve_names_read_by("comparison.py") == ["_blocks"]
+    assert private_names_read_by("nerve", "comparison.py") == ["_blocks"]
 
 
 def test_derivations_reads_no_private_nerve_name():
     # the characters come through the public cocycle route, whichever
     # complex it eliminates
-    assert private_nerve_names_read_by("derivations.py") == []
+    assert private_names_read_by("nerve", "derivations.py") == []
+
+
+def test_comparison_reads_no_private_hochschild_name_but_the_relative_index():
+    # the differentials and the homotopy are the complex's own business:
+    # comparison renumbers T's reads through the relative basis index
+    assert private_names_read_by("hochschild", "comparison.py") == ["_slice"]
+
+
+def test_derivations_reads_no_private_hochschild_name():
+    # Theorem B's relative differential comes through the public route
+    assert private_names_read_by("hochschild", "derivations.py") == []
 
 
 # --- degrees ---------------------------------------------------------------------

@@ -141,15 +141,14 @@ def test_compare_builds_each_table_once(monkeypatch, capsys):
     # two equal components, the one class that is ranked.
     memos = {
         "hochschild": hochschild._full_differential,
-        "relative": hochschild._relative_differential,
-        "normalized": hochschild._normalized_differential,
+        "sliced": hochschild._sliced_differential,
         "nerve": nerve._coboundary,
         "reads": comparison._read,
     }
     builds = {name: count_builds(monkeypatch, fn) for name, fn in memos.items()}
     builds.update({name: count_map_builds(monkeypatch, name)
                    for name in ("t_map_matrix", "x_map_matrix")})
-    wanted = {"hochschild": {0, 1, 2}, "relative": set(), "normalized": set(), "nerve": {0, 1, 2},
+    wanted = {"hochschild": {0, 1, 2}, "sliced": set(), "nerve": {0, 1, 2},
               "reads": {0, 1, 2, 3}, "t_map_matrix": set(), "x_map_matrix": {1, 2, 3}}
     categories = {"nerve": 2}
     code, out = cli("compare", "ex6", "--field", "gf:2", "--max-degree", "2",
@@ -495,7 +494,7 @@ def test_derivations_reuse_the_full_differential_of_one_object(monkeypatch, caps
     argv = ["derivations", "cn:3", "--field", "q", "--output", "json"]
     code, shared = cli(*argv, capsys=capsys)
     assert code == 0
-    monkeypatch.setattr(hochschild, "relative_is_full", lambda cat, top: False)
+    monkeypatch.setattr(hochschild, "relative_is_full", lambda cat: False)
     assert cli(*argv, capsys=capsys) == (code, shared)
 
 
@@ -557,7 +556,7 @@ def test_compare_a_group_with_a_misread_chain_prints_the_basis_route(monkeypatch
     argv = ("compare", "c2", "--field", "gf:2", "--max-degree", "2", "--output", "json")
     code, out = cli(*argv, capsys=capsys)
     assert code == 1 and json.loads(out)["verdict"] == "failed"
-    monkeypatch.setattr(comparison, "relative_is_full", lambda cat, top: False)
+    monkeypatch.setattr(comparison, "relative_is_full", lambda cat: False)
     assert cli(*argv, capsys=capsys) == (code, out)
 
 
@@ -575,7 +574,7 @@ def test_derivations_c2(capsys):
 def test_derivations_honours_the_cap(monkeypatch, capsys):
     # the F^ad 2-chains and the relative sizes are counted, never enumerated
     builds = [count_builds(monkeypatch, fn)
-              for fn in (hochschild._relative_basis_cached, nerve._layer)]
+              for fn in (hochschild._slice, nerve._layer)]
     start = time.perf_counter()
     # cn:4 has a 16-cell composition table, so a cap of 16 admits the fixture
     code = main(["derivations", "cn:4", "--cap", "16"])

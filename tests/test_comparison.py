@@ -34,8 +34,7 @@ from hochcat.comparison import _read_relative, _relative_reading
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated, NotChainCompatible
 from hochcat.hochschild import (
     _full_differential,
-    _relative_basis_cached,
-    _relative_of_full,
+    _slice,
     basis_index,
     hochschild_basis,
     hochschild_basis_size,
@@ -409,7 +408,7 @@ def test_t_map_caps_the_fad_nerve(monkeypatch):
 def test_relative_maps_cap_the_bases_before_listing(monkeypatch):
     # {e, z}: 2^5 = 32 relative cochains in degree 4 fit under 100, but the
     # F^ad chains pass it there (2·3^4 = 162); c2 passes at 2^7 in degree 6
-    builds = [count_builds(monkeypatch, fn) for fn in (_layer, _relative_basis_cached)]
+    builds = [count_builds(monkeypatch, fn) for fn in (_layer, _slice)]
     with pytest.raises(DimensionCapExceeded) as refused:
         _relative_reading(z_monoid(), 4, 100)
     assert (refused.value.degree, refused.value.required) == (4, 162)
@@ -538,7 +537,7 @@ def degree_bound(cat) -> int:
 def test_group_rank_route_matches_the_basis_route(name, field):
     cat = FIXTURES[name]
     max_m = degree_bound(cat)
-    assert relative_is_full(cat, max_m + 1)
+    assert relative_is_full(cat)
     rep = theorem_a_report(cat, field, max_m)
     assert rep.tier == "isomorphism"
     assert summary(rep) == basis_route(cat, field, max_m)
@@ -638,7 +637,7 @@ def test_group_with_a_misread_chain_ranks_the_nerve(monkeypatch):
 
 
 misread_t1_outside = misread(1, lambda cat, read, ncols: next(
-    c for c in range(ncols) if c not in _relative_of_full(cat, 1)))
+    c for c in range(ncols) if c not in _slice(cat, 1, False)[1]))
 
 
 @pytest.mark.parametrize("field", (GF2, QQ), ids=str)
@@ -649,7 +648,7 @@ def test_t_reading_a_non_relative_column_is_no_relative_map(monkeypatch, field):
     monkeypatch.setattr(comparison, "_read", misread_t1_outside(comparison._read))
     cat = builtin("ex6")
     outside = next(c for c in range(hochschild_basis_size(cat, 1))
-                   if c not in _relative_of_full(cat, 1))
+                   if c not in _slice(cat, 1, False)[1])
     check = verify_two_sided_on_relative(cat, field, 1)
     assert (check.ok, check.first_difference) == (False, (outside, -1, "image not relative", None))
     with pytest.raises(NotChainCompatible):
@@ -745,10 +744,20 @@ def test_two_objects_with_a_skeleton_rank_only_the_skeleton(monkeypatch, field):
     assert [rec.dim_simplicial for rec in rep.degrees] == S3_PLUS_C2_DIMS[field]
 
 
+FRESH_TABLES = {"s3": lambda: symmetric_group_table(3), "d4": lambda: dihedral_group_table(4)}
+
+
 def fresh(name):
-    """A group equal to a catalog one but built anew, so no memo answers for it."""
-    table = dihedral_group_table(4) if name == "d4" else symmetric_group_table(3)
-    return group_from_table(table)
+    """A group equal to a catalog one but built anew, so no memo answers for
+    it; ``KeyError`` for a name with no table here."""
+    return group_from_table(FRESH_TABLES[name]())
+
+
+def test_fresh_builds_the_group_it_names():
+    assert (fresh("s3").n_morphisms, fresh("d4").n_morphisms) == (6, 8)
+    assert fresh("s3") is not fresh("s3")
+    with pytest.raises(KeyError):
+        fresh("cn:3")
 
 
 @pytest.mark.parametrize("name", ("s3", "d4", "cn:3"))
@@ -995,7 +1004,7 @@ def moved(cat, read, ncols):
 
 def outside(cat, read, ncols):
     """Row 0 reads the first column that is not relative (no row reads it)."""
-    return next(c for c in range(ncols) if c not in _relative_of_full(cat, 1))
+    return next(c for c in range(ncols) if c not in _slice(cat, 1, False)[1])
 
 
 MISREADS = {"shared": shared, "moved": moved, "outside": outside}

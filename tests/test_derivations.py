@@ -20,7 +20,7 @@ from hochcat import (
 )
 from hochcat.errors import DimensionCapExceeded, HypothesisViolated
 from hochcat.hochschild import (
-    _relative_basis_cached,
+    _slice,
     basis_index,
     relative_basis,
     relative_differential_matrix,
@@ -378,7 +378,7 @@ def test_theorem_b_refuses_in_the_order_of_the_eliminating_report(monkeypatch, n
     order = [*zip((1, 2), itertools.islice(nerve_sizes(adjoint_category(cat)), 1, 3)),
              *zip((1, 2), itertools.islice(relative_sizes(cat), 1, 3))]
     chains = count_builds(monkeypatch, _layer)
-    bases = count_builds(monkeypatch, _relative_basis_cached)
+    bases = count_builds(monkeypatch, _slice)
     for cap in sorted({size - 1 for _m, size in order}):
         first = next((m, size) for m, size in order if size > cap)
         assert refusal(lambda: theorem_b_report(cat, GF2, cap)) == first, cap
@@ -396,9 +396,9 @@ def test_theorem_b_builds_each_relative_table_once_per_degree(monkeypatch):
     # maps all read the relative index and T's relative reads, and each is
     # built once per degree
     cat = boolean_lattice(4)
-    builds = [count_builds(monkeypatch, fn)
-              for fn in (hochschild._relative_of_full, comparison._read_relative)]
+    slices = count_builds(monkeypatch, hochschild._slice)
+    reads = count_builds(monkeypatch, comparison._read_relative)
     rep = theorem_b_report(cat, QQ)
     assert (rep.dim_derivations, rep.dim_characters, rep.bijection) == (15, 15, True)
-    for calls in builds:
-        assert calls == {(id(cat), (1,)): 1, (id(cat), (2,)): 1}
+    assert slices == {(id(cat), (1, False)): 1, (id(cat), (2, False)): 1}
+    assert reads == {(id(cat), (1,)): 1, (id(cat), (2,)): 1}

@@ -14,6 +14,7 @@ from hochcat import (
     hochschild_differential_matrix,
     relative_basis,
     relative_cohomology_dims,
+    verify_two_sided_on_relative,
 )
 from hochcat import hochschild
 from hochcat.errors import DimensionCapExceeded, NotASubcomplex, NotASubspace
@@ -21,10 +22,8 @@ from hochcat.hochschild import (
     _full_differential,
     _homotopy,
     _homotopy_holds,
-    _normalized_basis,
-    _normalized_differential,
-    _relative_basis_cached,
-    _relative_differential,
+    _slice,
+    _sliced_differential,
     basis_index,
     check_sizes,
     hochschild_basis,
@@ -203,15 +202,16 @@ def test_relative_differential_refuses_a_term_outside_the_subcomplex(monkeypatch
     cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
     col = relative_basis(cat, 1)[0]
     hit = next(iter(oracles.column_contributions(cat, *col)))
-    index_of = hochschild._relative_of_full
+    honest = hochschild._slice
 
-    def dropping(cat, m):
-        rows = dict(index_of(cat, m))   # a copy: the memoized index stays whole
+    def dropping(cat, m, normalized):
+        basis, rows = honest(cat, m, normalized)
+        rows = dict(rows)   # a copy: the memoized index stays whole
         if m == 2:
             del rows[basis_index(cat, *hit)]
-        return rows
+        return basis, rows
 
-    monkeypatch.setattr(hochschild, "_relative_of_full", dropping)
+    monkeypatch.setattr(hochschild, "_slice", dropping)
     with pytest.raises(NotASubcomplex) as refused:
         relative_differential_matrix(cat, 1)
     assert str(refused.value) == \
@@ -225,19 +225,19 @@ def test_each_differential_is_built_once_for_every_field(monkeypatch):
     cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
     fad = adjoint_category(cat)
     builders = (
-        (_full_differential, cat, hochschild_differential_matrix),
-        (_relative_differential, cat, relative_differential_matrix),
-        (_normalized_differential, cat, _normalized_differential),
-        (_coboundary, fad, simplicial_coboundary_matrix),
+        (_full_differential, cat, hochschild_differential_matrix, (1,)),
+        (_sliced_differential, cat, relative_differential_matrix, (1, False)),
+        (_sliced_differential, cat, lambda cat, m: _sliced_differential(cat, m, True), (1, True)),
+        (_coboundary, fad, simplicial_coboundary_matrix, (1,)),
     )
-    for memoized, on, matrix in builders:
+    for memoized, on, matrix, key in builders:
         builds = count_builds(monkeypatch, memoized)
         integer = matrix(on, 1)
         assert matrix(on, 1) is integer
         assert integer.field == QQ and all(type(v) is int for _r, _c, v in integer.entries())
         for field in (GF2, GF3):
             assert integer.rank(field) == oracles.reduced(integer, field).rank()
-        assert builds == {(id(on), (1,)): 1}, memoized
+        assert builds == {(id(on), key): 1}, memoized
 
 
 # --- cohomology dimensions ----------------------------------------------------
@@ -303,6 +303,26 @@ def test_check_cap_reads_running_products():
         check_sizes(hochschild_sizes(EX6), 0, 5)
 
 
+def test_every_route_builds_each_slice_once_per_degree_and_flag(monkeypatch):
+    # a fresh copy of ex6 (two objects, so the relative complex is not the
+    # full one) through every public reader of the slices: each basis and
+    # each sliced differential is built once per (m, normalized), and every
+    # memo key carries the flag, so no slice is built twice under two keys
+    cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
+    slices = count_builds(monkeypatch, _slice)
+    sliced = count_builds(monkeypatch, _sliced_differential)
+    for _ in range(2):
+        assert len(relative_basis(cat, 1)) == len(_slice(cat, 1, False)[1])
+        relative_differential_matrix(cat, 1)
+        assert relative_cohomology_dims(cat, GF2, 2) == hochschild_cohomology_dims(cat, GF2, 2)
+        assert verify_two_sided_on_relative(cat, GF2, 1).ok
+    assert slices == {(id(cat), (m, normalized)): 1
+                      for m, normalized in [(0, False), (1, False), (2, False),
+                                            (0, True), (1, True), (2, True), (3, True)]}
+    assert sliced == {(id(cat), (1, False)): 1,
+                      (id(cat), (0, True)): 1, (id(cat), (1, True)): 1, (id(cat), (2, True)): 1}
+
+
 def test_relative_basis_at_a_degree_deeper_than_the_recursion_limit():
     # triv has one composable chain per degree; enumerating it must not recurse
     deep = sys.getrecursionlimit() + 50
@@ -311,7 +331,7 @@ def test_relative_basis_at_a_degree_deeper_than_the_recursion_limit():
 
 def test_relative_cap_is_checked_before_assembly(monkeypatch):
     cat = builtin("chain:4")
-    builds = count_builds(monkeypatch, _relative_basis_cached)
+    builds = count_builds(monkeypatch, _slice)
     with pytest.raises(DimensionCapExceeded) as refused:
         relative_differential_matrix(cat, 7, cap=5)
     # the first relative basis over the cap is degree 1's, as for the full
@@ -332,7 +352,7 @@ def test_relative_cap_is_checked_before_assembly(monkeypatch):
     assert not full
     # the counter is live: an allowed degree enumerates both its bases once
     relative_differential_matrix(cat, 1)
-    assert builds == {(id(cat), (1,)): 1, (id(cat), (2,)): 1}
+    assert builds == {(id(cat), (1, False)): 1, (id(cat), (2, False)): 1}
 
 
 # --- relative subcomplex ---------------------------------------------------------
@@ -366,13 +386,23 @@ compose h2 h2 = h
 
 def test_relative_is_full_exactly_for_one_object():
     for name, cat in FIXTURES.items():
-        assert relative_is_full(cat, 3) == (cat.n_objects == 1), name
+        assert relative_is_full(cat) == (cat.n_objects == 1), name
     # C2 + C3: every morphism is an endomorphism, so degree 0 agrees, but
     # 25 pairs in degree 1 against 2^2 + 3^2 composable ones
     cat = parse_category(C2_PLUS_C3_TEXT)
     assert list(itertools.islice(relative_sizes(cat), 2)) == [5, 13]
-    assert relative_is_full(cat, 0) and not relative_is_full(cat, 1)
+    assert not relative_is_full(cat)
     assert relative_differential_matrix(cat, 0).nrows == 13
+    # the empty category has every cochain space zero; two bare objects
+    # have 2 relative pairs in degree 1 against 4 full ones
+    empty = parse_category("")
+    assert relative_is_full(empty)
+    assert list(itertools.islice(relative_sizes(empty), 3)) == [0, 0, 0]
+    assert list(itertools.islice(hochschild_sizes(empty), 3)) == [0, 0, 0]
+    discrete = parse_category(
+        "object x\nobject y\nmorphism ex : x -> x identity\nmorphism ey : y -> y identity\n")
+    assert not relative_is_full(discrete)
+    assert list(itertools.islice(relative_sizes(discrete), 2)) == [2, 2]
 
 
 def test_one_object_relative_complex_is_the_full_one():
@@ -381,7 +411,7 @@ def test_one_object_relative_complex_is_the_full_one():
         if cat.n_objects != 1:
             continue
         max_m = 2 if cat.n_morphisms <= 4 else 1
-        assert relative_is_full(cat, max_m + 1), name
+        assert relative_is_full(cat), name
         for field in FIELDS:
             assert hochschild_cohomology_dims(cat, field, max_m) == \
                 relative_cohomology_dims(cat, field, max_m), (name, str(field))
@@ -482,9 +512,9 @@ def identity_free(cat, pairs) -> list:
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_normalized_differential_is_the_identity_free_slice(name):
     cat = FIXTURES[name]
-    mats = [_normalized_differential(cat, m) for m in range(4)]
+    mats = [_sliced_differential(cat, m, True) for m in range(4)]
     for m, d in enumerate(mats):
-        assert list(_normalized_basis(cat, m)) == identity_free(cat, relative_basis(cat, m))
+        assert list(_slice(cat, m, True)[0]) == identity_free(cat, relative_basis(cat, m))
         assert d == oracles.normalized_relative_differential(cat, m), (name, m)
         assert all(type(v) is int for _r, _c, v in d.entries())
     for d, prev in zip(mats[1:], mats):
@@ -495,19 +525,20 @@ def test_normalized_differential_refuses_a_term_outside_the_slice(monkeypatch):
     # drop one row from the degree-2 normalized basis map: the first column
     # with a term there must name itself and the dropped pair
     cat = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
-    col = _normalized_basis(cat, 1)[0]
+    col = _slice(cat, 1, True)[0][0]
     hit = identity_free(cat, oracles.column_contributions(cat, *col))[0]
-    index_of = hochschild._normalized_of_full
+    honest = hochschild._slice
 
-    def dropping(cat, m):
-        rows = dict(index_of(cat, m))   # a copy: the memoized index stays whole
+    def dropping(cat, m, normalized):
+        basis, rows = honest(cat, m, normalized)
+        rows = dict(rows)   # a copy: the memoized index stays whole
         if m == 2:
             del rows[basis_index(cat, *hit)]
-        return rows
+        return basis, rows
 
-    monkeypatch.setattr(hochschild, "_normalized_of_full", dropping)
+    monkeypatch.setattr(hochschild, "_slice", dropping)
     with pytest.raises(NotASubcomplex) as refused:
-        _normalized_differential(cat, 1)
+        _sliced_differential(cat, 1, True)
     assert str(refused.value) == \
         f"differential leaves the normalized subcomplex at degree 1: column {col} hits {hit}"
 
@@ -535,17 +566,17 @@ def test_normalized_dims_equal_the_long_route(name, max_m, full, field):
 
 
 def test_dims_check_d_squared_on_the_normalized_complex(monkeypatch):
-    honest = hochschild._normalized_differential
+    honest = hochschild._sliced_differential
 
-    def broken(cat, m):
-        d = honest(cat, m)
-        if m != 1:
+    def broken(cat, m, normalized):
+        d = honest(cat, m, normalized)
+        if m != 1 or not normalized:
             return d
         # row 0 of d_1 reads the nonzero row r of d_0, so d_1 d_0 ≠ 0
-        r, _c, _v = next(honest(cat, 0).entries())
+        r, _c, _v = next(honest(cat, 0, normalized).entries())
         return Matrix(QQ, d.nrows, d.ncols, {0: {r: 1}})
 
-    monkeypatch.setattr(hochschild, "_normalized_differential", broken)
+    monkeypatch.setattr(hochschild, "_sliced_differential", broken)
     for dims, cat in ((hochschild_cohomology_dims, S3), (relative_cohomology_dims, S3),
                       (relative_cohomology_dims, EX6)):
         with pytest.raises(NotASubspace):
@@ -555,10 +586,10 @@ def test_dims_check_d_squared_on_the_normalized_complex(monkeypatch):
 def test_one_object_dims_build_no_full_differential(monkeypatch):
     cat = group_from_table(symmetric_group_table(3))   # new, so no memo answers for it
     full = count_builds(monkeypatch, _full_differential)
-    normalized = count_builds(monkeypatch, _normalized_differential)
+    normalized = count_builds(monkeypatch, _sliced_differential)
     assert hochschild_cohomology_dims(cat, GF2, 3) == [3, 2, 2, 2]
     assert not full
-    assert normalized == {(id(cat), (m,)): 1 for m in range(4)}
+    assert normalized == {(id(cat), (m, True)): 1 for m in range(4)}
     # the counters are live: with two objects the full complex is ranked
     two = dataclasses.replace(EX6, object_names=tuple(f"{x}'" for x in EX6.object_names))
     assert hochschild_cohomology_dims(two, GF2, 1) == [2, 2]

@@ -61,7 +61,7 @@ COPRODUCTS = (("c2", "diamond"), ("s3", "ex6"), ("a2", "cn:3"))
 def test_a_coproduct_adds_its_parts(left, right, field):
     c, d = FIXTURES[left], FIXTURES[right]
     both = coproduct(c, d)
-    assert both.n_objects == c.n_objects + d.n_objects and not relative_is_full(both, 1)
+    assert both.n_objects == c.n_objects + d.n_objects and not relative_is_full(both)
     rel = [relative_cohomology_dims(cat, field, MAX_M) for cat in (both, c, d)]
     assert rel[0] == [x + y for x, y in zip(rel[1], rel[2])]
     assert theorem_a_report(both, field, MAX_M).verdict == "isomorphism"
