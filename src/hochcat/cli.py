@@ -13,7 +13,6 @@ fixed and timing is reported only in text mode.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -37,7 +36,6 @@ from .fixtures import builtin
 from .hochschild import (
     DEFAULT_BASIS_CAP,
     hochschild_cohomology_dims,
-    hochschild_sizes,
     relative_cohomology_dims,
     relative_is_full,
 )
@@ -236,21 +234,21 @@ def _run_cohomology(cmd: Command) -> Report:
     field = cmd.field
     notices: list[str] = []
     theories: dict = {}
-    want_full = cmd.theory in ("full", "both")
-    want_rel = cmd.theory in ("relative", "both")
-    sizes = itertools.islice(hochschild_sizes(cat), cmd.max_degree + 2)
-    full_fits = all(size <= cmd.cap for size in sizes)
-    if want_full and not full_fits and cmd.theory == "both":
-        notices.append(
-            f"full complex exceeds cap ({cmd.cap}); reporting the relative complex only"
-        )
-        want_full, want_rel = False, True
-    if want_full:
-        theories["full"] = hochschild_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
-    if want_rel and want_full and relative_is_full(cat):
-        theories["relative"] = list(theories["full"])  # the same complex
-    elif want_rel:
-        theories["relative"] = relative_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
+    if cmd.theory in ("full", "both"):
+        # the full dims refuse an oversized complex before any work
+        try:
+            theories["full"] = hochschild_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
+        except DimensionCapExceeded:
+            if cmd.theory == "full":
+                raise
+            notices.append(
+                f"full complex exceeds cap ({cmd.cap}); reporting the relative complex only"
+            )
+    if cmd.theory in ("relative", "both"):
+        if "full" in theories and relative_is_full(cat):
+            theories["relative"] = list(theories["full"])  # the same complex
+        else:
+            theories["relative"] = relative_cohomology_dims(cat, field, cmd.max_degree, cmd.cap)
     payload = {
         "category": _category_summary(name, cat),
         "field": field.name,

@@ -53,7 +53,7 @@ are packed into Python ints and finished by XOR, one machine word per 64
 columns instead of one dict operation per nonzero (``_gf2_tail``).  The
 pivots are the RREF pivots either way, so ranks, the canonical RREF and
 kernels do not depend on where the switch happens.  GF(p) for odd p and
-Q never count the fill and never switch.
+Q never switch.
 
 A rank is the number of pivots of any echelon form, so over GF(p)
 ``Matrix.rank`` skips back-substitution, which on a large differential
@@ -83,8 +83,9 @@ and the dim x n sparse matrix ``Matrix.rref`` returns.  Membership,
 containment and coordinates all come from one sparse step, clearing a
 vector's pivot columns with the basis rows (``_residue``, through
 ``Subspace.residues``), so no basis vector is ever written out densely.
-The same step checks a modular lift and reduces each row of a tall
-matrix.
+The same step checks a modular lift, reduces each row of a tall matrix
+and back-substitutes the sweep's pivot rows.  ``restricted_map`` reads
+the coordinates of vectors in a subspace as a ``Reading`` of its pivots.
 """
 
 from __future__ import annotations
@@ -550,7 +551,8 @@ def _residue(v, pivot_rows, sub, den=1):
     there and zero at every other pivot column, so the residue is zero at
     every pivot column, whatever the order of the steps.  This one step
     serves membership (``Subspace.residues``), the exact check of a lift
-    (``_verified``) and the reduction of each row in ``_rref_by_rows``.
+    (``_verified``), the reduction of each row in ``_rref_by_rows`` and
+    the back-substitution of the sweep (``_back_substitute``).
     With ``den`` 1, a ``v`` that meets no pivot is its own residue and is
     returned as it is, not copied.
     """
@@ -583,22 +585,21 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
     sweep removes exactly that.  The column index dies on return, before
     back-substitution fills the pivot rows, so the two never peak together.
 
-    With ``gf2`` set (the hooks are those of GF(2)), the elimination is
-    sparse, then dense.  The same pivots are chosen, but a row update is
-    the symmetric difference of two supports, and it keeps a count of the
+    One row update serves every field: over GF(2) ``sub`` flips the
+    support, since every scalar is 1.  The sweep keeps a count of the
     nonzeros of the active rows (the nonzero rows not yet chosen), O(1)
-    per row update.  Once the count passes ``_GF2_TAIL_DENSITY`` of the
-    block left (active rows x columns right of the pivot), on a block of
-    at least ``_GF2_TAIL_MIN_CELLS`` cells, the column index is dropped and
-    ``_gf2_tail`` finishes on int bitsets.  Without ``gf2`` nothing is
-    counted and the loop is the generic one.
+    per row update.  With ``gf2`` set (the hooks are those of GF(2)), the
+    elimination is sparse, then dense: once the count passes
+    ``_GF2_TAIL_DENSITY`` of the block left (active rows x columns right of
+    the pivot), on a block of at least ``_GF2_TAIL_MIN_CELLS`` cells, the
+    column index is dropped and ``_gf2_tail`` finishes on int bitsets.
+    Without ``gf2`` the count is never read.
     """
     col_rows: dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    if gf2:
-        live, active = sum(map(len, rows)), sum(1 for row in rows if row)
+    live, active = sum(map(len, rows)), sum(1 for row in rows if row)
     piv_list = []  # (col, row) in selection order == ascending column order
     for pc in range(ncols):
         cand = col_rows.get(pc)
@@ -613,40 +614,27 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
             for c in list(prow):
                 prow[c] = mul(factor, prow[c])
         piv_list.append((pc, pr))
-        if not gf2:
-            for i in list(col_rows.get(pc, ())):
-                row = rows[i]
-                f = row[pc]
-                for c, v in prow.items():
-                    w = sub(row.get(c, 0), f, v)
-                    if w:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(i)
-                        row[c] = w
-                    else:
-                        if c in row:
-                            del row[c]
-                            col_rows[c].discard(i)
-            continue
-        # every GF(2) scalar is 1, so ``sub`` would flip the support: a row
-        # update is a symmetric difference, and it keeps the count current
         live -= len(prow)
         active -= 1
         for i in list(col_rows.get(pc, ())):
             row = rows[i]
             live -= len(row)
-            for c in prow:
-                if c in row:
-                    del row[c]
-                    col_rows[c].discard(i)
+            f = row[pc]
+            for c, v in prow.items():
+                w = sub(row.get(c, 0), f, v)
+                if w:
+                    if c not in row:
+                        col_rows.setdefault(c, set()).add(i)
+                    row[c] = w
                 else:
-                    row[c] = 1
-                    col_rows.setdefault(c, set()).add(i)
+                    if c in row:
+                        del row[c]
+                        col_rows[c].discard(i)
             live += len(row)
             if not row:
                 active -= 1
         cells = active * (ncols - 1 - pc)
-        if cells >= _GF2_TAIL_MIN_CELLS and live > _GF2_TAIL_DENSITY * cells:
+        if gf2 and cells >= _GF2_TAIL_MIN_CELLS and live > _GF2_TAIL_DENSITY * cells:
             del col_rows
             chosen = {r for _, r in piv_list}
             return piv_list + _gf2_tail(rows, chosen, ncols)
@@ -721,29 +709,17 @@ def _gf2_tail(rows, chosen, ncols):
 
 
 def _back_substitute(rows, piv_list, sub):
-    """Clear pivot-column contamination from pivot rows and emit RREF order.
+    """Clear each pivot row at the later pivot columns and emit RREF order.
 
     Forward elimination only updates rows not yet chosen as pivots, so a
-    pivot row can be contaminated exactly at pivot columns selected after
-    it.  Sweeping in reverse selection order therefore only ever subtracts
-    rows that are already fully reduced.
+    pivot row is nonzero at no pivot column but its own and those selected
+    after it.  In reverse selection order each pivot row becomes its
+    ``_residue`` against the later pivot rows, which are already reduced:
+    unit pivots, zero at each other's pivots and left of their own.
     """
-    piv_row_of = {c: r for c, r in piv_list}
-    for k in range(len(piv_list) - 2, -1, -1):
-        pc, pr = piv_list[k]
-        row = rows[pr]
-        contaminated = sorted(c for c in row if c != pc and c in piv_row_of)
-        for c in contaminated:
-            f = row.get(c)
-            if not f:
-                continue
-            other = rows[piv_row_of[c]]
-            for cc, v in other.items():
-                w = sub(row.get(cc, 0), f, v)
-                if w:
-                    row[cc] = w
-                else:
-                    row.pop(cc, None)
+    done = {}   # pivot column -> reduced pivot row, for the later pivots
+    for pc, pr in reversed(piv_list):
+        done[pc] = rows[pr] = _residue(rows[pr], done, sub)
     return _in_pivot_order(rows, piv_list)
 
 
@@ -1082,16 +1058,11 @@ def restricted_map(images: Matrix, dst: Subspace) -> Matrix:
 
     Row j of ``images`` is the map applied to basis row j of ``src``.
     Column j of the result holds its ``dst`` coordinates;
-    NotChainCompatible when an image leaves ``dst``.
+    NotChainCompatible when an image leaves ``dst``.  An image in ``dst``
+    is the combination of ``dst``'s rows given by its entries at the pivot
+    columns, so the coordinates are those entries: ``images`` times the
+    transpose of the ``Reading`` of the pivots, transposed.
     """
     if not dst.residues(images).is_zero():
         raise NotChainCompatible("map leaves the target subspace")
-    # an image in dst is the combination of dst's rows given by its pivot entries
-    r_of = {p: r for r, p in enumerate(dst.pivots)}
-    rows = {}
-    for j, image in images.rows.items():
-        for c, v in image.items():
-            r = r_of.get(c)
-            if r is not None:
-                rows.setdefault(r, {})[j] = v
-    return Matrix(images.field, dst.dim, images.nrows, rows)
+    return (images @ Reading(dst.pivots, dst.ambient_dim).T).transpose()

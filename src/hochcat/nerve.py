@@ -115,7 +115,9 @@ Lemma (the cocycles): if ``_retraction_is_functor`` holds, then
 
 So ``simplicial_cocycle_space`` is the row space of the rows ``z∘r``, one
 per basis row z of ``ker δ^m_S``, and the rows of ``(δ^(m−1)_D)ᵀ``, one per
-(m−1)-chain; ``_retracted`` numbers each rσ among S's own chains.  Only
+(m−1)-chain.  ``_retracted`` numbers each rσ among S's own chains, so it
+is the index array of a ``matrix.Reading`` R, row σ reading column rσ,
+and the rows z∘r are those of ``Z @ R.T``, Z the cocycle basis.  Only
 S's coboundary is eliminated, and D's ``δ^m`` is not built.  For ``F^ad``
 of ``s4`` that is 681 × 43 against D's 13,824 × 576 in degree 1.
 """
@@ -129,7 +131,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from .category import UNDEFINED, FiniteCategory, memo
 from .fields import QQ, FieldSpec
 from .hochschild import check_degree, check_sizes
-from .matrix import Matrix, Subspace, cohomology_dims
+from .matrix import Matrix, Reading, Subspace, cohomology_dims
 
 
 def nerve_sizes(cat: FiniteCategory):
@@ -395,19 +397,6 @@ def _retraction_is_functor(cat: FiniteCategory) -> bool:
                for g in range(cat.n_morphisms))
 
 
-def _pulled_back(cat: FiniteCategory, m: int, cochains: Matrix) -> dict:
-    """The rows ``z∘r`` of the rows z of ``cochains``, degree-m cochains of the
-    skeleton's own nerve, in the coordinates of the degree-m chains of
-    ``cat``, by row number; r must be a functor onto the skeleton
-    (``_retraction_is_functor``)."""
-    at = _retracted(cat, m)
-    rows = {}
-    for k, z in cochains.rows.items():
-        if row := {i: z[j] for i, j in enumerate(at) if j in z}:
-            rows[k] = row
-    return rows
-
-
 # --- components and their classes ----------------------------------------------------
 
 @memo
@@ -463,14 +452,18 @@ def simplicial_cocycle_space(cat, field: FieldSpec, m: int, cap: int | None = No
     When the skeleton lemma applies, the cocycles are spanned by those of
     the skeleton's own nerve pulled back along r and the coboundaries of
     degree m − 1 (the cocycle lemma), and ``δ^m`` of ``cat`` is never
-    built; otherwise it is eliminated.
+    built; otherwise it is eliminated.  The pulled-back rows z∘r are the
+    product of the skeleton's cocycle basis with the transpose of the
+    ``Reading`` of ``_retracted``.
     """
     check_degree(m)
     check_sizes(nerve_sizes(cat), m + 1, cap)
     if not _skeleton_applies(cat):
         return _coboundary(cat, m).kernel_basis(field)
     cocycles = _coboundary(_skeleton_category(cat), m).kernel_basis(field).basis
-    rows, nrows = _pulled_back(cat, m, cocycles), cocycles.nrows
+    # z∘r: column j of the cocycles to every chain σ with rσ = j
+    rows = (cocycles @ Reading(_retracted(cat, m), cocycles.ncols).T).rows
+    nrows = cocycles.nrows
     if m:   # and the rows of (δ^(m−1))ᵀ below them
         bounded = _coboundary(cat, m - 1).transpose(field)
         rows.update((nrows + i, row) for i, row in bounded.rows.items())

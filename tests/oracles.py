@@ -97,7 +97,12 @@ def naive_rref(rows, p) -> tuple[list, list]:
 # modular one replaces, and not the route a tall matrix takes.
 
 def fraction_rref(m):
-    """``(pivots, R)`` of a Q matrix from ``_echelon`` and ``_back_substitute`` on Fraction rows."""
+    """``(pivots, R)`` of a Q matrix from ``_echelon`` and ``_back_substitute`` on Fraction rows.
+
+    The engine's own sweep on Fractions, so it shares the engine's
+    residue back-substitution; ``naive_rref`` is the oracle that shares no
+    step with the engine.
+    """
     from hochcat.fields import QQ
     from hochcat.matrix import Matrix, _back_substitute, _echelon, _scalar_hooks
 

@@ -73,6 +73,20 @@ def names_in_the_library_table() -> list:
     return [name for row in rows for name in re.findall(r"`(\w+)`", row)]
 
 
+def test_the_library_example_runs_as_its_comments_say(capsys):
+    # the one python block of README's "Library" section, executed as it
+    # stands: the Hochschild and nerve dims of ex6 over GF(2) agree, the
+    # verdict is the one its comment names, and Theorem B is a bijection
+    blocks = re.findall(r"^```python\n(.*?)^```", library_section(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[1] == lines[2] == "[2, 2, 2]"
+    assert lines[3] == "isomorphism"
+    assert lines[-1] == "True"
+
+
 def test_every_public_name_is_used_or_documented():
     allowed = names_read_by_the_engine() | names_documented_as_library()
     assert sorted(set(hochcat.__all__) - allowed) == []

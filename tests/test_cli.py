@@ -251,7 +251,8 @@ def test_cohomology_both_eliminates_a_one_object_category_once(monkeypatch, tmp_
     # one object: the relative complex is the full one, so --theory both
     # copies the full dimensions, which are ranked on the normalized complex
     # with no full differential built; C2 + C3 still eliminates its relative
-    # complex and ranks its full one
+    # complex, and builds its full differentials only to check d∘d and the
+    # homotopy identity, never ranking them
     full = count_builds(monkeypatch, hochschild._full_differential)
     routes = []
     relative_dims = cli_module.relative_cohomology_dims
@@ -355,6 +356,29 @@ def test_cap_refuses_before_any_work(capsys, argv, message):
     cap = argv[argv.index("--cap") + 1]
     assert capsys.readouterr().err == f"error: {message} basis elements, cap is {cap}\n"
     assert elapsed < 1.0
+
+
+def test_cohomology_both_falls_back_exactly_past_the_full_cap(capsys):
+    # chain:3 has 6 arrows, so the full degree-3 basis that --max-degree 2
+    # reads has 6^4 = 1296 elements: a cap of 1296 admits both theories, and
+    # 1295 leaves --theory both the relative one, with the notice, and
+    # refuses --theory full
+    argv = ["cohomology", "chain:3", "--field", "gf:2", "--max-degree", "2", "--output", "json"]
+    code, out = cli(*argv, "--cap", "1296", capsys=capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["theories"] == {"full": [1, 0, 0], "relative": [1, 0, 0]}
+    assert payload["notices"] == []
+    code, out = cli(*argv, "--cap", "1295", capsys=capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["theories"] == {"relative": [1, 0, 0]}
+    assert payload["notices"] == [
+        "full complex exceeds cap (1295); reporting the relative complex only"]
+    assert main([*argv, "--theory", "full", "--cap", "1295"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree 3 needs 1296 basis elements, cap is 1295\n"
 
 
 @pytest.mark.parametrize("argv, message", [

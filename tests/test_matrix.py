@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from array import array
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hochcat import (
     adjoint_category,
+    builtin,
     hochschild_cohomology_dims,
     hochschild_differential_matrix,
     relative_cohomology_dims,
@@ -1006,6 +1008,17 @@ def test_gf2_tail_waits_for_fill_on_a_large_block():
         with _tail_threshold(matrix._GF2_TAIL_DENSITY, matrix._GF2_TAIL_MIN_CELLS) as switches:
             pivots, _R = m.rref(reduced=False)
         assert switches == expected and len(pivots) == m.nrows
+
+
+def test_gf2_fill_count_switches_at_fixed_pivots_on_cn6():
+    # the fill count decides where the sweep moves to bitsets, and no answer
+    # depends on it, so only the switch points show a drift in the count:
+    # the relative complex of cn:6 over GF(2) switches after 1, 1 and 526
+    # pivots at the module's own constants
+    with _tail_threshold(matrix._GF2_TAIL_DENSITY, matrix._GF2_TAIL_MIN_CELLS) as switches:
+        dims = relative_cohomology_dims(dataclasses.replace(builtin("cn:6")), GF2, 4)
+    assert dims == [6] * 5
+    assert switches == [1, 1, 526]
 
 
 def test_only_gf2_enters_the_tail(monkeypatch):

@@ -18,7 +18,7 @@ from hochcat import (
 from hochcat import nerve
 from hochcat.category import AdjointCategory
 from hochcat.errors import DimensionCapExceeded
-from hochcat.matrix import Matrix, cohomology_dims
+from hochcat.matrix import Matrix, Reading, cohomology_dims
 from hochcat.nerve import (
     _classes, _coboundary, _layer, _retracted, _skeleton, _skeleton_category, nerve_sizes,
 )
@@ -203,8 +203,9 @@ def test_offset_addressing_matches_the_tuple_oracles(name):
             for field in (GF2, GF3, QQ):
                 z = Matrix.from_rows(field, [[rng.randrange(-2, 3) for _ in inside]
                                              for _ in range(3)], len(inside))
-                assert nerve._pulled_back(target, m, z) == Matrix.from_entries(
-                    field, 3, counts[m], oracles.pulled_back_entries(target, found, m, z)).rows
+                pulled = z @ Reading(_retracted(target, m), len(inside)).T
+                assert pulled == Matrix.from_entries(
+                    field, 3, counts[m], oracles.pulled_back_entries(target, found, m, z))
 
 
 def test_a_retraction_that_moves_a_target_leaves_the_chains_in_degree_two(monkeypatch):
@@ -382,8 +383,9 @@ def test_pulling_back_the_unit_cochains_reads_the_retraction(name):
     for m in range(3):
         inside = [i for i, ch in enumerate(oracles.nerve_chain_list(fad, m))
                   if all(found[0][x] == x for x in oracles._path_objects(fad, ch))]
-        pulled = nerve._pulled_back(fad, m, Matrix.identity(QQ, len(inside)))
-        assert {(i, inside[k]): v for k, row in pulled.items() for i, v in row.items()} == \
+        units = Matrix.identity(QQ, len(inside))
+        pulled = units @ Reading(_retracted(fad, m), len(inside)).T
+        assert {(i, inside[k]): v for k, row in pulled.rows.items() for i, v in row.items()} == \
             oracles.retraction_entries(fad, found, m), m
 
 
