@@ -4,13 +4,14 @@ A matrix is its nonzero rows: ``Matrix.rows`` maps a row index to a dict
 column -> nonzero scalar, and holds no empty row (the differentials of a
 poset are mostly zero rows).  Elimination, products, subspace residues and
 the modular lift all work on these row dicts, so no operation
-converts between formats.  Elimination is generic over the field through
-three scalar hooks (ints mod p for GF(p), ints and Fractions for Q), and
-``_rref_sparse`` picks its route by shape alone: the column sweep
-(``_echelon``, with column-indexed bookkeeping and Markowitz-style row
-selection, then ``_back_substitute``) for wide and square matrices and
-over GF(2), and a row-by-row reduction against a reduced basis
-(``_rref_by_rows``) for tall matrices over odd p and Q.
+converts between formats.  The engine takes a field as one int, its
+modulus: p for GF(p), where each row update is reduced mod p, or None for
+exact arithmetic on ints and Fractions over Q.  ``_rref_sparse`` picks
+its route by shape and modulus: the column sweep (``_echelon``, with
+column-indexed bookkeeping and Markowitz-style row selection, then
+``_back_substitute``) for wide and square matrices and for p = 2, and a
+row-by-row reduction against a reduced basis (``_rref_by_rows``) for
+tall matrices otherwise.
 
 Where a field enters.  The engine's structural matrices (differentials,
 coboundaries, the maps T and X) are integer matrices: matrices
@@ -167,25 +168,14 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
-        """Dense rows of field scalars, as for ``from_entries``; over GF(p)
-        each is reduced mod p."""
-        p = field.p
-        exact = int if p is not None else (int, Fraction)
+        """Dense rows of field scalars, checked and reduced as by ``from_entries``."""
         rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        out = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if not isinstance(v, exact):
-                    raise TypeError(f"entry ({i}, {j}) is {v!r}, not a scalar of {field}")
-            if p is not None:
-                row = [v % p for v in row]
-            if nonzero := {j: v for j, v in enumerate(row) if v != 0}:
-                out[i] = nonzero
-        return cls(field, len(rows), ncols, out)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls.from_entries(field, len(rows), ncols, (
+            ((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row)))
 
     @classmethod
     def zeros(cls, field, nrows, ncols) -> "Matrix":
@@ -342,22 +332,25 @@ class Matrix:
 
         Returns ``(pivot_cols, R)`` where R holds only the nonzero rows, in
         pivot order.  By default R is the canonical RREF of the row space.
-        With ``reduced=False`` over GF(p), R is the forward elimination
-        alone: unit pivots and zeros left of each pivot, but rows not
-        cleared above later pivots.  Its pivots are still the RREF pivots.
-        Over Q, R is always the RREF: eliminated modulo one prime, lifted
-        by rational reconstruction and checked exactly, or computed on
-        Fractions when the lift fails or the check refuses it
-        (``_rref_modular``), which ``reduced=False`` does not change.
+        With ``reduced=False`` over GF(p), R is a row echelon form with the
+        RREF pivots, unit pivots and zeros left of each pivot: the column
+        sweep's forward elimination alone, its rows not cleared above later
+        pivots, or the RREF where a tall matrix over odd p is reduced row
+        by row (``_rref_sparse``).  Over Q, R is always the RREF:
+        eliminated modulo one prime, lifted by rational reconstruction and
+        checked exactly, or computed on Fractions when the lift fails or
+        the check refuses it (``_rref_modular``), which ``reduced=False``
+        does not change.
         """
         field = self._in_field(field)
         if field.is_prime_field:
             # copies, in ascending row index: the engine works in place,
             # and its ties are broken by position
+            p = field.p
             if field == self.field:
                 rows = [dict(self.rows[r]) for r in sorted(self.rows)]
             else:   # an integer matrix, reduced mod p as it is copied
-                p, rows = field.p, []
+                rows = []
                 with _integers_only(field):
                     for r in sorted(self.rows):
                         row = {}
@@ -366,12 +359,7 @@ class Matrix:
                                 row[c] = v
                         if row:
                             rows.append(row)
-            hooks = _scalar_hooks(field)
-            gf2 = field.p == 2
-            if reduced:
-                pivots, rows = _rref_sparse(rows, self.ncols, *hooks, gf2=gf2)
-            else:
-                pivots, rows = _in_pivot_order(rows, _echelon(rows, self.ncols, *hooks, gf2=gf2))
+            pivots, rows = _rref_sparse(rows, self.ncols, p, reduced)
         else:
             pivots, rows = _rref_modular(self)
         return tuple(pivots), Matrix(field, len(pivots), self.ncols, dict(enumerate(rows)))
@@ -388,21 +376,23 @@ class Matrix:
         """Row rank in ``field`` (as for ``rref``), through ``rref`` so that
         one entry point sees every elimination.
 
-        A tall matrix over odd p or Q (more nonzero rows than columns) is
-        reduced as it stands, row by row (``_rref_by_rows``): faster than
-        sweeping its wide transpose, and over Q ``rref`` certifies the full
-        RREF whatever the shape.  Otherwise over GF(p) the side with fewer
-        rows is swept forward only (``reduced=False``): any echelon form has
-        one pivot per unit of rank.  Over GF(2) the sweep's bitset tail beats
-        the row route, so a tall matrix is swept through its transpose,
-        whose entries an integer matrix reduces as it is taken.
+        Any echelon form has one pivot per unit of rank, so the rank is
+        read off ``rref(field, reduced=False)``; the one decision here is
+        whether to take it of the transpose.  Over GF(p) a matrix with
+        fewer columns than rows is transposed (its entries reduced as they
+        move) when the column sweep will eliminate it: over GF(2), whose
+        bitset tail beats the row route, and over odd p when its nonzero
+        rows number at most its columns.  A matrix over odd p with more
+        nonzero rows than columns is left tall for ``_rref_sparse`` to
+        reduce row by row, faster than sweeping its wide transpose.  Over
+        Q nothing is transposed: ``rref`` certifies the full RREF whatever
+        the shape.
         """
         field = self._in_field(field)
         p = field.p
-        if p is None or (p != 2 and len(self.rows) > self.ncols):
-            return len(self.rref(field)[0])
-        narrow = self.ncols < self.nrows
-        return len((self.transpose(field) if narrow else self).rref(field, reduced=False)[0])
+        if p and self.ncols < self.nrows and (p == 2 or len(self.rows) <= self.ncols):
+            return len(self.transpose(field).rref(field, reduced=False)[0])
+        return len(self.rref(field, reduced=False)[0])
 
     def kernel_basis(self, field: FieldSpec | None = None) -> "Subspace":
         """Canonical basis of the right kernel (solutions of Mx = 0) in
@@ -450,53 +440,45 @@ def _integers_only(field: FieldSpec):
 
 # --- elimination ----------------------------------------------------------------
 #
-# GF(p) works on ints mod p, Q on Fractions (``Subspace.residues`` and the
-# fallback of ``_rref_modular`` when its one-prime lift fails or its exact
-# check refuses it); the engine only sees the hooks.
+# The engine's one field parameter is the modulus p: GF(p) works on ints
+# mod p, and None means Q, on ints and Fractions (``Subspace.residues``,
+# the exact check of a lift and the fallback of ``_rref_modular`` when its
+# one-prime lift fails or its check refuses it).  A row update is written
+# out where it runs, ``a - f*b`` reduced mod p when p is set.
 
 def _times(s: int, row: dict) -> dict:
     """The row dict ``s * row``; ``row`` itself when s is 1."""
     return row if s == 1 else dict(zip(row, map(partial(mul, s), row.values())))
 
 
-def _scalar_hooks(field: FieldSpec) -> tuple:
-    """``(inv, mul, sub)`` with ``sub(a, f, b) = a - f*b`` in the field."""
-    if field.is_prime_field:
-        return _mod_hooks(field.p)
-    return (
-        lambda a: Fraction(1) / a,
-        lambda a, b: a * b,
-        lambda a, f, b: a - f * b,
-    )
+def _reciprocal(a, p):
+    """``1/a`` mod p, or over Q (p None) as a Fraction, never a float."""
+    return pow(a, p - 2, p) if p else Fraction(1) / a
 
 
-def _mod_hooks(p: int) -> tuple:
-    """``_scalar_hooks`` of GF(p)."""
-    return (
-        lambda a: pow(a, p - 2, p),
-        lambda a, b: a * b % p,
-        lambda a, f, b: (a - f * b) % p,
-    )
+def _rref_sparse(rows, ncols, p, reduced=True):
+    """Canonical RREF on row dicts modulo ``p`` (over Q when None): ``(pivots, rows)``.
 
-
-def _rref_sparse(rows, ncols, inv, mul, sub, gf2=False):
-    """Canonical RREF on row dicts, generic over the scalar hooks: ``(pivots, rows)``.
-
-    The route follows the shape: a tall matrix (more nonzero rows than
-    columns) is reduced one row at a time against a reduced basis
-    (``_rref_by_rows``); a wide or square one, and every matrix over GF(2)
-    (``gf2``), by the column sweep ``_echelon`` followed by
-    ``_back_substitute``.  Both return the canonical RREF, so the choice
-    changes the time and nothing else: the row route is 3-4x faster on
-    tall matrices and 2-3x slower on wide ones, and over GF(2) the sweep's
-    bitset tail is faster still.
+    The route follows the shape and the modulus: a tall matrix (more
+    nonzero rows than columns) is reduced one row at a time against a
+    reduced basis (``_rref_by_rows``) unless p is 2; a wide or square
+    one, and every matrix over GF(2), goes to the column sweep
+    ``_echelon``, followed by ``_back_substitute``.  Both return the
+    canonical RREF, so the choice changes the time and nothing else: the
+    row route is 3-4x faster on tall matrices and 2-3x slower on wide
+    ones, and over GF(2) the sweep's bitset tail is faster still.  With
+    ``reduced`` false the sweep's pivot rows are returned as the forward
+    elimination leaves them, an echelon form with the same pivots.
     """
-    if len(rows) > ncols and not gf2:
-        return _rref_by_rows(rows, inv, mul, sub)
-    return _back_substitute(rows, _echelon(rows, ncols, inv, mul, sub, gf2), sub)
+    if p != 2 and len(rows) > ncols:
+        return _rref_by_rows(rows, p)
+    piv_list = _echelon(rows, ncols, p)
+    if reduced:
+        return _back_substitute(rows, piv_list, p)
+    return _in_pivot_order(rows, piv_list)
 
 
-def _rref_by_rows(rows, inv, mul, sub):
+def _rref_by_rows(rows, p):
     """Canonical RREF of the row dicts ``rows``, one row at a time: ``(pivots, rows)``.
 
     The basis kept so far is reduced: every basis row has a unit pivot and
@@ -517,13 +499,14 @@ def _rref_by_rows(rows, inv, mul, sub):
     basis = {}    # pivot column -> basis row
     holders = {}  # non-pivot column -> pivot columns of the basis rows that hold it
     for v in sorted(rows, key=len):
-        v = _residue(v, basis, sub)
+        v = _residue(v, basis, p)
         if not v:
             continue
         pc = min(v)
-        factor = inv(v[pc])
+        factor = _reciprocal(v[pc], p)
         if factor != 1:
-            v = {c: mul(factor, x) for c, x in v.items()}
+            v = {c: factor * x % p for c, x in v.items()} if p else \
+                {c: factor * x for c, x in v.items()}
         rest = [(c, x) for c, x in v.items() if c != pc]
         for c, _x in rest:
             holders.setdefault(c, set()).add(pc)
@@ -531,7 +514,9 @@ def _rref_by_rows(rows, inv, mul, sub):
             row = basis[q]
             f = row.pop(pc)
             for c, x in rest:
-                w = sub(row.get(c, 0), f, x)
+                w = row.get(c, 0) - f * x
+                if p:
+                    w %= p
                 if w:
                     if c not in row:
                         holders[c].add(q)
@@ -544,15 +529,16 @@ def _rref_by_rows(rows, inv, mul, sub):
     return pivots, [basis[c] for c in pivots]
 
 
-def _residue(v, pivot_rows, sub, den=1):
+def _residue(v, pivot_rows, p, den=1):
     """``den * v`` minus ``v[c]`` times ``pivot_rows[c]`` for each pivot column c that ``v`` meets.
 
     ``pivot_rows`` maps each pivot column to a basis row that holds ``den``
     there and zero at every other pivot column, so the residue is zero at
-    every pivot column, whatever the order of the steps.  This one step
-    serves membership (``Subspace.residues``), the exact check of a lift
-    (``_verified``), the reduction of each row in ``_rref_by_rows`` and
-    the back-substitution of the sweep (``_back_substitute``).
+    every pivot column, whatever the order of the steps; it is reduced mod
+    ``p`` when p is set.  This one step serves membership
+    (``Subspace.residues``), the exact check of a lift (``_verified``), the
+    reduction of each row in ``_rref_by_rows`` and the back-substitution
+    of the sweep (``_back_substitute``).
     With ``den`` 1, a ``v`` that meets no pivot is its own residue and is
     returned as it is, not copied.
     """
@@ -565,7 +551,9 @@ def _residue(v, pivot_rows, sub, den=1):
         return v
     for c, a in hits:
         for j, w in pivot_rows[c].items():
-            x = sub(v.get(j, 0), a, w)
+            x = v.get(j, 0) - a * w
+            if p:
+                x %= p
             if x:
                 v[j] = x
             else:
@@ -573,7 +561,7 @@ def _residue(v, pivot_rows, sub, den=1):
     return v
 
 
-def _echelon(rows, ncols, inv, mul, sub, gf2=False):
+def _echelon(rows, ncols, p):
     """Forward elimination in place on row dicts; returns ``[(col, row)]`` of the pivots.
 
     Columns are processed left to right so the pivot columns are the
@@ -585,15 +573,15 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
     sweep removes exactly that.  The column index dies on return, before
     back-substitution fills the pivot rows, so the two never peak together.
 
-    One row update serves every field: over GF(2) ``sub`` flips the
-    support, since every scalar is 1.  The sweep keeps a count of the
-    nonzeros of the active rows (the nonzero rows not yet chosen), O(1)
-    per row update.  With ``gf2`` set (the hooks are those of GF(2)), the
+    One row update serves every field: modulo 2 it flips the support,
+    since every scalar is 1.  The sweep keeps a count of the nonzeros of
+    the active rows (the nonzero rows not yet chosen), O(1) per row
+    update.  When p is 2, wherever that modulus comes from, the
     elimination is sparse, then dense: once the count passes
     ``_GF2_TAIL_DENSITY`` of the block left (active rows x columns right of
     the pivot), on a block of at least ``_GF2_TAIL_MIN_CELLS`` cells, the
     column index is dropped and ``_gf2_tail`` finishes on int bitsets.
-    Without ``gf2`` the count is never read.
+    For any other modulus the count is never read.
     """
     col_rows: dict[int, set] = {}
     for i, row in enumerate(rows):
@@ -609,10 +597,10 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
         prow = rows[pr]
         for c in prow:
             col_rows[c].discard(pr)
-        factor = inv(prow[pc])
+        factor = _reciprocal(prow[pc], p)
         if factor != 1:
-            for c in list(prow):
-                prow[c] = mul(factor, prow[c])
+            rows[pr] = prow = {c: factor * v % p for c, v in prow.items()} if p else \
+                {c: factor * v for c, v in prow.items()}
         piv_list.append((pc, pr))
         live -= len(prow)
         active -= 1
@@ -621,7 +609,9 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
             live -= len(row)
             f = row[pc]
             for c, v in prow.items():
-                w = sub(row.get(c, 0), f, v)
+                w = row.get(c, 0) - f * v
+                if p:
+                    w %= p
                 if w:
                     if c not in row:
                         col_rows.setdefault(c, set()).add(i)
@@ -634,7 +624,7 @@ def _echelon(rows, ncols, inv, mul, sub, gf2=False):
             if not row:
                 active -= 1
         cells = active * (ncols - 1 - pc)
-        if gf2 and cells >= _GF2_TAIL_MIN_CELLS and live > _GF2_TAIL_DENSITY * cells:
+        if p == 2 and cells >= _GF2_TAIL_MIN_CELLS and live > _GF2_TAIL_DENSITY * cells:
             del col_rows
             chosen = {r for _, r in piv_list}
             return piv_list + _gf2_tail(rows, chosen, ncols)
@@ -708,7 +698,7 @@ def _gf2_tail(rows, chosen, ncols):
     return out
 
 
-def _back_substitute(rows, piv_list, sub):
+def _back_substitute(rows, piv_list, p):
     """Clear each pivot row at the later pivot columns and emit RREF order.
 
     Forward elimination only updates rows not yet chosen as pivots, so a
@@ -719,7 +709,7 @@ def _back_substitute(rows, piv_list, sub):
     """
     done = {}   # pivot column -> reduced pivot row, for the later pivots
     for pc, pr in reversed(piv_list):
-        done[pc] = rows[pr] = _residue(rows[pr], done, sub)
+        done[pc] = rows[pr] = _residue(rows[pr], done, p)
     return _in_pivot_order(rows, piv_list)
 
 
@@ -752,12 +742,12 @@ def _rref_modular(m: Matrix):
     """
     cleared = m._cleared_rows()
     rows = [{c: r for c, v in row.items() if (r := v % _PRIME)} for row in cleared]
-    pivots, rows = _rref_sparse(rows, m.ncols, *_mod_hooks(_PRIME))
+    pivots, rows = _rref_sparse(rows, m.ncols, _PRIME)
     lifted = _lift(rows, _PRIME)
     del rows  # the lift holds the same entries; free these before the Fractions exist
     if lifted is None or not _verified(cleared, pivots, *lifted):
         rows = [{c: Fraction(v) for c, v in row.items()} for row in cleared]
-        return _rref_sparse(rows, m.ncols, *_scalar_hooks(QQ))
+        return _rref_sparse(rows, m.ncols, None)
     num, den = lifted
     fractions = {}  # RREF entries repeat: one Fraction per distinct value
     for row in num:
@@ -817,8 +807,8 @@ def _verified(rows, pivots, num, den):
     ``num`` has the RREF shape with pivot entries ``den``; the check is
     ``_residue`` times ``den``, so it stays on integers.
     """
-    pivot_rows, sub = dict(zip(pivots, num)), _scalar_hooks(QQ)[2]
-    return not any(_residue(v, pivot_rows, sub, den) for v in rows)
+    pivot_rows = dict(zip(pivots, num))
+    return not any(_residue(v, pivot_rows, None, den) for v in rows)
 
 
 # --- readings ------------------------------------------------------------------
@@ -987,12 +977,11 @@ class Subspace:
         """
         if vectors.ncols != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        sub = _scalar_hooks(self.field)[2]
-        basis = self.basis.rows
-        pivot_rows = {p: basis[i] for i, p in enumerate(self.pivots)}
+        basis, p = self.basis.rows, self.field.p
+        pivot_rows = {c: basis[i] for i, c in enumerate(self.pivots)}
         out = {}
         for r, v in vectors.rows.items():
-            if v := _residue(v, pivot_rows, sub):
+            if v := _residue(v, pivot_rows, p):
                 out[r] = v
         return Matrix(self.field, vectors.nrows, vectors.ncols, out)
 

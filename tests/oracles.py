@@ -104,11 +104,10 @@ def fraction_rref(m):
     step with the engine.
     """
     from hochcat.fields import QQ
-    from hochcat.matrix import Matrix, _back_substitute, _echelon, _scalar_hooks
+    from hochcat.matrix import Matrix, _back_substitute, _echelon
 
     rows = [{c: Fraction(v) for c, v in m.rows[r].items()} for r in sorted(m.rows)]
-    hooks = _scalar_hooks(QQ)
-    pivots, rows = _back_substitute(rows, _echelon(rows, m.ncols, *hooks), hooks[2])
+    pivots, rows = _back_substitute(rows, _echelon(rows, m.ncols, None), None)
     cells = {(i, c): v for i, row in enumerate(rows) for c, v in row.items()}
     return tuple(pivots), Matrix.from_entries(QQ, len(pivots), m.ncols, cells)
 

@@ -4,7 +4,7 @@ import pytest
 
 from hochcat.errors import BadFieldSpec
 from hochcat.fields import GF2, GF5, QQ, FieldSpec, is_prime
-from hochcat.matrix import _scalar_hooks
+from hochcat.matrix import _reciprocal
 
 
 def test_parse_selectors():
@@ -32,21 +32,18 @@ def test_prime_check():
 
 
 def test_gf_arithmetic():
-    # inverse and ``a - f*b`` are the elimination engine's own hooks
-    inv, mul, sub = _scalar_hooks(GF5)
+    # the elimination engine's pivot inverse, given the modulus
     assert GF5.add(3, 4) == 2
-    assert sub(1, 1, 3) == 3
-    assert GF5.mul(3, 4) == 2 == mul(3, 4)
+    assert GF5.mul(3, 4) == 2
     assert GF5.neg(2) == 3
-    assert inv(3) == 2
+    assert _reciprocal(3, 5) == 2
     assert GF5.scalar(-1) == 4
 
 
 def test_rational_arithmetic():
-    inv, _mul, sub = _scalar_hooks(QQ)
-    third = inv(Fraction(3))
-    assert third == Fraction(1, 3)
-    assert sub(Fraction(1), third, Fraction(3)) == QQ.zero
+    # over Q (no modulus) the inverse of an int is a Fraction, never a float
+    third = _reciprocal(3, None)
+    assert third == Fraction(1, 3) and type(third) is Fraction
     assert QQ.mul(third, Fraction(3)) == QQ.one
     assert QQ.scalar(7) == Fraction(7)
     assert QQ.format_scalar(Fraction(-2, 7)) == "-2/7"

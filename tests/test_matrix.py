@@ -690,14 +690,14 @@ def test_q_elimination_matches_the_fraction_engine_on_every_fixture():
 
 @contextmanager
 def _routes():
-    """Record each ``_rref_sparse`` call over Q ("modular" or "fraction") and each verdict."""
+    """Record each ``_rref_sparse`` call, "modular" with a modulus and
+    "fraction" without, and each verdict of a lift."""
     eliminations, verdicts = [], []
     eliminate, verify = matrix._rref_sparse, matrix._verified
 
-    def counted_elimination(rows, ncols, *hooks, **options):
-        fractions = any(isinstance(v, Fraction) for row in rows for v in row.values())
-        eliminations.append("fraction" if fractions else "modular")
-        return eliminate(rows, ncols, *hooks, **options)
+    def counted_elimination(rows, ncols, p, *options):
+        eliminations.append("modular" if p else "fraction")
+        return eliminate(rows, ncols, p, *options)
 
     def counted_verification(*args):
         verdicts.append(verify(*args))
@@ -1024,6 +1024,7 @@ def test_gf2_fill_count_switches_at_fixed_pivots_on_cn6():
 def test_only_gf2_enters_the_tail(monkeypatch):
     monkeypatch.setattr(matrix, "_GF2_TAIL_DENSITY", 0.0)
     monkeypatch.setattr(matrix, "_GF2_TAIL_MIN_CELLS", 0)
+    tail = matrix._gf2_tail
 
     def no_tail(*args):
         raise AssertionError("bitset tail entered")
@@ -1036,36 +1037,47 @@ def test_only_gf2_enters_the_tail(monkeypatch):
     # Theorem B over GF(3) and over Q, as in the benchmark's structure ops
     d = relative_differential_matrix(FIXTURES["s3"], 1)
     assert d.kernel_basis(GF3).dim == d.ncols - d.rank(GF3)
-    # the modular pass over Q, even modulo 2, and the Fraction fallback
-    monkeypatch.setattr(matrix, "_PRIME", 2)
+    # the modular pass over Q
     assert d.rref() == fraction_rref(d)
+    with pytest.raises(AssertionError, match="bitset tail entered"):
+        mk(GF2, rows).rref()
+    # the engine's field is its modulus, so a modular pass over Q modulo 2
+    # is GF(2) elimination, tail included; then the lift and the Fraction
+    # fallback
+    monkeypatch.setattr(matrix, "_gf2_tail", tail)
+    monkeypatch.setattr(matrix, "_PRIME", 2)
+    with _tail_threshold(0.0) as switches:
+        assert d.rref() == fraction_rref(d)
+    assert switches
     with _routes() as (eliminations, verdicts):
         assert mk(QQ, [[7, 1], [14, 2]]).rref() == ((0,), mk(QQ, [[1, Fraction(1, 7)]]))
     assert eliminations == ["modular", "fraction"] and verdicts == [False]
-    with pytest.raises(AssertionError, match="bitset tail entered"):
-        mk(GF2, rows).rref()
 
 
 # --- tall matrices: reduced one row at a time ---------------------------------------
 
 def _tall_cases(p, rng):
-    """Tall integer matrices mod p as ``(ncols, rows)``: random ones and the edge cases."""
+    """Tall integer matrices as ``(ncols, rows)``, mod p or, when p is None,
+    of small signed ints: random ones and the edge cases."""
+    def entry():
+        return rng.randrange(1, p) if p else rng.choice([-3, -2, -1, 1, 2, 3])
+
     for _ in range(12):
         ncols = rng.randint(1, 8)
         nrows = rng.randint(ncols + 1, 3 * ncols + 4)
         density = rng.choice([0.1, 0.3, 0.7])
-        rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+        rows = [[entry() if rng.random() < density else 0 for _ in range(ncols)]
                 for _ in range(nrows)]
         # a zero row, a duplicate and a multiple of an earlier row
         rows.insert(rng.randrange(nrows), [0] * ncols)
         rows.append(list(rows[rng.randrange(nrows)]))
-        k = rng.randrange(2, p)
-        rows.append([k * v % p for v in rows[rng.randrange(nrows)]])
+        k = rng.randrange(2, p) if p else rng.choice([-2, 2, 3])
+        rows.append([k * v % p if p else k * v for v in rows[rng.randrange(nrows)]])
         yield ncols, rows
     yield 3, [[0, 0, 0]] * 5                                   # rank 0
-    yield 1, [[0], [rng.randrange(1, p)], [0], [1]]            # one column
+    yield 1, [[0], [entry()], [0], [1]]                        # one column
     yield 3, [[1, 2, 0], [0, 1, 1], [1, 1, 1], [2, 1, 1], [0, 0, 1]]  # full rank
-    yield 2, [[1, 1], [2, 2], [p - 1, p - 1], [0, 0]]          # proportional rows only
+    yield 2, [[1, 1], [2, 2], [-1 % p if p else -1] * 2, [0, 0]]  # proportional rows only
 
 
 def _as_dicts(rows):
@@ -1076,16 +1088,15 @@ def _dense(ncols, rows):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
-@pytest.mark.parametrize("p", [3, 5, matrix._PRIME])
+@pytest.mark.parametrize("p", [3, 5, matrix._PRIME, None])
 @pytest.mark.parametrize("seed", range(3))
 def test_row_by_row_rref_matches_the_sweep_and_the_oracle(p, seed):
-    hooks = matrix._mod_hooks(p)
+    # p None is the exact engine over Q, on ints and Fractions
     for ncols, rows in _tall_cases(p, random.Random(seed)):
         assert len(rows) > ncols
-        by_rows = matrix._rref_by_rows(_as_dicts(rows), *hooks)
+        by_rows = matrix._rref_by_rows(_as_dicts(rows), p)
         swept = matrix._back_substitute(
-            sweep_rows := _as_dicts(rows),
-            matrix._echelon(sweep_rows, ncols, *hooks), hooks[2])
+            sweep_rows := _as_dicts(rows), matrix._echelon(sweep_rows, ncols, p), p)
         assert by_rows == swept, (ncols, rows)
         pivots, reduced = naive_rref(rows, p)
         assert (by_rows[0], _dense(ncols, by_rows[1])) == (pivots, reduced), (ncols, rows)
@@ -1134,6 +1145,59 @@ def test_only_tall_matrices_over_odd_p_and_q_skip_the_sweep():
     assert shapes == [(4, 3), (3, 6)]  # two of the six rows vanish mod 2
 
 
+@contextmanager
+def _rank_routes():
+    """Record the shape of each ``Matrix.transpose`` and the route of each
+    engine run: "rows" (``_rref_by_rows``) or "sweep" (``_echelon``), with
+    " on fractions" when its rows hold a Fraction."""
+    transposes, routes = [], []
+    transpose = Matrix.transpose
+
+    def transposed(self, *args, **kwargs):
+        transposes.append((self.nrows, self.ncols))
+        return transpose(self, *args, **kwargs)
+
+    def recorded(route, engine):
+        def run(rows, *args, **kwargs):
+            exact = any(isinstance(v, Fraction) for row in rows for v in row.values())
+            routes.append(route + " on fractions" * exact)
+            return engine(rows, *args, **kwargs)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "transpose", transposed)
+        patch.setattr(matrix, "_rref_by_rows", recorded("rows", matrix._rref_by_rows))
+        patch.setattr(matrix, "_echelon", recorded("sweep", matrix._echelon))
+        yield transposes, routes
+
+
+def test_rank_route_table():
+    # whether rank transposes, and the route the engine takes, per shape and
+    # field; the rank itself is the naive one
+    rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 4, 0], [1, 1, -1], [0, 2, 2]]
+    poset = relative_differential_matrix(FIXTURES["chain:3"], 2)
+    assert poset.nrows > poset.ncols >= len(poset.rows)
+    wide = mk(GF3, rows).transpose()
+    cases = [
+        # odd p, more nonzero rows than columns: reduced row by row as it stands
+        (mk(GF3, rows), GF3, [], ["rows"]),
+        # odd p, tall but no more nonzero rows than columns (a poset
+        # differential): its transpose swept
+        (poset, GF3, [(15, 10)], ["sweep"]),
+        # GF(2), tall: its transpose swept, for the bitset tail
+        (mk(GF2, rows), GF2, [(6, 3)], ["sweep"]),
+        # wide: swept as it stands
+        (wide, GF3, [], ["sweep"]),
+        # Q, tall: never transposed; modulo one prime, row by row, no Fraction
+        (mk(QQ, rows), QQ, [], ["rows"]),
+    ]
+    for m, field, expected_transposes, expected_routes in cases:
+        with _rank_routes() as (transposes, routes):
+            rank = m.rank(field)
+        assert (transposes, routes) == (expected_transposes, expected_routes), (m, field)
+        assert rank == naive_rank(reduced(m, field).dense_rows(), field.p), (m, field)
+
+
 @pytest.mark.parametrize("field", [GF3, GF5], ids=str)
 def test_tall_rank_over_odd_p_matches_the_naive_rank(field):
     # the tall differentials of the catalog, ranked row by row with no sweep
@@ -1174,7 +1238,7 @@ def test_the_fraction_engine_on_int_rows_returns_ints_and_fractions():
     tall = Matrix.from_entries(QQ, 4, 3, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     for m in (tall, tall.transpose()):
         engine_rows = [dict(m.rows[r]) for r in sorted(m.rows)]
-        pivots, reduced = matrix._rref_sparse(engine_rows, m.ncols, *matrix._scalar_hooks(QQ))
+        pivots, reduced = matrix._rref_sparse(engine_rows, m.ncols, None)
         assert {type(v) for row in reduced for v in row.values()} <= {int, Fraction}
         assert (tuple(pivots), Matrix(QQ, len(pivots), m.ncols, dict(enumerate(reduced)))) \
             == fraction_rref(m)
