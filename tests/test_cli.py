@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -478,6 +480,80 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
     assert main(["derivations", str(f)]) == 3
     assert main(["compare", str(f)]) == 3
 
+
+
+# --- refusals: one output per exit code ---------------------------------------------
+
+Z_MONOID = ("object x\nmorphism id : x -> x identity\nmorphism z : x -> x\n"
+            "compose z z = z\n")
+
+
+def refused(capsys, *argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_missing_hypothesis_is_refused_with_exit_3(tmp_path, capsys):
+    # {e, z} with z∘z = z is neither left nor right cancellative
+    f = tmp_path / "z.cat"
+    f.write_text(Z_MONOID, encoding="utf-8")
+    message = "category does not satisfy: left_cancellative, right_cancellative"
+    line = json.dumps({"kind": "HypothesisViolated", "message": message,
+                       "predicates": ["left_cancellative", "right_cancellative"]})
+    assert refused(capsys, "compare", str(f), "--output", "json") == (3, "", line + "\n")
+    assert refused(capsys, "compare", str(f)) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["validate", "compare"])
+def test_an_invalid_file_is_a_report_on_stdout_with_exit_1(tmp_path, capsys, verb):
+    f = tmp_path / "broken.cat"
+    f.write_text("object x\nmorphism f : x -> x\n", encoding="utf-8")  # no identity
+    message = "object 'x' has no identity morphism"
+    report = {"ok": False,
+              "errors": [{"kind": "MissingIdentity", "message": message, "object": "x"}]}
+    assert refused(capsys, verb, str(f), "--output", "json") == (
+        1, json.dumps(report, indent=2) + "\n", "")
+    code, out, err = refused(capsys, verb, str(f))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == f"INVALID: {message}"
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s", out.splitlines()[1])
+
+
+def exit_2_refusal(case, directory) -> tuple:
+    """``(argv, kind, message, details)`` of a ``cohomology`` refused with exit 2."""
+    return {
+        "cap": (["ex6", "--cap", "3"], "DimensionCapExceeded",
+                "degree 1 needs 12 basis elements, cap is 3",
+                {"degree": 1, "required": 12, "cap": 3}),
+        "size": (["cn:0"], "UnknownFixture",
+                 "fixture size must be a positive integer in 'cn:0'", {}),
+        "directory": ([directory], "IsADirectoryError",
+                      f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {directory!r}", {}),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["cap", "size", "directory"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_refused_input_is_one_stderr_line_with_exit_2(tmp_path, capsys, case, output):
+    argv, _kind, message, _details = exit_2_refusal(case, str(tmp_path))
+    assert refused(capsys, "cohomology", *argv, "--output", output) == (
+        2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-degree", "x", "bad degree 'x'"),
+    ("--max-degree", "-1", "degree must be nonnegative"),
+    ("--cap", "x", "bad cap 'x'"),
+    ("--cap", "-1", "cap must be nonnegative"),
+])
+def test_an_option_that_is_no_nonnegative_integer_is_a_usage_error(capsys, option, value,
+                                                                   message):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "ex6", option, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
 
 @pytest.mark.parametrize("verb", ["compare", "derivations"])
 @pytest.mark.parametrize("field", ["gf:2", "q"])
