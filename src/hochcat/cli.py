@@ -4,6 +4,9 @@ Verbs: validate, props, fad, cohomology, compare, derivations.  Input is a
 builtin fixture name or a path to a category text file.  Exit codes: 0 on
 success, 1 when a verification fails (or a file fails validation), 2 on
 usage errors, 3 when the category misses a required structural hypothesis.
+A file that fails validation is a report on stdout with exit 1.  A refusal
+with exit 2 or 3 is one line on stderr: ``errors.payload`` as JSON under
+``--output json``, ``error: <message>`` otherwise.
 ``compare`` only formats ``theorem_a_report``, which holds the certificate.
 
 JSON output is byte-identical across runs for identical input: key order is
@@ -30,6 +33,7 @@ from .errors import (
     HochcatError,
     HypothesisViolated,
     UnknownFixture,
+    payload as error_payload,
 )
 from .fields import FieldSpec
 from .fixtures import builtin
@@ -40,23 +44,19 @@ from .hochschild import (
     relative_is_full,
 )
 
-PREDICATE_LABELS = (
-    ("left_cancellative", "left-cancellative"),
-    ("right_cancellative", "right-cancellative"),
-    ("left_deterministic", "left-deterministic"),
-    ("right_deterministic", "right-deterministic"),
-    ("rr_transitive", "rr-transitive"),
-)
-
 
 @dataclass
 class Command:
+    """A parsed command line.  An option that is not given, or that the
+    verb does not take, keeps its default here; the cap's is read from
+    ``HOCHCAT_CAP`` first."""
+
     verb: str
     input: str
-    field: FieldSpec
-    max_degree: int
-    output: str
-    cap: int
+    field: FieldSpec = FieldSpec(None)
+    max_degree: int = 3
+    output: str = "text"
+    cap: int = DEFAULT_BASIS_CAP
     theory: str = "both"
 
 
@@ -76,24 +76,20 @@ def _field_arg(text: str) -> FieldSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _degree_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad degree {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree must be nonnegative")
-    return value
+def _nonnegative(what: str):
+    """The option type of a nonnegative integer, refused as a bad ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be nonnegative")
+        return value
+    return parse
 
 
-def _cap_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad cap {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("cap must be nonnegative")
-    return value
+_cap_arg = _nonnegative("cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,50 +99,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, degree=True, field=True):
+    def common(verb, help, degree=True, field=True):
+        # an option that is not given stays out of the namespace, so that
+        # its default is Command's
+        p = sub.add_parser(verb, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("input", help="builtin fixture name or category file path")
         if field:
-            p.add_argument("--field", type=_field_arg, default=FieldSpec(None),
-                           help="scalar field: 'q' (default) or 'gf:<p>'")
+            p.add_argument("--field", type=_field_arg,
+                           help=f"scalar field: 'q' or 'gf:<p>' (default {Command.field.name})")
         if degree:
-            p.add_argument("--max-degree", type=_degree_arg, default=3,
-                           help="highest cohomological degree (default 3)")
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=_cap_arg, default=None,
-                       help=f"basis-size cap (default {DEFAULT_BASIS_CAP}, env HOCHCAT_CAP)")
+            p.add_argument("--max-degree", type=_nonnegative("degree"),
+                           help=f"highest cohomological degree (default {Command.max_degree})")
+        p.add_argument("--output", choices=("text", "json"),
+                       help=f"report format (default {Command.output})")
+        p.add_argument("--cap", type=_cap_arg,
+                       help=f"basis-size cap (default {Command.cap}, env HOCHCAT_CAP)")
+        return p
 
     # a verb takes only the options it reads
-    common(sub.add_parser("validate", help="check the category axioms"), degree=False, field=False)
-    common(sub.add_parser("props", help="run the structural predicate checks"),
-           degree=False, field=False)
-    common(sub.add_parser("fad", help="emit the adjoint category"), degree=False, field=False)
-    coh = sub.add_parser("cohomology", help="Hochschild cohomology dimensions")
-    common(coh)
-    coh.add_argument("--theory", choices=("full", "relative", "both"), default="both")
-    common(sub.add_parser("compare", help="certify the comparison isomorphism"))
-    common(sub.add_parser("derivations", help="graded derivations vs characters"), degree=False)
+    common("validate", "check the category axioms", degree=False, field=False)
+    common("props", "run the structural predicate checks", degree=False, field=False)
+    common("fad", "emit the adjoint category", degree=False, field=False)
+    common("cohomology", "Hochschild cohomology dimensions").add_argument(
+        "--theory", choices=("full", "relative", "both"),
+        help=f"complexes to rank (default {Command.theory})")
+    common("compare", "certify the comparison isomorphism")
+    common("derivations", "graded derivations vs characters", degree=False)
     return parser
 
 
 def parse_args(argv) -> Command:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    cap = ns.cap
-    if cap is None:
-        env = os.environ.get("HOCHCAT_CAP")
+    opts = vars(parser.parse_args(argv))
+    env = os.environ.get("HOCHCAT_CAP")
+    if env and "cap" not in opts:
         try:
-            cap = _cap_arg(env) if env else DEFAULT_BASIS_CAP
+            opts["cap"] = _cap_arg(env)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"HOCHCAT_CAP: {exc}")
-    return Command(
-        verb=ns.verb,
-        input=ns.input,
-        field=getattr(ns, "field", FieldSpec(None)),
-        max_degree=getattr(ns, "max_degree", 3),
-        output=ns.output,
-        cap=cap,
-        theory=getattr(ns, "theory", "both"),
-    )
+    return Command(**opts)
 
 
 def _load_input(cmd: Command) -> tuple[str, FiniteCategory]:
@@ -169,12 +160,10 @@ def _category_summary(name: str, cat: FiniteCategory) -> dict:
 
 def _predicates_payload(cat: FiniteCategory) -> dict:
     reports = predicate_reports(cat)
-    payload = {}
-    for key, _label in PREDICATE_LABELS:
-        rep = reports[key]
-        payload[key] = {"holds": rep.holds, "witness": rep.witness_dict()}
+    payload = {key: {"holds": rep.holds, "witness": rep.witness_dict()}
+               for key, rep in reports.items()}
     payload["all_hypotheses"] = {
-        "holds": all(reports[k].holds for k, _ in PREDICATE_LABELS),
+        "holds": all(rep.holds for rep in reports.values()),
         "witness": None,
     }
     return payload
@@ -183,12 +172,7 @@ def _predicates_payload(cat: FiniteCategory) -> dict:
 # --- verb implementations ------------------------------------------------------
 
 def _run_validate(cmd: Command) -> Report:
-    try:
-        name, cat = _load_input(cmd)
-    except CategoryError as exc:
-        payload = {"ok": False, "errors": [exc.payload()]}
-        text = "INVALID: " + str(exc)
-        return Report("validate", payload, 1, text=text)
+    name, cat = _load_input(cmd)
     payload = {"ok": True, "category": _category_summary(name, cat)}
     text = (f"valid category: {name}  |Ob| = {cat.n_objects}  "
             f"|Mor| = {cat.n_morphisms}")
@@ -202,8 +186,8 @@ def _run_props(cmd: Command) -> Report:
         "predicates": _predicates_payload(cat),
     }
     lines = []
-    for key, label in PREDICATE_LABELS + (("all_hypotheses", "all-hypotheses"),):
-        entry = payload["predicates"][key]
+    for key, entry in payload["predicates"].items():
+        label = key.replace("_", "-")
         status = "PASS" if entry["holds"] else "FAIL"
         witness = ""
         if entry["witness"]:
@@ -360,24 +344,22 @@ def main(argv=None) -> int:
     cmd = parse_args(argv)
     try:
         report = run(cmd)
-    except HypothesisViolated as exc:
-        print(json.dumps(exc.payload()) if cmd.output == "json" else f"error: {exc}",
-              file=sys.stderr)
-        return 3
-    except (UnknownFixture, DimensionCapExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CategoryError as exc:
-        # reached by verbs other than validate, which reports errors itself
-        report = Report(cmd.verb, {"ok": False, "errors": [exc.payload()]}, 1,
+        report = Report(cmd.verb, {"ok": False, "errors": [error_payload(exc)]}, 1,
                         text="INVALID: " + str(exc))
-        sys.stdout.write(emit(report, cmd.output))
-        return 1
-    except HochcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except HypothesisViolated as exc:
+        return _refuse(exc, cmd.output, 3)
+    except (HochcatError, OSError) as exc:
+        return _refuse(exc, cmd.output, 2)
     sys.stdout.write(emit(report, cmd.output))
     return report.exit_code
+
+
+def _refuse(exc: Exception, output: str, code: int) -> int:
+    """Write a refusal as one stderr line, its payload under JSON."""
+    print(json.dumps(error_payload(exc)) if output == "json" and code == 3 else f"error: {exc}",
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

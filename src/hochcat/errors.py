@@ -1,7 +1,8 @@
 """Error taxonomy.
 
-Every error carries a ``payload()`` suitable for the JSON reports emitted by
-the CLI, so failures are machine readable as well.
+Every error's JSON form is ``payload(exc)``: its class name, its message
+and the keyword ``details`` it was raised with, so failures are machine
+readable as well.
 """
 
 from __future__ import annotations
@@ -10,8 +11,15 @@ from __future__ import annotations
 class HochcatError(Exception):
     """Base class for all errors raised by this package."""
 
-    def payload(self) -> dict:
-        return {"kind": type(self).__name__, "message": str(self)}
+    def __init__(self, message: str = "", **details):
+        super().__init__(message)
+        self.details = details
+
+
+def payload(exc: Exception) -> dict:
+    """``{"kind": <class name>, "message": str(exc), **details}``, for a
+    ``HochcatError`` or an ``OSError`` (which has no details)."""
+    return {"kind": type(exc).__name__, "message": str(exc), **getattr(exc, "details", {})}
 
 
 class BadFieldSpec(HochcatError):
@@ -22,15 +30,6 @@ class BadFieldSpec(HochcatError):
 
 class CategoryError(HochcatError):
     """A category description violates the axioms or is malformed."""
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
-
-    def payload(self) -> dict:
-        out = {"kind": type(self).__name__, "message": str(self)}
-        out.update(self.details)
-        return out
 
 
 class DuplicateName(CategoryError):
@@ -85,36 +84,17 @@ class HypothesisViolated(HochcatError):
     """An operation was invoked on a category failing a required predicate."""
 
     def __init__(self, *predicates: str):
-        self.predicates = tuple(predicates)
-        super().__init__("category does not satisfy: " + ", ".join(predicates))
-
-    def payload(self) -> dict:
-        return {
-            "kind": "HypothesisViolated",
-            "message": str(self),
-            "predicates": list(self.predicates),
-        }
+        super().__init__("category does not satisfy: " + ", ".join(predicates),
+                         predicates=list(predicates))
 
 
 # --- linear algebra and complexes ------------------------------------------
 
 class DimensionCapExceeded(HochcatError):
     def __init__(self, degree: int, required: int, cap: int):
-        self.degree = degree
-        self.required = required
-        self.cap = cap
-        super().__init__(
-            f"degree {degree} needs {required} basis elements, cap is {cap}"
-        )
-
-    def payload(self) -> dict:
-        return {
-            "kind": "DimensionCapExceeded",
-            "message": str(self),
-            "degree": self.degree,
-            "required": self.required,
-            "cap": self.cap,
-        }
+        super().__init__(f"degree {degree} needs {required} basis elements, cap is {cap}",
+                         degree=degree, required=required, cap=cap)
+        self.degree, self.required, self.cap = degree, required, cap
 
 
 class NotAnIntegerMatrix(HochcatError):

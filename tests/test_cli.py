@@ -31,11 +31,19 @@ def cli(*argv, capsys=None):
 
 def test_parse_compare_command():
     cmd = parse_args(["compare", "ex6", "--field", "gf:2", "--max-degree", "2"])
-    assert cmd == Command(
-        verb="compare", input="ex6", field=FieldSpec(2), max_degree=2,
-        output="text", cap=cmd.cap,
-    )
+    assert cmd == Command(verb="compare", input="ex6", field=FieldSpec(2), max_degree=2)
     assert cmd.cap == 2_000_000
+
+
+@pytest.mark.parametrize("verb", ["validate", "props", "fad", "cohomology", "compare",
+                                  "derivations"])
+def test_an_option_not_given_keeps_the_default_of_command(monkeypatch, verb):
+    # the defaults are Command's, whether the verb takes the option or not
+    monkeypatch.delenv("HOCHCAT_CAP", raising=False)
+    assert parse_args([verb, "ex6"]) == Command(verb=verb, input="ex6")
+    assert Command(verb=verb, input="ex6") == Command(
+        verb=verb, input="ex6", field=FieldSpec(None), max_degree=3, output="text",
+        cap=DEFAULT_BASIS_CAP, theory="both")
 
 
 def test_parse_cohomology_with_rationals():
