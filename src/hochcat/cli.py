@@ -357,7 +357,7 @@ def main(argv=None) -> int:
 
 def _refuse(exc: Exception, output: str, code: int) -> int:
     """Write a refusal as one stderr line, its payload under JSON."""
-    print(json.dumps(error_payload(exc)) if output == "json" and code == 3 else f"error: {exc}",
+    print(json.dumps(error_payload(exc)) if output == "json" else f"error: {exc}",
           file=sys.stderr)
     return code
 

@@ -388,7 +388,9 @@ def test_cohomology_both_falls_back_exactly_past_the_full_cap(capsys):
     assert main([*argv, "--theory", "full", "--cap", "1295"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: degree 3 needs 1296 basis elements, cap is 1295\n"
+    assert json.loads(captured.err) == {
+        "kind": "DimensionCapExceeded", "message": "degree 3 needs 1296 basis elements, cap is 1295",
+        "degree": 3, "required": 1296, "cap": 1295}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -545,9 +547,11 @@ def exit_2_refusal(case, directory) -> tuple:
 @pytest.mark.parametrize("case", ["cap", "size", "directory"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_a_refused_input_is_one_stderr_line_with_exit_2(tmp_path, capsys, case, output):
-    argv, _kind, message, _details = exit_2_refusal(case, str(tmp_path))
-    assert refused(capsys, "cohomology", *argv, "--output", output) == (
-        2, "", f"error: {message}\n")
+    # under JSON the line is the error's payload, as for exit 3
+    argv, kind, message, details = exit_2_refusal(case, str(tmp_path))
+    line = (json.dumps({"kind": kind, "message": message, **details}) if output == "json"
+            else f"error: {message}")
+    assert refused(capsys, "cohomology", *argv, "--output", output) == (2, "", line + "\n")
 
 
 @pytest.mark.parametrize("option, value, message", [
