@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -23,14 +24,17 @@ from hochcat import (
     validate_category,
 )
 from hochcat.category import UNDEFINED
+from hochcat.cli import main
 from hochcat.comparison import x_map_matrix
 from hochcat.errors import (
     AssociativityFailure,
     DuplicateName,
     HochcatError,
     HypothesisViolated,
+    InvalidCategory,
     MissingComposite,
     MissingIdentity,
+    payload,
 )
 from hochcat.fields import GF2
 
@@ -180,6 +184,56 @@ def test_validate_duplicate_name():
     with pytest.raises(DuplicateName):
         validate_category(raw)
 
+
+
+ID_X = ("id", "x", "x", True)
+Z_X = ("z", "x", "x", False)
+
+# (objects, morphisms, compositions) -> the refusal: class, message, details
+NAMED_REFUSALS = {
+    "duplicate_morphism": ((["x"], [ID_X, ("id", "x", "x", False)], []),
+                           DuplicateName, "duplicate morphism name 'id'", {"name": "id"}),
+    "unknown_source": ((["x"], [ID_X, ("f", "w", "x", False)], []),
+                       InvalidCategory, "morphism 'f' has unknown source 'w'", {"name": "f"}),
+    "unknown_target": ((["x"], [ID_X, ("f", "x", "w", False)], []),
+                       InvalidCategory, "morphism 'f' has unknown target 'w'", {"name": "f"}),
+    "identity_not_endo": ((["x", "y"], [ID_X, ("idy", "y", "y", True), ("f", "x", "y", True)], []),
+                          InvalidCategory,
+                          "identity-flagged morphism 'f' is not an endomorphism", {"name": "f"}),
+    "two_identities": ((["x"], [ID_X, ("e", "x", "x", True)], []),
+                       InvalidCategory, "object 'x' has more than one identity", {"object": "x"}),
+    "conflicting_entries": ((["x"], [ID_X, Z_X], [("z", "z", "z"), ("z", "z", "id")]),
+                            InvalidCategory, "conflicting entries for 'z' ∘ 'z'",
+                            {"g": "z", "f": "z"}),
+    "unknown_in_compose": ((["x"], [ID_X, Z_X], [("z", "w", "z")]),
+                           InvalidCategory, "unknown morphism 'w' in composition", {"name": "w"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_REFUSALS))
+def test_validate_refuses_a_bad_entry_by_name(name):
+    (objects, morphisms, compositions), kind, message, details = NAMED_REFUSALS[name]
+    raw = RawCategory(objects=list(objects), morphisms=list(morphisms),
+                      compositions=list(compositions))
+    with pytest.raises(kind) as refused:
+        validate_category(raw)
+    assert type(refused.value) is kind
+    assert (str(refused.value), refused.value.details) == (message, details)
+
+
+def test_validate_reports_a_refusal_as_its_payload(tmp_path, capsys):
+    (_objects, _morphisms, compositions), kind, message, details = \
+        NAMED_REFUSALS["conflicting_entries"]
+    f = tmp_path / "conflict.cat"
+    f.write_text("object x\nmorphism id : x -> x identity\nmorphism z : x -> x\n"
+                 + "".join(f"compose {g} {a} = {h}\n" for g, a, h in compositions),
+                 encoding="utf-8")
+    assert main(["validate", str(f), "--output", "json"]) == 1
+    error = {"kind": kind.__name__, "message": message, **details}
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "errors": [error]}
+    with pytest.raises(kind) as refused:
+        parse_category(f.read_text(encoding="utf-8"))
+    assert payload(refused.value) == error
 
 def test_validate_associativity_failure():
     # z∘z = id breaks (z∘z)∘z = z∘(z∘z) unless z = z∘id, so force a clash:

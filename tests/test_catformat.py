@@ -151,6 +151,27 @@ def test_group_from_table_rejects_non_groups():
         group_from_table(z_monoid)
 
 
+
+FIXTURE_REFUSALS = {
+    "empty_table": (lambda: group_from_table([]), NotAGroup, "empty table"),
+    "entry_out_of_range": (lambda: group_from_table([[0, 1], [1, 2]]), NotAGroup,
+                           "table is not a closed n x n index table"),
+    "ragged_table": (lambda: group_from_table([[0, 1], [1]]), NotAGroup,
+                     "table is not a closed n x n index table"),
+    "repeated_names": (lambda: group_from_table(cyclic_group_table(2), names=("e", "e")),
+                       NotAGroup, "element names are not distinct"),
+    "non_square_relation": (lambda: poset_from_relation([[True, True]]), NotAPartialOrder,
+                            "relation matrix is not square"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REFUSALS))
+def test_fixture_constructors_refuse_a_malformed_table_with_its_reason(name):
+    call, kind, message = FIXTURE_REFUSALS[name]
+    with pytest.raises(kind) as refused:
+        call()
+    assert str(refused.value) == message
+
 def test_group_from_table_rejects_a_non_associative_loop():
     # e, a, b with a∘a = b∘b = e and a∘b = b∘a = a: identity and inverses
     # exist, but (b∘a)∘a = e while b∘(a∘a) = b; validation finds it

@@ -18,7 +18,7 @@ from hochcat import (
     simplicial_coboundary_matrix,
     theorem_b_report,
 )
-from hochcat.errors import DimensionCapExceeded, HypothesisViolated
+from hochcat.errors import DimensionCapExceeded, HypothesisViolated, NotChainCompatible
 from hochcat.hochschild import (
     _slice,
     basis_index,
@@ -34,7 +34,7 @@ from .catalog import (
     A2, C2, D4, EX6, FIELDS, FIXTURES, GF2, GF3, QQ, S3_PLUS_C2, symmetric_group_table,
 )
 from .test_category import collapse, z_monoid
-from .test_comparison import BREAKAGES, fresh, refuse_eliminating
+from .test_comparison import BREAKAGES, fresh, misread, refuse_eliminating
 from .test_hochschild import count_builds
 
 
@@ -357,6 +357,29 @@ def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturba
     assert theorem_b_report(cat, GF3) == honest
     assert eliminated(calls, relative_differential_matrix(cat, 1))
 
+
+
+misread_t2_outside = misread(2, lambda cat, read, ncols: next(
+    c for c in range(ncols) if c not in _slice(cat, 2, False)[1]))
+
+
+@pytest.mark.parametrize("name", ("ex6", "diamond"))
+@pytest.mark.parametrize("field", (GF2, QQ), ids=str)
+def test_t2_reading_a_non_relative_column_eliminates_the_derivations(monkeypatch, name, field):
+    # with several objects T² can read a column outside the relative
+    # complex: its relative reading refuses, so the derivations are ker d_1,
+    # and the report is the one X gives unperturbed.  Fresh categories, so
+    # no perturbed T outlives the test in a memo
+    cat = builtin(name)
+    calls = spy_eliminations(monkeypatch)
+    honest = theorem_b_report(cat, field)
+    assert not eliminated(calls, relative_differential_matrix(cat, 1))
+    monkeypatch.setattr(comparison, "_read", misread_t2_outside(comparison._read))
+    cat = builtin(name)
+    with pytest.raises(NotChainCompatible):
+        derivations._relative_reading(cat, 2, None)
+    assert theorem_b_report(cat, field) == honest
+    assert eliminated(calls, relative_differential_matrix(cat, 1))
 
 def fresh_fixture(name):
     """A catalog fixture built anew, so no memo has listed its chains or bases."""

@@ -634,6 +634,39 @@ def test_sum_drops_cancelled_entries_and_rows():
         a + mk(GF5, [[1, 2], [0, 1]])
 
 
+
+MISMATCHES = {
+    "entry_below_range": (lambda: Matrix.from_entries(QQ, 2, 2, {(0, -1): 1}), IndexError,
+                          "entry (0, -1) outside 2x2"),
+    "entry_past_range": (lambda: Matrix.from_entries(GF3, 2, 2, {(2, 0): 1}), IndexError,
+                         "entry (2, 0) outside 2x2"),
+    "ragged_rows": (lambda: Matrix.from_rows(QQ, [[1, 2], [3]]), ValueError, "ragged rows"),
+    "product_fields": (lambda: mk(GF3, [[1]]) @ mk(GF5, [[1]]), ValueError, "field mismatch"),
+    "product_shapes": (lambda: mk(GF3, [[1, 2]]) @ mk(GF3, [[1, 2]]), ValueError,
+                       "cannot multiply 1x2 by 1x2"),
+    "sum_fields": (lambda: mk(GF3, [[1]]) + mk(GF5, [[1]]), ValueError, "field mismatch"),
+    "sum_shapes": (lambda: mk(GF3, [[1, 2]]) + mk(GF3, [[1], [2]]), ValueError,
+                   "cannot add 1x2 and 2x1"),
+    "reading_rows": (lambda: Reading([0, 1], 2) @ mk(QQ, [[1, 2, 3]]), ValueError,
+                     "cannot multiply 2x2 by 1x3"),
+    "reading_columns": (lambda: mk(QQ, [[1, 2, 3]]) @ Reading([0, 1], 2), ValueError,
+                        "cannot multiply 1x3 by 2x2"),
+    "residue_length": (lambda: Subspace.from_matrix(mk(QQ, [[1, 0]])).residues(mk(QQ, [[1, 0, 0]])),
+                       ValueError, "vector length mismatch"),
+    "quotient_ambient_dims": (lambda: quotient_dim(Subspace.zero(QQ, 2), Subspace.zero(QQ, 3)),
+                              NotASubspace, "ambient space mismatch"),
+    "quotient_ambient_fields": (lambda: quotient_dim(Subspace.zero(QQ, 2), Subspace.zero(GF3, 2)),
+                                NotASubspace, "ambient space mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_mismatched_operands_are_refused_with_their_reason(name):
+    call, kind, message = MISMATCHES[name]
+    with pytest.raises(kind) as refused:
+        call()
+    assert str(refused.value) == message
+
 def test_serialization_triplets():
     m = mk(QQ, [[0, Fraction(1, 2)], [3, 0]])
     assert m.to_json_dict() == {

@@ -8,12 +8,14 @@ import weakref
 import pytest
 
 from hochcat import (
+    RawCategory,
     adjoint_category,
     builtin,
     character_space,
     simplicial_coboundary_matrix,
     simplicial_cocycle_space,
     simplicial_cohomology_dims,
+    validate_category,
 )
 from hochcat import nerve
 from hochcat.category import AdjointCategory
@@ -430,6 +432,40 @@ def test_a_broken_skeleton_ranks_the_classes_of_fad(monkeypatch, breakage):
     assert ranked == class_slices(fad, own)
     assert dims == list(cohomology_dims(own, GF2))
 
+
+
+def idempotent_times_indiscrete():
+    """{1, e} with e∘e = e times the indiscrete category on x and y: each
+    hom set is {1, e} times its one arrow, and the arrows (1, ·) are the
+    isomorphisms.  Built anew on each call, so no memo answers for it."""
+    objects = ("x", "y")
+    raw = RawCategory(objects=list(objects))
+    for u, a, b in itertools.product("1e", objects, objects):
+        raw.morphisms.append((f"{u}{a}{b}", a, b, u == "1" and a == b))
+    for u, v, (a, b, c) in itertools.product("1e", "1e", itertools.product(objects, repeat=3)):
+        uv = "1" if u == v == "1" else "e"
+        raw.compositions.append((f"{u}{b}{c}", f"{v}{a}{b}", f"{uv}{a}{c}"))
+    return validate_category(raw)
+
+
+def test_a_c_with_no_inverse_ranks_the_category_itself(monkeypatch):
+    # c_y = (e, y → x) has the endpoints of the honest c_y = (1, y → x) but
+    # no inverse: the functor check refuses it, no skeleton category is
+    # built, and the dims are those of the honest skeleton
+    cat = idempotent_times_indiscrete()
+    honest = nerve._skeleton
+    rep, c, r = honest(cat)
+    assert rep == (0, 0) and cat.morphism_names[c[1]] == "1yx"
+    assert nerve._retraction_is_functor(cat)
+    dims = simplicial_cohomology_dims(cat, GF2, 3)
+    not_invertible = cat.morphism_names.index("eyx")
+    monkeypatch.setattr(nerve, "_skeleton", lambda cat: (rep, (c[0], not_invertible), r))
+    skeletons = count_builds(monkeypatch, _skeleton_category)
+    cat = idempotent_times_indiscrete()
+    assert not nerve._retraction_is_functor(cat)
+    assert simplicial_cohomology_dims(cat, GF2, 3) == dims
+    assert not skeletons
+    assert dims == list(cohomology_dims([_coboundary(cat, m) for m in range(4)], GF2))
 
 # --- one rank per class of equal components -------------------------------------------
 
