@@ -339,6 +339,13 @@ def emit(report: Report, output: str) -> str:
     return report.text if report.text.endswith("\n") else report.text + "\n"
 
 
+def _refuse(exc: Exception, output: str, code: int) -> int:
+    """Write a refusal as one stderr line, its payload under JSON."""
+    print(json.dumps(error_payload(exc)) if output == "json" else f"error: {exc}",
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     cmd = parse_args(argv)
@@ -353,13 +360,6 @@ def main(argv=None) -> int:
         return _refuse(exc, cmd.output, 2)
     sys.stdout.write(emit(report, cmd.output))
     return report.exit_code
-
-
-def _refuse(exc: Exception, output: str, code: int) -> int:
-    """Write a refusal as one stderr line, its payload under JSON."""
-    print(json.dumps(error_payload(exc)) if output == "json" else f"error: {exc}",
-          file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

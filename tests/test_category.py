@@ -235,6 +235,7 @@ def test_validate_reports_a_refusal_as_its_payload(tmp_path, capsys):
         parse_category(f.read_text(encoding="utf-8"))
     assert payload(refused.value) == error
 
+
 def test_validate_associativity_failure():
     # z∘z = id breaks (z∘z)∘z = z∘(z∘z) unless z = z∘id, so force a clash:
     # u∘u = v, u∘v = u, v∘u = u, v∘v = u is not associative

@@ -172,6 +172,7 @@ def test_fixture_constructors_refuse_a_malformed_table_with_its_reason(name):
         call()
     assert str(refused.value) == message
 
+
 def test_group_from_table_rejects_a_non_associative_loop():
     # e, a, b with a∘a = b∘b = e and a∘b = b∘a = a: identity and inverses
     # exist, but (b∘a)∘a = e while b∘(a∘a) = b; validation finds it

@@ -389,7 +389,8 @@ def test_cohomology_both_falls_back_exactly_past_the_full_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
-        "kind": "DimensionCapExceeded", "message": "degree 3 needs 1296 basis elements, cap is 1295",
+        "kind": "DimensionCapExceeded",
+        "message": "degree 3 needs 1296 basis elements, cap is 1295",
         "degree": 3, "required": 1296, "cap": 1295}
 
 
@@ -491,7 +492,6 @@ def test_derivations_exit_code_3_without_hypotheses(tmp_path):
     assert main(["compare", str(f)]) == 3
 
 
-
 # --- refusals: one output per exit code ---------------------------------------------
 
 Z_MONOID = ("object x\nmorphism id : x -> x identity\nmorphism z : x -> x\n"
@@ -566,6 +566,7 @@ def test_an_option_that_is_no_nonnegative_integer_is_a_usage_error(capsys, optio
         main(["cohomology", "ex6", option, value])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+
 
 @pytest.mark.parametrize("verb", ["compare", "derivations"])
 @pytest.mark.parametrize("field", ["gf:2", "q"])

@@ -381,6 +381,7 @@ def test_t2_reading_a_non_relative_column_eliminates_the_derivations(monkeypatch
     assert theorem_b_report(cat, field) == honest
     assert eliminated(calls, relative_differential_matrix(cat, 1))
 
+
 def fresh_fixture(name):
     """A catalog fixture built anew, so no memo has listed its chains or bases."""
     return group_from_table(symmetric_group_table(3)) if name == "s3" else builtin(name)

@@ -628,10 +628,6 @@ def test_sum_drops_cancelled_entries_and_rows():
     assert a.rows == {0: {0: 1, 1: 2}, 1: {1: 1}}   # the summands are untouched
     ints = mk(QQ, [[1, -1], [2, 0]])
     assert (ints + mk(QQ, [[-1, 1], [0, Fraction(1, 2)]])).rows == {1: {0: 2, 1: Fraction(1, 2)}}
-    with pytest.raises(ValueError):
-        a + mk(GF3, [[1, 2]])
-    with pytest.raises(ValueError):
-        a + mk(GF5, [[1, 2], [0, 1]])
 
 
 
@@ -666,6 +662,7 @@ def test_mismatched_operands_are_refused_with_their_reason(name):
     with pytest.raises(kind) as refused:
         call()
     assert str(refused.value) == message
+
 
 def test_serialization_triplets():
     m = mk(QQ, [[0, Fraction(1, 2)], [3, 0]])

@@ -433,7 +433,6 @@ def test_a_broken_skeleton_ranks_the_classes_of_fad(monkeypatch, breakage):
     assert dims == list(cohomology_dims(own, GF2))
 
 
-
 def idempotent_times_indiscrete():
     """{1, e} with e∘e = e times the indiscrete category on x and y: each
     hom set is {1, e} times its one arrow, and the arrows (1, ·) are the
