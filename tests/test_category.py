@@ -185,7 +185,6 @@ def test_validate_duplicate_name():
         validate_category(raw)
 
 
-
 ID_X = ("id", "x", "x", True)
 Z_X = ("z", "x", "x", False)
 

@@ -151,7 +151,6 @@ def test_group_from_table_rejects_non_groups():
         group_from_table(z_monoid)
 
 
-
 FIXTURE_REFUSALS = {
     "empty_table": (lambda: group_from_table([]), NotAGroup, "empty table"),
     "entry_out_of_range": (lambda: group_from_table([[0, 1], [1, 2]]), NotAGroup,

@@ -358,7 +358,6 @@ def test_a_failed_x_check_eliminates_the_derivations(monkeypatch, name, perturba
     assert eliminated(calls, relative_differential_matrix(cat, 1))
 
 
-
 misread_t2_outside = misread(2, lambda cat, read, ncols: next(
     c for c in range(ncols) if c not in _slice(cat, 2, False)[1]))
 

@@ -630,7 +630,6 @@ def test_sum_drops_cancelled_entries_and_rows():
     assert (ints + mk(QQ, [[-1, 1], [0, Fraction(1, 2)]])).rows == {1: {0: 2, 1: Fraction(1, 2)}}
 
 
-
 MISMATCHES = {
     "entry_below_range": (lambda: Matrix.from_entries(QQ, 2, 2, {(0, -1): 1}), IndexError,
                           "entry (0, -1) outside 2x2"),

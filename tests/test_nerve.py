@@ -466,6 +466,7 @@ def test_a_c_with_no_inverse_ranks_the_category_itself(monkeypatch):
     assert not skeletons
     assert dims == list(cohomology_dims([_coboundary(cat, m) for m in range(4)], GF2))
 
+
 # --- one rank per class of equal components -------------------------------------------
 
 REPEATED = {
